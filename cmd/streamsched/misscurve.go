@@ -34,8 +34,8 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	scale := fs.Int64("scale", 4, "scaling factor for -sched scaled")
 	workers := fs.Int("workers", 0, "parallel recordings (default GOMAXPROCS)")
-	profileJobs := fs.Int("profilejobs", 0, "shard workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
-	decodeJobs := fs.Int("decodejobs", 0, "parallel chunk-decode workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
+	profileJobs := fs.Int("profilejobs", 0, "accepted for symmetry with hier/shared; organisation grids always profile inline, whatever the value")
+	decodeJobs := fs.Int("decodejobs", 0, "accepted for symmetry with hier/shared; the inline profiling pass decodes its trace as it goes")
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -87,7 +87,6 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 		sweepSp := obs.Default().StartSpan("misscurve.sweep")
 		outcomes := schedule.SweepCurves(g, scheds, env, *b, *warm, *meas, *workers)
 		sweepSp.End()
-		of.logWorkerChoice(out)
 		results, err := collectSweep("misscurve", outcomes)
 		if err != nil {
 			return err
@@ -131,7 +130,6 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	sweepSp := obs.Default().StartSpan("misscurve.sweep")
 	outcomes := schedule.SweepCurveOrgs(g, scheds, env, *b, *warm, *meas, specs, *workers)
 	sweepSp.End()
-	of.logWorkerChoice(out)
 	results, err := collectSweep("misscurve", outcomes)
 	if err != nil {
 		return err

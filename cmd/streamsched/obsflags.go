@@ -34,12 +34,12 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	return o
 }
 
-// logWorkerChoice reports, under -v, the worker counts the profiling
-// engine actually chose — the adaptive heuristic may cap -profilejobs at
-// the grid's independent unit count, and -decodejobs is capped at the
-// trace's chunk count. Reads the profile.shard.workers and
-// profile.pipeline.decode.workers gauges the pipeline publishes, so it
-// must run after the sweep.
+// logWorkerChoice reports, under -v, the worker counts the hier/shared
+// profiling pipeline actually chose — -profilejobs is capped at the
+// grid's unit count and -decodejobs at the trace's chunk count. Reads the
+// profile.shard.workers and profile.pipeline.decode.workers gauges the
+// pipeline publishes, so it must run after the sweep; a pass that ran
+// inline published neither, and nothing is printed.
 func (o *obsFlags) logWorkerChoice(out io.Writer) {
 	if !o.verbose {
 		return

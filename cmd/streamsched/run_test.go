@@ -322,6 +322,17 @@ func TestMissCurveOrganisations(t *testing.T) {
 			t.Errorf("org csv missing row %q:\n%s", want, sb.String())
 		}
 	}
+	// Organisation grids profile inline at any -profilejobs, so -v has no
+	// worker choice to report — and must not report "0 workers".
+	sb.Reset()
+	err = run([]string{"misscurve", "-M", "256", "-sched", "flat", "-caps", "256", "-ways", "4",
+		"-warm", "64", "-measure", "256", "-profilejobs", "4", "-decodejobs", "4", "-v", path}, &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(sb.String(), "shard worker") {
+		t.Errorf("misscurve -v reports shard workers for an inline profile:\n%s", sb.String())
+	}
 	// Organisation sweeps need an explicit capacity grid.
 	if err := run([]string{"misscurve", "-M", "256", "-ways", "4", path}, &sb); err == nil {
 		t.Error("org sweep without -caps accepted")
@@ -398,6 +409,20 @@ func TestHierCommand(t *testing.T) {
 	}
 	if !strings.HasPrefix(csvLines[0], "scheduler,L1,L2,") {
 		t.Errorf("hier csv header missing level columns: %s", csvLines[0])
+	}
+
+	// -v reports the worker counts a sharded pass chose, and nothing for
+	// a pass that ran inline.
+	for jobs, want := range map[string]bool{"2": true, "1": false} {
+		sb.Reset()
+		err = run([]string{"hier", "-M", "256", "-sched", "flat", "-l1caps", "256", "-l2caps", "1k",
+			"-warm", "64", "-measure", "256", "-profilejobs", jobs, "-decodejobs", "1", "-v", path}, &sb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(sb.String(), "profile: 2 shard worker(s), 1 decode worker(s)"); got != want {
+			t.Errorf("hier -profilejobs %s -v: worker line present = %v, want %v:\n%s", jobs, got, want, sb.String())
+		}
 	}
 
 	// Flag validation: missing grids, bad geometry, bad cost model.

@@ -48,8 +48,8 @@ func realMain(args []string, logw io.Writer, ready chan<- string) error {
 	listen := fs.String("listen", "127.0.0.1:8372", "listen address")
 	cacheBytes := fs.String("cachebytes", "256m", "result cache byte budget (k/m/g suffixes; 0 disables)")
 	jobs := fs.Int("jobs", 0, "max concurrent computations (0: one per CPU)")
-	profileJobs := fs.Int("profilejobs", 1, "profiling shards per computation")
-	decodeJobs := fs.Int("decodejobs", 1, "parallel chunk-decode workers per profiling pass")
+	profileJobs := fs.Int("profilejobs", 1, "accepted, no effect: the daemon's curves profile inline (the knob only sizes hier/shared unit sharding)")
+	decodeJobs := fs.Int("decodejobs", 1, "accepted, no effect: the inline profiling pass decodes its trace as it goes")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request wait bound")
 	maxBody := fs.String("maxbody", "8m", "request body size limit (k/m/g suffixes)")
 	if err := fs.Parse(args); err != nil {

@@ -249,9 +249,10 @@ func buildFilters(spec HierSpec) []*l1Filter {
 
 // hierOrgSpecs groups the L1 design points into organisation specs by
 // set count (FIFO points adding their way counts to the family's replay
-// list), returning the set-count → spec-index map used to find each
-// point's curves again. Shared by the sequential and sharded hierarchy
-// profilers.
+// list, every point raising the spec's MaxWays to its own way count so
+// the L1 stacks are truncated at the deepest point the grid evaluates),
+// returning the set-count → spec-index map used to find each point's
+// curves again. Shared by the sequential and sharded hierarchy profilers.
 func hierOrgSpecs(l1s []Level) ([]trace.OrgSpec, map[int64]int) {
 	specIdx := make(map[int64]int)
 	var orgSpecs []trace.OrgSpec
@@ -265,6 +266,9 @@ func hierOrgSpecs(l1s []Level) ([]trace.OrgSpec, map[int64]int) {
 		}
 		if l1.Policy == cachesim.FIFO {
 			orgSpecs[idx].FIFOWays = append(orgSpecs[idx].FIFOWays, l1.EffWays())
+		}
+		if w := l1.EffWays(); w > orgSpecs[idx].MaxWays {
+			orgSpecs[idx].MaxWays = w
 		}
 	}
 	return orgSpecs, specIdx

@@ -201,3 +201,68 @@ func TestProfileHierEmptyWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestPropHierOrgSpecsBoundChangesNothing is the property behind
+// hierOrgSpecs' MaxWays: truncating the L1 stacks at the deepest way count
+// the grid evaluates leaves every HierCurves number what unbounded stacks
+// give. The organisation curves feed HierCurves' Accesses and L1Misses
+// (and the filter cross-check that fails the whole pass on a mismatch), so
+// those are compared against an unbounded trace.ProfileOrgs of the same
+// log, on random mixed-policy L1 grids, sequential and sharded.
+// SharedCurves has no organisation curves to bound: ProfileShared's L1
+// counts come from the per-processor filter banks alone.
+func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	lineCounts := []int64{1, 4, 8, 16, 32}
+	for trial := 0; trial < 12; trial++ {
+		spec := HierSpec{Block: 16, L2s: []Level{lv(128*16, 16, 8, cachesim.LRU), lv(64*64, 64, 0, cachesim.FIFO)}}
+		for k := 2 + rng.Intn(5); k > 0; k-- {
+			lines := lineCounts[rng.Intn(len(lineCounts))]
+			ways := []int64{0, 1, lines}[rng.Intn(3)]
+			if lines%2 == 0 && rng.Intn(2) == 0 {
+				ways = 2
+			}
+			spec.L1s = append(spec.L1s, lv(lines*16, 16, ways, cachesim.Policy(rng.Intn(2))))
+		}
+		bounded, specIdx := hierOrgSpecs(spec.L1s)
+		unbounded := make([]trace.OrgSpec, len(bounded))
+		for i, s := range bounded {
+			var deepest int64
+			for _, l1 := range spec.L1s {
+				if l1.Sets() == s.Sets && l1.EffWays() > deepest {
+					deepest = l1.EffWays()
+				}
+			}
+			if s.MaxWays != deepest {
+				t.Fatalf("trial %d: spec sets=%d bounded at %d ways, deepest L1 point has %d", trial, s.Sets, s.MaxWays, deepest)
+			}
+			unbounded[i] = trace.OrgSpec{Sets: s.Sets, FIFOWays: s.FIFOWays}
+		}
+		n := 3000
+		l := recordLog(stream(rng, n, int64(20+rng.Intn(200))), rng.Intn(n+1))
+		ref, err := trace.ProfileOrgs(l, unbounded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := ProfileHier(l, spec)
+		if err != nil {
+			t.Fatalf("trial %d L1s %v: %v", trial, spec.L1s, err)
+		}
+		sharded, err := ProfileHierJobs(l, spec, 2, 1)
+		if err != nil {
+			t.Fatalf("trial %d L1s %v sharded: %v", trial, spec.L1s, err)
+		}
+		if !reflect.DeepEqual(seq, sharded) {
+			t.Fatalf("trial %d: sharded hier curves differ from sequential", trial)
+		}
+		if seq.Accesses != ref[0].LRU.Accesses {
+			t.Fatalf("trial %d: %d accesses, unbounded profile %d", trial, seq.Accesses, ref[0].LRU.Accesses)
+		}
+		for i, l1 := range spec.L1s {
+			want, ok := ref[specIdx[l1.Sets()]].Misses(l1.EffWays(), l1.Policy == cachesim.FIFO)
+			if !ok || seq.L1Misses[i] != want {
+				t.Fatalf("trial %d L1 %v: bounded %d misses, unbounded %d (ok=%v)", trial, l1, seq.L1Misses[i], want, ok)
+			}
+		}
+	}
+}

@@ -16,10 +16,11 @@ import (
 // full access stream (via the FanOut pipeline), so they produce identical
 // miss streams — each worker feeds its owned groups the same filtered
 // stream the sequential profiler would have, in the same order, and the
-// merged curves are byte-identical. The L1 organisation curves ride the
-// same worker pool through trace.OrgShards. The replica redundancy costs
-// one Bank lookup per (worker, L1 point) per access; the expensive state
-// — the per-set L2 Mattson stacks and FIFO rows — is never duplicated.
+// merged curves are byte-identical. The L1 organisation curves are one
+// more unit of the same pool: the whole trace.OrgProfilers rides the
+// worker the round-robin hands it to. The replica redundancy costs one
+// Bank lookup per (worker, L1 point) per access; the expensive state —
+// the per-set L2 Mattson stacks and FIFO rows — is never duplicated.
 
 // filterReplica is one worker's replica of an L1 filter bank plus the L2
 // family groups the worker owns behind it. The replica designated at
@@ -60,23 +61,27 @@ func (r *filterReplica) resetCounts() {
 	}
 }
 
-// hierShardWorker is one worker's share of a sharded ProfileHier pass: an
-// organisation-curve shard plus its filter replicas. It implements
-// trace.WindowedConsumer.
+// hierShardWorker is one worker's share of a sharded ProfileHier pass:
+// its filter replicas, plus the organisation profilers on the one worker
+// that owns that unit. It implements trace.WindowedConsumer.
 type hierShardWorker struct {
-	org  *trace.OrgShard
+	org  *trace.OrgProfilers // nil on every worker but the unit's owner
 	reps []*filterReplica
 }
 
 func (w *hierShardWorker) ResetCounts() {
-	w.org.ResetCounts()
+	if w.org != nil {
+		w.org.ResetCounts()
+	}
 	for _, r := range w.reps {
 		r.resetCounts()
 	}
 }
 
 func (w *hierShardWorker) Touch(blk int64) {
-	w.org.Touch(blk)
+	if w.org != nil {
+		w.org.Touch(blk)
+	}
 	for _, r := range w.reps {
 		r.touch(blk)
 	}
@@ -120,24 +125,10 @@ func mergeUnitsTimed(h *obs.Histogram, groups []*l2Group) {
 	}
 }
 
-// hierShardUnits counts the independently-assignable work units of a
-// hierarchy grid: the (L1 point, L2 family) pairs distributed round-robin
-// plus the organisation-curve structures riding the same pool. Workers
-// beyond the larger of the two own nothing, so the jobs knob is capped at
-// it (the adaptive heuristic; the chosen count lands in
-// profile.shard.workers).
-func hierShardUnits(orgSpecs []trace.OrgSpec, nL1, nFams int) int64 {
-	units := int64(nL1) * int64(nFams)
-	if ou := trace.OrgShardUnits(orgSpecs); ou > units {
-		units = ou
-	}
-	return units
-}
-
 // ProfileHierJobs is ProfileHier with the grid's profiling work sharded
 // across a worker pool: jobs <= 0 uses one worker per CPU, 1 is exactly
 // ProfileHier, larger values pin the worker count — capped at the grid's
-// independent unit count. One replay feeds every worker through the
+// unit count. One replay feeds every worker through the
 // FanOut pipeline, decoded by decodeJobs parallel chunk decoders (same
 // knob convention); the returned curves are byte-identical to the
 // sequential path's.
@@ -146,23 +137,29 @@ func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCu
 		return nil, err
 	}
 	orgSpecs, specIdx := hierOrgSpecs(spec.L1s)
-	fams0, _ := l2Families(spec.Block, spec.L2s)
+	fams, slots := l2Families(spec.Block, spec.L2s)
+	// Workers beyond the unit count — the (L1 point, L2 family) pairs plus
+	// the organisation curves — would own nothing; the chosen count lands
+	// in profile.shard.workers.
+	units := len(spec.L1s)*len(fams) + 1
 	workers := trace.ProfileWorkers(jobs)
-	if u := hierShardUnits(orgSpecs, len(spec.L1s), len(fams0)); int64(workers) > u {
-		workers = int(u)
+	if workers > units {
+		workers = units
 	}
 	if workers <= 1 && trace.ProfileWorkers(decodeJobs) <= 1 {
 		return ProfileHier(l, spec)
 	}
-	shards, err := trace.NewOrgShards(orgSpecs, workers)
+	orgProfs, err := trace.NewOrgProfilers(orgSpecs)
 	if err != nil {
 		return nil, err
 	}
-	fams, slots := l2Families(spec.Block, spec.L2s)
 	pool := make([]*hierShardWorker, workers)
 	for w := range pool {
-		pool[w] = &hierShardWorker{org: shards.Shard(w)}
+		pool[w] = &hierShardWorker{}
 	}
+	// The organisation curves are the unit after the last (point, family)
+	// pair in the round-robin.
+	pool[(units-1)%workers].org = orgProfs
 	repAt := make([][]*filterReplica, workers) // per worker, per L1 point
 	for w := range repAt {
 		repAt[w] = make([]*filterReplica, len(spec.L1s))
@@ -194,7 +191,7 @@ func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCu
 	if err := l.FanOut(consumers, decodeJobs); err != nil {
 		return nil, err
 	}
-	orgCurves := shards.Curves()
+	orgCurves := orgProfs.Curves()
 
 	misses := make([]int64, len(spec.L1s))
 	var totalMisses int64
@@ -211,7 +208,7 @@ func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCu
 		return nil, err
 	}
 	stop()
-	shards.PublishMetrics(reg, orgCurves)
+	orgProfs.PublishMetrics(reg, orgCurves)
 	publishHierGroupMetrics(reg, totalMisses, groups, len(spec.L1s)*len(spec.L2s))
 	return out, nil
 }

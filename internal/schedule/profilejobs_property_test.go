@@ -1,13 +1,15 @@
 package schedule
 
-// Property tests for the sharded profiling engine at the measurement API:
+// Property tests for the jobs knobs at the measurement API:
 // Env.ProfileJobs and Env.DecodeJobs are purely speed knobs, so
-// MeasureCurveOrgs and MeasureHier must return byte-identical results for
-// any (worker, decode worker) counts on any graph. These run the full
-// record→profile path end to end (random pipelines and dags,
-// set-associative + FIFO organisations, a two-level grid), complementing
-// the trace/hierarchy-level equivalence tests that replay one shared log
-// under many worker counts.
+// MeasureCurveOrgs (which profiles inline and ignores them) and
+// MeasureHier (which shards its units across them) must return
+// byte-identical results for any (worker, decode worker) counts on any
+// graph. These run the full record→profile path end to end (random
+// pipelines and dags, set-associative + FIFO organisations, a two-level
+// grid), complementing the trace-level oracle tests and the
+// hierarchy-level equivalence tests that replay one shared log under many
+// worker counts.
 
 import (
 	"math/rand"

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"streamsched/internal/cachesim"
+	"streamsched/internal/obs"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/sdf"
+	"streamsched/internal/trace"
 )
 
 // schedulersForGraph returns every scheduler the cross-validation should
@@ -170,5 +172,39 @@ func TestSweepCurves(t *testing.T) {
 		if o.Value.Curve.Accesses == 0 {
 			t.Fatalf("scheduler %s recorded an empty window", o.Name)
 		}
+	}
+}
+
+// TestMeasureCurveOrgsSharesFullyAssociativeStack checks that the
+// fully-associative curve MeasureCurveOrgs always profiles and a grid's
+// own Sets=1 spec cost one Fenwick stack between them: the Fenwick
+// operation count of the grid run equals the curve-only run's, and both
+// are non-zero (the stack did outgrow its list form).
+func TestMeasureCurveOrgsSharesFullyAssociativeStack(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	g, err := randgraph.RandomPipeline(rng, randgraph.PipelineSpec{Nodes: 24, StateMin: 128, StateMax: 256, RateMax: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every family but Sets=1 is shallow enough to stay off the Fenwick
+	// form, so the counter isolates the fully-associative stacks.
+	specs, _, err := trace.GridSpecs([]int64{1024, 4096}, 16, []int64{0, 1, 8}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fenwickOps := func(orgs []trace.OrgSpec) int64 {
+		reg := obs.NewRegistry()
+		env := Env{M: 512, B: 16, Metrics: reg}
+		if _, err := MeasureCurveOrgs(g, FlatTopo{}, env, env.B, 64, 256, orgs); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot().Counters["trace.profile.fenwick.ops"]
+	}
+	alone := fenwickOps(nil)
+	if alone == 0 {
+		t.Fatal("fully-associative stack never reached its Fenwick form; grow the graph")
+	}
+	if withGrid := fenwickOps(specs); withGrid != alone {
+		t.Fatalf("grid with a Sets=1 spec cost %d Fenwick ops, the fully-associative curve alone %d", withGrid, alone)
 	}
 }

@@ -17,8 +17,7 @@
 //     that gives up still leaves a warm cache behind;
 //   - a bounded worker pool: at most Config.Jobs computations run
 //     concurrently (the rest queue on the pool semaphore), keeping a
-//     burst of distinct cold requests from oversubscribing the CPUs that
-//     the profiling engine's own ProfileJobs shards want.
+//     burst of distinct cold requests from oversubscribing the CPUs.
 //
 // Separating pure planning/profiling (internal/schedule — stateless,
 // deterministic) from process-lifetime state (this package + the cache)
@@ -77,17 +76,13 @@ type Config struct {
 	// Jobs bounds concurrent computations (the worker pool). 0 means
 	// one per CPU; negative is rejected by New.
 	Jobs int
-	// ProfileJobs is schedule.Env.ProfileJobs for each computation: how
-	// many workers the profiling engine shards one request across.
-	// Default 1 (sequential) — under concurrent load the request-level
-	// pool is the better parallelism axis; raise it for big single
-	// profiles on an idle daemon.
+	// ProfileJobs and DecodeJobs are schedule.Env's fields of the same
+	// names for each computation. Both default to 1 and neither changes
+	// what the daemon computes or how fast: its curves are organisation
+	// profiles, which always run inline (the knobs size only the
+	// hier/shared unit sharding).
 	ProfileJobs int
-	// DecodeJobs is schedule.Env.DecodeJobs for each computation: the
-	// parallel chunk-decode width of the profiling pipeline. Default 1
-	// (sequential decode) for the same reason as ProfileJobs; raise both
-	// together for big single profiles on an idle daemon.
-	DecodeJobs int
+	DecodeJobs  int
 	// Timeout bounds how long a client waits for a computation (the
 	// computation itself runs to completion and fills the cache).
 	// Default 60s.

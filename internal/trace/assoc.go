@@ -1,5 +1,10 @@
 package trace
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Set-associative LRU profiling. A set-associative cache is a bank of
 // independent small fully-associative caches: block blk lives in set
 // blk mod sets, and within a set the replacement policy orders only that
@@ -11,6 +16,44 @@ package trace
 // ablation becomes one-pass: a W-way cache of capacity M words and block
 // B has sets = (M/B)/W, and its miss count is the sum over sets of the
 // per-set misses at stack depth W.
+
+// setIndex splits a block id into its set and its dense within-set id,
+// mirroring cachesim's placement (set = blk mod sets, floored for negative
+// ids). A power-of-two set count reduces to a mask and a shift.
+type setIndex struct {
+	sets  int64
+	shift int // log2(sets) when sets is a power of two, else -1
+}
+
+func newSetIndex(sets int64) setIndex {
+	s := setIndex{sets: sets, shift: -1}
+	if sets&(sets-1) == 0 {
+		s.shift = bits.TrailingZeros64(uint64(sets))
+	}
+	return s
+}
+
+// set returns blk's set index.
+func (s setIndex) set(blk int64) int64 {
+	if s.shift >= 0 {
+		return blk & (s.sets - 1)
+	}
+	set := blk % s.sets
+	if set < 0 {
+		set += s.sets
+	}
+	return set
+}
+
+// id returns blk's within-set id, given its set index.
+func (s setIndex) id(blk, set int64) int64 {
+	if s.shift >= 0 {
+		return blk >> s.shift
+	}
+	// (blk - set) is an exact multiple of sets, so this floored division is
+	// collision-free even for negative block ids.
+	return (blk - set) / s.sets
+}
 
 // AssocProfiler shards a block-access stream by set index and runs an
 // independent Mattson stack profiler per set. It mirrors cachesim's
@@ -26,13 +69,14 @@ package trace
 // exact; the hybrid is what keeps multi-organisation profiling cheap per
 // access.
 type AssocProfiler struct {
-	sets int64
-	per  []setStack
+	idx setIndex
+	per []setStack
 }
 
 // assocListLimit is the per-set stack size beyond which a list stack
 // upgrades to the Fenwick-based Profiler: move-to-front costs O(depth),
-// so deep stacks go back to the O(log n) structure.
+// so deep stacks go back to the O(log n) structure. It is also the deepest
+// bound a request-bounded stack (boundedStacks) is built for.
 const assocListLimit = 192
 
 // setStack is one set's adaptive Mattson stack.
@@ -51,11 +95,11 @@ func NewAssocProfiler(sets int64) *AssocProfiler {
 	for i := range per {
 		per[i].list = &listStack{}
 	}
-	return &AssocProfiler{sets: sets, per: per}
+	return &AssocProfiler{idx: newSetIndex(sets), per: per}
 }
 
 // Sets returns the number of sets the profiler shards into.
-func (p *AssocProfiler) Sets() int64 { return p.sets }
+func (p *AssocProfiler) Sets() int64 { return p.idx.sets }
 
 // RecordBlock implements Recorder.
 func (p *AssocProfiler) RecordBlock(blk int64) { p.Touch(blk) }
@@ -65,13 +109,8 @@ func (p *AssocProfiler) RecordBlock(blk int64) { p.Touch(blk) }
 // per-set stack sees a dense id space regardless of the stride the set
 // selection induces.
 func (p *AssocProfiler) Touch(blk int64) {
-	set := blk % p.sets
-	if set < 0 {
-		set += p.sets
-	}
-	// (blk - set) is an exact multiple of sets, so this floored division is
-	// collision-free even for negative block ids.
-	p.per[set].touch((blk - set) / p.sets)
+	set := p.idx.set(blk)
+	p.per[set].touch(p.idx.id(blk, set))
 }
 
 func (s *setStack) touch(blk int64) {
@@ -99,6 +138,15 @@ func (s *setStack) upgrade() {
 	s.list = nil
 }
 
+// counts returns the set's depth histogram and cold count, whichever form
+// the stack is in.
+func (s *setStack) counts() (hist []int64, cold int64) {
+	if s.mat != nil {
+		return s.mat.hist, s.mat.cold
+	}
+	return s.list.hist, s.list.cold
+}
+
 func (s *setStack) resetCounts() {
 	if s.mat != nil {
 		s.mat.ResetCounts()
@@ -108,13 +156,6 @@ func (s *setStack) resetCounts() {
 		s.list.hist[i] = 0
 	}
 	s.list.cold = 0
-}
-
-func (s *setStack) curve() *MissCurve {
-	if s.mat != nil {
-		return s.mat.Curve()
-	}
-	return curveFromHist(s.list.hist, s.list.cold)
 }
 
 // TimelineOps returns the total Fenwick-timeline operation count across
@@ -138,16 +179,23 @@ func (p *AssocProfiler) ResetCounts() {
 	}
 }
 
-// Curve freezes the per-set histograms into an AssocCurve.
+// Curve freezes the per-set histograms into an AssocCurve. A W-way cache
+// misses an access exactly when its within-set depth exceeds W, so the
+// sets' depth histograms add up to one curve.
 func (p *AssocProfiler) Curve() *AssocCurve {
-	c := &AssocCurve{Sets: p.sets, per: make([]*MissCurve, p.sets)}
+	var total []int64
+	var cold int64
 	for i := range p.per {
-		mc := p.per[i].curve()
-		c.per[i] = mc
-		c.Accesses += mc.Accesses
-		c.Cold += mc.Cold
+		hist, c := p.per[i].counts()
+		if len(hist) > len(total) {
+			total = append(total, make([]int64, len(hist)-len(total))...)
+		}
+		for d, n := range hist {
+			total[d] += n
+		}
+		cold += c
 	}
-	return c
+	return newAssocCurve(p.idx.sets, 0, curveFromHist(total, cold))
 }
 
 // listStack is Mattson's algorithm on an explicit move-to-front array:
@@ -181,10 +229,64 @@ func (l *listStack) touch(blk int64) {
 	l.blks[0] = blk
 }
 
+// boundedStacks is the request-bounded form of the per-set stacks: when
+// the deepest way count a request evaluates is known, an access deeper
+// than that misses at every requested way count, so each set keeps only
+// its bound most recent blocks. All sets live in one flat sets x bound
+// move-to-front array and share one depth histogram. Rows hold the blocks'
+// blockTable slots, which identify a block as exactly as its id does.
+type boundedStacks struct {
+	bound int
+	rows  []int32 // sets*bound entries, most recent first; noSlot = empty
+	hist  []int64 // hist[d], 1 <= d <= bound: counted accesses at depth d
+	deep  int64   // counted accesses not found in their row (cold included)
+}
+
+func newBoundedStacks(sets, bound int64) *boundedStacks {
+	rows := make([]int32, sets*bound)
+	for i := range rows {
+		rows[i] = noSlot
+	}
+	return &boundedStacks{bound: int(bound), rows: rows, hist: make([]int64, bound+1)}
+}
+
+func (b *boundedStacks) touch(set int64, slot int32) {
+	row := b.rows[int(set)*b.bound:][:b.bound]
+	for i, s := range row {
+		if s == slot {
+			b.hist[i+1]++
+			copy(row[1:i+1], row[:i])
+			row[0] = slot
+			return
+		}
+	}
+	// Deeper than the bound: the row's last entry falls off the stack.
+	b.deep++
+	copy(row[1:], row)
+	row[0] = slot
+}
+
+func (b *boundedStacks) resetCounts() {
+	for i := range b.hist {
+		b.hist[i] = 0
+	}
+	b.deep = 0
+}
+
+// curve folds the shared histogram into an AssocCurve valid up to the
+// bound. cold is the counted first-ever accesses, all of which are among
+// the deep ones; the remaining deep accesses sit at some finite depth
+// past the bound, which is all any requested way count needs to know.
+func (b *boundedStacks) curve(sets, cold int64) *AssocCurve {
+	hist := append(append([]int64(nil), b.hist...), b.deep-cold)
+	return newAssocCurve(sets, int64(b.bound), curveFromHist(hist, cold))
+}
+
 // AssocCurve is the result of per-set reuse-distance profiling: the exact
 // set-associative LRU miss count of the recorded (windowed) stream for a
 // fixed set count, as a function of the way count — every associativity
-// with that set count at once.
+// with that set count at once, or every one up to MaxWays when the
+// profile was request-bounded.
 type AssocCurve struct {
 	// Sets is the set count the trace was sharded by.
 	Sets int64
@@ -192,18 +294,29 @@ type AssocCurve struct {
 	Accesses int64
 	// Cold is the number of counted first-ever accesses.
 	Cold int64
-	per  []*MissCurve
+	// MaxWays is the deepest way count the curve answers; zero means every
+	// way count (the stacks were not truncated).
+	MaxWays int64
+	curve   *MissCurve // depth histogram summed over the sets
 }
+
+func newAssocCurve(sets, maxWays int64, mc *MissCurve) *AssocCurve {
+	return &AssocCurve{Sets: sets, Accesses: mc.Accesses, Cold: mc.Cold, MaxWays: maxWays, curve: mc}
+}
+
+// Covers reports whether the curve answers the given way count.
+func (c *AssocCurve) Covers(ways int64) bool { return c.MaxWays == 0 || ways <= c.MaxWays }
 
 // Misses returns the exact miss count of a Sets-set LRU cache with the
 // given number of ways (lines per set). With Sets == 1 this is the
-// fully-associative curve and ways is the total line count.
+// fully-associative curve and ways is the total line count. It panics on
+// a way count a request-bounded curve does not cover: the truncated
+// stacks hold no answer there, and a wrong number must never pass for one.
 func (c *AssocCurve) Misses(ways int64) int64 {
-	var m int64
-	for _, mc := range c.per {
-		m += mc.Misses(ways)
+	if !c.Covers(ways) {
+		panic(fmt.Sprintf("trace: AssocCurve profiled up to %d ways asked for %d", c.MaxWays, ways))
 	}
-	return m
+	return c.curve.Misses(ways)
 }
 
 // MissRatio returns misses/accesses at the given way count.
@@ -215,10 +328,10 @@ func (c *AssocCurve) MissRatio(ways int64) float64 {
 }
 
 // Full returns the underlying fully-associative MissCurve when the curve
-// was profiled with a single set, and nil otherwise.
+// was profiled with a single set and no bound, and nil otherwise.
 func (c *AssocCurve) Full() *MissCurve {
-	if c.Sets != 1 {
+	if c.Sets != 1 || c.MaxWays != 0 {
 		return nil
 	}
-	return c.per[0]
+	return c.curve
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -33,8 +34,8 @@ import (
 //
 // Each consumer runs on its own goroutine and receives the complete
 // stream in recorded order; parallelism comes from the decode workers
-// plus consumers that ignore the accesses they do not own (the shard
-// profilers route by set index). Window semantics are
+// plus consumers that each do their own share of the per-access work (the
+// hierarchy profilers' unit workers). Window semantics are
 // Log.ForEachWindowed's, replicated per consumer: ResetCounts fires
 // exactly when the measured window begins, or once at the end when the
 // window mark sits at or past the last access.
@@ -55,11 +56,22 @@ const (
 	decodeReorderSlack = 2
 )
 
+// ProfileWorkers resolves a jobs knob to a worker count: <= 0 means one
+// worker per available CPU (GOMAXPROCS), larger values are taken as
+// given. Shared by FanOut's decodeJobs and the hierarchy profilers' unit
+// sharding.
+func ProfileWorkers(jobs int) int {
+	if jobs <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return jobs
+}
+
 // A WindowedConsumer consumes one windowed replay of a trace on a single
 // goroutine: Touch receives every access in recorded order, and
 // ResetCounts is invoked exactly once, when the measured window begins
 // (warm-then-reset-counts, like Log.ForEachWindowed). OrgProfilers and
-// the shard profilers implement it.
+// the hierarchy profilers' unit workers implement it.
 type WindowedConsumer interface {
 	ResetCounts()
 	Touch(blk int64)
@@ -184,7 +196,7 @@ func (l *Log) fanOut(pl *ProcLog, n int,
 	var fm fanMetrics
 	busy := make([]*obs.Timer, n)
 
-	djobs := profileWorkers(decodeJobs)
+	djobs := ProfileWorkers(decodeJobs)
 	if nc := l.numChunks(); djobs > nc {
 		djobs = nc // one chunk cannot be decoded by two workers
 	}

@@ -1,6 +1,10 @@
 package trace
 
-import "sort"
+import (
+	"math"
+	"math/bits"
+	"sort"
+)
 
 // FIFO profiling. FIFO is not a stack algorithm — a bigger FIFO cache can
 // miss more (Belady's anomaly) and eviction order is insertion order, not
@@ -8,44 +12,171 @@ import "sort"
 // capacity at once the way Mattson's algorithm does for LRU. What still
 // works is replay multiplexing: a FIFO set is just a circular buffer, so
 // one pass over the trace can drive an arbitrary number of per-set FIFO
-// replicas (one per requested way count) side by side, each a few words of
-// state per set. One recorded trace therefore still answers every
-// requested (sets, ways) FIFO point without re-running the scheduler or
-// the cache simulator.
+// replicas (one per requested (sets, ways) point) side by side. A FIFO hit
+// changes nothing, so the only per-access question is "which replicas
+// hold this block?" — and fifoBank answers it for all of them with one
+// load: each block carries a bitmask with one residency bit per replica.
+// Work is then proportional to misses: insert at the replica's head, clear
+// the victim's bit. One recorded trace therefore still answers every
+// requested FIFO point without re-running the scheduler or the simulator.
 
-// FIFOProfiler replays a block-access stream through per-set FIFO caches
-// for a fixed set count and a list of way counts, all in one pass. It
-// mirrors cachesim's FIFO exactly: placement is blk mod sets, empty slots
-// fill in index order, and eviction removes the oldest insertion;
-// hits do not reorder the queue.
-type FIFOProfiler struct {
-	sets     int64
-	sims     []*fifoSim
+// noSlot marks an empty row entry; blockTable never hands it out.
+const noSlot = math.MinInt32
+
+// fifoBank is the per-block state every organisation profiler shares —
+// bit 0 of a block's mask records that it was ever accessed (the cold-miss
+// tracker), bit r+1 that FIFO replica r holds it — plus the replicas
+// themselves. Blocks are addressed by slot: small non-negative ids index
+// the dense mask table directly, sparse or negative ids get slots counted
+// down from -1 in a side table, like Profiler's block index.
+type fifoBank struct {
+	words  int      // mask words per block
+	full   []uint64 // per word: the bits of existing replicas
+	dense  []uint64 // slot s >= 0 owns dense[s*words : (s+1)*words]
+	side   []uint64 // slot s < 0 owns side[^s*words : (^s+1)*words]
+	sparse map[int64]int32
+	reps   []fifoReplica
+
 	accesses int64
 	cold     int64
-
-	// first-ever tracking for cold misses, dense with a sparse fallback
-	// like Profiler's block index.
-	seenDense  []bool
-	seenSparse map[int64]struct{}
 }
 
-// fifoSim is one way-count's bank of per-set circular buffers.
-type fifoSim struct {
+// fifoReplica is one (sets, ways) FIFO cache: per-set circular buffers of
+// block slots. It mirrors cachesim's FIFO exactly: empty slots fill in
+// index order and eviction removes the oldest insertion.
+type fifoReplica struct {
+	family int // which of the caller's set indices places blocks here
 	ways   int64
-	blk    []int64 // sets*ways entries, -1 = empty
+	rows   []int32 // sets*ways entries, noSlot = empty
 	head   []int32 // per set: next insertion slot
 	misses int64
-	// resident is an O(1) membership index, used instead of scanning the
-	// row when ways exceeds fifoScanLimit (large fully-associative FIFOs
-	// would otherwise cost O(ways) per access).
-	resident map[int64]struct{}
 }
 
-// fifoScanLimit is the way count above which membership switches from a
-// linear row scan (cache-friendly, branch-predictable for real set sizes)
-// to a hash set.
-const fifoScanLimit = 16
+func newFIFOBank() *fifoBank {
+	return &fifoBank{words: 1, full: []uint64{0}}
+}
+
+// addReplica adds a FIFO cache of sets x ways lines placed by the caller's
+// family-th set index, and returns its replica number. Replicas must be
+// added before the first touch.
+func (b *fifoBank) addReplica(family int, sets, ways int64) int {
+	r := len(b.reps)
+	rows := make([]int32, sets*ways)
+	for i := range rows {
+		rows[i] = noSlot
+	}
+	b.reps = append(b.reps, fifoReplica{family: family, ways: ways, rows: rows, head: make([]int32, sets)})
+	bit := r + 1
+	for bit/64 >= b.words {
+		b.words++
+		b.full = append(b.full, 0)
+	}
+	b.full[bit/64] |= 1 << (bit % 64)
+	return r
+}
+
+// slot returns blk's slot, assigning one on first sight.
+func (b *fifoBank) slot(blk int64) int32 {
+	if blk >= 0 && blk < denseLimit {
+		if need := (int(blk) + 1) * b.words; need > len(b.dense) {
+			n := 2 * len(b.dense)
+			if n < 1024*b.words {
+				n = 1024 * b.words
+			}
+			for n < need {
+				n *= 2
+			}
+			grown := make([]uint64, n)
+			copy(grown, b.dense)
+			b.dense = grown
+		}
+		return int32(blk)
+	}
+	s, ok := b.sparse[blk]
+	if !ok {
+		if b.sparse == nil {
+			b.sparse = make(map[int64]int32, 64)
+		}
+		s = ^int32(len(b.sparse))
+		b.sparse[blk] = s
+		b.side = append(b.side, make([]uint64, b.words)...)
+	}
+	return s
+}
+
+// mask returns the slot's mask words.
+func (b *fifoBank) mask(slot int32) []uint64 {
+	if slot >= 0 {
+		return b.dense[int(slot)*b.words:][:b.words]
+	}
+	return b.side[int(^slot)*b.words:][:b.words]
+}
+
+// touch processes one access to the block in slot; sets[f] is its set
+// index under family f. It is the one touch routine behind FIFOProfiler
+// and OrgProfilers.
+func (b *fifoBank) touch(slot int32, sets []int64) {
+	b.accesses++
+	m := b.mask(slot)
+	if m[0]&1 == 0 {
+		m[0] |= 1
+		b.cold++
+	}
+	for w, have := range m {
+		for miss := b.full[w] &^ have; miss != 0; miss &= miss - 1 {
+			bit := bits.TrailingZeros64(miss)
+			r := &b.reps[w*64+bit-1]
+			r.misses++
+			set := sets[r.family]
+			at := set*r.ways + int64(r.head[set])
+			if victim := r.rows[at]; victim != noSlot {
+				b.mask(victim)[w] &^= 1 << bit
+			}
+			r.rows[at] = slot
+			if r.head[set]++; int64(r.head[set]) == r.ways {
+				r.head[set] = 0
+			}
+			m[w] |= 1 << bit
+		}
+	}
+}
+
+// resetCounts zeroes the counters while keeping every replica's contents
+// and the ever-accessed bits, exactly like resetting the cache
+// simulator's statistics after warmup.
+func (b *fifoBank) resetCounts() {
+	b.accesses, b.cold = 0, 0
+	for i := range b.reps {
+		b.reps[i].misses = 0
+	}
+}
+
+// uniqueWays returns the distinct way counts of a list, ascending.
+func uniqueWays(ways []int64) []int64 {
+	uniq := append([]int64(nil), ways...)
+	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
+	n := 0
+	for i, w := range uniq {
+		if i == 0 || w != uniq[i-1] {
+			uniq[n] = w
+			n++
+		}
+	}
+	return uniq[:n]
+}
+
+// FIFOProfiler replays a block-access stream through per-set FIFO caches
+// for a fixed set count and a list of way counts, all in one pass — the
+// one-organisation form of the bank OrgProfilers drives. It mirrors
+// cachesim's FIFO exactly: placement is blk mod sets, empty slots fill in
+// index order, and eviction removes the oldest insertion; hits do not
+// reorder the queue.
+type FIFOProfiler struct {
+	idx  setIndex
+	ways []int64 // deduplicated, ascending: replica order
+	bank *fifoBank
+	set  [1]int64
+}
 
 // NewFIFOProfiler returns a replayer for the given set count and way
 // counts (deduplicated, reported in ascending order). It panics if
@@ -57,140 +188,43 @@ func NewFIFOProfiler(sets int64, ways []int64) *FIFOProfiler {
 	if len(ways) == 0 {
 		panic("trace: FIFOProfiler needs at least one way count")
 	}
-	uniq := make([]int64, 0, len(ways))
-	seen := make(map[int64]bool, len(ways))
-	for _, w := range ways {
-		if w < 1 {
-			panic("trace: FIFOProfiler way counts must be >= 1")
-		}
-		if !seen[w] {
-			seen[w] = true
-			uniq = append(uniq, w)
-		}
+	p := &FIFOProfiler{idx: newSetIndex(sets), ways: uniqueWays(ways), bank: newFIFOBank()}
+	if p.ways[0] < 1 {
+		panic("trace: FIFOProfiler way counts must be >= 1")
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	p := &FIFOProfiler{sets: sets, sims: make([]*fifoSim, len(uniq))}
-	for i, w := range uniq {
-		blk := make([]int64, sets*w)
-		for j := range blk {
-			blk[j] = -1
-		}
-		s := &fifoSim{ways: w, blk: blk, head: make([]int32, sets)}
-		if w > fifoScanLimit {
-			s.resident = make(map[int64]struct{}, sets*w)
-		}
-		p.sims[i] = s
+	for _, w := range p.ways {
+		p.bank.addReplica(0, sets, w)
 	}
 	return p
 }
 
 // Sets returns the number of sets the replayer shards into.
-func (p *FIFOProfiler) Sets() int64 { return p.sets }
+func (p *FIFOProfiler) Sets() int64 { return p.idx.sets }
 
 // RecordBlock implements Recorder.
 func (p *FIFOProfiler) RecordBlock(blk int64) { p.Touch(blk) }
 
 // Touch processes one block access through every replica.
 func (p *FIFOProfiler) Touch(blk int64) {
-	p.accesses++
-	if p.firstEver(blk) {
-		p.cold++
-	}
-	set := blk % p.sets
-	if set < 0 {
-		set += p.sets
-	}
-	for _, s := range p.sims {
-		s.touch(set, blk)
-	}
-}
-
-func (s *fifoSim) touch(set, blk int64) {
-	base := set * s.ways
-	row := s.blk[base : base+s.ways]
-	if s.resident != nil {
-		if _, ok := s.resident[blk]; ok {
-			return // FIFO hit: no reorder
-		}
-	} else {
-		for _, b := range row {
-			if b == blk {
-				return // FIFO hit: no reorder
-			}
-		}
-	}
-	s.misses++
-	h := s.head[set]
-	if s.resident != nil {
-		if victim := row[h]; victim >= 0 {
-			delete(s.resident, victim)
-		}
-		s.resident[blk] = struct{}{}
-	}
-	row[h] = blk
-	h++
-	if int64(h) == s.ways {
-		h = 0
-	}
-	s.head[set] = h
-}
-
-func (p *FIFOProfiler) firstEver(blk int64) bool {
-	if blk >= 0 && blk < denseLimit {
-		if blk >= int64(len(p.seenDense)) {
-			n := int64(len(p.seenDense))
-			if n == 0 {
-				n = 4096
-			}
-			for n <= blk {
-				n *= 2
-			}
-			if n > denseLimit {
-				n = denseLimit
-			}
-			grown := make([]bool, n)
-			copy(grown, p.seenDense)
-			p.seenDense = grown
-		}
-		if p.seenDense[blk] {
-			return false
-		}
-		p.seenDense[blk] = true
-		return true
-	}
-	if _, ok := p.seenSparse[blk]; ok {
-		return false
-	}
-	if p.seenSparse == nil {
-		p.seenSparse = make(map[int64]struct{}, 64)
-	}
-	p.seenSparse[blk] = struct{}{}
-	return true
+	p.set[0] = p.idx.set(blk)
+	p.bank.touch(p.bank.slot(blk), p.set[:])
 }
 
 // ResetCounts zeroes the miss counters while keeping every replica's cache
-// contents (and the first-ever set), exactly like resetting the cache
-// simulator's statistics after warmup.
-func (p *FIFOProfiler) ResetCounts() {
-	p.accesses = 0
-	p.cold = 0
-	for _, s := range p.sims {
-		s.misses = 0
-	}
-}
+// contents (and the first-ever set).
+func (p *FIFOProfiler) ResetCounts() { p.bank.resetCounts() }
 
 // Curve freezes the replayed counts into a FIFOCurve.
 func (p *FIFOProfiler) Curve() *FIFOCurve {
 	c := &FIFOCurve{
-		Sets:     p.sets,
-		Accesses: p.accesses,
-		Cold:     p.cold,
-		ways:     make([]int64, len(p.sims)),
-		misses:   make([]int64, len(p.sims)),
+		Sets:     p.idx.sets,
+		Accesses: p.bank.accesses,
+		Cold:     p.bank.cold,
+		ways:     p.ways,
+		misses:   make([]int64, len(p.ways)),
 	}
-	for i, s := range p.sims {
-		c.ways[i] = s.ways
-		c.misses[i] = s.misses
+	for i := range p.ways {
+		c.misses[i] = p.bank.reps[i].misses
 	}
 	return c
 }

@@ -16,6 +16,12 @@ type OrgSpec struct {
 	// FIFOWays lists the way counts to replay under FIFO; empty means the
 	// family is profiled under LRU only.
 	FIFOWays []int64
+	// MaxWays is the deepest way count the request will evaluate the LRU
+	// curve at; the per-set stacks are truncated there, and asking the
+	// curve for more fails loudly. Zero means unbounded: every way count is
+	// answered. It is derived from the evaluation grid (GridSpecs), never
+	// tuned by hand.
+	MaxWays int64
 }
 
 // Validate checks the spec.
@@ -27,6 +33,9 @@ func (s OrgSpec) Validate() error {
 		if w < 1 {
 			return fmt.Errorf("trace: FIFO way count must be >= 1, got %d", w)
 		}
+	}
+	if s.MaxWays < 0 {
+		return fmt.Errorf("trace: LRU way bound must be >= 0, got %d", s.MaxWays)
 	}
 	return nil
 }
@@ -78,7 +87,10 @@ func EffectiveWays(capacity, block, ways int64) int64 {
 // wants — and returns the set-count -> spec-index map used to find each
 // geometry's curves again. A ways value of 0 means fully associative.
 // When fifo is true every geometry's effective way count is added to its
-// spec's FIFO replay list. Errors mirror SetsFor's geometry rules.
+// spec's FIFO replay list. Each spec's MaxWays is the deepest effective
+// way count the grid evaluates at its set count, so the profilers keep no
+// stack depth the grid cannot ask about. Errors mirror SetsFor's geometry
+// rules.
 func GridSpecs(caps []int64, block int64, ways []int64, fifo bool) ([]OrgSpec, map[int64]int, error) {
 	specIdx := make(map[int64]int)
 	var specs []OrgSpec
@@ -94,8 +106,12 @@ func GridSpecs(caps []int64, block int64, ways []int64, fifo bool) ([]OrgSpec, m
 				specIdx[sets] = idx
 				specs = append(specs, OrgSpec{Sets: sets})
 			}
+			eff := EffectiveWays(c, block, w)
+			if eff > specs[idx].MaxWays {
+				specs[idx].MaxWays = eff
+			}
 			if fifo {
-				specs[idx].FIFOWays = append(specs[idx].FIFOWays, EffectiveWays(c, block, w))
+				specs[idx].FIFOWays = append(specs[idx].FIFOWays, eff)
 			}
 		}
 	}
@@ -103,14 +119,18 @@ func GridSpecs(caps []int64, block int64, ways []int64, fifo bool) ([]OrgSpec, m
 }
 
 // Misses evaluates the organisation at one way count under LRU (fifo
-// false) or FIFO (fifo true). ok is false when FIFO was requested but
-// that way count was not replayed.
+// false) or FIFO (fifo true). ok is false when the way count was not
+// profiled: not replayed under FIFO, or past a bounded LRU curve's
+// MaxWays.
 func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 	if fifo {
 		if o.FIFO == nil {
 			return 0, false
 		}
 		return o.FIFO.Misses(ways)
+	}
+	if !o.LRU.Covers(ways) {
+		return 0, false
 	}
 	return o.LRU.Misses(ways), true
 }
@@ -120,58 +140,121 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // per-access state off the same replay (the hierarchy profiler's L1
 // filters) can share a single trace decode instead of replaying once per
 // consumer.
+//
+// It does only work that can change an answer. Specs with the same set
+// count share one family — one set index and one LRU structure per access,
+// so a caller's fully-associative spec and a grid's Sets=1 spec cost one
+// Fenwick stack between them. A family whose specs all name a MaxWays
+// (and a modest one) keeps request-bounded stacks instead of the
+// list→Fenwick hybrid, and every FIFO point of every family is one
+// residency bit in the shared fifoBank.
 type OrgProfilers struct {
-	specs []OrgSpec
-	assoc []*AssocProfiler
-	fifo  []*FIFOProfiler
+	specs    []OrgSpec
+	familyOf []int // spec -> family
+	fams     []orgFamily
+	sets     []int64   // per family: the current access's set index
+	bank     *fifoBank // nil when no family is bounded or replays FIFO
+}
+
+// orgFamily is the profiling state of one distinct set count.
+type orgFamily struct {
+	idx     setIndex
+	assoc   *AssocProfiler // unbounded LRU stacks, or
+	bounded *boundedStacks // request-bounded ones
+	replica map[int64]int  // FIFO way count -> bank replica
 }
 
 // NewOrgProfilers validates the specs and builds their profilers.
 func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
-	p := &OrgProfilers{
-		specs: specs,
-		assoc: make([]*AssocProfiler, len(specs)),
-		fifo:  make([]*FIFOProfiler, len(specs)),
-	}
+	p := &OrgProfilers{specs: specs, familyOf: make([]int, len(specs))}
+	// A family is bounded by the deepest way count any of its specs
+	// evaluates; one unbounded spec unbounds it.
+	bounds := make(map[int64]int64)
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d: %w", i, err)
 		}
-		p.assoc[i] = NewAssocProfiler(s.Sets)
-		if len(s.FIFOWays) > 0 {
-			p.fifo[i] = NewFIFOProfiler(s.Sets, s.FIFOWays)
+		switch b, seen := bounds[s.Sets]; {
+		case !seen, s.MaxWays == 0, b != 0 && s.MaxWays > b:
+			bounds[s.Sets] = s.MaxWays
 		}
 	}
+	famIdx := make(map[int64]int)
+	for i, s := range specs {
+		fi, ok := famIdx[s.Sets]
+		if !ok {
+			fi = len(p.fams)
+			famIdx[s.Sets] = fi
+			f := orgFamily{idx: newSetIndex(s.Sets)}
+			if b := bounds[s.Sets]; b > 0 && b <= assocListLimit {
+				f.bounded = newBoundedStacks(s.Sets, b)
+			} else {
+				f.assoc = NewAssocProfiler(s.Sets)
+			}
+			p.fams = append(p.fams, f)
+		}
+		p.familyOf[i] = fi
+		f := &p.fams[fi]
+		if (f.bounded != nil || len(s.FIFOWays) > 0) && p.bank == nil {
+			p.bank = newFIFOBank()
+		}
+		for _, w := range s.FIFOWays {
+			if _, ok := f.replica[w]; !ok {
+				if f.replica == nil {
+					f.replica = make(map[int64]int)
+				}
+				f.replica[w] = p.bank.addReplica(fi, s.Sets, w)
+			}
+		}
+	}
+	p.sets = make([]int64, len(p.fams))
 	return p, nil
 }
 
 // ResetCounts starts the measured window: histograms and miss counters
 // reset, warm stack state kept.
 func (p *OrgProfilers) ResetCounts() {
-	for i := range p.specs {
-		p.assoc[i].ResetCounts()
-		if p.fifo[i] != nil {
-			p.fifo[i].ResetCounts()
+	for i := range p.fams {
+		if f := &p.fams[i]; f.bounded != nil {
+			f.bounded.resetCounts()
+		} else {
+			f.assoc.ResetCounts()
 		}
+	}
+	if p.bank != nil {
+		p.bank.resetCounts()
 	}
 }
 
 // Touch feeds one access to every organisation's profilers.
 func (p *OrgProfilers) Touch(blk int64) {
-	for j := range p.assoc {
-		p.assoc[j].Touch(blk)
-		if p.fifo[j] != nil {
-			p.fifo[j].Touch(blk)
+	var slot int32
+	if p.bank != nil {
+		slot = p.bank.slot(blk)
+	}
+	for i := range p.fams {
+		f := &p.fams[i]
+		set := f.idx.set(blk)
+		p.sets[i] = set
+		if f.bounded != nil {
+			f.bounded.touch(set, slot)
+		} else {
+			f.assoc.per[set].touch(f.idx.id(blk, set))
 		}
+	}
+	if p.bank != nil {
+		p.bank.touch(slot, p.sets)
 	}
 }
 
 // TimelineOps returns the total Fenwick-timeline operation count across
-// every organisation's set stacks.
+// every family's set stacks.
 func (p *OrgProfilers) TimelineOps() int64 {
 	var ops int64
-	for _, a := range p.assoc {
-		ops += a.TimelineOps()
+	for i := range p.fams {
+		if a := p.fams[i].assoc; a != nil {
+			ops += a.TimelineOps()
+		}
 	}
 	return ops
 }
@@ -194,14 +277,30 @@ func (p *OrgProfilers) PublishMetrics(reg *obs.Registry, curves []*OrgCurves) {
 	reg.Counter("trace.profile.passes").Add(1)
 }
 
-// Curves extracts the profiles, in spec order.
+// Curves extracts the profiles, in spec order. Specs of one family share
+// its LRU curve.
 func (p *OrgProfilers) Curves() []*OrgCurves {
+	lru := make([]*AssocCurve, len(p.fams))
+	for i := range p.fams {
+		if f := &p.fams[i]; f.bounded != nil {
+			lru[i] = f.bounded.curve(f.idx.sets, p.bank.cold)
+		} else {
+			lru[i] = f.assoc.Curve()
+		}
+	}
 	out := make([]*OrgCurves, len(p.specs))
 	for j, s := range p.specs {
-		out[j] = &OrgCurves{Spec: s, LRU: p.assoc[j].Curve()}
-		if p.fifo[j] != nil {
-			out[j].FIFO = p.fifo[j].Curve()
+		f := &p.fams[p.familyOf[j]]
+		out[j] = &OrgCurves{Spec: s, LRU: lru[p.familyOf[j]]}
+		if len(s.FIFOWays) == 0 {
+			continue
 		}
+		fc := &FIFOCurve{Sets: s.Sets, Accesses: p.bank.accesses, Cold: p.bank.cold, ways: uniqueWays(s.FIFOWays)}
+		fc.misses = make([]int64, len(fc.ways))
+		for k, w := range fc.ways {
+			fc.misses[k] = p.bank.reps[f.replica[w]].misses
+		}
+		out[j].FIFO = fc
 	}
 	return out
 }
@@ -226,4 +325,15 @@ func ProfileOrgs(l *Log, specs []OrgSpec) ([]*OrgCurves, error) {
 	stop()
 	p.PublishMetrics(reg, curves)
 	return curves, nil
+}
+
+// ProfileOrgsJobs is ProfileOrgs: organisation grids always profile
+// inline on the calling goroutine. With the stacks bounded by the request
+// and FIFO residency one bit per point, the per-access work is too small
+// for a fan-out to pay for its routing (on the orgs-grid benchmark the
+// sharded form this replaced was slower than sequential on two CPUs).
+// jobs and decodeJobs are accepted for the callers that pass the
+// -profilejobs/-decodejobs knobs through, and change nothing.
+func ProfileOrgsJobs(l *Log, specs []OrgSpec, jobs, decodeJobs int) ([]*OrgCurves, error) {
+	return ProfileOrgs(l, specs)
 }

@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -38,69 +37,6 @@ func BenchmarkProfileOrgs(b *testing.B) {
 		if _, err := trace.ProfileOrgs(log, specs); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// benchOrgSpecs is the E12 grid shape the sharded benchmarks profile.
-func benchOrgSpecs() []trace.OrgSpec {
-	return []trace.OrgSpec{
-		{Sets: 1, FIFOWays: []int64{32, 64, 128}},
-		{Sets: 4, FIFOWays: []int64{8}},
-		{Sets: 8, FIFOWays: []int64{8, 4}},
-		{Sets: 16, FIFOWays: []int64{8, 4}},
-		{Sets: 32, FIFOWays: []int64{4, 1}},
-		{Sets: 64, FIFOWays: []int64{1}},
-		{Sets: 128, FIFOWays: []int64{1}},
-	}
-}
-
-// BenchmarkProfileOrgsSharded is BenchmarkProfileOrgs through the sharded
-// engine at one worker per CPU, with the decode stage also parallel (one
-// chunk-decode worker per CPU): same log, same seven organisations. At
-// GOMAXPROCS=1 this delegates to the sequential path; the CI bench job
-// runs it on multiple cores, where the paired diff against
-// BenchmarkProfileOrgs is the speedup evidence.
-func BenchmarkProfileOrgsSharded(b *testing.B) {
-	stream := benchStream(400000, 512)
-	log := trace.NewLog()
-	for _, blk := range stream {
-		log.RecordBlock(blk)
-	}
-	specs := benchOrgSpecs()
-	jobs := trace.ProfileWorkers(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.ProfileOrgsJobs(log, specs, jobs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProfileOrgsShardedDecode sweeps the decodejobs knob at a fixed
-// shard worker count — the decode-scaling table in PERFORMANCE.md comes
-// from this sweep. decodejobs=1 is the PR 6 pipeline (single in-order
-// decoder), so its paired diff doubles as the no-regression guard for the
-// sequential front end.
-func BenchmarkProfileOrgsShardedDecode(b *testing.B) {
-	stream := benchStream(400000, 512)
-	log := trace.NewLog()
-	for _, blk := range stream {
-		log.RecordBlock(blk)
-	}
-	specs := benchOrgSpecs()
-	jobs := trace.ProfileWorkers(0)
-	for _, dj := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("decodejobs=%d", dj)
-		if dj == 0 {
-			name = "decodejobs=cpus"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := trace.ProfileOrgsJobs(log, specs, jobs, dj); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

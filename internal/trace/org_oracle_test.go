@@ -1,0 +1,332 @@
+package trace_test
+
+// The organisation profiler's oracle: whatever structure a spec resolves
+// to — request-bounded flat stacks, the list→Fenwick hybrid, families
+// shared between specs, the residency-bitmask FIFO bank — every point it
+// answers must equal a pointwise replay of the same stream through a
+// cachesim.Bank of that geometry, and every point it cannot answer must
+// say so.
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"streamsched/internal/cachesim"
+	"streamsched/internal/trace"
+)
+
+// bankMisses is the pointwise oracle: the in-window misses of one
+// sets x ways cache under the policy.
+func bankMisses(stream []int64, warm int, sets, ways int64, policy cachesim.Policy) int64 {
+	b := cachesim.NewBank(sets, ways, policy)
+	var misses int64
+	for i, blk := range stream {
+		if i == warm {
+			misses = 0
+		}
+		if !b.Access(blk) {
+			b.Insert(blk)
+			misses++
+		}
+	}
+	if warm >= len(stream) {
+		return 0
+	}
+	return misses
+}
+
+// recordStream records the stream with the window at warm (warm ==
+// len(stream) is the empty window), optionally spilling every chunk.
+func recordStream(t *testing.T, stream []int64, warm int, spill bool) *trace.Log {
+	t.Helper()
+	l := trace.NewLog()
+	if spill {
+		l.SetSpillThreshold(1)
+	}
+	for i, blk := range stream {
+		if i == warm {
+			l.MarkWindow()
+		}
+		l.RecordBlock(blk)
+	}
+	if warm >= len(stream) {
+		l.MarkWindow()
+	}
+	return l
+}
+
+// unboundedDepth is how deep the oracle probes a curve that claims to
+// answer every way count.
+const unboundedDepth = 24
+
+// checkOrgCurves compares every point of the curves against the oracle,
+// and Accesses/Cold against the unbounded profiler's.
+func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs []trace.OrgSpec, curves []*trace.OrgCurves) {
+	t.Helper()
+	unbounded := make([]trace.OrgSpec, len(specs))
+	for i, s := range specs {
+		unbounded[i] = trace.OrgSpec{Sets: s.Sets, FIFOWays: s.FIFOWays}
+	}
+	ref, err := trace.ProfileOrgs(recordStream(t, stream, warm, false), unbounded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(curves) != len(specs) {
+		t.Fatalf("%s: %d curves for %d specs", label, len(curves), len(specs))
+	}
+	for i, s := range specs {
+		oc := curves[i]
+		if oc.LRU.Accesses != ref[i].LRU.Accesses || oc.LRU.Cold != ref[i].LRU.Cold {
+			t.Fatalf("%s spec %d: accesses/cold %d/%d, unbounded profiler %d/%d", label, i,
+				oc.LRU.Accesses, oc.LRU.Cold, ref[i].LRU.Accesses, ref[i].LRU.Cold)
+		}
+		deepest := oc.LRU.MaxWays
+		if deepest == 0 {
+			deepest = unboundedDepth
+		} else {
+			if deepest < s.MaxWays {
+				t.Fatalf("%s spec %d: curve answers %d ways, spec asked for %d", label, i, deepest, s.MaxWays)
+			}
+			if n, ok := oc.Misses(deepest+1, false); ok {
+				t.Fatalf("%s spec %d: %d ways is past the bound %d yet answered %d", label, i, deepest+1, deepest, n)
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s spec %d: LRU.Misses past the bound did not panic", label, i)
+					}
+				}()
+				oc.LRU.Misses(deepest + 1)
+			}()
+		}
+		for w := int64(1); w <= deepest; w++ {
+			want := bankMisses(stream, warm, s.Sets, w, cachesim.LRU)
+			if got, ok := oc.Misses(w, false); !ok || got != want {
+				t.Fatalf("%s spec %d sets=%d ways=%d LRU: curve %d (ok=%v), bank %d", label, i, s.Sets, w, got, ok, want)
+			}
+		}
+		if len(s.FIFOWays) == 0 {
+			if oc.FIFO != nil {
+				t.Fatalf("%s spec %d: FIFO curve without FIFO way counts", label, i)
+			}
+			continue
+		}
+		if oc.FIFO.Accesses != ref[i].LRU.Accesses || oc.FIFO.Cold != ref[i].LRU.Cold {
+			t.Fatalf("%s spec %d: FIFO accesses/cold %d/%d, want %d/%d", label, i,
+				oc.FIFO.Accesses, oc.FIFO.Cold, ref[i].LRU.Accesses, ref[i].LRU.Cold)
+		}
+		for _, w := range s.FIFOWays {
+			want := bankMisses(stream, warm, s.Sets, w, cachesim.FIFO)
+			if got, ok := oc.Misses(w, true); !ok || got != want {
+				t.Fatalf("%s spec %d sets=%d ways=%d FIFO: curve %d (ok=%v), bank %d", label, i, s.Sets, w, got, ok, want)
+			}
+		}
+	}
+}
+
+// oracleStream draws a stream over nblocks distinct blocks whose ids are
+// dense, sparse (past the dense table's limit), negative, or a mix.
+func oracleStream(rng *rand.Rand, n int, nblocks int64, ids int) []int64 {
+	stream := randomStream(rng, n, nblocks)
+	for i, blk := range stream {
+		switch ids {
+		case 1: // sparse: strided far past the dense table
+			stream[i] = 1<<24 + blk*1000003
+		case 2: // negative
+			stream[i] = -blk - 1
+		case 3: // all three in one stream
+			switch blk % 3 {
+			case 1:
+				stream[i] = 1<<24 + blk*1000003
+			case 2:
+				stream[i] = -blk - 1
+			}
+		}
+	}
+	return stream
+}
+
+// oracleSpecs draws a spec list: power-of-two and odd set counts, set
+// counts repeated across specs, FIFO lists with duplicates, and LRU
+// bounds below, at, and above what a set can hold.
+func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
+	setCounts := []int64{1, 2, 3, 4, 5, 7, 8, 12, 16}
+	specs := make([]trace.OrgSpec, 2+rng.Intn(5))
+	for i := range specs {
+		s := trace.OrgSpec{Sets: setCounts[rng.Intn(len(setCounts))]}
+		perSet := nblocks/s.Sets + 1
+		switch rng.Intn(4) {
+		case 0: // unbounded
+		case 1: // below the set's footprint
+			s.MaxWays = 1 + rng.Int63n(perSet)
+		case 2: // exactly the footprint
+			s.MaxWays = perSet
+		default: // above it
+			s.MaxWays = perSet + 1 + rng.Int63n(8)
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			w := 1 + rng.Int63n(perSet+4)
+			s.FIFOWays = append(s.FIFOWays, w)
+			if rng.Intn(3) == 0 {
+				s.FIFOWays = append(s.FIFOWays, w) // duplicate
+			}
+		}
+		specs[i] = s
+	}
+	return specs
+}
+
+// TestOrgProfilersMatchBankOracle is the profiler's core property on
+// random logs: dense, sparse and negative block ids, non-power-of-two set
+// counts, bounds around the footprint, duplicate way counts, a window
+// reset anywhere from the first access to past the last, footprints on
+// both sides of the list→Fenwick upgrade, spilled and in-memory.
+func TestOrgProfilersMatchBankOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	trials := 24
+	if testing.Short() {
+		trials = 8
+	}
+	for trial := 0; trial < trials; trial++ {
+		nblocks := int64(4 + rng.Intn(60))
+		if trial%6 == 5 {
+			// Deep enough that one-set stacks outgrow the list form and
+			// bounds outgrow the flat one.
+			nblocks = int64(220 + rng.Intn(200))
+		}
+		n := 500 + rng.Intn(1500)
+		spill := trial%4 == 3
+		if spill {
+			n = 40000 // enough encoded bytes to seal (and spill) chunks
+		}
+		stream := oracleStream(rng, n, nblocks, trial%4)
+		warm := rng.Intn(n + 1)
+		specs := oracleSpecs(rng, nblocks)
+		l := recordStream(t, stream, warm, spill)
+		if spill && !l.Spilled() {
+			t.Fatal("spill variant did not spill; grow the trace")
+		}
+		curves, err := trace.ProfileOrgs(l, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOrgCurves(t, fmt.Sprintf("trial %d (ids %d, spill %v, warm %d/%d) specs %+v", trial, trial%4, spill, warm, n, specs),
+			stream, warm, specs, curves)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestOrgProfilersManyFIFOReplicas drives more FIFO points than one mask
+// word holds, so residency bits span words, through OrgProfilers and
+// through the one-family FIFOProfiler.
+func TestOrgProfilersManyFIFOReplicas(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	stream := oracleStream(rng, 3000, 90, 3)
+	const warm = 800
+	var specs []trace.OrgSpec
+	replicas := 0
+	for _, sets := range []int64{1, 2, 3, 4} {
+		s := trace.OrgSpec{Sets: sets, MaxWays: 4}
+		for w := int64(1); w <= 24; w++ {
+			s.FIFOWays = append(s.FIFOWays, w)
+		}
+		replicas += len(s.FIFOWays)
+		specs = append(specs, s)
+	}
+	if replicas <= 64 {
+		t.Fatalf("only %d replicas; the test must cross a mask word", replicas)
+	}
+	curves, err := trace.ProfileOrgs(recordStream(t, stream, warm, false), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOrgCurves(t, "many replicas", stream, warm, specs, curves)
+
+	ways := make([]int64, 70)
+	for i := range ways {
+		ways[i] = int64(i + 1)
+	}
+	p := trace.NewFIFOProfiler(3, ways)
+	for i, blk := range stream {
+		if i == warm {
+			p.ResetCounts()
+		}
+		p.Touch(blk)
+	}
+	c := p.Curve()
+	for _, w := range ways {
+		want := bankMisses(stream, warm, 3, w, cachesim.FIFO)
+		if got, ok := c.Misses(w); !ok || got != want {
+			t.Fatalf("FIFOProfiler sets=3 ways=%d: %d (ok=%v), bank %d", w, got, ok, want)
+		}
+	}
+}
+
+// TestProfileOrgsJobsWindowEdges pins the window protocol's corners
+// against the oracle: never marked (whole trace measured), window at 0,
+// window at Len (empty window), and an empty log.
+func TestProfileOrgsJobsWindowEdges(t *testing.T) {
+	specs := []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{4}}, {Sets: 4, MaxWays: 2}}
+	stream := make([]int64, 50)
+	for i := range stream {
+		stream[i] = int64(i % 13)
+	}
+	for _, mark := range []int{-1, 0, 50} { // -1: never mark (window 0)
+		l := trace.NewLog()
+		for i, blk := range stream {
+			if i == mark {
+				l.MarkWindow()
+			}
+			l.RecordBlock(blk)
+		}
+		if mark == 50 {
+			l.MarkWindow()
+		}
+		curves, err := trace.ProfileOrgsJobs(l, specs, 4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := mark
+		if warm < 0 {
+			warm = 0
+		}
+		checkOrgCurves(t, fmt.Sprintf("mark=%d", mark), stream, warm, specs, curves)
+	}
+	curves, err := trace.ProfileOrgsJobs(trace.NewLog(), specs, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOrgCurves(t, "empty log", nil, 0, specs, curves)
+}
+
+// TestProfileOrgsJobsConcurrentLogs profiles independent logs from
+// several goroutines at once — the Sweep shape — so the race detector
+// sees that profilers of different logs share nothing.
+func TestProfileOrgsJobsConcurrentLogs(t *testing.T) {
+	specs := []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{8}}, {Sets: 8, FIFOWays: []int64{2}, MaxWays: 2}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			stream := oracleStream(rng, 4000, 70, int(seed))
+			l := recordStream(t, stream, 1000, false)
+			curves, err := trace.ProfileOrgs(l, specs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, oc := range curves {
+				if got := oc.LRU.Misses(2); got != bankMisses(stream, 1000, oc.Spec.Sets, 2, cachesim.LRU) {
+					t.Errorf("seed %d sets=%d: curve disagrees with the bank under concurrent profiling", seed, oc.Spec.Sets)
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+}
