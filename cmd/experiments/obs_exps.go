@@ -28,7 +28,7 @@ func init() {
 // have recorded exactly one trace.replay observation, every sweep job one
 // queue wait and one duration. A second part records one
 // trace manually and splits its replay cost into decode (a bare ForEach),
-// profile (Fenwick/stack maintenance), and merge (curve extraction) — the
+// profile (timeline/stack maintenance), and merge (curve extraction) — the
 // breakdown the aggregate trace.profile timer hides.
 func runE22(cfg runConfig) error {
 	n, state := 24, int64(128)
@@ -168,7 +168,7 @@ func runE22(cfg runConfig) error {
 		return fmt.Sprintf("%.0f%%", 100*float64(d)/float64(total))
 	}
 	bt.Add("decode (bare ForEach)", decodeT.Round(time.Microsecond).String(), share(decodeT))
-	bt.Add("profile (stacks + Fenwick)", profileT.Round(time.Microsecond).String(), share(profileT))
+	bt.Add("profile (stacks + timeline)", profileT.Round(time.Microsecond).String(), share(profileT))
 	bt.Add("merge (curve extraction)", mergeT.Round(time.Microsecond).String(), share(mergeT))
 	if err := bt.Render(cfg.out); err != nil {
 		return err
@@ -192,10 +192,8 @@ func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs
 	log := trace.NewLog()
 	log.SetMetrics(reg)
 	defer log.Close()
-	// A cache big enough to hold the whole layout keeps the recording run
-	// cheap; the recorded stream is cache-independent anyway.
 	m, err := exec.NewMachine(g, exec.Config{
-		Cache:    cachesim.Config{Capacity: 1 << 20, Block: env.B},
+		Cache:    cachesim.Config{Block: env.B},
 		Caps:     plan.Caps,
 		Recorder: log,
 	})

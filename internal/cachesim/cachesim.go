@@ -155,9 +155,9 @@ type Cache struct {
 	seen  map[int64]struct{}
 	stats Stats
 
-	traceRec    *Trace       // non-nil while StartTrace recording (opt.go)
-	observer    func(int64)  // per-block-access tap (SetObserver / StartTrace)
-	classes     []classRange // registered object ranges (classify.go)
+	traceRec    *Trace           // non-nil while StartTrace recording (opt.go)
+	observer    func(b, n int64) // access tap (SetObserver / StartTrace / NewTap)
+	classes     []classRange     // registered object ranges (classify.go)
 	classMisses ClassStats
 }
 
@@ -201,6 +201,18 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
+// NewTap returns a cache that simulates nothing: it has no lines, keeps
+// no contents and resolves no hits or misses; it only counts
+// Stats().Accesses and forwards every access to tap, like an observer. A
+// recording execution machine charges its accesses to one — the recorded
+// stream depends on no cache, so none is simulated.
+func NewTap(block int64, tap func(base, n int64)) (*Cache, error) {
+	if block <= 0 {
+		return nil, fmt.Errorf("cachesim: block size must be positive, got %d", block)
+	}
+	return &Cache{cfg: Config{Block: block}, observer: tap}, nil
+}
+
 // Config returns the configuration the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -214,16 +226,18 @@ func (c *Cache) ResetStats() {
 	c.classMisses = ClassStats{}
 }
 
-// SetObserver installs (or, with nil, removes) a callback invoked with the
-// block id of every block-level access, before the hit/miss resolution.
-// The reuse-distance engine (internal/trace) records traces through it;
-// the stream it sees is exactly the stream the replacement policy sees.
+// SetObserver installs (or, with nil, removes) a callback invoked with
+// every access before its hit/miss resolution, as a run of blocks:
+// fn(base, n) stands for base, base+1, …, base+n-1, the blocks one Access
+// range covers. The reuse-distance engine (internal/trace) records traces
+// through it; the stream it sees, runs expanded, is exactly the stream the
+// replacement policy sees.
 // The cache has a single tap: StartTrace also claims it, so an observer
 // and an OPT-replay trace cannot record simultaneously. While a
 // StartTrace recording is active any SetObserver call — including nil,
 // which would silently truncate the trace — panics; end the recording
 // with StopTrace first.
-func (c *Cache) SetObserver(fn func(blk int64)) {
+func (c *Cache) SetObserver(fn func(base, n int64)) {
 	if c.traceRec != nil {
 		panic("cachesim: SetObserver while a StartTrace recording is active; call StopTrace first")
 	}
@@ -237,15 +251,12 @@ func (c *Cache) Access(addr, size int64, write bool) {
 		return
 	}
 	first := addr / c.cfg.Block
-	last := (addr + size - 1) / c.cfg.Block
-	for b := first; b <= last; b++ {
-		c.accessBlock(b, write)
-	}
+	c.accessRun(first, (addr+size-1)/c.cfg.Block-first+1, write)
 }
 
 // AccessWord touches a single word.
 func (c *Cache) AccessWord(addr int64, write bool) {
-	c.accessBlock(addr/c.cfg.Block, write)
+	c.accessRun(addr/c.cfg.Block, 1, write)
 }
 
 // AccessBlock touches one block directly by its block id. Block-level
@@ -254,7 +265,7 @@ func (c *Cache) AccessWord(addr int64, write bool) {
 // under any organisation — the oracle the one-pass set-associative and
 // FIFO curves are cross-validated against.
 func (c *Cache) AccessBlock(blk int64, write bool) {
-	c.accessBlock(blk, write)
+	c.accessRun(blk, 1, write)
 }
 
 // Resident reports whether every block of [addr, addr+size) is currently in
@@ -332,15 +343,21 @@ func (c *Cache) residentBlock(blk int64) bool {
 	return false
 }
 
-func (c *Cache) accessBlock(blk int64, write bool) {
-	c.stats.Accesses++
+// accessRun touches the n blocks from first up, in order.
+func (c *Cache) accessRun(first, n int64, write bool) {
+	c.stats.Accesses += n
 	if c.observer != nil {
-		c.observer(blk)
+		c.observer(first, n)
 	}
-	if c.cfg.Ways == 0 {
-		c.faAccess(blk, write)
-	} else {
-		c.saAccess(blk, write)
+	if c.lines == 0 {
+		return // NewTap: nothing to simulate
+	}
+	for blk := first; blk < first+n; blk++ {
+		if c.cfg.Ways == 0 {
+			c.faAccess(blk, write)
+		} else {
+			c.saAccess(blk, write)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -486,11 +487,11 @@ func TestObserverAndTraceTapConflictPanics(t *testing.T) {
 		f()
 	}
 	c := mustCache(t, Config{Capacity: 64, Block: 8})
-	c.SetObserver(func(int64) {})
+	c.SetObserver(func(int64, int64) {})
 	mustPanic("StartTrace over observer", c.StartTrace)
 	c.SetObserver(nil)
 	c.StartTrace()
-	mustPanic("SetObserver over trace", func() { c.SetObserver(func(int64) {}) })
+	mustPanic("SetObserver over trace", func() { c.SetObserver(func(int64, int64) {}) })
 	mustPanic("SetObserver(nil) over trace", func() { c.SetObserver(nil) })
 	c.AccessWord(0, false)
 	c.AccessWord(8, false)
@@ -498,10 +499,53 @@ func TestObserverAndTraceTapConflictPanics(t *testing.T) {
 		t.Fatalf("trace after conflict guards: %v", tr)
 	}
 	// Tap is free again: both directions work.
-	c.SetObserver(func(int64) {})
+	c.SetObserver(func(int64, int64) {})
 	c.SetObserver(nil)
 	c.StartTrace()
 	if tr := c.StopTrace(); tr == nil {
 		t.Fatal("restarted trace missing")
 	}
+}
+
+// TestTapSeesRangesAsRuns pins the one tap shape: an Access range reaches
+// the observer as a single (first block, count) run before any of its
+// blocks resolves, single-word and single-block accesses as runs of one —
+// and a NewTap cache forwards the same runs while simulating nothing.
+func TestTapSeesRangesAsRuns(t *testing.T) {
+	var sim, tap [][2]int64
+	c := mustCache(t, Config{Capacity: 64, Block: 8})
+	c.SetObserver(func(base, n int64) {
+		if n > 1 && c.Resident(base*8, n*8) {
+			t.Errorf("run %d+%d resolved before the observer saw it", base, n)
+		}
+		sim = append(sim, [2]int64{base, n})
+	})
+	only, err := NewTap(8, func(base, n int64) { tap = append(tap, [2]int64{base, n}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewTap(0, nil); err == nil {
+		t.Error("NewTap accepted a zero block size")
+	}
+	for _, cache := range []*Cache{c, only} {
+		cache.Access(5, 30, false) // words 5..34: blocks 0..4
+		cache.Access(16, 0, true)  // empty range: no access
+		cache.AccessWord(17, true)
+		cache.AccessBlock(-3, false)
+		cache.Access(8, 8, false)
+	}
+	want := [][2]int64{{0, 5}, {2, 1}, {-3, 1}, {1, 1}}
+	if !reflect.DeepEqual(sim, want) || !reflect.DeepEqual(tap, want) {
+		t.Fatalf("observer saw %v, tap-only cache %v, want %v", sim, tap, want)
+	}
+	if st := c.Stats(); st.Accesses != 8 || st.Hits+st.Misses != 8 {
+		t.Errorf("simulating cache stats %+v, want 8 accesses resolved", st)
+	}
+	if st := only.Stats(); st != (Stats{Accesses: 8}) {
+		t.Errorf("tap-only cache stats %+v, want 8 accesses and nothing else", st)
+	}
+	if only.Len() != 0 || only.Resident(0, 8) {
+		t.Error("tap-only cache claims contents")
+	}
+	only.Flush() // nothing to flush, nothing to panic over
 }

@@ -27,7 +27,11 @@ func (c *Cache) StartTrace() {
 	}
 	t := &Trace{}
 	c.traceRec = t
-	c.observer = func(blk int64) { t.blocks = append(t.blocks, blk) }
+	c.observer = func(base, n int64) {
+		for end := base + n; base < end; base++ {
+			t.blocks = append(t.blocks, base)
+		}
+	}
 }
 
 // StopTrace ends recording, removes the recording observer, and returns

@@ -3,7 +3,8 @@
 // according to SDF semantics, and charges every state touch and buffer
 // read/write to a cache simulator. Schedulers (internal/schedule) drive a
 // Machine; the cache statistics afterwards are the cost of the schedule in
-// the paper's model.
+// the paper's model. A machine given a Recorder charges no cache: it hands
+// each touched range to the recorder, for internal/trace to price later.
 package exec
 
 import (
@@ -25,7 +26,9 @@ var (
 
 // Config describes a machine instantiation.
 type Config struct {
-	// Cache is the simulated cache configuration.
+	// Cache is the simulated cache configuration. A machine either charges
+	// a cache or records a trace: with a Recorder set only Cache.Block is
+	// used (the block granularity of the recording).
 	Cache cachesim.Config
 	// Caps gives the buffer capacity, in items, of each channel (indexed by
 	// EdgeID). Every capacity must be at least the channel's minBuf.
@@ -43,9 +46,11 @@ type Config struct {
 	// steady-state source-items-per-sink-item rate.
 	TrackLatency bool
 	// Recorder, when non-nil, receives every block-level access the run
-	// issues, in order — the input of the one-pass miss-curve engine
-	// (internal/trace). Recording is independent of the cache's own
-	// statistics and survives SetCache only for the original cache.
+	// issues, in order, one run per touched range (a module's state, a
+	// channel's buffer window) — the input of the one-pass miss-curve
+	// engine (internal/trace). A recording machine simulates nothing: its
+	// Cache() is a cachesim.NewTap, which only counts accesses, and
+	// SetCache would replace the recording with it.
 	Recorder trace.Recorder
 }
 
@@ -84,7 +89,13 @@ func NewMachine(g *sdf.Graph, cfg Config) (*Machine, error) {
 	if len(cfg.Caps) != g.NumEdges() {
 		return nil, fmt.Errorf("exec: %d buffer capacities for %d edges", len(cfg.Caps), g.NumEdges())
 	}
-	cache, err := cachesim.New(cfg.Cache)
+	var cache *cachesim.Cache
+	var err error
+	if cfg.Recorder != nil {
+		cache, err = cachesim.NewTap(cfg.Cache.Block, cfg.Recorder.RecordRun)
+	} else {
+		cache, err = cachesim.New(cfg.Cache)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -96,9 +107,6 @@ func NewMachine(g *sdf.Graph, cfg Config) (*Machine, error) {
 		fired:  make([]int64, g.NumNodes()),
 		values: cfg.Values,
 		maxOut: cfg.CollectOutputs,
-	}
-	if cfg.Recorder != nil {
-		cache.SetObserver(cfg.Recorder.RecordBlock)
 	}
 	var arena cachesim.Arena
 	blk := cfg.Cache.Block

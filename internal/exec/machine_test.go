@@ -6,7 +6,6 @@ import (
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/sdf"
-	"streamsched/internal/trace"
 )
 
 var testCache = cachesim.Config{Capacity: 1 << 14, Block: 16}
@@ -315,27 +314,90 @@ func TestFireTimesErrorContext(t *testing.T) {
 	}
 }
 
-func TestRecorderSeesEveryBlockAccess(t *testing.T) {
-	g := buildChain(t, 0, 64, 64, 0)
-	rec := trace.NewLog()
-	m, err := NewMachine(g, Config{Cache: testCache, Caps: unitCaps(g, 8), Recorder: rec})
+// blockStream collects a run-granular tap's stream, runs expanded.
+type blockStream []int64
+
+func (s *blockStream) RecordRun(base, n int64) {
+	for end := base + n; base < end; base++ {
+		*s = append(*s, base)
+	}
+}
+
+// TestRecordingMachineMatchesSimulatingTap pins what a recording machine
+// emits: the same firing sequence on a machine that simulates a cache,
+// tapped through the cache's observer, must produce the same block
+// sequence element for element — the recording is the stream a
+// replacement policy would have seen, though no policy ran. A pipeline
+// with multi-block states and wrapping buffers, and a split-join with
+// unequal rates.
+func TestRecordingMachineMatchesSimulatingTap(t *testing.T) {
+	sj := sdf.NewBuilder("splitjoin")
+	src := sj.AddNode("src", 0)
+	split := sj.AddNode("split", 20)
+	left := sj.AddNode("left", 100)
+	right := sj.AddNode("right", 33)
+	join := sj.AddNode("join", 16)
+	sink := sj.AddNode("sink", 0)
+	sj.Connect(src, split, 4, 4)
+	sj.Connect(split, left, 3, 1)
+	sj.Connect(split, right, 1, 1)
+	sj.Connect(left, join, 1, 3)
+	sj.Connect(right, join, 2, 2)
+	sj.Connect(join, sink, 5, 5)
+	splitJoin, err := sj.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 20; i++ {
-		for v := 0; v < g.NumNodes(); v++ {
-			id := sdf.NodeID(v)
-			if m.CanFire(id) {
-				if err := m.Fire(id); err != nil {
-					t.Fatal(err)
+	for _, tc := range []struct {
+		g   *sdf.Graph
+		cap int64
+	}{
+		{buildChain(t, 0, 64, 200, 7, 0), 40}, // 40-item rings over 16-word blocks wrap mid-block
+		{splitJoin, 24},
+	} {
+		var recorded, tapped blockStream
+		rec, err := NewMachine(tc.g, Config{Cache: cachesim.Config{Block: testCache.Block}, Caps: unitCaps(tc.g, tc.cap), Recorder: &recorded})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := NewMachine(tc.g, Config{Cache: testCache, Caps: unitCaps(tc.g, tc.cap)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.Cache().SetObserver(tapped.RecordRun)
+		for round := 0; round < 60; round++ {
+			for v := 0; v < tc.g.NumNodes(); v++ {
+				id := sdf.NodeID(v)
+				if rec.CanFire(id) != sim.CanFire(id) {
+					t.Fatalf("%s: machines disagree on whether %d can fire", tc.g.Name(), v)
+				}
+				for k := 0; k < 1+round%3 && rec.CanFire(id); k++ {
+					if err := rec.Fire(id); err != nil {
+						t.Fatal(err)
+					}
+					if err := sim.Fire(id); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		}
-	}
-	if rec.Len() == 0 {
-		t.Fatal("recorder saw no accesses")
-	}
-	if got, want := rec.Len(), m.Cache().Stats().Accesses; got != want {
-		t.Fatalf("recorder saw %d accesses, cache counted %d", got, want)
+		if len(recorded) == 0 || rec.SinkItems() == 0 {
+			t.Fatalf("%s: nothing recorded (%d accesses, %d sink items)", tc.g.Name(), len(recorded), rec.SinkItems())
+		}
+		if len(recorded) != len(tapped) {
+			t.Fatalf("%s: recorded %d accesses, the simulating cache's tap saw %d", tc.g.Name(), len(recorded), len(tapped))
+		}
+		for i := range recorded {
+			if recorded[i] != tapped[i] {
+				t.Fatalf("%s: access %d is block %d recorded, %d tapped", tc.g.Name(), i, recorded[i], tapped[i])
+			}
+		}
+		// The recording machine simulated nothing: it counted, no more.
+		if st := rec.Cache().Stats(); st.Accesses != int64(len(recorded)) || st.Hits+st.Misses != 0 {
+			t.Fatalf("%s: recording machine's cache stats %+v, want %d accesses and no hits or misses", tc.g.Name(), st, len(recorded))
+		}
+		if st := sim.Cache().Stats(); st.Accesses != int64(len(tapped)) || st.Hits+st.Misses != st.Accesses {
+			t.Fatalf("%s: simulating machine's cache stats %+v for %d tapped accesses", tc.g.Name(), st, len(tapped))
+		}
 	}
 }

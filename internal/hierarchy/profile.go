@@ -314,7 +314,7 @@ func assembleHier(spec HierSpec, orgCurves []*trace.OrgCurves, specIdx map[int64
 // publishHierGroupMetrics records one hierarchy pass's filter and L2
 // totals (no-op when reg is nil): the filter-stream length (accesses the
 // L1 filters let through — the combined length of the streams that fed
-// the L2 profilers), the L2 Fenwick work, and the grid size.
+// the L2 profilers), the L2 timeline work, and the grid size.
 func publishHierGroupMetrics(reg *obs.Registry, filterMisses int64, groups [][]*l2Group, points int) {
 	if reg == nil {
 		return
@@ -328,7 +328,7 @@ func publishHierGroupMetrics(reg *obs.Registry, filterMisses int64, groups [][]*
 		}
 	}
 	reg.Counter("hier.filter.misses").Add(filterMisses)
-	reg.Counter("trace.profile.fenwick.ops").Add(l2Ops)
+	reg.Counter("trace.profile.timeline.ops").Add(l2Ops)
 	reg.Counter("hier.profile.points").Add(int64(points))
 }
 

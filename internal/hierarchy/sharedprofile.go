@@ -244,7 +244,7 @@ func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 			}
 		}
 		reg.Counter("hier.filter.misses").Add(filterMisses)
-		reg.Counter("trace.profile.fenwick.ops").Add(l2Ops)
+		reg.Counter("trace.profile.timeline.ops").Add(l2Ops)
 		reg.Counter("hier.profile.points").Add(int64(len(spec.L1s) * len(spec.L2s)))
 	}
 	return out, nil

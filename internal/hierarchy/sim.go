@@ -93,9 +93,14 @@ func (s *Sim) accessExclusive(blk int64) {
 	}
 }
 
-// RecordBlock implements trace.Recorder, so a Sim can be plugged straight
-// into the execution machine's recorder tap.
-func (s *Sim) RecordBlock(blk int64) { s.Access(blk) }
+// RecordRun implements trace.Recorder, so a Sim can be plugged straight
+// into the execution machine in place of a trace: the pointwise oracle
+// sees each touched range block by block.
+func (s *Sim) RecordRun(base, n int64) {
+	for end := base + n; base < end; base++ {
+		s.Access(base)
+	}
+}
 
 // ResetStats zeroes both levels' counters without disturbing cache
 // contents — the warm-then-measure protocol.

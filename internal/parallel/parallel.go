@@ -458,7 +458,7 @@ func RunTraced(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured 
 	}
 	for i := range st.caches {
 		proc := i
-		st.caches[i].SetObserver(func(blk int64) { plog.Record(proc, blk) })
+		st.caches[i].SetObserver(func(base, n int64) { plog.RecordRun(proc, base, n) })
 	}
 	stage := sp.Start("warm")
 	if warm > 0 {

@@ -68,7 +68,7 @@ func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, wa
 	log.SetSpillThreshold(curveSpillBytes)
 	defer log.Close()
 	m, err := exec.NewMachine(g, exec.Config{
-		Cache:        cachesim.Config{Capacity: layoutWords(g, plan, spec.Block), Block: spec.Block},
+		Cache:        cachesim.Config{Block: spec.Block},
 		Caps:         plan.Caps,
 		TrackLatency: g.Source() != g.Sink(),
 		Recorder:     log,
@@ -161,11 +161,11 @@ func MeasureHierPoint(g *sdf.Graph, s Scheduler, env Env, cfg hierarchy.Config, 
 	if err != nil {
 		return nil, fmt.Errorf("schedule: prepare %s: %w", s.Name(), err)
 	}
-	// As in MeasureCurve, the machine's own cache only charges accesses;
-	// the hierarchy rides the recorder tap, which sees exactly the stream
-	// the replacement policy sees, at cfg.L1.Block granularity.
+	// As in MeasureCurve, the machine simulates no cache of its own; the
+	// hierarchy takes the recorder's place and sees exactly the stream a
+	// trace would hold, at cfg.L1.Block granularity.
 	m, err := exec.NewMachine(g, exec.Config{
-		Cache:        cachesim.Config{Capacity: layoutWords(g, plan, cfg.L1.Block), Block: cfg.L1.Block},
+		Cache:        cachesim.Config{Block: cfg.L1.Block},
 		Caps:         plan.Caps,
 		TrackLatency: g.Source() != g.Sink(),
 		Recorder:     sim,

@@ -84,12 +84,10 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	log.SetMetrics(reg)
 	log.SetSpillThreshold(curveSpillBytes)
 	defer log.Close()
-	// The machine needs a cache to charge accesses to, but the recording is
-	// capacity-independent, so pick the cheapest one to simulate: a cache
-	// that holds the whole layout, where every access after the first is a
-	// plain hit.
+	// A recording machine simulates no cache (the recording is capacity-
+	// independent); the configuration only fixes the block granularity.
 	m, err := exec.NewMachine(g, exec.Config{
-		Cache:        cachesim.Config{Capacity: layoutWords(g, plan, block), Block: block},
+		Cache:        cachesim.Config{Block: block},
 		Caps:         plan.Caps,
 		TrackLatency: g.Source() != g.Sink(),
 		Recorder:     log,
@@ -139,20 +137,6 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 		res.BufferWords += c
 	}
 	return res, nil
-}
-
-// layoutWords over-approximates the machine's arena size in words, rounded
-// up to whole blocks: every module state and channel buffer block-aligned.
-func layoutWords(g *sdf.Graph, plan *Plan, block int64) int64 {
-	roundUp := func(w int64) int64 { return (w + block - 1) / block * block }
-	total := block // at least one line
-	for v := 0; v < g.NumNodes(); v++ {
-		total += roundUp(g.Node(sdf.NodeID(v)).State)
-	}
-	for _, c := range plan.Caps {
-		total += roundUp(c)
-	}
-	return total
 }
 
 // SweepCurves records and profiles one curve per scheduler on a bounded

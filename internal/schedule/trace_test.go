@@ -198,7 +198,7 @@ func TestMeasureCurveOrgsSharesFullyAssociativeStack(t *testing.T) {
 		if _, err := MeasureCurveOrgs(g, FlatTopo{}, env, env.B, 64, 256, orgs); err != nil {
 			t.Fatal(err)
 		}
-		return reg.Snapshot().Counters["trace.profile.fenwick.ops"]
+		return reg.Snapshot().Counters["trace.profile.timeline.ops"]
 	}
 	alone := fenwickOps(nil)
 	if alone == 0 {

@@ -62,7 +62,7 @@ func (s setIndex) id(blk, set int64) int64 {
 // one set is the fully-associative profiler.
 //
 // Per-set stacks are usually tiny (a set sees only 1/sets of the working
-// set), where the Fenwick timeline's O(log n) constant loses to a plain
+// set), where the timeline's per-access constant loses to a plain
 // move-to-front array scan, so each set starts as a list-based Mattson
 // stack — the scan position IS the stack depth — and upgrades itself to a
 // full Profiler only if its stack outgrows assocListLimit. Both forms are
@@ -74,9 +74,9 @@ type AssocProfiler struct {
 }
 
 // assocListLimit is the per-set stack size beyond which a list stack
-// upgrades to the Fenwick-based Profiler: move-to-front costs O(depth),
-// so deep stacks go back to the O(log n) structure. It is also the deepest
-// bound a request-bounded stack (boundedStacks) is built for.
+// upgrades to the timeline-based Profiler: move-to-front costs O(depth),
+// so deep stacks go back to the order-statistics structure. It is also the
+// deepest bound a request-bounded stack (boundedStacks) is built for.
 const assocListLimit = 192
 
 // setStack is one set's adaptive Mattson stack.
@@ -101,9 +101,6 @@ func NewAssocProfiler(sets int64) *AssocProfiler {
 // Sets returns the number of sets the profiler shards into.
 func (p *AssocProfiler) Sets() int64 { return p.idx.sets }
 
-// RecordBlock implements Recorder.
-func (p *AssocProfiler) RecordBlock(blk int64) { p.Touch(blk) }
-
 // Touch processes one block access: it routes the access to the block's
 // set and feeds the set's stack the block's within-set id, so each
 // per-set stack sees a dense id space regardless of the stride the set
@@ -124,7 +121,19 @@ func (s *setStack) touch(blk int64) {
 	}
 }
 
-// upgrade transfers the list stack's state into a Fenwick-based Profiler:
+// touchRun feeds the stack the ids base, base+1, …, base+n-1 in order. A
+// stack in its timeline stage takes the run in one step where it can
+// (Profiler.TouchRun); a list stack takes it id by id.
+func (s *setStack) touchRun(base, n int64) {
+	for ; n > 0 && s.mat == nil; base, n = base+1, n-1 {
+		s.touch(base)
+	}
+	if n > 0 {
+		s.mat.TouchRun(base, n)
+	}
+}
+
+// upgrade transfers the list stack's state into a timeline-based Profiler:
 // the stack contents seed the timeline (least recent first) and the
 // counted histogram carries over unchanged.
 func (s *setStack) upgrade() {
@@ -158,8 +167,8 @@ func (s *setStack) resetCounts() {
 	s.list.cold = 0
 }
 
-// TimelineOps returns the total Fenwick-timeline operation count across
-// the sets that upgraded to the order-statistics structure; sets still on
+// TimelineOps returns the total timeline operation count across the sets
+// that upgraded to the order-statistics structure; sets still on
 // the list stack contribute nothing (their work is array scans).
 func (p *AssocProfiler) TimelineOps() int64 {
 	var ops int64

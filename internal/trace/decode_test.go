@@ -43,7 +43,12 @@ func TestChunkStandaloneRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("chunk %d: %v", i, err)
 			}
-			blks, err := decodeChunkBlocks(nil, buf, meta, i)
+			var blks []int64
+			err = decodeChunk(buf, meta, i, func(base, n int64) {
+				for end := base + n; base != end; base++ {
+					blks = append(blks, base)
+				}
+			})
 			if err != nil {
 				t.Fatalf("chunk %d standalone decode: %v", i, err)
 			}

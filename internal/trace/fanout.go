@@ -17,14 +17,14 @@ import (
 // concurrently. Sealed chunks are standalone-decodable (each carries its
 // delta base and global access index — see chunkMeta), so the decode
 // stage itself scales: decodeJobs workers claim chunks from an ordered
-// queue, decode each one into pooled fanBatches with the batched varint
-// fast path (spilled chunks are read off disk at chunk granularity via
+// queue, decode each one into pooled fanBatches with the one chunk
+// decoder (spilled chunks are read off disk at chunk granularity via
 // ReadAt), and a reorder stage re-sequences the per-chunk batches before
 // broadcasting, so every consumer still observes the exact global order —
 // window resets included — and spilled traces are still read exactly
 // once (Replays() counts one per pass). With decodeJobs=1 a single
-// decoder goroutine streams the chunks in order through the same fast
-// path, which is the byte-identical baseline the equivalence property
+// decoder goroutine streams the chunks in order through the same
+// decoder, which is the byte-identical baseline the equivalence property
 // tests pin the parallel path against.
 //
 // Resident memory stays flat regardless of trace length: the decode
@@ -343,15 +343,7 @@ func (l *Log) fanDecodeSequential(pl *ProcLog, chans []chan *fanBatch, fm fanMet
 
 		var err error
 		if pl != nil {
-			run, left := 0, int64(0)
-			err = l.ForEach(func(blk int64) {
-				for left == 0 {
-					left = pl.runs[run].n
-					run++
-				}
-				left--
-				emit(int32(pl.runs[run-1].proc), blk)
-			})
+			err = pl.ForEach(func(proc int, blk int64) { emit(int32(proc), blk) })
 		} else {
 			err = l.ForEach(func(blk int64) { emit(0, blk) })
 		}
@@ -495,10 +487,9 @@ func (l *Log) fanDecodeParallel(pl *ProcLog, chans []chan *fanBatch, fm fanMetri
 }
 
 // decodeChunkBatches decodes chunk idx standalone from its recorded base
-// into broadcast-ready batches: the batched varint fast path fills each
-// pooled batch to capacity, and with a run-length table present the
-// chunk's processor tags are derived locally via a cursor positioned at
-// the chunk's global start index.
+// into broadcast-ready batches of at most fanBatchSize accesses; with a
+// run-length table present the chunk's processor tags are derived locally
+// via a cursor positioned at the chunk's global start index.
 func (l *Log) decodeChunkBatches(idx int, readBuf *[]byte, runs []procRun, ends []int64) decodedChunk {
 	meta := l.chunkAt(idx)
 	buf, err := l.chunkBytes(idx, readBuf)
@@ -510,42 +501,27 @@ func (l *Log) decodeChunkBatches(idx int, readBuf *[]byte, runs []procRun, ends 
 		pc = newProcCursor(runs, ends, meta.start)
 	}
 	var out []*fanBatch
-	prev := meta.base
+	var b *fanBatch
 	next := meta.start
-	total := int64(0)
-	rest := buf
-	for len(rest) > 0 {
-		b := getFanBatch()
-		b.start = next
-		var blks []int64
-		blks, rest, prev, err = appendVarintDeltas(b.blks[:0:fanBatchSize], rest, prev)
-		if err != nil {
-			fanBatchPool.Put(b)
-			for _, rb := range out {
-				fanBatchPool.Put(rb)
+	err = decodeChunk(buf, meta, idx, func(base, n int64) {
+		for end := base + n; base != end; base++ {
+			if b == nil || len(b.blks) == fanBatchSize {
+				b = getFanBatch()
+				b.start = next
+				out = append(out, b)
 			}
-			return decodedChunk{err: &chunkError{
-				chunk: idx, off: int64(len(buf) - len(rest)), spilled: meta.off >= 0, msg: "corrupt varint",
-			}}
-		}
-		b.blks = blks
-		if runs != nil {
-			for range blks {
-				b.procs = append(b.procs, pc.next())
+			b.blks = append(b.blks, base)
+			if runs != nil {
+				b.procs = append(b.procs, int32(pc.next()))
 			}
+			next++
 		}
-		next += int64(len(blks))
-		total += int64(len(blks))
-		out = append(out, b)
-	}
-	if total != meta.n {
+	})
+	if err != nil {
 		for _, rb := range out {
 			fanBatchPool.Put(rb)
 		}
-		return decodedChunk{err: &chunkError{
-			chunk: idx, off: meta.bytes, spilled: meta.off >= 0,
-			msg: fmt.Sprintf("access count mismatch (decoded %d of sealed %d)", total, meta.n),
-		}}
+		return decodedChunk{err: err}
 	}
 	return decodedChunk{batches: out}
 }

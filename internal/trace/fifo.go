@@ -201,9 +201,6 @@ func NewFIFOProfiler(sets int64, ways []int64) *FIFOProfiler {
 // Sets returns the number of sets the replayer shards into.
 func (p *FIFOProfiler) Sets() int64 { return p.idx.sets }
 
-// RecordBlock implements Recorder.
-func (p *FIFOProfiler) RecordBlock(blk int64) { p.Touch(blk) }
-
 // Touch processes one block access through every replica.
 func (p *FIFOProfiler) Touch(blk int64) {
 	p.set[0] = p.idx.set(blk)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"streamsched/internal/obs"
@@ -157,21 +156,54 @@ func (l *Log) SetSpillThreshold(limit int64) {
 	l.spillAt = limit
 }
 
-// RecordBlock implements Recorder: it appends one block access.
-func (l *Log) RecordBlock(blk int64) {
+// RecordBlock appends one block access: RecordRun(blk, 1).
+func (l *Log) RecordBlock(blk int64) { l.RecordRun(blk, 1) }
+
+// RecordRun implements Recorder: it appends accesses to the n blocks
+// base, base+1, …, in that order, in the per-access encoding — the first
+// block's delta as a varint, then one byte (delta +1) per further block,
+// written in a tight loop. A chunk that fills mid-run seals there and the
+// rest of the run opens the next, so chunks stay standalone-decodable.
+func (l *Log) RecordRun(base, n int64) {
+	if n <= 0 {
+		return
+	}
+	l.metrics().accesses.Add(n)
+	l.openChunk()
+	m := binary.PutVarint(l.scratch[:], base-l.prev)
+	l.cur = append(l.cur, l.scratch[:m]...)
+	l.prev = base
+	l.n++
+	n--
+	for {
+		if len(l.cur) >= logChunkSize {
+			l.seal()
+		}
+		if n == 0 {
+			return
+		}
+		l.openChunk()
+		k := int64(logChunkSize - len(l.cur))
+		if k > n {
+			k = n
+		}
+		tail := l.cur[len(l.cur) : len(l.cur)+int(k)]
+		for i := range tail {
+			tail[i] = 2 // zigzag(+1)
+		}
+		l.cur = l.cur[:len(l.cur)+int(k)]
+		l.prev += k
+		l.n += k
+		n -= k
+	}
+}
+
+// openChunk starts a chunk at the current position if none is open.
+func (l *Log) openChunk() {
 	if l.cur == nil {
 		l.cur = make([]byte, 0, logChunkSize)
 		l.curBase = l.prev
 		l.curStart = l.n
-	}
-	delta := blk - l.prev
-	l.prev = blk
-	m := binary.PutVarint(l.scratch[:], delta)
-	l.cur = append(l.cur, l.scratch[:m]...)
-	l.n++
-	l.metrics().accesses.Add(1)
-	if len(l.cur) >= logChunkSize {
-		l.seal()
 	}
 }
 
@@ -268,13 +300,14 @@ func (l *Log) Err() error { return l.err }
 // spill file.
 func (l *Log) Replays() int64 { return l.replays }
 
-// ForEach replays every recorded access in order. It may be called
-// repeatedly; the log remains appendable afterwards. Decoding is
-// chunk-at-a-time through the batched varint fast path — the same
-// primitive the parallel FanOut decoder uses — with spilled chunks read
-// back at chunk granularity via ReadAt (the spill writer's offset is
-// never disturbed).
-func (l *Log) ForEach(fn func(blk int64)) error {
+// ForEachRun is the replay primitive: it replays every recorded access in
+// order as ascending runs — fn(base, n) stands for accesses to base,
+// base+1, …, base+n-1 — maximal but for cuts where a chunk ends and at the
+// window mark, so a windowed consumer never has to split one. It may be
+// called repeatedly; the log remains appendable afterwards. Decoding is
+// chunk-at-a-time with spilled chunks read back at chunk granularity via
+// ReadAt (the spill writer's offset is never disturbed).
+func (l *Log) ForEachRun(fn func(base, n int64)) error {
 	if l.err != nil {
 		return l.err
 	}
@@ -289,20 +322,27 @@ func (l *Log) ForEach(fn func(blk int64)) error {
 	if err := l.flushSpill(); err != nil {
 		return err
 	}
-	slabp := getDecodeSlab()
-	defer putDecodeSlab(slabp)
 	var readBuf []byte
 	for i, nc := 0, l.numChunks(); i < nc; i++ {
+		meta := l.chunkAt(i)
+		emit := fn
+		if at := meta.start; at < l.window && l.window < at+meta.n {
+			// The window opens inside this chunk: cut the run it falls in.
+			emit = func(base, n int64) {
+				if cut := l.window - at; cut > 0 && cut < n {
+					fn(base, cut)
+					base, n, at = base+cut, n-cut, at+cut
+				}
+				at += n
+				fn(base, n)
+			}
+		}
 		buf, err := l.chunkBytes(i, &readBuf)
+		if err == nil {
+			err = decodeChunk(buf, meta, i, emit)
+		}
 		if err != nil {
 			return l.latchChunk(err)
-		}
-		blks, err := decodeChunkBlocks((*slabp)[:0], buf, l.chunkAt(i), i)
-		if err != nil {
-			return l.latchChunk(err)
-		}
-		for _, b := range blks {
-			fn(b)
 		}
 	}
 	l.replays++
@@ -311,6 +351,18 @@ func (l *Log) ForEach(fn func(blk int64)) error {
 		met.decode.Observe(time.Since(began))
 	}
 	return nil
+}
+
+// ForEach replays every recorded access in order, one block at a time.
+func (l *Log) ForEach(fn func(blk int64)) error { return l.ForEachRun(eachBlock(fn)) }
+
+// eachBlock adapts a per-block callback to the run form.
+func eachBlock(fn func(blk int64)) func(base, n int64) {
+	return func(base, n int64) {
+		for end := base + n; base != end; base++ {
+			fn(base)
+		}
+	}
 }
 
 // flushSpill pushes buffered spill writes to the file so chunk reads see
@@ -386,22 +438,22 @@ func (l *Log) latchChunk(err error) error {
 	return err
 }
 
-// ForEachWindowed replays every recorded access in order like ForEach,
-// additionally invoking reset exactly when the measured window begins —
-// after the warmup prefix has been replayed, or once at the end when the
-// window mark sits at or past the last access (an empty window measures
-// nothing). Every windowed consumer (the profilers, the hierarchy
-// simulator) shares this so the warm-then-reset-counts protocol lives in
-// one place.
-func (l *Log) ForEachWindowed(reset func(), touch func(blk int64)) error {
+// ForEachRunWindowed replays every recorded access in order like
+// ForEachRun, additionally invoking reset exactly when the measured window
+// begins — after the warmup prefix has been replayed, or once at the end
+// when the window mark sits at or past the last access (an empty window
+// measures nothing). Every windowed consumer (the profilers, the
+// hierarchy simulator) shares this so the warm-then-reset-counts protocol
+// lives in one place.
+func (l *Log) ForEachRunWindowed(reset func(), touchRun func(base, n int64)) error {
 	start := l.window
 	var i int64
-	err := l.ForEach(func(blk int64) {
+	err := l.ForEachRun(func(base, n int64) {
 		if i == start {
 			reset()
 		}
-		i++
-		touch(blk)
+		i += n
+		touchRun(base, n)
 	})
 	if err != nil {
 		return err
@@ -410,6 +462,11 @@ func (l *Log) ForEachWindowed(reset func(), touch func(blk int64)) error {
 		reset()
 	}
 	return nil
+}
+
+// ForEachWindowed is ForEachRunWindowed one block at a time.
+func (l *Log) ForEachWindowed(reset func(), touch func(blk int64)) error {
+	return l.ForEachRunWindowed(reset, eachBlock(touch))
 }
 
 // Close releases the spill file, if any. A log that never spilled stays
@@ -434,9 +491,8 @@ func (l *Log) Close() error {
 
 // chunkError is a chunk-granular read or decode failure. It names the
 // chunk index and the byte offset within the chunk (0 for whole-chunk
-// read failures), so a corruption report pinpoints the damage instead of
-// the old anonymous "corrupt varint in chunk". spilled failures poison
-// the log — see Log.latchChunk.
+// read failures), so a corruption report pinpoints the damage. spilled
+// failures poison the log — see Log.latchChunk.
 type chunkError struct {
 	chunk   int
 	off     int64
@@ -454,81 +510,52 @@ func (e *chunkError) Error() string {
 
 func (e *chunkError) Unwrap() error { return e.cause }
 
-// errCorruptVarint is appendVarintDeltas' sentinel; the chunk-level
-// wrappers turn it into a *chunkError carrying chunk index and offset.
-var errCorruptVarint = errors.New("corrupt varint")
-
-// decodeSlabPool recycles whole-chunk decode buffers for the sequential
-// path: one chunk's accesses fit because every encoded access is at least
-// one byte and a chunk never grows past logChunkSize plus one varint.
-var decodeSlabPool = sync.Pool{New: func() any {
-	s := make([]int64, 0, logChunkSize+binary.MaxVarintLen64)
-	return &s
-}}
-
-func getDecodeSlab() *[]int64  { return decodeSlabPool.Get().(*[]int64) }
-func putDecodeSlab(s *[]int64) { decodeSlabPool.Put(s) }
-
-// appendVarintDeltas is the batched varint fast path: it decodes
-// zigzag-varint deltas from buf, accumulating them onto prev and
-// appending the absolute block ids to dst, in one tight loop with no
-// per-access interface calls — a single-byte fast path (the common case:
-// streaming strides encode in one byte) and an inline continuation loop
-// otherwise. It stops when buf is exhausted or dst reaches capacity and
-// returns the extended dst, the unconsumed bytes, and the running block
-// id. On corruption rest points at the offending varint's first byte and
-// err is errCorruptVarint.
-func appendVarintDeltas(dst []int64, buf []byte, prev int64) (out []int64, rest []byte, last int64, err error) {
-	for len(buf) > 0 && len(dst) < cap(dst) {
-		ux := uint64(buf[0])
-		if ux < 0x80 {
-			buf = buf[1:]
-		} else {
+// decodeChunk is the one chunk decoder: it walks buf's zigzag-varint
+// deltas from the chunk's sealed base and yields the accesses as maximal
+// ascending runs — a delta, then however many single-byte +1 deltas
+// follow it — with no per-access call. A corrupt varint is reported at
+// its first byte's offset, and the decoded access count is cross-checked
+// against the sealed metadata, so truncated or padded chunks surface as
+// corruption instead of skewing every consumer's global indices. Runs
+// before the fault have been delivered; callers discard them on error.
+func decodeChunk(buf []byte, meta chunkMeta, idx int, fn func(base, n int64)) error {
+	prev, total := meta.base, int64(0)
+	for i := 0; i < len(buf); {
+		start := i
+		ux := uint64(buf[i])
+		i++
+		if ux >= 0x80 {
 			ux &= 0x7f
-			s := uint(7)
-			i := 1
-			for {
+			for s := uint(7); ; s += 7 {
 				if i >= len(buf) || s > 63 {
-					return dst, buf, prev, errCorruptVarint
+					return &chunkError{chunk: idx, off: int64(start), spilled: meta.off >= 0, msg: "corrupt varint"}
 				}
 				b := buf[i]
 				i++
+				ux |= uint64(b&0x7f) << s
 				if b < 0x80 {
-					ux |= uint64(b) << s
 					break
 				}
-				ux |= uint64(b&0x7f) << s
-				s += 7
 			}
-			buf = buf[i:]
 		}
 		delta := int64(ux >> 1)
 		if ux&1 != 0 {
 			delta = ^delta
 		}
-		prev += delta
-		dst = append(dst, prev)
+		first := i
+		for i < len(buf) && buf[i] == 2 {
+			i++
+		}
+		n := int64(i-first) + 1
+		fn(prev+delta, n)
+		prev += delta + n - 1
+		total += n
 	}
-	return dst, buf, prev, nil
-}
-
-// decodeChunkBlocks decodes one whole chunk into dst via the batched fast
-// path and cross-checks the decoded access count against the chunk's
-// sealed metadata, so truncated or padded chunks surface as corruption
-// instead of silently skewing every consumer's global indices.
-func decodeChunkBlocks(dst []int64, buf []byte, meta chunkMeta, idx int) ([]int64, error) {
-	if int64(cap(dst)) < meta.n {
-		dst = make([]int64, 0, meta.n)
-	}
-	out, rest, _, err := appendVarintDeltas(dst[:0:len(dst)+int(meta.n)], buf, meta.base)
-	if err != nil {
-		return nil, &chunkError{chunk: idx, off: int64(len(buf) - len(rest)), spilled: meta.off >= 0, msg: "corrupt varint"}
-	}
-	if len(rest) > 0 || int64(len(out)) != meta.n {
-		return nil, &chunkError{
-			chunk: idx, off: int64(len(buf) - len(rest)), spilled: meta.off >= 0,
-			msg: fmt.Sprintf("access count mismatch (decoded %d of sealed %d, %d bytes undecoded)", len(out), meta.n, len(rest)),
+	if total != meta.n {
+		return &chunkError{
+			chunk: idx, off: meta.bytes, spilled: meta.off >= 0,
+			msg: fmt.Sprintf("access count mismatch (decoded %d of sealed %d)", total, meta.n),
 		}
 	}
-	return out, nil
+	return nil
 }

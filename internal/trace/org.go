@@ -144,14 +144,20 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // It does only work that can change an answer. Specs with the same set
 // count share one family — one set index and one LRU structure per access,
 // so a caller's fully-associative spec and a grid's Sets=1 spec cost one
-// Fenwick stack between them. A family whose specs all name a MaxWays
+// timeline stack between them. A family whose specs all name a MaxWays
 // (and a modest one) keeps request-bounded stacks instead of the
-// list→Fenwick hybrid, and every FIFO point of every family is one
+// list→timeline hybrid, and every FIFO point of every family is one
 // residency bit in the shared fifoBank.
+//
+// Families are independent of one another, so only the order within a
+// family matters: TouchRun hands a whole run to the unbounded Sets=1
+// family, whose one stack can take it in a step, and walks the run block
+// by block for the rest.
 type OrgProfilers struct {
 	specs    []OrgSpec
 	familyOf []int // spec -> family
 	fams     []orgFamily
+	full     int       // the unbounded Sets=1 family, -1 when there is none
 	sets     []int64   // per family: the current access's set index
 	bank     *fifoBank // nil when no family is bounded or replays FIFO
 }
@@ -166,7 +172,7 @@ type orgFamily struct {
 
 // NewOrgProfilers validates the specs and builds their profilers.
 func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
-	p := &OrgProfilers{specs: specs, familyOf: make([]int, len(specs))}
+	p := &OrgProfilers{specs: specs, familyOf: make([]int, len(specs)), full: -1}
 	// A family is bounded by the deepest way count any of its specs
 	// evaluates; one unbounded spec unbounds it.
 	bounds := make(map[int64]int64)
@@ -190,6 +196,9 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 				f.bounded = newBoundedStacks(s.Sets, b)
 			} else {
 				f.assoc = NewAssocProfiler(s.Sets)
+				if s.Sets == 1 {
+					p.full = fi
+				}
 			}
 			p.fams = append(p.fams, f)
 		}
@@ -227,7 +236,24 @@ func (p *OrgProfilers) ResetCounts() {
 }
 
 // Touch feeds one access to every organisation's profilers.
-func (p *OrgProfilers) Touch(blk int64) {
+func (p *OrgProfilers) Touch(blk int64) { p.touch(blk, -1) }
+
+// TouchRun feeds accesses to the n blocks base, base+1, …, in that order,
+// to every organisation's profilers.
+func (p *OrgProfilers) TouchRun(base, n int64) {
+	if p.full >= 0 {
+		p.fams[p.full].assoc.per[0].touchRun(base, n) // Sets=1: within-set id == block id
+		if len(p.fams) == 1 && p.bank == nil {
+			return
+		}
+	}
+	for end := base + n; base != end; base++ {
+		p.touch(base, p.full)
+	}
+}
+
+// touch feeds one access to every family but skip, and to the FIFO bank.
+func (p *OrgProfilers) touch(blk int64, skip int) {
 	var slot int32
 	if p.bank != nil {
 		slot = p.bank.slot(blk)
@@ -236,6 +262,9 @@ func (p *OrgProfilers) Touch(blk int64) {
 		f := &p.fams[i]
 		set := f.idx.set(blk)
 		p.sets[i] = set
+		if i == skip {
+			continue
+		}
 		if f.bounded != nil {
 			f.bounded.touch(set, slot)
 		} else {
@@ -247,8 +276,8 @@ func (p *OrgProfilers) Touch(blk int64) {
 	}
 }
 
-// TimelineOps returns the total Fenwick-timeline operation count across
-// every family's set stacks.
+// TimelineOps returns the total timeline operation count across every
+// family's set stacks.
 func (p *OrgProfilers) TimelineOps() int64 {
 	var ops int64
 	for i := range p.fams {
@@ -260,7 +289,7 @@ func (p *OrgProfilers) TimelineOps() int64 {
 }
 
 // PublishMetrics records a completed profiling pass's totals into reg
-// (no-op when reg is nil): the counted access total, the Fenwick work it
+// (no-op when reg is nil): the counted access total, the timeline work it
 // cost, and the pass count. Callers that drive OrgProfilers manually
 // (ProfileHier, experiment E22) call this once per pass; ProfileOrgs does
 // it for its own pass.
@@ -273,7 +302,7 @@ func (p *OrgProfilers) PublishMetrics(reg *obs.Registry, curves []*OrgCurves) {
 		accesses = curves[0].LRU.Accesses
 	}
 	reg.Counter("trace.profile.accesses").Add(accesses)
-	reg.Counter("trace.profile.fenwick.ops").Add(p.TimelineOps())
+	reg.Counter("trace.profile.timeline.ops").Add(p.TimelineOps())
 	reg.Counter("trace.profile.passes").Add(1)
 }
 
@@ -318,7 +347,7 @@ func ProfileOrgs(l *Log, specs []OrgSpec) ([]*OrgCurves, error) {
 	}
 	reg := l.Metrics()
 	stop := reg.Timer("trace.profile").Start()
-	if err := l.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
+	if err := l.ForEachRunWindowed(p.ResetCounts, p.TouchRun); err != nil {
 		return nil, err
 	}
 	curves := p.Curves()

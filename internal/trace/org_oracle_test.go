@@ -1,7 +1,7 @@
 package trace_test
 
 // The organisation profiler's oracle: whatever structure a spec resolves
-// to — request-bounded flat stacks, the list→Fenwick hybrid, families
+// to — request-bounded flat stacks, the list→timeline hybrid, families
 // shared between specs, the residency-bitmask FIFO bank — every point it
 // answers must equal a pointwise replay of the same stream through a
 // cachesim.Bank of that geometry, and every point it cannot answer must
@@ -182,7 +182,7 @@ func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 // random logs: dense, sparse and negative block ids, non-power-of-two set
 // counts, bounds around the footprint, duplicate way counts, a window
 // reset anywhere from the first access to past the last, footprints on
-// both sides of the list→Fenwick upgrade, spilled and in-memory.
+// both sides of the list→timeline upgrade, spilled and in-memory.
 func TestOrgProfilersMatchBankOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	trials := 24
@@ -329,4 +329,208 @@ func TestProfileOrgsJobsConcurrentLogs(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
+}
+
+// TestTimelineStacksKeepAnyIdAcrossCompactions is the regression for a
+// timeline that took a non-negative block id as its liveness mark: every
+// block with a negative id vanished at the first compaction (4096 appends
+// in) and its later re-references read a stale slot. Negative, sparse and
+// mixed ids, long enough for every timeline-stage stack to compact at
+// least three times (a stack of f live blocks compacts every 4·(f+1025)
+// appends after the first 4096), at every capacity against the bank: the
+// fully-associative Profiler directly, then OrgProfilers' Sets=1 stack and
+// per-set stacks that outgrew their list form.
+func TestTimelineStacksKeepAnyIdAcrossCompactions(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for ids := 1; ids <= 3; ids++ {
+		const small, n = 40, 40000
+		stream := oracleStream(rng, n, small, ids)
+		p := trace.NewProfiler()
+		for _, blk := range stream {
+			p.Touch(blk)
+		}
+		curve := p.Curve()
+		for lines := int64(1); lines <= small+1; lines++ {
+			if got, want := curve.Misses(lines), bankMisses(stream, 0, 1, lines, cachesim.LRU); got != want {
+				t.Fatalf("ids %d: Profiler at %d lines: %d misses, bank %d", ids, lines, got, want)
+			}
+		}
+
+		// 3 sets x ~210 blocks: every per-set stack passes the list limit.
+		const big, m, warm = 630, 90000, 20000
+		stream = oracleStream(rng, m, big, ids)
+		specs := []trace.OrgSpec{{Sets: 1}, {Sets: 3}}
+		curves, err := trace.ProfileOrgs(recordStream(t, stream, warm, false), specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, spec := range specs {
+			perSet := big / spec.Sets
+			for _, ways := range []int64{1, 2, 3, 5, 8, 16, 40, 100, 191, 192, 193, perSet - 1, perSet, perSet + 1, big + 1} {
+				want := bankMisses(stream, warm, spec.Sets, ways, cachesim.LRU)
+				if got := curves[i].LRU.Misses(ways); got != want {
+					t.Fatalf("ids %d sets=%d ways=%d: curve %d, bank %d", ids, spec.Sets, ways, got, want)
+				}
+			}
+		}
+	}
+}
+
+// runStream builds a stream out of ascending runs of 1–80 blocks: fresh
+// ones, exact repeats, partial overlaps of earlier runs, and earlier runs
+// walked backwards, over dense ids (reaching past the dense table's first
+// size), sparse ids, negative ids (runs crossing zero included), or all.
+func runStream(rng *rand.Rand, accesses int, ids int) (runs [][2]int64) {
+	place := func(span int64) int64 {
+		kind := ids
+		if ids == 3 {
+			kind = rng.Intn(3)
+		}
+		switch kind {
+		case 1:
+			return 1<<24 + rng.Int63n(span) // past the dense limit
+		case 2:
+			return -rng.Int63n(span) // runs near zero cross it
+		}
+		return rng.Int63n(span)
+	}
+	for n := 0; n < accesses; {
+		var r [2]int64
+		switch prev := len(runs); {
+		case prev == 0 || rng.Intn(4) == 0:
+			r = [2]int64{place(12000), 1 + rng.Int63n(80)}
+		case rng.Intn(3) == 0: // repeat
+			r = runs[rng.Intn(prev)]
+		case rng.Intn(2) == 0: // partial overlap
+			old := runs[rng.Intn(prev)]
+			r = [2]int64{old[0] + rng.Int63n(old[1]) - rng.Int63n(8), 1 + rng.Int63n(80)}
+		default: // backwards: one-block runs, descending
+			old := runs[rng.Intn(prev)]
+			for b := old[0] + old[1] - 1; b > old[0]; b-- {
+				runs = append(runs, [2]int64{b, 1})
+				n++
+			}
+			r = [2]int64{old[0], 1}
+		}
+		runs = append(runs, r)
+		n += int(r[1])
+	}
+	return runs
+}
+
+// TestRunFedProfilersMatchBlockFedAndBank is the run path's property: a
+// log recorded run by run and profiled run by run (ProfileOrgs) answers
+// exactly what the same stream recorded and fed block by block answers,
+// at every way count, and both equal the bank — with the window mark in
+// the middle of a run, enough accesses for compactions and (in the long
+// trials) chunk seals, spilled and in-memory, and spec lists whose Sets=1
+// family is unbounded (takes runs whole), bounded (does not), or absent.
+func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	trials := 12
+	if testing.Short() {
+		trials = 6
+	}
+	for trial := 0; trial < trials; trial++ {
+		accesses, spill := 3000+rng.Intn(6000), false
+		if trial%3 == 2 {
+			accesses, spill = 150000, trial%2 == 0 // seals chunks mid-run
+		}
+		runs := runStream(rng, accesses, trial%4)
+		specs := [][]trace.OrgSpec{
+			{{Sets: 1}},
+			{{Sets: 1}, {Sets: 1, FIFOWays: []int64{3, 64}}, {Sets: 4, MaxWays: 4}, {Sets: 3}},
+			{{Sets: 1, MaxWays: 16, FIFOWays: []int64{16}}, {Sets: 2}},
+			{{Sets: 5, FIFOWays: []int64{2}}},
+		}[trial%4]
+
+		byRun, byBlock := trace.NewLog(), trace.NewLog()
+		if spill {
+			byRun.SetSpillThreshold(1)
+		}
+		var stream []int64
+		markAt := rng.Intn(len(runs))
+		warm := 0
+		for i, r := range runs {
+			cut := int64(0)
+			if i == markAt {
+				cut = rng.Int63n(r[1] + 1) // 0 and r[1] put the mark between runs
+				warm = len(stream) + int(cut)
+			}
+			byRun.RecordRun(r[0], cut)
+			for b := r[0]; b < r[0]+r[1]; b++ {
+				if i == markAt && b == r[0]+cut {
+					byRun.MarkWindow()
+					byBlock.MarkWindow()
+				}
+				byBlock.RecordBlock(b)
+				stream = append(stream, b)
+			}
+			if i == markAt && cut == r[1] {
+				byRun.MarkWindow()
+				byBlock.MarkWindow()
+			}
+			byRun.RecordRun(r[0]+cut, r[1]-cut)
+		}
+		label := fmt.Sprintf("trial %d (ids %d, %d accesses in %d runs, warm %d, spill %v)", trial, trial%4, len(stream), len(runs), warm, spill)
+		if byRun.Len() != int64(len(stream)) || byRun.EncodedBytes() != byBlock.EncodedBytes() || byRun.WindowStart() != int64(warm) {
+			t.Fatalf("%s: run-recorded log has %d accesses in %d bytes, window %d; block-recorded %d in %d, window %d", label,
+				byRun.Len(), byRun.EncodedBytes(), byRun.WindowStart(), byBlock.Len(), byBlock.EncodedBytes(), byBlock.WindowStart())
+		}
+		if accesses > 100000 && byRun.Stats().Chunks < 2 {
+			t.Fatalf("%s: long trial sealed %d chunks", label, byRun.Stats().Chunks)
+		}
+		var replayed []int64
+		if err := byRun.ForEach(func(blk int64) { replayed = append(replayed, blk) }); err != nil {
+			t.Fatal(err)
+		}
+		for i := range stream {
+			if replayed[i] != stream[i] {
+				t.Fatalf("%s: replay differs from the recorded stream at access %d", label, i)
+			}
+		}
+
+		runFed, err := trace.ProfileOrgs(byRun, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := trace.NewOrgProfilers(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := byBlock.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
+			t.Fatal(err)
+		}
+		blockFed := p.Curves()
+		for i, spec := range specs {
+			deepest := spec.MaxWays
+			if deepest == 0 {
+				deepest = 13000 // past any footprint a stream has
+			}
+			for w := int64(1); w <= deepest; w++ {
+				if a, b := runFed[i].LRU.Misses(w), blockFed[i].LRU.Misses(w); a != b {
+					t.Fatalf("%s spec %d ways %d: run-fed %d misses, block-fed %d", label, i, w, a, b)
+				}
+			}
+			for _, w := range spec.FIFOWays {
+				a, _ := runFed[i].Misses(w, true)
+				if b, _ := blockFed[i].Misses(w, true); a != b {
+					t.Fatalf("%s spec %d FIFO ways %d: run-fed %d misses, block-fed %d", label, i, w, a, b)
+				}
+			}
+		}
+		if accesses < 100000 { // the bank costs O(ways) an access
+			checkOrgCurves(t, label, stream, warm, specs, runFed)
+			for _, lines := range []int64{64, 300, 2000} {
+				if specs[0].Sets == 1 && specs[0].MaxWays == 0 {
+					if got, want := runFed[0].LRU.Misses(lines), bankMisses(stream, warm, 1, lines, cachesim.LRU); got != want {
+						t.Fatalf("%s: fully associative at %d lines: run-fed %d, bank %d", label, lines, got, want)
+					}
+				}
+			}
+		}
+		if err := byRun.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -55,23 +55,25 @@ func NewProcLog(procs int) (*ProcLog, error) {
 func (pl *ProcLog) SetSpillThreshold(limit int64) { pl.log.SetSpillThreshold(limit) }
 
 // Record appends one access by processor proc to the global order.
-func (pl *ProcLog) Record(proc int, blk int64) {
-	if proc < 0 || proc >= pl.procs {
-		panic(fmt.Sprintf("trace: ProcLog.Record processor %d out of [0,%d)", proc, pl.procs))
-	}
-	if n := len(pl.runs); n > 0 && pl.runs[n-1].proc == proc {
-		pl.runs[n-1].n++
-	} else {
-		pl.runs = append(pl.runs, procRun{proc: proc, n: 1})
-	}
-	pl.perN[proc]++
-	pl.log.RecordBlock(blk)
-}
+func (pl *ProcLog) Record(proc int, blk int64) { pl.RecordRun(proc, blk, 1) }
 
-// Recorder returns proc's view of the trace as a plain Recorder, the shape
-// a per-processor cache observer tap wants.
-func (pl *ProcLog) Recorder(proc int) Recorder {
-	return RecorderFunc(func(blk int64) { pl.Record(proc, blk) })
+// RecordRun appends processor proc's accesses to the n blocks base,
+// base+1, … to the global order — the shape a per-processor cache's
+// observer tap delivers.
+func (pl *ProcLog) RecordRun(proc int, base, n int64) {
+	if proc < 0 || proc >= pl.procs {
+		panic(fmt.Sprintf("trace: ProcLog.RecordRun processor %d out of [0,%d)", proc, pl.procs))
+	}
+	if n <= 0 {
+		return
+	}
+	if last := len(pl.runs) - 1; last >= 0 && pl.runs[last].proc == proc {
+		pl.runs[last].n += n
+	} else {
+		pl.runs = append(pl.runs, procRun{proc: proc, n: n})
+	}
+	pl.perN[proc] += n
+	pl.log.RecordRun(base, n)
 }
 
 // Procs returns the processor count the trace was recorded with.
@@ -135,10 +137,10 @@ func (pl *ProcLog) runEnds() []int64 {
 	return ends
 }
 
-// procCursor walks the run-length-encoded interleaving from an arbitrary
-// global access index. Each parallel decode worker positions one at its
-// chunk's start index and advances it per decoded access, so processor
-// tags are computed chunk-locally without replaying the prefix.
+// procCursor walks the run-length-encoded interleaving, one access at a
+// time. The replays start one before the first run (ri -1); each parallel
+// decode worker positions one at its chunk's start index instead, so
+// processor tags are computed chunk-locally without replaying the prefix.
 type procCursor struct {
 	runs []procRun
 	ri   int
@@ -158,27 +160,20 @@ func newProcCursor(runs []procRun, ends []int64, start int64) procCursor {
 
 // next returns the recording processor of the access at the cursor and
 // advances it.
-func (c *procCursor) next() int32 {
+func (c *procCursor) next() int {
 	if c.left == 0 {
 		c.ri++
 		c.left = c.runs[c.ri].n
 	}
 	c.left--
-	return int32(c.runs[c.ri].proc)
+	return c.runs[c.ri].proc
 }
 
 // ForEach replays every access in global order, tagged with the recording
 // processor. It may be called repeatedly.
 func (pl *ProcLog) ForEach(fn func(proc int, blk int64)) error {
-	run, left := 0, int64(0)
-	return pl.log.ForEach(func(blk int64) {
-		for left == 0 {
-			left = pl.runs[run].n
-			run++
-		}
-		left--
-		fn(pl.runs[run-1].proc, blk)
-	})
+	pc := procCursor{runs: pl.runs, ri: -1}
+	return pl.log.ForEach(func(blk int64) { fn(pc.next(), blk) })
 }
 
 // ForEachWindowed replays like ForEach, invoking reset exactly when the
@@ -186,13 +181,6 @@ func (pl *ProcLog) ForEach(fn func(proc int, blk int64)) error {
 // reset-once at the end for an empty window) are Log.ForEachWindowed's —
 // this only layers the processor tagging on top.
 func (pl *ProcLog) ForEachWindowed(reset func(), touch func(proc int, blk int64)) error {
-	run, left := 0, int64(0)
-	return pl.log.ForEachWindowed(reset, func(blk int64) {
-		for left == 0 {
-			left = pl.runs[run].n
-			run++
-		}
-		left--
-		touch(pl.runs[run-1].proc, blk)
-	})
+	pc := procCursor{runs: pl.runs, ri: -1}
+	return pl.log.ForEachWindowed(reset, func(blk int64) { touch(pc.next(), blk) })
 }

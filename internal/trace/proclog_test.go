@@ -19,15 +19,26 @@ func randomProcTrace(t *testing.T, rng *rand.Rand, procs int, n int, spill int64
 	var wantProc []int
 	var wantBlk []int64
 	proc := 0
-	for i := 0; i < n; i++ {
+	for len(wantBlk) < n {
 		// Runs of geometric length so the run-length encoding is exercised.
 		if rng.Intn(4) == 0 {
 			proc = rng.Intn(procs)
 		}
 		blk := int64(rng.Intn(64)) - 8 // negative ids too
-		pl.Record(proc, blk)
-		wantProc = append(wantProc, proc)
-		wantBlk = append(wantBlk, blk)
+		k := 1
+		if rng.Intn(3) == 0 { // a range touched as one run, as a cache's tap delivers it
+			k = 1 + rng.Intn(12)
+			if k > n-len(wantBlk) {
+				k = n - len(wantBlk)
+			}
+			pl.RecordRun(proc, blk, int64(k))
+		} else {
+			pl.Record(proc, blk)
+		}
+		for i := 0; i < k; i++ {
+			wantProc = append(wantProc, proc)
+			wantBlk = append(wantBlk, blk+int64(i))
+		}
 	}
 	return pl, wantProc, wantBlk
 }

@@ -8,13 +8,12 @@ package trace
 // in every fully-associative LRU cache of at least d lines, so the
 // histogram determines the exact miss count for all capacities at once.
 //
-// Each access costs O(log n) timeline work; memory is proportional to the
-// number of distinct blocks, not the trace length. Block ids from the
-// execution machine's arena are small and dense, so the block -> slot
-// index is a flat slice (with a map fallback for sparse or negative ids).
-//
-// Profiler itself is also a Recorder, so short traces can be profiled
-// on-line without materialising a Log.
+// Each access costs one timeline count, removal and append (a popcount
+// walk as long as the reuse is old); memory is proportional to the number
+// of distinct blocks, not the trace length. Block ids from the execution
+// machine's arena are small and dense, so the block -> slot index is a
+// flat slice (with a map fallback for sparse or negative ids). TouchRun
+// takes a run of blocks that were last touched together in one step.
 type Profiler struct {
 	tl      *timeline
 	dense   []int32         // block -> live slot, 0 = unseen (dense ids)
@@ -42,28 +41,65 @@ func NewProfiler() *Profiler {
 	return p
 }
 
-// RecordBlock implements Recorder.
-func (p *Profiler) RecordBlock(blk int64) { p.Touch(blk) }
-
 // Touch processes one block access.
 func (p *Profiler) Touch(blk int64) {
-	slot := p.lookup(blk)
-	if slot != 0 {
+	p.tl.Room(1, p.relabel)
+	if slot := p.lookup(blk); slot != 0 {
 		// Depth = blocks accessed since this one (they sit above it in the
 		// LRU stack) plus one for the block itself.
-		d := p.tl.CountAfter(slot) + 1
-		if int64(len(p.hist)) <= d {
-			grown := make([]int64, 2*d+2)
-			copy(grown, p.hist)
-			p.hist = grown
-		}
-		p.hist[d]++
-		p.tl.Remove(slot)
+		p.count(p.tl.CountAfter(slot)+1, 1)
+		p.tl.Remove(slot, 1)
 	} else {
 		p.cold++
 		p.distinct++
 	}
-	p.store(blk, p.tl.Append(blk, p.relabel))
+	p.store(blk, p.tl.Append(blk, 1))
+}
+
+// TouchRun processes accesses to the n blocks base, base+1, …, in that
+// order, exactly as n Touch calls would. Wherever the next k >= 2 blocks
+// hold k consecutive slots s..s+k-1 — they were last touched as a run —
+// each finds the k-1 others and the CountAfter(s+k-1) younger blocks above
+// it when its turn comes, so all k re-reference at depth k +
+// CountAfter(s+k-1): one count, one histogram update, one masked clear and
+// one masked set. Unseen blocks, broken runs and sparse or negative ids
+// take the one-block path.
+func (p *Profiler) TouchRun(base, n int64) {
+	for n > 0 {
+		var k int32 // leading blocks in consecutive slots
+		if base >= 0 && base < int64(len(p.dense)) && p.dense[base] != 0 {
+			rest := p.dense[base:]
+			if int64(len(rest)) > n {
+				rest = rest[:n]
+			}
+			for k = 1; int(k) < len(rest) && rest[k] == rest[0]+k; k++ {
+			}
+		}
+		if k < 2 {
+			p.Touch(base)
+			base, n = base+1, n-1
+			continue
+		}
+		p.tl.Room(k, p.relabel) // renumbering keeps the slots consecutive
+		slot := p.dense[base]
+		p.count(p.tl.CountAfter(slot+k-1)+int64(k), int64(k))
+		p.tl.Remove(slot, k)
+		slot = p.tl.Append(base, k)
+		for i := range p.dense[base : base+int64(k)] {
+			p.dense[base+int64(i)] = slot + int32(i)
+		}
+		base, n = base+int64(k), n-int64(k)
+	}
+}
+
+// count adds n counted accesses at stack depth d.
+func (p *Profiler) count(d, n int64) {
+	if int64(len(p.hist)) <= d {
+		grown := make([]int64, 2*d+2)
+		copy(grown, p.hist)
+		p.hist = grown
+	}
+	p.hist[d] += n
 }
 
 func (p *Profiler) lookup(blk int64) int32 {
@@ -108,9 +144,9 @@ func (p *Profiler) ResetCounts() {
 func (p *Profiler) Distinct() int64 { return p.distinct }
 
 // TimelineOps returns the number of structural order-statistics operations
-// (append, remove, depth count) the profiler's Fenwick timeline has
-// performed — the metric instrumented profiling passes publish as
-// trace.profile.fenwick.ops.
+// (append, remove, depth count) the profiler's timeline has performed —
+// the metric instrumented profiling passes publish as
+// trace.profile.timeline.ops. A run taken in one step costs one of each.
 func (p *Profiler) TimelineOps() int64 { return p.tl.ops }
 
 // Curve freezes the current histogram into a MissCurve.
@@ -145,7 +181,8 @@ func curveFromHist(hist []int64, cold int64) *MissCurve {
 // stack uses it to transfer its state when upgrading to a Profiler.
 func (p *Profiler) seedStack(blk int64) {
 	p.distinct++
-	p.store(blk, p.tl.Append(blk, p.relabel))
+	p.tl.Room(1, p.relabel)
+	p.store(blk, p.tl.Append(blk, 1))
 }
 
 // Profile replays a recorded log through a fresh Profiler, honouring the
@@ -153,7 +190,7 @@ func (p *Profiler) seedStack(blk int64) {
 // are not counted), and returns the resulting miss curve.
 func Profile(l *Log) (*MissCurve, error) {
 	p := NewProfiler()
-	if err := l.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
+	if err := l.ForEachRunWindowed(p.ResetCounts, p.TouchRun); err != nil {
 		return nil, err
 	}
 	return p.Curve(), nil

@@ -159,16 +159,15 @@ func TestProfilerKnownSequence(t *testing.T) {
 
 func TestTimelineOrderStatistics(t *testing.T) {
 	tl := newTimeline()
-	noRelabel := func(int64, int32) { t.Fatal("unexpected compaction") }
 	slots := make([]int32, 101)
 	for k := int64(1); k <= 100; k++ {
-		slots[k] = tl.Append(k, noRelabel)
+		slots[k] = tl.Append(k, 1)
 	}
 	if got := tl.CountAfter(slots[50]); got != 50 {
 		t.Fatalf("CountAfter(slot 50) = %d, want 50", got)
 	}
 	for k := int64(2); k <= 100; k += 2 {
-		tl.Remove(slots[k])
+		tl.Remove(slots[k], 1)
 	}
 	if tl.Len() != 50 {
 		t.Fatalf("len = %d, want 50", tl.Len())
@@ -185,26 +184,28 @@ func TestTimelineOrderStatistics(t *testing.T) {
 // slots get renumbered, and checks order statistics survive intact.
 func TestTimelineCompaction(t *testing.T) {
 	tl := newTimeline()
-	initialCap := len(tl.bit) - 1
+	initialCap := int(tl.cap())
 	last := map[int64]int32{}
-	relabel := func(blk int64, slot int32) { last[blk] = slot }
 	compactions := 0
+	relabel := func(blk int64, slot int32) {
+		if slot == 1 {
+			compactions++
+		}
+		last[blk] = slot
+	}
 	const universe = 64
 	// Reaccess a small working set far more times than the initial slot
 	// capacity: each reaccess burns a slot, forcing several compactions.
 	for i := 0; i < 10*initialCap; i++ {
-		blk := int64(i % universe)
-		capBefore := len(tl.bit)
+		blk := int64(i%universe) - universe/2 // negative ids are blocks like any other
+		tl.Room(1, relabel)
 		if s, ok := last[blk]; ok {
-			tl.Remove(s)
+			tl.Remove(s, 1)
 		}
-		last[blk] = tl.Append(blk, relabel)
-		if len(tl.bit) != capBefore {
-			compactions++
-		}
+		last[blk] = tl.Append(blk, 1)
 	}
-	if compactions == 0 {
-		t.Fatal("compaction never triggered")
+	if compactions < 3 {
+		t.Fatalf("%d compactions, want at least 3", compactions)
 	}
 	if tl.Len() != universe {
 		t.Fatalf("live = %d, want %d", tl.Len(), universe)
@@ -213,10 +214,116 @@ func TestTimelineCompaction(t *testing.T) {
 	// accesses; CountAfter of the k-th most recent block must be k-1.
 	total := 10 * initialCap
 	for k := 1; k <= universe; k++ {
-		blk := int64((total - k) % universe)
+		blk := int64((total-k)%universe) - universe/2
 		if got := tl.CountAfter(last[blk]); got != int64(k-1) {
 			t.Fatalf("depth of %d-th most recent = %d, want %d", k, got+1, k)
 		}
+	}
+}
+
+// TestTimelineCountAfterMatchesNaiveScan checks the counted bitmap against
+// a plain scan of the slot space: single and ranged appends and removes,
+// a footprint large enough to grow the bitmap to three levels, and counts
+// taken at slot 0, at every live slot, and on both sides of every word,
+// group and super-group boundary.
+func TestTimelineCountAfterMatchesNaiveScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tl := newTimeline()
+	slotOf := map[int64]int32{}
+	relabel := func(blk int64, slot int32) { slotOf[blk] = slot }
+	verify := func(stage string) {
+		t.Helper()
+		liveAt := make([]bool, tl.cap())
+		for _, s := range slotOf {
+			if liveAt[s] {
+				t.Fatalf("%s: two blocks share slot %d", stage, s)
+			}
+			liveAt[s] = true
+		}
+		if len(slotOf) != tl.Len() {
+			t.Fatalf("%s: Len = %d, want %d", stage, tl.Len(), len(slotOf))
+		}
+		// after[s] = live slots strictly above s.
+		after := make([]int64, tl.cap())
+		var n int64
+		for s := len(liveAt) - 1; s >= 0; s-- {
+			after[s] = n
+			if liveAt[s] {
+				n++
+			}
+		}
+		check := func(s int32) {
+			if s < 0 || s >= tl.next {
+				return
+			}
+			if got := tl.CountAfter(s); got != after[s] {
+				t.Fatalf("%s (%d levels, next %d): CountAfter(%d) = %d, naive scan %d",
+					stage, 1+len(tl.counts), tl.next, s, got, after[s])
+			}
+		}
+		check(0)
+		for _, s := range slotOf {
+			check(s)
+		}
+		for _, unit := range []int32{64, 64 * 64, 64 * 64 * 64} {
+			for b := unit; b < tl.next+unit; b += unit {
+				check(b - 1)
+				check(b)
+			}
+		}
+	}
+
+	next := int64(0)
+	touchRun := func(blk int64, n int32) {
+		tl.Room(n, relabel)
+		if s, seen := slotOf[blk]; seen {
+			tl.Remove(s, n)
+		}
+		s := tl.Append(blk, n)
+		for i := int32(0); i < n; i++ {
+			slotOf[blk+int64(i)] = s + i
+		}
+	}
+	grow := func(blocks int64) {
+		for end := next + blocks; next < end; {
+			n := int32(1 + rng.Intn(150)) // runs straddle word and group boundaries
+			touchRun(next, n)
+			next += int64(n)
+		}
+	}
+	churn := func(steps int) {
+		for i := 0; i < steps; i++ {
+			touchRun(rng.Int63n(next), 1)
+		}
+	}
+
+	grow(1500)
+	churn(1000)
+	verify("one level")
+	if len(tl.counts) != 0 {
+		t.Fatalf("a %d-slot timeline has %d counter levels, want none", tl.cap(), len(tl.counts))
+	}
+	grow(4000)
+	churn(30000)
+	verify("two levels")
+	if len(tl.counts) != 1 {
+		t.Fatalf("a %d-slot timeline has %d counter levels, want 1", tl.cap(), len(tl.counts))
+	}
+	// Re-touch whole runs: ranged removes of slots that are still
+	// consecutive after compaction renumbered them.
+	for blk := int64(0); blk+200 < next; blk += 997 {
+		n := int32(1)
+		for slotOf[blk+int64(n)] == slotOf[blk]+n && n < 150 {
+			n++
+		}
+		touchRun(blk, n)
+	}
+	verify("ranged re-touch")
+	grow(70000)
+	churn(250000)
+	verify("three levels")
+	if len(tl.counts) < 2 {
+		t.Fatalf("a %d-slot timeline has %d counter levels, want at least 2", tl.cap(), len(tl.counts))
 	}
 }
 

@@ -6,7 +6,7 @@
 // per item for each scheduler. Simulating each (scheduler, M) point
 // separately costs one full run per point; Mattson's stack algorithm
 // (reuse-distance profiling) replaces the whole sweep with one recorded
-// trace and one O(n log n) profiling pass, because an access to a block at
+// trace and one profiling pass, because an access to a block at
 // LRU stack depth d hits in every cache of at least d lines and misses in
 // every smaller one. The resulting MissCurve answers "how many misses at
 // capacity M?" for all M simultaneously and exactly matches the cachesim
@@ -14,12 +14,15 @@
 //
 // The pieces:
 //
-//   - Recorder is the event sink the execution machine emits block
-//     accesses into; Log is the standard implementation, a compact
-//     delta-varint append-only encoding that can spill to disk.
+//   - Recorder is the event sink the execution machine emits the block
+//     ranges it touches into, a run (first block, count) at a time; Log
+//     is the standard implementation, a compact delta-varint append-only
+//     encoding that can spill to disk and replays as runs (ForEachRun).
 //   - Profiler implements Mattson's algorithm with an implicit
-//     order-statistics (Fenwick) tree over last-access slots: O(log n)
-//     per access, memory proportional to the number of distinct blocks.
+//     order-statistics structure over last-access slots (a 64-ary counted
+//     bitmap: a reuse costs a popcount walk as long as it is old), memory
+//     proportional to the number of distinct blocks. It takes a run of
+//     blocks that were last touched together in one step.
 //   - MissCurve is the profile result: misses as a function of capacity.
 //   - AssocProfiler shards the trace by set index and runs one Mattson
 //     stack per set: exact set-associative LRU misses for every way count
@@ -67,17 +70,14 @@
 //     (cold) tracking deliberately survives the reset, on every consumer.
 package trace
 
-// Recorder receives one event per block-level cache access, in execution
-// order. The execution machine (internal/exec) forwards every block touch
-// of a run into a Recorder; implementations must be cheap because they sit
-// on the simulator's innermost loop.
+// Recorder receives every block-level access of a run, in execution
+// order, as ascending runs: a firing touches its module's state and its
+// channels' buffer windows as address ranges, and the range — not the
+// single block — is the unit the execution machine (internal/exec) hands
+// over. Implementations must be cheap because they sit on the machine's
+// innermost loop.
 type Recorder interface {
-	// RecordBlock notes one access to the given block id.
-	RecordBlock(blk int64)
+	// RecordRun notes accesses to the n >= 1 blocks base, base+1, …,
+	// base+n-1, in that order.
+	RecordRun(base, n int64)
 }
-
-// RecorderFunc adapts a function to the Recorder interface.
-type RecorderFunc func(blk int64)
-
-// RecordBlock implements Recorder.
-func (f RecorderFunc) RecordBlock(blk int64) { f(blk) }
