@@ -41,8 +41,7 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	scale := fs.Int64("scale", 4, "scaling factor for -sched scaled")
 	workers := fs.Int("workers", 0, "parallel recordings (default GOMAXPROCS)")
-	profileJobs := fs.Int("profilejobs", 0, "shard workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
-	decodeJobs := fs.Int("decodejobs", 0, "parallel chunk-decode workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
+	addIgnoredJobsFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -127,11 +126,10 @@ func cmdHier(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, sess.Close()) }()
-	env := schedule.Env{M: *m, B: *b, ProfileJobs: *profileJobs, DecodeJobs: *decodeJobs}
+	env := schedule.Env{M: *m, B: *b}
 	sweepSp := obs.Default().StartSpan("hier.sweep")
 	outcomes := schedule.SweepHier(g, scheds, env, spec, *warm, *meas, *workers)
 	sweepSp.End()
-	of.logWorkerChoice(out)
 	results, err := collectSweep("hier", outcomes)
 	if err != nil {
 		return err

@@ -34,8 +34,7 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	scale := fs.Int64("scale", 4, "scaling factor for -sched scaled")
 	workers := fs.Int("workers", 0, "parallel recordings (default GOMAXPROCS)")
-	profileJobs := fs.Int("profilejobs", 0, "accepted for symmetry with hier/shared; organisation grids always profile inline, whatever the value")
-	decodeJobs := fs.Int("decodejobs", 0, "accepted for symmetry with hier/shared; the inline profiling pass decodes its trace as it goes")
+	addIgnoredJobsFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -80,7 +79,7 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, sess.Close()) }()
-	env := schedule.Env{M: *m, B: *b, ProfileJobs: *profileJobs, DecodeJobs: *decodeJobs}
+	env := schedule.Env{M: *m, B: *b}
 
 	defaultOrg := len(waysList) == 1 && waysList[0] == 0 && len(policies) == 1 && policies[0] == "LRU"
 	if defaultOrg {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"io"
 
 	"streamsched/internal/obs"
@@ -34,21 +33,15 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	return o
 }
 
-// logWorkerChoice reports, under -v, the worker counts the hier/shared
-// profiling pipeline actually chose — -profilejobs is capped at the
-// grid's unit count and -decodejobs at the trace's chunk count. Reads the
-// profile.shard.workers and profile.pipeline.decode.workers gauges the
-// pipeline publishes, so it must run after the sweep; a pass that ran
-// inline published neither, and nothing is printed.
-func (o *obsFlags) logWorkerChoice(out io.Writer) {
-	if !o.verbose {
-		return
-	}
-	snap := obs.Default().Snapshot()
-	if w, ok := snap.Gauges["profile.shard.workers"]; ok {
-		fmt.Fprintf(out, "profile: %d shard worker(s), %d decode worker(s)\n",
-			w, snap.Gauges["profile.pipeline.decode.workers"])
-	}
+// addIgnoredJobsFlags registers -profilejobs and -decodejobs on a verb's
+// flag set.
+//
+// Deprecated: both are parsed and dropped — every profile runs inline.
+// They exist only because the frozen bench/ module passes them to
+// misscurve, hier and shared.
+func addIgnoredJobsFlags(fs *flag.FlagSet) {
+	fs.Int("profilejobs", 0, "accepted, no effect; kept for scripts")
+	fs.Int("decodejobs", 0, "accepted, no effect; kept for scripts")
 }
 
 // start opens the session; the caller must defer Close (joined into the

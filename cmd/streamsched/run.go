@@ -33,7 +33,6 @@ var errUsage = errors.New(`usage:
   streamsched loadtest -addr <url> [-kind plan|profile] [-c N] [-n N] [-distinct N] [-workload <name>] [-M <words>] [-B <words>]
 workloads: fmradio filterbank beamformer fft bitonic des mp3
 schedulers: flat scaled demand kohli partitioned
-profiling (hier, shared): [-profilejobs N] shards each pass's (L1 point, L2 family) units across N workers; [-decodejobs N] decodes each pass's trace chunks on N parallel workers (both: 0 = GOMAXPROCS, 1 = sequential; curves are identical either way). misscurve accepts both flags, but organisation grids always profile inline
 observability (simulate, misscurve, hier, shared): [-metrics <file[.csv]>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-listen <addr>] [-v]`)
 
 // run dispatches a CLI invocation; out receives normal output.

@@ -322,17 +322,8 @@ func TestMissCurveOrganisations(t *testing.T) {
 			t.Errorf("org csv missing row %q:\n%s", want, sb.String())
 		}
 	}
-	// Organisation grids profile inline at any -profilejobs, so -v has no
-	// worker choice to report — and must not report "0 workers".
-	sb.Reset()
-	err = run([]string{"misscurve", "-M", "256", "-sched", "flat", "-caps", "256", "-ways", "4",
-		"-warm", "64", "-measure", "256", "-profilejobs", "4", "-decodejobs", "4", "-v", path}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "shard worker") {
-		t.Errorf("misscurve -v reports shard workers for an inline profile:\n%s", sb.String())
-	}
+	checkJobsFlagsIgnored(t, []string{"misscurve", "-M", "256", "-sched", "flat", "-caps", "256,1k", "-ways", "1,4",
+		"-policy", "both", "-warm", "64", "-measure", "256", "-csv"}, path)
 	// Organisation sweeps need an explicit capacity grid.
 	if err := run([]string{"misscurve", "-M", "256", "-ways", "4", path}, &sb); err == nil {
 		t.Error("org sweep without -caps accepted")
@@ -411,19 +402,8 @@ func TestHierCommand(t *testing.T) {
 		t.Errorf("hier csv header missing level columns: %s", csvLines[0])
 	}
 
-	// -v reports the worker counts a sharded pass chose, and nothing for
-	// a pass that ran inline.
-	for jobs, want := range map[string]bool{"2": true, "1": false} {
-		sb.Reset()
-		err = run([]string{"hier", "-M", "256", "-sched", "flat", "-l1caps", "256", "-l2caps", "1k",
-			"-warm", "64", "-measure", "256", "-profilejobs", jobs, "-decodejobs", "1", "-v", path}, &sb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.Contains(sb.String(), "profile: 2 shard worker(s), 1 decode worker(s)"); got != want {
-			t.Errorf("hier -profilejobs %s -v: worker line present = %v, want %v:\n%s", jobs, got, want, sb.String())
-		}
-	}
+	checkJobsFlagsIgnored(t, []string{"hier", "-M", "256", "-sched", "flat", "-l1caps", "256,512", "-l2caps", "1k,4k",
+		"-warm", "64", "-measure", "256", "-csv"}, path)
 
 	// Flag validation: missing grids, bad geometry, bad cost model.
 	for _, args := range [][]string{
@@ -444,6 +424,26 @@ func TestHierCommand(t *testing.T) {
 		"-l2caps", "1152", "-l2block", "64", "-l2ways", "5", path}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "-l2ways 5") {
 		t.Errorf("L2 geometry error = %v", err)
+	}
+}
+
+// checkJobsFlagsIgnored pins the deprecated -profilejobs/-decodejobs: a
+// verb given both prints the CSV bytes it prints at defaults, and its -v
+// summary names no shard worker.
+func checkJobsFlagsIgnored(t *testing.T, args []string, path string) {
+	t.Helper()
+	var want, got strings.Builder
+	if err := run(append(append([]string{}, args...), path), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(append([]string{}, args...), "-profilejobs", "4", "-decodejobs", "4", "-v", path), &got); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(got.String(), want.String()) {
+		t.Errorf("%s -profilejobs 4 -decodejobs 4 prints different CSV bytes:\n%s\nwant:\n%s", args[0], got.String(), want.String())
+	}
+	if strings.Contains(got.String(), "shard worker") {
+		t.Errorf("%s -v reports shard workers:\n%s", args[0], got.String())
 	}
 }
 
@@ -480,6 +480,9 @@ func TestSharedCommand(t *testing.T) {
 	if len(csvLines) != 2 { // header + 1 L1 x 1 L2
 		t.Fatalf("shared csv lines = %d, want 2:\n%s", len(csvLines), sb.String())
 	}
+
+	checkJobsFlagsIgnored(t, []string{"shared", "-M", "256", "-P", "2", "-l1caps", "256,512", "-l2caps", "1k,4k",
+		"-warm", "64", "-measure", "256", "-csv"}, path)
 
 	// Flag validation: missing grids, bad P/rule, bad geometry.
 	for _, args := range [][]string{

@@ -43,8 +43,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	warm := fs.Int64("warm", 1024, "warmup source firings")
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	detail := fs.Bool("detail", true, "per-processor breakdown of the first grid point")
-	profileJobs := fs.Int("profilejobs", 0, "shard workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
-	decodeJobs := fs.Int("decodejobs", 0, "parallel chunk-decode workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
+	addIgnoredJobsFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -141,7 +140,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 
 	cfg := parallel.Config{
 		Procs: *procs,
-		Env:   schedule.Env{M: *m, B: *b, ProfileJobs: *profileJobs, DecodeJobs: *decodeJobs},
+		Env:   schedule.Env{M: *m, B: *b},
 		Cache: streamsched.CacheConfig{Capacity: 2 * *m, Block: *b},
 		Rule:  prule,
 	}
@@ -157,10 +156,9 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	}
 	defer plog.Close()
 	stage = sp.Start("profile")
-	curves, err := hierarchy.ProfileSharedJobs(plog, spec, *profileJobs, *decodeJobs)
+	curves, err := hierarchy.ProfileShared(plog, spec)
 	stage.End()
 	sp.End()
-	of.logWorkerChoice(out)
 	if err != nil {
 		return err
 	}

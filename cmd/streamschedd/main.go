@@ -6,7 +6,7 @@
 // Usage:
 //
 //	streamschedd [-listen 127.0.0.1:8372] [-cachebytes 256m] [-jobs N]
-//	             [-profilejobs N] [-decodejobs N] [-timeout 60s] [-maxbody 8m]
+//	             [-timeout 60s] [-maxbody 8m]
 //
 // The process serves until SIGINT/SIGTERM, then drains in-flight
 // requests (bounded by the request timeout) before exiting.
@@ -48,12 +48,10 @@ func realMain(args []string, logw io.Writer, ready chan<- string) error {
 	listen := fs.String("listen", "127.0.0.1:8372", "listen address")
 	cacheBytes := fs.String("cachebytes", "256m", "result cache byte budget (k/m/g suffixes; 0 disables)")
 	jobs := fs.Int("jobs", 0, "max concurrent computations (0: one per CPU)")
-	profileJobs := fs.Int("profilejobs", 1, "accepted, no effect: the daemon's curves profile inline (the knob only sizes hier/shared unit sharding)")
-	decodeJobs := fs.Int("decodejobs", 1, "accepted, no effect: the inline profiling pass decodes its trace as it goes")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request wait bound")
 	maxBody := fs.String("maxbody", "8m", "request body size limit (k/m/g suffixes)")
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("usage: streamschedd [-listen addr] [-cachebytes n] [-jobs n] [-profilejobs n] [-decodejobs n] [-timeout d] [-maxbody n] (%v)", err)
+		return fmt.Errorf("usage: streamschedd [-listen addr] [-cachebytes n] [-jobs n] [-timeout d] [-maxbody n] (%v)", err)
 	}
 	budget, err := parseBytes(*cacheBytes)
 	if err != nil {
@@ -68,8 +66,6 @@ func realMain(args []string, logw io.Writer, ready chan<- string) error {
 	srv := server.New(server.Config{
 		CacheBytes:   budget,
 		Jobs:         *jobs,
-		ProfileJobs:  *profileJobs,
-		DecodeJobs:   *decodeJobs,
 		Timeout:      *timeout,
 		MaxBodyBytes: bodyLimit,
 		Metrics:      reg,
@@ -84,8 +80,8 @@ func realMain(args []string, logw io.Writer, ready chan<- string) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	fmt.Fprintf(logw, "streamschedd: engine %s\n", srv.Engine())
-	fmt.Fprintf(logw, "streamschedd: cache budget %d bytes, jobs %d (0 means %d), profilejobs %d, decodejobs %d, timeout %v\n",
-		budget, *jobs, runtime.GOMAXPROCS(0), *profileJobs, *decodeJobs, *timeout)
+	fmt.Fprintf(logw, "streamschedd: cache budget %d bytes, jobs %d (0 means %d), timeout %v\n",
+		budget, *jobs, runtime.GOMAXPROCS(0), *timeout)
 	fmt.Fprintf(logw, "streamschedd: listening on http://%s (POST /v1/plan, /v1/profile; GET /metrics)\n",
 		ln.Addr())
 	if ready != nil {

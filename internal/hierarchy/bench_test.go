@@ -56,24 +56,6 @@ func BenchmarkProfileHier(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileHierSharded is BenchmarkProfileHier through the sharded
-// engine at one worker per CPU, decode stage included: (L1 point, L2
-// family) units round-robined across workers, each owning a deterministic
-// L1 filter replica. At GOMAXPROCS=1 this delegates to the sequential
-// path; on the multi-core CI bench runner the paired diff against
-// BenchmarkProfileHier shows the speedup.
-func BenchmarkProfileHierSharded(b *testing.B) {
-	l := benchLog()
-	spec := benchSpec()
-	jobs := trace.ProfileWorkers(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ProfileHierJobs(l, spec, jobs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSimAccess measures the two-level simulator's inner loop on a
 // set-associative L1 in front of a fully-associative LRU L2.
 func BenchmarkSimAccess(b *testing.B) {
@@ -143,24 +125,6 @@ func BenchmarkProfileShared(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ProfileShared(pl, spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProfileSharedSharded is BenchmarkProfileShared through the
-// sharded engine at one worker per CPU (per-processor L1 bank replicas on
-// each owning worker). At GOMAXPROCS=1 this delegates to the sequential
-// path; the CI bench job's paired diff against BenchmarkProfileShared is
-// the speedup evidence.
-func BenchmarkProfileSharedSharded(b *testing.B) {
-	pl := benchProcLog(4)
-	hs := benchSpec()
-	spec := SharedSpec{Block: hs.Block, Procs: 4, L1s: hs.L1s, L2s: hs.L2s}
-	jobs := trace.ProfileWorkers(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ProfileSharedJobs(pl, spec, jobs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,11 +14,12 @@
 //     cost model.
 //   - ProfileHier is the one-pass evaluation path built on the
 //     internal/trace machinery: record one log per scheduler, compute L1
-//     miss curves via trace.ProfileOrgs, then filter the trace through an
-//     exact L1 replica per L1 design point and profile the filtered miss
-//     stream — per-set Mattson stacks for LRU, multiplexed replicas for
-//     FIFO — to produce exact L2 curves for every L2 organisation. One
-//     recorded execution answers the whole (L1, L2) grid.
+//     miss curves via trace.OrgProfilers, and in the same replay filter the
+//     trace through an exact L1 replica per L1 design point and profile the
+//     filtered miss stream — request-bounded per-set Mattson stacks for
+//     LRU, one residency bit per FIFO point — to produce exact L2 curves
+//     for every L2 organisation. One recorded execution answers the whole
+//     (L1, L2) grid.
 //
 // The composition is exact for non-inclusive hierarchies because the L2's
 // reference stream is precisely the L1 miss stream, which is a
@@ -35,17 +36,12 @@
 // whose merged miss stream drives the shared-L2 profilers. Experiment E21
 // cross-validates every shared grid point against SharedSim.
 //
-// Both one-pass profilers have sharded variants, ProfileHierJobs and
-// ProfileSharedJobs, that split the grid across a worker pool fed by
-// trace's FanOut pipeline: the unit of ownership is an (L1 point, L2
-// family) pair, each owning worker keeps a deterministic private replica
-// of the L1 filter (per-processor replicas for the shared grid), and a
-// designated owner per L1 point reports its miss count. Replicas are exact
-// duplicates fed the identical stream, so curves are byte-identical to the
-// sequential path for any worker count (0 = one worker per CPU, 1 =
-// sequential) — the jobs argument is purely a speed knob, and equivalence
-// tests pin it at this layer and end to end through the schedule
-// harnesses.
+// Both one-pass profilers are one engine — a hierarchy is profilers
+// feeding profilers. Each L1 design point is a filter: an exact Bank per
+// processor (one for ProfileHier, P for ProfileShared) whose miss stream,
+// coarsened per L2 block ratio, feeds a trace.OrgProfilers built from the
+// L2 grid the same way the L1 curves' OrgProfilers is built from the L1
+// grid. Everything runs inline on the calling goroutine in one replay.
 package hierarchy
 
 import (

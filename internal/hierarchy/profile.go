@@ -27,27 +27,31 @@ type HierSpec struct {
 }
 
 // Validate checks the grid.
-func (s HierSpec) Validate() error {
-	if s.Block <= 0 {
-		return fmt.Errorf("hierarchy: recording block must be positive, got %d", s.Block)
+func (s HierSpec) Validate() error { return validateGrid(s.Block, s.L1s, s.L2s) }
+
+// validateGrid checks an (L1, L2) grid against its recording block; both
+// spec types share it.
+func validateGrid(block int64, l1s, l2s []Level) error {
+	if block <= 0 {
+		return fmt.Errorf("hierarchy: recording block must be positive, got %d", block)
 	}
-	if len(s.L1s) == 0 || len(s.L2s) == 0 {
-		return fmt.Errorf("hierarchy: spec needs at least one L1 and one L2 level, got %d/%d", len(s.L1s), len(s.L2s))
+	if len(l1s) == 0 || len(l2s) == 0 {
+		return fmt.Errorf("hierarchy: spec needs at least one L1 and one L2 level, got %d/%d", len(l1s), len(l2s))
 	}
-	for i, lv := range s.L1s {
+	for i, lv := range l1s {
 		if err := lv.Validate(); err != nil {
 			return fmt.Errorf("L1[%d]: %w", i, err)
 		}
-		if lv.Block != s.Block {
-			return fmt.Errorf("hierarchy: L1[%d] block %d must equal the recording block %d", i, lv.Block, s.Block)
+		if lv.Block != block {
+			return fmt.Errorf("hierarchy: L1[%d] block %d must equal the recording block %d", i, lv.Block, block)
 		}
 	}
-	for j, lv := range s.L2s {
+	for j, lv := range l2s {
 		if err := lv.Validate(); err != nil {
 			return fmt.Errorf("L2[%d]: %w", j, err)
 		}
-		if lv.Block%s.Block != 0 {
-			return fmt.Errorf("hierarchy: L2[%d] block %d not a multiple of the recording block %d", j, lv.Block, s.Block)
+		if lv.Block%block != 0 {
+			return fmt.Errorf("hierarchy: L2[%d] block %d not a multiple of the recording block %d", j, lv.Block, block)
 		}
 	}
 	return nil
@@ -83,251 +87,180 @@ func (c *HierCurves) AMAT(i, j int, cm CostModel) float64 {
 	return cm.AMAT(c.Accesses, c.L1Misses[i], c.L2Misses[i][j])
 }
 
-// l2Group is one (block ratio, set count) family of L2 profilers behind a
-// single L1 filter: the per-set Mattson stacks answer every LRU way count
-// of the family at once, and the FIFO replicas answer the replayed ways.
-type l2Group struct {
+// filter is one L1 design point of a hierarchy pass: an exact
+// cachesim.Bank replica and a windowed miss counter per processor (one
+// processor in ProfileHier, the trace's count in ProfileShared), and the L2
+// stage its miss stream — interleaved in recorded order — feeds: one
+// trace.OrgProfilers per distinct L2 block ratio.
+type filter struct {
+	banks  []*cachesim.Bank
+	misses []int64
+	l2     []l2Stage
+}
+
+// l2Stage is the organisation profilers of the L2 points sharing one block
+// ratio, fed the miss stream coarsened to that ratio.
+type l2Stage struct {
 	ratio int64
-	assoc *trace.AssocProfiler // nil unless some L2 point wants LRU
-	fifo  *trace.FIFOProfiler  // nil unless some L2 point wants FIFO
-
-	assocCurve *trace.AssocCurve
-	fifoCurve  *trace.FIFOCurve
+	prof  *trace.OrgProfilers
 }
 
-// l2Slot locates one L2 design point inside its filter's groups.
-type l2Slot struct {
-	group int
-	ways  int64
-	fifo  bool
+// l2Grid is the profiling shape of the L2 design points: grouped by block
+// ratio, and within a ratio into organisation specs by set count exactly
+// like the L1 points (hierOrgSpecs). It depends only on the L2 grid, so
+// every L1 point's filter is built from the same one.
+type l2Grid struct {
+	levels  []Level
+	shapes  []l2Shape // one per distinct block ratio, first-seen order
+	shapeOf []int     // per L2 point: its ratio's shape
 }
 
-// l1Filter is one L1 design point's exact replica: a cachesim.Bank that
-// filters the trace, plus the L2 profiler groups fed by its miss stream.
-type l1Filter struct {
-	bank   *cachesim.Bank
-	misses int64 // in-window misses, cross-checked against ProfileOrgs
-	groups []*l2Group
-	slots  []l2Slot // per L2 design point
+// l2Shape is what one l2Stage is built from and read back through.
+type l2Shape struct {
+	ratio   int64
+	specs   []trace.OrgSpec
+	specIdx map[int64]int // set count -> spec
 }
 
-// touch runs one trace access through the filter; on a miss the filtered
-// block feeds every L2 group at its own granularity.
-func (f *l1Filter) touch(blk int64) {
-	if f.bank.Access(blk) {
+func newL2Grid(block int64, l2s []Level) *l2Grid {
+	g := &l2Grid{levels: l2s, shapeOf: make([]int, len(l2s))}
+	at := make(map[int64]int)
+	var byRatio [][]Level
+	for j, l2 := range l2s {
+		r := l2.Block / block
+		k, ok := at[r]
+		if !ok {
+			k = len(byRatio)
+			at[r] = k
+			byRatio = append(byRatio, nil)
+			g.shapes = append(g.shapes, l2Shape{ratio: r})
+		}
+		byRatio[k] = append(byRatio[k], l2)
+		g.shapeOf[j] = k
+	}
+	for k := range g.shapes {
+		g.shapes[k].specs, g.shapes[k].specIdx = hierOrgSpecs(byRatio[k])
+	}
+	return g
+}
+
+// newFilters assembles one filter per L1 design point, with procs private
+// replicas each.
+func (g *l2Grid) newFilters(l1s []Level, procs int) ([]*filter, error) {
+	filters := make([]*filter, len(l1s))
+	for i, l1 := range l1s {
+		f := &filter{
+			banks:  make([]*cachesim.Bank, procs),
+			misses: make([]int64, procs),
+			l2:     make([]l2Stage, len(g.shapes)),
+		}
+		for p := range f.banks {
+			f.banks[p] = l1.bank()
+		}
+		for k, sh := range g.shapes {
+			prof, err := trace.NewOrgProfilers(sh.specs)
+			if err != nil {
+				return nil, err
+			}
+			f.l2[k] = l2Stage{ratio: sh.ratio, prof: prof}
+		}
+		filters[i] = f
+	}
+	return filters, nil
+}
+
+// touch runs one trace access through processor proc's replica; on a miss
+// the filtered block feeds every L2 stage at its own granularity.
+func (f *filter) touch(proc int, blk int64) {
+	b := f.banks[proc]
+	if b.Access(blk) {
 		return
 	}
-	f.bank.Insert(blk)
-	f.misses++
-	for _, g := range f.groups {
-		b2 := coarsen(blk, g.ratio)
-		if g.assoc != nil {
-			g.assoc.Touch(b2)
-		}
-		if g.fifo != nil {
-			g.fifo.Touch(b2)
-		}
+	b.Insert(blk)
+	f.misses[proc]++
+	for _, s := range f.l2 {
+		s.prof.Touch(coarsen(blk, s.ratio))
 	}
 }
 
 // resetCounts starts the measured window: miss counters and L2 histograms
 // reset, warm cache and stack state kept.
-func (f *l1Filter) resetCounts() {
-	f.misses = 0
-	for _, g := range f.groups {
-		if g.assoc != nil {
-			g.assoc.ResetCounts()
-		}
-		if g.fifo != nil {
-			g.fifo.ResetCounts()
-		}
+func (f *filter) resetCounts() {
+	clear(f.misses)
+	for _, s := range f.l2 {
+		s.prof.ResetCounts()
 	}
 }
 
-// l2Family collects one (block ratio, set count) family's profiling
-// demands. The build is two-phase because a FIFOProfiler's way list is
-// fixed at construction: first every family collects its demands
-// (l2Families), then the profilers are made (newL2Groups).
-type l2Family struct {
-	ratio    int64
-	sets     int64
-	lru      bool
-	fifoWays []int64
-}
-
-// l2Families groups L2 design points by (block ratio, set count) so every
-// L2 organisation sharing a family shares one profiling pass, and returns
-// each point's slot in the grouping. The grouping depends only on the L2
-// grid, so it is shared by every L1 point (and, in the shared-L2 profiler,
-// by every processor).
-func l2Families(block int64, l2s []Level) ([]*l2Family, []l2Slot) {
-	famIdx := make(map[[2]int64]int)
-	var fams []*l2Family
-	slots := make([]l2Slot, len(l2s))
-	for j, l2 := range l2s {
-		ratio := l2.Block / block
-		key := [2]int64{ratio, l2.Sets()}
-		fi, ok := famIdx[key]
+// row extracts one filter's L2 miss counts, in L2-spec order.
+func (g *l2Grid) row(f *filter) ([]int64, error) {
+	curves := make([][]*trace.OrgCurves, len(f.l2))
+	for k, s := range f.l2 {
+		curves[k] = s.prof.Curves()
+	}
+	row := make([]int64, len(g.levels))
+	for j, l2 := range g.levels {
+		k := g.shapeOf[j]
+		m, ok := levelMisses(curves[k], g.shapes[k].specIdx, l2)
 		if !ok {
-			fi = len(fams)
-			famIdx[key] = fi
-			fams = append(fams, &l2Family{ratio: ratio, sets: l2.Sets()})
+			return nil, fmt.Errorf("hierarchy: internal: L2 point %d not covered by its organisation curve", j)
 		}
-		if l2.Policy == cachesim.FIFO {
-			fams[fi].fifoWays = append(fams[fi].fifoWays, l2.EffWays())
-		} else {
-			fams[fi].lru = true
-		}
-		slots[j] = l2Slot{group: fi, ways: l2.EffWays(), fifo: l2.Policy == cachesim.FIFO}
-	}
-	return fams, slots
-}
-
-// newL2Group instantiates one family's fresh profilers.
-func newL2Group(fam *l2Family) *l2Group {
-	g := &l2Group{ratio: fam.ratio}
-	if fam.lru {
-		g.assoc = trace.NewAssocProfiler(fam.sets)
-	}
-	if len(fam.fifoWays) > 0 {
-		g.fifo = trace.NewFIFOProfiler(fam.sets, fam.fifoWays)
-	}
-	return g
-}
-
-// newL2Groups instantiates one fresh set of profilers per family.
-func newL2Groups(fams []*l2Family) []*l2Group {
-	groups := make([]*l2Group, len(fams))
-	for fi, fam := range fams {
-		groups[fi] = newL2Group(fam)
-	}
-	return groups
-}
-
-// l2MissRow finalises the groups' profilers into curves (idempotent
-// across filters sharing nothing — each filter owns its groups) and
-// extracts one filter's L2 miss counts, in L2-spec order. Shared by the
-// uniprocessor (l1Filter) and shared-L2 (sharedFilter) profilers.
-func l2MissRow(groups []*l2Group, slots []l2Slot) ([]int64, error) {
-	for _, g := range groups {
-		if g.assoc != nil && g.assocCurve == nil {
-			g.assocCurve = g.assoc.Curve()
-		}
-		if g.fifo != nil && g.fifoCurve == nil {
-			g.fifoCurve = g.fifo.Curve()
-		}
-	}
-	row := make([]int64, len(slots))
-	for j, slot := range slots {
-		g := groups[slot.group]
-		if slot.fifo {
-			m, ok := g.fifoCurve.Misses(slot.ways)
-			if !ok {
-				return nil, fmt.Errorf("hierarchy: internal: L2 point %d FIFO ways %d not replayed", j, slot.ways)
-			}
-			row[j] = m
-		} else {
-			row[j] = g.assocCurve.Misses(slot.ways)
-		}
+		row[j] = m
 	}
 	return row, nil
 }
 
-// buildFilters assembles one l1Filter per L1 design point.
-func buildFilters(spec HierSpec) []*l1Filter {
-	fams, slots := l2Families(spec.Block, spec.L2s)
-	filters := make([]*l1Filter, len(spec.L1s))
-	for i, l1 := range spec.L1s {
-		filters[i] = &l1Filter{
-			bank:   l1.bank(),
-			slots:  slots,
-			groups: newL2Groups(fams),
-		}
-	}
-	return filters
+// levelMisses reads one design point's miss count off the organisation
+// curves hierOrgSpecs grouped it into.
+func levelMisses(curves []*trace.OrgCurves, specIdx map[int64]int, lv Level) (int64, bool) {
+	return curves[specIdx[lv.Sets()]].Misses(lv.EffWays(), lv.Policy == cachesim.FIFO)
 }
 
-// hierOrgSpecs groups the L1 design points into organisation specs by
-// set count (FIFO points adding their way counts to the family's replay
-// list, every point raising the spec's MaxWays to its own way count so
-// the L1 stacks are truncated at the deepest point the grid evaluates),
-// returning the set-count → spec-index map used to find each point's
-// curves again. Shared by the sequential and sharded hierarchy profilers.
-func hierOrgSpecs(l1s []Level) ([]trace.OrgSpec, map[int64]int) {
+// hierOrgSpecs groups design points into organisation specs by set count
+// (FIFO points adding their way counts to the family's replay list, every
+// point raising the spec's MaxWays to its own way count so the stacks are
+// truncated at the deepest point the grid evaluates), returning the
+// set-count → spec-index map used to find each point's curves again. The
+// L1 points and each block ratio's L2 points go through it alike.
+func hierOrgSpecs(levels []Level) ([]trace.OrgSpec, map[int64]int) {
 	specIdx := make(map[int64]int)
 	var orgSpecs []trace.OrgSpec
-	for _, l1 := range l1s {
-		sets := l1.Sets()
+	for _, lv := range levels {
+		sets := lv.Sets()
 		idx, ok := specIdx[sets]
 		if !ok {
 			idx = len(orgSpecs)
 			specIdx[sets] = idx
 			orgSpecs = append(orgSpecs, trace.OrgSpec{Sets: sets})
 		}
-		if l1.Policy == cachesim.FIFO {
-			orgSpecs[idx].FIFOWays = append(orgSpecs[idx].FIFOWays, l1.EffWays())
+		if lv.Policy == cachesim.FIFO {
+			orgSpecs[idx].FIFOWays = append(orgSpecs[idx].FIFOWays, lv.EffWays())
 		}
-		if w := l1.EffWays(); w > orgSpecs[idx].MaxWays {
+		if w := lv.EffWays(); w > orgSpecs[idx].MaxWays {
 			orgSpecs[idx].MaxWays = w
 		}
 	}
 	return orgSpecs, specIdx
 }
 
-// assembleHier builds the HierCurves result from the organisation curves,
-// each L1 point's windowed filter miss count, and each point's L2 groups,
-// cross-checking the filter against the curve — two independent
-// implementations of every L1 point agreeing access for access.
-func assembleHier(spec HierSpec, orgCurves []*trace.OrgCurves, specIdx map[int64]int,
-	filterMisses []int64, groups [][]*l2Group, slots []l2Slot) (*HierCurves, error) {
-
-	out := &HierCurves{
-		Spec:     spec,
-		L1Misses: make([]int64, len(spec.L1s)),
-		L2Misses: make([][]int64, len(spec.L1s)),
-	}
-	if len(orgCurves) > 0 {
-		if c := orgCurves[0].LRU; c != nil {
-			out.Accesses = c.Accesses
-		}
-	}
-	for pi, l1 := range spec.L1s {
-		oc := orgCurves[specIdx[l1.Sets()]]
-		misses, ok := oc.Misses(l1.EffWays(), l1.Policy == cachesim.FIFO)
-		if !ok {
-			return nil, fmt.Errorf("hierarchy: internal: L1 point %d not covered by its organisation curve", pi)
-		}
-		if misses != filterMisses[pi] {
-			return nil, fmt.Errorf("hierarchy: internal: L1 point %d filter saw %d misses, curve says %d",
-				pi, filterMisses[pi], misses)
-		}
-		out.L1Misses[pi] = misses
-		var err error
-		out.L2Misses[pi], err = l2MissRow(groups[pi], slots)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// publishHierGroupMetrics records one hierarchy pass's filter and L2
-// totals (no-op when reg is nil): the filter-stream length (accesses the
-// L1 filters let through — the combined length of the streams that fed
-// the L2 profilers), the L2 timeline work, and the grid size.
-func publishHierGroupMetrics(reg *obs.Registry, filterMisses int64, groups [][]*l2Group, points int) {
+// publishFilterMetrics records one hierarchy pass's filter and L2 totals
+// (no-op when reg is nil): the filter-stream length (accesses the L1
+// filters let through — the combined length of the streams that fed the L2
+// profilers), the L2 timeline work, and the grid size.
+func publishFilterMetrics(reg *obs.Registry, filters []*filter, points int) {
 	if reg == nil {
 		return
 	}
-	var l2Ops int64
-	for _, gs := range groups {
-		for _, g := range gs {
-			if g.assoc != nil {
-				l2Ops += g.assoc.TimelineOps()
-			}
+	var misses, l2Ops int64
+	for _, f := range filters {
+		for _, m := range f.misses {
+			misses += m
+		}
+		for _, s := range f.l2 {
+			l2Ops += s.prof.TimelineOps()
 		}
 	}
-	reg.Counter("hier.filter.misses").Add(filterMisses)
+	reg.Counter("hier.filter.misses").Add(misses)
 	reg.Counter("trace.profile.timeline.ops").Add(l2Ops)
 	reg.Counter("hier.profile.points").Add(int64(points))
 }
@@ -339,14 +272,22 @@ func publishHierGroupMetrics(reg *obs.Registry, filterMisses int64, groups [][]*
 // replay honours the log's measured window, and the filters' windowed miss
 // counts are cross-checked against the organisation curves — two
 // independent implementations of every L1 point agreeing access for
-// access. ProfileHierJobs shards the same computation across a worker
-// pool with byte-identical results.
+// access.
 func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	grid := newL2Grid(spec.Block, spec.L2s)
+	filters, err := grid.newFilters(spec.L1s, 1)
+	if err != nil {
+		return nil, err
+	}
+	return profileHier(l, spec, grid, filters)
+}
 
-	// L1 curves via the PR 2 organisation profiler.
+// profileHier is ProfileHier over already-built filters.
+func profileHier(l *trace.Log, spec HierSpec, grid *l2Grid, filters []*filter) (*HierCurves, error) {
+	// L1 curves via the organisation profilers.
 	orgSpecs, specIdx := hierOrgSpecs(spec.L1s)
 	orgProfs, err := trace.NewOrgProfilers(orgSpecs)
 	if err != nil {
@@ -356,7 +297,6 @@ func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
 	// One pass drives both the L1 curves and the filtered L2 profilers.
 	reg := l.Metrics()
 	stop := reg.Timer("hier.profile").Start()
-	filters := buildFilters(spec)
 	err = l.ForEachWindowed(func() {
 		orgProfs.ResetCounts()
 		for _, f := range filters {
@@ -365,7 +305,7 @@ func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
 	}, func(blk int64) {
 		orgProfs.Touch(blk)
 		for _, f := range filters {
-			f.touch(blk)
+			f.touch(0, blk)
 		}
 	})
 	if err != nil {
@@ -373,20 +313,37 @@ func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
 	}
 	orgCurves := orgProfs.Curves()
 
-	misses := make([]int64, len(filters))
-	groups := make([][]*l2Group, len(filters))
-	var totalMisses int64
-	for i, f := range filters {
-		misses[i] = f.misses
-		groups[i] = f.groups
-		totalMisses += f.misses
+	out := &HierCurves{
+		Spec:     spec,
+		Accesses: orgCurves[0].LRU.Accesses,
+		L1Misses: make([]int64, len(spec.L1s)),
+		L2Misses: make([][]int64, len(spec.L1s)),
 	}
-	out, err := assembleHier(spec, orgCurves, specIdx, misses, groups, filters[0].slots)
-	if err != nil {
-		return nil, err
+	for i, l1 := range spec.L1s {
+		f := filters[i]
+		misses, ok := levelMisses(orgCurves, specIdx, l1)
+		if !ok {
+			return nil, fmt.Errorf("hierarchy: internal: L1 point %d not covered by its organisation curve", i)
+		}
+		if misses != f.misses[0] {
+			return nil, fmt.Errorf("hierarchy: internal: L1 point %d filter saw %d misses, curve says %d",
+				i, f.misses[0], misses)
+		}
+		out.L1Misses[i] = misses
+		if out.L2Misses[i], err = grid.row(f); err != nil {
+			return nil, err
+		}
 	}
 	stop()
 	orgProfs.PublishMetrics(reg, orgCurves)
-	publishHierGroupMetrics(reg, totalMisses, groups, len(spec.L1s)*len(spec.L2s))
+	publishFilterMetrics(reg, filters, len(spec.L1s)*len(spec.L2s))
 	return out, nil
+}
+
+// ProfileHierJobs is ProfileHier.
+//
+// Deprecated: jobs and decodeJobs are ignored; the four-argument form is
+// kept only because the frozen bench/ module calls it.
+func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCurves, error) {
+	return ProfileHier(l, spec)
 }

@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -34,8 +35,12 @@ func testSpec() HierSpec {
 
 // recordLog turns a block stream into a Log with a measured window after
 // the first warm accesses.
-func recordLog(blocks []int64, warm int) *trace.Log {
+func recordLog(blocks []int64, warm int) *trace.Log { return recordLogSpilling(blocks, warm, 0) }
+
+// recordLogSpilling is recordLog with a spill threshold (0: never spill).
+func recordLogSpilling(blocks []int64, warm int, threshold int64) *trace.Log {
 	l := trace.NewLog()
+	l.SetSpillThreshold(threshold)
 	for i, blk := range blocks {
 		if i == warm {
 			l.MarkWindow()
@@ -48,40 +53,188 @@ func recordLog(blocks []int64, warm int) *trace.Log {
 	return l
 }
 
-// TestProfileHierMatchesSimulator is the package's core exactness check:
-// every grid point of the one-pass profile equals a fresh pointwise replay
-// through the two-level simulator, warm window included.
-func TestProfileHierMatchesSimulator(t *testing.T) {
-	spec := testSpec()
+// oracleL2s is the L2 grid the simulator cross-checks sweep on top of
+// testSpec's: everything the per-ratio organisation profilers branch on.
+// Block ratios 1, 2 and 4 in one grid; LRU and FIFO points that share a set
+// count and ones that have theirs to themselves; way counts on both sides
+// of the 192-deep bound (bounded rows, the unbounded Sets=1 timeline, an
+// unbounded two-set family); two ratios whose specs share a set count but
+// differ in MaxWays; plus a few random points, one duplicate, shuffled.
+func oracleL2s(rng *rand.Rand, block int64) []Level {
+	at := func(ratio, sets, ways int64, pol cachesim.Policy) Level {
+		return lv(sets*ways*ratio*block, ratio*block, ways, pol)
+	}
+	l2s := []Level{
+		at(1, 8, 4, cachesim.LRU), // ratio 1, 8 sets, bound 4 ...
+		at(1, 8, 4, cachesim.FIFO),
+		at(1, 8, 2, cachesim.FIFO),
+		at(2, 8, 16, cachesim.LRU),             // ... ratio 2, 8 sets, bound 16
+		at(2, 4, 8, cachesim.FIFO),             // FIFO alone at its set count
+		lv(256*block, block, 0, cachesim.LRU),  // Sets=1 past the bound: timeline
+		lv(256*block, block, 0, cachesim.FIFO), // and its FIFO twin
+		lv(64*2*block, 2*block, 0, cachesim.LRU),
+		at(4, 2, 256, cachesim.LRU), // two sets, past the bound
+		at(4, 1, 32, cachesim.LRU),  // Sets=1 under the bound, as explicit ways
+		at(4, 16, 1, cachesim.FIFO), // direct-mapped
+	}
+	for k := rng.Intn(4); k > 0; k-- {
+		ratio := int64(1) << rng.Intn(3)
+		sets := int64(1) << rng.Intn(5)
+		ways := []int64{1, 2, 3, 8, 200}[rng.Intn(5)]
+		l2s = append(l2s, at(ratio, sets, ways, cachesim.Policy(rng.Intn(2))))
+	}
+	l2s = append(l2s, l2s[rng.Intn(len(l2s))])
+	rng.Shuffle(len(l2s), func(i, j int) { l2s[i], l2s[j] = l2s[j], l2s[i] })
+	return l2s
+}
+
+// scatter rewrites a dense stream's ids so it also exercises the id paths
+// a schedule's buffers never reach: a band of negative ids (floored
+// coarsening and set routing) and a band of sparse ones far past the
+// profilers' dense block tables.
+func scatter(blocks []int64) []int64 {
+	out := make([]int64, len(blocks))
+	for i, b := range blocks {
+		switch b % 5 {
+		case 1:
+			out[i] = -b - 1
+		case 2:
+			out[i] = 1<<30 + b*1000003
+		default:
+			out[i] = b
+		}
+	}
+	return out
+}
+
+// hierCase is one input of TestProfileHierMatchesSimulator.
+type hierCase struct {
+	name   string
+	spec   HierSpec
+	blocks []int64
+	warm   int
+	spill  bool
+}
+
+func hierCases() []hierCase {
+	var cases []hierCase
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		blocks := stream(rng, 20000, 300)
-		l := recordLog(blocks, 5000)
+		cases = append(cases, hierCase{name: "testSpec", spec: testSpec(), blocks: stream(rng, 20000, 300), warm: 5000})
+	}
+	rng := rand.New(rand.NewSource(40))
+	l1s := testSpec().L1s
+	for trial := 0; trial < 6; trial++ {
+		n := 3000
+		c := hierCase{name: "oracleL2s", spill: trial%3 == 2}
+		c.spec = HierSpec{Block: 16, L1s: l1s, L2s: oracleL2s(rng, 16)}
+		if c.spill {
+			n = 40000 // enough encoded bytes to seal and spill chunks
+			c.spec.L1s = l1s[2:4]
+		}
+		c.blocks = scatter(stream(rng, n, int64(100+rng.Intn(500))))
+		c.warm = []int{0, n / 3, n, n + 1}[trial%4]
+		cases = append(cases, c)
+	}
+	return cases
+}
+
+// TestProfileHierMatchesSimulator is the package's core exactness check:
+// every grid point of the one-pass profile equals a fresh pointwise replay
+// through the two-level simulator, warm window included — on the standard
+// grid, and on oracleL2s grids over scattered ids with the window mark at
+// 0, mid-stream and at/past the end, in memory and spilled.
+func TestProfileHierMatchesSimulator(t *testing.T) {
+	for ci, c := range hierCases() {
+		var threshold int64
+		if c.spill {
+			threshold = 1
+		}
+		l := recordLogSpilling(c.blocks, c.warm, threshold)
+		if c.spill && !l.Spilled() {
+			t.Fatalf("case %d: spill variant did not spill", ci)
+		}
+		spec := c.spec
 		hc, err := ProfileHier(l, spec)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("case %d (%s): %v", ci, c.name, err)
 		}
-		if hc.Accesses != 15000 {
-			t.Errorf("seed %d: windowed accesses = %d, want 15000", seed, hc.Accesses)
+		if want := int64(max(len(c.blocks)-c.warm, 0)); hc.Accesses != want {
+			t.Errorf("case %d: windowed accesses = %d, want %d", ci, hc.Accesses, want)
 		}
 		for i := range spec.L1s {
 			for j := range spec.L2s {
 				sim, err := SimulateLog(l, spec.Config(i, j))
 				if err != nil {
-					t.Fatalf("seed %d (%d,%d): %v", seed, i, j, err)
+					t.Fatalf("case %d (%d,%d): %v", ci, i, j, err)
 				}
 				l1, l2 := hc.Point(i, j)
 				if l1 != sim.L1Stats().Misses || l2 != sim.L2Stats().Misses {
-					t.Errorf("seed %d L1=%v L2=%v: curve (%d, %d), simulator (%d, %d)",
-						seed, spec.L1s[i], spec.L2s[j], l1, l2,
+					t.Errorf("case %d (%s, warm %d of %d) L1=%v L2=%v: curve (%d, %d), simulator (%d, %d)",
+						ci, c.name, c.warm, len(c.blocks), spec.L1s[i], spec.L2s[j], l1, l2,
 						sim.L1Stats().Misses, sim.L2Stats().Misses)
 				}
 				if got, want := hc.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
-					t.Errorf("seed %d (%d,%d): AMAT %v vs %v", seed, i, j, got, want)
+					t.Errorf("case %d (%d,%d): AMAT %v vs %v", ci, i, j, got, want)
 				}
 			}
 		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
+
+// TestProfileHierFilterCrossCheck trips the retained safety check: a
+// filter whose bank disagrees with the organisation curve by one access
+// must fail the pass, not report a number.
+func TestProfileHierFilterCrossCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	blocks := stream(rng, 2000, 100)
+	l := recordLog(blocks, 0)
+	spec := testSpec()
+	grid := newL2Grid(spec.Block, spec.L2s)
+	filters, err := grid.newFilters(spec.L1s, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Point 1 (fully associative) starts out holding the first block: the
+	// filter hits where the curve counts a cold miss.
+	filters[1].banks[0].Insert(blocks[0])
+	hc, err := profileHier(l, spec, grid, filters)
+	if err == nil || !strings.Contains(err.Error(), "filter saw") || !strings.Contains(err.Error(), "curve says") {
+		t.Fatalf("perturbed filter bank: got curves %v, err %v; want the filter-vs-curve error", hc, err)
+	}
+	if !strings.Contains(err.Error(), "L1 point 1 ") {
+		t.Errorf("error %q does not name the perturbed point", err)
+	}
+}
+
+// checkHierJobsShim asserts every (jobs, decodeJobs) of the deprecated
+// four-argument form returns ProfileHier's curves.
+func checkHierJobsShim(t *testing.T, l *trace.Log, spec HierSpec) {
+	t.Helper()
+	want, err := ProfileHier(l, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jd := range [][2]int{{0, 0}, {1, 1}, {4, 4}} {
+		got, err := ProfileHierJobs(l, spec, jd[0], jd[1])
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ProfileHierJobs(%d, %d) differs from ProfileHier (err %v)", jd[0], jd[1], err)
+		}
+	}
+}
+
+func TestProfileHierJobsMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	checkHierJobsShim(t, recordLog(stream(rng, 4000, 300), 1000), testSpec())
+}
+
+// TestProfileHierJobsEmptyWindow: the same on a window marked at the end.
+func TestProfileHierJobsEmptyWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	checkHierJobsShim(t, recordLog(stream(rng, 2000, 100), 2000), testSpec())
 }
 
 // TestProfileHierSpillIdentical is the spill × hierarchy-profiling
@@ -92,14 +245,7 @@ func TestProfileHierSpillIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	blocks := stream(rng, 300000, 500)
 	mem := recordLog(blocks, 4000)
-	spilled := trace.NewLog()
-	spilled.SetSpillThreshold(1 << 12) // force many spill flushes
-	for i, blk := range blocks {
-		if i == 4000 {
-			spilled.MarkWindow()
-		}
-		spilled.RecordBlock(blk)
-	}
+	spilled := recordLogSpilling(blocks, 4000, 1<<12) // force many spill flushes
 	defer spilled.Close()
 	if !spilled.Spilled() {
 		t.Fatal("spill threshold never triggered; the test is vacuous")
@@ -126,14 +272,7 @@ func TestProfileHierSpillIdentical(t *testing.T) {
 func TestProfileHierSinglePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	blocks := stream(rng, 300000, 500)
-	spilled := trace.NewLog()
-	spilled.SetSpillThreshold(1 << 12)
-	for i, blk := range blocks {
-		if i == 4000 {
-			spilled.MarkWindow()
-		}
-		spilled.RecordBlock(blk)
-	}
+	spilled := recordLogSpilling(blocks, 4000, 1<<12)
 	defer spilled.Close()
 	if !spilled.Spilled() {
 		t.Fatal("spill threshold never triggered; the test is vacuous")
@@ -208,7 +347,7 @@ func TestProfileHierEmptyWindow(t *testing.T) {
 // give. The organisation curves feed HierCurves' Accesses and L1Misses
 // (and the filter cross-check that fails the whole pass on a mismatch), so
 // those are compared against an unbounded trace.ProfileOrgs of the same
-// log, on random mixed-policy L1 grids, sequential and sharded.
+// log, on random mixed-policy L1 grids.
 // SharedCurves has no organisation curves to bound: ProfileShared's L1
 // counts come from the per-processor filter banks alone.
 func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
@@ -247,13 +386,6 @@ func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
 		seq, err := ProfileHier(l, spec)
 		if err != nil {
 			t.Fatalf("trial %d L1s %v: %v", trial, spec.L1s, err)
-		}
-		sharded, err := ProfileHierJobs(l, spec, 2, 1)
-		if err != nil {
-			t.Fatalf("trial %d L1s %v sharded: %v", trial, spec.L1s, err)
-		}
-		if !reflect.DeepEqual(seq, sharded) {
-			t.Fatalf("trial %d: sharded hier curves differ from sequential", trial)
 		}
 		if seq.Accesses != ref[0].LRU.Accesses {
 			t.Fatalf("trial %d: %d accesses, unbounded profile %d", trial, seq.Accesses, ref[0].LRU.Accesses)

@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -9,8 +10,16 @@ import (
 )
 
 // procTrace records a random interleaving of per-processor streaming
-// traces into a ProcLog, marking a window partway through.
+// traces into a ProcLog, marking a window a quarter of the way through.
 func procTrace(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, spill int64) *trace.ProcLog {
+	t.Helper()
+	return procTraceAt(t, rng, procs, n, nblocks, spill, procs*n/4, false)
+}
+
+// procTraceAt is procTrace with the window mark at global index warm (at or
+// past the end: an empty window) and, when scattered, the ids rewritten by
+// scatter into negative and sparse bands.
+func procTraceAt(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, spill int64, warm int, scattered bool) *trace.ProcLog {
 	t.Helper()
 	pl, err := trace.NewProcLog(procs)
 	if err != nil {
@@ -31,6 +40,9 @@ func procTrace(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, spill 
 				streams[p] = append(streams[p], base+b)
 			}
 		}
+		if scattered {
+			streams[p] = scatter(streams[p])
+		}
 	}
 	pos := make([]int, procs)
 	cur := 0
@@ -47,11 +59,14 @@ func procTrace(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, spill 
 				}
 			}
 		}
-		pl.Record(cur, streams[cur][pos[cur]])
-		pos[cur]++
-		if i == total/4 {
+		if i == warm {
 			pl.MarkWindow()
 		}
+		pl.Record(cur, streams[cur][pos[cur]])
+		pos[cur]++
+	}
+	if warm >= total {
+		pl.MarkWindow()
 	}
 	return pl
 }
@@ -200,61 +215,108 @@ func TestSharedSimOneSetL2(t *testing.T) {
 // TestProfileSharedMatchesSimulator is the package-level cross-validation:
 // every (L1, L2) grid point of the one-pass shared profiler agrees exactly
 // with the shared simulator — per-processor L1 misses and aggregate L2
-// misses — on random interleaved traces, windows included.
+// misses — on random interleaved traces, windows included: first the
+// standard grid, then oracleL2s grids over scattered ids with the window
+// mark at 0, mid-stream and at/past the end, in memory and spilled.
 func TestProfileSharedMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	l1s := []Level{
+		lv(8*16, 16, 1, cachesim.LRU),
+		lv(8*16, 16, 0, cachesim.LRU),
+		lv(16*16, 16, 2, cachesim.FIFO),
+	}
+	l2s := []Level{
+		lv(64*16, 16, 0, cachesim.LRU),
+		lv(128*64, 64, 4, cachesim.LRU),
+		lv(64*64, 64, 2, cachesim.FIFO),
+	}
+	trial := 0
 	for _, procs := range []int{1, 2, 4} {
-		pl := procTrace(t, rng, procs, 6000, 96, 0)
-		spec := SharedSpec{
-			Block: 16,
-			Procs: procs,
-			L1s: []Level{
-				lv(8*16, 16, 1, cachesim.LRU),
-				lv(8*16, 16, 0, cachesim.LRU),
-				lv(16*16, 16, 2, cachesim.FIFO),
-			},
-			L2s: []Level{
-				lv(64*16, 16, 0, cachesim.LRU),
-				lv(128*64, 64, 4, cachesim.LRU),
-				lv(64*64, 64, 2, cachesim.FIFO),
-			},
-		}
-		curves, err := ProfileShared(pl, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wantAcc int64
-		for p := 0; p < procs; p++ {
-			wantAcc += curves.ProcAccesses[p]
-		}
-		if curves.Accesses != wantAcc {
-			t.Errorf("procs=%d: accesses %d != per-proc sum %d", procs, curves.Accesses, wantAcc)
-		}
-		for i := range spec.L1s {
-			for j := range spec.L2s {
-				sim, err := SimulateSharedLog(pl, spec.Config(i, j))
-				if err != nil {
-					t.Fatal(err)
+		for _, oracle := range []bool{false, true, true} {
+			var pl *trace.ProcLog
+			spec := SharedSpec{Block: 16, Procs: procs, L1s: l1s, L2s: l2s}
+			if !oracle {
+				pl = procTrace(t, rng, procs, 6000, 96, 0)
+			} else {
+				n, spill := 2000, int64(0)
+				if trial%3 == 2 {
+					n, spill = 40000/procs, 1
+					spec.L1s = l1s[1:]
 				}
-				for p := 0; p < procs; p++ {
-					if got, want := curves.L1Misses[i][p], sim.L1Stats(p).Misses; got != want {
-						t.Errorf("procs=%d point (%d,%d) proc %d: profile L1 misses %d, simulator %d",
-							procs, i, j, p, got, want)
-					}
+				spec.L2s = oracleL2s(rng, 16)
+				warm := []int{0, procs * n / 3, procs * n, procs*n + 1}[trial%4]
+				pl = procTraceAt(t, rng, procs, n, 96, spill, warm, true)
+				if spill > 0 && !pl.Spilled() {
+					t.Fatal("spill variant did not spill")
 				}
-				l1, l2 := curves.Point(i, j)
-				var simL1 int64
-				for p := 0; p < procs; p++ {
-					simL1 += sim.L1Stats(p).Misses
-				}
-				if l1 != simL1 || l2 != sim.L2Stats().Misses {
-					t.Errorf("procs=%d point (%d,%d): profile (%d,%d), simulator (%d,%d)",
-						procs, i, j, l1, l2, simL1, sim.L2Stats().Misses)
-				}
-				if got, want := curves.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
-					t.Errorf("procs=%d point (%d,%d): profile AMAT %v, simulator %v", procs, i, j, got, want)
+				trial++
+			}
+			checkSharedAgainstSimulator(t, pl, spec)
+			if err := pl.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func checkSharedAgainstSimulator(t *testing.T, pl *trace.ProcLog, spec SharedSpec) {
+	t.Helper()
+	procs := spec.Procs
+	curves, err := ProfileShared(pl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantAcc int64
+	for p := 0; p < procs; p++ {
+		wantAcc += curves.ProcAccesses[p]
+	}
+	if want := max(pl.Len()-pl.WindowStart(), 0); curves.Accesses != wantAcc || wantAcc != want {
+		t.Errorf("procs=%d: accesses %d, per-proc sum %d, window holds %d", procs, curves.Accesses, wantAcc, want)
+	}
+	for i := range spec.L1s {
+		for j := range spec.L2s {
+			sim, err := SimulateSharedLog(pl, spec.Config(i, j))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < procs; p++ {
+				if got, want := curves.L1Misses[i][p], sim.L1Stats(p).Misses; got != want {
+					t.Errorf("procs=%d point (%d,%d) proc %d: profile L1 misses %d, simulator %d",
+						procs, i, j, p, got, want)
 				}
 			}
+			l1, l2 := curves.Point(i, j)
+			var simL1 int64
+			for p := 0; p < procs; p++ {
+				simL1 += sim.L1Stats(p).Misses
+			}
+			if l1 != simL1 || l2 != sim.L2Stats().Misses {
+				t.Errorf("procs=%d window %d of %d L1=%v L2=%v: profile (%d,%d), simulator (%d,%d)",
+					procs, pl.WindowStart(), pl.Len(), spec.L1s[i], spec.L2s[j], l1, l2, simL1, sim.L2Stats().Misses)
+			}
+			if got, want := curves.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
+				t.Errorf("procs=%d point (%d,%d): profile AMAT %v, simulator %v", procs, i, j, got, want)
+			}
+		}
+	}
+}
+
+// TestProfileSharedJobsMatchesSequential pins the deprecated four-argument
+// shim: every (jobs, decodeJobs) returns ProfileShared's curves.
+func TestProfileSharedJobsMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pl := procTrace(t, rng, 2, 3000, 96, 0)
+	spec := SharedSpec{Block: 16, Procs: 2,
+		L1s: []Level{lv(8*16, 16, 1, cachesim.LRU), lv(16*16, 16, 2, cachesim.FIFO)},
+		L2s: []Level{lv(64*16, 16, 0, cachesim.LRU), lv(64*64, 64, 2, cachesim.FIFO)}}
+	want, err := ProfileShared(pl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jd := range [][2]int{{0, 0}, {1, 1}, {4, 4}} {
+		got, err := ProfileSharedJobs(pl, spec, jd[0], jd[1])
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ProfileSharedJobs(%d, %d) differs from ProfileShared (err %v)", jd[0], jd[1], err)
 		}
 	}
 }

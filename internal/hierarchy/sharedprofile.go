@@ -3,7 +3,6 @@ package hierarchy
 import (
 	"fmt"
 
-	"streamsched/internal/cachesim"
 	"streamsched/internal/trace"
 )
 
@@ -33,29 +32,7 @@ func (s SharedSpec) Validate() error {
 	if s.Procs < 1 {
 		return fmt.Errorf("hierarchy: shared spec needs >= 1 processor, got %d", s.Procs)
 	}
-	if s.Block <= 0 {
-		return fmt.Errorf("hierarchy: recording block must be positive, got %d", s.Block)
-	}
-	if len(s.L1s) == 0 || len(s.L2s) == 0 {
-		return fmt.Errorf("hierarchy: shared spec needs at least one L1 and one L2 level, got %d/%d", len(s.L1s), len(s.L2s))
-	}
-	for i, lv := range s.L1s {
-		if err := lv.Validate(); err != nil {
-			return fmt.Errorf("L1[%d]: %w", i, err)
-		}
-		if lv.Block != s.Block {
-			return fmt.Errorf("hierarchy: L1[%d] block %d must equal the recording block %d", i, lv.Block, s.Block)
-		}
-	}
-	for j, lv := range s.L2s {
-		if err := lv.Validate(); err != nil {
-			return fmt.Errorf("L2[%d]: %w", j, err)
-		}
-		if lv.Block%s.Block != 0 {
-			return fmt.Errorf("hierarchy: L2[%d] block %d not a multiple of the recording block %d", j, lv.Block, s.Block)
-		}
-	}
-	return nil
+	return validateGrid(s.Block, s.L1s, s.L2s)
 }
 
 // Config returns the shared-simulator configuration of one grid point.
@@ -106,84 +83,18 @@ func (c *SharedCurves) AMAT(i, j int, cm CostModel) float64 {
 	return cm.AMAT(c.Accesses, c.L1Total(i), c.L2Misses[i][j])
 }
 
-// sharedFilter is one L1 design point's bank of exact private replicas —
-// one cachesim.Bank per processor — plus the shared-L2 profiler groups fed
-// by the interleaved miss stream.
-type sharedFilter struct {
-	banks  []*cachesim.Bank
-	misses []int64 // in-window misses per processor
-	groups []*l2Group
-	slots  []l2Slot
-}
-
-// touch runs one tagged trace access through processor proc's private
-// replica; on a miss the filtered block feeds every shared-L2 group at its
-// own granularity, in global emission order.
-func (f *sharedFilter) touch(proc int, blk int64) {
-	b := f.banks[proc]
-	if b.Access(blk) {
-		return
-	}
-	b.Insert(blk)
-	f.misses[proc]++
-	for _, g := range f.groups {
-		b2 := coarsen(blk, g.ratio)
-		if g.assoc != nil {
-			g.assoc.Touch(b2)
-		}
-		if g.fifo != nil {
-			g.fifo.Touch(b2)
-		}
-	}
-}
-
-// resetCounts starts the measured window: miss counters and L2 histograms
-// reset, warm cache and stack state kept.
-func (f *sharedFilter) resetCounts() {
-	for p := range f.misses {
-		f.misses[p] = 0
-	}
-	for _, g := range f.groups {
-		if g.assoc != nil {
-			g.assoc.ResetCounts()
-		}
-		if g.fifo != nil {
-			g.fifo.ResetCounts()
-		}
-	}
-}
-
-// buildSharedFilters assembles one sharedFilter per L1 design point, with
-// procs private replicas each, grouping the L2 points into (block ratio,
-// set count) families exactly like the uniprocessor hierarchy profiler.
-func buildSharedFilters(block int64, l1s, l2s []Level, procs int) []*sharedFilter {
-	fams, slots := l2Families(block, l2s)
-	filters := make([]*sharedFilter, len(l1s))
-	for i, l1 := range l1s {
-		f := &sharedFilter{
-			banks:  make([]*cachesim.Bank, procs),
-			misses: make([]int64, procs),
-			slots:  slots,
-			groups: newL2Groups(fams),
-		}
-		for p := range f.banks {
-			f.banks[p] = l1.bank()
-		}
-		filters[i] = f
-	}
-	return filters
-}
-
 // ProfileShared evaluates the whole (L1, L2) grid from one recorded
 // multiprocessor log in a single replay. Every L1 design point gets one
 // exact private replica per processor; the interleaved miss stream those
 // replicas emit — in the recorded global order — drives the shared-L2
 // profilers (per-set Mattson stacks for LRU, multiplexed replicas for
 // FIFO), so one parallel execution answers every (L1, L2) pairing. The
-// replay honours the log's measured window. Experiment E21 cross-validates
-// every grid point against SimulateSharedLog, whose L2 is an independent
-// implementation (a policy-ordered Bank rather than the reuse-distance
-// profilers).
+// filters are ProfileHier's at P processors; there are no L1 organisation
+// curves to ride along, since a private L1 sees one processor's stream,
+// not the log's. The replay honours the log's measured window. Experiment
+// E21 cross-validates every grid point against SimulateSharedLog, whose L2
+// is an independent implementation (a policy-ordered Bank rather than the
+// reuse-distance profilers).
 func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -194,14 +105,16 @@ func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 
 	reg := pl.Metrics()
 	stop := reg.Timer("hier.shared.profile").Start()
-	filters := buildSharedFilters(spec.Block, spec.L1s, spec.L2s, spec.Procs)
+	grid := newL2Grid(spec.Block, spec.L2s)
+	filters, err := grid.newFilters(spec.L1s, spec.Procs)
+	if err != nil {
+		return nil, err
+	}
 	var accesses int64
 	procAccesses := make([]int64, spec.Procs)
-	err := pl.ForEachWindowed(func() {
+	err = pl.ForEachWindowed(func() {
 		accesses = 0
-		for p := range procAccesses {
-			procAccesses[p] = 0
-		}
+		clear(procAccesses)
 		for _, f := range filters {
 			f.resetCounts()
 		}
@@ -225,8 +138,7 @@ func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 	}
 	for i, f := range filters {
 		out.L1Misses[i] = f.misses
-		out.L2Misses[i], err = l2MissRow(f.groups, f.slots)
-		if err != nil {
+		if out.L2Misses[i], err = grid.row(f); err != nil {
 			return nil, err
 		}
 	}
@@ -234,18 +146,15 @@ func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 	if reg != nil {
 		reg.Counter("trace.profile.accesses").Add(accesses)
 		reg.Counter("trace.profile.passes").Add(1)
-		var filterMisses, l2Ops int64
-		for i := range filters {
-			filterMisses += out.L1Total(i)
-			for _, g := range filters[i].groups {
-				if g.assoc != nil {
-					l2Ops += g.assoc.TimelineOps()
-				}
-			}
-		}
-		reg.Counter("hier.filter.misses").Add(filterMisses)
-		reg.Counter("trace.profile.timeline.ops").Add(l2Ops)
-		reg.Counter("hier.profile.points").Add(int64(len(spec.L1s) * len(spec.L2s)))
+		publishFilterMetrics(reg, filters, len(spec.L1s)*len(spec.L2s))
 	}
 	return out, nil
+}
+
+// ProfileSharedJobs is ProfileShared.
+//
+// Deprecated: jobs and decodeJobs are ignored; the four-argument form is
+// kept only because the frozen bench/ module calls it.
+func ProfileSharedJobs(pl *trace.ProcLog, spec SharedSpec, jobs, decodeJobs int) (*SharedCurves, error) {
+	return ProfileShared(pl, spec)
 }

@@ -24,14 +24,13 @@
 // in CHANGES.md like any API change. New names may be added freely. The
 // full list lives in README.md's Observability section.
 //
-// Concurrent writers are expected: the sharded profiling engine's workers
-// and the sweep pools update counters and timers from many goroutines.
+// Concurrent writers are expected: the sweep pools and the daemon's
+// computations update counters and timers from many goroutines.
 // Counter, Gauge, and Histogram are lock-free atomics. A registry Timer
 // records into a same-named Histogram sibling (lock-free, and percentiles
 // come for free in snapshots); only a standalone zero-value Timer falls
 // back to a mutex per observation. Hot loops should still batch (observe
-// once per chunk of work, as the per-worker profile.shard.<w>.busy timers
-// do) rather than once per item.
+// once per chunk of work) rather than once per item.
 package obs
 
 import (

@@ -19,15 +19,11 @@
 // MeasureShared), where all private-L1 miss streams contend for one shared
 // L2 in exactly the recorded order.
 //
-// Two determinism invariants make the measurement paths trustworthy.
-// First, the executor's claiming decisions depend only on the graph, the
-// partition, and the private design caches (Config.Cache) — never on the
-// hierarchy being evaluated — so one recorded interleaving is valid input
-// for every (L1, L2) grid point at once. Second, profiling a recorded run
-// is invariant under Config.Env.ProfileJobs: the shared-grid profile phase
-// shards across that many workers (0 = one per CPU, 1 = sequential) with
-// byte-identical curves either way, so the knob only changes wall-clock
-// time, never results.
+// One determinism invariant makes the measurement paths trustworthy: the
+// executor's claiming decisions depend only on the graph, the partition,
+// and the private design caches (Config.Cache) — never on the hierarchy
+// being evaluated — so one recorded interleaving is valid input for every
+// (L1, L2) grid point at once.
 package parallel
 
 import (

@@ -140,7 +140,7 @@ func MeasureShared(name string, g *sdf.Graph, p *partition.Partition, cfg Config
 	}
 	defer plog.Close()
 	stage = sp.Start("profile")
-	curves, err := hierarchy.ProfileSharedJobs(plog, spec, cfg.Env.ProfileJobs, cfg.Env.DecodeJobs)
+	curves, err := hierarchy.ProfileShared(plog, spec)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("parallel: profile %s: %w", name, err)

@@ -94,7 +94,7 @@ func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, wa
 	}
 	stage.End()
 	stage = sp.Start("profile")
-	curves, err := hierarchy.ProfileHierJobs(log, spec, env.ProfileJobs, env.DecodeJobs)
+	curves, err := hierarchy.ProfileHier(log, spec)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)

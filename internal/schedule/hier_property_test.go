@@ -9,6 +9,7 @@ package schedule
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -124,5 +125,35 @@ func TestPropHierSingleLineL1(t *testing.T) {
 	}
 	for _, s := range []Scheduler{FlatTopo{}, PartitionedPipeline{}} {
 		hierCase(t, g, s, env, spec, 64, 256)
+	}
+}
+
+// TestPropProfileJobsHierInvariantOnRandomGraphs pins the deprecated
+// Env.ProfileJobs/DecodeJobs: MeasureHier ignores them, so any values
+// return the zero values' curves on any graph.
+func TestPropProfileJobsHierInvariantOnRandomGraphs(t *testing.T) {
+	spec := hierarchy.HierSpec{
+		Block: 16,
+		L1s:   []hierarchy.Level{hierLv(256, 16, 1, cachesim.LRU), hierLv(512, 16, 4, cachesim.FIFO)},
+		L2s:   []hierarchy.Level{hierLv(2048, 16, 8, cachesim.FIFO), hierLv(4096, 64, 0, cachesim.LRU)},
+	}
+	for seed := int64(0); seed < 2; seed++ {
+		rng := rand.New(rand.NewSource(800 + seed))
+		g, err := randgraph.RandomPipeline(rng, randgraph.PipelineSpec{
+			Nodes: 6 + rng.Intn(8), StateMin: 16, StateMax: 160, RateMax: 3,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ref, err := MeasureHier(g, Scaled{S: 3}, Env{M: 256, B: 16}, spec, 96, 384)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jd := range [][2]int{{1, 1}, {4, 4}} {
+			got, err := MeasureHier(g, Scaled{S: 3}, Env{M: 256, B: 16, ProfileJobs: jd[0], DecodeJobs: jd[1]}, spec, 96, 384)
+			if err != nil || !reflect.DeepEqual(got.Curves, ref.Curves) {
+				t.Errorf("seed %d: ProfileJobs=%d DecodeJobs=%d changed MeasureHier's curves (err %v)", seed, jd[0], jd[1], err)
+			}
+		}
 	}
 }

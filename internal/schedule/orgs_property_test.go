@@ -9,6 +9,7 @@ package schedule
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -122,5 +123,35 @@ func TestPropOrgCurvesCapacityEqualsBlock(t *testing.T) {
 	}
 	for _, s := range []Scheduler{FlatTopo{}, PartitionedPipeline{}} {
 		orgCase(t, g, s, env, geoms, 64, 256)
+	}
+}
+
+// TestPropProfileJobsOrgsInvariantOnRandomGraphs pins the deprecated
+// Env.ProfileJobs/DecodeJobs: MeasureCurveOrgs ignores them, so any values
+// return the zero values' curves on any graph.
+func TestPropProfileJobsOrgsInvariantOnRandomGraphs(t *testing.T) {
+	specs, _, err := trace.GridSpecs([]int64{512, 1024}, 16, []int64{1, 4, 0}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 2; seed++ {
+		rng := rand.New(rand.NewSource(700 + seed))
+		g, err := randgraph.RandomLayeredDag(rng, randgraph.LayeredSpec{
+			Layers: 2 + rng.Intn(3), Width: 1 + rng.Intn(3),
+			StateMin: 16, StateMax: 128, ExtraEdges: 2,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ref, err := MeasureCurveOrgs(g, FlatTopo{}, Env{M: 256, B: 16}, 16, 96, 384, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jd := range [][2]int{{1, 1}, {4, 4}} {
+			got, err := MeasureCurveOrgs(g, FlatTopo{}, Env{M: 256, B: 16, ProfileJobs: jd[0], DecodeJobs: jd[1]}, 16, 96, 384, specs)
+			if err != nil || !reflect.DeepEqual(got.Curve, ref.Curve) || !reflect.DeepEqual(got.Orgs, ref.Orgs) {
+				t.Errorf("seed %d: ProfileJobs=%d DecodeJobs=%d changed MeasureCurveOrgs' curves (err %v)", seed, jd[0], jd[1], err)
+			}
+		}
 	}
 }

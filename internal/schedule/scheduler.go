@@ -37,22 +37,9 @@ type Env struct {
 	// to the process-wide obs.Default(), which is itself nil — fully
 	// disabled — unless a CLI session or test installed one.
 	Metrics *obs.Registry
-	// ProfileJobs is the worker count MeasureHier and MeasureShared shard
-	// their (L1 point, L2 family) units across (hierarchy.ProfileHierJobs,
-	// ProfileSharedJobs): 0 — the zero value — uses one worker per CPU, 1
-	// forces the sequential path, larger values pin the count. Curves are
-	// byte-identical either way, so this is purely a speed knob.
-	// Organisation grids (MeasureCurve, MeasureCurveOrgs) always profile
-	// inline and ignore it.
-	ProfileJobs int
-	// DecodeJobs is the parallel chunk-decode width of the same sharded
-	// passes (trace.Log.FanOut's decode workers), with the same
-	// convention: 0 uses one worker per CPU, 1 forces the sequential
-	// in-order decoder, larger values pin the count (capped at the
-	// trace's chunk count). Also purely a speed knob — the reorder stage
-	// keeps results byte-identical — and also ignored by organisation
-	// grids.
-	DecodeJobs int
+	// Deprecated: ProfileJobs and DecodeJobs are ignored (every profile
+	// runs inline); kept only because the frozen bench/ module names them.
+	ProfileJobs, DecodeJobs int
 }
 
 // metrics resolves the environment's registry (explicit, else the process

@@ -117,7 +117,7 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	// replay of the log.
 	stage = sp.Start("profile")
 	specs := append([]trace.OrgSpec{{Sets: 1}}, orgs...)
-	profiles, err := trace.ProfileOrgsJobs(log, specs, env.ProfileJobs, env.DecodeJobs)
+	profiles, err := trace.ProfileOrgs(log, specs)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)

@@ -76,13 +76,6 @@ type Config struct {
 	// Jobs bounds concurrent computations (the worker pool). 0 means
 	// one per CPU; negative is rejected by New.
 	Jobs int
-	// ProfileJobs and DecodeJobs are schedule.Env's fields of the same
-	// names for each computation. Both default to 1 and neither changes
-	// what the daemon computes or how fast: its curves are organisation
-	// profiles, which always run inline (the knobs size only the
-	// hier/shared unit sharding).
-	ProfileJobs int
-	DecodeJobs  int
 	// Timeout bounds how long a client waits for a computation (the
 	// computation itself runs to completion and fills the cache).
 	// Default 60s.
@@ -145,12 +138,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ProfileJobs == 0 {
-		cfg.ProfileJobs = 1
-	}
-	if cfg.DecodeJobs == 0 {
-		cfg.DecodeJobs = 1
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
@@ -434,7 +421,7 @@ func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) 
 	if err != nil {
 		return nil, err
 	}
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs, DecodeJobs: s.cfg.DecodeJobs}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg}
 	plan, err := sched.Prepare(g, env)
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %w", sched.Name(), err)
@@ -467,7 +454,7 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 	if err != nil {
 		return nil, err
 	}
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs, DecodeJobs: s.cfg.DecodeJobs}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg}
 	cr, err := schedule.MeasureCurve(g, sched, env, req.B, req.Warm, req.Measure)
 	if err != nil {
 		return nil, fmt.Errorf("profile %s: %w", sched.Name(), err)
@@ -527,8 +514,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cache_bytes":   s.cache.Bytes(),
 		"cache_budget":  s.cache.Budget(),
 		"jobs":          s.cfg.Jobs,
-		"profile_jobs":  s.cfg.ProfileJobs,
-		"decode_jobs":   s.cfg.DecodeJobs,
 		"cache_hits":    snap.Counters["cache.hits"],
 		"cache_misses":  snap.Counters["cache.misses"],
 		"evictions":     snap.Counters["cache.evictions"],

@@ -32,7 +32,7 @@ func benchChunk(b *testing.B, scattered bool) ([]byte, chunkMeta) {
 }
 
 // BenchmarkDecodeChunk measures the whole-chunk run decoder expanded to
-// blocks (what ForEach and the parallel FanOut workers run) on a
+// blocks (what ForEach runs) on a
 // recording-shaped chunk, against a per-access binary.Varint loop over the
 // same bytes, and on a chunk without a single run. A regression here
 // slows every replay in the system.

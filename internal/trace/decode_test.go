@@ -9,8 +9,46 @@ import (
 	"testing"
 )
 
-// TestChunkStandaloneRoundTrip is the delta-reset invariant the parallel
-// decoder depends on: every sealed chunk (and the open tail) must decode
+// randomShardLog builds a trace with a mix of strided, looping, and random
+// accesses (including negative block ids, which the set routing must
+// floor-fix), windowed at a random position.
+func randomShardLog(t *testing.T, rng *rand.Rand, n int, spill bool) *Log {
+	t.Helper()
+	l := NewLog()
+	if spill {
+		l.SetSpillThreshold(1) // spill every sealed chunk
+		n *= 30                // enough encoded bytes to actually seal chunks
+	}
+	blocks := int64(rng.Intn(600) + 8)
+	warm := rng.Intn(n + 1)
+	for i := 0; i < n; i++ {
+		if i == warm {
+			l.MarkWindow()
+		}
+		var blk int64
+		switch rng.Intn(4) {
+		case 0:
+			blk = int64(i) % blocks // streaming stride
+		case 1:
+			blk = int64(rng.Intn(int(blocks))) // uniform reuse
+		case 2:
+			blk = int64(rng.Intn(32)) // hot set
+		default:
+			blk = -int64(rng.Intn(64)) - 1 // negative ids
+		}
+		l.RecordBlock(blk)
+	}
+	if warm >= n {
+		l.MarkWindow() // empty window: reset fires at end
+	}
+	if spill && !l.Spilled() {
+		t.Fatal("spill variant did not spill; grow the trace")
+	}
+	return l
+}
+
+// TestChunkStandaloneRoundTrip is the delta-reset invariant chunk-granular
+// spill reads depend on: every sealed chunk (and the open tail) must decode
 // standalone from its recorded base and global start index to exactly the
 // slice of the full stream it covers — randomised logs, spilled and
 // in-memory.
@@ -117,12 +155,6 @@ func TestCorruptChunkInMemory(t *testing.T) {
 	if l.Err() != nil {
 		t.Errorf("in-memory corruption latched the log: %v", l.Err())
 	}
-	// FanOut's parallel decoder must surface the same failure.
-	if err := l.FanOut([]WindowedConsumer{&recordingConsumer{}}, 4); err == nil {
-		t.Error("parallel FanOut decoded the corrupt chunk without error")
-	} else if !strings.Contains(err.Error(), "chunk 1") {
-		t.Errorf("parallel FanOut error %q does not name chunk 1", err)
-	}
 }
 
 // TestCorruptChunkSpilled is the streaming-reader regression test: a
@@ -161,32 +193,5 @@ func TestCorruptChunkSpilled(t *testing.T) {
 	}
 	if err := l.Close(); err == nil {
 		t.Error("Close did not report the latched error")
-	}
-}
-
-// TestCorruptChunkSpilledParallel runs the corruption through the
-// parallel FanOut front end: the reorder stage must drain cleanly (no
-// deadlock, no goroutine leak under -race) and report the chunk error.
-func TestCorruptChunkSpilledParallel(t *testing.T) {
-	l := corruptibleLog(t, 4, 1)
-	if err := l.flushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if l.onDisk < 4 {
-		t.Fatalf("want >= 4 spilled chunks, have %d", l.onDisk)
-	}
-	if _, err := l.spill.WriteAt(bytes.Repeat([]byte{0xff}, 16), l.metas[1].off+11); err != nil {
-		t.Fatal(err)
-	}
-	cons := []WindowedConsumer{&recordingConsumer{}, &recordingConsumer{}}
-	err := l.FanOut(cons, 4)
-	if err == nil {
-		t.Fatal("parallel FanOut decoded the corrupt spill without error")
-	}
-	if !strings.Contains(err.Error(), "chunk 1") {
-		t.Errorf("error %q does not name chunk 1", err)
-	}
-	if l.Err() == nil {
-		t.Error("spilled corruption did not latch via the parallel path")
 	}
 }

@@ -113,8 +113,7 @@ func (b *fifoBank) mask(slot int32) []uint64 {
 }
 
 // touch processes one access to the block in slot; sets[f] is its set
-// index under family f. It is the one touch routine behind FIFOProfiler
-// and OrgProfilers.
+// index under family f.
 func (b *fifoBank) touch(slot int32, sets []int64) {
 	b.accesses++
 	m := b.mask(slot)
@@ -163,67 +162,6 @@ func uniqueWays(ways []int64) []int64 {
 		}
 	}
 	return uniq[:n]
-}
-
-// FIFOProfiler replays a block-access stream through per-set FIFO caches
-// for a fixed set count and a list of way counts, all in one pass — the
-// one-organisation form of the bank OrgProfilers drives. It mirrors
-// cachesim's FIFO exactly: placement is blk mod sets, empty slots fill in
-// index order, and eviction removes the oldest insertion; hits do not
-// reorder the queue.
-type FIFOProfiler struct {
-	idx  setIndex
-	ways []int64 // deduplicated, ascending: replica order
-	bank *fifoBank
-	set  [1]int64
-}
-
-// NewFIFOProfiler returns a replayer for the given set count and way
-// counts (deduplicated, reported in ascending order). It panics if
-// sets < 1, ways is empty, or any way count is < 1.
-func NewFIFOProfiler(sets int64, ways []int64) *FIFOProfiler {
-	if sets < 1 {
-		panic("trace: FIFOProfiler needs at least one set")
-	}
-	if len(ways) == 0 {
-		panic("trace: FIFOProfiler needs at least one way count")
-	}
-	p := &FIFOProfiler{idx: newSetIndex(sets), ways: uniqueWays(ways), bank: newFIFOBank()}
-	if p.ways[0] < 1 {
-		panic("trace: FIFOProfiler way counts must be >= 1")
-	}
-	for _, w := range p.ways {
-		p.bank.addReplica(0, sets, w)
-	}
-	return p
-}
-
-// Sets returns the number of sets the replayer shards into.
-func (p *FIFOProfiler) Sets() int64 { return p.idx.sets }
-
-// Touch processes one block access through every replica.
-func (p *FIFOProfiler) Touch(blk int64) {
-	p.set[0] = p.idx.set(blk)
-	p.bank.touch(p.bank.slot(blk), p.set[:])
-}
-
-// ResetCounts zeroes the miss counters while keeping every replica's cache
-// contents (and the first-ever set).
-func (p *FIFOProfiler) ResetCounts() { p.bank.resetCounts() }
-
-// Curve freezes the replayed counts into a FIFOCurve.
-func (p *FIFOProfiler) Curve() *FIFOCurve {
-	c := &FIFOCurve{
-		Sets:     p.idx.sets,
-		Accesses: p.bank.accesses,
-		Cold:     p.bank.cold,
-		ways:     p.ways,
-		misses:   make([]int64, len(p.ways)),
-	}
-	for i := range p.ways {
-		c.misses[i] = p.bank.reps[i].misses
-	}
-	return c
 }
 
 // FIFOCurve is the result of multiplexed FIFO replay: the exact FIFO miss

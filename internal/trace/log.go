@@ -26,7 +26,6 @@ const logChunkSize = 64 << 10
 // delta base (the block id preceding the chunk's first access), its global
 // access index, its access count, and — once spilled — its byte offset in
 // the spill file. A chunk therefore decodes standalone, which is what lets
-// the FanOut pipeline decode sealed chunks on parallel workers and lets
 // ForEach read the spill file at chunk granularity via ReadAt instead of
 // the seek-restore dance.
 //
@@ -405,9 +404,8 @@ func (l *Log) chunkAt(i int) chunkMeta {
 
 // chunkBytes returns chunk i's encoded bytes. Spilled chunks are read
 // into *readBuf (grown on demand, reused across calls) with ReadAt, which
-// is safe under concurrent readers — the parallel decode workers each
-// carry their own readBuf — and leaves the spill writer's offset alone.
-// The caller must have flushed the spill writer first.
+// leaves the spill writer's offset alone. The caller must have flushed the
+// spill writer first.
 func (l *Log) chunkBytes(i int, readBuf *[]byte) ([]byte, error) {
 	if i >= len(l.metas) {
 		return l.cur, nil

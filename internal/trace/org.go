@@ -356,13 +356,10 @@ func ProfileOrgs(l *Log, specs []OrgSpec) ([]*OrgCurves, error) {
 	return curves, nil
 }
 
-// ProfileOrgsJobs is ProfileOrgs: organisation grids always profile
-// inline on the calling goroutine. With the stacks bounded by the request
-// and FIFO residency one bit per point, the per-access work is too small
-// for a fan-out to pay for its routing (on the orgs-grid benchmark the
-// sharded form this replaced was slower than sequential on two CPUs).
-// jobs and decodeJobs are accepted for the callers that pass the
-// -profilejobs/-decodejobs knobs through, and change nothing.
+// ProfileOrgsJobs is ProfileOrgs.
+//
+// Deprecated: jobs and decodeJobs are ignored; the four-argument form is
+// kept only because the frozen bench/ module calls it.
 func ProfileOrgsJobs(l *Log, specs []OrgSpec, jobs, decodeJobs int) ([]*OrgCurves, error) {
 	return ProfileOrgs(l, specs)
 }

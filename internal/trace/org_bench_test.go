@@ -56,17 +56,21 @@ func BenchmarkAssocProfiler(b *testing.B) {
 	}
 }
 
-// BenchmarkFIFOProfiler measures multiplexed FIFO replay (three way
-// counts, including one past the scan/hash threshold).
-func BenchmarkFIFOProfiler(b *testing.B) {
+// BenchmarkFIFOReplay measures multiplexed FIFO replay alone: one
+// OrgProfilers of a single FIFO spec, three way counts.
+func BenchmarkFIFOReplay(b *testing.B) {
 	stream := benchStream(400000, 512)
+	specs := []trace.OrgSpec{{Sets: 4, FIFOWays: []int64{4, 16, 64}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := trace.NewFIFOProfiler(4, []int64{4, 16, 64})
+		p, err := trace.NewOrgProfilers(specs)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, blk := range stream {
 			p.Touch(blk)
 		}
-		if c := p.Curve(); c.Accesses == 0 {
+		if c := p.Curves()[0].FIFO; c.Accesses == 0 {
 			b.Fatal("empty curve")
 		}
 	}

@@ -10,6 +10,7 @@ package trace_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -221,8 +222,8 @@ func TestOrgProfilersMatchBankOracle(t *testing.T) {
 }
 
 // TestOrgProfilersManyFIFOReplicas drives more FIFO points than one mask
-// word holds, so residency bits span words, through OrgProfilers and
-// through the one-family FIFOProfiler.
+// word holds, so residency bits span words — across families, and within
+// one family through an OrgProfilers of a single FIFO spec.
 func TestOrgProfilersManyFIFOReplicas(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	stream := oracleStream(rng, 3000, 90, 3)
@@ -250,18 +251,40 @@ func TestOrgProfilersManyFIFOReplicas(t *testing.T) {
 	for i := range ways {
 		ways[i] = int64(i + 1)
 	}
-	p := trace.NewFIFOProfiler(3, ways)
+	one := []trace.OrgSpec{{Sets: 3, FIFOWays: ways}}
+	p, err := trace.NewOrgProfilers(one)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, blk := range stream {
 		if i == warm {
 			p.ResetCounts()
 		}
 		p.Touch(blk)
 	}
-	c := p.Curve()
-	for _, w := range ways {
-		want := bankMisses(stream, warm, 3, w, cachesim.FIFO)
-		if got, ok := c.Misses(w); !ok || got != want {
-			t.Fatalf("FIFOProfiler sets=3 ways=%d: %d (ok=%v), bank %d", w, got, ok, want)
+	checkOrgCurves(t, "one family, 70 replicas", stream, warm, one, p.Curves())
+}
+
+// TestProfileOrgsJobsMatchesSequential pins the deprecated four-argument
+// shim: every (jobs, decodeJobs) returns ProfileOrgs' curves for one
+// replay.
+func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	specs := []trace.OrgSpec{
+		{Sets: 1, FIFOWays: []int64{32, 64}},
+		{Sets: 4, FIFOWays: []int64{8}, MaxWays: 8},
+		{Sets: 3, FIFOWays: []int64{2, 24}},
+	}
+	l := recordStream(t, oracleStream(rng, 3000, 200, 3), 700, false)
+	want, err := trace.ProfileOrgs(l, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jd := range [][2]int{{0, 0}, {1, 1}, {4, 4}} {
+		before := l.Replays()
+		got, err := trace.ProfileOrgsJobs(l, specs, jd[0], jd[1])
+		if err != nil || !reflect.DeepEqual(got, want) || l.Replays() != before+1 {
+			t.Errorf("ProfileOrgsJobs(%d, %d) differs from ProfileOrgs (err %v, %d replays)", jd[0], jd[1], err, l.Replays()-before)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"streamsched/internal/obs"
 )
@@ -122,40 +121,12 @@ func (pl *ProcLog) Err() error { return pl.log.Err() }
 // replayed afterwards.
 func (pl *ProcLog) Close() error { return pl.log.Close() }
 
-// runEnds returns the prefix sums of the interleaving's run lengths:
-// ends[i] is the global access index just past run i. Built once per
-// parallel decode, it is the per-processor run-length offset table that
-// makes a sealed chunk standalone for processor tagging too — any chunk's
-// starting run is a binary search away (see newProcCursor).
-func (pl *ProcLog) runEnds() []int64 {
-	ends := make([]int64, len(pl.runs))
-	var total int64
-	for i, r := range pl.runs {
-		total += r.n
-		ends[i] = total
-	}
-	return ends
-}
-
 // procCursor walks the run-length-encoded interleaving, one access at a
-// time. The replays start one before the first run (ri -1); each parallel
-// decode worker positions one at its chunk's start index instead, so
-// processor tags are computed chunk-locally without replaying the prefix.
+// time, starting one before the first run (ri -1).
 type procCursor struct {
 	runs []procRun
 	ri   int
 	left int64
-}
-
-// newProcCursor positions a cursor at global index start, which must be
-// less than the total recorded access count.
-func newProcCursor(runs []procRun, ends []int64, start int64) procCursor {
-	ri := sort.Search(len(ends), func(i int) bool { return ends[i] > start })
-	c := procCursor{runs: runs, ri: ri}
-	if ri < len(ends) {
-		c.left = ends[ri] - start
-	}
-	return c
 }
 
 // next returns the recording processor of the access at the cursor and

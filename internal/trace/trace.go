@@ -27,10 +27,6 @@
 //   - AssocProfiler shards the trace by set index and runs one Mattson
 //     stack per set: exact set-associative LRU misses for every way count
 //     of a set count, still in one pass (AssocCurve).
-//   - FIFOProfiler multiplexes per-set FIFO replicas over the same pass:
-//     exact FIFO misses at each requested way count (FIFOCurve). Residency
-//     in every replica is one bit of a per-block mask, so an access costs
-//     one load plus work proportional to the replicas it misses in.
 //   - ProfileOrgs drives any number of organisations' profilers from a
 //     single replay of a recorded log, so one trace per scheduler answers
 //     every (capacity, ways, policy) robustness question; OrgProfilers is
@@ -39,20 +35,15 @@
 //     can change an answer: one structure per distinct set count, stacks
 //     truncated at the deepest way count the request evaluates
 //     (OrgSpec.MaxWays, filled in by GridSpecs), all FIFO points of all
-//     specs in one residency mask.
+//     specs in one residency mask (an access costs one load plus work
+//     proportional to the FIFO replicas it misses in; FIFOCurve).
 //   - ProcLog is the multiprocessor trace: per-processor access streams
 //     plus the global interleaving order a parallel run emitted them in,
 //     run-length encoded over one spillable Log — the input of the
 //     shared-L2 hierarchy paths.
 //   - Sweep runs a pool of profiling jobs (schedulers x workloads) on a
-//     bounded number of goroutines.
-//   - FanOut streams one decode of a log through refcounted batches into
-//     per-consumer bounded channels: the pipeline under the hierarchy
-//     profilers' (L1 point, L2 family) unit sharding. Organisation grids
-//     do not use it — ProfileOrgsJobs is ProfileOrgs, inline on the
-//     caller's goroutine whatever its jobs arguments say. Worker counts
-//     follow one convention: 0 means one worker per CPU, 1 forces the
-//     sequential path, n uses n workers.
+//     bounded number of goroutines — the package's only concurrency;
+//     every profiling call runs inline on its caller's goroutine.
 //
 // Three invariants hold on every path through this package, and tests pin
 // each:
@@ -62,12 +53,12 @@
 //     order, never an approximation. A request-bounded curve answers
 //     exactly up to its bound and refuses (panics, or ok=false) past it.
 //   - One replay: a profiling call pays exactly one decode of the log,
-//     however many organisations (or FanOut consumers) it drives;
+//     however many organisations it drives;
 //     Replays() is the observable counter. Spilled logs stream chunk by
 //     chunk from disk, so resident memory is flat in the trace length.
-//   - Deterministic windows: ForEachWindowed and FanOut reset per-window
-//     counters at exactly the recorded MarkWindow position; first-ever
-//     (cold) tracking deliberately survives the reset, on every consumer.
+//   - Deterministic windows: ForEachWindowed resets per-window counters
+//     at exactly the recorded MarkWindow position; first-ever (cold)
+//     tracking deliberately survives the reset.
 package trace
 
 // Recorder receives every block-level access of a run, in execution
