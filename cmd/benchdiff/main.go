@@ -1,29 +1,19 @@
 // Command benchdiff turns `go test -bench` output into a JSON benchmark
 // snapshot (benchmark name -> ns/op) and gates performance regressions
-// against a committed baseline. It is the reproducible core of the CI
-// bench-regression job and works identically locally:
+// between two snapshots. It is the reproducible core of the CI
+// bench-regression job — the base commit and the head commit benchmarked
+// back to back on one runner and diffed — and works identically locally:
 //
 //	go test -run '^$' -bench . -benchtime 3x -count 3 ./... | \
-//	    go run ./cmd/benchdiff -out BENCH_HEAD.json -baseline BENCH_BASELINE.json
+//	    go run ./cmd/benchdiff -out BENCH_HEAD.json -baseline BENCH_BASE.json
 //
 // With -count N the minimum ns/op across repetitions is kept — the
-// least-noise estimator for a gate. Refresh the committed baseline by
-// writing -out over it on a quiet machine:
-//
-//	go test -run '^$' -bench . -benchtime 3x -count 3 ./... | \
-//	    go run ./cmd/benchdiff -out BENCH_BASELINE.json
+// least-noise estimator for a gate.
 //
 // The gate fails (exit 1) if any benchmark present in both the snapshot
 // and the baseline is more than -max-regress slower than the baseline.
 // New benchmarks are reported but do not fail; benchmarks that vanished
 // from the snapshot are warned about.
-//
-// With -warn-only the comparison is informational: regressions are still
-// printed, but the exit code stays 0. CI uses this for the committed
-// BENCH_BASELINE.json snapshot (taken on a different machine, so its
-// deltas are context, not a gate) while the enforced comparison runs
-// paired on one runner: the base commit and the head commit benchmarked
-// back to back and diffed.
 package main
 
 import (
@@ -43,7 +33,6 @@ func main() {
 	out := flag.String("out", "", "write the parsed snapshot JSON here")
 	baseline := flag.String("baseline", "", "baseline JSON to gate against")
 	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional slowdown per benchmark")
-	warnOnly := flag.Bool("warn-only", false, "report regressions without failing (informational comparison)")
 	flag.Parse()
 
 	if *out == "" && *baseline == "" {
@@ -81,35 +70,20 @@ func main() {
 	}
 	base, err := readSnapshot(*baseline)
 	if err != nil {
-		// An informational comparison must not fail the caller just
-		// because its reference is missing or stale-corrupt.
-		if *warnOnly {
-			fmt.Printf("benchdiff: baseline unavailable, skipping informational comparison: %v\n", err)
-			return
-		}
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
 	regressions, notes := compare(base, cur, *maxRegress)
-	os.Exit(reportComparison(os.Stdout, os.Stderr, regressions, notes, *maxRegress, len(cur), *warnOnly))
+	os.Exit(reportComparison(os.Stdout, os.Stderr, regressions, notes, *maxRegress, len(cur)))
 }
 
 // reportComparison prints the comparison's findings and returns the
-// process exit code: 1 on enforced regressions, 0 otherwise. In warn-only
-// mode regressions go to stdout as WARN lines and never fail.
-func reportComparison(out, errOut io.Writer, regressions, notes []string, maxRegress float64, tracked int, warnOnly bool) int {
+// process exit code: 1 on regressions, 0 otherwise.
+func reportComparison(out, errOut io.Writer, regressions, notes []string, maxRegress float64, tracked int) int {
 	for _, n := range notes {
 		fmt.Fprintln(out, n)
 	}
 	if len(regressions) > 0 {
-		if warnOnly {
-			for _, r := range regressions {
-				fmt.Fprintln(out, "WARN   "+r)
-			}
-			fmt.Fprintf(out, "benchdiff: %d benchmark(s) beyond %.0f%% vs this baseline (informational, not gating)\n",
-				len(regressions), maxRegress*100)
-			return 0
-		}
 		for _, r := range regressions {
 			fmt.Fprintln(errOut, r)
 		}

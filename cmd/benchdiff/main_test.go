@@ -44,9 +44,16 @@ func TestParseBench(t *testing.T) {
 func TestCompareWithinThresholdPasses(t *testing.T) {
 	base := map[string]float64{"BenchmarkA": 100, "BenchmarkB": 200}
 	cur := map[string]float64{"BenchmarkA": 120, "BenchmarkB": 190}
-	regressions, _ := compare(base, cur, 0.25)
+	regressions, notes := compare(base, cur, 0.25)
 	if len(regressions) != 0 {
 		t.Errorf("unexpected regressions: %v", regressions)
+	}
+	var out, errOut strings.Builder
+	if code := reportComparison(&out, &errOut, regressions, notes, 0.25, 2); code != 0 {
+		t.Errorf("clean comparison exit code = %d, want 0", code)
+	}
+	if !strings.Contains(out.String(), "no regressions beyond 25% across 2 tracked benchmarks") {
+		t.Errorf("clean comparison output:\n%s", out.String())
 	}
 }
 
@@ -58,6 +65,13 @@ func TestCompareFailsOnInjectedSlowdown(t *testing.T) {
 	regressions, _ := compare(base, cur, 0.25)
 	if len(regressions) != 1 || !strings.Contains(regressions[0], "BenchmarkA") {
 		t.Fatalf("injected 30%% slowdown not caught: %v", regressions)
+	}
+	var out, errOut strings.Builder
+	if code := reportComparison(&out, &errOut, regressions, nil, 0.25, 2); code != 1 {
+		t.Errorf("regression exit code = %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "regressed more than 25%") {
+		t.Errorf("regression output missing failure report:\n%s", errOut.String())
 	}
 	// Exactly at the threshold is allowed; just past it is not.
 	cur["BenchmarkA"] = 125
@@ -91,40 +105,5 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if len(got) != len(want) || got["BenchmarkA"] != 123.5 || got["BenchmarkB"] != 9 {
 		t.Errorf("round trip = %v, want %v", got, want)
-	}
-}
-
-// TestReportComparisonWarnOnly pins the informational mode the paired CI
-// gate relies on: with -warn-only a regression is printed as a WARN line
-// but the exit code stays 0, while the enforced mode still fails.
-func TestReportComparisonWarnOnly(t *testing.T) {
-	regressions := []string{"REGRESS BenchmarkA: 200 ns/op vs baseline 100 (+100%)"}
-	var out, errOut strings.Builder
-	if code := reportComparison(&out, &errOut, regressions, nil, 0.25, 1, true); code != 0 {
-		t.Errorf("warn-only exit code = %d, want 0", code)
-	}
-	if !strings.Contains(out.String(), "WARN   REGRESS BenchmarkA") ||
-		!strings.Contains(out.String(), "not gating") {
-		t.Errorf("warn-only output missing WARN report:\n%s", out.String())
-	}
-	if errOut.Len() != 0 {
-		t.Errorf("warn-only wrote to stderr: %s", errOut.String())
-	}
-
-	out.Reset()
-	if code := reportComparison(&out, &errOut, regressions, nil, 0.25, 1, false); code != 1 {
-		t.Errorf("enforced exit code = %d, want 1", code)
-	}
-	if !strings.Contains(errOut.String(), "regressed more than 25%") {
-		t.Errorf("enforced output missing failure report:\n%s", errOut.String())
-	}
-
-	out.Reset()
-	errOut.Reset()
-	if code := reportComparison(&out, &errOut, nil, []string{"NEW    BenchmarkB"}, 0.25, 2, false); code != 0 {
-		t.Errorf("clean comparison exit code = %d, want 0", code)
-	}
-	if !strings.Contains(out.String(), "no regressions beyond 25% across 2 tracked benchmarks") {
-		t.Errorf("clean comparison output:\n%s", out.String())
 	}
 }

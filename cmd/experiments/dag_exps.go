@@ -49,7 +49,7 @@ func runE6(cfg runConfig) error {
 		if err != nil {
 			return fmt.Errorf("%s scaled: %w", g.Name(), err)
 		}
-		part, err := measure(g, partitionedFor(g), env, 2*m, warm, meas)
+		part, err := measure(g, schedule.Partitioned(g, nil), env, 2*m, warm, meas)
 		if err != nil {
 			return fmt.Errorf("%s partitioned: %w", g.Name(), err)
 		}

@@ -43,24 +43,18 @@ func runE15(cfg runConfig) error {
 		schedule.PartitionedPipeline{},
 	}
 	for _, s := range scheds {
-		plan, err := s.Prepare(g, env)
+		mach, run, err := schedule.Window{
+			Span:  "e15",
+			Cache: cacheCfg,
+			Mark: func(m *exec.Machine) {
+				m.Cache().ResetStats()
+				m.Cache().StartTrace()
+			},
+		}.Measure(g, s, env, warm, meas)
 		if err != nil {
 			return err
 		}
-		mach, err := exec.NewMachine(g, exec.Config{Cache: cacheCfg, Caps: plan.Caps})
-		if err != nil {
-			return err
-		}
-		if err := plan.Runner.Run(mach, warm); err != nil {
-			return err
-		}
-		mach.Cache().ResetStats()
-		mach.Cache().StartTrace()
-		items0 := mach.InputItems()
-		if err := plan.Runner.Run(mach, mach.SourceFirings()+meas); err != nil {
-			return err
-		}
-		items := float64(mach.InputItems() - items0)
+		items := float64(run.InputItems)
 		lru := float64(mach.Cache().Stats().Misses) / items
 		trace := mach.Cache().StopTrace()
 		opt := float64(cachesim.SimulateOPT(trace, cacheCfg.Capacity/cacheCfg.Block).Misses) / items

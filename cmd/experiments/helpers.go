@@ -55,25 +55,3 @@ func missesPerFiring(r *schedule.Result) float64 {
 	}
 	return float64(r.Stats.Misses) / float64(r.SourceFired)
 }
-
-// baselineSchedulers are the comparison points used across experiments.
-func baselineSchedulers() []schedule.Scheduler {
-	return []schedule.Scheduler{
-		schedule.FlatTopo{},
-		schedule.Scaled{S: 4},
-		schedule.DemandDriven{},
-		schedule.KohliGreedy{},
-	}
-}
-
-// partitionedFor returns the shape-appropriate partitioned scheduler.
-func partitionedFor(g *sdf.Graph) schedule.Scheduler {
-	switch {
-	case g.IsPipeline():
-		return schedule.PartitionedPipeline{}
-	case g.IsHomogeneous():
-		return schedule.PartitionedHomogeneous{}
-	default:
-		return schedule.PartitionedBatch{}
-	}
-}

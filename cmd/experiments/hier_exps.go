@@ -36,7 +36,7 @@ func runE20(cfg runConfig) error {
 	}
 	designM := int64(512)
 	env := schedule.Env{M: designM, B: 16}
-	scheds := []schedule.Scheduler{schedule.FlatTopo{}, schedule.Scaled{S: 4}, partitionedFor(g)}
+	scheds := []schedule.Scheduler{schedule.FlatTopo{}, schedule.Scaled{S: 4}, schedule.Partitioned(g, nil)}
 
 	// 4 L1 points (direct-mapped and fully-associative at two capacities)
 	// x 3 L2 points (LRU and FIFO, one with a coarser block).

@@ -34,7 +34,7 @@ func runE19(cfg runConfig) error {
 	// then evaluate those fixed schedules across the whole capacity axis.
 	designM := int64(512)
 	env := schedule.Env{M: designM, B: 16}
-	scheds := append(baselineSchedulers(), partitionedFor(g))
+	scheds := append(schedule.Baselines(), schedule.Partitioned(g, nil))
 
 	// workers=1 so the wall-clock comparison below is sequential vs
 	// sequential: the printed ratio is the engine's algorithmic gain, not

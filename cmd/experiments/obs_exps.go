@@ -53,7 +53,7 @@ func runE22(cfg runConfig) error {
 	defer sp.End()
 
 	env := schedule.Env{M: 512, B: 16, Metrics: reg}
-	scheds := []schedule.Scheduler{schedule.FlatTopo{}, schedule.Scaled{S: 4}, partitionedFor(g)}
+	scheds := []schedule.Scheduler{schedule.FlatTopo{}, schedule.Scaled{S: 4}, schedule.Partitioned(g, nil)}
 	caps := []int64{256, 1024, 4096}
 	specs, _, err := trace.GridSpecs(caps, env.B, []int64{0, 1}, true)
 	if err != nil {
@@ -185,28 +185,16 @@ func runE22(cfg runConfig) error {
 // extraction. The profilers' totals are published to reg so the snapshot
 // stays consistent with the work done.
 func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs []trace.OrgSpec, warm, meas int64, reg *obs.Registry) (decode, profile, merge time.Duration, accesses int64, err error) {
-	plan, err := s.Prepare(g, env)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
 	log := trace.NewLog()
 	log.SetMetrics(reg)
 	defer log.Close()
-	m, err := exec.NewMachine(g, exec.Config{
+	_, _, err = schedule.Window{
+		Span:     "e22.breakdown",
 		Cache:    cachesim.Config{Block: env.B},
-		Caps:     plan.Caps,
 		Recorder: log,
-	})
+		Mark:     func(*exec.Machine) { log.MarkWindow() },
+	}.Measure(g, s, env, warm, meas)
 	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if warm > 0 {
-		if err := plan.Runner.Run(m, warm); err != nil {
-			return 0, 0, 0, 0, err
-		}
-	}
-	log.MarkWindow()
-	if err := plan.Runner.Run(m, m.SourceFirings()+meas); err != nil {
 		return 0, 0, 0, 0, err
 	}
 

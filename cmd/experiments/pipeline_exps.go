@@ -37,7 +37,7 @@ func runE1(cfg runConfig) error {
 		return err
 	}
 	ms := []int64{128, 256, 512, 1024, 2048, 4096}
-	scheds := append(baselineSchedulers(), schedule.PartitionedPipeline{})
+	scheds := append(schedule.Baselines(), schedule.PartitionedPipeline{})
 	jobs := make([]trace.Job[*schedule.Result], 0, len(ms)*len(scheds))
 	for _, m := range ms {
 		for _, s := range scheds {

@@ -29,14 +29,7 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	m := fs.Int64("M", 0, "design cache size in words (schedules are planned for this)")
 	b := fs.Int64("B", 16, "L1 block size in words (also the trace granularity)")
 	sched := fs.String("sched", "all", "scheduler, or \"all\" for baselines + partitioned")
-	l1capsFlag := fs.String("l1caps", "", "comma-separated L1 capacities in words (k/m suffixes ok)")
-	l1waysFlag := fs.String("l1ways", "full", "L1 associativities: way counts and/or \"full\"")
-	l1policyFlag := fs.String("l1policy", "lru", "L1 replacement policy: lru or fifo")
-	l2capsFlag := fs.String("l2caps", "", "comma-separated L2 capacities in words")
-	l2block := fs.Int64("l2block", 0, "L2 block size in words (default: the L1 block)")
-	l2waysFlag := fs.String("l2ways", "full", "L2 associativities: way counts and/or \"full\"")
-	l2policyFlag := fs.String("l2policy", "lru", "L2 replacement policy: lru or fifo")
-	amatFlag := fs.String("amat", "1,10,100", "cost model: L1-hit,L2-hit,memory latencies")
+	grid := addLevelGridFlags(fs, "hier")
 	warm := fs.Int64("warm", 1024, "warmup source firings")
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	scale := fs.Int64("scale", 4, "scaling factor for -sched scaled")
@@ -53,73 +46,14 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("hier: -M and -B must be positive\n%w", errUsage)
 	}
-	if *l2block == 0 {
-		*l2block = *b
-	}
-	if *l2block%*b != 0 {
-		return fmt.Errorf("hier: -l2block %d must be a multiple of the L1 block %d", *l2block, *b)
-	}
-	l1caps, err := parseLevelCaps("hier", "-l1caps", *l1capsFlag, *b)
+	l1s, l2s, cm, err := grid.parse(*b)
 	if err != nil {
 		return err
 	}
-	l2caps, err := parseLevelCaps("hier", "-l2caps", *l2capsFlag, *l2block)
+	spec := streamsched.HierSpec{Block: *b, L1s: l1s, L2s: l2s}
+	scheds, err := schedulersBy(*sched, g, *scale)
 	if err != nil {
 		return err
-	}
-	l1ways, err := parseWaysFlag("hier", "-l1ways", *l1waysFlag)
-	if err != nil {
-		return err
-	}
-	l2ways, err := parseWaysFlag("hier", "-l2ways", *l2waysFlag)
-	if err != nil {
-		return err
-	}
-	if err := validateGeometries("hier", "-l1ways", l1caps, *b, l1ways); err != nil {
-		return err
-	}
-	if err := validateGeometries("hier", "-l2ways", l2caps, *l2block, l2ways); err != nil {
-		return err
-	}
-	l1pol, err := parsePolicy("hier", "-l1policy", *l1policyFlag)
-	if err != nil {
-		return err
-	}
-	l2pol, err := parsePolicy("hier", "-l2policy", *l2policyFlag)
-	if err != nil {
-		return err
-	}
-	cm, err := parseCostModel("hier", *amatFlag)
-	if err != nil {
-		return err
-	}
-
-	spec := streamsched.HierSpec{Block: *b}
-	for _, c := range l1caps {
-		for _, w := range l1ways {
-			spec.L1s = append(spec.L1s, streamsched.HierLevel{Capacity: c, Block: *b, Ways: w, Policy: l1pol})
-		}
-	}
-	for _, c := range l2caps {
-		for _, w := range l2ways {
-			spec.L2s = append(spec.L2s, streamsched.HierLevel{Capacity: c, Block: *l2block, Ways: w, Policy: l2pol})
-		}
-	}
-
-	var scheds []schedule.Scheduler
-	if *sched == "all" {
-		scheds = streamsched.Baselines()
-		part, err := schedulerBy("partitioned", g, *scale)
-		if err != nil {
-			return err
-		}
-		scheds = append(scheds, part)
-	} else {
-		s, err := schedulerBy(*sched, g, *scale)
-		if err != nil {
-			return err
-		}
-		scheds = []schedule.Scheduler{s}
 	}
 	sess, err := of.start(out)
 	if err != nil {
@@ -161,17 +95,78 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	return nil
 }
 
-// parseLevelCaps parses a required capacity-list flag (misscurve's
-// parseCapsFlag, minus its empty-means-default-grid case).
-func parseLevelCaps(verb, flagName, flagVal string, block int64) ([]int64, error) {
-	caps, err := parseCapsFlag(verb, flagName, flagVal, block)
+// levelGrid is the (L1, L2) design grid hier and shared evaluate: the
+// eight flags that describe it, registered and parsed in one place.
+type levelGrid struct {
+	verb                               string
+	l1caps, l1ways, l1policy           *string
+	l2caps, l2ways, l2policy, costFlag *string
+	l2block                            *int64
+}
+
+// addLevelGridFlags registers the grid flags on fs for the named verb.
+func addLevelGridFlags(fs *flag.FlagSet, verb string) *levelGrid {
+	return &levelGrid{
+		verb:     verb,
+		l1caps:   fs.String("l1caps", "", "comma-separated L1 capacities in words (k/m suffixes ok)"),
+		l1ways:   fs.String("l1ways", "full", "L1 associativities: way counts and/or \"full\""),
+		l1policy: fs.String("l1policy", "lru", "L1 replacement policy: lru or fifo"),
+		l2caps:   fs.String("l2caps", "", "comma-separated L2 capacities in words"),
+		l2block:  fs.Int64("l2block", 0, "L2 block size in words (default: the L1 block)"),
+		l2ways:   fs.String("l2ways", "full", "L2 associativities: way counts and/or \"full\""),
+		l2policy: fs.String("l2policy", "lru", "L2 replacement policy: lru or fifo"),
+		costFlag: fs.String("amat", "1,10,100", "cost model: L1-hit,L2-hit,memory latencies"),
+	}
+}
+
+// parse validates the flags against the L1 block b and returns the L1 and
+// L2 design points (capacity-major, ways-minor) and the cost model.
+func (lg *levelGrid) parse(b int64) (l1s, l2s []hierarchy.Level, cm hierarchy.CostModel, err error) {
+	l2block := *lg.l2block
+	if l2block == 0 {
+		l2block = b
+	}
+	if l2block%b != 0 {
+		return nil, nil, cm, fmt.Errorf("%s: -l2block %d must be a multiple of the L1 block %d", lg.verb, l2block, b)
+	}
+	if l1s, err = lg.level("l1", *lg.l1caps, *lg.l1ways, *lg.l1policy, b); err != nil {
+		return nil, nil, cm, err
+	}
+	if l2s, err = lg.level("l2", *lg.l2caps, *lg.l2ways, *lg.l2policy, l2block); err != nil {
+		return nil, nil, cm, err
+	}
+	cm, err = parseCostModel(lg.verb, *lg.costFlag)
+	return l1s, l2s, cm, err
+}
+
+// level parses one level's capacity, associativity and policy flags into
+// its design points.
+func (lg *levelGrid) level(name, capsVal, waysVal, policyVal string, block int64) ([]hierarchy.Level, error) {
+	caps, err := parseCapsFlag(lg.verb, "-"+name+"caps", capsVal, block)
 	if err != nil {
 		return nil, err
 	}
-	if caps == nil {
-		return nil, fmt.Errorf("%s: %s lists no capacities\n%w", verb, flagName, errUsage)
+	if caps == nil { // unlike misscurve's -caps, a level has no default grid
+		return nil, fmt.Errorf("%s: -%scaps lists no capacities\n%w", lg.verb, name, errUsage)
 	}
-	return caps, nil
+	ways, err := parseWaysFlag(lg.verb, "-"+name+"ways", waysVal)
+	if err != nil {
+		return nil, err
+	}
+	if err := validateGeometries(lg.verb, "-"+name+"ways", caps, block, ways); err != nil {
+		return nil, err
+	}
+	pol, err := parsePolicy(lg.verb, "-"+name+"policy", policyVal)
+	if err != nil {
+		return nil, err
+	}
+	var levels []hierarchy.Level
+	for _, c := range caps {
+		for _, w := range ways {
+			levels = append(levels, hierarchy.Level{Capacity: c, Block: block, Ways: w, Policy: pol})
+		}
+	}
+	return levels, nil
 }
 
 // parsePolicy parses a single-policy flag into a cachesim policy.

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"streamsched"
 	"streamsched/internal/obs"
 	"streamsched/internal/report"
 	"streamsched/internal/schedule"
@@ -46,20 +45,9 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("misscurve: -M and -B must be positive\n%w", errUsage)
 	}
-	var scheds []schedule.Scheduler
-	if *sched == "all" {
-		scheds = streamsched.Baselines()
-		part, err := schedulerBy("partitioned", g, *scale)
-		if err != nil {
-			return err
-		}
-		scheds = append(scheds, part)
-	} else {
-		s, err := schedulerBy(*sched, g, *scale)
-		if err != nil {
-			return err
-		}
-		scheds = []schedule.Scheduler{s}
+	scheds, err := schedulersBy(*sched, g, *scale)
+	if err != nil {
+		return err
 	}
 	// Validate the explicit capacity list before paying for the sweep.
 	caps, err := parseCapsFlag("misscurve", "-caps", *capsFlag, *b)
@@ -81,17 +69,42 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	defer func() { err = errors.Join(err, sess.Close()) }()
 	env := schedule.Env{M: *m, B: *b}
 
+	// The fully-associative LRU curve comes with every recording; any other
+	// organisation is profiled alongside it from the same trace, and needs
+	// its set counts — hence an explicit capacity grid — before the sweep.
 	defaultOrg := len(waysList) == 1 && waysList[0] == 0 && len(policies) == 1 && policies[0] == "LRU"
-	if defaultOrg {
-		sweepSp := obs.Default().StartSpan("misscurve.sweep")
-		outcomes := schedule.SweepCurves(g, scheds, env, *b, *warm, *meas, *workers)
-		sweepSp.End()
-		results, err := collectSweep("misscurve", outcomes)
-		if err != nil {
+	var specs []trace.OrgSpec
+	var specIdx map[int64]int
+	if !defaultOrg {
+		if caps == nil {
+			return fmt.Errorf("misscurve: -ways/-policy need an explicit -caps grid (set counts depend on the capacities)")
+		}
+		if err := validateGeometries("misscurve", "-ways", caps, *b, waysList); err != nil {
 			return err
 		}
+		fifo := false
+		for _, p := range policies {
+			fifo = fifo || p == "FIFO"
+		}
+		if specs, specIdx, err = trace.GridSpecs(caps, *b, waysList, fifo); err != nil {
+			return fmt.Errorf("misscurve: %w", err)
+		}
+	}
+	sweepSp := obs.Default().StartSpan("misscurve.sweep")
+	outcomes := schedule.SweepCurveOrgs(g, scheds, env, *b, *warm, *meas, specs, *workers)
+	sweepSp.End()
+	results, err := collectSweep("misscurve", outcomes)
+	if err != nil {
+		return err
+	}
+	if defaultOrg {
 		if caps == nil {
-			caps = defaultCapacityGrid(*b, results)
+			// Default grid: up to just past the largest working set.
+			var lines int64
+			for _, r := range results {
+				lines = max(lines, r.Curve.SaturationLines())
+			}
+			caps = trace.DefaultCapacityGrid(*b, lines)
 		}
 		tb := curveTable(g.Name(), *m, *b, "LRU fully-associative", caps, results,
 			func(r *schedule.CurveResult, c int64) float64 {
@@ -108,30 +121,6 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 				r.Scheduler, r.Curve.Accesses, r.InputItems, r.Curve.SaturationLines())
 		}
 		return nil
-	}
-
-	// Organisation sweep: the per-set shard counts must be known before the
-	// traces are profiled, so the capacity grid has to be explicit.
-	if caps == nil {
-		return fmt.Errorf("misscurve: -ways/-policy need an explicit -caps grid (set counts depend on the capacities)")
-	}
-	if err := validateGeometries("misscurve", "-ways", caps, *b, waysList); err != nil {
-		return err
-	}
-	fifo := false
-	for _, p := range policies {
-		fifo = fifo || p == "FIFO"
-	}
-	specs, specIdx, err := trace.GridSpecs(caps, *b, waysList, fifo)
-	if err != nil {
-		return fmt.Errorf("misscurve: %w", err)
-	}
-	sweepSp := obs.Default().StartSpan("misscurve.sweep")
-	outcomes := schedule.SweepCurveOrgs(g, scheds, env, *b, *warm, *meas, specs, *workers)
-	sweepSp.End()
-	results, err := collectSweep("misscurve", outcomes)
-	if err != nil {
-		return err
 	}
 	missesPerItem := func(r *schedule.CurveResult, c, w int64, pol string) float64 {
 		if r.InputItems <= 0 {
@@ -297,23 +286,4 @@ func parseCapsFlag(verb, flagName, flagVal string, block int64) ([]int64, error)
 		caps = append(caps, v-v%block)
 	}
 	return caps, nil
-}
-
-// defaultCapacityGrid is the grid used without -caps: powers of two in
-// whole blocks, from one block to just past the largest working set.
-func defaultCapacityGrid(block int64, results []*schedule.CurveResult) []int64 {
-	var maxWords int64
-	for _, r := range results {
-		if w := r.Curve.SaturationLines() * block; w > maxWords {
-			maxWords = w
-		}
-	}
-	var caps []int64
-	for c := block; ; c *= 2 {
-		caps = append(caps, c)
-		if c >= 2*maxWords {
-			break
-		}
-	}
-	return caps
 }

@@ -9,8 +9,8 @@ import (
 	"strconv"
 	"strings"
 
+	"streamsched"
 	"streamsched/internal/cachesim"
-	"streamsched/internal/lowerbound"
 	"streamsched/internal/partition"
 	"streamsched/internal/report"
 	"streamsched/internal/schedule"
@@ -214,14 +214,9 @@ func cmdSimulate(args []string, out io.Writer) (err error) {
 	if *cache == 0 {
 		*cache = 2 * *m
 	}
-	var pol cachesim.Policy
-	switch strings.ToLower(*policy) {
-	case "lru":
-		pol = cachesim.LRU
-	case "fifo":
-		pol = cachesim.FIFO
-	default:
-		return fmt.Errorf("simulate: bad -policy %q (want lru or fifo)\n%w", *policy, errUsage)
+	pol, err := parsePolicy("simulate", "-policy", *policy)
+	if err != nil {
+		return fmt.Errorf("%v\n%w", err, errUsage)
 	}
 	s, err := schedulerBy(*sched, g, *scale)
 	if err != nil {
@@ -252,28 +247,24 @@ func cmdSimulate(args []string, out io.Writer) (err error) {
 	return nil
 }
 
+// schedulerBy resolves a -sched name through the scheduler registry; an
+// unknown name is a usage error.
 func schedulerBy(name string, g *sdf.Graph, scale int64) (schedule.Scheduler, error) {
-	switch name {
-	case "flat":
-		return schedule.FlatTopo{}, nil
-	case "scaled":
-		return schedule.Scaled{S: scale}, nil
-	case "demand":
-		return schedule.DemandDriven{}, nil
-	case "kohli":
-		return schedule.KohliGreedy{}, nil
-	case "partitioned":
-		switch {
-		case g.IsPipeline():
-			return schedule.PartitionedPipeline{}, nil
-		case g.IsHomogeneous():
-			return schedule.PartitionedHomogeneous{}, nil
-		default:
-			return schedule.PartitionedBatch{}, nil
-		}
-	default:
-		return nil, fmt.Errorf("unknown scheduler %q\n%w", name, errUsage)
+	s, err := schedule.ByName(name, g, scale)
+	if err != nil {
+		return nil, fmt.Errorf("%v\n%w", err, errUsage)
 	}
+	return s, nil
+}
+
+// schedulersBy expands a -sched value that may be "all": the baselines
+// plus the shape-appropriate partitioned scheduler.
+func schedulersBy(name string, g *sdf.Graph, scale int64) ([]schedule.Scheduler, error) {
+	if name == "all" {
+		return append(schedule.Baselines(), schedule.Partitioned(g, nil)), nil
+	}
+	s, err := schedulerBy(name, g, scale)
+	return []schedule.Scheduler{s}, err
 }
 
 func cmdBound(args []string, out io.Writer) error {
@@ -291,15 +282,7 @@ func cmdBound(args []string, out io.Writer) error {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("bound: -M and -B must be positive\n%w", errUsage)
 	}
-	var bound lowerbound.Bound
-	switch {
-	case g.IsPipeline():
-		bound, err = lowerbound.Pipeline(g, *m, *b)
-	case g.NumNodes() <= partition.MaxExactNodes:
-		bound, err = lowerbound.DagExact(g, *m, *b)
-	default:
-		bound, err = lowerbound.DagHeuristic(g, *m, *b)
-	}
+	bound, err := streamsched.LowerBound(g, *m, *b)
 	if err != nil {
 		return err
 	}

@@ -116,8 +116,15 @@ func TestSimulateCommand(t *testing.T) {
 	if err := run([]string{"simulate", path}, &sb); err == nil {
 		t.Error("missing -M accepted")
 	}
-	if err := run([]string{"simulate", "-M", "256", "-sched", "nope", path}, &sb); err == nil {
-		t.Error("bad scheduler accepted")
+	// An unknown name is a usage error, worded as before the registry moved
+	// to internal/schedule.
+	err := run([]string{"simulate", "-M", "256", "-sched", "nope", path}, &sb)
+	if !errors.Is(err, errUsage) || !strings.HasPrefix(err.Error(), "unknown scheduler \"nope\"\nusage:") {
+		t.Errorf("bad scheduler: %v", err)
+	}
+	err = run([]string{"simulate", "-M", "256", "-policy", "mru", path}, &sb)
+	if !errors.Is(err, errUsage) || !strings.HasPrefix(err.Error(), "simulate: bad -policy \"mru\" (want lru or fifo)\nusage:") {
+		t.Errorf("bad policy: %v", err)
 	}
 }
 

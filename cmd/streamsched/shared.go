@@ -32,14 +32,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	procs := fs.Int("P", 2, "simulated processors (each with a private L1)")
 	rule := fs.String("rule", "auto", "claiming rule: auto, homogeneous, or pipeline")
 	algo := fs.String("algo", "auto", "partitioning algorithm (run.go names, or singleton)")
-	l1capsFlag := fs.String("l1caps", "", "comma-separated private-L1 capacities in words (k/m suffixes ok)")
-	l1waysFlag := fs.String("l1ways", "full", "L1 associativities: way counts and/or \"full\"")
-	l1policyFlag := fs.String("l1policy", "lru", "L1 replacement policy: lru or fifo")
-	l2capsFlag := fs.String("l2caps", "", "comma-separated shared-L2 capacities in words")
-	l2block := fs.Int64("l2block", 0, "L2 block size in words (default: the L1 block)")
-	l2waysFlag := fs.String("l2ways", "full", "L2 associativities: way counts and/or \"full\"")
-	l2policyFlag := fs.String("l2policy", "lru", "L2 replacement policy: lru or fifo")
-	amatFlag := fs.String("amat", "1,10,100", "cost model: L1-hit,L2-hit,memory latencies")
+	grid := addLevelGridFlags(fs, "shared")
 	warm := fs.Int64("warm", 1024, "warmup source firings")
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	detail := fs.Bool("detail", true, "per-processor breakdown of the first grid point")
@@ -58,12 +51,6 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	if *procs < 1 {
 		return fmt.Errorf("shared: -P must be >= 1, got %d", *procs)
 	}
-	if *l2block == 0 {
-		*l2block = *b
-	}
-	if *l2block%*b != 0 {
-		return fmt.Errorf("shared: -l2block %d must be a multiple of the L1 block %d", *l2block, *b)
-	}
 	var prule parallel.Rule
 	switch *rule {
 	case "auto":
@@ -75,37 +62,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	default:
 		return fmt.Errorf("shared: bad -rule %q (want auto, homogeneous, or pipeline)\n%w", *rule, errUsage)
 	}
-	l1caps, err := parseLevelCaps("shared", "-l1caps", *l1capsFlag, *b)
-	if err != nil {
-		return err
-	}
-	l2caps, err := parseLevelCaps("shared", "-l2caps", *l2capsFlag, *l2block)
-	if err != nil {
-		return err
-	}
-	l1ways, err := parseWaysFlag("shared", "-l1ways", *l1waysFlag)
-	if err != nil {
-		return err
-	}
-	l2ways, err := parseWaysFlag("shared", "-l2ways", *l2waysFlag)
-	if err != nil {
-		return err
-	}
-	if err := validateGeometries("shared", "-l1ways", l1caps, *b, l1ways); err != nil {
-		return err
-	}
-	if err := validateGeometries("shared", "-l2ways", l2caps, *l2block, l2ways); err != nil {
-		return err
-	}
-	l1pol, err := parsePolicy("shared", "-l1policy", *l1policyFlag)
-	if err != nil {
-		return err
-	}
-	l2pol, err := parsePolicy("shared", "-l2policy", *l2policyFlag)
-	if err != nil {
-		return err
-	}
-	cm, err := parseCostModel("shared", *amatFlag)
+	l1s, l2s, cm, err := grid.parse(*b)
 	if err != nil {
 		return err
 	}
@@ -120,17 +77,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	spec := streamsched.SharedHierSpec{Block: *b, Procs: *procs}
-	for _, c := range l1caps {
-		for _, w := range l1ways {
-			spec.L1s = append(spec.L1s, streamsched.HierLevel{Capacity: c, Block: *b, Ways: w, Policy: l1pol})
-		}
-	}
-	for _, c := range l2caps {
-		for _, w := range l2ways {
-			spec.L2s = append(spec.L2s, streamsched.HierLevel{Capacity: c, Block: *l2block, Ways: w, Policy: l2pol})
-		}
-	}
+	spec := streamsched.SharedHierSpec{Block: *b, Procs: *procs, L1s: l1s, L2s: l2s}
 
 	sess, err := of.start(out)
 	if err != nil {

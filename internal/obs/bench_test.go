@@ -7,7 +7,7 @@ import (
 
 // BenchmarkHistogramRecord measures the lock-free recording hot path —
 // the cost per-job and per-batch instrumentation pays on every
-// observation. Tracked in BENCH_BASELINE.json.
+// observation. Gated by CI's paired base/head bench-regression job.
 func BenchmarkHistogramRecord(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		h := &Histogram{}

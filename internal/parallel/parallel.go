@@ -29,6 +29,7 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
@@ -469,7 +470,11 @@ func RunTraced(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured 
 	// overshoot their source-firing targets, and the overshoot must not
 	// eat into the measured window.
 	stage = sp.Start("measure")
-	if err := st.drive(st.m.SourceFirings() + measured); err != nil {
+	fired0 := st.m.SourceFirings()
+	if measured > math.MaxInt64-fired0 {
+		return fail(fmt.Errorf("parallel: measured window %d after %d warm-up firings overflows int64", measured, fired0))
+	}
+	if err := st.drive(fired0 + measured); err != nil {
 		return fail(err)
 	}
 	stage.End()

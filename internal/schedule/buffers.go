@@ -25,6 +25,21 @@ func (u BufferUse) Utilization() float64 {
 	return float64(u.HighWater) / float64(u.Cap)
 }
 
+// probeMachine returns an unaccounted machine for plan. Occupancy and
+// firing order do not depend on the cache, so it gets a minimal one-block
+// cache (block env.B, 16 when unset); BufferUtilization and Compile probe
+// on it. Neither has a measured window, so neither goes through Window.
+func probeMachine(g *sdf.Graph, plan *Plan, env Env) (*exec.Machine, error) {
+	blk := env.B
+	if blk <= 0 {
+		blk = 16
+	}
+	return exec.NewMachine(g, exec.Config{
+		Cache: cachesim.Config{Capacity: blk, Block: blk},
+		Caps:  plan.Caps,
+	})
+}
+
 // BufferUtilization probes a plan: it runs the scheduler for `probe`
 // source firings on an unaccounted machine and reports each channel's
 // high-water occupancy. The paper leaves improved cross-edge buffer sizing
@@ -40,15 +55,7 @@ func BufferUtilization(g *sdf.Graph, s Scheduler, env Env, probe int64) ([]Buffe
 	if err != nil {
 		return nil, err
 	}
-	// The cache configuration does not affect occupancy; use a minimal one.
-	blk := env.B
-	if blk <= 0 {
-		blk = 16
-	}
-	m, err := exec.NewMachine(g, exec.Config{
-		Cache: cachesim.Config{Capacity: blk, Block: blk},
-		Caps:  plan.Caps,
-	})
+	m, err := probeMachine(g, plan, env)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
 	"streamsched/internal/sdf"
 )
@@ -68,14 +67,7 @@ func Compile(g *sdf.Graph, s Scheduler, env Env, warm, maxSource int64) (*Compil
 	if err != nil {
 		return nil, err
 	}
-	blk := env.B
-	if blk <= 0 {
-		blk = 16
-	}
-	m, err := exec.NewMachine(g, exec.Config{
-		Cache: cachesim.Config{Capacity: blk, Block: blk},
-		Caps:  plan.Caps,
-	})
+	m, err := probeMachine(g, plan, env)
 	if err != nil {
 		return nil, err
 	}

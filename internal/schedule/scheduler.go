@@ -5,14 +5,21 @@
 // Sermulins-style execution scaling, Kohli-style greedy locality).
 //
 // A Scheduler turns a graph into a Plan: per-channel buffer capacities plus
-// a Runner that drives an exec.Machine. The Measure harness runs a plan
-// against the cache simulator and reports misses per input item — the
-// quantity all of the paper's bounds are stated in.
+// a Runner that drives an exec.Machine. ByName, Partitioned and Baselines
+// are the one registry that turns a name or a graph shape into a Scheduler.
+//
+// Every measurement is the same window — plan, warm up, mark, run the
+// measured firings, check conservation — and Window.Measure is the one
+// place it is written. Measure (one simulated cache), MeasureCurveOrgs
+// (record, then profile every organisation), MeasureHier (record, then
+// profile an (L1, L2) grid) and MeasureHierPoint (the exact two-level
+// simulator as the recorder) each state only what they count and how the
+// window is marked; all report misses per input item, the quantity the
+// paper's bounds are stated in, under one Run header.
 package schedule
 
 import (
 	"errors"
-	"fmt"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
@@ -72,92 +79,37 @@ type Scheduler interface {
 
 // Result summarises a measured run.
 type Result struct {
-	Scheduler     string
-	Graph         string
-	SourceFired   int64 // source firings during the measured window
-	InputItems    int64 // items produced by the source during the window
-	SinkItems     int64
+	Run
 	Stats         cachesim.Stats // cache stats for the measured window
 	MissesPerItem float64        // Stats.Misses / InputItems
-	BufferWords   int64          // total buffer capacity the plan allocated
 	// ClassMisses attributes the window's misses to memory-object classes
 	// (module state vs cross-edge buffers vs internal buffers) — the two
 	// controllable miss sources named in the paper's introduction.
 	ClassMisses cachesim.ClassStats
-	// MeanLatency and MaxLatency report item latency in source items: how
-	// many newer inputs had entered the graph when each output's inputs
-	// were finally consumed at the sink. Batching schedules trade latency
-	// for misses; experiment E18 maps the tradeoff.
-	MeanLatency float64
-	MaxLatency  int64
 }
 
 // Measure plans g with s, executes warm source firings to reach steady
 // state, then measures the next (measured) source firings against the cache
 // simulator and reports misses per input item.
 func Measure(g *sdf.Graph, s Scheduler, env Env, cacheCfg cachesim.Config, warm, measured int64) (*Result, error) {
-	if measured <= 0 {
-		return nil, fmt.Errorf("schedule: measured window must be positive, got %d", measured)
-	}
-	reg := env.metrics()
-	sp := reg.StartSpan("simulate[" + s.Name() + "]")
-	defer sp.End()
-	stage := sp.Start("plan")
-	plan, err := s.Prepare(g, env)
-	stage.End()
+	m, run, err := Window{
+		Span:  "simulate",
+		Cache: cacheCfg,
+		Setup: func(m *exec.Machine, plan *Plan) { m.ClassifyLayout(plan.CrossEdges) },
+		Mark:  func(m *exec.Machine) { m.Cache().ResetStats() },
+	}.Measure(g, s, env, warm, measured)
 	if err != nil {
-		return nil, fmt.Errorf("schedule: prepare %s: %w", s.Name(), err)
+		return nil, err
 	}
-	m, err := exec.NewMachine(g, exec.Config{
-		Cache: cacheCfg, Caps: plan.Caps,
-		TrackLatency: g.Source() != g.Sink(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("schedule: machine for %s: %w", s.Name(), err)
+	res := &Result{Run: run, Stats: m.Cache().Stats(), ClassMisses: m.Cache().ClassMisses()}
+	if run.InputItems > 0 {
+		res.MissesPerItem = float64(res.Stats.Misses) / float64(run.InputItems)
 	}
-	m.ClassifyLayout(plan.CrossEdges)
-	stage = sp.Start("warm")
-	if warm > 0 {
-		if err := plan.Runner.Run(m, warm); err != nil {
-			return nil, fmt.Errorf("schedule: warmup %s: %w", s.Name(), err)
-		}
-	}
-	stage.End()
-	stage = sp.Start("run")
-	defer stage.End()
-	m.Cache().ResetStats()
-	m.ResetLatency()
-	fired0, items0 := m.SourceFirings(), m.InputItems()
-	sink0 := m.SinkItems()
-	if err := plan.Runner.Run(m, fired0+measured); err != nil {
-		return nil, fmt.Errorf("schedule: run %s: %w", s.Name(), err)
-	}
-	stats := m.Cache().Stats()
-	items := m.InputItems() - items0
-	res := &Result{
-		Scheduler:   s.Name(),
-		Graph:       g.Name(),
-		SourceFired: m.SourceFirings() - fired0,
-		InputItems:  items,
-		SinkItems:   m.SinkItems() - sink0,
-		Stats:       stats,
-		ClassMisses: m.Cache().ClassMisses(),
-	}
-	res.MeanLatency, res.MaxLatency = m.Latency()
-	for _, c := range plan.Caps {
-		res.BufferWords += c
-	}
-	if items > 0 {
-		res.MissesPerItem = float64(stats.Misses) / float64(items)
-	}
-	if err := m.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("schedule: %s broke conservation: %w", s.Name(), err)
-	}
-	if reg != nil {
-		reg.Counter("exec.accesses").Add(stats.Accesses)
-		reg.Counter("exec.hits").Add(stats.Hits)
-		reg.Counter("exec.misses").Add(stats.Misses)
-		reg.Counter("exec.source.firings").Add(res.SourceFired)
+	if reg := env.metrics(); reg != nil {
+		reg.Counter("exec.accesses").Add(res.Stats.Accesses)
+		reg.Counter("exec.hits").Add(res.Stats.Hits)
+		reg.Counter("exec.misses").Add(res.Stats.Misses)
+		reg.Counter("exec.source.firings").Add(run.SourceFired)
 	}
 	return res, nil
 }

@@ -9,21 +9,13 @@ import (
 	"streamsched/internal/trace"
 )
 
-// curveSpillBytes bounds the in-memory encoded trace during MeasureCurve;
-// longer traces spill to a temporary file.
-const curveSpillBytes = 1 << 30
-
 // CurveResult is the miss-curve analogue of Result: one recorded run of a
 // schedule, profiled into the exact fully-associative LRU miss count for
 // every cache capacity at once. Where Measure answers "how many misses at
 // this one cache size", MeasureCurve answers it for the whole M axis from
 // a single execution.
 type CurveResult struct {
-	Scheduler   string
-	Graph       string
-	SourceFired int64 // source firings during the measured window
-	InputItems  int64 // items produced by the source during the window
-	SinkItems   int64
+	Run
 	// Curve maps cache capacity to exact LRU misses for the measured
 	// window; Curve.MissesAtCapacity(C, B) equals Measure's Stats.Misses
 	// with cachesim.Config{Capacity: C, Block: B}.
@@ -32,11 +24,8 @@ type CurveResult struct {
 	// MeasureCurveOrgs, in request order: per OrgSpec, exact set-associative
 	// LRU misses for every way count and exact FIFO misses at the replayed
 	// way counts, all from the same recorded trace. Empty for MeasureCurve.
-	Orgs        []*trace.OrgCurves
-	BufferWords int64 // total buffer capacity the plan allocated
-	TraceLen    int64 // block accesses recorded (warmup + window)
-	MeanLatency float64
-	MaxLatency  int64
+	Orgs     []*trace.OrgCurves
+	TraceLen int64 // block accesses recorded (warmup + window)
 }
 
 // MissesPerItem evaluates the curve at one cache capacity in words,
@@ -65,78 +54,32 @@ func MeasureCurve(g *sdf.Graph, s Scheduler, env Env, block int64, warm, measure
 // with the corresponding cachesim.Config, still from one execution of the
 // schedule.
 func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, measured int64, orgs []trace.OrgSpec) (*CurveResult, error) {
-	if measured <= 0 {
-		return nil, fmt.Errorf("schedule: measured window must be positive, got %d", measured)
-	}
 	if block <= 0 {
 		return nil, fmt.Errorf("schedule: block size must be positive, got %d", block)
 	}
-	reg := env.metrics()
-	sp := reg.StartSpan("measure[" + s.Name() + "]")
-	defer sp.End()
-	stage := sp.Start("plan")
-	plan, err := s.Prepare(g, env)
-	stage.End()
-	if err != nil {
-		return nil, fmt.Errorf("schedule: prepare %s: %w", s.Name(), err)
-	}
-	log := trace.NewLog()
-	log.SetMetrics(reg)
-	log.SetSpillThreshold(curveSpillBytes)
+	log := recordingLog(env)
 	defer log.Close()
-	// A recording machine simulates no cache (the recording is capacity-
-	// independent); the configuration only fixes the block granularity.
-	m, err := exec.NewMachine(g, exec.Config{
-		Cache:        cachesim.Config{Block: block},
-		Caps:         plan.Caps,
-		TrackLatency: g.Source() != g.Sink(),
-		Recorder:     log,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("schedule: machine for %s: %w", s.Name(), err)
-	}
-	stage = sp.Start("record")
-	if warm > 0 {
-		if err := plan.Runner.Run(m, warm); err != nil {
-			return nil, fmt.Errorf("schedule: warmup %s: %w", s.Name(), err)
-		}
-	}
-	log.MarkWindow()
-	m.ResetLatency()
-	fired0, items0 := m.SourceFirings(), m.InputItems()
-	sink0 := m.SinkItems()
-	if err := plan.Runner.Run(m, fired0+measured); err != nil {
-		return nil, fmt.Errorf("schedule: run %s: %w", s.Name(), err)
-	}
-	if err := m.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("schedule: %s broke conservation: %w", s.Name(), err)
-	}
-	stage.End()
 	// The fully-associative curve is the Sets=1 organisation; profiling it
 	// through ProfileOrgs folds every requested organisation into a single
 	// replay of the log.
-	stage = sp.Start("profile")
-	specs := append([]trace.OrgSpec{{Sets: 1}}, orgs...)
-	profiles, err := trace.ProfileOrgs(log, specs)
-	stage.End()
+	var profiles []*trace.OrgCurves
+	_, run, err := Window{
+		Span: "measure",
+		// A recording machine simulates no cache (the recording is
+		// capacity-independent); the configuration only fixes the block
+		// granularity.
+		Cache:    cachesim.Config{Block: block},
+		Recorder: log,
+		Mark:     func(*exec.Machine) { log.MarkWindow() },
+		Profile: func() (err error) {
+			profiles, err = trace.ProfileOrgs(log, append([]trace.OrgSpec{{Sets: 1}}, orgs...))
+			return err
+		},
+	}.Measure(g, s, env, warm, measured)
 	if err != nil {
-		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)
+		return nil, err
 	}
-	res := &CurveResult{
-		Scheduler:   s.Name(),
-		Graph:       g.Name(),
-		SourceFired: m.SourceFirings() - fired0,
-		InputItems:  m.InputItems() - items0,
-		SinkItems:   m.SinkItems() - sink0,
-		Curve:       profiles[0].LRU.Full(),
-		Orgs:        profiles[1:],
-		TraceLen:    log.Len(),
-	}
-	res.MeanLatency, res.MaxLatency = m.Latency()
-	for _, c := range plan.Caps {
-		res.BufferWords += c
-	}
-	return res, nil
+	return &CurveResult{Run: run, Curve: profiles[0].LRU.Full(), Orgs: profiles[1:], TraceLen: log.Len()}, nil
 }
 
 // SweepCurves records and profiles one curve per scheduler on a bounded
@@ -150,14 +93,7 @@ func SweepCurves(g *sdf.Graph, scheds []Scheduler, env Env, block, warm, measure
 // scheduler's single recorded trace is also profiled under each OrgSpec
 // (see MeasureCurveOrgs).
 func SweepCurveOrgs(g *sdf.Graph, scheds []Scheduler, env Env, block, warm, measured int64, orgs []trace.OrgSpec, workers int) []trace.Outcome[*CurveResult] {
-	jobs := make([]trace.Job[*CurveResult], len(scheds))
-	for i, s := range scheds {
-		jobs[i] = trace.Job[*CurveResult]{
-			Name: s.Name(),
-			Run: func() (*CurveResult, error) {
-				return MeasureCurveOrgs(g, s, env, block, warm, measured, orgs)
-			},
-		}
-	}
-	return trace.Sweep(jobs, workers)
+	return sweep(scheds, workers, func(s Scheduler) (*CurveResult, error) {
+		return MeasureCurveOrgs(g, s, env, block, warm, measured, orgs)
+	})
 }

@@ -15,16 +15,7 @@ import (
 // schedulersForGraph returns every scheduler the cross-validation should
 // cover for a graph of this shape.
 func schedulersForGraph(g *sdf.Graph) []Scheduler {
-	scheds := []Scheduler{FlatTopo{}, Scaled{S: 4}, DemandDriven{}, KohliGreedy{}}
-	switch {
-	case g.IsPipeline():
-		scheds = append(scheds, PartitionedPipeline{})
-	case g.IsHomogeneous():
-		scheds = append(scheds, PartitionedHomogeneous{})
-	default:
-		scheds = append(scheds, PartitionedBatch{})
-	}
-	return scheds
+	return append(Baselines(), Partitioned(g, nil))
 }
 
 // TestMeasureCurveMatchesMeasure is the property test for the miss-curve

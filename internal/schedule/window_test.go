@@ -1,0 +1,77 @@
+package schedule
+
+import (
+	"testing"
+
+	"streamsched/internal/cachesim"
+	"streamsched/internal/hierarchy"
+	"streamsched/internal/sdf"
+)
+
+// TestOneWindowOneHeader is what "one driver" promises: for every registry
+// name on every graph shape, Measure, MeasureCurve, MeasureHier and
+// MeasureHierPoint at the same (g, s, env, warm, measured) ran the same
+// window, so their Run headers — firings, items, buffer words, latency —
+// are identical, whatever each was counting.
+func TestOneWindowOneHeader(t *testing.T) {
+	// split feeds a at twice b's rate; a's doubled stream is halved again
+	// at the join, so the rates balance without being uniform.
+	b := sdf.NewBuilder("inhdag")
+	src, split := b.AddNode("src", 0), b.AddNode("split", 64)
+	a, bb := b.AddNode("a", 96), b.AddNode("b", 48)
+	join, sink := b.AddNode("join", 64), b.AddNode("sink", 0)
+	b.Connect(src, split, 1, 1)
+	b.Connect(split, a, 2, 1)
+	b.Connect(split, bb, 1, 1)
+	b.Connect(a, join, 1, 2)
+	b.Connect(bb, join, 1, 1)
+	b.Connect(join, sink, 1, 1)
+	inhDag, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inhDag.IsPipeline() || inhDag.IsHomogeneous() {
+		t.Fatalf("%s is not an inhomogeneous dag", inhDag)
+	}
+	env := Env{M: 256, B: 16}
+	spec := hierarchy.HierSpec{
+		Block: env.B,
+		L1s:   []hierarchy.Level{hierLv(256, 16, 0, cachesim.LRU)},
+		L2s:   []hierarchy.Level{hierLv(2048, 16, 4, cachesim.LRU)},
+	}
+	const warm, measured = 96, 320
+	for _, g := range []*sdf.Graph{uniformPipeline(t, 10, 64), splitJoin(t, 3, 64), inhDag} {
+		for _, name := range []string{"flat", "scaled", "demand", "kohli", "partitioned"} {
+			s, err := ByName(name, g, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mr, err := Measure(g, s, env, testCacheCfg(512), warm, measured)
+			if err != nil {
+				t.Fatalf("%s/%s Measure: %v", g.Name(), name, err)
+			}
+			cr, err := MeasureCurve(g, s, env, env.B, warm, measured)
+			if err != nil {
+				t.Fatalf("%s/%s MeasureCurve: %v", g.Name(), name, err)
+			}
+			hr, err := MeasureHier(g, s, env, spec, warm, measured)
+			if err != nil {
+				t.Fatalf("%s/%s MeasureHier: %v", g.Name(), name, err)
+			}
+			pt, err := MeasureHierPoint(g, s, env, spec.Config(0, 0), warm, measured)
+			if err != nil {
+				t.Fatalf("%s/%s MeasureHierPoint: %v", g.Name(), name, err)
+			}
+			want := mr.Run
+			if want.Scheduler != s.Name() || want.Graph != g.Name() || want.SourceFired < measured ||
+				want.InputItems <= 0 || want.BufferWords <= 0 || want.MaxLatency < 0 {
+				t.Errorf("%s/%s: implausible header %+v", g.Name(), name, want)
+			}
+			for path, got := range map[string]Run{"MeasureCurve": cr.Run, "MeasureHier": hr.Run, "MeasureHierPoint": pt.Run} {
+				if got != want {
+					t.Errorf("%s/%s: %s header %+v, Measure's %+v", g.Name(), name, path, got, want)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"streamsched/internal/plancache"
@@ -50,6 +51,10 @@ type PlanRequest struct {
 	// Scale is the scaling factor for the scaled scheduler (default 4;
 	// ignored by the others but always part of the cache key).
 	Scale int64 `json:"scale"`
+
+	// sched is Scheduler resolved against the graph (schedule.ByName);
+	// normalize sets it.
+	sched schedule.Scheduler
 }
 
 // ProfileRequest asks for a full miss-curve profile of one planned
@@ -167,8 +172,8 @@ func (r *PlanRequest) normalize() (*sdf.Graph, error) {
 	if r.Scale <= 0 {
 		return nil, badRequestf("scale must be positive, got %d", r.Scale)
 	}
-	if _, err := schedulerFor(r.Scheduler, g, r.Scale); err != nil {
-		return nil, err
+	if r.sched, err = schedule.ByName(r.Scheduler, g, r.Scale); err != nil {
+		return nil, badRequestf("%v (want flat, scaled, demand, kohli, or partitioned)", err)
 	}
 	return g, nil
 }
@@ -192,6 +197,13 @@ func (r *ProfileRequest) normalize() (*sdf.Graph, error) {
 	if r.Measure <= 0 {
 		return nil, badRequestf("measure must be positive, got %d", r.Measure)
 	}
+	// The window ends at warm + measure source firings (or a little later:
+	// batch schedulers overshoot warm-up, which the engine re-checks);
+	// refuse a sum that cannot fit rather than run, or cache, such a
+	// request.
+	if r.Measure > math.MaxInt64-r.Warm {
+		return nil, badRequestf("warm %d + measure %d overflows int64", r.Warm, r.Measure)
+	}
 	// Canonicalise the capacity grid: block-align down, dedupe, sort.
 	if len(r.Caps) > 0 {
 		aligned := make([]int64, 0, len(r.Caps))
@@ -210,32 +222,6 @@ func (r *ProfileRequest) normalize() (*sdf.Graph, error) {
 		r.Caps = aligned
 	}
 	return g, nil
-}
-
-// schedulerFor resolves a scheduler name against a graph, mirroring the
-// CLI's registry ("partitioned" picks the shape-appropriate variant).
-func schedulerFor(name string, g *sdf.Graph, scale int64) (schedule.Scheduler, error) {
-	switch name {
-	case "flat":
-		return schedule.FlatTopo{}, nil
-	case "scaled":
-		return schedule.Scaled{S: scale}, nil
-	case "demand":
-		return schedule.DemandDriven{}, nil
-	case "kohli":
-		return schedule.KohliGreedy{}, nil
-	case "partitioned":
-		switch {
-		case g.IsPipeline():
-			return schedule.PartitionedPipeline{}, nil
-		case g.IsHomogeneous():
-			return schedule.PartitionedHomogeneous{}, nil
-		default:
-			return schedule.PartitionedBatch{}, nil
-		}
-	default:
-		return nil, badRequestf("unknown scheduler %q (want flat, scaled, demand, kohli, or partitioned)", name)
-	}
 }
 
 // digestGraph writes the graph's semantic content — not its JSON

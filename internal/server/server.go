@@ -56,6 +56,7 @@ import (
 	"streamsched/internal/plancache"
 	"streamsched/internal/schedule"
 	"streamsched/internal/sdf"
+	"streamsched/internal/trace"
 )
 
 // EngineVersion names the planning/profiling engine semantics baked into
@@ -417,10 +418,7 @@ func (s *Server) profileBody(body []byte) (plancache.Key, func() ([]byte, error)
 
 // computePlan runs the scheduler and serialises the response body.
 func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) ([]byte, error) {
-	sched, err := schedulerFor(req.Scheduler, g, req.Scale)
-	if err != nil {
-		return nil, err
-	}
+	sched := req.sched
 	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg}
 	plan, err := sched.Prepare(g, env)
 	if err != nil {
@@ -450,10 +448,7 @@ func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) 
 // computeProfile records and profiles one schedule and serialises the
 // response body.
 func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache.Key) ([]byte, error) {
-	sched, err := schedulerFor(req.Scheduler, g, req.Scale)
-	if err != nil {
-		return nil, err
-	}
+	sched := req.sched
 	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg}
 	cr, err := schedule.MeasureCurve(g, sched, env, req.B, req.Warm, req.Measure)
 	if err != nil {
@@ -461,7 +456,7 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 	}
 	caps := req.Caps
 	if len(caps) == 0 {
-		caps = defaultGrid(req.B, cr.Curve.SaturationLines())
+		caps = trace.DefaultCapacityGrid(req.B, cr.Curve.SaturationLines())
 	}
 	resp := &ProfileResponse{
 		Engine:          s.cfg.Engine,
@@ -487,21 +482,6 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 		})
 	}
 	return marshalBody(resp)
-}
-
-// defaultGrid is the capacity grid used when a profile request names no
-// caps: powers of two in whole blocks, one block to just past the
-// working set.
-func defaultGrid(block, workingSetLines int64) []int64 {
-	maxWords := workingSetLines * block
-	var caps []int64
-	for c := block; ; c *= 2 {
-		caps = append(caps, c)
-		if c >= 2*maxWords {
-			break
-		}
-	}
-	return caps
 }
 
 // handleStats serves cache/pool stats as JSON (not cached, not part of

@@ -257,7 +257,7 @@ func TestDistinctRequestsDoNotCoalesce(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{MaxBodyBytes: 4096})
+	srv, ts, _ := newTestServer(t, Config{MaxBodyBytes: 4096})
 	graph := testGraphJSON(t, 16)
 	cases := []struct {
 		name   string
@@ -273,6 +273,9 @@ func TestErrorPaths(t *testing.T) {
 		{"bad m", "POST", "/v1/plan", string(planBody(t, graph, `, "m": -1`)), http.StatusBadRequest, CodeBadRequest},
 		{"unknown scheduler", "POST", "/v1/plan", string(planBody(t, graph, `, "scheduler": "nope"`)), http.StatusBadRequest, CodeBadRequest},
 		{"bad measure", "POST", "/v1/profile", string(planBody(t, graph, `, "measure": -5`)), http.StatusBadRequest, CodeBadRequest},
+		// warm (default 1024) + measure does not fit in int64: the window's
+		// end wrapped negative and the engine answered 200 with all zeros.
+		{"window overflow", "POST", "/v1/profile", string(planBody(t, graph, `, "measure": 9223372036854775807`)), http.StatusBadRequest, CodeBadRequest},
 		{"tiny cap", "POST", "/v1/profile", string(planBody(t, graph, `, "caps": [1]`)), http.StatusBadRequest, CodeBadRequest},
 		{"get on plan", "GET", "/v1/plan", "", http.StatusMethodNotAllowed, CodeMethod},
 		{"unknown path", "GET", "/v1/nope", "", http.StatusNotFound, CodeNotFound},
@@ -300,7 +303,13 @@ func TestErrorPaths(t *testing.T) {
 			if er.Code != tc.code {
 				t.Fatalf("code %q, want %q (%s)", er.Code, tc.code, er.Error)
 			}
+			if tc.name == "unknown scheduler" && er.Error != `unknown scheduler "nope" (want flat, scaled, demand, kohli, or partitioned)` {
+				t.Fatalf("unknown-scheduler message changed: %q", er.Error)
+			}
 		})
+	}
+	if n := srv.Cache().Len(); n != 0 {
+		t.Fatalf("rejected requests left %d cache entries", n)
 	}
 }
 

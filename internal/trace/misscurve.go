@@ -68,3 +68,19 @@ func (c *MissCurve) SaturationLines() int64 {
 	}
 	return int64(len(c.suffix)) - 2
 }
+
+// DefaultCapacityGrid is the capacity grid (in words) a curve is reported
+// at when the caller names none: powers of two in whole blocks, from one
+// block to just past a working set of workingSetLines blocks (see
+// SaturationLines). The CLI and the daemon share it.
+func DefaultCapacityGrid(block, workingSetLines int64) []int64 {
+	maxWords := workingSetLines * block
+	var caps []int64
+	for c := block; ; c *= 2 {
+		caps = append(caps, c)
+		if c >= 2*maxWords {
+			break
+		}
+	}
+	return caps
+}

@@ -39,6 +39,10 @@ type (
 	Env = schedule.Env
 	// Scheduler plans the execution of a graph.
 	Scheduler = schedule.Scheduler
+	// Run is the measured-window header (scheduler, graph, window counts,
+	// buffer words, item latency) that Result, CurveResult, HierResult and
+	// HierPointResult embed.
+	Run = schedule.Run
 	// Result summarises a measured simulation.
 	Result = schedule.Result
 	// Bound is a computed lower-bound quantity.
@@ -166,42 +170,17 @@ func PartitionExact(g *Graph, bound int64) (*Partition, error) {
 // graph's shape: the half-full-rule pipeline scheduler for pipelines, the
 // T=M batching scheduler for homogeneous dags, and the general batch
 // scheduler otherwise. The partition is computed at Prepare time.
-func AutoScheduler(g *Graph) Scheduler {
-	switch {
-	case g.IsPipeline():
-		return schedule.PartitionedPipeline{}
-	case g.IsHomogeneous():
-		return schedule.PartitionedHomogeneous{}
-	default:
-		return schedule.PartitionedBatch{}
-	}
-}
+func AutoScheduler(g *Graph) Scheduler { return schedule.Partitioned(g, nil) }
 
 // PartitionedScheduler returns the shape-appropriate partitioned scheduler
 // pinned to a specific partition.
-func PartitionedScheduler(g *Graph, p *Partition) Scheduler {
-	switch {
-	case g.IsPipeline():
-		return schedule.PartitionedPipeline{P: p}
-	case g.IsHomogeneous():
-		return schedule.PartitionedHomogeneous{P: p}
-	default:
-		return schedule.PartitionedBatch{P: p}
-	}
-}
+func PartitionedScheduler(g *Graph, p *Partition) Scheduler { return schedule.Partitioned(g, p) }
 
 // Baselines returns the comparison schedulers from the paper's related
 // work: the flat single-appearance schedule, Sermulins-style execution
 // scaling, the minimal-buffer demand-driven schedule, and the Kohli-style
 // greedy heuristic.
-func Baselines() []Scheduler {
-	return []Scheduler{
-		schedule.FlatTopo{},
-		schedule.Scaled{S: 4},
-		schedule.DemandDriven{},
-		schedule.KohliGreedy{},
-	}
-}
+func Baselines() []Scheduler { return schedule.Baselines() }
 
 // ScaledScheduler returns the Sermulins-style baseline with scaling factor s.
 func ScaledScheduler(s int64) Scheduler { return schedule.Scaled{S: s} }

@@ -1,11 +1,20 @@
 package streamsched_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"streamsched"
+	"streamsched/internal/obs"
+	"streamsched/internal/parallel"
+	"streamsched/internal/schedule"
+	"streamsched/internal/server"
 	"streamsched/workloads"
 )
 
@@ -66,27 +75,132 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
+// TestAutoSchedulerShapes pins the scheduler registry from every side that
+// resolves through it: for each graph shape, schedule.ByName("partitioned"),
+// AutoScheduler, PartitionedScheduler and the daemon's resolved scheduler
+// string name the same variant; an unknown name is a 400 on the daemon.
 func TestAutoSchedulerShapes(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Config{Metrics: obs.NewRegistry()}).Handler())
+	defer ts.Close()
+	plan := func(g *streamsched.Graph, sched string) (int, string) {
+		var body bytes.Buffer
+		body.WriteString(`{"m": 512, "scheduler": "` + sched + `", "graph": `)
+		if err := g.WriteJSON(&body); err != nil {
+			t.Fatal(err)
+		}
+		body.WriteString("}")
+		resp, err := http.Post(ts.URL+"/v1/plan", "application/json", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var pr struct{ Scheduler, Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, pr.Scheduler + pr.Error
+	}
 	fm, err := workloads.FMRadio(4, 64)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := streamsched.AutoScheduler(fm).Name(); got != "partitioned-homog" {
-		t.Errorf("fmradio scheduler = %s", got)
 	}
 	fb, err := workloads.Filterbank(4, 4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := streamsched.AutoScheduler(fb).Name(); got != "partitioned-batch" {
-		t.Errorf("filterbank scheduler = %s", got)
-	}
 	mp3, err := workloads.MP3Decoder(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := streamsched.AutoScheduler(mp3).Name(); got != "partitioned-pipeline" {
-		t.Errorf("mp3 scheduler = %s", got)
+	for _, tc := range []struct {
+		g    *streamsched.Graph
+		want string
+	}{
+		{fm, "partitioned-homog"},
+		{fb, "partitioned-batch"},
+		{mp3, "partitioned-pipeline"},
+	} {
+		if got := streamsched.AutoScheduler(tc.g).Name(); got != tc.want {
+			t.Errorf("%s scheduler = %s, want %s", tc.g.Name(), got, tc.want)
+		}
+		byName, err := schedule.ByName("partitioned", tc.g, 4)
+		if err != nil || byName.Name() != tc.want {
+			t.Errorf("%s: ByName(partitioned) = %v, %v, want %s", tc.g.Name(), byName, err, tc.want)
+		}
+		p, err := streamsched.PartitionGraph(tc.g, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := streamsched.PartitionedScheduler(tc.g, p).Name(); got != tc.want {
+			t.Errorf("%s pinned scheduler = %s, want %s", tc.g.Name(), got, tc.want)
+		}
+		if status, got := plan(tc.g, "partitioned"); status != http.StatusOK || got != tc.want {
+			t.Errorf("%s: daemon resolved %d %q, want %s", tc.g.Name(), status, got, tc.want)
+		}
+	}
+	if _, err := schedule.ByName("nope", fm, 4); err == nil || err.Error() != `unknown scheduler "nope"` {
+		t.Errorf("ByName(nope) = %v", err)
+	}
+	if status, msg := plan(fm, "nope"); status != http.StatusBadRequest || !strings.Contains(msg, `unknown scheduler "nope"`) {
+		t.Errorf("daemon answered an unknown scheduler with %d %q", status, msg)
+	}
+	var names []string
+	for _, s := range streamsched.Baselines() {
+		names = append(names, s.Name())
+	}
+	for i, n := range []string{"flat", "scaled", "demand", "kohli"} {
+		s, err := schedule.ByName(n, fm, 4)
+		if err != nil || s.Name() != names[i] {
+			t.Errorf("ByName(%s) = %v, %v; Baselines()[%d] is %s", n, s, err, i, names[i])
+		}
+	}
+}
+
+// TestWindowOverflowRejected: a measured window whose end (warm-up firings
+// plus measured) does not fit in int64 is refused by every path that runs
+// one. Before the guard the sum wrapped negative, the run loop exited at
+// once, and every caller got a nil error and an all-zero result.
+func TestWindowOverflowRejected(t *testing.T) {
+	g := buildPipeline(t, 8, 64)
+	env := streamsched.Env{M: 256, B: 16}
+	s := streamsched.AutoScheduler(g)
+	lv := func(capacity int64) streamsched.HierLevel {
+		return streamsched.HierLevel{Capacity: capacity, Block: 16}
+	}
+	const warm, measured = 1024, math.MaxInt64
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Simulate", func() error {
+			_, err := streamsched.Simulate(g, s, env, streamsched.CacheConfig{Capacity: 512, Block: 16}, warm, measured)
+			return err
+		}},
+		{"SimulateCurve", func() error {
+			_, err := streamsched.SimulateCurve(g, s, env, 16, warm, measured)
+			return err
+		}},
+		{"SimulateHier", func() error {
+			spec := streamsched.HierSpec{Block: 16, L1s: []streamsched.HierLevel{lv(256)}, L2s: []streamsched.HierLevel{lv(2048)}}
+			_, err := streamsched.SimulateHier(g, s, env, spec, warm, measured)
+			return err
+		}},
+		{"SimulateHierPoint", func() error {
+			_, err := streamsched.SimulateHierPoint(g, s, env, streamsched.HierConfig{L1: lv(256), L2: lv(2048)}, warm, measured)
+			return err
+		}},
+		{"RunTraced", func() error {
+			cfg := streamsched.ParallelConfig{Procs: 2, Env: env, Cache: streamsched.CacheConfig{Capacity: 512, Block: 16}}
+			_, plog, err := parallel.RunTraced(g, nil, cfg, warm, measured)
+			if err == nil {
+				plog.Close()
+			}
+			return err
+		}},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("%s(warm=%d, measured=MaxInt64) = %v, want an overflow error", tc.name, warm, err)
+		}
 	}
 }
 
