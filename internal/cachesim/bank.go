@@ -7,8 +7,8 @@ import "fmt"
 // dirty tracking, or statistics. It exists so multi-level hierarchies
 // (internal/hierarchy) can compose levels out of exact single-level
 // building blocks: a two-level simulator is two Banks with the L1's miss
-// stream feeding the L2, and the one-pass hierarchy profiler uses a Bank
-// as the exact L1 filter in front of the per-set trace profilers.
+// stream feeding the L2, and a Bank replay is the oracle the one-pass
+// hierarchy profiler's derived L1 miss streams are tested against.
 //
 // Placement mirrors Cache exactly: block blk lives in set blk mod sets.
 // Within a set the entries are kept in policy order, newest first — LRU

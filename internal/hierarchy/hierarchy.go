@@ -13,13 +13,15 @@
 //     modes, with per-level hit/miss counters and an AMAT-style composed
 //     cost model.
 //   - ProfileHier is the one-pass evaluation path built on the
-//     internal/trace machinery: record one log per scheduler, compute L1
-//     miss curves via trace.OrgProfilers, and in the same replay filter the
-//     trace through an exact L1 replica per L1 design point and profile the
-//     filtered miss stream — request-bounded per-set Mattson stacks for
-//     LRU, one residency bit per FIFO point — to produce exact L2 curves
-//     for every L2 organisation. One recorded execution answers the whole
-//     (L1, L2) grid.
+//     internal/trace machinery: record one log per scheduler and replay it
+//     once through trace.OrgProfilers over the L1 grid. One stack touch per
+//     access yields the exact L1 curves and decides, for every L1 design
+//     point at once, whether the access missed there (LRU: found deeper
+//     than the point's ways in its set-count family; FIFO: absent from the
+//     point's replica); each point's miss stream, coarsened per L2 block
+//     ratio, feeds a trace.OrgProfilers built from the L2 grid the same
+//     way. A hierarchy is profilers feeding profilers, and one recorded
+//     execution answers the whole (L1, L2) grid.
 //
 // The composition is exact for non-inclusive hierarchies because the L2's
 // reference stream is precisely the L1 miss stream, which is a
@@ -32,16 +34,11 @@
 // feeding one shared L2 in the interleaved order a parallel run emitted
 // (trace.ProcLog): SharedSim is the exact simulator (per-processor
 // counters, attributed L2 traffic, makespan under the cost model) and
-// ProfileShared the one-pass grid evaluator — per-processor L1 replicas
-// whose merged miss stream drives the shared-L2 profilers. Experiment E21
-// cross-validates every shared grid point against SharedSim.
-//
-// Both one-pass profilers are one engine — a hierarchy is profilers
-// feeding profilers. Each L1 design point is a filter: an exact Bank per
-// processor (one for ProfileHier, P for ProfileShared) whose miss stream,
-// coarsened per L2 block ratio, feeds a trace.OrgProfilers built from the
-// L2 grid the same way the L1 curves' OrgProfilers is built from the L1
-// grid. Everything runs inline on the calling goroutine in one replay.
+// ProfileShared the one-pass grid evaluator — ProfileHier's engine with
+// one L1 OrgProfilers per processor, their merged miss streams driving the
+// shared-L2 profilers. Experiment E21 cross-validates every shared grid
+// point against SharedSim. Everything runs inline on the calling goroutine
+// in one replay.
 package hierarchy
 
 import (

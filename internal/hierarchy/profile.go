@@ -87,13 +87,15 @@ func (c *HierCurves) AMAT(i, j int, cm CostModel) float64 {
 	return cm.AMAT(c.Accesses, c.L1Misses[i], c.L2Misses[i][j])
 }
 
-// filter is one L1 design point of a hierarchy pass: an exact
-// cachesim.Bank replica and a windowed miss counter per processor (one
-// processor in ProfileHier, the trace's count in ProfileShared), and the L2
-// stage its miss stream — interleaved in recorded order — feeds: one
+// filter is one L1 design point of a hierarchy pass. It holds no cache: the
+// stack touch of the processor's L1 organisation profilers has decided, for
+// every point at once, whether an access missed, and point is where to read
+// this one's verdict. The filter owns a windowed miss counter per processor
+// (one in ProfileHier, the trace's count in ProfileShared) and the L2 stage
+// its miss stream — interleaved in recorded order — feeds: one
 // trace.OrgProfilers per distinct L2 block ratio.
 type filter struct {
-	banks  []*cachesim.Bank
+	point  trace.OrgPoint
 	misses []int64
 	l2     []l2Stage
 }
@@ -118,6 +120,7 @@ type l2Grid struct {
 // l2Shape is what one l2Stage is built from and read back through.
 type l2Shape struct {
 	ratio   int64
+	levels  []Level
 	specs   []trace.OrgSpec
 	specIdx map[int64]int // set count -> spec
 }
@@ -125,38 +128,55 @@ type l2Shape struct {
 func newL2Grid(block int64, l2s []Level) *l2Grid {
 	g := &l2Grid{levels: l2s, shapeOf: make([]int, len(l2s))}
 	at := make(map[int64]int)
-	var byRatio [][]Level
 	for j, l2 := range l2s {
 		r := l2.Block / block
 		k, ok := at[r]
 		if !ok {
-			k = len(byRatio)
+			k = len(g.shapes)
 			at[r] = k
-			byRatio = append(byRatio, nil)
 			g.shapes = append(g.shapes, l2Shape{ratio: r})
 		}
-		byRatio[k] = append(byRatio[k], l2)
+		g.shapes[k].levels = append(g.shapes[k].levels, l2)
 		g.shapeOf[j] = k
 	}
 	for k := range g.shapes {
-		g.shapes[k].specs, g.shapes[k].specIdx = hierOrgSpecs(byRatio[k])
+		sh := &g.shapes[k]
+		sh.specs, sh.specIdx = hierOrgSpecs(sh.levels)
 	}
 	return g
 }
 
-// newFilters assembles one filter per L1 design point, with procs private
-// replicas each.
-func (g *l2Grid) newFilters(l1s []Level, procs int) ([]*filter, error) {
-	filters := make([]*filter, len(l1s))
+// l1Stage is the first level of a hierarchy pass: per processor one
+// trace.OrgProfilers over the L1 grid's organisation specs (same-set-count
+// points share a single stack touch), and one filter per L1 design point
+// reading its misses off them.
+type l1Stage struct {
+	levels  []Level
+	specIdx map[int64]int         // set count -> spec of the processors' profilers
+	orgs    []*trace.OrgProfilers // per processor
+	filters []*filter
+	grid    *l2Grid
+}
+
+// newL1Stage builds the stage of procs processors over a validated grid
+// recorded at the given block size.
+func newL1Stage(block int64, l1s, l2s []Level, procs int) (*l1Stage, error) {
+	specs, specIdx := hierOrgSpecs(l1s)
+	g := newL2Grid(block, l2s)
+	st := &l1Stage{levels: l1s, specIdx: specIdx, orgs: make([]*trace.OrgProfilers, procs), filters: make([]*filter, len(l1s)), grid: g}
+	for p := range st.orgs {
+		orgs, err := trace.NewOrgProfilers(specs)
+		if err != nil {
+			return nil, err
+		}
+		st.orgs[p] = orgs
+	}
 	for i, l1 := range l1s {
-		f := &filter{
-			banks:  make([]*cachesim.Bank, procs),
-			misses: make([]int64, procs),
-			l2:     make([]l2Stage, len(g.shapes)),
+		pt, ok := st.orgs[0].Point(specIdx[l1.Sets()], l1.EffWays(), l1.Policy == cachesim.FIFO)
+		if !ok {
+			return nil, fmt.Errorf("hierarchy: internal: L1 point %d not covered by its organisation profilers", i)
 		}
-		for p := range f.banks {
-			f.banks[p] = l1.bank()
-		}
+		f := &filter{point: pt, misses: make([]int64, procs), l2: make([]l2Stage, len(g.shapes))}
 		for k, sh := range g.shapes {
 			prof, err := trace.NewOrgProfilers(sh.specs)
 			if err != nil {
@@ -164,46 +184,90 @@ func (g *l2Grid) newFilters(l1s []Level, procs int) ([]*filter, error) {
 			}
 			f.l2[k] = l2Stage{ratio: sh.ratio, prof: prof}
 		}
-		filters[i] = f
+		st.filters[i] = f
 	}
-	return filters, nil
+	return st, nil
 }
 
-// touch runs one trace access through processor proc's replica; on a miss
-// the filtered block feeds every L2 stage at its own granularity.
-func (f *filter) touch(proc int, blk int64) {
-	b := f.banks[proc]
-	if b.Access(blk) {
-		return
-	}
-	b.Insert(blk)
-	f.misses[proc]++
-	for _, s := range f.l2 {
-		s.prof.Touch(coarsen(blk, s.ratio))
+// touch runs one trace access by processor proc through its L1 profilers;
+// at every L1 point it missed, the block feeds each L2 stage at the stage's
+// own granularity.
+func (st *l1Stage) touch(proc int, blk int64) {
+	orgs := st.orgs[proc]
+	orgs.Touch(blk)
+	for _, f := range st.filters {
+		if !orgs.Missed(f.point) {
+			continue
+		}
+		f.misses[proc]++
+		for _, s := range f.l2 {
+			s.prof.Touch(coarsen(blk, s.ratio))
+		}
 	}
 }
 
-// resetCounts starts the measured window: miss counters and L2 histograms
-// reset, warm cache and stack state kept.
-func (f *filter) resetCounts() {
-	clear(f.misses)
-	for _, s := range f.l2 {
-		s.prof.ResetCounts()
+// resetCounts starts the measured window: histograms and miss counters
+// reset, warm stack state kept.
+func (st *l1Stage) resetCounts() {
+	for _, orgs := range st.orgs {
+		orgs.ResetCounts()
 	}
+	for _, f := range st.filters {
+		clear(f.misses)
+		for _, s := range f.l2 {
+			s.prof.ResetCounts()
+		}
+	}
+}
+
+// collect closes the pass: per-processor counted accesses, L1 miss counts
+// by (point, processor) and L2 miss counts by (L1 point, L2 point). Two
+// conservation checks ride along for free: each filter's event count must
+// equal its point's own curve value (the same stack touches, summed per
+// event and per depth histogram), and every L2 stage must have counted
+// exactly the accesses its filter emitted.
+func (st *l1Stage) collect() (accesses []int64, l1, l2 [][]int64, err error) {
+	accesses = make([]int64, len(st.orgs))
+	for p, orgs := range st.orgs {
+		curves := orgs.Curves()
+		accesses[p] = curves[0].LRU.Accesses
+		for i, lv := range st.levels {
+			misses, _ := levelMisses(curves, st.specIdx, lv) // covered: newL1Stage resolved its Point
+			if got := st.filters[i].misses[p]; got != misses {
+				return nil, nil, nil, fmt.Errorf("hierarchy: internal: L1 point %d filter saw %d misses, curve says %d (processor %d)",
+					i, got, misses, p)
+			}
+		}
+	}
+	l1, l2 = make([][]int64, len(st.filters)), make([][]int64, len(st.filters))
+	for i, f := range st.filters {
+		l1[i] = f.misses
+		if l2[i], err = st.grid.row(f); err != nil {
+			return nil, nil, nil, fmt.Errorf("hierarchy: internal: L1 point %d: %w", i, err)
+		}
+	}
+	return accesses, l1, l2, nil
 }
 
 // row extracts one filter's L2 miss counts, in L2-spec order.
 func (g *l2Grid) row(f *filter) ([]int64, error) {
+	var emitted int64
+	for _, m := range f.misses {
+		emitted += m
+	}
 	curves := make([][]*trace.OrgCurves, len(f.l2))
 	for k, s := range f.l2 {
 		curves[k] = s.prof.Curves()
+		if got := curves[k][0].LRU.Accesses; got != emitted {
+			return nil, fmt.Errorf("filter emitted %d misses, its L2 stage at block ratio %d counted %d accesses", emitted, s.ratio, got)
+		}
 	}
 	row := make([]int64, len(g.levels))
 	for j, l2 := range g.levels {
 		k := g.shapeOf[j]
 		m, ok := levelMisses(curves[k], g.shapes[k].specIdx, l2)
 		if !ok {
-			return nil, fmt.Errorf("hierarchy: internal: L2 point %d not covered by its organisation curve", j)
+			return nil, fmt.Errorf("L2 point %d not covered by its organisation curve", j)
 		}
 		row[j] = m
 	}
@@ -217,126 +281,79 @@ func levelMisses(curves []*trace.OrgCurves, specIdx map[int64]int, lv Level) (in
 }
 
 // hierOrgSpecs groups design points into organisation specs by set count
-// (FIFO points adding their way counts to the family's replay list, every
-// point raising the spec's MaxWays to its own way count so the stacks are
-// truncated at the deepest point the grid evaluates), returning the
-// set-count → spec-index map used to find each point's curves again. The
-// L1 points and each block ratio's L2 points go through it alike.
+// (trace.AddPoint), returning the set-count → spec-index map used to find
+// each point's curves again. The L1 points and each block ratio's L2 points
+// go through it alike.
 func hierOrgSpecs(levels []Level) ([]trace.OrgSpec, map[int64]int) {
 	specIdx := make(map[int64]int)
-	var orgSpecs []trace.OrgSpec
+	var specs []trace.OrgSpec
 	for _, lv := range levels {
-		sets := lv.Sets()
-		idx, ok := specIdx[sets]
-		if !ok {
-			idx = len(orgSpecs)
-			specIdx[sets] = idx
-			orgSpecs = append(orgSpecs, trace.OrgSpec{Sets: sets})
-		}
-		if lv.Policy == cachesim.FIFO {
-			orgSpecs[idx].FIFOWays = append(orgSpecs[idx].FIFOWays, lv.EffWays())
-		}
-		if w := lv.EffWays(); w > orgSpecs[idx].MaxWays {
-			orgSpecs[idx].MaxWays = w
-		}
+		specs = trace.AddPoint(specs, specIdx, lv.Sets(), lv.EffWays(), lv.Policy == cachesim.FIFO)
 	}
-	return orgSpecs, specIdx
+	return specs, specIdx
 }
 
-// publishFilterMetrics records one hierarchy pass's filter and L2 totals
-// (no-op when reg is nil): the filter-stream length (accesses the L1
-// filters let through — the combined length of the streams that fed the L2
-// profilers), the L2 timeline work, and the grid size.
-func publishFilterMetrics(reg *obs.Registry, filters []*filter, points int) {
+// publish records one hierarchy pass's totals (no-op when reg is nil): the
+// counted accesses, the filter-stream length (accesses the L1 points let
+// through — the combined length of the streams that fed the L2 profilers),
+// the timeline work of both levels, and the grid size.
+func (st *l1Stage) publish(reg *obs.Registry, accesses []int64, points int) {
 	if reg == nil {
 		return
 	}
-	var misses, l2Ops int64
-	for _, f := range filters {
+	var total, misses, ops int64
+	for p, orgs := range st.orgs {
+		total += accesses[p]
+		ops += orgs.TimelineOps()
+	}
+	for _, f := range st.filters {
 		for _, m := range f.misses {
 			misses += m
 		}
 		for _, s := range f.l2 {
-			l2Ops += s.prof.TimelineOps()
+			ops += s.prof.TimelineOps()
 		}
 	}
+	reg.Counter("trace.profile.accesses").Add(total)
+	reg.Counter("trace.profile.timeline.ops").Add(ops)
+	reg.Counter("trace.profile.passes").Add(1)
 	reg.Counter("hier.filter.misses").Add(misses)
-	reg.Counter("trace.profile.timeline.ops").Add(l2Ops)
 	reg.Counter("hier.profile.points").Add(int64(points))
 }
 
 // ProfileHier evaluates the whole (L1, L2) grid from one recorded log in
-// a single replay: the organisation profilers (exact L1 curves) and the
-// per-point L1 filters (whose miss streams drive the L2 profilers) ride
-// the same ForEach, so a spilled trace is read off disk exactly once. The
-// replay honours the log's measured window, and the filters' windowed miss
-// counts are cross-checked against the organisation curves — two
-// independent implementations of every L1 point agreeing access for
-// access.
+// a single replay, so a spilled trace is read off disk exactly once: each
+// access is one touch of the L1 organisation profilers, which yields the
+// exact L1 curves and, per L1 point, whether the access goes on to that
+// point's L2 profilers. The replay honours the log's measured window.
 func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	grid := newL2Grid(spec.Block, spec.L2s)
-	filters, err := grid.newFilters(spec.L1s, 1)
+	st, err := newL1Stage(spec.Block, spec.L1s, spec.L2s, 1)
 	if err != nil {
 		return nil, err
 	}
-	return profileHier(l, spec, grid, filters)
+	return profileHier(l, spec, st)
 }
 
-// profileHier is ProfileHier over already-built filters.
-func profileHier(l *trace.Log, spec HierSpec, grid *l2Grid, filters []*filter) (*HierCurves, error) {
-	// L1 curves via the organisation profilers.
-	orgSpecs, specIdx := hierOrgSpecs(spec.L1s)
-	orgProfs, err := trace.NewOrgProfilers(orgSpecs)
-	if err != nil {
-		return nil, err
-	}
-
-	// One pass drives both the L1 curves and the filtered L2 profilers.
+// profileHier is ProfileHier over an already-built stage.
+func profileHier(l *trace.Log, spec HierSpec, st *l1Stage) (*HierCurves, error) {
 	reg := l.Metrics()
 	stop := reg.Timer("hier.profile").Start()
-	err = l.ForEachWindowed(func() {
-		orgProfs.ResetCounts()
-		for _, f := range filters {
-			f.resetCounts()
-		}
-	}, func(blk int64) {
-		orgProfs.Touch(blk)
-		for _, f := range filters {
-			f.touch(0, blk)
-		}
-	})
+	if err := l.ForEachWindowed(st.resetCounts, func(blk int64) { st.touch(0, blk) }); err != nil {
+		return nil, err
+	}
+	accesses, l1, l2, err := st.collect()
 	if err != nil {
 		return nil, err
 	}
-	orgCurves := orgProfs.Curves()
-
-	out := &HierCurves{
-		Spec:     spec,
-		Accesses: orgCurves[0].LRU.Accesses,
-		L1Misses: make([]int64, len(spec.L1s)),
-		L2Misses: make([][]int64, len(spec.L1s)),
-	}
-	for i, l1 := range spec.L1s {
-		f := filters[i]
-		misses, ok := levelMisses(orgCurves, specIdx, l1)
-		if !ok {
-			return nil, fmt.Errorf("hierarchy: internal: L1 point %d not covered by its organisation curve", i)
-		}
-		if misses != f.misses[0] {
-			return nil, fmt.Errorf("hierarchy: internal: L1 point %d filter saw %d misses, curve says %d",
-				i, f.misses[0], misses)
-		}
-		out.L1Misses[i] = misses
-		if out.L2Misses[i], err = grid.row(f); err != nil {
-			return nil, err
-		}
+	out := &HierCurves{Spec: spec, Accesses: accesses[0], L1Misses: make([]int64, len(l1)), L2Misses: l2}
+	for i := range l1 {
+		out.L1Misses[i] = l1[i][0]
 	}
 	stop()
-	orgProfs.PublishMetrics(reg, orgCurves)
-	publishFilterMetrics(reg, filters, len(spec.L1s)*len(spec.L2s))
+	st.publish(reg, accesses, len(spec.L1s)*len(spec.L2s))
 	return out, nil
 }
 

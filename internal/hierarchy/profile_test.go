@@ -185,28 +185,51 @@ func TestProfileHierMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestProfileHierFilterCrossCheck trips the retained safety check: a
-// filter whose bank disagrees with the organisation curve by one access
-// must fail the pass, not report a number.
+// TestProfileHierFilterCrossCheck trips the two retained in-band checks: a
+// pass whose filter reads the wrong threshold, or whose L2 stage saw a
+// stream other than its filter's, must fail, not report a number.
 func TestProfileHierFilterCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	blocks := stream(rng, 2000, 100)
-	l := recordLog(blocks, 0)
+	l := recordLog(stream(rng, 2000, 100), 500)
 	spec := testSpec()
-	grid := newL2Grid(spec.Block, spec.L2s)
-	filters, err := grid.newFilters(spec.L1s, 1)
-	if err != nil {
-		t.Fatal(err)
+	build := func() *l1Stage {
+		st, err := newL1Stage(spec.Block, spec.L1s, spec.L2s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
-	// Point 1 (fully associative) starts out holding the first block: the
-	// filter hits where the curve counts a cold miss.
-	filters[1].banks[0].Insert(blocks[0])
-	hc, err := profileHier(l, spec, grid, filters)
+	if _, err := profileHier(l, spec, build()); err != nil {
+		t.Fatalf("unperturbed stage: %v", err)
+	}
+
+	// Point 2 (4-way LRU) reads its family at 3 ways: every access at depth
+	// exactly 4 becomes a miss the point's curve does not count.
+	st := build()
+	l1 := spec.L1s[2]
+	pt, ok := st.orgs[0].Point(st.specIdx[l1.Sets()], l1.EffWays()-1, false)
+	if !ok {
+		t.Fatal("no point one way short of L1 point 2")
+	}
+	st.filters[2].point = pt
+	hc, err := profileHier(l, spec, st)
 	if err == nil || !strings.Contains(err.Error(), "filter saw") || !strings.Contains(err.Error(), "curve says") {
-		t.Fatalf("perturbed filter bank: got curves %v, err %v; want the filter-vs-curve error", hc, err)
+		t.Fatalf("perturbed threshold: got curves %v, err %v; want the filter-vs-curve error", hc, err)
 	}
-	if !strings.Contains(err.Error(), "L1 point 1 ") {
+	if !strings.Contains(err.Error(), "L1 point 2 ") {
 		t.Errorf("error %q does not name the perturbed point", err)
+	}
+
+	// Point 3's first L2 stage is also fed point 1's misses: its counted
+	// accesses no longer add up to what filter 3 emitted.
+	st = build()
+	st.filters[1].l2[0].prof = st.filters[3].l2[0].prof
+	hc, err = profileHier(l, spec, st)
+	if err == nil || !strings.Contains(err.Error(), "emitted") || !strings.Contains(err.Error(), "counted") {
+		t.Fatalf("cross-fed L2 stage: got curves %v, err %v; want the L2 conservation error", hc, err)
+	}
+	if !strings.Contains(err.Error(), "L1 point 1:") {
+		t.Errorf("error %q does not name the first point whose stage disagrees", err)
 	}
 }
 

@@ -84,17 +84,16 @@ func (c *SharedCurves) AMAT(i, j int, cm CostModel) float64 {
 }
 
 // ProfileShared evaluates the whole (L1, L2) grid from one recorded
-// multiprocessor log in a single replay. Every L1 design point gets one
-// exact private replica per processor; the interleaved miss stream those
-// replicas emit — in the recorded global order — drives the shared-L2
-// profilers (per-set Mattson stacks for LRU, multiplexed replicas for
-// FIFO), so one parallel execution answers every (L1, L2) pairing. The
-// filters are ProfileHier's at P processors; there are no L1 organisation
-// curves to ride along, since a private L1 sees one processor's stream,
-// not the log's. The replay honours the log's measured window. Experiment
-// E21 cross-validates every grid point against SimulateSharedLog, whose L2
-// is an independent implementation (a policy-ordered Bank rather than the
-// reuse-distance profilers).
+// multiprocessor log in a single replay. Every processor runs its own L1
+// organisation profilers over its own accesses, fed in the recorded global
+// order; the interleaved miss stream each L1 design point's P private
+// replicas emit drives that point's shared-L2 profilers (per-set Mattson
+// stacks for LRU, one residency bit per FIFO point), so one parallel
+// execution answers every (L1, L2) pairing. It is ProfileHier's stage at P
+// processors. The replay honours the log's measured window. Experiment E21
+// cross-validates every grid point against SimulateSharedLog, an
+// independent implementation (policy-ordered Banks at both levels rather
+// than reuse-distance profilers).
 func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -105,49 +104,22 @@ func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 
 	reg := pl.Metrics()
 	stop := reg.Timer("hier.shared.profile").Start()
-	grid := newL2Grid(spec.Block, spec.L2s)
-	filters, err := grid.newFilters(spec.L1s, spec.Procs)
+	st, err := newL1Stage(spec.Block, spec.L1s, spec.L2s, spec.Procs)
 	if err != nil {
 		return nil, err
 	}
-	var accesses int64
-	procAccesses := make([]int64, spec.Procs)
-	err = pl.ForEachWindowed(func() {
-		accesses = 0
-		clear(procAccesses)
-		for _, f := range filters {
-			f.resetCounts()
-		}
-	}, func(proc int, blk int64) {
-		accesses++
-		procAccesses[proc]++
-		for _, f := range filters {
-			f.touch(proc, blk)
-		}
-	})
-	if err != nil {
+	if err := pl.ForEachWindowed(st.resetCounts, st.touch); err != nil {
 		return nil, err
 	}
-
-	out := &SharedCurves{
-		Spec:         spec,
-		Accesses:     accesses,
-		ProcAccesses: procAccesses,
-		L1Misses:     make([][]int64, len(spec.L1s)),
-		L2Misses:     make([][]int64, len(spec.L1s)),
+	out := &SharedCurves{Spec: spec}
+	if out.ProcAccesses, out.L1Misses, out.L2Misses, err = st.collect(); err != nil {
+		return nil, err
 	}
-	for i, f := range filters {
-		out.L1Misses[i] = f.misses
-		if out.L2Misses[i], err = grid.row(f); err != nil {
-			return nil, err
-		}
+	for _, n := range out.ProcAccesses {
+		out.Accesses += n
 	}
 	stop()
-	if reg != nil {
-		reg.Counter("trace.profile.accesses").Add(accesses)
-		reg.Counter("trace.profile.passes").Add(1)
-		publishFilterMetrics(reg, filters, len(spec.L1s)*len(spec.L2s))
-	}
+	st.publish(reg, out.ProcAccesses, len(spec.L1s)*len(spec.L2s))
 	return out, nil
 }
 

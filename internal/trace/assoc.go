@@ -98,9 +98,6 @@ func NewAssocProfiler(sets int64) *AssocProfiler {
 	return &AssocProfiler{idx: newSetIndex(sets), per: per}
 }
 
-// Sets returns the number of sets the profiler shards into.
-func (p *AssocProfiler) Sets() int64 { return p.idx.sets }
-
 // Touch processes one block access: it routes the access to the block's
 // set and feeds the set's stack the block's within-set id, so each
 // per-set stack sees a dense id space regardless of the stride the set
@@ -110,15 +107,17 @@ func (p *AssocProfiler) Touch(blk int64) {
 	p.per[set].touch(p.idx.id(blk, set))
 }
 
-func (s *setStack) touch(blk int64) {
+// touch processes one access and returns the stack depth it was found at,
+// 0 for a first-ever access.
+func (s *setStack) touch(blk int64) int {
 	if s.mat != nil {
-		s.mat.Touch(blk)
-		return
+		return s.mat.Touch(blk)
 	}
-	s.list.touch(blk)
+	d := s.list.touch(blk)
 	if len(s.list.blks) > assocListLimit {
 		s.upgrade()
 	}
+	return d
 }
 
 // touchRun feeds the stack the ids base, base+1, …, base+n-1 in order. A
@@ -141,30 +140,17 @@ func (s *setStack) upgrade() {
 	for i := len(s.list.blks) - 1; i >= 0; i-- {
 		m.seedStack(s.list.blks[i])
 	}
-	m.hist = s.list.hist
-	m.cold = s.list.cold
+	m.depthCounts = s.list.depthCounts
 	s.mat = m
 	s.list = nil
 }
 
-// counts returns the set's depth histogram and cold count, whichever form
-// the stack is in.
-func (s *setStack) counts() (hist []int64, cold int64) {
+// counts returns the set's tally, whichever form the stack is in.
+func (s *setStack) counts() *depthCounts {
 	if s.mat != nil {
-		return s.mat.hist, s.mat.cold
+		return &s.mat.depthCounts
 	}
-	return s.list.hist, s.list.cold
-}
-
-func (s *setStack) resetCounts() {
-	if s.mat != nil {
-		s.mat.ResetCounts()
-		return
-	}
-	for i := range s.list.hist {
-		s.list.hist[i] = 0
-	}
-	s.list.cold = 0
+	return &s.list.depthCounts
 }
 
 // TimelineOps returns the total timeline operation count across the sets
@@ -184,7 +170,7 @@ func (p *AssocProfiler) TimelineOps() int64 {
 // mirroring Profiler.ResetCounts for the warmup-window protocol.
 func (p *AssocProfiler) ResetCounts() {
 	for i := range p.per {
-		p.per[i].resetCounts()
+		p.per[i].counts().reset()
 	}
 }
 
@@ -195,14 +181,14 @@ func (p *AssocProfiler) Curve() *AssocCurve {
 	var total []int64
 	var cold int64
 	for i := range p.per {
-		hist, c := p.per[i].counts()
-		if len(hist) > len(total) {
-			total = append(total, make([]int64, len(hist)-len(total))...)
+		c := p.per[i].counts()
+		if len(c.hist) > len(total) {
+			total = append(total, make([]int64, len(c.hist)-len(total))...)
 		}
-		for d, n := range hist {
+		for d, n := range c.hist {
 			total[d] += n
 		}
-		cold += c
+		cold += c.cold
 	}
 	return newAssocCurve(p.idx.sets, 0, curveFromHist(total, cold))
 }
@@ -213,29 +199,35 @@ func (p *AssocProfiler) Curve() *AssocCurve {
 // shallow stacks per-set sharding produces.
 type listStack struct {
 	blks []int64 // most recent first
-	hist []int64 // hist[d]: counted accesses at stack depth d (1-based)
-	cold int64
+	depthCounts
 }
 
-func (l *listStack) touch(blk int64) {
-	for i, b := range l.blks {
-		if b == blk {
-			d := i + 1
-			if len(l.hist) <= d {
-				grown := make([]int64, 2*d+2)
-				copy(grown, l.hist)
-				l.hist = grown
-			}
-			l.hist[d]++
-			copy(l.blks[1:d], l.blks[:i])
-			l.blks[0] = blk
-			return
+// moveToFront is the one stack kernel: a single pass that writes x at the
+// head of the row and carries every entry one place down until it meets x's
+// old copy, whose 1-based position — x's stack depth — it returns. When x is
+// not in the row the whole row has moved down: it returns 0 and the entry
+// that fell off the end (x itself for an empty row).
+func moveToFront[T int32 | int64](row []T, x T) (depth int, off T) {
+	prev := x
+	for i, e := range row {
+		row[i] = prev
+		if e == x {
+			return i + 1, x
 		}
+		prev = e
 	}
-	l.cold++
-	l.blks = append(l.blks, 0)
-	copy(l.blks[1:], l.blks[:len(l.blks)-1])
-	l.blks[0] = blk
+	return 0, prev
+}
+
+func (l *listStack) touch(blk int64) int {
+	d, off := moveToFront(l.blks, blk)
+	if d == 0 {
+		l.cold++
+		l.blks = append(l.blks, off) // the stack grows: nothing falls off
+		return 0
+	}
+	l.count(int64(d), 1)
+	return d
 }
 
 // boundedStacks is the request-bounded form of the per-set stacks: when
@@ -247,8 +239,9 @@ func (l *listStack) touch(blk int64) {
 type boundedStacks struct {
 	bound int
 	rows  []int32 // sets*bound entries, most recent first; noSlot = empty
-	hist  []int64 // hist[d], 1 <= d <= bound: counted accesses at depth d
-	deep  int64   // counted accesses not found in their row (cold included)
+	// hist[d], 1 <= d <= bound: counted accesses found at depth d; hist[0]:
+	// those not found in their row (cold included).
+	hist []int64
 }
 
 func newBoundedStacks(sets, bound int64) *boundedStacks {
@@ -259,27 +252,13 @@ func newBoundedStacks(sets, bound int64) *boundedStacks {
 	return &boundedStacks{bound: int(bound), rows: rows, hist: make([]int64, bound+1)}
 }
 
-func (b *boundedStacks) touch(set int64, slot int32) {
-	row := b.rows[int(set)*b.bound:][:b.bound]
-	for i, s := range row {
-		if s == slot {
-			b.hist[i+1]++
-			copy(row[1:i+1], row[:i])
-			row[0] = slot
-			return
-		}
-	}
-	// Deeper than the bound: the row's last entry falls off the stack.
-	b.deep++
-	copy(row[1:], row)
-	row[0] = slot
-}
-
-func (b *boundedStacks) resetCounts() {
-	for i := range b.hist {
-		b.hist[i] = 0
-	}
-	b.deep = 0
+// touch processes one access to the block in slot and returns the depth it
+// was found at, 0 when it is deeper than the bound (or cold): the row's
+// last entry has then fallen off the stack.
+func (b *boundedStacks) touch(set int64, slot int32) int {
+	d, _ := moveToFront(b.rows[int(set)*b.bound:][:b.bound], slot)
+	b.hist[d]++
+	return d
 }
 
 // curve folds the shared histogram into an AssocCurve valid up to the
@@ -287,7 +266,7 @@ func (b *boundedStacks) resetCounts() {
 // the deep ones; the remaining deep accesses sit at some finite depth
 // past the bound, which is all any requested way count needs to know.
 func (b *boundedStacks) curve(sets, cold int64) *AssocCurve {
-	hist := append(append([]int64(nil), b.hist...), b.deep-cold)
+	hist := append(append([]int64(nil), b.hist...), b.hist[0]-cold)
 	return newAssocCurve(sets, int64(b.bound), curveFromHist(hist, cold))
 }
 
@@ -326,14 +305,6 @@ func (c *AssocCurve) Misses(ways int64) int64 {
 		panic(fmt.Sprintf("trace: AssocCurve profiled up to %d ways asked for %d", c.MaxWays, ways))
 	}
 	return c.curve.Misses(ways)
-}
-
-// MissRatio returns misses/accesses at the given way count.
-func (c *AssocCurve) MissRatio(ways int64) float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses(ways)) / float64(c.Accesses)
 }
 
 // Full returns the underlying fully-associative MissCurve when the curve

@@ -32,6 +32,7 @@ const noSlot = math.MinInt32
 type fifoBank struct {
 	words  int      // mask words per block
 	full   []uint64 // per word: the bits of existing replicas
+	missed []uint64 // per word: the replicas the last touch missed in
 	dense  []uint64 // slot s >= 0 owns dense[s*words : (s+1)*words]
 	side   []uint64 // slot s < 0 owns side[^s*words : (^s+1)*words]
 	sparse map[int64]int32
@@ -53,7 +54,7 @@ type fifoReplica struct {
 }
 
 func newFIFOBank() *fifoBank {
-	return &fifoBank{words: 1, full: []uint64{0}}
+	return &fifoBank{words: 1, full: []uint64{0}, missed: []uint64{0}}
 }
 
 // addReplica adds a FIFO cache of sets x ways lines placed by the caller's
@@ -70,6 +71,7 @@ func (b *fifoBank) addReplica(family int, sets, ways int64) int {
 	for bit/64 >= b.words {
 		b.words++
 		b.full = append(b.full, 0)
+		b.missed = append(b.missed, 0)
 	}
 	b.full[bit/64] |= 1 << (bit % 64)
 	return r
@@ -122,7 +124,9 @@ func (b *fifoBank) touch(slot int32, sets []int64) {
 		b.cold++
 	}
 	for w, have := range m {
-		for miss := b.full[w] &^ have; miss != 0; miss &= miss - 1 {
+		miss := b.full[w] &^ have
+		b.missed[w] = miss
+		for ; miss != 0; miss &= miss - 1 {
 			bit := bits.TrailingZeros64(miss)
 			r := &b.reps[w*64+bit-1]
 			r.misses++
@@ -179,13 +183,6 @@ type FIFOCurve struct {
 	misses []int64
 }
 
-// Ways returns the replayed way counts in ascending order.
-func (c *FIFOCurve) Ways() []int64 {
-	out := make([]int64, len(c.ways))
-	copy(out, c.ways)
-	return out
-}
-
 // Misses returns the exact miss count of a Sets-set FIFO cache with the
 // given way count; ok is false if that way count was not replayed.
 func (c *FIFOCurve) Misses(ways int64) (n int64, ok bool) {
@@ -195,14 +192,4 @@ func (c *FIFOCurve) Misses(ways int64) (n int64, ok bool) {
 		}
 	}
 	return 0, false
-}
-
-// MissRatio returns misses/accesses at the given way count (0 if that way
-// count was not replayed or nothing was counted).
-func (c *FIFOCurve) MissRatio(ways int64) float64 {
-	m, ok := c.Misses(ways)
-	if !ok || c.Accesses == 0 {
-		return 0
-	}
-	return float64(m) / float64(c.Accesses)
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"streamsched/internal/obs"
 )
@@ -82,15 +83,34 @@ func EffectiveWays(capacity, block, ways int64) int64 {
 	return ways
 }
 
+// AddPoint groups one more design point — sets sets of ways lines each,
+// replayed under FIFO too when fifo is set — into specs, which holds one
+// OrgSpec per distinct set count (specIdx maps a set count to its index),
+// and returns the grown list. Each spec's MaxWays is the deepest way count
+// added at its set count, so the profilers keep no stack depth the points
+// cannot ask about.
+func AddPoint(specs []OrgSpec, specIdx map[int64]int, sets, ways int64, fifo bool) []OrgSpec {
+	idx, ok := specIdx[sets]
+	if !ok {
+		idx = len(specs)
+		specIdx[sets] = idx
+		specs = append(specs, OrgSpec{Sets: sets})
+	}
+	if ways > specs[idx].MaxWays {
+		specs[idx].MaxWays = ways
+	}
+	if fifo {
+		specs[idx].FIFOWays = append(specs[idx].FIFOWays, ways)
+	}
+	return specs
+}
+
 // GridSpecs groups a (capacity x ways) evaluation grid at the given block
-// size into one OrgSpec per distinct set count — the shape ProfileOrgs
-// wants — and returns the set-count -> spec-index map used to find each
-// geometry's curves again. A ways value of 0 means fully associative.
-// When fifo is true every geometry's effective way count is added to its
-// spec's FIFO replay list. Each spec's MaxWays is the deepest effective
-// way count the grid evaluates at its set count, so the profilers keep no
-// stack depth the grid cannot ask about. Errors mirror SetsFor's geometry
-// rules.
+// size into one OrgSpec per distinct set count (AddPoint) — the shape
+// ProfileOrgs wants — and returns the set-count -> spec-index map used to
+// find each geometry's curves again. A ways value of 0 means fully
+// associative. When fifo is true every geometry is also replayed under
+// FIFO. Errors mirror SetsFor's geometry rules.
 func GridSpecs(caps []int64, block int64, ways []int64, fifo bool) ([]OrgSpec, map[int64]int, error) {
 	specIdx := make(map[int64]int)
 	var specs []OrgSpec
@@ -100,19 +120,7 @@ func GridSpecs(caps []int64, block int64, ways []int64, fifo bool) ([]OrgSpec, m
 			if err != nil {
 				return nil, nil, err
 			}
-			idx, ok := specIdx[sets]
-			if !ok {
-				idx = len(specs)
-				specIdx[sets] = idx
-				specs = append(specs, OrgSpec{Sets: sets})
-			}
-			eff := EffectiveWays(c, block, w)
-			if eff > specs[idx].MaxWays {
-				specs[idx].MaxWays = eff
-			}
-			if fifo {
-				specs[idx].FIFOWays = append(specs[idx].FIFOWays, eff)
-			}
+			specs = AddPoint(specs, specIdx, sets, EffectiveWays(c, block, w), fifo)
 		}
 	}
 	return specs, specIdx, nil
@@ -137,9 +145,8 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 
 // OrgProfilers is the incremental form of ProfileOrgs: every
 // organisation's profilers behind one Touch, so a caller that drives other
-// per-access state off the same replay (the hierarchy profiler's L1
-// filters) can share a single trace decode instead of replaying once per
-// consumer.
+// per-access state off the same replay (the hierarchy profilers' L2 stages)
+// can share a single trace decode instead of replaying once per consumer.
 //
 // It does only work that can change an answer. Specs with the same set
 // count share one family — one set index and one LRU structure per access,
@@ -153,12 +160,18 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // family matters: TouchRun hands a whole run to the unbounded Sets=1
 // family, whose one stack can take it in a step, and walks the run block
 // by block for the rest.
+//
+// The stack touch that counts an access also decides, for every design
+// point at once, whether it missed there: Touch keeps the depth found in
+// each family and the FIFO bank's miss bits, and Missed reads them back per
+// point — the miss stream a next cache level is fed from.
 type OrgProfilers struct {
 	specs    []OrgSpec
 	familyOf []int // spec -> family
 	fams     []orgFamily
 	full     int       // the unbounded Sets=1 family, -1 when there is none
 	sets     []int64   // per family: the current access's set index
+	depth    []int     // per family: the depth the last Touch found, 0 = cold or past the bound
 	bank     *fifoBank // nil when no family is bounded or replays FIFO
 }
 
@@ -217,7 +230,41 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 		}
 	}
 	p.sets = make([]int64, len(p.fams))
+	p.depth = make([]int, len(p.fams))
 	return p, nil
+}
+
+// OrgPoint names one design point of an OrgProfilers — a spec's family at a
+// way count under LRU, or one of its FIFO replicas — resolved once by Point
+// so that Missed costs two loads per access. A point depends only on the
+// spec list, so it reads any OrgProfilers built from the same specs.
+type OrgPoint struct {
+	fam, ways int    // LRU: miss ⇔ depth[fam] == 0 || depth[fam] > ways
+	word      int    // FIFO: the replica's bit in the bank's miss words;
+	bit       uint64 // bit == 0 marks an LRU point
+}
+
+// Point resolves (spec, ways, policy) to its OrgPoint. ok is false for a
+// point the profilers do not evaluate, exactly when OrgCurves.Misses' is:
+// a FIFO way count that is not replayed, or an LRU one past the bound.
+func (p *OrgProfilers) Point(spec int, ways int64, fifo bool) (pt OrgPoint, ok bool) {
+	fi := p.familyOf[spec]
+	f := &p.fams[fi]
+	if fifo {
+		r := f.replica[ways]
+		return OrgPoint{word: (r + 1) / 64, bit: 1 << ((r + 1) % 64)}, slices.Contains(p.specs[spec].FIFOWays, ways)
+	}
+	return OrgPoint{fam: fi, ways: int(ways)}, f.bounded == nil || ways <= int64(f.bounded.bound)
+}
+
+// Missed reports whether the block of the last Touch missed at pt. A run
+// taken by TouchRun leaves no per-block report.
+func (p *OrgProfilers) Missed(pt OrgPoint) bool {
+	if pt.bit != 0 {
+		return p.bank.missed[pt.word]&pt.bit != 0
+	}
+	d := p.depth[pt.fam]
+	return d == 0 || d > pt.ways
 }
 
 // ResetCounts starts the measured window: histograms and miss counters
@@ -225,7 +272,7 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 func (p *OrgProfilers) ResetCounts() {
 	for i := range p.fams {
 		if f := &p.fams[i]; f.bounded != nil {
-			f.bounded.resetCounts()
+			clear(f.bounded.hist)
 		} else {
 			f.assoc.ResetCounts()
 		}
@@ -266,9 +313,9 @@ func (p *OrgProfilers) touch(blk int64, skip int) {
 			continue
 		}
 		if f.bounded != nil {
-			f.bounded.touch(set, slot)
+			p.depth[i] = f.bounded.touch(set, slot)
 		} else {
-			f.assoc.per[set].touch(f.idx.id(blk, set))
+			p.depth[i] = f.assoc.per[set].touch(f.idx.id(blk, set))
 		}
 	}
 	if p.bank != nil {

@@ -256,13 +256,33 @@ func TestOrgProfilersManyFIFOReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Missed must read each replica's bit out of the right mask word: the
+	// per-access verdicts, counted over the window, are the curve.
+	points, missed := make([]trace.OrgPoint, len(ways)), make([]int64, len(ways))
+	for k, w := range ways {
+		var ok bool
+		if points[k], ok = p.Point(0, w, true); !ok {
+			t.Fatalf("FIFO point at %d ways not resolved", w)
+		}
+	}
 	for i, blk := range stream {
 		if i == warm {
 			p.ResetCounts()
 		}
 		p.Touch(blk)
+		for k, pt := range points {
+			if i >= warm && p.Missed(pt) {
+				missed[k]++
+			}
+		}
 	}
-	checkOrgCurves(t, "one family, 70 replicas", stream, warm, one, p.Curves())
+	curves = p.Curves()
+	checkOrgCurves(t, "one family, 70 replicas", stream, warm, one, curves)
+	for k, w := range ways {
+		if want, _ := curves[0].FIFO.Misses(w); missed[k] != want {
+			t.Errorf("FIFO %d ways: Missed reported %d windowed misses, curve %d", w, missed[k], want)
+		}
+	}
 }
 
 // TestProfileOrgsJobsMatchesSequential pins the deprecated four-argument

@@ -305,6 +305,69 @@ func TestOrgCurvesMissesHelper(t *testing.T) {
 	}
 }
 
+// TestOrgProfilersPoint checks Point's coverage rule — ok exactly when
+// OrgCurves.Misses answers the same (ways, policy) — and that Missed,
+// counted per access, adds up to the curve at every covered LRU point of a
+// bounded family, an unbounded one, and two specs sharing a family.
+func TestOrgProfilersPoint(t *testing.T) {
+	specs := []trace.OrgSpec{{Sets: 4, MaxWays: 3, FIFOWays: []int64{2}}, {Sets: 1}, {Sets: 4, MaxWays: 2}}
+	p, err := trace.NewOrgProfilers(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		spec   int
+		ways   int64
+		fifo   bool
+		pt     trace.OrgPoint
+		missed int64
+	}
+	var points []*point
+	for spec := range specs {
+		for ways := int64(1); ways <= 5; ways++ {
+			for _, fifo := range []bool{false, true} {
+				if pt, ok := p.Point(spec, ways, fifo); ok {
+					points = append(points, &point{spec: spec, ways: ways, fifo: fifo, pt: pt})
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i, blk := range randomStream(rng, 4000, 60) {
+		if i == 1000 {
+			p.ResetCounts()
+		}
+		p.Touch(blk)
+		for _, pt := range points {
+			if i >= 1000 && p.Missed(pt.pt) {
+				pt.missed++
+			}
+		}
+	}
+	curves := p.Curves()
+	covered := 0
+	for spec := range specs {
+		for ways := int64(1); ways <= 5; ways++ {
+			for _, fifo := range []bool{false, true} {
+				if _, ok := curves[spec].Misses(ways, fifo); ok {
+					covered++
+				}
+			}
+		}
+	}
+	// Sets=4 is one family bounded at 3 ways with one FIFO replica, which the
+	// spec that did not ask for it cannot name; Sets=1 answers every LRU way
+	// count.
+	if want := (3 + 1) + 5 + 3; len(points) != want || covered != want {
+		t.Fatalf("Point resolved %d points, the curves cover %d, want %d", len(points), covered, want)
+	}
+	for _, pt := range points {
+		if want, _ := curves[pt.spec].Misses(pt.ways, pt.fifo); pt.missed != want {
+			t.Errorf("spec %d ways %d fifo %v: Missed reported %d windowed misses, curve %d", pt.spec, pt.ways, pt.fifo, pt.missed, want)
+		}
+	}
+}
+
 // TestProfileOrgsBadSpec checks spec validation.
 func TestProfileOrgsBadSpec(t *testing.T) {
 	log := trace.NewLog()

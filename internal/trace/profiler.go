@@ -20,10 +20,30 @@ type Profiler struct {
 	sparse  map[int64]int32 // fallback for huge or negative block ids
 	relabel func(int64, int32)
 
-	distinct int64
+	depthCounts
+}
 
+// depthCounts is a Mattson stack's windowed tally, whichever structure keeps
+// the stack.
+type depthCounts struct {
 	hist []int64 // hist[d]: counted accesses at stack depth d (1-based)
 	cold int64   // counted first-ever accesses (infinite distance)
+}
+
+// count adds n counted accesses at stack depth d.
+func (c *depthCounts) count(d, n int64) {
+	if int64(len(c.hist)) <= d {
+		grown := make([]int64, 2*d+2)
+		copy(grown, c.hist)
+		c.hist = grown
+	}
+	c.hist[d] += n
+}
+
+// reset zeroes the tally.
+func (c *depthCounts) reset() {
+	clear(c.hist)
+	c.cold = 0
 }
 
 // denseLimit caps the flat block index at 16M entries (64 MiB); blocks
@@ -41,19 +61,22 @@ func NewProfiler() *Profiler {
 	return p
 }
 
-// Touch processes one block access.
-func (p *Profiler) Touch(blk int64) {
+// Touch processes one block access and returns its stack depth, 0 for a
+// first-ever access.
+func (p *Profiler) Touch(blk int64) int {
 	p.tl.Room(1, p.relabel)
+	var d int64
 	if slot := p.lookup(blk); slot != 0 {
 		// Depth = blocks accessed since this one (they sit above it in the
 		// LRU stack) plus one for the block itself.
-		p.count(p.tl.CountAfter(slot)+1, 1)
+		d = p.tl.CountAfter(slot) + 1
+		p.count(d, 1)
 		p.tl.Remove(slot, 1)
 	} else {
 		p.cold++
-		p.distinct++
 	}
 	p.store(blk, p.tl.Append(blk, 1))
+	return int(d)
 }
 
 // TouchRun processes accesses to the n blocks base, base+1, …, in that
@@ -92,16 +115,6 @@ func (p *Profiler) TouchRun(base, n int64) {
 	}
 }
 
-// count adds n counted accesses at stack depth d.
-func (p *Profiler) count(d, n int64) {
-	if int64(len(p.hist)) <= d {
-		grown := make([]int64, 2*d+2)
-		copy(grown, p.hist)
-		p.hist = grown
-	}
-	p.hist[d] += n
-}
-
 func (p *Profiler) lookup(blk int64) int32 {
 	if blk >= 0 && blk < int64(len(p.dense)) {
 		return p.dense[blk]
@@ -133,15 +146,7 @@ func (p *Profiler) store(blk int64, slot int32) {
 // ResetCounts zeroes the histogram while keeping the stack state, exactly
 // like resetting the cache simulator's statistics after warmup: subsequent
 // distances still see the warm stack, but only post-reset accesses count.
-func (p *Profiler) ResetCounts() {
-	for i := range p.hist {
-		p.hist[i] = 0
-	}
-	p.cold = 0
-}
-
-// Distinct returns the number of distinct blocks seen so far.
-func (p *Profiler) Distinct() int64 { return p.distinct }
+func (p *Profiler) ResetCounts() { p.reset() }
 
 // TimelineOps returns the number of structural order-statistics operations
 // (append, remove, depth count) the profiler's timeline has performed —
@@ -180,7 +185,6 @@ func curveFromHist(hist []int64, cold int64) *MissCurve {
 // an access, assuming blk is not already on the stack. A list-based set
 // stack uses it to transfer its state when upgrading to a Profiler.
 func (p *Profiler) seedStack(blk int64) {
-	p.distinct++
 	p.tl.Room(1, p.relabel)
 	p.store(blk, p.tl.Append(blk, 1))
 }

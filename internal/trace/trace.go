@@ -30,8 +30,9 @@
 //   - ProfileOrgs drives any number of organisations' profilers from a
 //     single replay of a recorded log, so one trace per scheduler answers
 //     every (capacity, ways, policy) robustness question; OrgProfilers is
-//     its incremental form for callers sharing the replay with other
-//     per-access state (the hierarchy profilers). It does only work that
+//     its incremental form, whose Touch also reports which design points
+//     the access missed in (Missed) — the miss streams the hierarchy
+//     profilers feed their next level from. It does only work that
 //     can change an answer: one structure per distinct set count, stacks
 //     truncated at the deepest way count the request evaluates
 //     (OrgSpec.MaxWays, filled in by GridSpecs), all FIFO points of all
