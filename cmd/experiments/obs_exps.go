@@ -21,15 +21,16 @@ func init() {
 // instruments. A representative organisation sweep runs with a metrics
 // registry attached (the process-wide one when -metrics/-v is live, a
 // private one otherwise), and the counter deltas it publishes are checked
-// exactly: trace.accesses must equal the sum of recorded trace lengths,
+// exactly: trace.accesses must equal the sum of profiled trace lengths,
 // and trace.profile.accesses must equal the access totals the exact cache
-// simulator reports for the same schedules. Histogram observation counts
-// are cross-checked against the counters the same way — every replay must
-// have recorded exactly one trace.replay observation, every sweep job one
-// queue wait and one duration. A second part records one
-// trace manually and splits its replay cost into decode (a bare ForEach),
-// profile (timeline/stack maintenance), and merge (curve extraction) — the
-// breakdown the aggregate trace.profile timer hides.
+// simulator reports for the same schedules. The sweep profiles while each
+// schedule runs, so it replays no log. Histogram observation counts
+// are cross-checked against the counters the same way — every profiling
+// pass must have recorded exactly one trace.profile observation, every
+// sweep job one queue wait and one duration. A second part records one
+// trace manually and splits the cost of profiling it into decode (a bare
+// ForEach), profile (timeline/stack maintenance), and merge (curve
+// extraction, which is all the trace.profile timer covers).
 func runE22(cfg runConfig) error {
 	n, state := 24, int64(128)
 	warm, meas := int64(512), int64(2048)
@@ -112,13 +113,11 @@ func runE22(cfg runConfig) error {
 		tb.Add("trace.profile.accesses", report.I(swept.CounterDelta(base, "trace.profile.accesses")), "-", "shared registry")
 	} else {
 		addCheck("trace.accesses", swept.CounterDelta(base, "trace.accesses"),
-			traceLen, "sum of recorded trace lengths")
+			traceLen, "sum of profiled trace lengths")
 		addCheck("trace.profile.accesses", swept.CounterDelta(base, "trace.profile.accesses"),
 			simAccesses, "exact simulator window accesses")
 		addCheck("trace.profile.passes", swept.CounterDelta(base, "trace.profile.passes"),
 			int64(len(scheds)), "one profiling pass per scheduler")
-		addCheck("trace.replays", swept.CounterDelta(base, "trace.replays"),
-			int64(len(scheds)), "one replay per scheduler")
 		if obs.Default() == reg {
 			// The sweep pool publishes to the process-wide registry, not
 			// the per-measure env one, so it only shows up when live.
@@ -128,8 +127,8 @@ func runE22(cfg runConfig) error {
 		// Histogram observation counts vs counters: timers route through
 		// same-named histogram siblings, and the aggregate histograms must
 		// agree observation-for-observation with the counters.
-		addCheck("trace.replay histogram count", swept.HistogramCountDelta(base, "trace.replay"),
-			swept.CounterDelta(base, "trace.replays"), "one observation per replay")
+		addCheck("trace.profile histogram count", swept.HistogramCountDelta(base, "trace.profile"),
+			swept.CounterDelta(base, "trace.profile.passes"), "one observation per pass")
 		if obs.Default() == reg {
 			addCheck("sweep.queue.wait histogram count", swept.HistogramCountDelta(base, "sweep.queue.wait"),
 				swept.CounterDelta(base, "sweep.jobs"), "one queue wait per sweep job")

@@ -15,14 +15,15 @@ import (
 	"streamsched/internal/schedule"
 )
 
-// cmdShared records one traced multiprocessor run — P logical processors
-// with private L1-sized design caches claiming components under the
+// cmdShared makes one multiprocessor run — P logical processors with
+// private L1-sized design caches claiming components under the
 // homogeneous or pipeline rule — and evaluates a whole shared-L2 grid
-// from it: every processor gets a private replica of each L1 design
+// while it goes: every processor gets a private replica of each L1 design
 // point, and the interleaved miss streams contend for each shared L2
-// design point in exactly the recorded order. A second table breaks one
+// design point in exactly the emitted order. A second table breaks one
 // grid point down per processor (private-L1 and attributed shared-L2
-// traffic, per-processor cost, makespan) via the exact shared simulator.
+// traffic, per-processor cost, makespan) via the exact shared simulator,
+// fed by the same run.
 func cmdShared(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("shared", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
@@ -91,19 +92,37 @@ func cmdShared(args []string, out io.Writer) (err error) {
 		Cache: streamsched.CacheConfig{Capacity: 2 * *m, Block: *b},
 		Rule:  prule,
 	}
-	// One traced execution serves everything below: the grid profile and
-	// the per-processor detail both replay the recorded log.
+	// One execution serves everything below: the grid profiler and, when
+	// the detail table is printed, its simulator are both the run's sink.
+	prof, err := hierarchy.NewSharedProfiler(spec)
+	if err != nil {
+		return err
+	}
+	sink, mark := prof.RecordRun, prof.ResetCounts
+	var sim *hierarchy.SharedSim
+	if *detail && !*csv {
+		if sim, err = hierarchy.NewSharedSim(spec.Config(0, 0)); err != nil {
+			return err
+		}
+		sink = func(p int, base, n int64) {
+			prof.RecordRun(p, base, n)
+			sim.RecordRun(p, base, n)
+		}
+		mark = func() {
+			prof.ResetCounts()
+			sim.ResetStats()
+		}
+	}
 	sp := obs.Default().StartSpan("shared.measure")
 	stage := sp.Start("record")
-	res, plog, err := parallel.RunTraced(g, part, cfg, *warm, *meas)
+	res, traceLen, err := parallel.RunInto(g, part, cfg, sink, mark, *warm, *meas)
 	stage.End()
 	if err != nil {
 		sp.End()
 		return err
 	}
-	defer plog.Close()
 	stage = sp.Start("profile")
-	curves, err := hierarchy.ProfileShared(plog, spec)
+	curves, err := prof.Curves(obs.Default())
 	stage.End()
 	sp.End()
 	if err != nil {
@@ -134,13 +153,10 @@ func cmdShared(args []string, out io.Writer) (err error) {
 		return err
 	}
 	fmt.Fprintf(out, "%s: trace %d accesses (%d in window) over %d items, makespan %d blocks\n",
-		prule, plog.Len(), curves.Accesses, res.InputItems, res.MakespanBlocks)
+		prule, traceLen, curves.Accesses, res.InputItems, res.MakespanBlocks)
 
-	if *detail {
-		sim, err := hierarchy.SimulateSharedLog(plog, spec.Config(0, 0))
-		if err != nil {
-			return err
-		}
+	if sim != nil {
+		sim.PublishMetrics(obs.Default())
 		dt := report.NewTable(
 			fmt.Sprintf("per-processor breakdown at L1=%s, L2=%s (makespan %.1f, AMAT %.3f)",
 				spec.L1s[0], spec.L2s[0], sim.Makespan(cm), sim.AMAT(cm)),

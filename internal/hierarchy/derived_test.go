@@ -18,23 +18,20 @@ type procRun struct {
 }
 
 // checkDerivedMissStream is the oracle the per-point Bank filters used to
-// be. It records the runs into a ProcLog, replays it through a real l1Stage
-// one access at a time, and requires every L1 design point's miss events —
-// which accesses, by which processor, to which block — to be exactly those
-// of one private cachesim.Bank per (point, processor) fed the same replay:
-// the sequences agree element for element, not just in length. The
-// windowed totals collect returns (and its in-band checks) must then match
-// the Banks' in-window counts. It reports whether the trace spilled.
-func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun, spill bool) (spilled bool) {
+// be. It records the runs into a ProcLog, replays it through a real
+// SharedProfiler one access at a time, and requires every L1 design
+// point's miss events — which accesses, by which processor, to which
+// block — to be exactly those of one private cachesim.Bank per (point,
+// processor) fed the same replay: the sequences agree element for element,
+// not just in length. The windowed totals collect returns (and its in-band
+// checks) must then match the Banks' in-window counts. It returns the
+// trace.
+func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun) *trace.ProcLog {
 	t.Helper()
 	const block = 16
 	pl, err := trace.NewProcLog(procs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer pl.Close()
-	if spill {
-		pl.SetSpillThreshold(1)
 	}
 	for _, r := range runs {
 		if r.cut < 0 || r.cut > r.n {
@@ -46,7 +43,7 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 		pl.RecordRun(r.proc, r.base+r.cut, r.n-r.cut)
 	}
 	l2s := []Level{lv(64*block, block, 0, cachesim.LRU), lv(32*4*block, 4*block, 2, cachesim.FIFO)}
-	st, err := newL1Stage(block, l1s, l2s, procs)
+	st, err := NewSharedProfiler(SharedSpec{Block: block, Procs: procs, L1s: l1s, L2s: l2s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +57,7 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 	}
 	before := make([]int64, len(l1s))
 	var at int64
-	err = pl.ForEachWindowed(st.resetCounts, func(proc int, blk int64) {
+	err = pl.ForEachWindowed(st.ResetCounts, func(proc int, blk int64) {
 		for i, f := range st.filters {
 			before[i] = f.misses[proc]
 		}
@@ -87,16 +84,13 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 	if at != pl.Len() {
 		t.Fatalf("replayed %d of %d accesses", at, pl.Len())
 	}
-	accesses, l1, _, err := st.collect()
+	got, err := st.collect()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counted int64
-	for _, n := range accesses {
-		counted += n
-	}
-	if window := max(pl.Len()-pl.WindowStart(), 0); counted != window {
-		t.Errorf("stage counted %d accesses, window holds %d", counted, window)
+	l1 := got.L1Misses
+	if window := max(pl.Len()-pl.WindowStart(), 0); got.Accesses != window {
+		t.Errorf("stage counted %d accesses, window holds %d", got.Accesses, window)
 	}
 	for i := range l1s {
 		for p := 0; p < procs; p++ {
@@ -105,7 +99,7 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 			}
 		}
 	}
-	return pl.Spilled()
+	return pl
 }
 
 // l1At builds the L1 level of sets x ways lines; a single set is written as
@@ -133,8 +127,8 @@ func scatterID(style int, id int64) int64 {
 
 // TestDerivedMissStreamMatchesBankReplay is the property behind deleting
 // the L1 Bank filters: on random run streams (dense, negative and sparse
-// ids; the mark at the start, anywhere inside, at the end, or absent;
-// spilled and in memory) and random L1 grids — LRU and FIFO mixed,
+// ids; the mark at the start, anywhere inside, at the end, or absent; one
+// chunk and several) and random L1 grids — LRU and FIFO mixed,
 // power-of-two and odd set counts, duplicate points, way counts on both
 // sides of assocListLimit so that bounded rows, list stacks and upgraded
 // timelines all decide misses — for P in {1, 2, 4}, every point's derived
@@ -156,9 +150,9 @@ func TestDerivedMissStreamMatchesBankReplay(t *testing.T) {
 		l1s = append(l1s, l1s[rng.Intn(len(l1s))]) // a duplicate point
 		nblocks := int64(20 + rng.Intn(600))       // past 192 a one-set list stack upgrades
 		nruns, maxRun := 20+rng.Intn(200), int64(40)
-		spill := trial%20 == 7
-		if spill {
-			nruns, maxRun = 60000, 2 // enough encoded bytes to seal and spill chunks
+		long := trial%20 == 7
+		if long {
+			nruns, maxRun = 60000, 2 // enough encoded bytes to seal chunks
 		}
 		var runs []procRun
 		for k := nruns; k > 0; k-- {
@@ -179,23 +173,23 @@ func TestDerivedMissStreamMatchesBankReplay(t *testing.T) {
 			r := &runs[rng.Intn(len(runs))]
 			r.cut = rng.Int63n(r.n + 1)
 		}
-		if spilled := checkDerivedMissStream(t, procs, l1s, runs, spill); spilled != spill {
-			t.Fatalf("trial %d: spilled = %v, want %v", trial, spilled, spill)
+		if pl := checkDerivedMissStream(t, procs, l1s, runs); long && pl.Stats().Chunks == 0 {
+			t.Fatalf("trial %d: long trace sealed no chunk", trial)
 		}
 	}
 }
 
 // fuzzDerivedCase turns fuzz bytes into a checkDerivedMissStream case.
-// Byte 0: processor count (1, 2 or 4), spill, and how many L1 points
-// follow, one byte each (set count, way count, policy, fully-associative
+// Byte 0: processor count (1, 2 or 4), an ignored bit, and how many L1
+// points follow, one byte each (set count, way count, policy, fully-associative
 // spelling). Then three bytes a run, like the trace package's fuzzRuns:
 // id band, mark-inside flag and processor; where the run starts; how long
 // it is (1–40).
-func fuzzDerivedCase(data []byte) (procs int, l1s []Level, runs []procRun, spill bool) {
+func fuzzDerivedCase(data []byte) (procs int, l1s []Level, runs []procRun) {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	procs, spill = []int{1, 2, 4, 2}[data[0]&3], data[0]&4 != 0
+	procs = []int{1, 2, 4, 2}[data[0]&3]
 	points := 1 + int(data[0]>>3)%8
 	data = data[1:]
 	setCounts := []int64{1, 2, 3, 4, 5, 8, 16, 64}
@@ -222,7 +216,7 @@ func fuzzDerivedCase(data []byte) (procs int, l1s []Level, runs []procRun, spill
 		}
 		runs = append(runs, r)
 	}
-	return procs, l1s, runs, spill
+	return procs, l1s, runs
 }
 
 // FuzzDerivedMissStream runs checkDerivedMissStream on arbitrary (L1 grid,
@@ -230,7 +224,7 @@ func fuzzDerivedCase(data []byte) (procs int, l1s []Level, runs []procRun, spill
 // testdata/fuzz/FuzzDerivedMissStream.
 func FuzzDerivedMissStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		procs, l1s, runs, spill := fuzzDerivedCase(data)
-		checkDerivedMissStream(t, procs, l1s, runs, spill)
+		procs, l1s, runs := fuzzDerivedCase(data)
+		checkDerivedMissStream(t, procs, l1s, runs)
 	})
 }

@@ -12,9 +12,10 @@
 //     together, supporting non-inclusive (default) and exclusive victim
 //     modes, with per-level hit/miss counters and an AMAT-style composed
 //     cost model.
-//   - ProfileHier is the one-pass evaluation path built on the
-//     internal/trace machinery: record one log per scheduler and replay it
-//     once through trace.OrgProfilers over the L1 grid. One stack touch per
+//   - HierProfiler is the one-pass evaluation path built on the
+//     internal/trace machinery: the execution's recorder (or ProfileHier's
+//     single replay of a recorded log) feeds every access once through
+//     trace.OrgProfilers over the L1 grid. One stack touch per
 //     access yields the exact L1 curves and decides, for every L1 design
 //     point at once, whether the access missed there (LRU: found deeper
 //     than the point's ways in its set-count family; FIFO: absent from the
@@ -32,13 +33,14 @@
 //
 // The multiprocessor analogue replaces the single L1 with P private L1s
 // feeding one shared L2 in the interleaved order a parallel run emitted
-// (trace.ProcLog): SharedSim is the exact simulator (per-processor
-// counters, attributed L2 traffic, makespan under the cost model) and
-// ProfileShared the one-pass grid evaluator — ProfileHier's engine with
-// one L1 OrgProfilers per processor, their merged miss streams driving the
-// shared-L2 profilers. Experiment E21 cross-validates every shared grid
-// point against SharedSim. Everything runs inline on the calling goroutine
-// in one replay.
+// (fed live by the executor, or replayed from a trace.ProcLog): SharedSim
+// is the exact simulator (per-processor counters, attributed L2 traffic,
+// makespan under the cost model) and SharedProfiler the one-pass grid
+// evaluator — the same engine as HierProfiler, which is its one-processor
+// form, with one L1 OrgProfilers per processor, their merged miss streams
+// driving the shared-L2 profilers. Experiment E21 cross-validates every
+// shared grid point against SharedSim. Everything runs inline on the
+// calling goroutine in one pass.
 package hierarchy
 
 import (

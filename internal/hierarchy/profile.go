@@ -91,9 +91,8 @@ func (c *HierCurves) AMAT(i, j int, cm CostModel) float64 {
 // stack touch of the processor's L1 organisation profilers has decided, for
 // every point at once, whether an access missed, and point is where to read
 // this one's verdict. The filter owns a windowed miss counter per processor
-// (one in ProfileHier, the trace's count in ProfileShared) and the L2 stage
-// its miss stream — interleaved in recorded order — feeds: one
-// trace.OrgProfilers per distinct L2 block ratio.
+// and the L2 stage its miss stream — interleaved in access order — feeds:
+// one trace.OrgProfilers per distinct L2 block ratio.
 type filter struct {
 	point  trace.OrgPoint
 	misses []int64
@@ -146,24 +145,31 @@ func newL2Grid(block int64, l2s []Level) *l2Grid {
 	return g
 }
 
-// l1Stage is the first level of a hierarchy pass: per processor one
+// SharedProfiler is the one hierarchy profiler, for P processors with
+// private L1s in front of a shared L2: per processor one
 // trace.OrgProfilers over the L1 grid's organisation specs (same-set-count
 // points share a single stack touch), and one filter per L1 design point
-// reading its misses off them.
-type l1Stage struct {
-	levels  []Level
+// reading its misses off them and feeding that point's L2 profilers. It
+// profiles while a parallel run goes — RecordRun is the executor's
+// per-processor sink and ResetCounts its window mark — and ProfileShared
+// feeds it from a recorded ProcLog instead. HierProfiler is its
+// one-processor form.
+type SharedProfiler struct {
+	spec    SharedSpec
 	specIdx map[int64]int         // set count -> spec of the processors' profilers
 	orgs    []*trace.OrgProfilers // per processor
 	filters []*filter
 	grid    *l2Grid
 }
 
-// newL1Stage builds the stage of procs processors over a validated grid
-// recorded at the given block size.
-func newL1Stage(block int64, l1s, l2s []Level, procs int) (*l1Stage, error) {
-	specs, specIdx := hierOrgSpecs(l1s)
-	g := newL2Grid(block, l2s)
-	st := &l1Stage{levels: l1s, specIdx: specIdx, orgs: make([]*trace.OrgProfilers, procs), filters: make([]*filter, len(l1s)), grid: g}
+// NewSharedProfiler validates spec and builds its profiler.
+func NewSharedProfiler(spec SharedSpec) (*SharedProfiler, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	specs, specIdx := hierOrgSpecs(spec.L1s)
+	g := newL2Grid(spec.Block, spec.L2s)
+	st := &SharedProfiler{spec: spec, specIdx: specIdx, orgs: make([]*trace.OrgProfilers, spec.Procs), filters: make([]*filter, len(spec.L1s)), grid: g}
 	for p := range st.orgs {
 		orgs, err := trace.NewOrgProfilers(specs)
 		if err != nil {
@@ -171,12 +177,12 @@ func newL1Stage(block int64, l1s, l2s []Level, procs int) (*l1Stage, error) {
 		}
 		st.orgs[p] = orgs
 	}
-	for i, l1 := range l1s {
+	for i, l1 := range spec.L1s {
 		pt, ok := st.orgs[0].Point(specIdx[l1.Sets()], l1.EffWays(), l1.Policy == cachesim.FIFO)
 		if !ok {
 			return nil, fmt.Errorf("hierarchy: internal: L1 point %d not covered by its organisation profilers", i)
 		}
-		f := &filter{point: pt, misses: make([]int64, procs), l2: make([]l2Stage, len(g.shapes))}
+		f := &filter{point: pt, misses: make([]int64, spec.Procs), l2: make([]l2Stage, len(g.shapes))}
 		for k, sh := range g.shapes {
 			prof, err := trace.NewOrgProfilers(sh.specs)
 			if err != nil {
@@ -189,10 +195,18 @@ func newL1Stage(block int64, l1s, l2s []Level, procs int) (*l1Stage, error) {
 	return st, nil
 }
 
-// touch runs one trace access by processor proc through its L1 profilers;
-// at every L1 point it missed, the block feeds each L2 stage at the stage's
+// RecordRun runs processor proc's accesses to the n blocks base, base+1,
+// … through the hierarchy, in that order.
+func (st *SharedProfiler) RecordRun(proc int, base, n int64) {
+	for end := base + n; base != end; base++ {
+		st.touch(proc, base)
+	}
+}
+
+// touch runs one access by processor proc through its L1 profilers; at
+// every L1 point it missed, the block feeds each L2 stage at the stage's
 // own granularity.
-func (st *l1Stage) touch(proc int, blk int64) {
+func (st *SharedProfiler) touch(proc int, blk int64) {
 	orgs := st.orgs[proc]
 	orgs.Touch(blk)
 	for _, f := range st.filters {
@@ -206,9 +220,9 @@ func (st *l1Stage) touch(proc int, blk int64) {
 	}
 }
 
-// resetCounts starts the measured window: histograms and miss counters
+// ResetCounts starts the measured window: histograms and miss counters
 // reset, warm stack state kept.
-func (st *l1Stage) resetCounts() {
+func (st *SharedProfiler) ResetCounts() {
 	for _, orgs := range st.orgs {
 		orgs.ResetCounts()
 	}
@@ -226,27 +240,29 @@ func (st *l1Stage) resetCounts() {
 // equal its point's own curve value (the same stack touches, summed per
 // event and per depth histogram), and every L2 stage must have counted
 // exactly the accesses its filter emitted.
-func (st *l1Stage) collect() (accesses []int64, l1, l2 [][]int64, err error) {
-	accesses = make([]int64, len(st.orgs))
+func (st *SharedProfiler) collect() (*SharedCurves, error) {
+	out := &SharedCurves{Spec: st.spec, ProcAccesses: make([]int64, len(st.orgs)),
+		L1Misses: make([][]int64, len(st.filters)), L2Misses: make([][]int64, len(st.filters))}
 	for p, orgs := range st.orgs {
 		curves := orgs.Curves()
-		accesses[p] = curves[0].LRU.Accesses
-		for i, lv := range st.levels {
-			misses, _ := levelMisses(curves, st.specIdx, lv) // covered: newL1Stage resolved its Point
+		out.ProcAccesses[p] = curves[0].LRU.Accesses
+		out.Accesses += curves[0].LRU.Accesses
+		for i, lv := range st.spec.L1s {
+			misses, _ := levelMisses(curves, st.specIdx, lv) // covered: NewSharedProfiler resolved its Point
 			if got := st.filters[i].misses[p]; got != misses {
-				return nil, nil, nil, fmt.Errorf("hierarchy: internal: L1 point %d filter saw %d misses, curve says %d (processor %d)",
+				return nil, fmt.Errorf("hierarchy: internal: L1 point %d filter saw %d misses, curve says %d (processor %d)",
 					i, got, misses, p)
 			}
 		}
 	}
-	l1, l2 = make([][]int64, len(st.filters)), make([][]int64, len(st.filters))
 	for i, f := range st.filters {
-		l1[i] = f.misses
-		if l2[i], err = st.grid.row(f); err != nil {
-			return nil, nil, nil, fmt.Errorf("hierarchy: internal: L1 point %d: %w", i, err)
+		out.L1Misses[i] = f.misses
+		var err error
+		if out.L2Misses[i], err = st.grid.row(f); err != nil {
+			return nil, fmt.Errorf("hierarchy: internal: L1 point %d: %w", i, err)
 		}
 	}
-	return accesses, l1, l2, nil
+	return out, nil
 }
 
 // row extracts one filter's L2 miss counts, in L2-spec order.
@@ -293,17 +309,35 @@ func hierOrgSpecs(levels []Level) ([]trace.OrgSpec, map[int64]int) {
 	return specs, specIdx
 }
 
+// Curves closes the pass: the exact grid, timed under hier.shared.profile
+// and published into reg (nil: neither). The timer covers extraction and
+// the in-band checks only — the touches happened as the accesses came.
+func (st *SharedProfiler) Curves(reg *obs.Registry) (*SharedCurves, error) {
+	return st.curves(reg, "hier.shared.profile")
+}
+
+// curves is collect timed under the named timer, then published.
+func (st *SharedProfiler) curves(reg *obs.Registry, timer string) (*SharedCurves, error) {
+	stop := reg.Timer(timer).Start()
+	out, err := st.collect()
+	stop()
+	if err != nil {
+		return nil, err
+	}
+	st.publish(reg, out.Accesses)
+	return out, nil
+}
+
 // publish records one hierarchy pass's totals (no-op when reg is nil): the
 // counted accesses, the filter-stream length (accesses the L1 points let
 // through — the combined length of the streams that fed the L2 profilers),
 // the timeline work of both levels, and the grid size.
-func (st *l1Stage) publish(reg *obs.Registry, accesses []int64, points int) {
+func (st *SharedProfiler) publish(reg *obs.Registry, accesses int64) {
 	if reg == nil {
 		return
 	}
-	var total, misses, ops int64
-	for p, orgs := range st.orgs {
-		total += accesses[p]
+	var misses, ops int64
+	for _, orgs := range st.orgs {
 		ops += orgs.TimelineOps()
 	}
 	for _, f := range st.filters {
@@ -314,47 +348,67 @@ func (st *l1Stage) publish(reg *obs.Registry, accesses []int64, points int) {
 			ops += s.prof.TimelineOps()
 		}
 	}
-	reg.Counter("trace.profile.accesses").Add(total)
+	reg.Counter("trace.profile.accesses").Add(accesses)
 	reg.Counter("trace.profile.timeline.ops").Add(ops)
 	reg.Counter("trace.profile.passes").Add(1)
 	reg.Counter("hier.filter.misses").Add(misses)
-	reg.Counter("hier.profile.points").Add(int64(points))
+	reg.Counter("hier.profile.points").Add(int64(len(st.spec.L1s) * len(st.spec.L2s)))
+}
+
+// HierProfiler is SharedProfiler with one processor: the uniprocessor
+// hierarchy profiler, and a trace.Recorder, so an execution machine
+// profiles the whole (L1, L2) grid while it runs, with ResetCounts as its
+// window mark. ProfileHier feeds it from a recorded log instead.
+type HierProfiler struct {
+	spec HierSpec
+	st   *SharedProfiler
+}
+
+// NewHierProfiler validates spec and builds its profiler.
+func NewHierProfiler(spec HierSpec) (*HierProfiler, error) {
+	st, err := NewSharedProfiler(SharedSpec{Block: spec.Block, Procs: 1, L1s: spec.L1s, L2s: spec.L2s})
+	if err != nil {
+		return nil, err
+	}
+	return &HierProfiler{spec: spec, st: st}, nil
+}
+
+// RecordRun runs accesses to the n blocks base, base+1, … through the
+// hierarchy, in that order.
+func (h *HierProfiler) RecordRun(base, n int64) { h.st.RecordRun(0, base, n) }
+
+// ResetCounts starts the measured window, keeping warm stack state.
+func (h *HierProfiler) ResetCounts() { h.st.ResetCounts() }
+
+// Curves closes the pass like SharedProfiler.Curves, timed under
+// hier.profile.
+func (h *HierProfiler) Curves(reg *obs.Registry) (*HierCurves, error) {
+	sc, err := h.st.curves(reg, "hier.profile")
+	if err != nil {
+		return nil, err
+	}
+	out := &HierCurves{Spec: h.spec, Accesses: sc.Accesses, L1Misses: make([]int64, len(sc.L1Misses)), L2Misses: sc.L2Misses}
+	for i, m := range sc.L1Misses {
+		out.L1Misses[i] = m[0]
+	}
+	return out, nil
 }
 
 // ProfileHier evaluates the whole (L1, L2) grid from one recorded log in
-// a single replay, so a spilled trace is read off disk exactly once: each
-// access is one touch of the L1 organisation profilers, which yields the
-// exact L1 curves and, per L1 point, whether the access goes on to that
-// point's L2 profilers. The replay honours the log's measured window.
+// a single replay through a HierProfiler: each access is one touch of the
+// L1 organisation profilers, which yields the exact L1 curves and, per L1
+// point, whether the access goes on to that point's L2 profilers. The
+// replay honours the log's measured window, so the curves equal those of
+// the same profiler recording the execution live.
 func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	st, err := newL1Stage(spec.Block, spec.L1s, spec.L2s, 1)
+	h, err := NewHierProfiler(spec)
 	if err != nil {
 		return nil, err
 	}
-	return profileHier(l, spec, st)
-}
-
-// profileHier is ProfileHier over an already-built stage.
-func profileHier(l *trace.Log, spec HierSpec, st *l1Stage) (*HierCurves, error) {
-	reg := l.Metrics()
-	stop := reg.Timer("hier.profile").Start()
-	if err := l.ForEachWindowed(st.resetCounts, func(blk int64) { st.touch(0, blk) }); err != nil {
+	if err := l.ForEachRunWindowed(h.ResetCounts, h.RecordRun); err != nil {
 		return nil, err
 	}
-	accesses, l1, l2, err := st.collect()
-	if err != nil {
-		return nil, err
-	}
-	out := &HierCurves{Spec: spec, Accesses: accesses[0], L1Misses: make([]int64, len(l1)), L2Misses: l2}
-	for i := range l1 {
-		out.L1Misses[i] = l1[i][0]
-	}
-	stop()
-	st.publish(reg, accesses, len(spec.L1s)*len(spec.L2s))
-	return out, nil
+	return h.Curves(l.Metrics())
 }
 
 // ProfileHierJobs is ProfileHier.

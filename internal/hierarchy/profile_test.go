@@ -35,12 +35,8 @@ func testSpec() HierSpec {
 
 // recordLog turns a block stream into a Log with a measured window after
 // the first warm accesses.
-func recordLog(blocks []int64, warm int) *trace.Log { return recordLogSpilling(blocks, warm, 0) }
-
-// recordLogSpilling is recordLog with a spill threshold (0: never spill).
-func recordLogSpilling(blocks []int64, warm int, threshold int64) *trace.Log {
+func recordLog(blocks []int64, warm int) *trace.Log {
 	l := trace.NewLog()
-	l.SetSpillThreshold(threshold)
 	for i, blk := range blocks {
 		if i == warm {
 			l.MarkWindow()
@@ -113,7 +109,7 @@ type hierCase struct {
 	spec   HierSpec
 	blocks []int64
 	warm   int
-	spill  bool
+	long   bool
 }
 
 func hierCases() []hierCase {
@@ -126,10 +122,10 @@ func hierCases() []hierCase {
 	l1s := testSpec().L1s
 	for trial := 0; trial < 6; trial++ {
 		n := 3000
-		c := hierCase{name: "oracleL2s", spill: trial%3 == 2}
+		c := hierCase{name: "oracleL2s", long: trial%3 == 2}
 		c.spec = HierSpec{Block: 16, L1s: l1s, L2s: oracleL2s(rng, 16)}
-		if c.spill {
-			n = 40000 // enough encoded bytes to seal and spill chunks
+		if c.long {
+			n = 40000 // enough encoded bytes to seal chunks
 			c.spec.L1s = l1s[2:4]
 		}
 		c.blocks = scatter(stream(rng, n, int64(100+rng.Intn(500))))
@@ -143,16 +139,12 @@ func hierCases() []hierCase {
 // every grid point of the one-pass profile equals a fresh pointwise replay
 // through the two-level simulator, warm window included — on the standard
 // grid, and on oracleL2s grids over scattered ids with the window mark at
-// 0, mid-stream and at/past the end, in memory and spilled.
+// 0, mid-stream and at/past the end, over one chunk and several.
 func TestProfileHierMatchesSimulator(t *testing.T) {
 	for ci, c := range hierCases() {
-		var threshold int64
-		if c.spill {
-			threshold = 1
-		}
-		l := recordLogSpilling(c.blocks, c.warm, threshold)
-		if c.spill && !l.Spilled() {
-			t.Fatalf("case %d: spill variant did not spill", ci)
+		l := recordLog(c.blocks, c.warm)
+		if c.long && l.Stats().Chunks == 0 {
+			t.Fatalf("case %d: long variant sealed no chunk", ci)
 		}
 		spec := c.spec
 		hc, err := ProfileHier(l, spec)
@@ -179,9 +171,6 @@ func TestProfileHierMatchesSimulator(t *testing.T) {
 				}
 			}
 		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -192,27 +181,33 @@ func TestProfileHierFilterCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	l := recordLog(stream(rng, 2000, 100), 500)
 	spec := testSpec()
-	build := func() *l1Stage {
-		st, err := newL1Stage(spec.Block, spec.L1s, spec.L2s, 1)
+	build := func() *HierProfiler {
+		h, err := NewHierProfiler(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
+		return h
 	}
-	if _, err := profileHier(l, spec, build()); err != nil {
+	profileHier := func(l *trace.Log, h *HierProfiler) (*HierCurves, error) {
+		if err := l.ForEachRunWindowed(h.ResetCounts, h.RecordRun); err != nil {
+			return nil, err
+		}
+		return h.Curves(nil)
+	}
+	if _, err := profileHier(l, build()); err != nil {
 		t.Fatalf("unperturbed stage: %v", err)
 	}
 
 	// Point 2 (4-way LRU) reads its family at 3 ways: every access at depth
 	// exactly 4 becomes a miss the point's curve does not count.
-	st := build()
-	l1 := spec.L1s[2]
+	h := build()
+	st, l1 := h.st, spec.L1s[2]
 	pt, ok := st.orgs[0].Point(st.specIdx[l1.Sets()], l1.EffWays()-1, false)
 	if !ok {
 		t.Fatal("no point one way short of L1 point 2")
 	}
 	st.filters[2].point = pt
-	hc, err := profileHier(l, spec, st)
+	hc, err := profileHier(l, h)
 	if err == nil || !strings.Contains(err.Error(), "filter saw") || !strings.Contains(err.Error(), "curve says") {
 		t.Fatalf("perturbed threshold: got curves %v, err %v; want the filter-vs-curve error", hc, err)
 	}
@@ -222,9 +217,9 @@ func TestProfileHierFilterCrossCheck(t *testing.T) {
 
 	// Point 3's first L2 stage is also fed point 1's misses: its counted
 	// accesses no longer add up to what filter 3 emitted.
-	st = build()
-	st.filters[1].l2[0].prof = st.filters[3].l2[0].prof
-	hc, err = profileHier(l, spec, st)
+	h = build()
+	h.st.filters[1].l2[0].prof = h.st.filters[3].l2[0].prof
+	hc, err = profileHier(l, h)
 	if err == nil || !strings.Contains(err.Error(), "emitted") || !strings.Contains(err.Error(), "counted") {
 		t.Fatalf("cross-fed L2 stage: got curves %v, err %v; want the L2 conservation error", hc, err)
 	}
@@ -260,61 +255,70 @@ func TestProfileHierJobsEmptyWindow(t *testing.T) {
 	checkHierJobsShim(t, recordLog(stream(rng, 2000, 100), 2000), testSpec())
 }
 
-// TestProfileHierSpillIdentical is the spill × hierarchy-profiling
-// regression test: a log that spilled to disk must profile into exactly
-// the same curves as the identical in-memory log.
+// TestProfileHierSpillIdentical: streamed == replayed. A HierProfiler fed
+// the accesses as they are recorded — the way an execution machine drives
+// it in schedule.MeasureHier, with ResetCounts as the window mark —
+// answers exactly what ProfileHier answers over an in-memory Log recorded
+// through the same window, one long enough to seal several chunks, with
+// the mark mid-trace; and the replay decodes the log exactly once.
 func TestProfileHierSpillIdentical(t *testing.T) {
-	// Long enough that several 64 KiB chunks seal and cross the threshold.
 	rng := rand.New(rand.NewSource(21))
-	blocks := stream(rng, 300000, 500)
-	mem := recordLog(blocks, 4000)
-	spilled := recordLogSpilling(blocks, 4000, 1<<12) // force many spill flushes
-	defer spilled.Close()
-	if !spilled.Spilled() {
-		t.Fatal("spill threshold never triggered; the test is vacuous")
-	}
 	spec := testSpec()
-	a, err := ProfileHier(mem, spec)
+	live, err := NewHierProfiler(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ProfileHier(spilled, spec)
+	l := trace.NewLog()
+	for i := 0; l.Len() < 300000; i++ {
+		if i == 2000 {
+			live.ResetCounts()
+			l.MarkWindow()
+		}
+		base, n := rng.Int63n(500), 1+rng.Int63n(8)
+		live.RecordRun(base, n)
+		l.RecordRun(base, n)
+	}
+	if l.Stats().Chunks < 2 {
+		t.Fatalf("log sealed %d chunks; the replay never crosses a chunk boundary", l.Stats().Chunks)
+	}
+	streamed, err := live.Curves(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("spill-backed curves differ from in-memory curves:\nmem: %+v\nspill: %+v", a, b)
+	replayed, err := ProfileHier(l, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, replayed) {
+		t.Errorf("streamed curves differ from replayed curves:\nstreamed: %+v\nreplayed: %+v", streamed, replayed)
+	}
+	if want := l.Len() - l.WindowStart(); streamed.Accesses != want {
+		t.Errorf("streamed profile counted %d accesses, window holds %d", streamed.Accesses, want)
+	}
+	if l.Replays() != 1 {
+		t.Errorf("ProfileHier paid %d replays, want 1", l.Replays())
 	}
 }
 
-// TestProfileHierSinglePass is the replay-I/O regression test: the whole
+// TestProfileHierSinglePass is the replay regression test: the whole
 // (L1, L2) grid — organisation curves and filtered L2 profiles — must
-// cost exactly one decode of the trace. On a spilled trace every replay
-// is a full re-read of the spill file, so a second pass would double the
-// profiling path's disk I/O.
+// cost exactly one decode of a multi-chunk trace.
 func TestProfileHierSinglePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	blocks := stream(rng, 300000, 500)
-	spilled := recordLogSpilling(blocks, 4000, 1<<12)
-	defer spilled.Close()
-	if !spilled.Spilled() {
-		t.Fatal("spill threshold never triggered; the test is vacuous")
-	}
-	if _, err := ProfileHier(spilled, testSpec()); err != nil {
+	l := recordLog(blocks, 4000)
+	if _, err := ProfileHier(l, testSpec()); err != nil {
 		t.Fatal(err)
 	}
-	st := spilled.Stats()
+	st := l.Stats()
 	if st.Replays != 1 {
 		t.Errorf("ProfileHier paid %d trace replays, want 1", st.Replays)
 	}
 	if st.Accesses != int64(len(blocks)) {
 		t.Errorf("stats count %d accesses, recorded %d", st.Accesses, len(blocks))
 	}
-	if st.SpilledBytes == 0 {
-		t.Error("stats report no spilled bytes on a spilled trace")
-	}
-	if st.Chunks == 0 || st.SpilledBytes > int64(st.Chunks)*(64<<10) {
-		t.Errorf("stats inconsistent: %d chunks sealed for %d spilled bytes", st.Chunks, st.SpilledBytes)
+	if st.Chunks == 0 || l.EncodedBytes() < st.Chunks*(64<<10) {
+		t.Errorf("stats inconsistent: %d chunks sealed for %d encoded bytes", st.Chunks, l.EncodedBytes())
 	}
 }
 

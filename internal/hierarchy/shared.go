@@ -3,6 +3,7 @@ package hierarchy
 import (
 	"fmt"
 
+	"streamsched/internal/obs"
 	"streamsched/internal/trace"
 )
 
@@ -42,12 +43,12 @@ func (cfg SharedConfig) Validate() error {
 
 // SharedSim is the exact shared-L2 simulator: P private L1 cachesim.Banks
 // in front of one shared L2 Bank. It consumes the interleaved
-// per-processor block-access stream of a parallel run (Access tags every
-// access with its processor), so the L2's contents — and therefore its hit
-// rate — depend on how the processors' miss streams interleave: the
-// contention effect scheduler and partition choices move. SharedSim is not
-// safe for concurrent use; the parallel executor is a deterministic
-// single-threaded simulation and feeds it in emission order.
+// per-processor block-access stream of a parallel run (Access and
+// RecordRun tag every access with its processor), so the L2's contents —
+// and therefore its hit rate — depend on how the processors' miss streams
+// interleave: the contention effect scheduler and partition choices move.
+// SharedSim is not safe for concurrent use; the parallel executor is a
+// deterministic single-threaded simulation and feeds it in emission order.
 type SharedSim struct {
 	cfg   SharedConfig
 	ratio int64 // L2 block / L1 block
@@ -104,6 +105,15 @@ func (s *SharedSim) Access(proc int, blk int64) {
 	s.l2.stats.Misses++
 	s.perProcL2[proc].Misses++
 	s.l2.bank.Insert(b2)
+}
+
+// RecordRun feeds processor proc's accesses to the n blocks base, base+1,
+// … through the hierarchy, in that order — the executor's per-processor
+// sink, as SharedProfiler.RecordRun is.
+func (s *SharedSim) RecordRun(proc int, base, n int64) {
+	for end := base + n; base != end; base++ {
+		s.Access(proc, base)
+	}
 }
 
 // ResetStats zeroes every counter without disturbing cache contents — the
@@ -174,7 +184,7 @@ func (s *SharedSim) AMAT(cm CostModel) float64 {
 // the window warm every level but are not counted), and returns the
 // simulator with its windowed counters. The trace's processor count must
 // match cfg.Procs. This is the pointwise oracle ProfileShared's one-pass
-// grid is validated against (experiment E21).
+// grid is checked against when both replay one recorded trace.
 func SimulateSharedLog(pl *trace.ProcLog, cfg SharedConfig) (*SharedSim, error) {
 	if pl.Procs() != cfg.Procs {
 		return nil, fmt.Errorf("hierarchy: trace has %d processors, config wants %d", pl.Procs(), cfg.Procs)
@@ -186,16 +196,24 @@ func SimulateSharedLog(pl *trace.ProcLog, cfg SharedConfig) (*SharedSim, error) 
 	if err := pl.ForEachWindowed(sim.ResetStats, sim.Access); err != nil {
 		return nil, err
 	}
-	if reg := pl.Metrics(); reg != nil {
-		var l1 LevelStats
-		for p := 0; p < cfg.Procs; p++ {
-			st := sim.L1Stats(p)
-			l1.Accesses += st.Accesses
-			l1.Hits += st.Hits
-			l1.Misses += st.Misses
-		}
-		publishLevelStats(reg, "hier.sim.l1", l1)
-		publishLevelStats(reg, "hier.sim.l2", sim.L2Stats())
-	}
+	sim.PublishMetrics(pl.Metrics())
 	return sim, nil
+}
+
+// PublishMetrics records the windowed traffic into reg (no-op when reg is
+// nil): hier.sim.l1.{accesses,hits,misses} summed over the processors'
+// private L1s, and hier.sim.l2.* for the shared L2.
+func (s *SharedSim) PublishMetrics(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	var l1 LevelStats
+	for p := range s.l1 {
+		st := s.l1[p].stats
+		l1.Accesses += st.Accesses
+		l1.Hits += st.Hits
+		l1.Misses += st.Misses
+	}
+	publishLevelStats(reg, "hier.sim.l1", l1)
+	publishLevelStats(reg, "hier.sim.l2", s.l2.stats)
 }

@@ -11,22 +11,32 @@ import (
 
 // procTrace records a random interleaving of per-processor streaming
 // traces into a ProcLog, marking a window a quarter of the way through.
-func procTrace(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, spill int64) *trace.ProcLog {
+// A non-nil live profiler is fed every access as it is recorded, with its
+// ResetCounts at the mark.
+func procTrace(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, live *SharedProfiler) *trace.ProcLog {
 	t.Helper()
-	return procTraceAt(t, rng, procs, n, nblocks, spill, procs*n/4, false)
+	return procTraceAt(t, rng, procs, n, nblocks, live, procs*n/4, false)
 }
 
 // procTraceAt is procTrace with the window mark at global index warm (at or
 // past the end: an empty window) and, when scattered, the ids rewritten by
 // scatter into negative and sparse bands.
-func procTraceAt(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, spill int64, warm int, scattered bool) *trace.ProcLog {
+func procTraceAt(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, live *SharedProfiler, warm int, scattered bool) *trace.ProcLog {
 	t.Helper()
 	pl, err := trace.NewProcLog(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spill > 0 {
-		pl.SetSpillThreshold(spill)
+	mark, record := pl.MarkWindow, pl.Record
+	if live != nil {
+		mark = func() {
+			pl.MarkWindow()
+			live.ResetCounts()
+		}
+		record = func(proc int, blk int64) {
+			pl.Record(proc, blk)
+			live.RecordRun(proc, blk, 1)
+		}
 	}
 	streams := make([][]int64, procs)
 	for p := range streams {
@@ -60,13 +70,13 @@ func procTraceAt(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, spil
 			}
 		}
 		if i == warm {
-			pl.MarkWindow()
+			mark()
 		}
-		pl.Record(cur, streams[cur][pos[cur]])
+		record(cur, streams[cur][pos[cur]])
 		pos[cur]++
 	}
 	if warm >= total {
-		pl.MarkWindow()
+		mark()
 	}
 	return pl
 }
@@ -196,7 +206,7 @@ func TestSharedSimIdenticalStreams(t *testing.T) {
 // processors.
 func TestSharedSimOneSetL2(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	pl := procTrace(t, rng, 3, 8000, 64, 0)
+	pl := procTrace(t, rng, 3, 8000, 64, nil)
 	oneSet := SharedConfig{Procs: 3, L1: lv(8*16, 16, 1, cachesim.LRU), L2: lv(64*16, 16, 0, cachesim.LRU)}
 	full := SharedConfig{Procs: 3, L1: lv(8*16, 16, 1, cachesim.LRU), L2: lv(64*16, 16, 64, cachesim.LRU)}
 	a, err := SimulateSharedLog(pl, oneSet)
@@ -217,7 +227,7 @@ func TestSharedSimOneSetL2(t *testing.T) {
 // with the shared simulator — per-processor L1 misses and aggregate L2
 // misses — on random interleaved traces, windows included: first the
 // standard grid, then oracleL2s grids over scattered ids with the window
-// mark at 0, mid-stream and at/past the end, in memory and spilled.
+// mark at 0, mid-stream and at/past the end, over one chunk and several.
 func TestProfileSharedMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	l1s := []Level{
@@ -236,25 +246,22 @@ func TestProfileSharedMatchesSimulator(t *testing.T) {
 			var pl *trace.ProcLog
 			spec := SharedSpec{Block: 16, Procs: procs, L1s: l1s, L2s: l2s}
 			if !oracle {
-				pl = procTrace(t, rng, procs, 6000, 96, 0)
+				pl = procTrace(t, rng, procs, 6000, 96, nil)
 			} else {
-				n, spill := 2000, int64(0)
-				if trial%3 == 2 {
-					n, spill = 40000/procs, 1
+				n, long := 2000, trial%3 == 2
+				if long {
+					n = 40000 / procs
 					spec.L1s = l1s[1:]
 				}
 				spec.L2s = oracleL2s(rng, 16)
 				warm := []int{0, procs * n / 3, procs * n, procs*n + 1}[trial%4]
-				pl = procTraceAt(t, rng, procs, n, 96, spill, warm, true)
-				if spill > 0 && !pl.Spilled() {
-					t.Fatal("spill variant did not spill")
+				pl = procTraceAt(t, rng, procs, n, 96, nil, warm, true)
+				if long && pl.Stats().Chunks == 0 {
+					t.Fatal("long variant sealed no chunk")
 				}
 				trial++
 			}
 			checkSharedAgainstSimulator(t, pl, spec)
-			if err := pl.Close(); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 }
@@ -305,7 +312,7 @@ func checkSharedAgainstSimulator(t *testing.T, pl *trace.ProcLog, spec SharedSpe
 // shim: every (jobs, decodeJobs) returns ProfileShared's curves.
 func TestProfileSharedJobsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	pl := procTrace(t, rng, 2, 3000, 96, 0)
+	pl := procTrace(t, rng, 2, 3000, 96, nil)
 	spec := SharedSpec{Block: 16, Procs: 2,
 		L1s: []Level{lv(8*16, 16, 1, cachesim.LRU), lv(16*16, 16, 2, cachesim.FIFO)},
 		L2s: []Level{lv(64*16, 16, 0, cachesim.LRU), lv(64*64, 64, 2, cachesim.FIFO)}}
@@ -321,61 +328,43 @@ func TestProfileSharedJobsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestProfileSharedSpilled: a spilled interleaved trace profiles
-// identically to an in-memory one, and the whole grid costs exactly one
-// replay.
+// TestProfileSharedSpilled: streamed == replayed. A SharedProfiler fed the
+// interleaved accesses as they are recorded — the way the parallel
+// executor drives it in parallel.MeasureShared, with ResetCounts as the
+// window mark — answers exactly what ProfileShared answers over the
+// in-memory ProcLog recorded through the same window, one long enough to
+// seal several chunks; and the replay decodes the trace exactly once.
 func TestProfileSharedSpilled(t *testing.T) {
-	mk := func(spill int64) *trace.ProcLog {
-		rng := rand.New(rand.NewSource(15))
-		return procTrace(t, rng, 2, 60000, 128, spill)
-	}
 	spec := SharedSpec{
 		Block: 16,
 		Procs: 2,
-		L1s:   []Level{lv(8*16, 16, 0, cachesim.LRU), lv(16*16, 16, 1, cachesim.LRU)},
-		L2s:   []Level{lv(64*16, 16, 0, cachesim.LRU), lv(64*64, 64, 0, cachesim.LRU)},
+		L1s:   []Level{lv(8*16, 16, 0, cachesim.LRU), lv(16*16, 16, 1, cachesim.LRU), lv(16*16, 16, 2, cachesim.FIFO)},
+		L2s:   []Level{lv(64*16, 16, 0, cachesim.LRU), lv(64*64, 64, 0, cachesim.LRU), lv(64*64, 64, 2, cachesim.FIFO)},
 	}
-	mem := mk(0)
-	spilled := mk(1 << 10)
-	if !spilled.Spilled() {
-		t.Fatalf("trace did not spill (%d bytes)", spilled.EncodedBytes())
-	}
-	defer spilled.Close()
-	a, err := ProfileShared(mem, spec)
+	live, err := NewSharedProfiler(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ProfileShared(spilled, spec)
+	pl := procTrace(t, rand.New(rand.NewSource(15)), 2, 60000, 128, live)
+	if pl.Stats().Chunks < 2 {
+		t.Fatalf("trace sealed %d chunks; the replay never crosses a chunk boundary", pl.Stats().Chunks)
+	}
+	streamed, err := live.Curves(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, stMem := spilled.Stats(), mem.Stats()
-	if st.Replays != 1 {
-		t.Errorf("ProfileShared paid %d replays, want 1", st.Replays)
+	replayed, err := ProfileShared(pl, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Accesses != stMem.Accesses || st.Accesses != spilled.Len() || st.Accesses == 0 {
-		t.Errorf("stats count %d accesses, in-memory twin recorded %d", st.Accesses, stMem.Accesses)
+	if !reflect.DeepEqual(streamed, replayed) {
+		t.Errorf("streamed curves differ from replayed curves:\nstreamed: %+v\nreplayed: %+v", streamed, replayed)
 	}
-	if st.SpilledBytes == 0 {
-		t.Error("stats report no spilled bytes on a spilled trace")
+	if want := pl.Len() - pl.WindowStart(); streamed.Accesses != want {
+		t.Errorf("streamed profile counted %d accesses, window holds %d", streamed.Accesses, want)
 	}
-	if stMem.SpilledBytes != 0 {
-		t.Errorf("in-memory trace claims %d spilled bytes", stMem.SpilledBytes)
-	}
-	if st.Chunks != stMem.Chunks || st.Chunks == 0 {
-		t.Errorf("chunk counts diverge: spilled sealed %d, in-memory %d", st.Chunks, stMem.Chunks)
-	}
-	for i := range spec.L1s {
-		for p := 0; p < spec.Procs; p++ {
-			if a.L1Misses[i][p] != b.L1Misses[i][p] {
-				t.Errorf("L1 point %d proc %d: mem %d, spilled %d", i, p, a.L1Misses[i][p], b.L1Misses[i][p])
-			}
-		}
-		for j := range spec.L2s {
-			if a.L2Misses[i][j] != b.L2Misses[i][j] {
-				t.Errorf("point (%d,%d): mem %d, spilled %d", i, j, a.L2Misses[i][j], b.L2Misses[i][j])
-			}
-		}
+	if pl.Replays() != 1 {
+		t.Errorf("ProfileShared paid %d replays, want 1", pl.Replays())
 	}
 }
 
@@ -383,7 +372,7 @@ func TestProfileSharedSpilled(t *testing.T) {
 // and malformed specs are refused.
 func TestProfileSharedRejectsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	pl := procTrace(t, rng, 2, 500, 32, 0)
+	pl := procTrace(t, rng, 2, 500, 32, nil)
 	ok := SharedSpec{Block: 16, Procs: 2,
 		L1s: []Level{lv(128, 16, 0, cachesim.LRU)}, L2s: []Level{lv(1024, 16, 0, cachesim.LRU)}}
 	if _, err := ProfileShared(pl, ok); err != nil {

@@ -77,50 +77,36 @@ func (c *SharedCurves) Point(i, j int) (l1, l2 int64) {
 
 // AMAT evaluates the cost model at grid point (i, j) over the aggregate
 // counters. Per-processor makespans need per-processor L2 attribution,
-// which the aggregate Mattson profile does not carry — use
-// SimulateSharedLog (or parallel.RunShared) for those.
+// which the aggregate Mattson profile does not carry — use SharedSim
+// (parallel.RunShared) for those.
 func (c *SharedCurves) AMAT(i, j int, cm CostModel) float64 {
 	return cm.AMAT(c.Accesses, c.L1Total(i), c.L2Misses[i][j])
 }
 
 // ProfileShared evaluates the whole (L1, L2) grid from one recorded
-// multiprocessor log in a single replay. Every processor runs its own L1
-// organisation profilers over its own accesses, fed in the recorded global
-// order; the interleaved miss stream each L1 design point's P private
-// replicas emit drives that point's shared-L2 profilers (per-set Mattson
-// stacks for LRU, one residency bit per FIFO point), so one parallel
-// execution answers every (L1, L2) pairing. It is ProfileHier's stage at P
-// processors. The replay honours the log's measured window. Experiment E21
-// cross-validates every grid point against SimulateSharedLog, an
+// multiprocessor log in a single replay through a SharedProfiler. Every
+// processor runs its own L1 organisation profilers over its own accesses,
+// fed in the recorded global order; the interleaved miss stream each L1
+// design point's P private replicas emit drives that point's shared-L2
+// profilers (per-set Mattson stacks for LRU, one residency bit per FIFO
+// point), so one parallel execution answers every (L1, L2) pairing. The
+// replay honours the log's measured window, so the curves equal those of
+// the same profiler fed live by the run (parallel.MeasureShared).
+// Experiment E21 cross-validates every grid point against SharedSim, an
 // independent implementation (policy-ordered Banks at both levels rather
 // than reuse-distance profilers).
 func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
-	if err := spec.Validate(); err != nil {
+	p, err := NewSharedProfiler(spec)
+	if err != nil {
 		return nil, err
 	}
 	if pl.Procs() != spec.Procs {
 		return nil, fmt.Errorf("hierarchy: trace has %d processors, spec wants %d", pl.Procs(), spec.Procs)
 	}
-
-	reg := pl.Metrics()
-	stop := reg.Timer("hier.shared.profile").Start()
-	st, err := newL1Stage(spec.Block, spec.L1s, spec.L2s, spec.Procs)
-	if err != nil {
+	if err := pl.ForEachWindowed(p.ResetCounts, p.touch); err != nil {
 		return nil, err
 	}
-	if err := pl.ForEachWindowed(st.resetCounts, st.touch); err != nil {
-		return nil, err
-	}
-	out := &SharedCurves{Spec: spec}
-	if out.ProcAccesses, out.L1Misses, out.L2Misses, err = st.collect(); err != nil {
-		return nil, err
-	}
-	for _, n := range out.ProcAccesses {
-		out.Accesses += n
-	}
-	stop()
-	st.publish(reg, out.ProcAccesses, len(spec.L1s)*len(spec.L2s))
-	return out, nil
+	return p.Curves(pl.Metrics())
 }
 
 // ProfileSharedJobs is ProfileShared.

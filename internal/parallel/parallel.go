@@ -13,11 +13,12 @@
 // half-full/empty-full claiming rules are designed to permit. Processors
 // prefer re-claiming the component they ran last (cache affinity).
 //
-// Runs can emit their traces: RunTraced tags every block access with the
-// executing processor and records the global interleaving into a
-// trace.ProcLog — the input of the shared-L2 hierarchy paths (RunShared,
-// MeasureShared), where all private-L1 miss streams contend for one shared
-// L2 in exactly the recorded order.
+// Runs can emit their traces: RunInto hands every block access, tagged
+// with the executing processor, to a sink in global emission order — the
+// shared-L2 hierarchy paths' profiler or simulator (MeasureShared,
+// RunShared), where all private-L1 miss streams contend for one shared L2
+// in exactly that order, or a trace.ProcLog (RunTraced) for a later
+// replay.
 //
 // One determinism invariant makes the measurement paths trustworthy: the
 // executor's claiming decisions depend only on the graph, the partition,
@@ -422,49 +423,44 @@ func (st *state) summarise(since snapshot) *Result {
 	return res
 }
 
-// RunTraced executes g under cfg for warm source firings, marks the
-// measured window, and executes measured more, recording every block
-// access — tagged with its processor, in global emission order — into a
-// trace.ProcLog. The returned Result summarises the measured window. The
-// interleaving is decided by the executor's private-cache clocks alone, so
-// it is independent of whatever hierarchy the trace is later evaluated
-// against — which is what lets one trace answer a whole (L1, L2) grid
-// exactly. The caller owns the log (Close it if it may have spilled).
-func RunTraced(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured int64) (*Result, *trace.ProcLog, error) {
+// RunInto is the one way to make a traced run. It executes g under cfg
+// for warm source firings, calls mark, and executes measured more, handing
+// every block access — tagged with its processor, in global emission
+// order — to sink(proc, base, n), a run of blocks at a time. It returns
+// the measured window's Result and the number of accesses handed over
+// (warm-up and window). The interleaving is decided by the executor's
+// private-cache clocks alone, so it is independent of whatever hierarchy
+// the sink evaluates — which is what lets one run answer a whole (L1, L2)
+// grid exactly.
+func RunInto(g *sdf.Graph, p *partition.Partition, cfg Config, sink func(proc int, base, n int64), mark func(), warm, measured int64) (*Result, int64, error) {
 	if measured <= 0 {
-		return nil, nil, fmt.Errorf("parallel: measured window must be positive, got %d", measured)
+		return nil, 0, fmt.Errorf("parallel: measured window must be positive, got %d", measured)
 	}
 	st, err := newState(g, p, cfg)
 	if err != nil {
-		return nil, nil, err
-	}
-	plog, err := trace.NewProcLog(cfg.Procs)
-	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	reg := obs.Or(cfg.Env.Metrics)
 	sp := reg.StartSpan(fmt.Sprintf("run_traced[procs=%d]", cfg.Procs))
 	defer sp.End()
-	plog.SetMetrics(reg)
-	plog.SetSpillThreshold(traceSpillBytes)
-	// On any failure the log is not handed to the caller, so its spill
-	// file (if the trace grew past the threshold) must be released here.
-	fail := func(err error) (*Result, *trace.ProcLog, error) {
-		plog.Close()
-		return nil, nil, err
-	}
+	last, runs := -1, int64(0) // processor switches in the emission order
 	for i := range st.caches {
 		proc := i
-		st.caches[i].SetObserver(func(base, n int64) { plog.RecordRun(proc, base, n) })
+		st.caches[i].SetObserver(func(base, n int64) {
+			if proc != last {
+				last, runs = proc, runs+1
+			}
+			sink(proc, base, n)
+		})
 	}
 	stage := sp.Start("warm")
 	if warm > 0 {
 		if err := st.drive(warm); err != nil {
-			return fail(err)
+			return nil, 0, err
 		}
 	}
 	stage.End()
-	plog.MarkWindow()
+	mark()
 	since := st.take()
 	// Target relative to where warmup actually stopped: batch executions
 	// overshoot their source-firing targets, and the overshoot must not
@@ -472,29 +468,44 @@ func RunTraced(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured 
 	stage = sp.Start("measure")
 	fired0 := st.m.SourceFirings()
 	if measured > math.MaxInt64-fired0 {
-		return fail(fmt.Errorf("parallel: measured window %d after %d warm-up firings overflows int64", measured, fired0))
+		return nil, 0, fmt.Errorf("parallel: measured window %d after %d warm-up firings overflows int64", measured, fired0)
 	}
 	if err := st.drive(fired0 + measured); err != nil {
-		return fail(err)
+		return nil, 0, err
 	}
 	stage.End()
 	if err := st.m.CheckConservation(); err != nil {
-		return fail(err)
-	}
-	if err := plog.Err(); err != nil {
-		return fail(err)
+		return nil, 0, err
 	}
 	res := st.summarise(since)
+	var accesses int64
+	for _, c := range st.caches {
+		accesses += c.Stats().Accesses
+	}
 	if reg != nil {
 		for p, n := range res.Executions {
 			reg.Counter(fmt.Sprintf("parallel.proc.%d.executions", p)).Add(n)
 		}
 		reg.Counter("parallel.window.misses").Add(res.TotalMisses)
-		reg.Counter("parallel.trace.runs").Add(int64(plog.Runs()))
+		reg.Counter("parallel.trace.runs").Add(runs)
+		reg.Counter("trace.accesses").Add(accesses)
+	}
+	return res, accesses, nil
+}
+
+// RunTraced is RunInto recording into a trace.ProcLog, with the window
+// mark at the log's MarkWindow: the trace the pointwise shared oracles
+// (hierarchy.SimulateSharedLog) and ProfileShared replay. The returned
+// Result summarises the measured window.
+func RunTraced(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured int64) (*Result, *trace.ProcLog, error) {
+	plog, err := trace.NewProcLog(cfg.Procs)
+	if err != nil {
+		return nil, nil, err
+	}
+	plog.SetMetrics(obs.Or(cfg.Env.Metrics))
+	res, _, err := RunInto(g, p, cfg, plog.RecordRun, plog.MarkWindow, warm, measured)
+	if err != nil {
+		return nil, nil, err
 	}
 	return res, plog, nil
 }
-
-// traceSpillBytes caps the in-memory encoding of recorded parallel traces,
-// matching the uniprocessor curve paths' threshold.
-const traceSpillBytes = 64 << 20

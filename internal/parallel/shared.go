@@ -11,9 +11,9 @@ import (
 )
 
 // SharedResult is one pointwise shared-hierarchy measurement: a parallel
-// run whose interleaved access stream was driven through the exact
-// shared-L2 simulator (P private L1s, one contended L2). All counters
-// cover the measured window.
+// run whose interleaved access stream drove the exact shared-L2 simulator
+// (P private L1s, one contended L2). All counters cover the measured
+// window.
 type SharedResult struct {
 	Run    *Result
 	Config hierarchy.SharedConfig
@@ -32,20 +32,20 @@ type SharedResult struct {
 	PerProcCost []float64
 	Makespan    float64
 	AMAT        float64
-	TraceLen    int64 // accesses recorded (warmup + window)
+	TraceLen    int64 // accesses simulated (warmup + window)
 }
 
 // RunShared executes g on cfg.Procs simulated processors (warm, then a
-// measured window), records the interleaved per-processor trace, and
-// replays it through the exact shared-L2 simulator for hcfg. The claiming
-// rule and load balancing run on the private design caches (cfg.Cache) as
-// always; the hierarchy is evaluated on the emitted stream, so the
-// interleaving — and therefore the contention the shared L2 sees — is
-// exactly what the executor produced. hcfg's L1 block must equal
-// cfg.Cache.Block, the granularity the trace is recorded at, and
-// hcfg.Procs must equal cfg.Procs.
+// measured window) with the exact shared-L2 simulator for hcfg as the
+// run's sink (RunInto). The claiming rule and load balancing run on the
+// private design caches (cfg.Cache) as always; the hierarchy is evaluated
+// on the emitted stream, so the interleaving — and therefore the
+// contention the shared L2 sees — is exactly what the executor produced.
+// hcfg's L1 block must equal cfg.Cache.Block, the granularity accesses are
+// emitted at, and hcfg.Procs must equal cfg.Procs.
 func RunShared(g *sdf.Graph, p *partition.Partition, cfg Config, hcfg hierarchy.SharedConfig, cm hierarchy.CostModel, warm, measured int64) (*SharedResult, error) {
-	if err := hcfg.Validate(); err != nil {
+	sim, err := hierarchy.NewSharedSim(hcfg)
+	if err != nil {
 		return nil, err
 	}
 	if hcfg.Procs != cfg.Procs {
@@ -54,15 +54,11 @@ func RunShared(g *sdf.Graph, p *partition.Partition, cfg Config, hcfg hierarchy.
 	if hcfg.L1.Block != cfg.Cache.Block {
 		return nil, fmt.Errorf("parallel: L1 block %d must equal the trace granularity %d", hcfg.L1.Block, cfg.Cache.Block)
 	}
-	res, plog, err := RunTraced(g, p, cfg, warm, measured)
+	res, n, err := RunInto(g, p, cfg, sim.RecordRun, sim.ResetStats, warm, measured)
 	if err != nil {
 		return nil, err
 	}
-	defer plog.Close()
-	sim, err := hierarchy.SimulateSharedLog(plog, hcfg)
-	if err != nil {
-		return nil, err
-	}
+	sim.PublishMetrics(obs.Or(cfg.Env.Metrics))
 	out := &SharedResult{
 		Run:         res,
 		Config:      hcfg,
@@ -73,7 +69,7 @@ func RunShared(g *sdf.Graph, p *partition.Partition, cfg Config, hcfg hierarchy.
 		PerProcCost: make([]float64, cfg.Procs),
 		Makespan:    sim.Makespan(cm),
 		AMAT:        sim.AMAT(cm),
-		TraceLen:    plog.Len(),
+		TraceLen:    n,
 	}
 	for proc := 0; proc < cfg.Procs; proc++ {
 		out.PerProcL2[proc] = sim.ProcL2Stats(proc)
@@ -82,20 +78,19 @@ func RunShared(g *sdf.Graph, p *partition.Partition, cfg Config, hcfg hierarchy.
 	return out, nil
 }
 
-// SharedMeasureResult is one recorded parallel run profiled into exact
+// SharedMeasureResult is one parallel run profiled into exact
 // shared-hierarchy miss counts for every (L1, L2) grid point at once.
 type SharedMeasureResult struct {
 	Name  string
 	Graph string
 	Procs int
 	// Curves holds the exact shared-L2 grid; Curves.Point at (i, j)
-	// equals SimulateSharedLog (and RunShared) with the corresponding
-	// SharedConfig.
+	// equals RunShared with the corresponding SharedConfig.
 	Curves *hierarchy.SharedCurves
-	// Run summarises the measured window of the recorded execution in the
+	// Run summarises the measured window of the execution in the
 	// executor's own I/O cost model.
 	Run      *Result
-	TraceLen int64 // accesses recorded (warmup + window)
+	TraceLen int64 // accesses profiled (warmup + window)
 }
 
 // MissesPerItem returns grid point (i, j)'s aggregate per-level misses
@@ -108,10 +103,11 @@ func (r *SharedMeasureResult) MissesPerItem(i, j int) (l1, l2 float64) {
 	return float64(m1) / float64(r.Run.InputItems), float64(m2) / float64(r.Run.InputItems)
 }
 
-// MeasureShared executes one traced parallel run of g under cfg and
-// profiles the whole shared (L1, L2) grid from it: every processor gets an
-// exact private replica of each L1 design point, and the interleaved miss
-// streams drive per-family shared-L2 profilers. A spec Procs of 0 is
+// MeasureShared executes one parallel run of g under cfg with a
+// hierarchy.SharedProfiler as its sink (RunInto) and profiles the whole
+// shared (L1, L2) grid as it goes: every processor gets an exact private
+// replica of each L1 design point, and the interleaved miss streams drive
+// per-family shared-L2 profilers. A spec Procs of 0 is
 // filled from cfg.Procs; otherwise they must agree, and spec.Block must
 // equal cfg.Cache.Block. Each grid point matches what RunShared reports
 // for the corresponding SharedConfig (experiment E21 cross-validates every
@@ -126,21 +122,21 @@ func MeasureShared(name string, g *sdf.Graph, p *partition.Partition, cfg Config
 	if spec.Block != cfg.Cache.Block {
 		return nil, fmt.Errorf("parallel: spec block %d must equal the trace granularity %d", spec.Block, cfg.Cache.Block)
 	}
-	if err := spec.Validate(); err != nil {
+	prof, err := hierarchy.NewSharedProfiler(spec)
+	if err != nil {
 		return nil, err
 	}
 	reg := obs.Or(cfg.Env.Metrics)
 	sp := reg.StartSpan("measure_shared[" + name + "]")
 	defer sp.End()
 	stage := sp.Start("record")
-	res, plog, err := RunTraced(g, p, cfg, warm, measured)
+	res, n, err := RunInto(g, p, cfg, prof.RecordRun, prof.ResetCounts, warm, measured)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %s: %w", name, err)
 	}
-	defer plog.Close()
 	stage = sp.Start("profile")
-	curves, err := hierarchy.ProfileShared(plog, spec)
+	curves, err := prof.Curves(reg)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("parallel: profile %s: %w", name, err)
@@ -151,7 +147,7 @@ func MeasureShared(name string, g *sdf.Graph, p *partition.Partition, cfg Config
 		Procs:    cfg.Procs,
 		Curves:   curves,
 		Run:      res,
-		TraceLen: plog.Len(),
+		TraceLen: n,
 	}, nil
 }
 
@@ -165,7 +161,7 @@ type SharedVariant struct {
 	Cfg  Config
 }
 
-// SweepShared records and profiles one shared hierarchy grid per variant
+// SweepShared profiles one shared hierarchy grid per variant
 // on a bounded goroutine pool (workers <= 0 means GOMAXPROCS). spec.Procs
 // is filled from each variant's processor count, so one spec serves
 // variants of different widths. Outcomes are returned in variant order;

@@ -95,37 +95,47 @@ func TestRunTracedMatchesExecutor(t *testing.T) {
 
 // TestMeasureSharedMatchesRunShared: every grid point of the one-pass
 // profile equals the pointwise shared simulation of the same
-// configuration — on a fresh execution, which is identical because the
-// interleaving depends only on the design caches, not the evaluated
-// hierarchy.
+// configuration, at P in {1, 2, 4} — on a fresh execution, which is
+// identical because the interleaving depends only on the design caches,
+// not the evaluated hierarchy. Both are the run's sink, each with its own
+// window mark, so a mark that failed to reset either side's counters would
+// show up here as warm-up traffic on one side only.
 func TestMeasureSharedMatchesRunShared(t *testing.T) {
 	g := filterbank(t, 3, 64)
-	cfg := testConfig(2)
-	spec := testSpec(2)
-	mr, err := MeasureShared("test", g, nil, cfg, spec, 100, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cm := hierarchy.DefaultCostModel
-	for i := range spec.L1s {
-		for j := range spec.L2s {
-			pt, err := RunShared(g, nil, cfg, spec.Config(i, j), cm, 100, 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var l1 int64
-			for p := 0; p < cfg.Procs; p++ {
-				if got, want := mr.Curves.L1Misses[i][p], pt.PerProcL1[p].Misses; got != want {
-					t.Errorf("point (%d,%d) proc %d: profile L1 %d, pointwise %d", i, j, p, got, want)
+	for _, procs := range []int{1, 2, 4} {
+		cfg, spec := testConfig(procs), testSpec(procs)
+		mr, err := MeasureShared("test", g, nil, cfg, spec, 100, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range spec.L1s {
+			for j := range spec.L2s {
+				pt, err := RunShared(g, nil, cfg, spec.Config(i, j), cm, 100, 300)
+				if err != nil {
+					t.Fatal(err)
 				}
-				l1 += pt.PerProcL1[p].Misses
-			}
-			gl1, gl2 := mr.Curves.Point(i, j)
-			if gl1 != l1 || gl2 != pt.L2.Misses {
-				t.Errorf("point (%d,%d): profile (%d,%d), pointwise (%d,%d)", i, j, gl1, gl2, l1, pt.L2.Misses)
-			}
-			if got, want := mr.Curves.AMAT(i, j, cm), pt.AMAT; got != want {
-				t.Errorf("point (%d,%d): profile AMAT %v, pointwise %v", i, j, got, want)
+				if pt.TraceLen != mr.TraceLen {
+					t.Errorf("P=%d point (%d,%d): pointwise run saw %d accesses, profiled run %d", procs, i, j, pt.TraceLen, mr.TraceLen)
+				}
+				var l1, acc int64
+				for p := 0; p < cfg.Procs; p++ {
+					if got, want := mr.Curves.L1Misses[i][p], pt.PerProcL1[p].Misses; got != want {
+						t.Errorf("P=%d point (%d,%d) proc %d: profile L1 %d, pointwise %d", procs, i, j, p, got, want)
+					}
+					l1 += pt.PerProcL1[p].Misses
+					acc += pt.PerProcL1[p].Accesses
+				}
+				if acc != mr.Curves.Accesses {
+					t.Errorf("P=%d point (%d,%d): profile counted %d window accesses, pointwise %d", procs, i, j, mr.Curves.Accesses, acc)
+				}
+				gl1, gl2 := mr.Curves.Point(i, j)
+				if gl1 != l1 || gl2 != pt.L2.Misses {
+					t.Errorf("P=%d point (%d,%d): profile (%d,%d), pointwise (%d,%d)", procs, i, j, gl1, gl2, l1, pt.L2.Misses)
+				}
+				if got, want := mr.Curves.AMAT(i, j, cm), pt.AMAT; got != want {
+					t.Errorf("P=%d point (%d,%d): profile AMAT %v, pointwise %v", procs, i, j, got, want)
+				}
 			}
 		}
 	}

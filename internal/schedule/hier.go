@@ -10,16 +10,16 @@ import (
 	"streamsched/internal/trace"
 )
 
-// HierResult is the multi-level analogue of CurveResult: one recorded run
-// of a schedule, profiled into exact per-level miss counts for every
-// (L1, L2) grid point of a hierarchy.HierSpec at once.
+// HierResult is the multi-level analogue of CurveResult: one run of a
+// schedule, profiled into exact per-level miss counts for every (L1, L2)
+// grid point of a hierarchy.HierSpec at once.
 type HierResult struct {
 	Run
 	// Curves holds the exact non-inclusive (L1, L2) miss grid; Curves.Point
 	// at (i, j) equals MeasureHierPoint's per-level misses with the
 	// corresponding hierarchy.Config.
 	Curves   *hierarchy.HierCurves
-	TraceLen int64 // block accesses recorded (warmup + window)
+	TraceLen int64 // block accesses profiled (warmup + window)
 }
 
 // MissesPerItem returns the grid point's per-level misses normalised by
@@ -33,37 +33,36 @@ func (r *HierResult) MissesPerItem(i, j int) (l1, l2 float64) {
 	return float64(m1) / float64(r.InputItems), float64(m2) / float64(r.InputItems)
 }
 
-// MeasureHier plans g with s, executes warm source firings, records the
-// block-access trace of the next measured firings at spec.Block
-// granularity, and profiles the whole (L1, L2) grid from that single
-// execution (hierarchy.ProfileHier): L1 curves via the organisation
-// profiler, exact L2 curves from each L1 design point's filtered miss
-// stream. Each grid point matches what MeasureHierPoint reports for the
-// corresponding two-level configuration.
+// MeasureHier plans g with s, executes warm source firings, and profiles
+// the block accesses of the next measured firings at spec.Block
+// granularity as they happen, for the whole (L1, L2) grid at once: a
+// hierarchy.HierProfiler is the machine's recorder — L1 curves via the
+// organisation profiler, exact L2 curves from each L1 design point's
+// filtered miss stream. Each grid point matches what MeasureHierPoint
+// reports for the corresponding two-level configuration.
 func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, warm, measured int64) (*HierResult, error) {
-	if err := spec.Validate(); err != nil {
+	prof, err := hierarchy.NewHierProfiler(spec)
+	if err != nil {
 		return nil, fmt.Errorf("schedule: %w", err)
 	}
-	log := recordingLog(env)
-	defer log.Close()
 	var curves *hierarchy.HierCurves
-	_, run, err := Window{
+	m, run, err := Window{
 		Span:     "measure_hier",
 		Cache:    cachesim.Config{Block: spec.Block},
-		Recorder: log,
-		Mark:     func(*exec.Machine) { log.MarkWindow() },
+		Recorder: prof,
+		Mark:     func(*exec.Machine) { prof.ResetCounts() },
 		Profile: func() (err error) {
-			curves, err = hierarchy.ProfileHier(log, spec)
+			curves, err = prof.Curves(env.metrics())
 			return err
 		},
 	}.Measure(g, s, env, warm, measured)
 	if err != nil {
 		return nil, err
 	}
-	return &HierResult{Run: run, Curves: curves, TraceLen: log.Len()}, nil
+	return &HierResult{Run: run, Curves: curves, TraceLen: m.Cache().Stats().Accesses}, nil
 }
 
-// SweepHier records and profiles one hierarchy grid per scheduler on a
+// SweepHier profiles one hierarchy grid per scheduler on a
 // bounded goroutine pool (workers <= 0 means GOMAXPROCS). Outcomes are
 // returned in scheduler order; failed schedulers carry their error and a
 // nil value.

@@ -100,7 +100,11 @@ func TestPropHierCurvesMatchSimulatorOnRandomDags(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, s := range []Scheduler{FlatTopo{}, DemandDriven{}, PartitionedHomogeneous{}} {
+		scheds := []Scheduler{FlatTopo{}, DemandDriven{}, PartitionedHomogeneous{}}
+		if seed == 0 {
+			scheds = append(Baselines(), PartitionedHomogeneous{}) // one graph under every baseline scheduler too
+		}
+		for _, s := range scheds {
 			hierCase(t, g, s, env, spec, 96, 384)
 		}
 	}

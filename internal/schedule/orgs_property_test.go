@@ -102,7 +102,11 @@ func TestPropOrgCurvesMatchSimulatorOnRandomDags(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, s := range []Scheduler{FlatTopo{}, DemandDriven{}, PartitionedHomogeneous{}} {
+		scheds := []Scheduler{FlatTopo{}, DemandDriven{}, PartitionedHomogeneous{}}
+		if seed == 0 {
+			scheds = append(Baselines(), PartitionedHomogeneous{}) // one graph under every baseline scheduler too
+		}
+		for _, s := range scheds {
 			orgCase(t, g, s, env, geoms, 96, 384)
 		}
 	}

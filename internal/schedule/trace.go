@@ -25,7 +25,7 @@ type CurveResult struct {
 	// LRU misses for every way count and exact FIFO misses at the replayed
 	// way counts, all from the same recorded trace. Empty for MeasureCurve.
 	Orgs     []*trace.OrgCurves
-	TraceLen int64 // block accesses recorded (warmup + window)
+	TraceLen int64 // block accesses profiled (warmup + window)
 }
 
 // MissesPerItem evaluates the curve at one cache capacity in words,
@@ -34,9 +34,9 @@ func (r *CurveResult) MissesPerItem(capacity, block int64) float64 {
 	return r.Curve.MissesPerItem(capacity, block, r.InputItems)
 }
 
-// MeasureCurve plans g with s, executes warm source firings, then records
-// the block-access trace of the next (measured) source firings and
-// reuse-distance profiles it. The schedule is planned once against env;
+// MeasureCurve plans g with s, executes warm source firings, then
+// reuse-distance profiles the block accesses of the next (measured) source
+// firings as they happen. The schedule is planned once against env;
 // the returned curve evaluates that fixed schedule under every cache
 // capacity simultaneously, exactly matching what Measure would report at
 // each capacity (schedulers never consult the simulated cache's state, so
@@ -46,43 +46,44 @@ func MeasureCurve(g *sdf.Graph, s Scheduler, env Env, block int64, warm, measure
 }
 
 // MeasureCurveOrgs is MeasureCurve with additional cache organisations:
-// alongside the fully-associative LRU curve, the same recorded trace is
-// profiled — in one extra replay driving every organisation at once —
-// under each requested OrgSpec (per-set Mattson stacks for set-associative
-// LRU, multiplexed per-set replicas for FIFO). The result's Orgs slice
-// parallels orgs; each entry exactly matches what Measure would report
-// with the corresponding cachesim.Config, still from one execution of the
-// schedule.
+// alongside the fully-associative LRU curve, the same execution is
+// profiled under each requested OrgSpec (per-set Mattson stacks for
+// set-associative LRU, multiplexed per-set replicas for FIFO) — one
+// trace.OrgProfilers, the machine's recorder, drives every organisation
+// at once. The result's Orgs slice parallels orgs; each entry exactly
+// matches what Measure would report with the corresponding
+// cachesim.Config, still from one execution of the schedule.
 func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, measured int64, orgs []trace.OrgSpec) (*CurveResult, error) {
 	if block <= 0 {
 		return nil, fmt.Errorf("schedule: block size must be positive, got %d", block)
 	}
-	log := recordingLog(env)
-	defer log.Close()
-	// The fully-associative curve is the Sets=1 organisation; profiling it
-	// through ProfileOrgs folds every requested organisation into a single
-	// replay of the log.
+	// The fully-associative curve is the Sets=1 organisation, so one set of
+	// profilers covers it and every requested organisation.
+	prof, err := trace.NewOrgProfilers(append([]trace.OrgSpec{{Sets: 1}}, orgs...))
+	if err != nil {
+		return nil, fmt.Errorf("schedule: %w", err)
+	}
 	var profiles []*trace.OrgCurves
-	_, run, err := Window{
+	m, run, err := Window{
 		Span: "measure",
-		// A recording machine simulates no cache (the recording is
+		// A recording machine simulates no cache (the access stream is
 		// capacity-independent); the configuration only fixes the block
 		// granularity.
 		Cache:    cachesim.Config{Block: block},
-		Recorder: log,
-		Mark:     func(*exec.Machine) { log.MarkWindow() },
-		Profile: func() (err error) {
-			profiles, err = trace.ProfileOrgs(log, append([]trace.OrgSpec{{Sets: 1}}, orgs...))
-			return err
+		Recorder: prof,
+		Mark:     func(*exec.Machine) { prof.ResetCounts() },
+		Profile: func() error {
+			profiles = prof.Extract(env.metrics())
+			return nil
 		},
 	}.Measure(g, s, env, warm, measured)
 	if err != nil {
 		return nil, err
 	}
-	return &CurveResult{Run: run, Curve: profiles[0].LRU.Full(), Orgs: profiles[1:], TraceLen: log.Len()}, nil
+	return &CurveResult{Run: run, Curve: profiles[0].LRU.Full(), Orgs: profiles[1:], TraceLen: m.Cache().Stats().Accesses}, nil
 }
 
-// SweepCurves records and profiles one curve per scheduler on a bounded
+// SweepCurves profiles one curve per scheduler on a bounded
 // goroutine pool (workers <= 0 means GOMAXPROCS). Outcomes are returned in
 // scheduler order; failed schedulers carry their error and a nil value.
 func SweepCurves(g *sdf.Graph, scheds []Scheduler, env Env, block, warm, measured int64, workers int) []trace.Outcome[*CurveResult] {

@@ -42,7 +42,9 @@ type Window struct {
 	// only Cache.Block is used (see exec.Config).
 	Cache cachesim.Config
 	// Recorder, when non-nil, receives the run's block accesses instead of
-	// a simulated cache.
+	// a simulated cache — a profiler that profiles while the run goes, or
+	// a trace.Log for a later replay. The window publishes the accesses it
+	// recorded (warm-up and window) as trace.accesses.
 	Recorder trace.Recorder
 	// Setup, when non-nil, runs once on the fresh machine before warm-up.
 	Setup func(m *exec.Machine, plan *Plan)
@@ -50,7 +52,8 @@ type Window struct {
 	// the counters or marks the log. Item latency is reset alongside it.
 	Mark func(m *exec.Machine)
 	// Profile, when non-nil, runs after a conserved window under a
-	// "profile" stage; its error fails the measurement.
+	// "profile" stage — reading the results off whatever counted; its
+	// error fails the measurement.
 	Profile func() error
 }
 
@@ -104,6 +107,9 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 		return nil, run, fmt.Errorf("schedule: %s broke conservation: %w", run.Scheduler, err)
 	}
 	stage.End()
+	if w.Recorder != nil {
+		env.metrics().Counter("trace.accesses").Add(m.Cache().Stats().Accesses)
+	}
 	run.SourceFired = m.SourceFirings() - fired0
 	run.InputItems = m.InputItems() - items0
 	run.SinkItems = m.SinkItems() - sink0
@@ -120,19 +126,6 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 		}
 	}
 	return m, run, nil
-}
-
-// curveSpillBytes bounds the in-memory encoded trace of a recording
-// window; longer traces spill to a temporary file.
-const curveSpillBytes = 1 << 30
-
-// recordingLog returns the trace log a recording window writes to, wired
-// to env's metrics and the spill threshold. The caller closes it.
-func recordingLog(env Env) *trace.Log {
-	log := trace.NewLog()
-	log.SetMetrics(env.metrics())
-	log.SetSpillThreshold(curveSpillBytes)
-	return log
 }
 
 // sweep measures once per scheduler on a bounded goroutine pool (workers

@@ -11,13 +11,13 @@ import (
 
 // randomShardLog builds a trace with a mix of strided, looping, and random
 // accesses (including negative block ids, which the set routing must
-// floor-fix), windowed at a random position.
-func randomShardLog(t *testing.T, rng *rand.Rand, n int, spill bool) *Log {
+// floor-fix), windowed at a random position. A long log seals several
+// chunks; a short one is all open tail.
+func randomShardLog(t *testing.T, rng *rand.Rand, n int, long bool) *Log {
 	t.Helper()
 	l := NewLog()
-	if spill {
-		l.SetSpillThreshold(1) // spill every sealed chunk
-		n *= 30                // enough encoded bytes to actually seal chunks
+	if long {
+		n *= 30 // enough encoded bytes to seal chunks
 	}
 	blocks := int64(rng.Intn(600) + 8)
 	warm := rng.Intn(n + 1)
@@ -41,22 +41,21 @@ func randomShardLog(t *testing.T, rng *rand.Rand, n int, spill bool) *Log {
 	if warm >= n {
 		l.MarkWindow() // empty window: reset fires at end
 	}
-	if spill && !l.Spilled() {
-		t.Fatal("spill variant did not spill; grow the trace")
+	if long && l.numChunks() < 2 {
+		t.Fatal("long variant sealed no chunk; grow the trace")
 	}
 	return l
 }
 
-// TestChunkStandaloneRoundTrip is the delta-reset invariant chunk-granular
-// spill reads depend on: every sealed chunk (and the open tail) must decode
+// TestChunkStandaloneRoundTrip is the delta-reset invariant the chunk
+// metadata promises: every sealed chunk (and the open tail) must decode
 // standalone from its recorded base and global start index to exactly the
-// slice of the full stream it covers — randomised logs, spilled and
-// in-memory.
+// slice of the full stream it covers — randomised logs, short and
+// multi-chunk.
 func TestChunkStandaloneRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 8; trial++ {
-		spill := trial%2 == 1
-		l := randomShardLog(t, rng, 2000+rng.Intn(4000), spill)
+		l := randomShardLog(t, rng, 2000+rng.Intn(4000), trial%2 == 1)
 
 		var full []int64
 		if err := l.ForEach(func(blk int64) { full = append(full, blk) }); err != nil {
@@ -67,22 +66,13 @@ func TestChunkStandaloneRoundTrip(t *testing.T) {
 		}
 
 		nc := l.numChunks()
-		if spill && nc < 2 {
-			t.Fatalf("spill trial sealed only %d chunks; grow the trace", nc)
-		}
 		var covered int64
 		// Walk the chunks in a scrambled order: standalone means no chunk
 		// may depend on a predecessor having been decoded first.
-		order := rng.Perm(nc)
-		var readBuf []byte
-		for _, i := range order {
-			meta := l.chunkAt(i)
-			buf, err := l.chunkBytes(i, &readBuf)
-			if err != nil {
-				t.Fatalf("chunk %d: %v", i, err)
-			}
+		for _, i := range rng.Perm(nc) {
+			meta, buf := l.chunkAt(i)
 			var blks []int64
-			err = decodeChunk(buf, meta, i, func(base, n int64) {
+			err := decodeChunk(buf, meta, i, func(base, n int64) {
 				for end := base + n; base != end; base++ {
 					blks = append(blks, base)
 				}
@@ -99,21 +89,14 @@ func TestChunkStandaloneRoundTrip(t *testing.T) {
 		if covered != l.Len() {
 			t.Fatalf("chunks cover %d accesses, recorded %d", covered, l.Len())
 		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
 // corruptibleLog records large-delta accesses until at least chunks
-// chunks exist, returning the log and the expected stream.
-func corruptibleLog(t *testing.T, chunks int, spillAt int64) *Log {
-	t.Helper()
+// chunks are sealed and the open tail is non-empty.
+func corruptibleLog(chunks int) *Log {
 	rng := rand.New(rand.NewSource(37))
 	l := NewLog()
-	if spillAt > 0 {
-		l.SetSpillThreshold(spillAt)
-	}
 	for len(l.metas) < chunks || len(l.cur) == 0 {
 		l.RecordBlock(rng.Int63() - rng.Int63()) // huge deltas: ~10 bytes each
 	}
@@ -123,11 +106,11 @@ func corruptibleLog(t *testing.T, chunks int, spillAt int64) *Log {
 // TestCorruptChunkInMemory corrupts a sealed in-memory chunk and asserts
 // the decode error names the chunk index and byte offset — the old
 // decoder's anonymous "corrupt varint in chunk" left both out — and that
-// in-memory corruption does not latch the log.
+// a failed replay counts as no replay.
 func TestCorruptChunkInMemory(t *testing.T) {
-	l := corruptibleLog(t, 2, 0)
-	if l.onDisk != 0 || len(l.chunks) < 2 {
-		t.Fatalf("want >= 2 in-memory chunks, have %d (onDisk %d)", len(l.chunks), l.onDisk)
+	l := corruptibleLog(2)
+	if len(l.chunks) < 2 {
+		t.Fatalf("want >= 2 sealed chunks, have %d", len(l.chunks))
 	}
 	// A run of continuation bytes longer than any valid varint: the
 	// decoder must flag the run's first byte.
@@ -152,46 +135,7 @@ func TestCorruptChunkInMemory(t *testing.T) {
 	if ce.chunk != 1 || ce.off < at-10 || ce.off > at {
 		t.Errorf("chunkError = chunk %d offset %d, want chunk 1 near offset %d", ce.chunk, ce.off, at)
 	}
-	if l.Err() != nil {
-		t.Errorf("in-memory corruption latched the log: %v", l.Err())
-	}
-}
-
-// TestCorruptChunkSpilled is the streaming-reader regression test: a
-// corrupt chunk in the spill file must be reported with chunk index and
-// byte offset, and — unlike in-memory corruption — must latch the log, so
-// later replays refuse rather than re-trusting a damaged file.
-func TestCorruptChunkSpilled(t *testing.T) {
-	l := corruptibleLog(t, 3, 1)
-	if err := l.ForEach(func(int64) {}); err != nil { // flushes the spill writer
-		t.Fatal(err)
-	}
-	if l.onDisk < 3 {
-		t.Fatalf("want >= 3 spilled chunks, have %d", l.onDisk)
-	}
-	const at = 57
-	if _, err := l.spill.WriteAt(bytes.Repeat([]byte{0xff}, 16), l.metas[2].off+at); err != nil {
-		t.Fatal(err)
-	}
-
-	err := l.ForEach(func(int64) {})
-	if err == nil {
-		t.Fatal("corrupt spilled chunk decoded without error")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "chunk 2") {
-		t.Errorf("error %q does not name chunk 2", msg)
-	}
-	if !strings.Contains(msg, "byte offset") {
-		t.Errorf("error %q does not name the byte offset", msg)
-	}
-	if l.Err() == nil {
-		t.Fatal("spilled corruption did not latch the log")
-	}
-	if err2 := l.ForEach(func(int64) {}); err2 == nil {
-		t.Fatal("latched log replayed anyway")
-	}
-	if err := l.Close(); err == nil {
-		t.Error("Close did not report the latched error")
+	if l.Replays() != 0 {
+		t.Errorf("a failed replay was counted: Replays() = %d", l.Replays())
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -42,26 +43,8 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	l := NewLog()
 	logRoundTrip(t, l, blocks)
-	if l.Spilled() {
-		t.Fatal("in-memory log spilled without a threshold")
-	}
 	if l.EncodedBytes() >= int64(8*len(blocks)) {
 		t.Fatalf("encoding not compact: %d bytes for %d accesses", l.EncodedBytes(), len(blocks))
-	}
-}
-
-func TestLogSpill(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	blocks := make([]int64, 300_000)
-	for i := range blocks {
-		blocks[i] = rng.Int63n(1 << 30)
-	}
-	l := NewLog()
-	l.SetSpillThreshold(64 << 10) // force several spill rounds
-	defer l.Close()
-	logRoundTrip(t, l, blocks)
-	if !l.Spilled() {
-		t.Fatal("log never spilled despite tiny threshold")
 	}
 	// The log must stay appendable and re-readable after a replay.
 	more := []int64{7, 7, 99}
@@ -72,18 +55,8 @@ func TestLogSpill(t *testing.T) {
 	if err := l.ForEach(func(b int64) { got = append(got, b) }); err != nil {
 		t.Fatalf("second ForEach: %v", err)
 	}
-	if len(got) != len(blocks)+len(more) {
-		t.Fatalf("replayed %d, want %d", len(got), len(blocks)+len(more))
-	}
-	for i, b := range more {
-		if got[len(blocks)+i] != b {
-			t.Fatalf("appended access %d = %d, want %d", i, got[len(blocks)+i], b)
-		}
-	}
-	for i := range blocks {
-		if got[i] != blocks[i] {
-			t.Fatalf("spilled access %d = %d, want %d", i, got[i], blocks[i])
-		}
+	if want := append(blocks, more...); !slices.Equal(got, want) {
+		t.Fatalf("second replay of %d accesses differs from the %d recorded", len(got), len(want))
 	}
 }
 
@@ -139,39 +112,6 @@ func TestProfileMatchesOnlineProfiler(t *testing.T) {
 		if fromLog.Misses(lines) != direct.Misses(lines) {
 			t.Fatalf("lines=%d: log %d != direct %d", lines, fromLog.Misses(lines), direct.Misses(lines))
 		}
-	}
-}
-
-func TestLogCloseAfterSpillRefusesReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	l := NewLog()
-	l.SetSpillThreshold(16 << 10)
-	for i := 0; i < 200_000; i++ {
-		l.RecordBlock(rng.Int63n(1 << 30))
-	}
-	if !l.Spilled() {
-		t.Fatal("log never spilled")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The in-memory tail is delta-encoded against the released prefix, so
-	// replay must refuse rather than return wrong ids.
-	if err := l.ForEach(func(int64) {}); err == nil {
-		t.Fatal("ForEach after Close on a spilled log must error")
-	}
-	// A log that never spilled stays readable after Close.
-	l2 := NewLog()
-	l2.RecordBlock(42)
-	if err := l2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var got []int64
-	if err := l2.ForEach(func(b int64) { got = append(got, b) }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("unspilled log after Close replayed %v", got)
 	}
 }
 

@@ -157,7 +157,7 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // residency bit in the shared fifoBank.
 //
 // Families are independent of one another, so only the order within a
-// family matters: TouchRun hands a whole run to the unbounded Sets=1
+// family matters: RecordRun hands a whole run to the unbounded Sets=1
 // family, whose one stack can take it in a step, and walks the run block
 // by block for the rest.
 //
@@ -258,7 +258,7 @@ func (p *OrgProfilers) Point(spec int, ways int64, fifo bool) (pt OrgPoint, ok b
 }
 
 // Missed reports whether the block of the last Touch missed at pt. A run
-// taken by TouchRun leaves no per-block report.
+// taken by RecordRun leaves no per-block report.
 func (p *OrgProfilers) Missed(pt OrgPoint) bool {
 	if pt.bit != 0 {
 		return p.bank.missed[pt.word]&pt.bit != 0
@@ -285,9 +285,11 @@ func (p *OrgProfilers) ResetCounts() {
 // Touch feeds one access to every organisation's profilers.
 func (p *OrgProfilers) Touch(blk int64) { p.touch(blk, -1) }
 
-// TouchRun feeds accesses to the n blocks base, base+1, …, in that order,
-// to every organisation's profilers.
-func (p *OrgProfilers) TouchRun(base, n int64) {
+// RecordRun feeds accesses to the n blocks base, base+1, …, in that order,
+// to every organisation's profilers. It makes OrgProfilers a Recorder: an
+// execution machine can profile while it runs, with ResetCounts as its
+// window mark.
+func (p *OrgProfilers) RecordRun(base, n int64) {
 	if p.full >= 0 {
 		p.fams[p.full].assoc.per[0].touchRun(base, n) // Sets=1: within-set id == block id
 		if len(p.fams) == 1 && p.bank == nil {
@@ -337,9 +339,8 @@ func (p *OrgProfilers) TimelineOps() int64 {
 
 // PublishMetrics records a completed profiling pass's totals into reg
 // (no-op when reg is nil): the counted access total, the timeline work it
-// cost, and the pass count. Callers that drive OrgProfilers manually
-// (ProfileHier, experiment E22) call this once per pass; ProfileOrgs does
-// it for its own pass.
+// cost, and the pass count. Extract does it for the passes it closes;
+// callers that only read Curves (experiment E22) call it once per pass.
 func (p *OrgProfilers) PublishMetrics(reg *obs.Registry, curves []*OrgCurves) {
 	if reg == nil {
 		return
@@ -381,26 +382,31 @@ func (p *OrgProfilers) Curves() []*OrgCurves {
 	return out
 }
 
+// Extract closes a profiling pass: Curves, timed under trace.profile, then
+// PublishMetrics, both into reg (nil: neither). The timer covers curve
+// extraction only — the touches happened while the trace was fed.
+func (p *OrgProfilers) Extract(reg *obs.Registry) []*OrgCurves {
+	stop := reg.Timer("trace.profile").Start()
+	curves := p.Curves()
+	stop()
+	p.PublishMetrics(reg, curves)
+	return curves
+}
+
 // ProfileOrgs replays the log once and feeds every organisation's
 // profilers from that single pass, honouring the log's measured window
 // (accesses before WindowStart warm the caches but are not counted). The
-// returned curves are in spec order. Work per access is proportional to
-// the number of specs, but the trace — the expensive part, one scheduled
-// execution — is recorded and decoded exactly once.
+// returned curves are in spec order and equal what the same OrgProfilers
+// report when they are the execution's recorder instead.
 func ProfileOrgs(l *Log, specs []OrgSpec) ([]*OrgCurves, error) {
 	p, err := NewOrgProfilers(specs)
 	if err != nil {
 		return nil, err
 	}
-	reg := l.Metrics()
-	stop := reg.Timer("trace.profile").Start()
-	if err := l.ForEachRunWindowed(p.ResetCounts, p.TouchRun); err != nil {
+	if err := l.ForEachRunWindowed(p.ResetCounts, p.RecordRun); err != nil {
 		return nil, err
 	}
-	curves := p.Curves()
-	stop()
-	p.PublishMetrics(reg, curves)
-	return curves, nil
+	return p.Extract(l.Metrics()), nil
 }
 
 // ProfileOrgsJobs is ProfileOrgs.

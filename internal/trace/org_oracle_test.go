@@ -39,13 +39,9 @@ func bankMisses(stream []int64, warm int, sets, ways int64, policy cachesim.Poli
 }
 
 // recordStream records the stream with the window at warm (warm ==
-// len(stream) is the empty window), optionally spilling every chunk.
-func recordStream(t *testing.T, stream []int64, warm int, spill bool) *trace.Log {
-	t.Helper()
+// len(stream) is the empty window).
+func recordStream(stream []int64, warm int) *trace.Log {
 	l := trace.NewLog()
-	if spill {
-		l.SetSpillThreshold(1)
-	}
 	for i, blk := range stream {
 		if i == warm {
 			l.MarkWindow()
@@ -70,7 +66,7 @@ func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs 
 	for i, s := range specs {
 		unbounded[i] = trace.OrgSpec{Sets: s.Sets, FIFOWays: s.FIFOWays}
 	}
-	ref, err := trace.ProfileOrgs(recordStream(t, stream, warm, false), unbounded)
+	ref, err := trace.ProfileOrgs(recordStream(stream, warm), unbounded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +179,7 @@ func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 // random logs: dense, sparse and negative block ids, non-power-of-two set
 // counts, bounds around the footprint, duplicate way counts, a window
 // reset anywhere from the first access to past the last, footprints on
-// both sides of the list→timeline upgrade, spilled and in-memory.
+// both sides of the list→timeline upgrade, one chunk and several.
 func TestOrgProfilersMatchBankOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	trials := 24
@@ -198,26 +194,23 @@ func TestOrgProfilersMatchBankOracle(t *testing.T) {
 			nblocks = int64(220 + rng.Intn(200))
 		}
 		n := 500 + rng.Intn(1500)
-		spill := trial%4 == 3
-		if spill {
-			n = 40000 // enough encoded bytes to seal (and spill) chunks
+		long := trial%4 == 3
+		if long {
+			n = 40000 // enough encoded bytes to seal chunks
 		}
 		stream := oracleStream(rng, n, nblocks, trial%4)
 		warm := rng.Intn(n + 1)
 		specs := oracleSpecs(rng, nblocks)
-		l := recordStream(t, stream, warm, spill)
-		if spill && !l.Spilled() {
-			t.Fatal("spill variant did not spill; grow the trace")
+		l := recordStream(stream, warm)
+		if long && l.Stats().Chunks == 0 {
+			t.Fatal("long variant sealed no chunk; grow the trace")
 		}
 		curves, err := trace.ProfileOrgs(l, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkOrgCurves(t, fmt.Sprintf("trial %d (ids %d, spill %v, warm %d/%d) specs %+v", trial, trial%4, spill, warm, n, specs),
+		checkOrgCurves(t, fmt.Sprintf("trial %d (ids %d, long %v, warm %d/%d) specs %+v", trial, trial%4, long, warm, n, specs),
 			stream, warm, specs, curves)
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -241,7 +234,7 @@ func TestOrgProfilersManyFIFOReplicas(t *testing.T) {
 	if replicas <= 64 {
 		t.Fatalf("only %d replicas; the test must cross a mask word", replicas)
 	}
-	curves, err := trace.ProfileOrgs(recordStream(t, stream, warm, false), specs)
+	curves, err := trace.ProfileOrgs(recordStream(stream, warm), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +288,7 @@ func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
 		{Sets: 4, FIFOWays: []int64{8}, MaxWays: 8},
 		{Sets: 3, FIFOWays: []int64{2, 24}},
 	}
-	l := recordStream(t, oracleStream(rng, 3000, 200, 3), 700, false)
+	l := recordStream(oracleStream(rng, 3000, 200, 3), 700)
 	want, err := trace.ProfileOrgs(l, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +351,7 @@ func TestProfileOrgsJobsConcurrentLogs(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			stream := oracleStream(rng, 4000, 70, int(seed))
-			l := recordStream(t, stream, 1000, false)
+			l := recordStream(stream, 1000)
 			curves, err := trace.ProfileOrgs(l, specs)
 			if err != nil {
 				t.Error(err)
@@ -403,7 +396,7 @@ func TestTimelineStacksKeepAnyIdAcrossCompactions(t *testing.T) {
 		const big, m, warm = 630, 90000, 20000
 		stream = oracleStream(rng, m, big, ids)
 		specs := []trace.OrgSpec{{Sets: 1}, {Sets: 3}}
-		curves, err := trace.ProfileOrgs(recordStream(t, stream, warm, false), specs)
+		curves, err := trace.ProfileOrgs(recordStream(stream, warm), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -466,7 +459,7 @@ func runStream(rng *rand.Rand, accesses int, ids int) (runs [][2]int64) {
 // exactly what the same stream recorded and fed block by block answers,
 // at every way count, and both equal the bank — with the window mark in
 // the middle of a run, enough accesses for compactions and (in the long
-// trials) chunk seals, spilled and in-memory, and spec lists whose Sets=1
+// trials) chunk seals, and spec lists whose Sets=1
 // family is unbounded (takes runs whole), bounded (does not), or absent.
 func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
@@ -475,9 +468,9 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 		trials = 6
 	}
 	for trial := 0; trial < trials; trial++ {
-		accesses, spill := 3000+rng.Intn(6000), false
+		accesses := 3000 + rng.Intn(6000)
 		if trial%3 == 2 {
-			accesses, spill = 150000, trial%2 == 0 // seals chunks mid-run
+			accesses = 150000 // seals chunks mid-run
 		}
 		runs := runStream(rng, accesses, trial%4)
 		specs := [][]trace.OrgSpec{
@@ -488,9 +481,6 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 		}[trial%4]
 
 		byRun, byBlock := trace.NewLog(), trace.NewLog()
-		if spill {
-			byRun.SetSpillThreshold(1)
-		}
 		var stream []int64
 		markAt := rng.Intn(len(runs))
 		warm := 0
@@ -515,7 +505,7 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 			}
 			byRun.RecordRun(r[0]+cut, r[1]-cut)
 		}
-		label := fmt.Sprintf("trial %d (ids %d, %d accesses in %d runs, warm %d, spill %v)", trial, trial%4, len(stream), len(runs), warm, spill)
+		label := fmt.Sprintf("trial %d (ids %d, %d accesses in %d runs, warm %d)", trial, trial%4, len(stream), len(runs), warm)
 		if byRun.Len() != int64(len(stream)) || byRun.EncodedBytes() != byBlock.EncodedBytes() || byRun.WindowStart() != int64(warm) {
 			t.Fatalf("%s: run-recorded log has %d accesses in %d bytes, window %d; block-recorded %d in %d, window %d", label,
 				byRun.Len(), byRun.EncodedBytes(), byRun.WindowStart(), byBlock.Len(), byBlock.EncodedBytes(), byBlock.WindowStart())
@@ -571,9 +561,6 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 					}
 				}
 			}
-		}
-		if err := byRun.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -8,15 +8,15 @@ import (
 
 // ProcLog is a multi-processor trace: P per-processor block-access streams
 // together with the global order in which the parallel executor interleaved
-// them. It is the input of the shared-hierarchy profiler
-// (internal/hierarchy.ProfileShared): private-L1 behaviour depends only on
-// each processor's own stream, but a shared L2's contents depend on how
-// the processors' miss streams interleave, so the global order is part of
-// the trace, not an artifact of it.
+// them. It is what internal/hierarchy.ProfileShared and SimulateSharedLog
+// replay: private-L1 behaviour depends only on each processor's own
+// stream, but a shared L2's contents depend on how the processors' miss
+// streams interleave, so the global order is part of the trace, not an
+// artifact of it.
 //
 // Representation: the interleaved stream is stored in one Log (so the
-// delta-varint encoding and disk spilling are inherited wholesale), plus a
-// run-length list of (processor, count) runs. Parallel execution is atomic
+// delta-varint encoding is inherited wholesale), plus a run-length list of
+// (processor, count) runs. Parallel execution is atomic
 // per component execution, so the interleaving is long single-processor
 // runs and the run list stays tiny — one entry per processor switch, not
 // per access.
@@ -47,11 +47,6 @@ func NewProcLog(procs int) (*ProcLog, error) {
 	}
 	return &ProcLog{procs: procs, log: NewLog(), perN: make([]int64, procs)}, nil
 }
-
-// SetSpillThreshold forwards to the underlying Log: sealed chunks of the
-// interleaved stream spill to disk past limit bytes. Must be called before
-// recording starts.
-func (pl *ProcLog) SetSpillThreshold(limit int64) { pl.log.SetSpillThreshold(limit) }
 
 // Record appends one access by processor proc to the global order.
 func (pl *ProcLog) Record(proc int, blk int64) { pl.RecordRun(proc, blk, 1) }
@@ -84,10 +79,6 @@ func (pl *ProcLog) Len() int64 { return pl.log.Len() }
 // ProcLen returns the number of accesses processor proc recorded.
 func (pl *ProcLog) ProcLen(proc int) int64 { return pl.perN[proc] }
 
-// Runs returns the number of maximal single-processor runs — the length of
-// the interleaving's run-length encoding.
-func (pl *ProcLog) Runs() int { return len(pl.runs) }
-
 // MarkWindow marks the current global position as the start of the
 // measured window.
 func (pl *ProcLog) MarkWindow() { pl.log.MarkWindow() }
@@ -97,9 +88,6 @@ func (pl *ProcLog) WindowStart() int64 { return pl.log.WindowStart() }
 
 // EncodedBytes returns the encoded size of the interleaved stream.
 func (pl *ProcLog) EncodedBytes() int64 { return pl.log.EncodedBytes() }
-
-// Spilled reports whether any part of the trace lives on disk.
-func (pl *ProcLog) Spilled() bool { return pl.log.Spilled() }
 
 // Replays returns how many times the trace has been decoded end to end.
 func (pl *ProcLog) Replays() int64 { return pl.log.Replays() }
@@ -114,12 +102,8 @@ func (pl *ProcLog) SetMetrics(reg *obs.Registry) { pl.log.SetMetrics(reg) }
 // Metrics returns the registry the trace publishes to, nil when disabled.
 func (pl *ProcLog) Metrics() *obs.Registry { return pl.log.Metrics() }
 
-// Err returns the first spill I/O error, if any.
-func (pl *ProcLog) Err() error { return pl.log.Err() }
-
-// Close releases the spill file, if any; a spilled trace cannot be
-// replayed afterwards.
-func (pl *ProcLog) Close() error { return pl.log.Close() }
+// Close releases nothing, like Log.Close.
+func (pl *ProcLog) Close() error { return nil }
 
 // procCursor walks the run-length-encoded interleaving, one access at a
 // time, starting one before the first run (ri -1).

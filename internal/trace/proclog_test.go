@@ -7,14 +7,11 @@ import (
 
 // randomProcTrace records a random interleaving of per-processor streams
 // and returns the expected (proc, blk) sequence.
-func randomProcTrace(t *testing.T, rng *rand.Rand, procs int, n int, spill int64) (*ProcLog, []int, []int64) {
+func randomProcTrace(t *testing.T, rng *rand.Rand, procs int, n int) (*ProcLog, []int, []int64) {
 	t.Helper()
 	pl, err := NewProcLog(procs)
 	if err != nil {
 		t.Fatalf("NewProcLog: %v", err)
-	}
-	if spill > 0 {
-		pl.SetSpillThreshold(spill)
 	}
 	var wantProc []int
 	var wantBlk []int64
@@ -46,7 +43,7 @@ func randomProcTrace(t *testing.T, rng *rand.Rand, procs int, n int, spill int64
 func TestProcLogRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, procs := range []int{1, 2, 4} {
-		pl, wantProc, wantBlk := randomProcTrace(t, rng, procs, 2000, 0)
+		pl, wantProc, wantBlk := randomProcTrace(t, rng, procs, 2000)
 		var i int
 		err := pl.ForEach(func(proc int, blk int64) {
 			if proc != wantProc[i] || blk != wantBlk[i] {
@@ -68,34 +65,6 @@ func TestProcLogRoundTrip(t *testing.T) {
 		if perN != pl.Len() {
 			t.Fatalf("per-proc counts sum %d, total %d", perN, pl.Len())
 		}
-	}
-}
-
-func TestProcLogSpilledRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	pl, wantProc, wantBlk := randomProcTrace(t, rng, 3, 300000, 4<<10)
-	if !pl.Spilled() {
-		t.Fatalf("trace did not spill (encoded %d bytes)", pl.EncodedBytes())
-	}
-	defer pl.Close()
-	for round := 0; round < 2; round++ { // repeated replays must agree
-		var i int
-		err := pl.ForEach(func(proc int, blk int64) {
-			if proc != wantProc[i] || blk != wantBlk[i] {
-				t.Fatalf("round %d access %d: got (%d,%d), want (%d,%d)",
-					round, i, proc, blk, wantProc[i], wantBlk[i])
-			}
-			i++
-		})
-		if err != nil {
-			t.Fatalf("ForEach: %v", err)
-		}
-		if i != len(wantProc) {
-			t.Fatalf("replayed %d of %d", i, len(wantProc))
-		}
-	}
-	if pl.Replays() != 2 {
-		t.Fatalf("Replays() = %d, want 2", pl.Replays())
 	}
 }
 
@@ -152,8 +121,8 @@ func TestProcLogRunLength(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pl.Record(0, int64(i))
 	}
-	if pl.Runs() != 3 {
-		t.Fatalf("Runs() = %d, want 3 (run-length encoding not merging)", pl.Runs())
+	if len(pl.runs) != 3 {
+		t.Fatalf("%d runs, want 3 (run-length encoding not merging)", len(pl.runs))
 	}
 }
 

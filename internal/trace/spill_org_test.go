@@ -1,92 +1,80 @@
 package trace_test
 
-// Regression test for the spill x organisation-profiling interaction: a
-// log that spilled sealed chunks to disk must replay into exactly the
-// same organisation curves as the identical in-memory log. The spill path
-// decodes through a different code path (bufio over the unlinked temp
-// file, then the in-memory tail), so a windowing or delta-base bug there
-// would silently corrupt every curve; this pins byte-for-byte equality of
-// the profiles. ProfileHier's spill equivalence is covered by the
-// mirror-image test in internal/hierarchy.
+// Streamed == replayed for the organisation profilers: the profile the
+// production path takes while the execution runs (OrgProfilers as the
+// machine's recorder, ResetCounts as the window mark) must equal the
+// profile of the same window recorded into a Log and replayed once. The
+// log is long enough to seal several chunks, so the replay crosses chunk
+// boundaries with the window mark inside the trace. ProfileHier's and
+// ProfileShared's counterparts live in internal/hierarchy.
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"streamsched/internal/cachesim"
+	"streamsched/internal/exec"
+	"streamsched/internal/randgraph"
+	"streamsched/internal/schedule"
 	"streamsched/internal/trace"
 )
 
 func TestProfileOrgsSpillIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	// Long enough that several 64 KiB chunks seal and cross the threshold.
-	blocks := randomStream(rng, 300000, 600)
-	record := func(spillAt int64) *trace.Log {
-		l := trace.NewLog()
-		if spillAt > 0 {
-			l.SetSpillThreshold(spillAt)
-		}
-		for i, blk := range blocks {
-			if i == 40000 {
-				l.MarkWindow()
-			}
-			l.RecordBlock(blk)
-		}
-		return l
+	g, err := randgraph.RandomPipeline(rand.New(rand.NewSource(31)),
+		randgraph.PipelineSpec{Nodes: 24, StateMin: 128, StateMax: 256, RateMax: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mem := record(0)
-	spilled := record(1 << 12)
-	defer spilled.Close()
-	if !spilled.Spilled() {
-		t.Fatal("spill threshold never triggered; the test is vacuous")
-	}
-	if mem.Len() != spilled.Len() || mem.WindowStart() != spilled.WindowStart() {
-		t.Fatalf("logs diverge before profiling: %d/%d accesses, window %d/%d",
-			mem.Len(), spilled.Len(), mem.WindowStart(), spilled.WindowStart())
-	}
-	specs := []trace.OrgSpec{
+	env := schedule.Env{M: 512, B: 16}
+	orgs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{16, 64}},
 		{Sets: 8, FIFOWays: []int64{4}},
 		{Sets: 32},
 	}
-	a, err := trace.ProfileOrgs(mem, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := trace.ProfileOrgs(spilled, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("spill-backed organisation curves differ from in-memory curves")
-	}
-	// Spot-check a few evaluation points so a DeepEqual false negative on
-	// unexported state cannot hide a real divergence silently.
-	for i := range a {
-		for _, w := range []int64{1, 4, 16} {
-			if a[i].LRU.Misses(w) != b[i].LRU.Misses(w) {
-				t.Errorf("spec %d LRU ways %d: %d vs %d", i, w, a[i].LRU.Misses(w), b[i].LRU.Misses(w))
+	const warm, measured = 256, 2048
+	for _, s := range []schedule.Scheduler{schedule.FlatTopo{}, schedule.Partitioned(g, nil)} {
+		streamed, err := schedule.MeasureCurveOrgs(g, s, env, env.B, warm, measured, orgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := trace.NewLog()
+		if _, _, err := (schedule.Window{
+			Span:     "replayed",
+			Cache:    cachesim.Config{Block: env.B},
+			Recorder: l,
+			Mark:     func(*exec.Machine) { l.MarkWindow() },
+		}).Measure(g, s, env, warm, measured); err != nil {
+			t.Fatal(err)
+		}
+		if l.Stats().Chunks < 2 || l.WindowStart() == 0 {
+			t.Fatalf("%s: log sealed %d chunks, window at %d; the replay crosses no chunk boundary or mark",
+				s.Name(), l.Stats().Chunks, l.WindowStart())
+		}
+		replayed, err := trace.ProfileOrgs(l, append([]trace.OrgSpec{{Sets: 1}}, orgs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Replays() != 1 {
+			t.Errorf("%s: ProfileOrgs paid %d replays, want 1", s.Name(), l.Replays())
+		}
+		if streamed.TraceLen != l.Len() {
+			t.Errorf("%s: streamed pass profiled %d accesses, the log recorded %d", s.Name(), streamed.TraceLen, l.Len())
+		}
+		if !reflect.DeepEqual(streamed.Curve, replayed[0].LRU.Full()) {
+			t.Errorf("%s: streamed fully-associative curve differs from the replayed one", s.Name())
+		}
+		if !reflect.DeepEqual(streamed.Orgs, replayed[1:]) {
+			t.Errorf("%s: streamed organisation curves differ from the replayed ones", s.Name())
+		}
+		// Spot-check evaluation points so a DeepEqual false negative on
+		// unexported state cannot hide a real divergence silently.
+		for i, c := range streamed.Orgs {
+			for _, w := range []int64{1, 4, 16} {
+				if a, b := c.LRU.Misses(w), replayed[1+i].LRU.Misses(w); a != b {
+					t.Errorf("%s spec %d LRU ways %d: streamed %d, replayed %d", s.Name(), i, w, a, b)
+				}
 			}
 		}
-	}
-	// The spilled log must stay appendable and re-profilable after replay.
-	if _, err := trace.ProfileOrgs(spilled, specs); err != nil {
-		t.Errorf("second profiling pass over the spilled log: %v", err)
-	}
-	// Full-stats accounting: both logs saw the same stream and seal chunks
-	// identically; only the spill destination differs, and each ProfileOrgs
-	// pass costs exactly one replay.
-	st, stMem := spilled.Stats(), mem.Stats()
-	if st.Accesses != int64(len(blocks)) || stMem.Accesses != int64(len(blocks)) {
-		t.Errorf("stats count %d/%d accesses, recorded %d", st.Accesses, stMem.Accesses, len(blocks))
-	}
-	if st.Chunks != stMem.Chunks || st.Chunks == 0 {
-		t.Errorf("chunk counts diverge: spilled sealed %d, in-memory %d", st.Chunks, stMem.Chunks)
-	}
-	if st.SpilledBytes == 0 || stMem.SpilledBytes != 0 {
-		t.Errorf("spill accounting: spilled log %d bytes, in-memory log %d", st.SpilledBytes, stMem.SpilledBytes)
-	}
-	if st.Replays != 2 || stMem.Replays != 1 {
-		t.Errorf("replay accounting: spilled %d (want 2), in-memory %d (want 1)", st.Replays, stMem.Replays)
 	}
 }

@@ -15,9 +15,13 @@
 // The pieces:
 //
 //   - Recorder is the event sink the execution machine emits the block
-//     ranges it touches into, a run (first block, count) at a time; Log
-//     is the standard implementation, a compact delta-varint append-only
-//     encoding that can spill to disk and replays as runs (ForEachRun).
+//     ranges it touches into, a run (first block, count) at a time. The
+//     profilers are recorders themselves (OrgProfilers.RecordRun), so a
+//     profile is taken while the execution runs, and its state is
+//     O(footprint), not O(trace). Log is the in-memory recorder for a
+//     second pass: a compact delta-varint encoding that replays as runs
+//     (ForEachRun), used by the pointwise oracles, the experiments and the
+//     benchmark probe.
 //   - Profiler implements Mattson's algorithm with an implicit
 //     order-statistics structure over last-access slots (a 64-ary counted
 //     bitmap: a reuse costs a popcount walk as long as it is old), memory
@@ -27,12 +31,12 @@
 //   - AssocProfiler shards the trace by set index and runs one Mattson
 //     stack per set: exact set-associative LRU misses for every way count
 //     of a set count, still in one pass (AssocCurve).
-//   - ProfileOrgs drives any number of organisations' profilers from a
-//     single replay of a recorded log, so one trace per scheduler answers
-//     every (capacity, ways, policy) robustness question; OrgProfilers is
-//     its incremental form, whose Touch also reports which design points
-//     the access missed in (Missed) — the miss streams the hierarchy
-//     profilers feed their next level from. It does only work that
+//   - OrgProfilers drives any number of organisations' profilers from one
+//     access stream, so one execution per scheduler answers every
+//     (capacity, ways, policy) robustness question; ProfileOrgs feeds it
+//     from a recorded log instead. Its Touch also reports which design
+//     points the access missed in (Missed) — the miss streams the
+//     hierarchy profilers feed their next level from. It does only work that
 //     can change an answer: one structure per distinct set count, stacks
 //     truncated at the deepest way count the request evaluates
 //     (OrgSpec.MaxWays, filled in by GridSpecs), all FIFO points of all
@@ -40,8 +44,8 @@
 //     proportional to the FIFO replicas it misses in; FIFOCurve).
 //   - ProcLog is the multiprocessor trace: per-processor access streams
 //     plus the global interleaving order a parallel run emitted them in,
-//     run-length encoded over one spillable Log — the input of the
-//     shared-L2 hierarchy paths.
+//     run-length encoded over one Log — what the shared-L2 hierarchy
+//     oracles replay.
 //   - Sweep runs a pool of profiling jobs (schedulers x workloads) on a
 //     bounded number of goroutines — the package's only concurrency;
 //     every profiling call runs inline on its caller's goroutine.
@@ -53,13 +57,13 @@
 //     the corresponding configuration — profiling is a faster evaluation
 //     order, never an approximation. A request-bounded curve answers
 //     exactly up to its bound and refuses (panics, or ok=false) past it.
-//   - One replay: a profiling call pays exactly one decode of the log,
-//     however many organisations it drives;
-//     Replays() is the observable counter. Spilled logs stream chunk by
-//     chunk from disk, so resident memory is flat in the trace length.
+//   - One pass: a profile fed while the execution runs and one fed by a
+//     single replay of that execution's log are identical, however many
+//     organisations it drives; Replays() counts a log's decodes.
 //   - Deterministic windows: ForEachWindowed resets per-window counters
-//     at exactly the recorded MarkWindow position; first-ever (cold)
-//     tracking deliberately survives the reset.
+//     at exactly the recorded MarkWindow position — where a live window
+//     calls ResetCounts; first-ever (cold) tracking deliberately survives
+//     the reset.
 package trace
 
 // Recorder receives every block-level access of a run, in execution
