@@ -161,6 +161,16 @@ func (f *FIFO) Pop(cache *cachesim.Cache) (int64, error) {
 	return 0, f.PopN(cache, 1, nil)
 }
 
+// Skip counts laps whole trips around the ring — laps·Cap more items
+// pushed and as many popped — without touching the cache or the ring, so
+// occupancy, ring offset and contents stay as they are. A machine
+// advanced by whole periods (exec.Machine.Advance) accounts for the items
+// its channels carried that way; the caller keeps the counts within int64.
+func (f *FIFO) Skip(laps int64) {
+	f.pushed += laps * f.capacity
+	f.popped += laps * f.capacity
+}
+
 // touch charges the ring positions [start, start+n) (mod capacity) to the
 // cache as at most two contiguous ranges.
 func (f *FIFO) touch(cache *cachesim.Cache, start, n int64, write bool) {

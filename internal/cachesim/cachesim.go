@@ -11,6 +11,7 @@
 package cachesim
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -211,6 +212,18 @@ func NewTap(block int64, tap func(base, n int64)) (*Cache, error) {
 		return nil, fmt.Errorf("cachesim: block size must be positive, got %d", block)
 	}
 	return &Cache{cfg: Config{Block: block}, observer: tap}, nil
+}
+
+// Skip counts n block accesses a tap did not forward, so that a recording
+// whose recorder counted repeated stretches by multiplication
+// (exec.Machine.Advance) still reports the logical Stats().Accesses. Only
+// a tap can skip: a simulating cache's statistics depend on every access.
+func (c *Cache) Skip(n int64) error {
+	if c.lines != 0 {
+		return errors.New("cachesim: a simulating cache cannot skip accesses")
+	}
+	c.stats.Accesses += n
+	return nil
 }
 
 // Config returns the configuration the cache was built with.

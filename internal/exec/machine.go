@@ -13,6 +13,7 @@ import (
 
 	"streamsched/internal/buffer"
 	"streamsched/internal/cachesim"
+	"streamsched/internal/ratio"
 	"streamsched/internal/sdf"
 	"streamsched/internal/trace"
 )
@@ -361,6 +362,97 @@ func (m *Machine) Latency() (mean float64, max int64) {
 // ResetLatency clears the latency accumulators (e.g. after warmup).
 func (m *Machine) ResetLatency() {
 	m.latSum, m.latMax, m.latCount = 0, 0, 0
+}
+
+// AppendState appends the machine's recurrence key to dst and returns the
+// extended slice: per channel, its occupancy and its ring offset (items
+// pushed mod capacity). With the layout fixed at creation, these decide
+// every address a firing can touch, so a runner that decides from
+// occupancy alone issues the same block stream from any two points whose
+// keys are equal.
+func (m *Machine) AppendState(dst []int64) []int64 {
+	for _, f := range m.bufs {
+		dst = append(dst, f.Len(), f.Pushed()%f.Cap())
+	}
+	return dst
+}
+
+// Counters is a snapshot of a machine's cumulative counts, the base that
+// Advance measures a period from.
+type Counters struct {
+	fired, pushed                                     []int64
+	inputItems, sinkItems, latSum, latCount, accesses int64
+}
+
+// Counters snapshots the machine's cumulative counts.
+func (m *Machine) Counters() Counters {
+	c := Counters{
+		fired: append([]int64(nil), m.fired...), pushed: make([]int64, len(m.bufs)),
+		inputItems: m.inputItems, sinkItems: m.sinkItems,
+		latSum: m.latSum, latCount: m.latCount, accesses: m.cache.Stats().Accesses,
+	}
+	for e, f := range m.bufs {
+		c.pushed[e] = f.Pushed()
+	}
+	return c
+}
+
+// Advance accounts for k more repetitions of what the machine did since c
+// was taken, without running them: firings, items through every channel,
+// source and sink items, the latency sum and count, and the recording
+// tap's accesses each grow by k times their change since c. The maximum
+// latency stays: a repetition sees the latencies the first one saw.
+//
+// The caller asserts that the run since c was one period — AppendState
+// reads as it did at c — so every repetition would have issued the same
+// stream and left every occupancy and ring offset where it is. Each
+// channel's change is then whole laps of its ring, which Advance checks.
+// It fails, leaving the machine as it was, when a count would overflow
+// int64, on a machine that carries item values (their sequence does not
+// repeat) and on one that simulates a cache.
+func (m *Machine) Advance(c Counters, k int64) error {
+	if m.values {
+		return errors.New("exec: a machine carrying item values cannot be advanced")
+	}
+	// Check every count first, so that a refused advance changes nothing;
+	// then k times each change fits.
+	fits := true
+	check := func(now, was int64) {
+		_, ok := ratio.AddMul(now, k, now-was)
+		fits = fits && ok
+	}
+	for v := range m.fired {
+		check(m.fired[v], c.fired[v])
+	}
+	for e, f := range m.bufs {
+		if moved := f.Pushed() - c.pushed[e]; moved%f.Cap() != 0 {
+			return fmt.Errorf("exec: edge %d moved %d items in a period, not whole laps of its %d-item ring", e, moved, f.Cap())
+		}
+		check(f.Pushed(), c.pushed[e])
+	}
+	accesses := m.cache.Stats().Accesses
+	check(accesses, c.accesses)
+	check(m.inputItems, c.inputItems)
+	check(m.sinkItems, c.sinkItems)
+	check(m.latSum, c.latSum)
+	check(m.latCount, c.latCount)
+	if !fits {
+		return fmt.Errorf("exec: advancing %d periods overflows int64", k)
+	}
+	if err := m.cache.Skip(k * (accesses - c.accesses)); err != nil {
+		return fmt.Errorf("exec: advance: %w", err)
+	}
+	for v := range m.fired {
+		m.fired[v] += k * (m.fired[v] - c.fired[v])
+	}
+	for e, f := range m.bufs {
+		f.Skip(k * (f.Pushed() - c.pushed[e]) / f.Cap())
+	}
+	m.inputItems += k * (m.inputItems - c.inputItems)
+	m.sinkItems += k * (m.sinkItems - c.sinkItems)
+	m.latSum += k * (m.latSum - c.latSum)
+	m.latCount += k * (m.latCount - c.latCount)
+	return nil
 }
 
 // CheckConservation verifies the token-count invariants: for every channel,

@@ -2,6 +2,9 @@ package exec
 
 import (
 	"errors"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -400,4 +403,109 @@ func TestRecordingMachineMatchesSimulatingTap(t *testing.T) {
 			t.Fatalf("%s: simulating machine's cache stats %+v for %d tapped accesses", tc.g.Name(), st, len(tapped))
 		}
 	}
+}
+
+// TestAdvanceEqualsRunning: a machine advanced by k periods reads, in every
+// count a measurement or check uses, like one that ran them — and then
+// issues the same stream as it. Advance refuses what it cannot account for
+// and, refusing, changes nothing.
+func TestAdvanceEqualsRunning(t *testing.T) {
+	g := buildChain(t, 0, 64, 40, 0)
+	rounds := func(m *Machine, n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			for v := 0; v < g.NumNodes(); v++ {
+				if err := m.FireTimes(sdf.NodeID(v), 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	build := func(cfg Config) (*Machine, *blockStream) {
+		var s blockStream
+		cfg.Caps, cfg.TrackLatency = unitCaps(g, 16), true
+		if cfg.Cache.Capacity == 0 {
+			cfg.Cache, cfg.Recorder = cachesim.Config{Block: 16}, &s
+		}
+		m, err := NewMachine(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Warm-up leaves items in flight, so latencies are not zero.
+		for v, n := range []int64{5, 3, 1} {
+			if err := m.FireTimes(sdf.NodeID(v), n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m, &s
+	}
+	const k = 5
+	folded, fs := build(Config{})
+	rounds(folded, 2) // two rounds of 8 are one lap of every 16-item ring
+	key, c := folded.AppendState(nil), folded.Counters()
+	rounds(folded, 2)
+	if got := folded.AppendState(nil); !slices.Equal(got, key) {
+		t.Fatalf("state %v did not recur after a period: %v", key, got)
+	}
+	if err := folded.Advance(c, k); err != nil {
+		t.Fatal(err)
+	}
+	before := len(*fs)
+	rounds(folded, 2)
+	ran, rs := build(Config{})
+	rounds(ran, 2*(2+k+1))
+
+	if err := folded.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		if a, b := folded.Fired(sdf.NodeID(v)), ran.Fired(sdf.NodeID(v)); a != b {
+			t.Errorf("node %d fired %d advanced, %d run", v, a, b)
+		}
+	}
+	for e := 0; e < g.NumEdges(); e++ {
+		a, b := folded.Buf(sdf.EdgeID(e)), ran.Buf(sdf.EdgeID(e))
+		if a.Pushed() != b.Pushed() || a.Popped() != b.Popped() || a.Len() != b.Len() {
+			t.Errorf("edge %d: advanced %v pushed %d popped %d, run %v pushed %d popped %d", e, a, a.Pushed(), a.Popped(), b, b.Pushed(), b.Popped())
+		}
+	}
+	am, ax := folded.Latency()
+	bm, bx := ran.Latency()
+	if folded.InputItems() != ran.InputItems() || folded.SinkItems() != ran.SinkItems() || am != bm || ax != bx || bx == 0 {
+		t.Errorf("advanced items %d/%d latency %v/%d, run %d/%d %v/%d",
+			folded.InputItems(), folded.SinkItems(), am, ax, ran.InputItems(), ran.SinkItems(), bm, bx)
+	}
+	if a, b := folded.Cache().Stats().Accesses, ran.Cache().Stats().Accesses; a != b || b != int64(len(*rs)) {
+		t.Errorf("advanced machine counts %d accesses, run %d (recorded %d)", a, b, len(*rs))
+	}
+	last := (*fs)[before:]
+	if i := len(*rs) - len(last); !slices.Equal(last, (*rs)[i:]) {
+		t.Errorf("the period after Advance recorded a different stream")
+	}
+
+	// Refusals, each leaving the machine as it was.
+	refuse := func(name string, m *Machine, c Counters, k int64, want string) {
+		t.Helper()
+		fired, acc := m.Fired(0), m.Cache().Stats().Accesses
+		if err := m.Advance(c, k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Advance = %v, want an error containing %q", name, err, want)
+		}
+		if m.Fired(0) != fired || m.Cache().Stats().Accesses != acc || m.CheckConservation() != nil {
+			t.Errorf("%s: a refused Advance changed the machine", name)
+		}
+	}
+	c = folded.Counters()
+	rounds(folded, 2)
+	refuse("overflow", folded, c, math.MaxInt64/4, "overflows int64")
+	c = folded.Counters()
+	rounds(folded, 1)
+	refuse("half a lap", folded, c, 2, "whole laps")
+	sim, _ := build(Config{Cache: testCache})
+	c = sim.Counters()
+	rounds(sim, 2)
+	refuse("simulating cache", sim, c, 2, "cannot skip")
+	vals, _ := build(Config{Values: true})
+	c = vals.Counters()
+	rounds(vals, 2)
+	refuse("values", vals, c, 2, "item values")
 }

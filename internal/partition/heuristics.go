@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 
 	"streamsched/internal/sdf"
 )
@@ -30,22 +31,29 @@ func LocalSearch(g *sdf.Graph, p *Partition, bound int64, seed int64, maxRounds 
 	for i := range nodes {
 		nodes[i] = i
 	}
+	var cands []int
 	for round := 0; round < maxRounds; round++ {
 		improved := false
 		rng.Shuffle(n, func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
 		for _, vi := range nodes {
 			v := sdf.NodeID(vi)
 			from := cur.Assign[vi]
-			// Candidate destinations: components of neighbours.
-			cands := map[int]bool{}
+			// Candidate destinations: components of neighbours, tried in
+			// ascending order — the first improving move wins, so the order
+			// is part of the result.
+			cands = cands[:0]
 			for _, e := range g.InEdges(v) {
-				cands[cur.Assign[g.Edge(e).From]] = true
+				cands = append(cands, cur.Assign[g.Edge(e).From])
 			}
 			for _, e := range g.OutEdges(v) {
-				cands[cur.Assign[g.Edge(e).To]] = true
+				cands = append(cands, cur.Assign[g.Edge(e).To])
 			}
-			delete(cands, from)
-			for to := range cands {
+			slices.Sort(cands)
+			home := from
+			for i, to := range cands {
+				if to == home || i > 0 && to == cands[i-1] {
+					continue
+				}
 				if stateOf[to]+g.Node(v).State > bound {
 					continue
 				}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrOverflow is returned (wrapped) when an operation would exceed int64
@@ -329,6 +330,34 @@ func abs64(v int64) int64 {
 		return -v
 	}
 	return v
+}
+
+// AddMul returns x + k·d and whether it fits in int64: the checked step
+// that advances a cumulative count by k repetitions of a change d. The sum
+// is formed in 128 bits, so a product that overflows on its own but is
+// brought back into range by x still counts as fitting.
+func AddMul(x, k, d int64) (int64, bool) {
+	hi, lo := bits.Mul64(uabs64(k), uabs64(d))
+	if (k < 0) != (d < 0) { // two's-complement negate the 128-bit product
+		var borrow uint64
+		lo, borrow = bits.Sub64(0, lo, 0)
+		hi, _ = bits.Sub64(0, hi, borrow)
+	}
+	var c uint64
+	lo, c = bits.Add64(lo, uint64(x), 0)
+	hi, _ = bits.Add64(hi, uint64(x>>63), c) // x sign-extended
+	if r := int64(lo); hi == uint64(r>>63) {
+		return r, true
+	}
+	return 0, false
+}
+
+// uabs64 returns |v| as a uint64; |MinInt64| is representable there.
+func uabs64(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
+	}
+	return uint64(v)
 }
 
 // add64 returns a+b and whether it did not overflow.

@@ -291,6 +291,30 @@ func TestPropFloorCeilConsistent(t *testing.T) {
 	}
 }
 
+// TestPropAddMulMatchesBig: AddMul is x + k·d exactly when that fits in
+// int64, and says so otherwise — near the edges too.
+func TestPropAddMulMatchesBig(t *testing.T) {
+	lo, hi := big.NewInt(math.MinInt64), big.NewInt(math.MaxInt64)
+	f := func(x, k, d int64, shift uint8) bool {
+		k >>= shift % 64 // small and large multipliers alike
+		got, ok := AddMul(x, k, d)
+		want := new(big.Int).Mul(big.NewInt(k), big.NewInt(d))
+		want.Add(want, big.NewInt(x))
+		fits := want.Cmp(lo) >= 0 && want.Cmp(hi) <= 0
+		return ok == fits && (!ok || got == want.Int64())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, c := range [][3]int64{{math.MaxInt64 - 6, 3, 2}, {math.MaxInt64 - 5, 3, 2}, {0, math.MaxInt64, 1}, {1, math.MaxInt64, 1}, {0, 1 << 32, 1 << 31}} {
+		_, ok := AddMul(c[0], c[1], c[2])
+		want := new(big.Int).Mul(big.NewInt(c[1]), big.NewInt(c[2]))
+		if fits := want.Add(want, big.NewInt(c[0])).Cmp(hi) <= 0; ok != fits {
+			t.Errorf("AddMul(%d, %d, %d) ok = %v, want %v", c[0], c[1], c[2], ok, fits)
+		}
+	}
+}
+
 func TestAddOverflowDetected(t *testing.T) {
 	huge := MustNew(math.MaxInt64-1, 1)
 	if _, err := huge.Add(huge); !errors.Is(err, ErrOverflow) {

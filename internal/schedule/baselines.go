@@ -19,7 +19,7 @@ func (FlatTopo) Name() string { return "flat-topo" }
 
 // Prepare implements Scheduler.
 func (FlatTopo) Prepare(g *sdf.Graph, _ Env) (*Plan, error) {
-	return &Plan{Caps: periodCaps(g, 1), Runner: flatRunner{scale: 1, g: g}}, nil
+	return flatPlan(g, 1), nil
 }
 
 // Scaled is the Sermulins-style execution-scaling baseline (§6): the flat
@@ -40,7 +40,13 @@ func (s Scaled) Prepare(g *sdf.Graph, _ Env) (*Plan, error) {
 	if s.S < 1 {
 		return nil, fmt.Errorf("%w: scale %d < 1", ErrUnsupported, s.S)
 	}
-	return &Plan{Caps: periodCaps(g, s.S), Runner: flatRunner{scale: s.S, g: g}}, nil
+	return flatPlan(g, s.S), nil
+}
+
+// flatPlan is the flat schedule scaled by scale: buffers for scale periods,
+// and one step per period.
+func flatPlan(g *sdf.Graph, scale int64) *Plan {
+	return &Plan{Caps: periodCaps(g, scale), Runner: flatRunner{scale: scale, g: g}, Step: scale * g.Repetitions(g.Source())}
 }
 
 // flatRunner executes scale·reps(v) firings of each module per period, in

@@ -81,22 +81,28 @@ func Compile(g *sdf.Graph, s Scheduler, env Env, warm, maxSource int64) (*Compil
 		}
 		return sb.String()
 	}
+	// last is the firing count of the last step when the snapshot was
+	// taken: the next firing may be the same module's, which grows that
+	// step past the boundary.
 	type snapshot struct {
 		steps  int
+		last   int64
 		source int64
 	}
 	seen := map[string]snapshot{}
 	if warm == 0 {
-		seen[occupancy()] = snapshot{0, 0}
+		seen[occupancy()] = snapshot{}
 	}
 	// Recording granularity: the runner is driven in chunks of ~M/2 source
-	// firings. Runners are stateless between Run calls, so the recorded
-	// execution is a deterministic function of channel occupancy at chunk
-	// boundaries — an occupancy recurrence there is an exact cycle of the
-	// recorded dynamics, which is precisely what the replay reproduces.
+	// firings. The dynamic runners decide from channel occupancy alone, so
+	// the recorded execution is a deterministic function of occupancy at
+	// chunk boundaries — an occupancy recurrence there is an exact cycle of
+	// the recorded dynamics, which is precisely what the replay reproduces.
 	// (Chunking can pause a dynamic burst at a boundary, so the recorded
 	// policy may differ slightly from an uninterrupted run; outputs are
-	// identical either way and the cost stays in the same envelope.)
+	// identical either way and the cost stays in the same envelope. A
+	// runner with a Plan.Step is paused only between batches, so its
+	// recording is the uninterrupted run.)
 	chunk := env.M / 2
 	if chunk < 1 {
 		chunk = 1
@@ -111,14 +117,26 @@ func Compile(g *sdf.Graph, s Scheduler, env Env, warm, maxSource int64) (*Compil
 		key := occupancy()
 		if snap, ok := seen[key]; ok && m.SourceFirings() > snap.source {
 			steps := rec.steps
+			prologue := append([]Step(nil), steps[:snap.steps]...)
+			period := append([]Step(nil), steps[snap.steps:]...)
+			if i := snap.steps - 1; i >= 0 && steps[i].Count > snap.last {
+				// The step straddling the cycle's start: its firings after
+				// the boundary open every period, not just the first.
+				prologue[i].Count = snap.last
+				period = append([]Step{{Node: steps[i].Node, Count: steps[i].Count - snap.last}}, period...)
+			}
 			return &Compiled{
 				Caps:            plan.Caps,
-				Prologue:        append([]Step(nil), steps[:snap.steps]...),
-				Period:          append([]Step(nil), steps[snap.steps:]...),
+				Prologue:        prologue,
+				Period:          period,
 				SourcePerPeriod: m.SourceFirings() - snap.source,
 			}, nil
 		}
-		seen[key] = snapshot{len(rec.steps), m.SourceFirings()}
+		snap := snapshot{steps: len(rec.steps), source: m.SourceFirings()}
+		if snap.steps > 0 {
+			snap.last = rec.steps[snap.steps-1].Count
+		}
+		seen[key] = snap
 	}
 	return nil, fmt.Errorf("schedule: no steady-state recurrence within %d source firings", maxSource)
 }

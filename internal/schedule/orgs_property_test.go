@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"streamsched/internal/cachesim"
+	"streamsched/internal/obs"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/sdf"
 	"streamsched/internal/trace"
@@ -108,6 +109,122 @@ func TestPropOrgCurvesMatchSimulatorOnRandomDags(t *testing.T) {
 		}
 		for _, s := range scheds {
 			orgCase(t, g, s, env, geoms, 96, 384)
+		}
+		if seed < 2 {
+			foldCases(t, g, []Scheduler{PartitionedHomogeneous{}, FlatTopo{}, Scaled{S: 3}, KohliGreedy{}})
+		}
+	}
+	// The other two shapes: the batch scheduler folds, the half-full
+	// pipeline rule declares no step.
+	rng := rand.New(rand.NewSource(104))
+	inh, err := randgraph.RandomSplitJoin(rng, randgraph.SplitJoinSpec{Branches: 2, BranchDepth: 3, StateMin: 16, StateMax: 96, RateMax: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foldCases(t, inh, []Scheduler{PartitionedBatch{}, DemandDriven{}})
+	pipe, err := randgraph.RandomPipeline(rng, randgraph.PipelineSpec{Nodes: 8, StateMin: 16, StateMax: 160, RateMax: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foldCases(t, pipe, []Scheduler{PartitionedPipeline{}})
+}
+
+// unstepped hides its scheduler's plan step, so the window runs every
+// firing: the unfolded pass a folded measurement must equal.
+type unstepped struct{ Scheduler }
+
+func (u unstepped) Prepare(g *sdf.Graph, env Env) (*Plan, error) {
+	p, err := u.Scheduler.Prepare(g, env)
+	if p != nil {
+		p.Step = 0
+	}
+	return p, err
+}
+
+// foldWindow measures one window folded where it can be and unfolded
+// (unstepped), requires every field of the two results — Run header,
+// curve, organisation curves, trace length — to be identical, and returns
+// how many periods the folded pass counted without running them. A window
+// the schedule cannot run must fail both ways; its error is returned.
+func foldWindow(t *testing.T, g *sdf.Graph, s Scheduler, env Env, warm, measured int64, specs []trace.OrgSpec) (int64, error) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	folded := env
+	folded.Metrics = reg
+	got, gerr := MeasureCurveOrgs(g, s, folded, env.B, warm, measured, specs)
+	want, err := MeasureCurveOrgs(g, unstepped{s}, env, env.B, warm, measured, specs)
+	if (gerr == nil) != (err == nil) {
+		t.Fatalf("%s/%s warm %d measure %d: folded error %v, unfolded %v", g.Name(), s.Name(), warm, measured, gerr, err)
+	}
+	if err != nil {
+		return 0, err
+	}
+	n := reg.Counter("schedule.window.folded_periods").Value()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s/%s warm %d measure %d specs %v: %d folded periods changed the result\nfolded   %+v\nunfolded %+v",
+			g.Name(), s.Name(), warm, measured, specs, n, got.Run, want.Run)
+	}
+	return n, nil
+}
+
+// foldSpecs are the recorder shapes a fold is checked under: the
+// fully-associative curve alone, with unbounded set-associative LRU
+// families, with request-bounded ones (rows shorter than assocListLimit),
+// and with FIFO replicas, which never fold.
+func foldSpecs(t *testing.T, block int64) [][]trace.OrgSpec {
+	bounded, _, err := trace.GridSpecs([]int64{512, 1024}, block, []int64{1, 4, 0}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fifo, _, err := trace.GridSpecs([]int64{512}, block, []int64{2, 0}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]trace.OrgSpec{nil, {{Sets: 4}, {Sets: 16}}, bounded, fifo}
+}
+
+// hasFIFO reports whether any spec replays FIFO, which keeps a window from
+// folding.
+func hasFIFO(specs []trace.OrgSpec) bool {
+	for _, s := range specs {
+		if len(s.FIFOWays) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// foldCases runs windows of 3–8 batches of T = M source firings after no,
+// one and one and a half batches of warm-up, none a whole number of
+// periods long, and one of 16 batches — long enough to find a period of
+// three batches, as the batch scheduler's ring offsets can take — under
+// every foldSpecs shape. Every result must equal the unfolded pass; a
+// scheduler with a step must fold somewhere, and nothing else may.
+func foldCases(t *testing.T, g *sdf.Graph, scheds []Scheduler) {
+	t.Helper()
+	env := Env{M: 128, B: 16}
+	T := env.M
+	windows := [][2]int64{{0, 3*T + T/3}, {T, 8*T - 5}, {3 * T / 2, 5*T + 7}, {T / 2, 16*T + 3}}
+	for _, s := range scheds {
+		plan, err := s.Prepare(g, env)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name(), err)
+		}
+		var folded int64
+		for _, w := range windows {
+			for _, specs := range foldSpecs(t, env.B) {
+				n, err := foldWindow(t, g, s, env, w[0], w[1], specs)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", g.Name(), s.Name(), err)
+				}
+				if n > 0 && (plan.Step == 0 || hasFIFO(specs)) {
+					t.Errorf("%s/%s: folded %d periods of a window that cannot fold", g.Name(), s.Name(), n)
+				}
+				folded += n
+			}
+		}
+		if plan.Step > 0 && folded == 0 {
+			t.Errorf("%s/%s: a stepped schedule never folded", g.Name(), s.Name())
 		}
 	}
 }

@@ -200,6 +200,7 @@ func (s PartitionedHomogeneous) Prepare(g *sdf.Graph, env Env) (*Plan, error) {
 		Runner: &homogRunner{p: p, t: t, members: p.Members(g),
 			inCross: crossBySide(g, p, true), outCross: crossBySide(g, p, false)},
 		CrossEdges: p.CrossEdges(g),
+		Step:       t, // the source component fires in batches of T
 	}, nil
 }
 
@@ -335,6 +336,7 @@ func (s PartitionedBatch) Prepare(g *sdf.Graph, env Env) (*Plan, error) {
 			p: p, members: p.Members(g), quota: quota, t: t,
 		},
 		CrossEdges: p.CrossEdges(g),
+		Step:       t, // one batch
 	}, nil
 }
 

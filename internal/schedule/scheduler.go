@@ -54,7 +54,9 @@ type Env struct {
 func (e Env) metrics() *obs.Registry { return obs.Or(e.Metrics) }
 
 // Runner drives a machine until the source has fired at least target times
-// (a cumulative count since machine creation, so runs are resumable).
+// (a cumulative count since machine creation, so runs are resumable). The
+// package's dynamic runners decide from the machine's channel occupancy
+// alone; the compiled runner keeps its position in the schedule.
 type Runner interface {
 	Run(m *exec.Machine, target int64) error
 }
@@ -67,6 +69,13 @@ type Plan struct {
 	Caps       []int64
 	Runner     Runner
 	CrossEdges []sdf.EdgeID
+	// Step, when positive, is the Runner's step in source firings: from
+	// wherever a Run call stopped, Run(m, m.SourceFirings()+Step) fires
+	// the source exactly Step times, and any chain of such calls followed
+	// by Run(m, end) runs exactly what one Run(m, end) runs. Runners that
+	// fire the source in whole batches have one; Prepare derives it.
+	// Zero means the runner must reach its end in one call.
+	Step int64
 }
 
 // Scheduler plans the execution of a streaming graph.

@@ -170,7 +170,9 @@ func TestSweepCurves(t *testing.T) {
 // fully-associative curve MeasureCurveOrgs always profiles and a grid's
 // own Sets=1 spec cost one Fenwick stack between them: the Fenwick
 // operation count of the grid run equals the curve-only run's, and both
-// are non-zero (the stack did outgrow its list form).
+// are non-zero (the stack did outgrow its list form). Both run unfolded:
+// the counter counts touched work, and the grid's FIFO points would keep
+// it from folding while the curve alone folds.
 func TestMeasureCurveOrgsSharesFullyAssociativeStack(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	g, err := randgraph.RandomPipeline(rng, randgraph.PipelineSpec{Nodes: 24, StateMin: 128, StateMax: 256, RateMax: 1})
@@ -186,7 +188,7 @@ func TestMeasureCurveOrgsSharesFullyAssociativeStack(t *testing.T) {
 	fenwickOps := func(orgs []trace.OrgSpec) int64 {
 		reg := obs.NewRegistry()
 		env := Env{M: 512, B: 16, Metrics: reg}
-		if _, err := MeasureCurveOrgs(g, FlatTopo{}, env, env.B, 64, 256, orgs); err != nil {
+		if _, err := MeasureCurveOrgs(g, unstepped{FlatTopo{}}, env, env.B, 64, 256, orgs); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Snapshot().Counters["trace.profile.timeline.ops"]

@@ -3,9 +3,11 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
+	"streamsched/internal/obs"
 	"streamsched/internal/sdf"
 	"streamsched/internal/trace"
 )
@@ -35,6 +37,13 @@ type Run struct {
 // Its fields are what differs between measurements; everything else —
 // validation, the overflow guard, span and stage names, the Run header —
 // lives in Measure.
+//
+// When the plan has a Step and the Recorder can fold (an LRU-only
+// trace.OrgProfilers), Measure folds the steady state: once the machine's
+// state recurs inside the window it runs one more period for real and
+// counts the remaining whole periods as multiples of that one, so the
+// cost stops growing with measured. Results are exactly the unfolded
+// ones; every other window runs every firing.
 type Window struct {
 	// Span names the obs span, suffixed with "[scheduler]".
 	Span string
@@ -100,7 +109,7 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 	if measured > math.MaxInt64-fired0 {
 		return nil, run, fmt.Errorf("schedule: measured window %d after %d warm-up firings overflows int64", measured, fired0)
 	}
-	if err := plan.Runner.Run(m, fired0+measured); err != nil {
+	if err := w.run(m, plan, fired0+measured, env.metrics()); err != nil {
 		return nil, run, fmt.Errorf("schedule: run %s: %w", run.Scheduler, err)
 	}
 	if err := m.CheckConservation(); err != nil {
@@ -126,6 +135,67 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 		}
 	}
 	return m, run, nil
+}
+
+// run drives m to end source firings. A plan with a step, recorded by
+// OrgProfilers that can fold, runs step by step while Brent's cycle search
+// compares the machine's recurrence key (exec.Machine.AppendState) at
+// each step boundary with one saved key; on the first recurrence it
+// folds. With no recurrence by a third of the window it stops looking.
+// Every other window is one Run call — which is what the stepped calls
+// amount to, by Plan.Step's contract.
+func (w Window) run(m *exec.Machine, plan *Plan, end int64, reg *obs.Registry) error {
+	f, ok := w.Recorder.(*trace.OrgProfilers)
+	if !ok || plan.Step <= 0 || !f.Foldable() {
+		return plan.Runner.Run(m, end)
+	}
+	start := m.SourceFirings()
+	saved, savedAt := m.AppendState(nil), start
+	var key []int64
+	for steps, power := int64(0), int64(1); m.SourceFirings() <= end-plan.Step && m.SourceFirings()-start < (end-start)/3; {
+		if err := plan.Runner.Run(m, m.SourceFirings()+plan.Step); err != nil {
+			return err
+		}
+		if key = m.AppendState(key[:0]); slices.Equal(key, saved) {
+			return fold(m, plan, f, m.SourceFirings()-savedAt, end, reg)
+		}
+		// Brent: move the saved key forward whenever the distance to it
+		// reaches a power of two, so a period of any length is found
+		// with one key in memory.
+		if steps++; steps == power {
+			saved, key, savedAt = key, saved, m.SourceFirings()
+			steps, power = 0, 2*power
+		}
+	}
+	return plan.Runner.Run(m, end)
+}
+
+// fold takes over at a recurrence: the stream repeats every period source
+// firings from here on, and the recorder has seen one period of it, so
+// every further period counts the same (trace.OrgProfilers.Repeat says
+// why). It runs one period for real, advances the machine and the
+// recorder by the remaining whole periods, and runs the rest for real.
+func fold(m *exec.Machine, plan *Plan, f *trace.OrgProfilers, period, end int64, reg *obs.Registry) error {
+	if (end-m.SourceFirings())/period < 2 {
+		return plan.Runner.Run(m, end)
+	}
+	key, c, t := m.AppendState(nil), m.Counters(), f.Tally()
+	from := m.SourceFirings()
+	if err := plan.Runner.Run(m, from+period); err != nil {
+		return err
+	}
+	if !slices.Equal(m.AppendState(nil), key) {
+		return fmt.Errorf("schedule: the machine did not recur after one period of %d source firings", period)
+	}
+	q := (end - m.SourceFirings()) / (m.SourceFirings() - from)
+	if err := m.Advance(c, q); err != nil {
+		return err
+	}
+	if err := f.Repeat(t, q); err != nil {
+		return err
+	}
+	reg.Counter("schedule.window.folded_periods").Add(q)
+	return plan.Runner.Run(m, end)
 }
 
 // sweep measures once per scheduler on a bounded goroutine pool (workers

@@ -5,6 +5,7 @@ import (
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/hierarchy"
+	"streamsched/internal/obs"
 	"streamsched/internal/sdf"
 )
 
@@ -12,7 +13,8 @@ import (
 // name on every graph shape, Measure, MeasureCurve, MeasureHier and
 // MeasureHierPoint at the same (g, s, env, warm, measured) ran the same
 // window, so their Run headers — firings, items, buffer words, latency —
-// are identical, whatever each was counting.
+// are identical, whatever each was counting, and whether or not the
+// MeasureCurve window folded its steady state.
 func TestOneWindowOneHeader(t *testing.T) {
 	// split feeds a at twice b's rate; a's doubled stream is halved again
 	// at the join, so the rates balance without being uniform.
@@ -39,8 +41,21 @@ func TestOneWindowOneHeader(t *testing.T) {
 		L1s:   []hierarchy.Level{hierLv(256, 16, 0, cachesim.LRU)},
 		L2s:   []hierarchy.Level{hierLv(2048, 16, 4, cachesim.LRU)},
 	}
-	const warm, measured = 96, 320
-	for _, g := range []*sdf.Graph{uniformPipeline(t, 10, 64), splitJoin(t, 3, 64), inhDag} {
+	// The second window is five and a half batches of T = M: long enough
+	// for MeasureCurve to fold the flat schedules and the homogeneous
+	// dag's partitioned one, while the other paths run every firing.
+	sj := splitJoin(t, 3, 64)
+	for _, w := range [][2]int64{{96, 320}, {256, 5*256 + 128}} {
+		headers(t, env, spec, w[0], w[1], []*sdf.Graph{uniformPipeline(t, 10, 64), sj, inhDag}, w[1] > 5*env.M, sj)
+	}
+}
+
+// headers checks one window on every graph under every registry name;
+// with fold set, MeasureCurve must fold the flat schedule everywhere and
+// the partitioned one on foldable.
+func headers(t *testing.T, env Env, spec hierarchy.HierSpec, warm, measured int64, graphs []*sdf.Graph, fold bool, foldable *sdf.Graph) {
+	t.Helper()
+	for _, g := range graphs {
 		for _, name := range []string{"flat", "scaled", "demand", "kohli", "partitioned"} {
 			s, err := ByName(name, g, 3)
 			if err != nil {
@@ -50,9 +65,15 @@ func TestOneWindowOneHeader(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s Measure: %v", g.Name(), name, err)
 			}
-			cr, err := MeasureCurve(g, s, env, env.B, warm, measured)
+			reg := obs.NewRegistry()
+			folding := env
+			folding.Metrics = reg
+			cr, err := MeasureCurve(g, s, folding, env.B, warm, measured)
 			if err != nil {
 				t.Fatalf("%s/%s MeasureCurve: %v", g.Name(), name, err)
+			}
+			if folded := reg.Counter("schedule.window.folded_periods").Value(); fold && folded == 0 && (name == "flat" || name == "partitioned" && g == foldable) {
+				t.Errorf("%s/%s: MeasureCurve did not fold %d firings", g.Name(), name, measured)
 			}
 			hr, err := MeasureHier(g, s, env, spec, warm, measured)
 			if err != nil {

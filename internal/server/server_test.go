@@ -313,6 +313,27 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestFoldOverflowNotCached: a window that fits in int64 but whose folded
+// steady state counts more accesses than int64 holds fails fast — the
+// fold makes it cheap to reach — with an overflow error, and leaves
+// nothing in the cache.
+func TestFoldOverflowNotCached(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{})
+	body := planBody(t, testGraphJSON(t, 16), `, "scheduler": "flat", "measure": 4611686018427387903`)
+	start := time.Now()
+	resp, data := post(t, ts.URL+"/v1/profile", body)
+	elapsed := time.Since(start)
+	if resp.StatusCode == http.StatusOK || !strings.Contains(string(data), "overflows int64") {
+		t.Fatalf("status %d: %s, want an overflow error", resp.StatusCode, data)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("the overflow took %v to report", elapsed)
+	}
+	if n := srv.Cache().Len(); n != 0 {
+		t.Fatalf("a failed profile left %d cache entries", n)
+	}
+}
+
 // TestTimeout: a deadline shorter than the computation returns 504, and
 // the detached computation still lands in the cache for the retry.
 func TestTimeout(t *testing.T) {

@@ -166,14 +166,6 @@ func (p *AssocProfiler) TimelineOps() int64 {
 	return ops
 }
 
-// ResetCounts zeroes every set's histogram while keeping stack state,
-// mirroring Profiler.ResetCounts for the warmup-window protocol.
-func (p *AssocProfiler) ResetCounts() {
-	for i := range p.per {
-		p.per[i].counts().reset()
-	}
-}
-
 // Curve freezes the per-set histograms into an AssocCurve. A W-way cache
 // misses an access exactly when its within-set depth exceeds W, so the
 // sets' depth histograms add up to one curve.
@@ -240,8 +232,9 @@ type boundedStacks struct {
 	bound int
 	rows  []int32 // sets*bound entries, most recent first; noSlot = empty
 	// hist[d], 1 <= d <= bound: counted accesses found at depth d; hist[0]:
-	// those not found in their row (cold included).
-	hist []int64
+	// those not found in their row (cold included). cold stays zero: the
+	// FIFO bank's ever-seen bits count first-ever accesses.
+	depthCounts
 }
 
 func newBoundedStacks(sets, bound int64) *boundedStacks {
@@ -249,7 +242,7 @@ func newBoundedStacks(sets, bound int64) *boundedStacks {
 	for i := range rows {
 		rows[i] = noSlot
 	}
-	return &boundedStacks{bound: int(bound), rows: rows, hist: make([]int64, bound+1)}
+	return &boundedStacks{bound: int(bound), rows: rows, depthCounts: depthCounts{hist: make([]int64, bound+1)}}
 }
 
 // touch processes one access to the block in slot and returns the depth it

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
 	"streamsched/internal/obs"
+	"streamsched/internal/ratio"
 )
 
 // OrgSpec selects one cache-organisation family to profile a trace under:
@@ -270,16 +272,95 @@ func (p *OrgProfilers) Missed(pt OrgPoint) bool {
 // ResetCounts starts the measured window: histograms and miss counters
 // reset, warm stack state kept.
 func (p *OrgProfilers) ResetCounts() {
-	for i := range p.fams {
-		if f := &p.fams[i]; f.bounded != nil {
-			clear(f.bounded.hist)
-		} else {
-			f.assoc.ResetCounts()
-		}
-	}
+	p.eachCount((*depthCounts).reset)
 	if p.bank != nil {
 		p.bank.resetCounts()
 	}
+}
+
+// eachCount calls fn on every LRU stack's tally, in one fixed order.
+func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
+	for i := range p.fams {
+		if f := &p.fams[i]; f.bounded != nil {
+			fn(&f.bounded.depthCounts)
+		} else {
+			for s := range f.assoc.per {
+				fn(f.assoc.per[s].counts())
+			}
+		}
+	}
+}
+
+// Foldable reports whether Repeat can count repetitions of the stream for
+// these profilers: every one is an LRU stack. FIFO is not a stack
+// algorithm — its state after a period need not recur — so one FIFO
+// replica makes the profilers unfoldable.
+func (p *OrgProfilers) Foldable() bool { return p.bank == nil || len(p.bank.reps) == 0 }
+
+// Tally is a snapshot of an OrgProfilers' windowed counts, the base that
+// Repeat measures a period from.
+type Tally struct {
+	counts         []depthCounts
+	accesses, cold int64 // the FIFO bank's
+}
+
+// Tally snapshots the windowed counts.
+func (p *OrgProfilers) Tally() Tally {
+	var t Tally
+	p.eachCount(func(c *depthCounts) {
+		t.counts = append(t.counts, depthCounts{hist: slices.Clone(c.hist), cold: c.cold})
+	})
+	if p.bank != nil {
+		t.accesses, t.cold = p.bank.accesses, p.bank.cold
+	}
+	return t
+}
+
+// Repeat counts k more repetitions of the stream fed since t was taken,
+// without being fed them: every depth histogram, cold count and access
+// count grows by k times its change since t. Foldable profilers must have
+// been fed, before t, one whole period of a periodic stream, and since t
+// the next one. That is exact: a period P applied to any LRU stack leaves
+// P's blocks on top in order of last use over the rest in its old order,
+// and applying P again leaves that stack unchanged — so every repetition
+// after the first finds each block at the same depth. This holds per set,
+// and for request-bounded stacks, whose rows are the top of the full ones.
+// Repeat fails, changing nothing, when a count would overflow int64.
+func (p *OrgProfilers) Repeat(t Tally, k int64) error {
+	if !p.Foldable() {
+		return errors.New("trace: FIFO replicas cannot be folded")
+	}
+	// The first pass only checks, so that a refused repeat changes nothing.
+	for _, apply := range []bool{false, true} {
+		fits := true
+		add := func(x *int64, was int64) {
+			v, ok := ratio.AddMul(*x, k, *x-was)
+			if fits = fits && ok; apply {
+				*x = v
+			}
+		}
+		i := 0
+		p.eachCount(func(c *depthCounts) {
+			was := t.counts[i]
+			i++
+			for d := range c.hist {
+				var w int64
+				if d < len(was.hist) {
+					w = was.hist[d] // a histogram only grows
+				}
+				add(&c.hist[d], w)
+			}
+			add(&c.cold, was.cold)
+		})
+		if p.bank != nil {
+			add(&p.bank.accesses, t.accesses)
+			add(&p.bank.cold, t.cold)
+		}
+		if !fits {
+			return fmt.Errorf("trace: repeating the counts %d times overflows int64", k)
+		}
+	}
+	return nil
 }
 
 // Touch feeds one access to every organisation's profilers.

@@ -159,7 +159,8 @@ func TestAutoSchedulerShapes(t *testing.T) {
 // TestWindowOverflowRejected: a measured window whose end (warm-up firings
 // plus measured) does not fit in int64 is refused by every path that runs
 // one. Before the guard the sum wrapped negative, the run loop exited at
-// once, and every caller got a nil error and an all-zero result.
+// once, and every caller got a nil error and an all-zero result. A window
+// that fits but folds into counts that do not is refused the same way.
 func TestWindowOverflowRejected(t *testing.T) {
 	g := buildPipeline(t, 8, 64)
 	env := streamsched.Env{M: 256, B: 16}
@@ -197,9 +198,16 @@ func TestWindowOverflowRejected(t *testing.T) {
 			}
 			return err
 		}},
+		// A window that fits, folded: the flat schedule's steady state recurs
+		// at once, and its access count — several per source firing — is
+		// what overflows once the periods are multiplied in.
+		{"SimulateCurve folded", func() error {
+			_, err := streamsched.SimulateCurve(g, streamsched.ScaledScheduler(2), env, 16, warm, math.MaxInt64/2)
+			return err
+		}},
 	} {
 		if err := tc.run(); err == nil || !strings.Contains(err.Error(), "overflows int64") {
-			t.Errorf("%s(warm=%d, measured=MaxInt64) = %v, want an overflow error", tc.name, warm, err)
+			t.Errorf("%s(warm=%d) = %v, want an overflow error", tc.name, warm, err)
 		}
 	}
 }
