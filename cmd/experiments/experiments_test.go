@@ -140,7 +140,7 @@ func TestE22Harness(t *testing.T) {
 		t.Fatalf("E22 failed:\n%s", buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"=== E22", "exact match on every schedule and counter", "decode (bare ForEach)"} {
+	for _, want := range []string{"=== E22", "exact match on every schedule and counter", "replay (bare ForEach)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E22 output missing %q:\n%s", want, out)
 		}

@@ -28,9 +28,10 @@ func init() {
 // are cross-checked against the counters the same way — every profiling
 // pass must have recorded exactly one trace.profile observation, every
 // sweep job one queue wait and one duration. A second part records one
-// trace manually and splits the cost of profiling it into decode (a bare
-// ForEach), profile (timeline/stack maintenance), and merge (curve
-// extraction, which is all the trace.profile timer covers).
+// trace manually and splits the cost of profiling it into replay (a bare
+// ForEach), profile (the profilers' RecordRun: timeline/stack
+// maintenance), and merge (curve extraction, which is all the
+// trace.profile timer covers).
 func runE22(cfg runConfig) error {
 	n, state := 24, int64(128)
 	warm, meas := int64(512), int64(2048)
@@ -148,10 +149,10 @@ func runE22(cfg runConfig) error {
 	fmt.Fprintf(cfg.out, "profiled %d accesses across %d recorded (warmup included)\n",
 		curveAccesses, traceLen)
 
-	// Replay-phase breakdown: one manually recorded trace, replayed three
-	// ways — decode only, decode+profile, plus the final curve merge.
+	// Replay-phase breakdown: one manually recorded trace, replayed twice
+	// — bare, then into the profilers — plus the final curve merge.
 	stage = sp.Start("breakdown")
-	decodeT, profileT, mergeT, accesses, err := replayBreakdown(g, scheds[len(scheds)-1], env, specs, warm, meas, reg)
+	replayT, profileT, mergeT, accesses, err := replayBreakdown(g, scheds[len(scheds)-1], env, specs, warm, meas, reg)
 	stage.End()
 	if err != nil {
 		return err
@@ -159,14 +160,14 @@ func runE22(cfg runConfig) error {
 	bt := report.NewTable(
 		fmt.Sprintf("E22: replay cost breakdown, one trace of %d accesses, %d organisations", accesses, len(specs)),
 		"phase", "time", "share")
-	total := decodeT + profileT + mergeT
+	total := replayT + profileT + mergeT
 	share := func(d time.Duration) string {
 		if total <= 0 {
 			return "-"
 		}
 		return fmt.Sprintf("%.0f%%", 100*float64(d)/float64(total))
 	}
-	bt.Add("decode (bare ForEach)", decodeT.Round(time.Microsecond).String(), share(decodeT))
+	bt.Add("replay (bare ForEach)", replayT.Round(time.Microsecond).String(), share(replayT))
 	bt.Add("profile (stacks + timeline)", profileT.Round(time.Microsecond).String(), share(profileT))
 	bt.Add("merge (curve extraction)", mergeT.Round(time.Microsecond).String(), share(mergeT))
 	if err := bt.Render(cfg.out); err != nil {
@@ -179,11 +180,12 @@ func runE22(cfg runConfig) error {
 }
 
 // replayBreakdown records one trace of s and splits its profiling cost:
-// decode is a bare replay into a no-op consumer, profile is the extra
-// cost of feeding OrgProfilers during a second replay, merge is curve
-// extraction. The profilers' totals are published to reg so the snapshot
-// stays consistent with the work done.
-func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs []trace.OrgSpec, warm, meas int64, reg *obs.Registry) (decode, profile, merge time.Duration, accesses int64, err error) {
+// replay is a bare block-by-block ForEach into a no-op consumer, profile
+// is the extra cost of a second replay that feeds the stored runs to
+// OrgProfilers.RecordRun — the recorder the live path uses — and merge is
+// curve extraction. The profilers' totals are published to reg so the
+// snapshot stays consistent with the work done.
+func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs []trace.OrgSpec, warm, meas int64, reg *obs.Registry) (replay, profile, merge time.Duration, accesses int64, err error) {
 	log := trace.NewLog()
 	log.SetMetrics(reg)
 	defer log.Close()
@@ -198,25 +200,21 @@ func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs
 	}
 
 	start := time.Now()
-	if err := log.ForEach(func(int64) {}); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	decode = time.Since(start)
+	_ = log.ForEach(func(int64) {}) // a replay cannot fail: the error is always nil
+	replay = time.Since(start)
 
 	p, err := trace.NewOrgProfilers(specs)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	start = time.Now()
-	if err := log.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if profile = time.Since(start) - decode; profile < 0 {
-		profile = 0 // replay jitter can dip under the bare-decode sample
+	log.ForEachRunWindowed(p.ResetCounts, p.RecordRun)
+	if profile = time.Since(start) - replay; profile < 0 {
+		profile = 0 // replay jitter can dip under the bare-replay sample
 	}
 	start = time.Now()
 	curves := p.Curves()
 	merge = time.Since(start)
 	p.PublishMetrics(reg, curves)
-	return decode, profile, merge, curves[0].LRU.Accesses, nil
+	return replay, profile, merge, curves[0].LRU.Accesses, nil
 }

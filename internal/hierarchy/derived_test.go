@@ -24,9 +24,8 @@ type procRun struct {
 // block — to be exactly those of one private cachesim.Bank per (point,
 // processor) fed the same replay: the sequences agree element for element,
 // not just in length. The windowed totals collect returns (and its in-band
-// checks) must then match the Banks' in-window counts. It returns the
-// trace.
-func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun) *trace.ProcLog {
+// checks) must then match the Banks' in-window counts.
+func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun) {
 	t.Helper()
 	const block = 16
 	pl, err := trace.NewProcLog(procs)
@@ -57,30 +56,29 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 	}
 	before := make([]int64, len(l1s))
 	var at int64
-	err = pl.ForEachWindowed(st.ResetCounts, func(proc int, blk int64) {
-		for i, f := range st.filters {
-			before[i] = f.misses[proc]
-		}
-		st.touch(proc, blk)
-		for i, f := range st.filters {
-			b := banks[i][proc]
-			missed := !b.Access(blk)
-			if missed {
-				b.Insert(blk)
-				if at >= pl.WindowStart() {
-					want[i][proc]++
+	pl.ForEachRunWindowed(st.ResetCounts, func(proc int, base, n int64) {
+		for blk := base; blk < base+n; blk++ {
+			for i, f := range st.filters {
+				before[i] = f.misses[proc]
+			}
+			st.touch(proc, blk)
+			for i, f := range st.filters {
+				b := banks[i][proc]
+				missed := !b.Access(blk)
+				if missed {
+					b.Insert(blk)
+					if at >= pl.WindowStart() {
+						want[i][proc]++
+					}
+				}
+				if derived := f.misses[proc] != before[i]; derived != missed {
+					t.Fatalf("access %d (processor %d, block %d) at L1 point %d %v: derived miss %v, Bank replay %v",
+						at, proc, blk, i, l1s[i], derived, missed)
 				}
 			}
-			if derived := f.misses[proc] != before[i]; derived != missed {
-				t.Fatalf("access %d (processor %d, block %d) at L1 point %d %v: derived miss %v, Bank replay %v",
-					at, proc, blk, i, l1s[i], derived, missed)
-			}
+			at++
 		}
-		at++
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if at != pl.Len() {
 		t.Fatalf("replayed %d of %d accesses", at, pl.Len())
 	}
@@ -99,7 +97,6 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 			}
 		}
 	}
-	return pl
 }
 
 // l1At builds the L1 level of sets x ways lines; a single set is written as
@@ -127,8 +124,8 @@ func scatterID(style int, id int64) int64 {
 
 // TestDerivedMissStreamMatchesBankReplay is the property behind deleting
 // the L1 Bank filters: on random run streams (dense, negative and sparse
-// ids; the mark at the start, anywhere inside, at the end, or absent; one
-// chunk and several) and random L1 grids — LRU and FIFO mixed,
+// ids; the mark at the start, anywhere inside, at the end, or absent;
+// short traces and long ones) and random L1 grids — LRU and FIFO mixed,
 // power-of-two and odd set counts, duplicate points, way counts on both
 // sides of assocListLimit so that bounded rows, list stacks and upgraded
 // timelines all decide misses — for P in {1, 2, 4}, every point's derived
@@ -150,9 +147,8 @@ func TestDerivedMissStreamMatchesBankReplay(t *testing.T) {
 		l1s = append(l1s, l1s[rng.Intn(len(l1s))]) // a duplicate point
 		nblocks := int64(20 + rng.Intn(600))       // past 192 a one-set list stack upgrades
 		nruns, maxRun := 20+rng.Intn(200), int64(40)
-		long := trial%20 == 7
-		if long {
-			nruns, maxRun = 60000, 2 // enough encoded bytes to seal chunks
+		if trial%20 == 7 {
+			nruns, maxRun = 60000, 2 // long enough for the timeline stacks to compact
 		}
 		var runs []procRun
 		for k := nruns; k > 0; k-- {
@@ -173,9 +169,7 @@ func TestDerivedMissStreamMatchesBankReplay(t *testing.T) {
 			r := &runs[rng.Intn(len(runs))]
 			r.cut = rng.Int63n(r.n + 1)
 		}
-		if pl := checkDerivedMissStream(t, procs, l1s, runs); long && pl.Stats().Chunks == 0 {
-			t.Fatalf("trial %d: long trace sealed no chunk", trial)
-		}
+		checkDerivedMissStream(t, procs, l1s, runs)
 	}
 }
 

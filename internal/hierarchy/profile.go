@@ -405,9 +405,7 @@ func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := l.ForEachRunWindowed(h.ResetCounts, h.RecordRun); err != nil {
-		return nil, err
-	}
+	l.ForEachRunWindowed(h.ResetCounts, h.RecordRun)
 	return h.Curves(l.Metrics())
 }
 

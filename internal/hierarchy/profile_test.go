@@ -125,7 +125,7 @@ func hierCases() []hierCase {
 		c := hierCase{name: "oracleL2s", long: trial%3 == 2}
 		c.spec = HierSpec{Block: 16, L1s: l1s, L2s: oracleL2s(rng, 16)}
 		if c.long {
-			n = 40000 // enough encoded bytes to seal chunks
+			n = 40000 // long enough for the timeline stacks to compact
 			c.spec.L1s = l1s[2:4]
 		}
 		c.blocks = scatter(stream(rng, n, int64(100+rng.Intn(500))))
@@ -139,13 +139,10 @@ func hierCases() []hierCase {
 // every grid point of the one-pass profile equals a fresh pointwise replay
 // through the two-level simulator, warm window included — on the standard
 // grid, and on oracleL2s grids over scattered ids with the window mark at
-// 0, mid-stream and at/past the end, over one chunk and several.
+// 0, mid-stream and at/past the end, over short traces and long ones.
 func TestProfileHierMatchesSimulator(t *testing.T) {
 	for ci, c := range hierCases() {
 		l := recordLog(c.blocks, c.warm)
-		if c.long && l.Stats().Chunks == 0 {
-			t.Fatalf("case %d: long variant sealed no chunk", ci)
-		}
 		spec := c.spec
 		hc, err := ProfileHier(l, spec)
 		if err != nil {
@@ -189,9 +186,7 @@ func TestProfileHierFilterCrossCheck(t *testing.T) {
 		return h
 	}
 	profileHier := func(l *trace.Log, h *HierProfiler) (*HierCurves, error) {
-		if err := l.ForEachRunWindowed(h.ResetCounts, h.RecordRun); err != nil {
-			return nil, err
-		}
+		l.ForEachRunWindowed(h.ResetCounts, h.RecordRun)
 		return h.Curves(nil)
 	}
 	if _, err := profileHier(l, build()); err != nil {
@@ -259,8 +254,8 @@ func TestProfileHierJobsEmptyWindow(t *testing.T) {
 // the accesses as they are recorded — the way an execution machine drives
 // it in schedule.MeasureHier, with ResetCounts as the window mark —
 // answers exactly what ProfileHier answers over an in-memory Log recorded
-// through the same window, one long enough to seal several chunks, with
-// the mark mid-trace; and the replay decodes the log exactly once.
+// through the same window, with the mark mid-trace; and the replay reads
+// the log exactly once.
 func TestProfileHierSpillIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	spec := testSpec()
@@ -269,7 +264,7 @@ func TestProfileHierSpillIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := trace.NewLog()
-	for i := 0; l.Len() < 300000; i++ {
+	for i := 0; l.Len() < 30000; i++ {
 		if i == 2000 {
 			live.ResetCounts()
 			l.MarkWindow()
@@ -277,9 +272,6 @@ func TestProfileHierSpillIdentical(t *testing.T) {
 		base, n := rng.Int63n(500), 1+rng.Int63n(8)
 		live.RecordRun(base, n)
 		l.RecordRun(base, n)
-	}
-	if l.Stats().Chunks < 2 {
-		t.Fatalf("log sealed %d chunks; the replay never crosses a chunk boundary", l.Stats().Chunks)
 	}
 	streamed, err := live.Curves(nil)
 	if err != nil {
@@ -302,23 +294,19 @@ func TestProfileHierSpillIdentical(t *testing.T) {
 
 // TestProfileHierSinglePass is the replay regression test: the whole
 // (L1, L2) grid — organisation curves and filtered L2 profiles — must
-// cost exactly one decode of a multi-chunk trace.
+// cost exactly one replay of the trace.
 func TestProfileHierSinglePass(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	blocks := stream(rng, 300000, 500)
+	blocks := stream(rng, 20000, 500)
 	l := recordLog(blocks, 4000)
 	if _, err := ProfileHier(l, testSpec()); err != nil {
 		t.Fatal(err)
 	}
-	st := l.Stats()
-	if st.Replays != 1 {
-		t.Errorf("ProfileHier paid %d trace replays, want 1", st.Replays)
+	if l.Replays() != 1 {
+		t.Errorf("ProfileHier paid %d trace replays, want 1", l.Replays())
 	}
-	if st.Accesses != int64(len(blocks)) {
-		t.Errorf("stats count %d accesses, recorded %d", st.Accesses, len(blocks))
-	}
-	if st.Chunks == 0 || l.EncodedBytes() < st.Chunks*(64<<10) {
-		t.Errorf("stats inconsistent: %d chunks sealed for %d encoded bytes", st.Chunks, l.EncodedBytes())
+	if l.Len() != int64(len(blocks)) {
+		t.Errorf("log holds %d accesses, recorded %d", l.Len(), len(blocks))
 	}
 }
 

@@ -193,9 +193,7 @@ func SimulateSharedLog(pl *trace.ProcLog, cfg SharedConfig) (*SharedSim, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := pl.ForEachWindowed(sim.ResetStats, sim.Access); err != nil {
-		return nil, err
-	}
+	pl.ForEachRunWindowed(sim.ResetStats, sim.RecordRun)
 	sim.PublishMetrics(pl.Metrics())
 	return sim, nil
 }

@@ -227,7 +227,8 @@ func TestSharedSimOneSetL2(t *testing.T) {
 // with the shared simulator — per-processor L1 misses and aggregate L2
 // misses — on random interleaved traces, windows included: first the
 // standard grid, then oracleL2s grids over scattered ids with the window
-// mark at 0, mid-stream and at/past the end, over one chunk and several.
+// mark at 0, mid-stream and at/past the end, over short traces and long
+// ones.
 func TestProfileSharedMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	l1s := []Level{
@@ -248,17 +249,14 @@ func TestProfileSharedMatchesSimulator(t *testing.T) {
 			if !oracle {
 				pl = procTrace(t, rng, procs, 6000, 96, nil)
 			} else {
-				n, long := 2000, trial%3 == 2
-				if long {
-					n = 40000 / procs
+				n := 2000
+				if trial%3 == 2 {
+					n = 40000 / procs // long enough for the timeline stacks to compact
 					spec.L1s = l1s[1:]
 				}
 				spec.L2s = oracleL2s(rng, 16)
 				warm := []int{0, procs * n / 3, procs * n, procs*n + 1}[trial%4]
 				pl = procTraceAt(t, rng, procs, n, 96, nil, warm, true)
-				if long && pl.Stats().Chunks == 0 {
-					t.Fatal("long variant sealed no chunk")
-				}
 				trial++
 			}
 			checkSharedAgainstSimulator(t, pl, spec)
@@ -332,8 +330,8 @@ func TestProfileSharedJobsMatchesSequential(t *testing.T) {
 // interleaved accesses as they are recorded — the way the parallel
 // executor drives it in parallel.MeasureShared, with ResetCounts as the
 // window mark — answers exactly what ProfileShared answers over the
-// in-memory ProcLog recorded through the same window, one long enough to
-// seal several chunks; and the replay decodes the trace exactly once.
+// in-memory ProcLog recorded through the same window; and the replay reads
+// the trace exactly once.
 func TestProfileSharedSpilled(t *testing.T) {
 	spec := SharedSpec{
 		Block: 16,
@@ -345,10 +343,7 @@ func TestProfileSharedSpilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := procTrace(t, rand.New(rand.NewSource(15)), 2, 60000, 128, live)
-	if pl.Stats().Chunks < 2 {
-		t.Fatalf("trace sealed %d chunks; the replay never crosses a chunk boundary", pl.Stats().Chunks)
-	}
+	pl := procTrace(t, rand.New(rand.NewSource(15)), 2, 10000, 128, live)
 	streamed, err := live.Curves(nil)
 	if err != nil {
 		t.Fatal(err)

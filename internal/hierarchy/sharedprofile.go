@@ -103,9 +103,7 @@ func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 	if pl.Procs() != spec.Procs {
 		return nil, fmt.Errorf("hierarchy: trace has %d processors, spec wants %d", pl.Procs(), spec.Procs)
 	}
-	if err := pl.ForEachWindowed(p.ResetCounts, p.touch); err != nil {
-		return nil, err
-	}
+	pl.ForEachRunWindowed(p.ResetCounts, p.RecordRun)
 	return p.Curves(pl.Metrics())
 }
 

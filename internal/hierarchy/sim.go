@@ -132,9 +132,7 @@ func SimulateLog(l *trace.Log, cfg Config) (*Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := l.ForEachWindowed(sim.ResetStats, sim.Access); err != nil {
-		return nil, err
-	}
+	l.ForEachRunWindowed(sim.ResetStats, sim.RecordRun)
 	publishLevelStats(l.Metrics(), "hier.sim.l1", sim.L1Stats())
 	publishLevelStats(l.Metrics(), "hier.sim.l2", sim.L2Stats())
 	return sim, nil

@@ -17,8 +17,8 @@ const histBuckets = 65
 // observations (durations in nanoseconds, sizes, counts). Recording is
 // lock-free — per-bucket atomic counters plus atomic count/sum/min/max —
 // so hot paths (per-job queue waits, per-batch pipeline latencies) can
-// record per event where a mutex Timer would have to batch. The nil
-// Histogram discards observations, like every other metric here.
+// record per event. The nil Histogram discards observations, like every
+// other metric here.
 //
 // Buckets are powers of two: exact counts and sums, percentiles read off
 // the bucket boundaries with linear interpolation (and clamped to the

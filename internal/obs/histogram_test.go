@@ -167,11 +167,13 @@ func TestTimerHistogramSibling(t *testing.T) {
 	if snap.Timers["x"].Count != snap.Histograms["x"].Count {
 		t.Error("snapshot timer and histogram counts diverge")
 	}
-	// Standalone zero-value Timers keep the mutex path.
+	// A standalone zero-value Timer has no sibling: it discards, like the
+	// nil Timer.
 	var standalone Timer
 	standalone.Observe(time.Millisecond)
-	if got := standalone.Stats(); got.Count != 1 || got.TotalNS != int64(time.Millisecond) {
-		t.Errorf("standalone timer: %+v", got)
+	standalone.Start()()
+	if got := standalone.Stats(); got != (TimerStats{}) {
+		t.Errorf("standalone timer recorded: %+v", got)
 	}
 }
 

@@ -26,11 +26,10 @@
 //
 // Concurrent writers are expected: the sweep pools and the daemon's
 // computations update counters and timers from many goroutines.
-// Counter, Gauge, and Histogram are lock-free atomics. A registry Timer
-// records into a same-named Histogram sibling (lock-free, and percentiles
-// come for free in snapshots); only a standalone zero-value Timer falls
-// back to a mutex per observation. Hot loops should still batch (observe
-// once per chunk of work) rather than once per item.
+// Counter, Gauge, and Histogram are lock-free atomics. A Timer records
+// into its same-named Histogram sibling (lock-free, and percentiles come
+// for free in snapshots). Hot loops should still batch (observe once per
+// chunk of work) rather than once per item.
 package obs
 
 import (
@@ -99,75 +98,39 @@ func (g *Gauge) Value() int64 {
 }
 
 // Timer accumulates duration observations: count, total, min, and max.
-// The nil Timer discards observations.
-//
-// A registry-created Timer records into a Histogram sibling registered
-// under the same name, so every existing timer call site additionally
-// exports a latency distribution (p50/p90/p99) without touching the
-// timer's own stable TimerStats contract. The mutex path remains only as
-// the fallback for standalone zero-value Timers with no sibling.
+// It is a handle on the Histogram sibling Registry.Timer registers under
+// the same name, so every timer call site also exports a latency
+// distribution (p50/p90/p99) under the timer's stable TimerStats
+// contract. The nil Timer, and a zero-value Timer not obtained from a
+// Registry, discard observations.
 type Timer struct {
-	h     *Histogram // sibling; non-nil when created via Registry.Timer
-	mu    sync.Mutex
-	count int64
-	total time.Duration
-	min   time.Duration
-	max   time.Duration
+	h *Histogram // sibling; nil unless created via Registry.Timer
+}
+
+// histogram is the timer's sibling, nil for the nil or zero-value Timer.
+func (t *Timer) histogram() *Histogram {
+	if t == nil {
+		return nil
+	}
+	return t.h
 }
 
 // Observe records one duration.
-func (t *Timer) Observe(d time.Duration) {
-	if t == nil {
-		return
-	}
-	if t.h != nil {
-		t.h.Observe(d)
-		return
-	}
-	t.mu.Lock()
-	if t.count == 0 || d < t.min {
-		t.min = d
-	}
-	if d > t.max {
-		t.max = d
-	}
-	t.count++
-	t.total += d
-	t.mu.Unlock()
-}
+func (t *Timer) Observe(d time.Duration) { t.histogram().Observe(d) }
 
-// nopStop is the shared no-op returned by (*Timer)(nil).Start so the
-// disabled path allocates nothing.
+// nopStop is the shared no-op a disabled Start returns so the disabled
+// path allocates nothing.
 var nopStop = func() {}
 
 // Start begins timing one operation and returns the function that stops
-// the clock and records the elapsed duration. On a nil Timer it returns a
-// shared no-op without reading the clock or allocating.
-func (t *Timer) Start() func() {
-	if t == nil {
-		return nopStop
-	}
-	start := time.Now()
-	return func() { t.Observe(time.Since(start)) }
-}
+// the clock and records the elapsed duration. On a discarding Timer it
+// returns a shared no-op without reading the clock or allocating.
+func (t *Timer) Start() func() { return t.histogram().Start() }
 
 // Stats returns the accumulated observation summary.
 func (t *Timer) Stats() TimerStats {
-	if t == nil {
-		return TimerStats{}
-	}
-	if t.h != nil {
-		hs := t.h.Stats()
-		return TimerStats{Count: hs.Count, TotalNS: hs.Sum, MinNS: hs.Min, MaxNS: hs.Max}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return TimerStats{
-		Count:   t.count,
-		TotalNS: int64(t.total),
-		MinNS:   int64(t.min),
-		MaxNS:   int64(t.max),
-	}
+	hs := t.histogram().Stats()
+	return TimerStats{Count: hs.Count, TotalNS: hs.Sum, MinNS: hs.Min, MaxNS: hs.Max}
 }
 
 // Registry holds named metrics and root spans. Metrics are created on

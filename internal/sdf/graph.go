@@ -14,6 +14,7 @@ package sdf
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"streamsched/internal/ratio"
 )
@@ -53,7 +54,7 @@ var (
 	ErrMultiSink    = errors.New("sdf: graph must have exactly one sink")
 	ErrRateMismatch = errors.New("sdf: graph is not rate matched")
 	ErrBadRate      = errors.New("sdf: channel rates must be positive")
-	ErrBadState     = errors.New("sdf: state size must be non-negative")
+	ErrBadState     = errors.New("sdf: state sizes must be non-negative and sum within int64")
 	ErrBadNode      = errors.New("sdf: node id out of range")
 	ErrBadEdge      = errors.New("sdf: edge id out of range")
 )
@@ -175,7 +176,9 @@ func (b *Builder) Build() (*Graph, error) {
 	if err := g.solveRates(); err != nil {
 		return nil, err
 	}
-	g.computeShape()
+	if err := g.computeShape(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -389,7 +392,7 @@ func (g *Graph) solveRates() error {
 	return nil
 }
 
-func (g *Graph) computeShape() {
+func (g *Graph) computeShape() error {
 	g.homogeneous = true
 	for _, e := range g.edges {
 		if e.Out != 1 || e.In != 1 {
@@ -405,11 +408,15 @@ func (g *Graph) computeShape() {
 		}
 	}
 	for _, nd := range g.nodes {
+		if nd.State > math.MaxInt64-g.totalState {
+			return fmt.Errorf("%w: total state of graph %q overflows int64", ErrBadState, g.name)
+		}
 		g.totalState += nd.State
 		if nd.State > g.maxState {
 			g.maxState = nd.State
 		}
 	}
+	return nil
 }
 
 // --- accessors ---

@@ -3,6 +3,7 @@ package sdf
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -77,6 +78,22 @@ func TestBuildRejectsNegativeState(t *testing.T) {
 	b.AddNode("x", -1)
 	if _, err := b.Build(); !errors.Is(err, ErrBadState) {
 		t.Errorf("err = %v, want ErrBadState", err)
+	}
+}
+
+// TestBuildRejectsStateOverflow: a graph whose total state does not fit in
+// int64 is refused — it used to build with a negative TotalState, which
+// every capacity comparison downstream then read as "fits". A total of
+// exactly MaxInt64 still builds.
+func TestBuildRejectsStateOverflow(t *testing.T) {
+	b := NewBuilder("huge")
+	b.Chain(b.AddNode("src", 16), b.AddNode("a", 1<<62), b.AddNode("sink", 1<<62))
+	if g, err := b.Build(); !errors.Is(err, ErrBadState) {
+		t.Errorf("two 2^62-word modules: err = %v, want ErrBadState (graph %v)", err, g)
+	}
+	g := chain(t, 0, 1<<62-1, 1<<62)
+	if g.TotalState() != math.MaxInt64 || g.MaxState() != 1<<62 {
+		t.Errorf("state totals = %d,%d", g.TotalState(), g.MaxState())
 	}
 }
 

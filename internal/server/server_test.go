@@ -313,6 +313,25 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestStateOverflowRejected: a graph whose total state overflows int64 is
+// a bad request, not a plan — it used to be keyed, planned and cached as
+// one component of negative state — and it leaves no cache entry.
+func TestStateOverflowRejected(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{})
+	graph := `{"name": "huge", "nodes": [{"name": "s", "state": 16}, {"name": "a", "state": 4611686018427387904}, {"name": "t", "state": 4611686018427387904}], "edges": [{"from": 0, "to": 1, "out": 1, "in": 1}, {"from": 1, "to": 2, "out": 1, "in": 1}]}`
+	resp, body := post(t, ts.URL+"/v1/plan", planBody(t, []byte(graph), ""))
+	var er ErrorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &er) != nil || er.Code != CodeBadRequest {
+		t.Fatalf("status %d: %s, want 400 %s", resp.StatusCode, body, CodeBadRequest)
+	}
+	if !strings.Contains(er.Error, "overflows int64") {
+		t.Errorf("error %q does not name the overflow", er.Error)
+	}
+	if n := srv.Cache().Len(); n != 0 {
+		t.Fatalf("a rejected graph left %d cache entries", n)
+	}
+}
+
 // TestFoldOverflowNotCached: a window that fits in int64 but whose folded
 // steady state counts more accesses than int64 holds fails fast — the
 // fold makes it cheap to reach — with an overflow error, and leaves

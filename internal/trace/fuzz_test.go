@@ -74,10 +74,7 @@ func FuzzProfilerRuns(f *testing.F) {
 		if err != nil || i != len(stream) {
 			t.Fatalf("replayed %d of %d accesses: %v", i, len(stream), err)
 		}
-		runFed, err := trace.Profile(l)
-		if err != nil {
-			t.Fatal(err)
-		}
+		runFed := trace.Profile(l)
 
 		blockFed := trace.NewProfiler()
 		var stack []int64       // naive Mattson: most recent first

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -34,7 +35,7 @@ func TestLogRoundTrip(t *testing.T) {
 	for i := range blocks {
 		switch rng.Intn(3) {
 		case 0:
-			blocks[i] = int64(i) // sequential: tiny deltas
+			blocks[i] = int64(i) // sequential: runs
 		case 1:
 			blocks[i] = rng.Int63n(1 << 40) // far jumps
 		default:
@@ -43,9 +44,35 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	l := NewLog()
 	logRoundTrip(t, l, blocks)
-	if l.EncodedBytes() >= int64(8*len(blocks)) {
-		t.Fatalf("encoding not compact: %d bytes for %d accesses", l.EncodedBytes(), len(blocks))
+
+	// Canonical form: the stored runs are the stream's maximal ascending
+	// runs whether it was fed a block at a time or in arbitrary pieces of
+	// those runs, and EncodedBytes is what they hold.
+	var want []run
+	byRun := NewLog()
+	for i := 0; i < len(blocks); {
+		j := i + 1
+		for j < len(blocks) && blocks[j] == blocks[j-1]+1 {
+			j++
+		}
+		want = append(want, run{base: blocks[i], n: int64(j - i)})
+		for i < j {
+			k := i + 1 + rng.Intn(j-i)
+			byRun.RecordRun(blocks[i], int64(k-i))
+			i = k
+		}
 	}
+	if len(want) == len(blocks) {
+		t.Fatal("the stream has no run longer than one block")
+	}
+	if !slices.Equal(l.runs, want) || !slices.Equal(byRun.runs, want) {
+		t.Fatalf("block-fed log holds %d runs, run-fed %d; the stream has %d maximal runs", len(l.runs), len(byRun.runs), len(want))
+	}
+	if l.EncodedBytes() != int64(len(want))*runBytes || byRun.EncodedBytes() != l.EncodedBytes() {
+		t.Fatalf("EncodedBytes %d (block-fed) and %d (run-fed) for %d runs of %d bytes",
+			l.EncodedBytes(), byRun.EncodedBytes(), len(want), runBytes)
+	}
+
 	// The log must stay appendable and re-readable after a replay.
 	more := []int64{7, 7, 99}
 	for _, b := range more {
@@ -57,6 +84,42 @@ func TestLogRoundTrip(t *testing.T) {
 	}
 	if want := append(blocks, more...); !slices.Equal(got, want) {
 		t.Fatalf("second replay of %d accesses differs from the %d recorded", len(got), len(want))
+	}
+}
+
+// replayTrace replays l through ForEachRunWindowed, naming each run
+// "base+n" and each reset "reset", in order.
+func replayTrace(l *Log) []string {
+	var got []string
+	l.ForEachRunWindowed(func() { got = append(got, "reset") },
+		func(base, n int64) { got = append(got, fmt.Sprintf("%d+%d", base, n)) })
+	return got
+}
+
+// TestLogRunsSplitOnlyAtMark: a run that continues the last one is merged
+// into it, but never across the window mark; the replay resets exactly
+// once — at the mark, or after every run when the window is empty.
+func TestLogRunsSplitOnlyAtMark(t *testing.T) {
+	l := NewLog()
+	if got := replayTrace(l); !slices.Equal(got, []string{"reset"}) {
+		t.Fatalf("empty log replays %v, want one reset", got)
+	}
+	l.RecordRun(10, 3)
+	l.RecordBlock(13) // continues 10..12
+	l.MarkWindow()
+	l.MarkWindow()     // a second mark at the same position changes nothing
+	l.RecordRun(14, 2) // would continue 10..13, but the mark lies between
+	l.RecordRun(16, 1)
+	l.RecordRun(16, 0) // empty: ignored
+	if got, want := replayTrace(l), []string{"10+4", "reset", "14+3"}; !slices.Equal(got, want) {
+		t.Fatalf("replay = %v, want %v", got, want)
+	}
+	if l.Len() != 7 || l.WindowStart() != 4 || l.Replays() != 2 {
+		t.Fatalf("len %d, window %d, replays %d; want 7, 4, 2", l.Len(), l.WindowStart(), l.Replays())
+	}
+	l.MarkWindow() // an empty window
+	if got, want := replayTrace(l), []string{"10+4", "14+3", "reset"}; !slices.Equal(got, want) {
+		t.Fatalf("empty-window replay = %v, want %v", got, want)
 	}
 }
 
@@ -74,10 +137,7 @@ func TestLogWindowAndProfile(t *testing.T) {
 	if l.WindowStart() != 3 {
 		t.Fatalf("window start = %d, want 3", l.WindowStart())
 	}
-	curve, err := Profile(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curve := Profile(l)
 	if curve.Accesses != 4 {
 		t.Fatalf("window accesses = %d, want 4", curve.Accesses)
 	}
@@ -103,10 +163,7 @@ func TestProfileMatchesOnlineProfiler(t *testing.T) {
 		l.RecordBlock(b)
 		p.Touch(b)
 	}
-	fromLog, err := Profile(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fromLog := Profile(l)
 	direct := p.Curve()
 	for lines := int64(0); lines <= direct.SaturationLines()+1; lines++ {
 		if fromLog.Misses(lines) != direct.Misses(lines) {
@@ -121,10 +178,7 @@ func TestProfileEmptyWindow(t *testing.T) {
 		l.RecordBlock(b)
 	}
 	l.MarkWindow() // nothing recorded after the mark
-	curve, err := Profile(l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	curve := Profile(l)
 	if curve.Accesses != 0 || curve.Cold != 0 {
 		t.Fatalf("empty window counted accesses=%d cold=%d, want 0,0", curve.Accesses, curve.Cold)
 	}

@@ -179,7 +179,7 @@ func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 // random logs: dense, sparse and negative block ids, non-power-of-two set
 // counts, bounds around the footprint, duplicate way counts, a window
 // reset anywhere from the first access to past the last, footprints on
-// both sides of the list→timeline upgrade, one chunk and several.
+// both sides of the list→timeline upgrade, short traces and long ones.
 func TestOrgProfilersMatchBankOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	trials := 24
@@ -196,16 +196,12 @@ func TestOrgProfilersMatchBankOracle(t *testing.T) {
 		n := 500 + rng.Intn(1500)
 		long := trial%4 == 3
 		if long {
-			n = 40000 // enough encoded bytes to seal chunks
+			n = 40000 // long enough for the timeline stacks to compact
 		}
 		stream := oracleStream(rng, n, nblocks, trial%4)
 		warm := rng.Intn(n + 1)
 		specs := oracleSpecs(rng, nblocks)
-		l := recordStream(stream, warm)
-		if long && l.Stats().Chunks == 0 {
-			t.Fatal("long variant sealed no chunk; grow the trace")
-		}
-		curves, err := trace.ProfileOrgs(l, specs)
+		curves, err := trace.ProfileOrgs(recordStream(stream, warm), specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,11 +452,13 @@ func runStream(rng *rand.Rand, accesses int, ids int) (runs [][2]int64) {
 
 // TestRunFedProfilersMatchBlockFedAndBank is the run path's property: a
 // log recorded run by run and profiled run by run (ProfileOrgs) answers
-// exactly what the same stream recorded and fed block by block answers,
-// at every way count, and both equal the bank — with the window mark in
-// the middle of a run, enough accesses for compactions and (in the long
-// trials) chunk seals, and spec lists whose Sets=1
-// family is unbounded (takes runs whole), bounded (does not), or absent.
+// exactly what the same stream fed block by block answers, at every way
+// count, and both equal the bank — with the window mark in the middle of
+// a run, enough accesses for compactions (many in the long trials), and
+// spec lists whose Sets=1 family is unbounded (takes runs whole), bounded
+// (does not), or absent. The run-recorded log also holds exactly the
+// bytes of the same stream recorded block by block: both store the
+// stream's maximal runs.
 func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	trials := 12
@@ -470,7 +468,7 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		accesses := 3000 + rng.Intn(6000)
 		if trial%3 == 2 {
-			accesses = 150000 // seals chunks mid-run
+			accesses = 40000
 		}
 		runs := runStream(rng, accesses, trial%4)
 		specs := [][]trace.OrgSpec{
@@ -510,9 +508,6 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 			t.Fatalf("%s: run-recorded log has %d accesses in %d bytes, window %d; block-recorded %d in %d, window %d", label,
 				byRun.Len(), byRun.EncodedBytes(), byRun.WindowStart(), byBlock.Len(), byBlock.EncodedBytes(), byBlock.WindowStart())
 		}
-		if accesses > 100000 && byRun.Stats().Chunks < 2 {
-			t.Fatalf("%s: long trial sealed %d chunks", label, byRun.Stats().Chunks)
-		}
 		var replayed []int64
 		if err := byRun.ForEach(func(blk int64) { replayed = append(replayed, blk) }); err != nil {
 			t.Fatal(err)
@@ -531,8 +526,14 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := byBlock.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
-			t.Fatal(err)
+		for i, blk := range stream {
+			if i == warm {
+				p.ResetCounts()
+			}
+			p.Touch(blk)
+		}
+		if warm >= len(stream) {
+			p.ResetCounts()
 		}
 		blockFed := p.Curves()
 		for i, spec := range specs {
@@ -552,13 +553,11 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 				}
 			}
 		}
-		if accesses < 100000 { // the bank costs O(ways) an access
-			checkOrgCurves(t, label, stream, warm, specs, runFed)
-			for _, lines := range []int64{64, 300, 2000} {
-				if specs[0].Sets == 1 && specs[0].MaxWays == 0 {
-					if got, want := runFed[0].LRU.Misses(lines), bankMisses(stream, warm, 1, lines, cachesim.LRU); got != want {
-						t.Fatalf("%s: fully associative at %d lines: run-fed %d, bank %d", label, lines, got, want)
-					}
+		checkOrgCurves(t, label, stream, warm, specs, runFed)
+		for _, lines := range []int64{64, 300, 2000} {
+			if specs[0].Sets == 1 && specs[0].MaxWays == 0 {
+				if got, want := runFed[0].LRU.Misses(lines), bankMisses(stream, warm, 1, lines, cachesim.LRU); got != want {
+					t.Fatalf("%s: fully associative at %d lines: run-fed %d, bank %d", label, lines, got, want)
 				}
 			}
 		}

@@ -159,10 +159,7 @@ func TestAssocCurveFullMatchesMissCurve(t *testing.T) {
 		}
 		log.RecordBlock(blk)
 	}
-	want, err := trace.Profile(log)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := trace.Profile(log)
 	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -17,7 +19,7 @@ func randomProcTrace(t *testing.T, rng *rand.Rand, procs int, n int) (*ProcLog, 
 	var wantBlk []int64
 	proc := 0
 	for len(wantBlk) < n {
-		// Runs of geometric length so the run-length encoding is exercised.
+		// Single-processor stretches of geometric length, so runs merge.
 		if rng.Intn(4) == 0 {
 			proc = rng.Intn(procs)
 		}
@@ -80,18 +82,15 @@ func TestProcLogWindow(t *testing.T) {
 	for i := 10; i < 25; i++ {
 		pl.Record(i%2, int64(i))
 	}
-	resets, counted := 0, 0
-	err = pl.ForEachWindowed(func() { resets++ }, func(proc int, blk int64) {
+	resets, counted := 0, int64(0)
+	pl.ForEachRunWindowed(func() { resets++ }, func(proc int, base, n int64) {
 		if resets == 1 {
-			counted++
+			counted += n
 		}
-		if want := int(blk) % 2; proc != want {
-			t.Fatalf("block %d tagged proc %d, want %d", blk, proc, want)
+		if want := int(base) % 2; proc != want || n != 1 {
+			t.Fatalf("run %d+%d tagged proc %d, want one block by %d", base, n, proc, want)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if resets != 1 || counted != 15 {
 		t.Fatalf("resets=%d counted=%d, want 1/15", resets, counted)
 	}
@@ -99,11 +98,34 @@ func TestProcLogWindow(t *testing.T) {
 	// A window mark at the end measures nothing but still resets once.
 	pl.MarkWindow()
 	resets = 0
-	if err := pl.ForEachWindowed(func() { resets++ }, func(int, int64) {}); err != nil {
-		t.Fatal(err)
-	}
+	pl.ForEachRunWindowed(func() { resets++ }, func(int, int64, int64) {})
 	if resets != 1 {
 		t.Fatalf("end-mark resets=%d, want 1", resets)
+	}
+}
+
+// TestProcLogRunsNeverMergeAcrossProcsOrMark: a run extends the last one
+// only when the same processor continues it with no window mark between;
+// the replay hands the sinks exactly those runs.
+func TestProcLogRunsNeverMergeAcrossProcsOrMark(t *testing.T) {
+	pl, err := NewProcLog(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.RecordRun(0, 10, 2)
+	pl.RecordRun(1, 12, 2) // continues the blocks on another processor
+	pl.Record(1, 14)       // merges
+	pl.MarkWindow()
+	pl.Record(1, 15) // continues, across the mark
+	pl.Record(0, 16)
+	var got []string
+	pl.ForEachRunWindowed(func() { got = append(got, "reset") },
+		func(proc int, base, n int64) { got = append(got, fmt.Sprintf("%d:%d+%d", proc, base, n)) })
+	if want := []string{"0:10+2", "1:12+3", "reset", "1:15+1", "0:16+1"}; !slices.Equal(got, want) {
+		t.Fatalf("replay = %v, want %v", got, want)
+	}
+	if pl.ProcLen(0) != 3 || pl.ProcLen(1) != 4 || pl.EncodedBytes() != 4*runBytes {
+		t.Fatalf("per-processor lengths %d/%d, %d bytes; want 3/4 in 4 runs", pl.ProcLen(0), pl.ProcLen(1), pl.EncodedBytes())
 	}
 }
 
@@ -121,8 +143,8 @@ func TestProcLogRunLength(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		pl.Record(0, int64(i))
 	}
-	if len(pl.runs) != 3 {
-		t.Fatalf("%d runs, want 3 (run-length encoding not merging)", len(pl.runs))
+	if len(pl.log.runs) != 3 {
+		t.Fatalf("%d runs, want 3 (a processor's continuing run not merging)", len(pl.log.runs))
 	}
 }
 

@@ -19,9 +19,10 @@
 //     profilers are recorders themselves (OrgProfilers.RecordRun), so a
 //     profile is taken while the execution runs, and its state is
 //     O(footprint), not O(trace). Log is the in-memory recorder for a
-//     second pass: a compact delta-varint encoding that replays as runs
-//     (ForEachRun), used by the pointwise oracles, the experiments and the
-//     benchmark probe.
+//     second pass: it stores the runs it was handed, merged where one
+//     continues the last, and replays them (ForEachRunWindowed) into the
+//     same RecordRun methods a live run feeds. The pointwise oracles, the
+//     experiments and the benchmark probe use it.
 //   - Profiler implements Mattson's algorithm with an implicit
 //     order-statistics structure over last-access slots (a 64-ary counted
 //     bitmap: a reuse costs a popcount walk as long as it is old), memory
@@ -42,10 +43,10 @@
 //     (OrgSpec.MaxWays, filled in by GridSpecs), all FIFO points of all
 //     specs in one residency mask (an access costs one load plus work
 //     proportional to the FIFO replicas it misses in; FIFOCurve).
-//   - ProcLog is the multiprocessor trace: per-processor access streams
-//     plus the global interleaving order a parallel run emitted them in,
-//     run-length encoded over one Log — what the shared-L2 hierarchy
-//     oracles replay.
+//   - ProcLog is the multiprocessor trace: a Log whose runs carry the
+//     recording processor, so it keeps the global interleaving order a
+//     parallel run emitted them in — what the shared-L2 hierarchy oracles
+//     replay.
 //   - Sweep runs a pool of profiling jobs (schedulers x workloads) on a
 //     bounded number of goroutines — the package's only concurrency;
 //     every profiling call runs inline on its caller's goroutine.
@@ -59,8 +60,8 @@
 //     exactly up to its bound and refuses (panics, or ok=false) past it.
 //   - One pass: a profile fed while the execution runs and one fed by a
 //     single replay of that execution's log are identical, however many
-//     organisations it drives; Replays() counts a log's decodes.
-//   - Deterministic windows: ForEachWindowed resets per-window counters
+//     organisations it drives; Replays() counts a log's replays.
+//   - Deterministic windows: ForEachRunWindowed resets per-window counters
 //     at exactly the recorded MarkWindow position — where a live window
 //     calls ResetCounts; first-ever (cold) tracking deliberately survives
 //     the reset.
