@@ -291,10 +291,11 @@ func BenchmarkE13Parallel(b *testing.B) {
 			if target < 512 {
 				target = 512
 			}
-			res, err := parallel.RunHomogeneous(g, nil, parallel.Config{
+			res, err := parallel.Run(g, nil, parallel.Config{
 				Procs: procs,
 				Env:   schedule.Env{M: 256, B: 16},
 				Cache: cachesim.Config{Capacity: 512, Block: 16},
+				Rule:  parallel.HomogeneousRule,
 			}, target)
 			if err != nil {
 				b.Fatal(err)

@@ -34,9 +34,10 @@ func runE13(cfg runConfig) error {
 			Procs: p,
 			Env:   schedule.Env{M: m, B: 16},
 			Cache: cachesim.Config{Capacity: 2 * m, Block: 16},
+			Rule:  parallel.HomogeneousRule,
 		}
 	}
-	base, err := parallel.RunHomogeneous(g, nil, pcfg(1), target)
+	base, err := parallel.Run(g, nil, pcfg(1), target)
 	if err != nil {
 		return err
 	}
@@ -44,7 +45,7 @@ func runE13(cfg runConfig) error {
 		fmt.Sprintf("E13: parallel beamformer (channels=8, beams=4, M=%d, B=16, cache=2M/proc, %d source firings)", m, target),
 		"P", "makespan-blocks", "speedup", "total-misses", "misses vs P=1", "max/min execs")
 	for _, p := range []int{1, 2, 4, 8} {
-		res, err := parallel.RunHomogeneous(g, nil, pcfg(p), target)
+		res, err := parallel.Run(g, nil, pcfg(p), target)
 		if err != nil {
 			return err
 		}

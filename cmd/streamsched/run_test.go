@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streamsched/internal/schedule"
+	"streamsched/internal/sdf"
 )
 
 // writeGraph exports a workload to a temp file and returns its path.
@@ -211,12 +212,26 @@ func TestCompileCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := schedule.ReadCompiled(strings.NewReader(string(data)))
+	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("compiled output does not parse: %v", err)
+		t.Fatal(err)
 	}
-	if len(c.Period) == 0 {
-		t.Error("empty period in compiled file")
+	defer f.Close()
+	g, err := sdf.ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The verb's defaults: the partitioned scheduler, warm 8M, max 1024M.
+	c, err := schedule.Compile(g, schedule.Partitioned(g, nil), schedule.Env{M: 512, B: 16}, 8*512, 1024*512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	if err := c.Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != want.String() {
+		t.Errorf("compiled file differs from Compile(...).Write:\n%s\nwant:\n%s", data, want.String())
 	}
 	if err := run([]string{"compile", path}, &sb); err == nil {
 		t.Error("missing -M accepted")

@@ -93,38 +93,36 @@ func cmdShared(args []string, out io.Writer) (err error) {
 		Rule:  prule,
 	}
 	// One execution serves everything below: the grid profiler and, when
-	// the detail table is printed, its simulator are both the run's sink.
+	// the detail table is printed, its simulator are both the window's sink.
 	prof, err := hierarchy.NewSharedProfiler(spec)
 	if err != nil {
 		return err
 	}
-	sink, mark := prof.RecordRun, prof.ResetCounts
+	var curves *hierarchy.SharedCurves
+	w := parallel.Window{
+		Span: "shared",
+		Sink: prof.RecordRun,
+		Mark: prof.ResetCounts,
+		Profile: func() (err error) {
+			curves, err = prof.Curves(obs.Default())
+			return err
+		},
+	}
 	var sim *hierarchy.SharedSim
 	if *detail && !*csv {
 		if sim, err = hierarchy.NewSharedSim(spec.Config(0, 0)); err != nil {
 			return err
 		}
-		sink = func(p int, base, n int64) {
+		w.Sink = func(p int, base, n int64) {
 			prof.RecordRun(p, base, n)
 			sim.RecordRun(p, base, n)
 		}
-		mark = func() {
+		w.Mark = func() {
 			prof.ResetCounts()
 			sim.ResetStats()
 		}
 	}
-	sp := obs.Default().StartSpan("shared.measure")
-	stage := sp.Start("record")
-	res, traceLen, err := parallel.RunInto(g, part, cfg, sink, mark, *warm, *meas)
-	stage.End()
-	if err != nil {
-		sp.End()
-		return err
-	}
-	stage = sp.Start("profile")
-	curves, err := prof.Curves(obs.Default())
-	stage.End()
-	sp.End()
+	res, traceLen, err := w.Measure(g, part, cfg, *warm, *meas)
 	if err != nil {
 		return err
 	}

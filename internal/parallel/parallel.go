@@ -13,12 +13,15 @@
 // half-full/empty-full claiming rules are designed to permit. Processors
 // prefer re-claiming the component they ran last (cache affinity).
 //
-// Runs can emit their traces: RunInto hands every block access, tagged
-// with the executing processor, to a sink in global emission order — the
-// shared-L2 hierarchy paths' profiler or simulator (MeasureShared,
-// RunShared), where all private-L1 miss streams contend for one shared L2
-// in exactly that order, or a trace.ProcLog (RunTraced) for a later
-// replay.
+// The claiming rules are the uniprocessor partitioned runners' own
+// (schedule.Claims); what this package adds is the claim loop. The
+// executor is a schedule.Scheduler, so every run is one
+// schedule.Window.Measure: Window is that measured window with a sink that
+// receives every block access, tagged with the executing processor, in
+// global emission order — the shared-L2 hierarchy paths' profiler or
+// simulator (MeasureShared, RunShared), where all private-L1 miss streams
+// contend for one shared L2 in exactly that order, or a trace.ProcLog
+// (RunTraced) for a later replay.
 //
 // One determinism invariant makes the measurement paths trustworthy: the
 // executor's claiming decisions depend only on the graph, the partition,
@@ -30,7 +33,6 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
@@ -106,58 +108,134 @@ type Result struct {
 	InputItems  int64
 }
 
-// RunHomogeneous executes a homogeneous dag under partition p on cfg.Procs
-// simulated processors until the source has fired at least target times.
-// When p is nil, partition.Auto(g, M) is used.
-func RunHomogeneous(g *sdf.Graph, p *partition.Partition, cfg Config, target int64) (*Result, error) {
-	cfg.Rule = HomogeneousRule
-	st, err := newState(g, p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return st.run(target)
-}
-
-// RunPipeline executes a pipeline under partition p on cfg.Procs simulated
-// processors with the half-full claiming rule.
-func RunPipeline(g *sdf.Graph, p *partition.Partition, cfg Config, target int64) (*Result, error) {
-	cfg.Rule = PipelineRule
-	st, err := newState(g, p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return st.run(target)
-}
-
-// Run executes g under cfg's claiming rule (AutoRule picks by shape).
+// Run executes g under partition p (nil: partition.Auto at cfg.Env.M) on
+// cfg.Procs simulated processors, with cfg's claiming rule, until the
+// source has fired at least target times, and summarises the whole run.
 func Run(g *sdf.Graph, p *partition.Partition, cfg Config, target int64) (*Result, error) {
-	st, err := newState(g, p, cfg)
+	res, _, err := Window{Span: "parallel"}.Measure(g, p, cfg, 0, target)
+	return res, err
+}
+
+// RunTraced is a Window recording into a trace.ProcLog, with the window
+// mark at the log's MarkWindow: the trace the pointwise shared oracles
+// (hierarchy.SimulateSharedLog) and ProfileShared replay. The returned
+// Result summarises the measured window.
+func RunTraced(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured int64) (*Result, *trace.ProcLog, error) {
+	plog, err := trace.NewProcLog(cfg.Procs)
+	if err != nil {
+		return nil, nil, err
+	}
+	plog.SetMetrics(obs.Or(cfg.Env.Metrics))
+	res, _, err := Window{Span: "run_traced", Sink: plog.RecordRun, Mark: plog.MarkWindow}.Measure(g, p, cfg, warm, measured)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, plog, nil
+}
+
+// Window is the multiprocessor's measured window: a schedule.Window whose
+// scheduler is the executor. Its fields are what differs between runs.
+type Window struct {
+	// Span names the obs span, suffixed with "[<rule> P=<procs>]".
+	Span string
+	// Sink, when non-nil, receives every block access — tagged with its
+	// processor, in global emission order — a run of blocks at a time. The
+	// interleaving is decided by the executor's private-cache clocks alone,
+	// so it is independent of whatever hierarchy the sink evaluates, which
+	// is what lets one run answer a whole (L1, L2) grid exactly.
+	Sink func(proc int, base, n int64)
+	// Mark, when non-nil, starts the measured window on whatever Sink feeds.
+	Mark func()
+	// Profile, when non-nil, reads the results off whatever Sink fed, after
+	// a conserved window; its error fails the measurement.
+	Profile func() error
+}
+
+// Measure executes g under partition p on cfg for warm source firings,
+// marks, and executes measured more. It returns the measured window's
+// Result and the number of block accesses the processors made (warm-up and
+// window), which it also publishes as trace.accesses when there is a sink.
+func (w Window) Measure(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured int64) (*Result, int64, error) {
+	var r *runner
+	_, run, err := schedule.Window{
+		Span:  w.Span,
+		Cache: cfg.Cache,
+		Setup: func(_ *exec.Machine, plan *schedule.Plan) { r = plan.Runner.(*runner) },
+		Mark: func(*exec.Machine) {
+			if w.Mark != nil {
+				w.Mark()
+			}
+			r.mark()
+		},
+		Profile: w.Profile,
+	}.Measure(g, executor{p: p, cfg: cfg, sink: w.Sink}, cfg.Env, warm, measured)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, accesses := r.result(run)
+	if w.Sink != nil {
+		obs.Or(cfg.Env.Metrics).Counter("trace.accesses").Add(accesses)
+	}
+	return res, accesses, nil
+}
+
+// executor is the multiprocessor as a schedule.Scheduler. Its plan is the
+// uniprocessor partitioned plan of its rule — the same buffers, cross
+// edges and claims — driven by a runner in which P processors claim.
+type executor struct {
+	p    *partition.Partition
+	cfg  Config
+	sink func(proc int, base, n int64)
+}
+
+// Name implements schedule.Scheduler.
+func (x executor) Name() string { return fmt.Sprintf("%s P=%d", x.cfg.Rule, x.cfg.Procs) }
+
+// Prepare implements schedule.Scheduler: it resolves the rule and the
+// partition (nil: partition.Auto at env.M), plans the matching
+// uniprocessor schedule, and gives every processor a private cache whose
+// accesses go to the sink.
+func (x executor) Prepare(g *sdf.Graph, env schedule.Env) (*schedule.Plan, error) {
+	if x.cfg.Procs < 1 {
+		return nil, fmt.Errorf("parallel: need >= 1 processor, got %d", x.cfg.Procs)
+	}
+	rule, err := resolveRule(g, x.cfg.Rule)
 	if err != nil {
 		return nil, err
 	}
-	return st.run(target)
-}
-
-// state is the shared simulation state.
-type state struct {
-	g        *sdf.Graph
-	p        *partition.Partition
-	cfg      Config
-	m        *exec.Machine
-	members  [][]sdf.NodeID
-	inCross  [][]sdf.EdgeID
-	outCross [][]sdf.EdgeID
-	caches   []*cachesim.Cache
-	target   int64
-
-	// Scheduling state persists across drive calls so a warm phase and a
-	// measured phase form one continuous run.
-	clock    []int64
-	lastComp []int
-	execs    []int64
-
-	schedulable func(int) bool
-	execute     func(int) error
+	p := x.p
+	if p == nil {
+		if p, err = partition.Auto(g, env.M); err != nil {
+			return nil, err
+		}
+	}
+	var s schedule.Scheduler = schedule.PartitionedHomogeneous{P: p}
+	if rule == PipelineRule {
+		s = schedule.PartitionedPipeline{P: p}
+	}
+	plan, err := s.Prepare(g, env)
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{
+		claims: plan.Runner.(schedule.Claims),
+		caches: make([]*cachesim.Cache, x.cfg.Procs),
+		clock:  make([]int64, x.cfg.Procs),
+		last:   make([]int, x.cfg.Procs),
+		execs:  make([]int64, x.cfg.Procs),
+		marked: make([]int64, x.cfg.Procs),
+	}
+	for i := range r.caches {
+		if r.caches[i], err = cachesim.New(x.cfg.Cache); err != nil {
+			return nil, err
+		}
+		if x.sink != nil {
+			proc := i
+			r.caches[i].SetObserver(func(base, n int64) { x.sink(proc, base, n) })
+		}
+		r.last[i] = -1
+	}
+	return &schedule.Plan{Caps: plan.Caps, Runner: r, CrossEdges: plan.CrossEdges}, nil
 }
 
 // resolveRule maps AutoRule to the graph's shape.
@@ -187,325 +265,82 @@ func resolveRule(g *sdf.Graph, r Rule) (Rule, error) {
 	}
 }
 
-func newState(g *sdf.Graph, p *partition.Partition, cfg Config) (*state, error) {
-	if cfg.Procs < 1 {
-		return nil, fmt.Errorf("parallel: need >= 1 processor, got %d", cfg.Procs)
-	}
-	rule, err := resolveRule(g, cfg.Rule)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Rule = rule
-	if p == nil {
-		p, err = partition.Auto(g, cfg.Env.M)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Reuse the uniprocessor scheduler's buffer sizing.
-	var plan *schedule.Plan
-	switch rule {
-	case HomogeneousRule:
-		plan, err = schedule.PartitionedHomogeneous{P: p}.Prepare(g, cfg.Env)
-	case PipelineRule:
-		plan, err = schedule.PartitionedPipeline{P: p}.Prepare(g, cfg.Env)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st := &state{g: g, p: p, cfg: cfg}
-	st.m, err = exec.NewMachine(g, exec.Config{Cache: cfg.Cache, Caps: plan.Caps})
-	if err != nil {
-		return nil, err
-	}
-	st.members = p.Members(g)
-	st.inCross = make([][]sdf.EdgeID, p.K)
-	st.outCross = make([][]sdf.EdgeID, p.K)
-	for _, e := range p.CrossEdges(g) {
-		from := p.Assign[g.Edge(e).From]
-		to := p.Assign[g.Edge(e).To]
-		st.outCross[from] = append(st.outCross[from], e)
-		st.inCross[to] = append(st.inCross[to], e)
-	}
-	st.caches = make([]*cachesim.Cache, cfg.Procs)
-	for i := range st.caches {
-		st.caches[i], err = cachesim.New(cfg.Cache)
-		if err != nil {
-			return nil, err
-		}
-	}
-	st.clock = make([]int64, cfg.Procs)
-	st.lastComp = make([]int, cfg.Procs)
-	st.execs = make([]int64, cfg.Procs)
-	for i := range st.lastComp {
-		st.lastComp[i] = -1
-	}
-	switch rule {
-	case HomogeneousRule:
-		st.setHomogeneousRule()
-	case PipelineRule:
-		st.setPipelineRule()
-	}
-	return st, nil
+// runner is the greedy list-scheduling loop: the least-loaded processor
+// claims a claimable component, preferring the one it ran last (cache
+// affinity), and executes it atomically on its private cache. Its state
+// carries over between Run calls, so warm-up and window are one run.
+type runner struct {
+	claims schedule.Claims
+	caches []*cachesim.Cache
+	clock  []int64 // block transfers per processor
+	last   []int   // component each processor ran last (-1: none)
+	execs  []int64 // component executions per processor since the mark
+	marked []int64 // misses per processor at the mark
 }
 
-// setHomogeneousRule installs the empty-full batching rule.
-func (st *state) setHomogeneousRule() {
-	t := st.cfg.Env.M
-	st.schedulable = func(c int) bool {
-		for _, e := range st.inCross[c] {
-			if st.m.Buf(e).Len() < t {
-				return false
-			}
-		}
-		for _, e := range st.outCross[c] {
-			if st.m.Buf(e).Len() != 0 {
-				return false
-			}
-		}
-		return true
-	}
-	st.execute = func(c int) error {
-		for round := int64(0); round < t; round++ {
-			for _, v := range st.members[c] {
-				if err := st.m.Fire(v); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
-// setPipelineRule installs the half-full claiming rule.
-func (st *state) setPipelineRule() {
-	src := st.g.Source()
-	st.schedulable = func(c int) bool {
-		// Input more than half full (or external for the first segment) and
-		// output at most half full (or the sink).
-		if len(st.inCross[c]) == 1 {
-			buf := st.m.Buf(st.inCross[c][0])
-			if 2*buf.Len() <= buf.Cap() {
-				return false
-			}
-		}
-		if len(st.outCross[c]) == 1 {
-			buf := st.m.Buf(st.outCross[c][0])
-			if 2*buf.Len() > buf.Cap() {
-				return false
-			}
-		}
-		return true
-	}
-	st.execute = func(c int) error {
-		for {
-			progress := false
-			for _, v := range st.members[c] {
-				for st.m.CanFire(v) {
-					if v == src && st.m.SourceFirings() >= st.target {
-						break
-					}
-					if err := st.m.Fire(v); err != nil {
-						return err
-					}
-					progress = true
-				}
-			}
-			if !progress {
-				return nil
-			}
-		}
-	}
-}
-
-// run drives to target source firings and summarises the whole run.
-func (st *state) run(target int64) (*Result, error) {
-	if err := st.drive(target); err != nil {
-		return nil, err
-	}
-	if err := st.m.CheckConservation(); err != nil {
-		return nil, err
-	}
-	return st.summarise(snapshot{}), nil
-}
-
-// drive runs the greedy list-scheduling loop: the least-loaded processor
-// claims a schedulable component (preferring its previous one for cache
-// affinity) and executes it atomically on its private cache. It may be
-// called repeatedly with increasing targets; scheduling state carries
-// over, so warm-then-measure is one continuous run.
-func (st *state) drive(target int64) error {
-	st.target = target
-	for st.m.SourceFirings() < target {
-		// Least-loaded processor claims next.
+// Run implements schedule.Runner.
+func (r *runner) Run(m *exec.Machine, target int64) error {
+	for m.SourceFirings() < target {
 		proc := 0
-		for i := 1; i < len(st.clock); i++ {
-			if st.clock[i] < st.clock[proc] {
+		for i := 1; i < len(r.clock); i++ {
+			if r.clock[i] < r.clock[proc] {
 				proc = i
 			}
 		}
-		comp := -1
-		if st.lastComp[proc] >= 0 && st.schedulable(st.lastComp[proc]) {
-			comp = st.lastComp[proc]
-		} else {
-			for c := 0; c < st.p.K; c++ {
-				if st.schedulable(c) {
+		comp := r.last[proc]
+		if comp < 0 || !r.claims.Claimable(m, comp) {
+			comp = -1
+			for c := 0; c < r.claims.Components(); c++ {
+				if r.claims.Claimable(m, c) {
 					comp = c
 					break
 				}
 			}
 		}
 		if comp < 0 {
-			return fmt.Errorf("%w: at %d source firings", ErrDeadlock, st.m.SourceFirings())
+			return fmt.Errorf("%w: at %d source firings", ErrDeadlock, m.SourceFirings())
 		}
-		cache := st.caches[proc]
-		st.m.SetCache(cache)
+		cache := r.caches[proc]
+		m.SetCache(cache)
 		before := cache.Stats().Misses
-		if err := st.execute(comp); err != nil {
+		if err := r.claims.Execute(m, comp, target); err != nil {
 			return err
 		}
-		st.clock[proc] += cache.Stats().Misses - before
-		st.lastComp[proc] = comp
-		st.execs[proc]++
+		r.clock[proc] += cache.Stats().Misses - before
+		r.last[proc] = comp
+		r.execs[proc]++
 	}
 	return nil
 }
 
-// snapshot captures the counters a measured window is diffed against.
-type snapshot struct {
-	misses      []int64 // per-proc miss counts (nil: from zero)
-	execs       []int64
-	sourceFired int64
-	inputItems  int64
+// mark starts the measured window: executions and misses count from here.
+func (r *runner) mark() {
+	clear(r.execs)
+	for i, c := range r.caches {
+		r.marked[i] = c.Stats().Misses
+	}
 }
 
-// take snapshots the current counters.
-func (st *state) take() snapshot {
-	s := snapshot{
-		misses:      make([]int64, len(st.caches)),
-		execs:       append([]int64(nil), st.execs...),
-		sourceFired: st.m.SourceFirings(),
-		inputItems:  st.m.InputItems(),
-	}
-	for i, c := range st.caches {
-		s.misses[i] = c.Stats().Misses
-	}
-	return s
-}
-
-// summarise builds a Result for everything since the snapshot (a zero
-// snapshot means the whole run). Per-processor Stats are cumulative (cache
-// stats are not windowed); the miss-derived aggregates are diffed.
-func (st *state) summarise(since snapshot) *Result {
+// result summarises the window since the mark under run's header, and
+// counts every access the processors made. Per-processor Stats are
+// cumulative (cache stats are not windowed); the miss-derived aggregates
+// are diffed.
+func (r *runner) result(run schedule.Run) (*Result, int64) {
 	res := &Result{
-		Procs:       st.cfg.Procs,
-		PerProc:     make([]cachesim.Stats, st.cfg.Procs),
-		Executions:  make([]int64, st.cfg.Procs),
-		SourceFired: st.m.SourceFirings() - since.sourceFired,
-		InputItems:  st.m.InputItems() - since.inputItems,
+		Procs:       len(r.caches),
+		PerProc:     make([]cachesim.Stats, len(r.caches)),
+		Executions:  r.execs,
+		SourceFired: run.SourceFired,
+		InputItems:  run.InputItems,
 	}
-	for i, c := range st.caches {
-		res.PerProc[i] = c.Stats()
-		m := c.Stats().Misses
-		if since.misses != nil {
-			m -= since.misses[i]
-		}
-		res.Executions[i] = st.execs[i]
-		if since.execs != nil {
-			res.Executions[i] -= since.execs[i]
-		}
-		res.TotalMisses += m
-		res.BusyBlocks += m
-		if m > res.MakespanBlocks {
-			res.MakespanBlocks = m
-		}
-	}
-	return res
-}
-
-// RunInto is the one way to make a traced run. It executes g under cfg
-// for warm source firings, calls mark, and executes measured more, handing
-// every block access — tagged with its processor, in global emission
-// order — to sink(proc, base, n), a run of blocks at a time. It returns
-// the measured window's Result and the number of accesses handed over
-// (warm-up and window). The interleaving is decided by the executor's
-// private-cache clocks alone, so it is independent of whatever hierarchy
-// the sink evaluates — which is what lets one run answer a whole (L1, L2)
-// grid exactly.
-func RunInto(g *sdf.Graph, p *partition.Partition, cfg Config, sink func(proc int, base, n int64), mark func(), warm, measured int64) (*Result, int64, error) {
-	if measured <= 0 {
-		return nil, 0, fmt.Errorf("parallel: measured window must be positive, got %d", measured)
-	}
-	st, err := newState(g, p, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	reg := obs.Or(cfg.Env.Metrics)
-	sp := reg.StartSpan(fmt.Sprintf("run_traced[procs=%d]", cfg.Procs))
-	defer sp.End()
-	last, runs := -1, int64(0) // processor switches in the emission order
-	for i := range st.caches {
-		proc := i
-		st.caches[i].SetObserver(func(base, n int64) {
-			if proc != last {
-				last, runs = proc, runs+1
-			}
-			sink(proc, base, n)
-		})
-	}
-	stage := sp.Start("warm")
-	if warm > 0 {
-		if err := st.drive(warm); err != nil {
-			return nil, 0, err
-		}
-	}
-	stage.End()
-	mark()
-	since := st.take()
-	// Target relative to where warmup actually stopped: batch executions
-	// overshoot their source-firing targets, and the overshoot must not
-	// eat into the measured window.
-	stage = sp.Start("measure")
-	fired0 := st.m.SourceFirings()
-	if measured > math.MaxInt64-fired0 {
-		return nil, 0, fmt.Errorf("parallel: measured window %d after %d warm-up firings overflows int64", measured, fired0)
-	}
-	if err := st.drive(fired0 + measured); err != nil {
-		return nil, 0, err
-	}
-	stage.End()
-	if err := st.m.CheckConservation(); err != nil {
-		return nil, 0, err
-	}
-	res := st.summarise(since)
 	var accesses int64
-	for _, c := range st.caches {
-		accesses += c.Stats().Accesses
+	for i, c := range r.caches {
+		res.PerProc[i] = c.Stats()
+		miss := res.PerProc[i].Misses - r.marked[i]
+		res.TotalMisses += miss
+		res.BusyBlocks += miss
+		res.MakespanBlocks = max(res.MakespanBlocks, miss)
+		accesses += res.PerProc[i].Accesses
 	}
-	if reg != nil {
-		for p, n := range res.Executions {
-			reg.Counter(fmt.Sprintf("parallel.proc.%d.executions", p)).Add(n)
-		}
-		reg.Counter("parallel.window.misses").Add(res.TotalMisses)
-		reg.Counter("parallel.trace.runs").Add(runs)
-		reg.Counter("trace.accesses").Add(accesses)
-	}
-	return res, accesses, nil
-}
-
-// RunTraced is RunInto recording into a trace.ProcLog, with the window
-// mark at the log's MarkWindow: the trace the pointwise shared oracles
-// (hierarchy.SimulateSharedLog) and ProfileShared replay. The returned
-// Result summarises the measured window.
-func RunTraced(g *sdf.Graph, p *partition.Partition, cfg Config, warm, measured int64) (*Result, *trace.ProcLog, error) {
-	plog, err := trace.NewProcLog(cfg.Procs)
-	if err != nil {
-		return nil, nil, err
-	}
-	plog.SetMetrics(obs.Or(cfg.Env.Metrics))
-	res, _, err := RunInto(g, p, cfg, plog.RecordRun, plog.MarkWindow, warm, measured)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, plog, nil
+	return res, accesses
 }

@@ -58,9 +58,15 @@ func testConfig(procs int) Config {
 	}
 }
 
+func ruleConfig(procs int, r Rule) Config {
+	cfg := testConfig(procs)
+	cfg.Rule = r
+	return cfg
+}
+
 func TestRunHomogeneousBasics(t *testing.T) {
 	g := filterbank(t, 3, 64)
-	res, err := RunHomogeneous(g, nil, testConfig(2), 500)
+	res, err := Run(g, nil, ruleConfig(2, HomogeneousRule), 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +95,11 @@ func TestParallelSpeedsUpMakespan(t *testing.T) {
 	// With several independent heavy branches, 4 processors should achieve
 	// a smaller makespan than 1 (work spreads across private caches).
 	g := filterbank(t, 6, 96)
-	r1, err := RunHomogeneous(g, nil, testConfig(1), 2000)
+	r1, err := Run(g, nil, ruleConfig(1, HomogeneousRule), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunHomogeneous(g, nil, testConfig(4), 2000)
+	r4, err := Run(g, nil, ruleConfig(4, HomogeneousRule), 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +110,7 @@ func TestParallelSpeedsUpMakespan(t *testing.T) {
 
 func TestRunPipelineParallel(t *testing.T) {
 	g := pipeline(t, 12, 64)
-	res, err := RunPipeline(g, nil, testConfig(3), 800)
+	res, err := Run(g, nil, ruleConfig(3, PipelineRule), 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,15 +124,15 @@ func TestRunPipelineParallel(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	g := filterbank(t, 2, 16)
-	if _, err := RunHomogeneous(g, nil, Config{Procs: 0, Env: schedule.Env{M: 64, B: 16},
-		Cache: cachesim.Config{Capacity: 256, Block: 16}}, 10); err == nil {
+	if _, err := Run(g, nil, Config{Procs: 0, Env: schedule.Env{M: 64, B: 16},
+		Cache: cachesim.Config{Capacity: 256, Block: 16}, Rule: HomogeneousRule}, 10); err == nil {
 		t.Error("Procs=0 accepted")
 	}
-	if _, err := RunPipeline(g, nil, testConfig(1), 10); err == nil {
+	if _, err := Run(g, nil, ruleConfig(1, PipelineRule), 10); err == nil {
 		t.Error("pipeline runner accepted a dag")
 	}
 	p := pipeline(t, 4, 8)
-	if _, err := RunHomogeneous(p, nil, testConfig(1), 10); err != nil {
+	if _, err := Run(p, nil, ruleConfig(1, HomogeneousRule), 10); err != nil {
 		t.Errorf("homogeneous pipeline should be accepted: %v", err)
 	}
 	inh := sdf.NewBuilder("inh")
@@ -139,18 +145,18 @@ func TestValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunHomogeneous(gi, nil, testConfig(1), 10); err == nil {
+	if _, err := Run(gi, nil, ruleConfig(1, HomogeneousRule), 10); err == nil {
 		t.Error("inhomogeneous graph accepted by homogeneous runner")
 	}
 }
 
 func TestDeterministic(t *testing.T) {
 	g := filterbank(t, 4, 48)
-	a, err := RunHomogeneous(g, nil, testConfig(3), 600)
+	a, err := Run(g, nil, ruleConfig(3, HomogeneousRule), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunHomogeneous(g, nil, testConfig(3), 600)
+	b, err := Run(g, nil, ruleConfig(3, HomogeneousRule), 600)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type SharedResult struct {
 
 // RunShared executes g on cfg.Procs simulated processors (warm, then a
 // measured window) with the exact shared-L2 simulator for hcfg as the
-// run's sink (RunInto). The claiming rule and load balancing run on the
+// window's sink. The claiming rule and load balancing run on the
 // private design caches (cfg.Cache) as always; the hierarchy is evaluated
 // on the emitted stream, so the interleaving — and therefore the
 // contention the shared L2 sees — is exactly what the executor produced.
@@ -54,7 +54,7 @@ func RunShared(g *sdf.Graph, p *partition.Partition, cfg Config, hcfg hierarchy.
 	if hcfg.L1.Block != cfg.Cache.Block {
 		return nil, fmt.Errorf("parallel: L1 block %d must equal the trace granularity %d", hcfg.L1.Block, cfg.Cache.Block)
 	}
-	res, n, err := RunInto(g, p, cfg, sim.RecordRun, sim.ResetStats, warm, measured)
+	res, n, err := Window{Span: "run_shared", Sink: sim.RecordRun, Mark: sim.ResetStats}.Measure(g, p, cfg, warm, measured)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,7 @@ func (r *SharedMeasureResult) MissesPerItem(i, j int) (l1, l2 float64) {
 }
 
 // MeasureShared executes one parallel run of g under cfg with a
-// hierarchy.SharedProfiler as its sink (RunInto) and profiles the whole
+// hierarchy.SharedProfiler as its window's sink and profiles the whole
 // shared (L1, L2) grid as it goes: every processor gets an exact private
 // replica of each L1 design point, and the interleaved miss streams drive
 // per-family shared-L2 profilers. A spec Procs of 0 is
@@ -126,20 +126,18 @@ func MeasureShared(name string, g *sdf.Graph, p *partition.Partition, cfg Config
 	if err != nil {
 		return nil, err
 	}
-	reg := obs.Or(cfg.Env.Metrics)
-	sp := reg.StartSpan("measure_shared[" + name + "]")
-	defer sp.End()
-	stage := sp.Start("record")
-	res, n, err := RunInto(g, p, cfg, prof.RecordRun, prof.ResetCounts, warm, measured)
-	stage.End()
+	var curves *hierarchy.SharedCurves
+	res, n, err := Window{
+		Span: "measure_shared",
+		Sink: prof.RecordRun,
+		Mark: prof.ResetCounts,
+		Profile: func() (err error) {
+			curves, err = prof.Curves(obs.Or(cfg.Env.Metrics))
+			return err
+		},
+	}.Measure(g, p, cfg, warm, measured)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %s: %w", name, err)
-	}
-	stage = sp.Start("profile")
-	curves, err := prof.Curves(reg)
-	stage.End()
-	if err != nil {
-		return nil, fmt.Errorf("parallel: profile %s: %w", name, err)
 	}
 	return &SharedMeasureResult{
 		Name:     name,

@@ -109,11 +109,22 @@ func TestMeasureSharedMatchesRunShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		traced, plog, err := RunTraced(g, nil, cfg, 100, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plog.Close()
+		if !reflect.DeepEqual(traced, mr.Run) {
+			t.Errorf("P=%d: RunTraced result %+v, MeasureShared %+v", procs, traced, mr.Run)
+		}
 		for i := range spec.L1s {
 			for j := range spec.L2s {
 				pt, err := RunShared(g, nil, cfg, spec.Config(i, j), cm, 100, 300)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(pt.Run, mr.Run) {
+					t.Errorf("P=%d point (%d,%d): RunShared result %+v, MeasureShared %+v", procs, i, j, pt.Run, mr.Run)
 				}
 				if pt.TraceLen != mr.TraceLen {
 					t.Errorf("P=%d point (%d,%d): pointwise run saw %d accesses, profiled run %d", procs, i, j, pt.TraceLen, mr.TraceLen)
@@ -229,19 +240,18 @@ func TestSharedValidation(t *testing.T) {
 	}
 }
 
-// TestRunAutoRule: Run with AutoRule matches the shape-specific entry
-// points.
+// TestRunAutoRule: Run with AutoRule matches the rule it resolves to.
 func TestRunAutoRule(t *testing.T) {
 	g := filterbank(t, 3, 48)
 	auto, err := Run(g, nil, testConfig(2), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hom, err := RunHomogeneous(g, nil, testConfig(2), 300)
+	hom, err := Run(g, nil, ruleConfig(2, HomogeneousRule), 300)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auto.TotalMisses != hom.TotalMisses || !reflect.DeepEqual(auto.Executions, hom.Executions) {
-		t.Error("AutoRule diverges from RunHomogeneous on a homogeneous dag")
+		t.Error("AutoRule diverges from HomogeneousRule on a homogeneous dag")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"streamsched/internal/exec"
+	"streamsched/internal/ratio"
 	"streamsched/internal/sdf"
 )
 
@@ -19,7 +20,7 @@ func (FlatTopo) Name() string { return "flat-topo" }
 
 // Prepare implements Scheduler.
 func (FlatTopo) Prepare(g *sdf.Graph, _ Env) (*Plan, error) {
-	return flatPlan(g, 1), nil
+	return flatPlan(g, 1)
 }
 
 // Scaled is the Sermulins-style execution-scaling baseline (§6): the flat
@@ -40,13 +41,33 @@ func (s Scaled) Prepare(g *sdf.Graph, _ Env) (*Plan, error) {
 	if s.S < 1 {
 		return nil, fmt.Errorf("%w: scale %d < 1", ErrUnsupported, s.S)
 	}
-	return flatPlan(g, s.S), nil
+	return flatPlan(g, s.S)
 }
 
-// flatPlan is the flat schedule scaled by scale: buffers for scale periods,
-// and one step per period.
-func flatPlan(g *sdf.Graph, scale int64) *Plan {
-	return &Plan{Caps: periodCaps(g, scale), Runner: flatRunner{scale: scale, g: g}, Step: scale * g.Repetitions(g.Source())}
+// flatPlan is the flat schedule scaled by scale: buffers for scale
+// periods, cap(e) = scale·reps(from)·out(e) (at least minBuf), and one
+// step of scale·reps(source) source firings per period. A scale at which
+// either does not fit in int64 is refused.
+func flatPlan(g *sdf.Graph, scale int64) (*Plan, error) {
+	src := g.Source()
+	step, ok := ratio.AddMul(0, scale, g.Repetitions(src))
+	if !ok {
+		return nil, fmt.Errorf("%w: scale %d times %d source firings per period overflows int64", ErrUnsupported, scale, g.Repetitions(src))
+	}
+	caps := minBufCaps(g)
+	for e := range caps {
+		ed := g.Edge(sdf.EdgeID(e))
+		c, ok := ratio.AddMul(0, scale, g.Repetitions(ed.From))
+		if ok {
+			c, ok = ratio.AddMul(0, c, ed.Out)
+		}
+		if !ok {
+			return nil, fmt.Errorf("%w: scale %d overflows int64 in the buffer of edge %d (%s -> %s)",
+				ErrUnsupported, scale, e, g.Node(ed.From).Name, g.Node(ed.To).Name)
+		}
+		caps[e] = max(caps[e], c)
+	}
+	return &Plan{Caps: caps, Runner: flatRunner{scale: scale, g: g}, Step: step}, nil
 }
 
 // flatRunner executes scale·reps(v) firings of each module per period, in

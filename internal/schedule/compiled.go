@@ -1,10 +1,8 @@
 package schedule
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"streamsched/internal/exec"
@@ -225,66 +223,4 @@ func (c *Compiled) Write(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// ReadCompiled parses the Write format.
-func ReadCompiled(r io.Reader) (*Compiled, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	c := &Compiled{}
-	section := ""
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch fields[0] {
-		case "caps":
-			for _, f := range fields[1:] {
-				v, err := strconv.ParseInt(f, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("schedule: parse caps: %w", err)
-				}
-				c.Caps = append(c.Caps, v)
-			}
-		case "meta":
-			if len(fields) == 3 && fields[1] == "source-per-period" {
-				v, err := strconv.ParseInt(fields[2], 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("schedule: parse meta: %w", err)
-				}
-				c.SourcePerPeriod = v
-			}
-		case "prologue", "period":
-			section = fields[0]
-		case "fire":
-			if len(fields) != 3 || !strings.HasPrefix(fields[2], "x") {
-				return nil, fmt.Errorf("schedule: bad fire line %q", line)
-			}
-			node, err1 := strconv.Atoi(fields[1])
-			count, err2 := strconv.ParseInt(fields[2][1:], 10, 64)
-			if err1 != nil || err2 != nil || count <= 0 {
-				return nil, fmt.Errorf("schedule: bad fire line %q", line)
-			}
-			st := Step{Node: sdf.NodeID(node), Count: count}
-			switch section {
-			case "prologue":
-				c.Prologue = append(c.Prologue, st)
-			case "period":
-				c.Period = append(c.Period, st)
-			default:
-				return nil, fmt.Errorf("schedule: fire before section header")
-			}
-		default:
-			return nil, fmt.Errorf("schedule: unknown line %q", line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(c.Period) == 0 {
-		return nil, fmt.Errorf("schedule: compiled schedule has no period")
-	}
-	return c, nil
 }

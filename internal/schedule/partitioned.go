@@ -75,6 +75,17 @@ func (s PartitionedPipeline) Prepare(g *sdf.Graph, env Env) (*Plan, error) {
 	return &Plan{Caps: caps, Runner: r, CrossEdges: p.CrossEdges(g)}, nil
 }
 
+// Claims is a partitioned runner seen one component at a time: how many
+// components there are, whether component c may run now, and running it
+// toward target source firings. The runners' own Run loops are one
+// processor making these claims; internal/parallel lets P processors make
+// them, so the multiprocessor reuses each rule instead of restating it.
+type Claims interface {
+	Components() int
+	Claimable(m *exec.Machine, c int) bool
+	Execute(m *exec.Machine, c int, target int64) error
+}
+
 // pipelineRunner holds the static structure of a segmented pipeline: the
 // members of each segment in chain order and the cross edge following each
 // segment.
@@ -114,11 +125,32 @@ func (r *pipelineRunner) Run(m *exec.Machine, target int64) error {
 			return fmt.Errorf("%w: no schedulable segment at %d source firings",
 				ErrDeadlock, m.SourceFirings())
 		}
-		if err := r.runSegment(m, i, target); err != nil {
+		if err := r.Execute(m, i, target); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Components implements Claims.
+func (r *pipelineRunner) Components() int { return r.p.K }
+
+// Claimable implements Claims with the multiprocessor's half-full rule:
+// segment c's input is more than half full (or external, for the first
+// segment) and its output at most half full (or the sink). One processor
+// needs only the output half, which is pickSegment.
+func (r *pipelineRunner) Claimable(m *exec.Machine, c int) bool {
+	if c > 0 && r.after[c-1] >= 0 {
+		if buf := m.Buf(r.after[c-1]); 2*buf.Len() <= buf.Cap() {
+			return false
+		}
+	}
+	if e := r.after[c]; e >= 0 {
+		if buf := m.Buf(e); 2*buf.Len() > buf.Cap() {
+			return false
+		}
+	}
+	return true
 }
 
 // pickSegment scans cross edges in order and returns the segment preceding
@@ -138,10 +170,10 @@ func (r *pipelineRunner) pickSegment(m *exec.Machine) int {
 	return -1
 }
 
-// runSegment executes segment i until its input cross buffer empties, its
-// output cross buffer fills, or (for the source segment) the target is
-// reached: i.e. until no member module can fire.
-func (r *pipelineRunner) runSegment(m *exec.Machine, i int, target int64) error {
+// Execute implements Claims: it runs segment i until its input cross
+// buffer empties, its output cross buffer fills, or (for the source
+// segment) the target is reached: i.e. until no member module can fire.
+func (r *pipelineRunner) Execute(m *exec.Machine, i int, target int64) error {
 	g := m.Graph()
 	src := g.Source()
 	for {
@@ -226,50 +258,54 @@ type homogRunner struct {
 	outCross [][]sdf.EdgeID
 }
 
-// Run implements Runner.
+// Run implements Runner: the first claimable component runs, every time.
 func (r *homogRunner) Run(m *exec.Machine, target int64) error {
 	for m.SourceFirings() < target {
-		c := r.pickComponent(m)
-		if c < 0 {
+		c := 0
+		for c < r.p.K && !r.Claimable(m, c) {
+			c++
+		}
+		if c == r.p.K {
 			return fmt.Errorf("%w: no schedulable component at %d source firings",
 				ErrDeadlock, m.SourceFirings())
 		}
-		for round := int64(0); round < r.t; round++ {
-			for _, v := range r.members[c] {
-				if err := m.Fire(v); err != nil {
-					return fmt.Errorf("schedule: component %d round %d: %w", c, round, err)
-				}
-			}
+		if err := r.Execute(m, c, target); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// pickComponent returns the first component with T items on every incoming
-// cross edge and empty outgoing cross edges, or -1.
-func (r *homogRunner) pickComponent(m *exec.Machine) int {
-	for c := 0; c < r.p.K; c++ {
-		ok := true
-		for _, e := range r.inCross[c] {
-			if m.Buf(e).Len() < r.t {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for _, e := range r.outCross[c] {
-			if m.Buf(e).Len() != 0 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return c
+// Components implements Claims.
+func (r *homogRunner) Components() int { return r.p.K }
+
+// Claimable implements Claims: component c has T items on every incoming
+// cross edge and its outgoing cross edges are empty.
+func (r *homogRunner) Claimable(m *exec.Machine, c int) bool {
+	for _, e := range r.inCross[c] {
+		if m.Buf(e).Len() < r.t {
+			return false
 		}
 	}
-	return -1
+	for _, e := range r.outCross[c] {
+		if m.Buf(e).Len() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Execute implements Claims: it fires each member of component c once in
+// topological order, T times over. The batch ignores target.
+func (r *homogRunner) Execute(m *exec.Machine, c int, _ int64) error {
+	for round := int64(0); round < r.t; round++ {
+		for _, v := range r.members[c] {
+			if err := m.Fire(v); err != nil {
+				return fmt.Errorf("schedule: component %d round %d: %w", c, round, err)
+			}
+		}
+	}
+	return nil
 }
 
 // PartitionedBatch is the paper's general inhomogeneous-dag schedule (§3

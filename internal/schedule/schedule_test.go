@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -255,6 +257,32 @@ func TestUnsupportedCombos(t *testing.T) {
 	}
 	if _, err := (PartitionedBatch{}).Prepare(inh, Env{}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("batch without M: %v", err)
+	}
+}
+
+// TestScaledRefusesOverflowingScale: a scale whose buffers do not fit in
+// int64 is refused, naming the scale and the edge. The product used to wrap
+// negative, be replaced by the edge's minBuf, and come back as a plan.
+func TestScaledRefusesOverflowingScale(t *testing.T) {
+	b := sdf.NewBuilder("ac")
+	a, c := b.AddNode("a", 0), b.AddNode("c", 0)
+	b.Connect(a, c, 2, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (Scaled{S: 1 << 61}).Prepare(g, testEnv)
+	if err != nil || plan.Caps[0] != 1<<62 || plan.Step != 1<<61 {
+		t.Fatalf("scale 2^61: plan %+v, %v; want caps [2^62], step 2^61", plan, err)
+	}
+	for _, s := range []int64{1 << 62, 1<<62 + 1} {
+		plan, err := (Scaled{S: s}).Prepare(g, testEnv)
+		if !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("scale %d: plan %+v, %v; want ErrUnsupported", s, plan, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(s)) || !strings.Contains(msg, "edge 0 (a -> c)") {
+			t.Errorf("scale %d: error %q names neither the scale nor the edge", s, msg)
+		}
 	}
 }
 

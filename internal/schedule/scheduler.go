@@ -15,7 +15,9 @@
 // profile an (L1, L2) grid) and MeasureHierPoint (the exact two-level
 // simulator as the recorder) each state only what they count and how the
 // window is marked; all report misses per input item, the quantity the
-// paper's bounds are stated in, under one Run header.
+// paper's bounds are stated in, under one Run header. The multiprocessor
+// (internal/parallel) is one more Scheduler, over the partitioned runners'
+// Claims, measured by the same window.
 package schedule
 
 import (
@@ -128,21 +130,6 @@ func minBufCaps(g *sdf.Graph) []int64 {
 	caps := make([]int64, g.NumEdges())
 	for e := range caps {
 		caps[e] = g.MinBuf(sdf.EdgeID(e))
-	}
-	return caps
-}
-
-// periodCaps returns capacities sufficient for s back-to-back periods of
-// the single-appearance schedule: cap(e) = s·reps(from)·out(e).
-func periodCaps(g *sdf.Graph, s int64) []int64 {
-	caps := make([]int64, g.NumEdges())
-	for e := range caps {
-		ed := g.Edge(sdf.EdgeID(e))
-		c := s * g.Repetitions(ed.From) * ed.Out
-		if mb := g.MinBuf(sdf.EdgeID(e)); c < mb {
-			c = mb
-		}
-		caps[e] = c
 	}
 	return caps
 }

@@ -277,6 +277,11 @@ func TestErrorPaths(t *testing.T) {
 		// end wrapped negative and the engine answered 200 with all zeros.
 		{"window overflow", "POST", "/v1/profile", string(planBody(t, graph, `, "measure": 9223372036854775807`)), http.StatusBadRequest, CodeBadRequest},
 		{"tiny cap", "POST", "/v1/profile", string(planBody(t, graph, `, "caps": [1]`)), http.StatusBadRequest, CodeBadRequest},
+		// scale·reps·out past int64: the buffer wrapped negative, was
+		// replaced by minBuf, and the plan was served and cached with a 200.
+		{"scale overflow", "POST", "/v1/plan", string(planBody(t,
+			[]byte(`{"name": "ac", "nodes": [{"name": "a", "state": 0}, {"name": "c", "state": 0}], "edges": [{"from": 0, "to": 1, "out": 2, "in": 1}]}`),
+			`, "scheduler": "scaled", "scale": 4611686018427387904`)), http.StatusInternalServerError, CodeInternal},
 		{"get on plan", "GET", "/v1/plan", "", http.StatusMethodNotAllowed, CodeMethod},
 		{"unknown path", "GET", "/v1/nope", "", http.StatusNotFound, CodeNotFound},
 		{"oversized", "POST", "/v1/plan", `{"graph": {"name": "` + strings.Repeat("x", 5000) + `"}}`, http.StatusRequestEntityTooLarge, CodeTooLarge},

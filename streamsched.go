@@ -325,16 +325,11 @@ func LowerBound(g *Graph, m, b int64) (Bound, error) {
 
 // SimulateParallel runs the paper's parallel extension: cfg.Procs simulated
 // processors with private caches claim schedulable components dynamically.
-// Homogeneous dags and pipelines are supported.
+// Homogeneous dags and pipelines are supported; the claiming rule follows
+// the graph's shape, whatever cfg.Rule says.
 func SimulateParallel(g *Graph, p *Partition, cfg ParallelConfig, target int64) (*ParallelResult, error) {
-	switch {
-	case g.IsHomogeneous():
-		return parallel.RunHomogeneous(g, p, cfg, target)
-	case g.IsPipeline():
-		return parallel.RunPipeline(g, p, cfg, target)
-	default:
-		return nil, fmt.Errorf("streamsched: parallel execution supports homogeneous dags and pipelines, not %s", g.Name())
-	}
+	cfg.Rule = parallel.AutoRule
+	return parallel.Run(g, p, cfg, target)
 }
 
 // SimulateShared is the shared-L2 analogue of SimulateHier for the
