@@ -318,14 +318,18 @@ func BenchmarkE15OptReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mach.Cache().StartTrace()
+	var blocks []int64
+	mach.Cache().SetObserver(func(base, n int64) {
+		for end := base + n; base < end; base++ {
+			blocks = append(blocks, base)
+		}
+	})
 	if err := plan.Runner.Run(mach, 2048); err != nil {
 		b.Fatal(err)
 	}
-	trace := mach.Cache().StopTrace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cachesim.SimulateOPT(trace, 64)
+		cachesim.SimulateOPT(blocks, 64)
 	}
 }
 

@@ -43,12 +43,17 @@ func runE15(cfg runConfig) error {
 		schedule.PartitionedPipeline{},
 	}
 	for _, s := range scheds {
+		var blocks []int64
 		mach, run, err := schedule.Window{
 			Span:  "e15",
 			Cache: cacheCfg,
 			Mark: func(m *exec.Machine) {
 				m.Cache().ResetStats()
-				m.Cache().StartTrace()
+				m.Cache().SetObserver(func(base, n int64) {
+					for end := base + n; base < end; base++ {
+						blocks = append(blocks, base)
+					}
+				})
 			},
 		}.Measure(g, s, env, warm, meas)
 		if err != nil {
@@ -56,8 +61,7 @@ func runE15(cfg runConfig) error {
 		}
 		items := float64(run.InputItems)
 		lru := float64(mach.Cache().Stats().Misses) / items
-		trace := mach.Cache().StopTrace()
-		opt := float64(cachesim.SimulateOPT(trace, cacheCfg.Capacity/cacheCfg.Block).Misses) / items
+		opt := float64(cachesim.SimulateOPT(blocks, cacheCfg.Lines()).Misses) / items
 		tb.Add(s.Name(), report.F(lru), report.F(opt), report.Ratio(lru, opt))
 	}
 	return tb.Render(cfg.out)
@@ -82,7 +86,6 @@ func runE16(cfg runConfig) error {
 		return err
 	}
 	env := schedule.Env{M: m, B: 16}
-	cacheCfg := cachesim.Config{Capacity: 2 * m, Block: 16}
 	tb := report.NewTable(
 		fmt.Sprintf("E16: misses/item by memory-object class (M=%d, B=16, cache=2M)", m),
 		"workload", "scheduler", "state", "cross-buffer", "internal-buffer", "total")
@@ -95,7 +98,7 @@ func runE16(cfg runConfig) error {
 	}
 	for _, c := range cases {
 		for _, s := range c.scheds {
-			res, err := schedule.Measure(c.g, s, env, cacheCfg, warm, meas)
+			res, err := measure(c.g, s, env, 2*m, warm, meas)
 			if err != nil {
 				return err
 			}
@@ -127,7 +130,6 @@ func runE18(cfg runConfig) error {
 		return err
 	}
 	env := schedule.Env{M: m, B: 16}
-	cacheCfg := cachesim.Config{Capacity: 2 * m, Block: 16}
 	tb := report.NewTable(
 		fmt.Sprintf("E18: latency vs misses (pipeline n=18, state=128, M=%d, B=16, cache=2M)", m),
 		"scheduler", "misses/item", "mean latency (items)", "max latency")
@@ -136,7 +138,7 @@ func runE18(cfg runConfig) error {
 		schedule.KohliGreedy{}, schedule.PartitionedPipeline{},
 	}
 	for _, s := range scheds {
-		res, err := schedule.Measure(g, s, env, cacheCfg, warm, meas)
+		res, err := measure(g, s, env, 2*m, warm, meas)
 		if err != nil {
 			return err
 		}
@@ -150,9 +152,7 @@ func runE18(cfg runConfig) error {
 	tb2 := report.NewTable("E18b: partitioned latency vs M",
 		"M", "misses/item", "mean latency", "max latency")
 	for _, mm := range []int64{128, 256, 512} {
-		envM := schedule.Env{M: mm, B: 16}
-		res, err := schedule.Measure(g, schedule.PartitionedPipeline{}, envM,
-			cachesim.Config{Capacity: 2 * mm, Block: 16}, warm, meas)
+		res, err := measure(g, schedule.PartitionedPipeline{}, schedule.Env{M: mm, B: 16}, 2*mm, warm, meas)
 		if err != nil {
 			return err
 		}

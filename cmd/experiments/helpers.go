@@ -42,10 +42,10 @@ func fanDag(name string, fanout int, state int64) (*sdf.Graph, error) {
 	return b.Build()
 }
 
-// measure wraps schedule.Measure with a default warm/measured window.
+// measure is schedule.Measure on a fully-associative LRU cache of
+// cacheWords words in env.B-word blocks.
 func measure(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, cacheWords int64, warm, measured int64) (*schedule.Result, error) {
-	cfg := cachesim.Config{Capacity: cacheWords, Block: env.B}
-	return schedule.Measure(g, s, env, cfg, warm, measured)
+	return schedule.Measure(g, s, env, cachesim.Config{Capacity: cacheWords, Block: env.B}, warm, measured)
 }
 
 // missesPerFiring returns measured misses per source firing.

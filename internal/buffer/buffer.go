@@ -97,7 +97,7 @@ func (f *FIFO) PushN(cache *cachesim.Cache, n int64, vals []int64) error {
 		return fmt.Errorf("buffer: PushN values length %d != n %d", len(vals), n)
 	}
 	start := (f.head + f.count) % f.capacity
-	f.touch(cache, start, n, true)
+	f.touch(cache, start, n)
 	if f.vals != nil {
 		for i := int64(0); i < n; i++ {
 			f.vals[(start+i)%f.capacity] = vals[i]
@@ -127,7 +127,7 @@ func (f *FIFO) PopN(cache *cachesim.Cache, n int64, dst []int64) error {
 	if f.vals != nil && dst != nil && int64(len(dst)) < n {
 		return fmt.Errorf("buffer: PopN dst length %d < n %d", len(dst), n)
 	}
-	f.touch(cache, f.head, n, false)
+	f.touch(cache, f.head, n)
 	if f.vals != nil && dst != nil {
 		for i := int64(0); i < n; i++ {
 			dst[i] = f.vals[(f.head+i)%f.capacity]
@@ -173,7 +173,7 @@ func (f *FIFO) Skip(laps int64) {
 
 // touch charges the ring positions [start, start+n) (mod capacity) to the
 // cache as at most two contiguous ranges.
-func (f *FIFO) touch(cache *cachesim.Cache, start, n int64, write bool) {
+func (f *FIFO) touch(cache *cachesim.Cache, start, n int64) {
 	if cache == nil {
 		return
 	}
@@ -181,9 +181,9 @@ func (f *FIFO) touch(cache *cachesim.Cache, start, n int64, write bool) {
 	if start+first > f.capacity {
 		first = f.capacity - start
 	}
-	cache.Access(f.region.Base+start, first, write)
+	cache.Access(f.region.Base+start, first)
 	if rest := n - first; rest > 0 {
-		cache.Access(f.region.Base, rest, write)
+		cache.Access(f.region.Base, rest)
 	}
 }
 

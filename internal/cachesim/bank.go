@@ -1,40 +1,87 @@
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Bank is the organisational core of one cache level: a set-indexed,
-// policy-ordered container of block ids, without Cache's word addressing,
-// dirty tracking, or statistics. It exists so multi-level hierarchies
-// (internal/hierarchy) can compose levels out of exact single-level
-// building blocks: a two-level simulator is two Banks with the L1's miss
-// stream feeding the L2, and a Bank replay is the oracle the one-pass
-// hierarchy profiler's derived L1 miss streams are tested against.
+// policy-ordered container of block ids, without Cache's word addressing
+// or statistics. Cache is a Bank plus those; multi-level hierarchies
+// (internal/hierarchy) compose levels out of Banks directly: a two-level
+// simulator is two Banks with the L1's miss stream feeding the L2, and a
+// Bank replay is the oracle the one-pass hierarchy profiler's derived L1
+// miss streams are tested against.
 //
-// Placement mirrors Cache exactly: block blk lives in set blk mod sets.
-// Within a set the entries are kept in policy order, newest first — LRU
-// order is recency (a hit moves the block to the front), FIFO order is
-// insertion (hits do not reorder) — and eviction always takes the back.
-// A Bank with one set and ways == lines is the fully-associative level.
+// Block blk lives in set blk mod sets (floored, so negative ids map
+// collision-free too). Within a set the entries are kept in policy order,
+// newest first — LRU order is recency (a hit moves the block to the
+// front), FIFO order is insertion (hits do not reorder) — and eviction
+// always takes the back. A Bank with one set and ways == lines is the
+// fully-associative level.
+//
+// Set s owns the slots [s·ways, (s+1)·ways), chained newest first; its
+// unused slots form a free chain. A block -> slot index (a flat slice for
+// small non-negative ids, a map for negative or far ids, as in
+// trace.Profiler) makes Access, Insert, Remove, Contains and Len O(1) at
+// any associativity.
 //
 // Bank is not safe for concurrent use.
 type Bank struct {
 	sets   int64
 	ways   int64
 	policy Policy
-	order  [][]int64 // per set, newest first
+	slots  []slot
+	chains []chain // per set
+	n      int64   // resident blocks
+
+	dense   []int32         // block -> slot+1, 0 = not resident (small ids)
+	sparse  map[int64]int32 // the same for negative or far ids
+	inserts int64           // Insert calls so far: the flat slice's growth budget
 }
 
+// slot holds one resident block and its neighbours in the set's chain
+// (-1 at either end). A free slot's older link threads the free chain.
+type slot struct {
+	blk          int64
+	newer, older int32
+}
+
+// chain is one set's policy order and free list, as slot indices (-1 =
+// none).
+type chain struct {
+	newest, oldest, free int32
+}
+
+// denseLimit caps the flat block index at 16M entries (64 MiB), the same
+// cap trace.Profiler uses; blocks beyond it always fall back to the map.
+const denseLimit = 1 << 24
+
 // NewBank returns an empty bank of sets x ways lines under the given
-// policy. It panics on a non-positive geometry or unknown policy
-// (programmer error, like an invalid cache config).
+// policy. It panics on a non-positive geometry, more than MaxInt32 lines,
+// or an unknown policy (programmer error, like an invalid cache config).
 func NewBank(sets, ways int64, policy Policy) *Bank {
-	if sets < 1 || ways < 1 {
-		panic(fmt.Sprintf("cachesim: Bank needs positive geometry, got %dx%d", sets, ways))
+	if sets < 1 || ways < 1 || ways > math.MaxInt32/sets {
+		panic(fmt.Sprintf("cachesim: Bank needs positive geometry of at most MaxInt32 lines, got %dx%d", sets, ways))
 	}
 	if policy != LRU && policy != FIFO {
 		panic(fmt.Sprintf("cachesim: Bank got unknown policy %d", int(policy)))
 	}
-	return &Bank{sets: sets, ways: ways, policy: policy, order: make([][]int64, sets)}
+	b := &Bank{
+		sets: sets, ways: ways, policy: policy,
+		slots:  make([]slot, sets*ways),
+		chains: make([]chain, sets),
+	}
+	for i := range b.slots {
+		b.slots[i].older = int32(i) + 1
+		if int64(i+1)%ways == 0 {
+			b.slots[i].older = -1
+		}
+	}
+	for s := range b.chains {
+		b.chains[s] = chain{newest: -1, oldest: -1, free: int32(int64(s) * ways)}
+	}
+	return b
 }
 
 // Sets returns the number of sets.
@@ -43,13 +90,14 @@ func (b *Bank) Sets() int64 { return b.sets }
 // Ways returns the lines per set.
 func (b *Bank) Ways() int64 { return b.ways }
 
-// setOf maps a block to its set, collision-free for negative ids too.
-func (b *Bank) setOf(blk int64) int64 {
+// chainOf maps a block to its set's chain, collision-free for negative ids
+// too.
+func (b *Bank) chainOf(blk int64) *chain {
 	s := blk % b.sets
 	if s < 0 {
 		s += b.sets
 	}
-	return s
+	return &b.chains[s]
 }
 
 // Access looks blk up and applies the policy's hit behaviour (LRU moves it
@@ -57,68 +105,122 @@ func (b *Bank) setOf(blk int64) int64 {
 // the block was resident; on a miss the bank is unchanged — the caller
 // decides whether to Insert.
 func (b *Bank) Access(blk int64) bool {
-	row := b.order[b.setOf(blk)]
-	for i, v := range row {
-		if v == blk {
-			if b.policy == LRU && i > 0 {
-				copy(row[1:i+1], row[:i])
-				row[0] = blk
-			}
-			return true
+	i := b.find(blk)
+	if i < 0 {
+		return false
+	}
+	if b.policy == LRU {
+		if ch := b.chainOf(blk); ch.newest != i {
+			b.unlink(ch, i)
+			b.pushFront(ch, i)
 		}
 	}
-	return false
+	return true
 }
 
 // Contains reports residency without touching the policy order.
-func (b *Bank) Contains(blk int64) bool {
-	for _, v := range b.order[b.setOf(blk)] {
-		if v == blk {
-			return true
-		}
-	}
-	return false
-}
+func (b *Bank) Contains(blk int64) bool { return b.find(blk) >= 0 }
 
 // Insert places blk at the front of its set, evicting the back entry if
 // the set is full; it returns the victim, if any. The caller must ensure
 // blk is not already resident (Insert after a failed Access).
 func (b *Bank) Insert(blk int64) (victim int64, evicted bool) {
-	set := b.setOf(blk)
-	row := b.order[set]
-	if int64(len(row)) < b.ways {
-		row = append(row, 0)
-		copy(row[1:], row)
-		row[0] = blk
-		b.order[set] = row
-		return 0, false
+	ch := b.chainOf(blk)
+	i := ch.free
+	if i >= 0 {
+		ch.free = b.slots[i].older
+		b.n++
+	} else {
+		i = ch.oldest
+		victim, evicted = b.slots[i].blk, true
+		b.unlink(ch, i)
+		b.index(victim, 0)
 	}
-	victim = row[len(row)-1]
-	copy(row[1:], row[:len(row)-1])
-	row[0] = blk
-	return victim, true
+	b.slots[i].blk = blk
+	b.pushFront(ch, i)
+	b.inserts++
+	b.index(blk, i+1)
+	return victim, evicted
 }
 
 // Remove deletes blk from its set, preserving the order of the remaining
 // entries, and reports whether it was resident. Exclusive hierarchies use
 // it to pull a block out of the victim level on promotion.
 func (b *Bank) Remove(blk int64) bool {
-	set := b.setOf(blk)
-	row := b.order[set]
-	for i, v := range row {
-		if v == blk {
-			b.order[set] = append(row[:i], row[i+1:]...)
-			return true
-		}
+	i := b.find(blk)
+	if i < 0 {
+		return false
 	}
-	return false
+	ch := b.chainOf(blk)
+	b.unlink(ch, i)
+	b.slots[i].older, ch.free = ch.free, i
+	b.index(blk, 0)
+	b.n--
+	return true
 }
 
 // Len returns the number of resident blocks.
-func (b *Bank) Len() int64 {
-	var n int64
-	for _, row := range b.order {
-		n += int64(len(row))
+func (b *Bank) Len() int64 { return b.n }
+
+func (b *Bank) unlink(ch *chain, i int32) {
+	s := &b.slots[i]
+	if s.newer >= 0 {
+		b.slots[s.newer].older = s.older
+	} else {
+		ch.newest = s.older
 	}
-	return n
+	if s.older >= 0 {
+		b.slots[s.older].newer = s.newer
+	} else {
+		ch.oldest = s.newer
+	}
+}
+
+func (b *Bank) pushFront(ch *chain, i int32) {
+	b.slots[i].newer, b.slots[i].older = -1, ch.newest
+	if ch.newest >= 0 {
+		b.slots[ch.newest].newer = i
+	} else {
+		ch.oldest = i
+	}
+	ch.newest = i
+}
+
+// find returns blk's slot, or -1 when it is not resident.
+func (b *Bank) find(blk int64) int32 {
+	if uint64(blk) < uint64(len(b.dense)) {
+		return b.dense[blk] - 1
+	}
+	return b.sparse[blk] - 1
+}
+
+// index records ref (slot+1, or 0 to forget) as blk's entry. The flat
+// slice covers [0, len(dense)) and the map every other id. The slice grows
+// (at least doubling, at most to denseLimit) only to an id below twice the
+// inserts served plus the line count, so its memory stays proportional to
+// the work done and one far id costs a map entry rather than a table
+// reaching it; map entries a growth covers move over.
+func (b *Bank) index(blk int64, ref int32) {
+	if n := int64(len(b.dense)); ref != 0 && blk >= n && blk < min(2*b.inserts+int64(len(b.slots)), denseLimit) {
+		grown := make([]int32, min(max(2*n, blk+1), denseLimit))
+		copy(grown, b.dense)
+		for id, r := range b.sparse {
+			if uint64(id) < uint64(len(grown)) {
+				grown[id] = r
+				delete(b.sparse, id)
+			}
+		}
+		b.dense = grown
+	}
+	switch {
+	case uint64(blk) < uint64(len(b.dense)):
+		b.dense[blk] = ref
+	case ref == 0:
+		delete(b.sparse, blk)
+	default:
+		if b.sparse == nil {
+			b.sparse = make(map[int64]int32, 64)
+		}
+		b.sparse[blk] = ref
+	}
 }

@@ -8,6 +8,12 @@
 // LRU cache; set-associative and FIFO variants exist so experiments can
 // check that the paper's conclusions are robust to the replacement policy
 // (experiment E12).
+//
+// Bank (bank.go) is the one implementation of placement and replacement.
+// Cache is a Bank plus word addressing, hit/miss counters, a per-class
+// miss tally and one access tap; internal/hierarchy builds its levels
+// from Banks directly. Writes are not modelled: a write resolves exactly
+// like a read, since the paper counts transfers into the cache.
 package cachesim
 
 import (
@@ -97,67 +103,21 @@ func (cfg Config) Validate() error {
 
 // Stats accumulates transfer counts. All counts are at block granularity.
 type Stats struct {
-	Accesses   int64 // block accesses issued
-	Hits       int64
-	Misses     int64 // block transfers from memory to cache
-	Compulsory int64 // misses on blocks never seen before
-	Evictions  int64
-	Writebacks int64 // dirty blocks written back on eviction or flush
+	Accesses int64 // block accesses issued
+	Hits     int64
+	Misses   int64 // block transfers from memory to cache
 }
 
-// Add returns the component-wise sum of s and o.
-func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		Accesses:   s.Accesses + o.Accesses,
-		Hits:       s.Hits + o.Hits,
-		Misses:     s.Misses + o.Misses,
-		Compulsory: s.Compulsory + o.Compulsory,
-		Evictions:  s.Evictions + o.Evictions,
-		Writebacks: s.Writebacks + o.Writebacks,
-	}
-}
-
-// Sub returns the component-wise difference s - o.
-func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		Accesses:   s.Accesses - o.Accesses,
-		Hits:       s.Hits - o.Hits,
-		Misses:     s.Misses - o.Misses,
-		Compulsory: s.Compulsory - o.Compulsory,
-		Evictions:  s.Evictions - o.Evictions,
-		Writebacks: s.Writebacks - o.Writebacks,
-	}
-}
-
-// Cache is a simulated cache. It is not safe for concurrent use; the
-// parallel scheduler gives each simulated processor its own Cache.
+// Cache is a simulated cache: a Bank of the configuration's geometry plus
+// word addressing, Stats, the per-class miss tally (classify.go) and one
+// access tap. It is not safe for concurrent use; the parallel scheduler
+// gives each simulated processor its own Cache.
 type Cache struct {
 	cfg   Config
-	lines int64
-
-	// Fully-associative state (Ways == 0): an intrusive doubly-linked list
-	// over line slots, plus a block -> slot map.
-	faMap   map[int64]int32
-	faBlk   []int64
-	faDirty []bool
-	faNext  []int32
-	faPrev  []int32
-	faHead  int32 // most recently used / most recently inserted
-	faTail  int32 // eviction end
-	faFree  []int32
-
-	// Set-associative state (Ways > 0).
-	sets    int64
-	saBlk   [][]int64 // per set, slot -> block (-1 empty)
-	saDirty [][]bool
-	saAge   [][]int64 // per set, slot -> last-use (LRU) or insertion (FIFO) tick
-	tick    int64
-
-	seen  map[int64]struct{}
+	bank  *Bank // nil for NewTap: nothing is simulated
 	stats Stats
 
-	traceRec    *Trace           // non-nil while StartTrace recording (opt.go)
-	observer    func(b, n int64) // access tap (SetObserver / StartTrace / NewTap)
+	observer    func(b, n int64) // access tap (SetObserver / NewTap)
 	classes     []classRange     // registered object ranges (classify.go)
 	classMisses ClassStats
 }
@@ -167,39 +127,8 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{
-		cfg:   cfg,
-		lines: cfg.Capacity / cfg.Block,
-		seen:  make(map[int64]struct{}),
-	}
-	if cfg.Ways == 0 {
-		n := int32(c.lines)
-		c.faMap = make(map[int64]int32, c.lines)
-		c.faBlk = make([]int64, n)
-		c.faDirty = make([]bool, n)
-		c.faNext = make([]int32, n)
-		c.faPrev = make([]int32, n)
-		c.faHead, c.faTail = -1, -1
-		c.faFree = make([]int32, 0, n)
-		for i := n - 1; i >= 0; i-- {
-			c.faFree = append(c.faFree, i)
-		}
-	} else {
-		c.sets = c.lines / int64(cfg.Ways)
-		c.saBlk = make([][]int64, c.sets)
-		c.saDirty = make([][]bool, c.sets)
-		c.saAge = make([][]int64, c.sets)
-		for s := int64(0); s < c.sets; s++ {
-			blk := make([]int64, cfg.Ways)
-			for i := range blk {
-				blk[i] = -1
-			}
-			c.saBlk[s] = blk
-			c.saDirty[s] = make([]bool, cfg.Ways)
-			c.saAge[s] = make([]int64, cfg.Ways)
-		}
-	}
-	return c, nil
+	sets := cfg.Sets()
+	return &Cache{cfg: cfg, bank: NewBank(sets, cfg.Lines()/sets, cfg.Policy)}, nil
 }
 
 // NewTap returns a cache that simulates nothing: it has no lines, keeps
@@ -219,7 +148,7 @@ func NewTap(block int64, tap func(base, n int64)) (*Cache, error) {
 // (exec.Machine.Advance) still reports the logical Stats().Accesses. Only
 // a tap can skip: a simulating cache's statistics depend on every access.
 func (c *Cache) Skip(n int64) error {
-	if c.lines != 0 {
+	if c.bank != nil {
 		return errors.New("cachesim: a simulating cache cannot skip accesses")
 	}
 	c.stats.Accesses += n
@@ -239,37 +168,22 @@ func (c *Cache) ResetStats() {
 	c.classMisses = ClassStats{}
 }
 
-// SetObserver installs (or, with nil, removes) a callback invoked with
-// every access before its hit/miss resolution, as a run of blocks:
-// fn(base, n) stands for base, base+1, …, base+n-1, the blocks one Access
-// range covers. The reuse-distance engine (internal/trace) records traces
-// through it; the stream it sees, runs expanded, is exactly the stream the
-// replacement policy sees.
-// The cache has a single tap: StartTrace also claims it, so an observer
-// and an OPT-replay trace cannot record simultaneously. While a
-// StartTrace recording is active any SetObserver call — including nil,
-// which would silently truncate the trace — panics; end the recording
-// with StopTrace first.
-func (c *Cache) SetObserver(fn func(base, n int64)) {
-	if c.traceRec != nil {
-		panic("cachesim: SetObserver while a StartTrace recording is active; call StopTrace first")
-	}
-	c.observer = fn
-}
+// SetObserver installs (or, with nil, removes) the cache's one tap: a
+// callback invoked with every access before its hit/miss resolution, as a
+// run of blocks: fn(base, n) stands for base, base+1, …, base+n-1, the
+// blocks one Access range covers. The reuse-distance engine
+// (internal/trace) records traces through it; the stream it sees, runs
+// expanded, is exactly the stream the replacement policy sees.
+func (c *Cache) SetObserver(fn func(base, n int64)) { c.observer = fn }
 
-// Access touches the word range [addr, addr+size) with the given intent.
-// Each distinct block in the range counts as one block access.
-func (c *Cache) Access(addr, size int64, write bool) {
+// Access touches the word range [addr, addr+size). Each distinct block in
+// the range counts as one block access.
+func (c *Cache) Access(addr, size int64) {
 	if size <= 0 {
 		return
 	}
 	first := addr / c.cfg.Block
-	c.accessRun(first, (addr+size-1)/c.cfg.Block-first+1, write)
-}
-
-// AccessWord touches a single word.
-func (c *Cache) AccessWord(addr int64, write bool) {
-	c.accessRun(addr/c.cfg.Block, 1, write)
+	c.accessRun(first, (addr+size-1)/c.cfg.Block-first+1)
 }
 
 // AccessBlock touches one block directly by its block id. Block-level
@@ -277,213 +191,31 @@ func (c *Cache) AccessWord(addr int64, write bool) {
 // through AccessBlock reproduce the original run's hit/miss sequence
 // under any organisation — the oracle the one-pass set-associative and
 // FIFO curves are cross-validated against.
+//
+// write is ignored — a write resolves exactly like a read; the argument is
+// kept only because the frozen bench/ module passes it.
 func (c *Cache) AccessBlock(blk int64, write bool) {
-	c.accessRun(blk, 1, write)
-}
-
-// Resident reports whether every block of [addr, addr+size) is currently in
-// cache. It does not affect statistics or recency.
-func (c *Cache) Resident(addr, size int64) bool {
-	if size <= 0 {
-		return true
-	}
-	first := addr / c.cfg.Block
-	last := (addr + size - 1) / c.cfg.Block
-	for b := first; b <= last; b++ {
-		if !c.residentBlock(b) {
-			return false
-		}
-	}
-	return true
-}
-
-// Len returns the number of blocks currently resident.
-func (c *Cache) Len() int64 {
-	if c.cfg.Ways == 0 {
-		return int64(len(c.faMap))
-	}
-	var n int64
-	for s := range c.saBlk {
-		for _, b := range c.saBlk[s] {
-			if b >= 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Flush evicts every block, counting writebacks for dirty blocks. It models
-// the "start each subschedule with an empty cache" device from Theorem 7.
-func (c *Cache) Flush() {
-	if c.cfg.Ways == 0 {
-		for blk, slot := range c.faMap {
-			if c.faDirty[slot] {
-				c.stats.Writebacks++
-			}
-			c.stats.Evictions++
-			delete(c.faMap, blk)
-			c.faFree = append(c.faFree, slot)
-		}
-		c.faHead, c.faTail = -1, -1
-		return
-	}
-	for s := range c.saBlk {
-		for i, b := range c.saBlk[s] {
-			if b >= 0 {
-				if c.saDirty[s][i] {
-					c.stats.Writebacks++
-				}
-				c.stats.Evictions++
-				c.saBlk[s][i] = -1
-				c.saDirty[s][i] = false
-			}
-		}
-	}
-}
-
-func (c *Cache) residentBlock(blk int64) bool {
-	if c.cfg.Ways == 0 {
-		_, ok := c.faMap[blk]
-		return ok
-	}
-	set := blk % c.sets
-	for _, b := range c.saBlk[set] {
-		if b == blk {
-			return true
-		}
-	}
-	return false
+	c.accessRun(blk, 1)
 }
 
 // accessRun touches the n blocks from first up, in order.
-func (c *Cache) accessRun(first, n int64, write bool) {
+func (c *Cache) accessRun(first, n int64) {
 	c.stats.Accesses += n
 	if c.observer != nil {
 		c.observer(first, n)
 	}
-	if c.lines == 0 {
+	if c.bank == nil {
 		return // NewTap: nothing to simulate
 	}
 	for blk := first; blk < first+n; blk++ {
-		if c.cfg.Ways == 0 {
-			c.faAccess(blk, write)
-		} else {
-			c.saAccess(blk, write)
-		}
-	}
-}
-
-func (c *Cache) noteMiss(blk int64) {
-	c.stats.Misses++
-	if len(c.classes) > 0 {
-		c.classMisses[c.classify(blk)]++
-	}
-	if _, ok := c.seen[blk]; !ok {
-		c.seen[blk] = struct{}{}
-		c.stats.Compulsory++
-	}
-}
-
-// --- fully associative ---
-
-func (c *Cache) faAccess(blk int64, write bool) {
-	if slot, ok := c.faMap[blk]; ok {
-		c.stats.Hits++
-		if write {
-			c.faDirty[slot] = true
-		}
-		if c.cfg.Policy == LRU && c.faHead != slot {
-			c.faUnlink(slot)
-			c.faPushFront(slot)
-		}
-		return
-	}
-	c.noteMiss(blk)
-	var slot int32
-	if n := len(c.faFree); n > 0 {
-		slot = c.faFree[n-1]
-		c.faFree = c.faFree[:n-1]
-	} else {
-		slot = c.faTail
-		victim := c.faBlk[slot]
-		if c.faDirty[slot] {
-			c.stats.Writebacks++
-		}
-		c.stats.Evictions++
-		delete(c.faMap, victim)
-		c.faUnlink(slot)
-	}
-	c.faBlk[slot] = blk
-	c.faDirty[slot] = write
-	c.faMap[blk] = slot
-	c.faPushFront(slot)
-}
-
-func (c *Cache) faUnlink(slot int32) {
-	p, n := c.faPrev[slot], c.faNext[slot]
-	if p >= 0 {
-		c.faNext[p] = n
-	} else {
-		c.faHead = n
-	}
-	if n >= 0 {
-		c.faPrev[n] = p
-	} else {
-		c.faTail = p
-	}
-}
-
-func (c *Cache) faPushFront(slot int32) {
-	c.faPrev[slot] = -1
-	c.faNext[slot] = c.faHead
-	if c.faHead >= 0 {
-		c.faPrev[c.faHead] = slot
-	}
-	c.faHead = slot
-	if c.faTail < 0 {
-		c.faTail = slot
-	}
-}
-
-// --- set associative ---
-
-func (c *Cache) saAccess(blk int64, write bool) {
-	c.tick++
-	set := blk % c.sets
-	blks := c.saBlk[set]
-	for i, b := range blks {
-		if b == blk {
+		if c.bank.Access(blk) {
 			c.stats.Hits++
-			if write {
-				c.saDirty[set][i] = true
-			}
-			if c.cfg.Policy == LRU {
-				c.saAge[set][i] = c.tick
-			}
-			return
+			continue
 		}
+		c.stats.Misses++
+		if len(c.classes) > 0 {
+			c.classMisses[c.classify(blk)]++
+		}
+		c.bank.Insert(blk)
 	}
-	c.noteMiss(blk)
-	// Find an empty slot or the oldest entry.
-	victim, oldest := -1, int64(1<<62)
-	for i, b := range blks {
-		if b < 0 {
-			victim = i
-			break
-		}
-		if c.saAge[set][i] < oldest {
-			oldest = c.saAge[set][i]
-			victim = i
-		}
-	}
-	if blks[victim] >= 0 {
-		if c.saDirty[set][victim] {
-			c.stats.Writebacks++
-		}
-		c.stats.Evictions++
-	}
-	blks[victim] = blk
-	c.saDirty[set][victim] = write
-	c.saAge[set][victim] = c.tick
 }

@@ -3,6 +3,7 @@ package cachesim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -49,14 +50,11 @@ func TestSequentialScanMisses(t *testing.T) {
 	c := mustCache(t, Config{Capacity: 1024, Block: 16})
 	const n = 555
 	for i := int64(0); i < n; i++ {
-		c.AccessWord(i, false)
+		c.Access(i, 1)
 	}
 	want := (n + 15) / 16
 	if got := c.Stats().Misses; got != int64(want) {
 		t.Errorf("scan misses = %d, want %d", got, want)
-	}
-	if got := c.Stats().Compulsory; got != int64(want) {
-		t.Errorf("compulsory = %d, want %d", got, want)
 	}
 }
 
@@ -66,7 +64,7 @@ func TestWorkingSetFitsNoCapacityMisses(t *testing.T) {
 	c := mustCache(t, Config{Capacity: 256, Block: 8})
 	for pass := 0; pass < 5; pass++ {
 		for i := int64(0); i < 256; i++ {
-			c.AccessWord(i, false)
+			c.Access(i, 1)
 		}
 	}
 	s := c.Stats()
@@ -83,16 +81,16 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// touch 0 again (0 MRU), then 2 must evict 1; touching 0 is a hit,
 	// touching 1 a miss.
 	c := mustCache(t, Config{Capacity: 2, Block: 1})
-	c.AccessWord(0, false)
-	c.AccessWord(1, false)
-	c.AccessWord(0, false)
-	c.AccessWord(2, false)
+	c.Access(0, 1)
+	c.Access(1, 1)
+	c.Access(0, 1)
+	c.Access(2, 1)
 	pre := c.Stats()
-	c.AccessWord(0, false)
+	c.Access(0, 1)
 	if c.Stats().Misses != pre.Misses {
 		t.Error("block 0 should have been resident")
 	}
-	c.AccessWord(1, false)
+	c.Access(1, 1)
 	if c.Stats().Misses != pre.Misses+1 {
 		t.Error("block 1 should have been evicted")
 	}
@@ -102,68 +100,59 @@ func TestFIFOIgnoresRecency(t *testing.T) {
 	// Under FIFO, re-touching block 0 does not save it: insertion order
 	// is 0,1 so accessing 2 evicts 0 even though 0 was just used.
 	c := mustCache(t, Config{Capacity: 2, Block: 1, Policy: FIFO})
-	c.AccessWord(0, false)
-	c.AccessWord(1, false)
-	c.AccessWord(0, false) // hit, but no promotion under FIFO
-	c.AccessWord(2, false) // evicts 0
+	c.Access(0, 1)
+	c.Access(1, 1)
+	c.Access(0, 1) // hit, but no promotion under FIFO
+	c.Access(2, 1) // evicts 0
 	pre := c.Stats().Misses
-	c.AccessWord(0, false)
+	c.Access(0, 1)
 	if c.Stats().Misses != pre+1 {
 		t.Error("FIFO should have evicted block 0 despite recent use")
 	}
 }
 
+// TestWritebacks pins that writebacks are not modelled: a write resolves
+// exactly like a read, so AccessBlock's write flag changes no statistic.
 func TestWritebacks(t *testing.T) {
-	c := mustCache(t, Config{Capacity: 2, Block: 1})
-	c.AccessWord(0, true)  // dirty
-	c.AccessWord(1, false) // clean
-	c.AccessWord(2, false) // evicts 0 (LRU), dirty -> writeback
-	if got := c.Stats().Writebacks; got != 1 {
-		t.Errorf("writebacks = %d, want 1", got)
-	}
-	c.AccessWord(3, true) // evicts 1, clean -> no writeback
-	if got := c.Stats().Writebacks; got != 1 {
-		t.Errorf("writebacks = %d, want 1 after clean eviction", got)
-	}
-	c.Flush() // 2 clean, 3 dirty
-	if got := c.Stats().Writebacks; got != 2 {
-		t.Errorf("writebacks after flush = %d, want 2", got)
-	}
-	if c.Len() != 0 {
-		t.Errorf("Len after flush = %d, want 0", c.Len())
+	for _, cfg := range []Config{{Capacity: 2, Block: 1}, {Capacity: 4, Block: 1, Ways: 2, Policy: FIFO}} {
+		reads, writes := mustCache(t, cfg), mustCache(t, cfg)
+		for _, blk := range []int64{0, 1, 2, 0, 3, 1, 2, 2, 4, 0} {
+			reads.AccessBlock(blk, false)
+			writes.AccessBlock(blk, true)
+		}
+		if reads.Stats() != writes.Stats() {
+			t.Errorf("%+v: writes %+v, reads %+v", cfg, writes.Stats(), reads.Stats())
+		}
 	}
 }
 
 func TestAccessRangeCountsBlocksOnce(t *testing.T) {
 	c := mustCache(t, Config{Capacity: 1024, Block: 16})
-	c.Access(5, 30, false) // words 5..34 span blocks 0,1,2
+	c.Access(5, 30) // words 5..34 span blocks 0,1,2
 	s := c.Stats()
 	if s.Accesses != 3 || s.Misses != 3 {
 		t.Errorf("range access: accesses=%d misses=%d, want 3,3", s.Accesses, s.Misses)
 	}
-	c.Access(5, 0, false)
-	c.Access(5, -3, false)
+	c.Access(5, 0)
+	c.Access(5, -3)
 	if c.Stats().Accesses != 3 {
 		t.Error("empty/negative ranges must be no-ops")
 	}
 }
 
+// TestResident checks what a range access leaves resident: every block of
+// the range (touching it again only hits), and nothing past it.
 func TestResident(t *testing.T) {
 	c := mustCache(t, Config{Capacity: 64, Block: 8})
-	if !c.Resident(0, 0) {
-		t.Error("empty range should be resident")
+	c.Access(0, 32)
+	c.ResetStats()
+	c.Access(0, 32)
+	if s := c.Stats(); s != (Stats{Accesses: 4, Hits: 4}) {
+		t.Errorf("just-accessed range not resident: %+v", s)
 	}
-	c.Access(0, 32, false)
-	if !c.Resident(0, 32) {
-		t.Error("just-accessed range should be resident")
-	}
-	if c.Resident(0, 128) {
-		t.Error("unaccessed tail should not be resident")
-	}
-	pre := c.Stats()
-	c.Resident(0, 64)
-	if c.Stats() != pre {
-		t.Error("Resident must not change stats")
+	c.Access(32, 32)
+	if s := c.Stats(); s.Misses != 4 {
+		t.Errorf("unaccessed tail resident: %+v", s)
 	}
 }
 
@@ -171,57 +160,90 @@ func TestSetAssociativeConflicts(t *testing.T) {
 	// 2 sets x 2 ways, block 1. Blocks 0,2,4 all map to set 0; with 2 ways
 	// the third conflicts even though capacity (4) is not exhausted.
 	c := mustCache(t, Config{Capacity: 4, Block: 1, Ways: 2})
-	c.AccessWord(0, false)
-	c.AccessWord(2, false)
-	c.AccessWord(4, false) // evicts block 0 within set 0
+	c.Access(0, 1)
+	c.Access(2, 1)
+	c.Access(4, 1) // evicts block 0 within set 0
 	pre := c.Stats().Misses
-	c.AccessWord(0, false)
+	c.Access(0, 1)
 	if c.Stats().Misses != pre+1 {
 		t.Error("conflict miss expected in 2-way set")
 	}
 	// Fully associative with same capacity holds all three.
 	f := mustCache(t, Config{Capacity: 4, Block: 1})
-	f.AccessWord(0, false)
-	f.AccessWord(2, false)
-	f.AccessWord(4, false)
+	f.Access(0, 1)
+	f.Access(2, 1)
+	f.Access(4, 1)
 	pre = f.Stats().Misses
-	f.AccessWord(0, false)
+	f.Access(0, 1)
 	if f.Stats().Misses != pre {
 		t.Error("fully associative cache should not conflict at 3/4 load")
 	}
 }
 
-func TestStatsAddSub(t *testing.T) {
-	a := Stats{Accesses: 10, Hits: 6, Misses: 4, Compulsory: 2, Evictions: 1, Writebacks: 1}
-	b := Stats{Accesses: 3, Hits: 1, Misses: 2, Compulsory: 1}
-	sum := a.Add(b)
-	if sum.Accesses != 13 || sum.Misses != 6 {
-		t.Errorf("Add = %+v", sum)
-	}
-	if diff := sum.Sub(b); diff != a {
-		t.Errorf("Sub = %+v, want %+v", diff, a)
-	}
+// reference is an obviously-correct cache: per set an ordered slice,
+// newest first, with placement by floored blk mod sets. It shares no code
+// with Bank; Bank, Cache and the fuzz target are held against it.
+type reference struct {
+	sets   [][]int64
+	ways   int
+	policy Policy
 }
 
-// referenceLRU is an obviously-correct fully-associative LRU used to
-// cross-check the production implementation on random traces.
-type referenceLRU struct {
-	cap    int
-	blocks []int64 // index 0 = MRU
+func newReference(sets, ways int64, policy Policy) *reference {
+	return &reference{sets: make([][]int64, sets), ways: int(ways), policy: policy}
 }
 
-func (r *referenceLRU) access(blk int64) (hit bool) {
-	for i, b := range r.blocks {
-		if b == blk {
-			copy(r.blocks[1:i+1], r.blocks[:i])
-			r.blocks[0] = blk
-			return true
-		}
+func (r *reference) set(blk int64) *[]int64 {
+	n := int64(len(r.sets))
+	return &r.sets[((blk%n)+n)%n]
+}
+
+func (r *reference) contains(blk int64) bool { return slices.Contains(*r.set(blk), blk) }
+
+// access reports residency; an LRU hit moves the block to the front.
+func (r *reference) access(blk int64) bool {
+	row := r.set(blk)
+	i := slices.Index(*row, blk)
+	if i >= 0 && r.policy == LRU {
+		*row = slices.Insert(slices.Delete(*row, i, i+1), 0, blk)
 	}
-	if len(r.blocks) == r.cap {
-		r.blocks = r.blocks[:len(r.blocks)-1]
+	return i >= 0
+}
+
+// insert puts a non-resident blk at the front, evicting the back of a
+// full set.
+func (r *reference) insert(blk int64) (victim int64, evicted bool) {
+	row := r.set(blk)
+	if len(*row) == r.ways {
+		victim, evicted = (*row)[r.ways-1], true
+		*row = (*row)[:r.ways-1]
 	}
-	r.blocks = append([]int64{blk}, r.blocks...)
+	*row = slices.Insert(*row, 0, blk)
+	return victim, evicted
+}
+
+func (r *reference) remove(blk int64) bool {
+	row := r.set(blk)
+	i := slices.Index(*row, blk)
+	if i >= 0 {
+		*row = slices.Delete(*row, i, i+1)
+	}
+	return i >= 0
+}
+
+func (r *reference) len() (n int64) {
+	for _, row := range r.sets {
+		n += int64(len(row))
+	}
+	return n
+}
+
+// touch is one cache access: a hit, or a miss that inserts.
+func (r *reference) touch(blk int64) bool {
+	if r.access(blk) {
+		return true
+	}
+	r.insert(blk)
 	return false
 }
 
@@ -232,16 +254,16 @@ func TestPropLRUMatchesReference(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := &referenceLRU{cap: int(lines)}
+		ref := newReference(1, lines, LRU)
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nAccess%2048) + 1
 		for i := 0; i < n; i++ {
 			// Address pool ~3x capacity so evictions happen.
 			addr := rng.Int63n(lines * 12)
 			pre := c.Stats().Hits
-			c.AccessWord(addr, rng.Intn(2) == 0)
+			c.Access(addr, 1)
 			gotHit := c.Stats().Hits == pre+1
-			if gotHit != ref.access(addr/4) {
+			if gotHit != ref.touch(addr/4) {
 				return false
 			}
 		}
@@ -264,10 +286,10 @@ func TestPropHitsPlusMissesEqualsAccesses(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 500; i++ {
-			c.Access(rng.Int63n(1024), rng.Int63n(16)+1, rng.Intn(2) == 0)
+			c.Access(rng.Int63n(1024), rng.Int63n(16)+1)
 		}
 		s := c.Stats()
-		return s.Hits+s.Misses == s.Accesses && s.Compulsory <= s.Misses
+		return s.Hits+s.Misses == s.Accesses
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -321,29 +343,33 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func BenchmarkFullyAssociativeAccess(b *testing.B) {
-	c, _ := New(Config{Capacity: 1 << 16, Block: 32})
+// BenchmarkCacheReplay times one 4096-block replay (one op) through a
+// 2048-line cache warmed on the same replay, fully associative and 8-way.
+func BenchmarkCacheReplay(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	addrs := make([]int64, 4096)
-	for i := range addrs {
-		addrs[i] = rng.Int63n(1 << 18)
+	blocks := make([]int64, 4096)
+	for i := range blocks {
+		blocks[i] = rng.Int63n(1 << 13)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AccessWord(addrs[i&4095], false)
-	}
-}
-
-func BenchmarkSetAssociativeAccess(b *testing.B) {
-	c, _ := New(Config{Capacity: 1 << 16, Block: 32, Ways: 8})
-	rng := rand.New(rand.NewSource(1))
-	addrs := make([]int64, 4096)
-	for i := range addrs {
-		addrs[i] = rng.Int63n(1 << 18)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AccessWord(addrs[i&4095], false)
+	for _, bc := range []struct {
+		name string
+		ways int
+	}{{"fa-2048", 0}, {"8way", 8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := New(Config{Capacity: 2048 * 32, Block: 32, Ways: bc.ways})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, blk := range blocks {
+				c.AccessBlock(blk, false)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, blk := range blocks {
+					c.AccessBlock(blk, false)
+				}
+			}
+		})
 	}
 }
 
@@ -352,24 +378,18 @@ func TestSingleLineCacheThrashes(t *testing.T) {
 	// blocks always miss; repeating the same block always hits.
 	for _, policy := range []Policy{LRU, FIFO} {
 		c := mustCache(t, Config{Capacity: 8, Block: 8, Policy: policy})
-		c.AccessWord(0, false)  // miss (block 0)
-		c.AccessWord(3, false)  // hit, same block
-		c.AccessWord(8, false)  // miss, evicts 0
-		c.AccessWord(0, false)  // miss, evicts 1
-		c.AccessWord(7, true)   // hit
-		c.AccessWord(15, false) // miss, writeback of dirty block 0
+		c.Access(0, 1)  // miss (block 0)
+		c.Access(3, 1)  // hit, same block
+		c.Access(8, 1)  // miss, evicts 0
+		c.Access(0, 1)  // miss, evicts 1
+		c.Access(7, 1)  // hit
+		c.Access(15, 1) // miss, evicts 0
 		st := c.Stats()
 		if st.Accesses != 6 || st.Misses != 4 || st.Hits != 2 {
 			t.Errorf("%v one-line cache: %+v", policy, st)
 		}
-		if st.Evictions != 3 {
-			t.Errorf("%v one-line cache evictions = %d, want 3", policy, st.Evictions)
-		}
-		if st.Writebacks != 1 {
-			t.Errorf("%v one-line cache writebacks = %d, want 1", policy, st.Writebacks)
-		}
-		if st.Compulsory != 2 { // only blocks 0 and 1 are ever touched
-			t.Errorf("%v one-line cache compulsory = %d, want 2", policy, st.Compulsory)
+		if n := c.bank.Len(); n != 1 {
+			t.Errorf("%v one-line cache holds %d blocks", policy, n)
 		}
 	}
 }
@@ -379,14 +399,14 @@ func TestDirectMappedConflicts(t *testing.T) {
 	// Blocks 0 and 4 conflict; 1, 2, 3 are undisturbed.
 	c := mustCache(t, Config{Capacity: 4, Block: 1, Ways: 1})
 	for _, b := range []int64{0, 1, 2, 3} {
-		c.AccessWord(b, false)
+		c.Access(b, 1)
 	}
 	if c.Stats().Misses != 4 {
 		t.Fatalf("cold misses = %d, want 4", c.Stats().Misses)
 	}
-	c.AccessWord(4, false) // conflict-evicts 0 despite 3 free-looking ways elsewhere
-	c.AccessWord(0, false) // conflict-evicts 4
-	c.AccessWord(1, false) // still resident: different set
+	c.Access(4, 1) // conflict-evicts 0 despite 3 free-looking ways elsewhere
+	c.Access(0, 1) // conflict-evicts 4
+	c.Access(1, 1) // still resident: different set
 	st := c.Stats()
 	if st.Misses != 6 {
 		t.Errorf("misses = %d, want 6 (two conflict misses)", st.Misses)
@@ -394,7 +414,7 @@ func TestDirectMappedConflicts(t *testing.T) {
 	if st.Hits != 1 {
 		t.Errorf("hits = %d, want 1", st.Hits)
 	}
-	if got := c.Len(); got != 4 {
+	if got := c.bank.Len(); got != 4 {
 		t.Errorf("resident blocks = %d, want 4", got)
 	}
 }
@@ -407,9 +427,8 @@ func TestDirectMappedFIFOEqualsLRU(t *testing.T) {
 	fifo := mustCache(t, Config{Capacity: 8, Block: 2, Ways: 1, Policy: FIFO})
 	for i := 0; i < 2000; i++ {
 		addr := rng.Int63n(64)
-		write := rng.Intn(4) == 0
-		lru.AccessWord(addr, write)
-		fifo.AccessWord(addr, write)
+		lru.Access(addr, 1)
+		fifo.Access(addr, 1)
 	}
 	if lru.Stats() != fifo.Stats() {
 		t.Errorf("direct-mapped LRU %+v != FIFO %+v", lru.Stats(), fifo.Stats())
@@ -420,90 +439,59 @@ func TestSetAssociativeFIFOIgnoresRecency(t *testing.T) {
 	// 2 sets x 2 ways, 1-word blocks. Blocks 0,2,4 all map to set 0.
 	// Under FIFO, re-touching 0 does not save it from eviction.
 	c := mustCache(t, Config{Capacity: 4, Block: 1, Ways: 2, Policy: FIFO})
-	c.AccessWord(0, false)
-	c.AccessWord(2, false)
-	c.AccessWord(0, false) // hit; no promotion under FIFO
-	c.AccessWord(4, false) // set 0 full: evicts 0 (oldest insertion)
+	c.Access(0, 1)
+	c.Access(2, 1)
+	c.Access(0, 1) // hit; no promotion under FIFO
+	c.Access(4, 1) // set 0 full: evicts 0 (oldest insertion)
 	pre := c.Stats().Misses
-	c.AccessWord(0, false)
+	c.Access(0, 1)
 	if c.Stats().Misses != pre+1 {
 		t.Error("set-associative FIFO should have evicted block 0 despite recent use")
 	}
 	// Same sequence under LRU keeps 0 and evicts 2 instead.
 	c = mustCache(t, Config{Capacity: 4, Block: 1, Ways: 2})
-	c.AccessWord(0, false)
-	c.AccessWord(2, false)
-	c.AccessWord(0, false) // promotes 0
-	c.AccessWord(4, false) // evicts 2
+	c.Access(0, 1)
+	c.Access(2, 1)
+	c.Access(0, 1) // promotes 0
+	c.Access(4, 1) // evicts 2
 	pre = c.Stats().Misses
-	c.AccessWord(0, false)
+	c.Access(0, 1)
 	if c.Stats().Misses != pre {
 		t.Error("set-associative LRU should have kept block 0")
 	}
-	c.AccessWord(2, false)
+	c.Access(2, 1)
 	if c.Stats().Misses != pre+1 {
 		t.Error("set-associative LRU should have evicted block 2")
 	}
 }
 
 func TestFullyAssociativeFIFOFlushAndRefill(t *testing.T) {
-	// FIFO boundary: fill, flush (with a dirty block), refill. Flush must
-	// count evictions and the writeback, and reset insertion order.
+	// FIFO boundary: fill, flush by streaming as many fresh blocks as
+	// there are lines (FIFO evicts every original block, whatever its
+	// use), refill. The refill's insertion order is the new FIFO order.
 	c := mustCache(t, Config{Capacity: 3, Block: 1, Policy: FIFO})
-	c.AccessWord(0, true)
-	c.AccessWord(1, false)
-	c.AccessWord(2, false)
-	c.Flush()
-	st := c.Stats()
-	if st.Evictions != 3 || st.Writebacks != 1 {
-		t.Fatalf("flush evictions=%d writebacks=%d, want 3 and 1", st.Evictions, st.Writebacks)
+	for _, addr := range []int64{0, 1, 2, 0, 10, 11, 12} {
+		c.Access(addr, 1)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("resident after flush = %d", c.Len())
+	if st := c.Stats(); st.Misses != 6 || st.Hits != 1 {
+		t.Fatalf("fill and flush: %+v, want 6 misses and 1 hit", st)
 	}
-	c.AccessWord(2, false)
-	c.AccessWord(1, false)
-	c.AccessWord(0, false)
-	c.AccessWord(3, false) // evicts 2: first inserted after the flush
+	c.Access(2, 1)
+	c.Access(1, 1)
+	c.Access(0, 1)
+	if st := c.Stats(); st.Misses != 9 {
+		t.Fatalf("a flushed block survived: %+v", st)
+	}
+	c.Access(3, 1) // evicts 2: first inserted after the flush
 	pre := c.Stats().Misses
-	c.AccessWord(1, false)
-	c.AccessWord(0, false)
+	c.Access(1, 1)
+	c.Access(0, 1)
 	if c.Stats().Misses != pre {
 		t.Error("blocks 1 and 0 should have survived the post-flush eviction")
 	}
-	c.AccessWord(2, false)
+	c.Access(2, 1)
 	if c.Stats().Misses != pre+1 {
 		t.Error("block 2 should have been the FIFO victim after refill")
-	}
-}
-
-func TestObserverAndTraceTapConflictPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	c := mustCache(t, Config{Capacity: 64, Block: 8})
-	c.SetObserver(func(int64, int64) {})
-	mustPanic("StartTrace over observer", c.StartTrace)
-	c.SetObserver(nil)
-	c.StartTrace()
-	mustPanic("SetObserver over trace", func() { c.SetObserver(func(int64, int64) {}) })
-	mustPanic("SetObserver(nil) over trace", func() { c.SetObserver(nil) })
-	c.AccessWord(0, false)
-	c.AccessWord(8, false)
-	if tr := c.StopTrace(); tr == nil || tr.Len() != 2 {
-		t.Fatalf("trace after conflict guards: %v", tr)
-	}
-	// Tap is free again: both directions work.
-	c.SetObserver(func(int64, int64) {})
-	c.SetObserver(nil)
-	c.StartTrace()
-	if tr := c.StopTrace(); tr == nil {
-		t.Fatal("restarted trace missing")
 	}
 }
 
@@ -515,7 +503,7 @@ func TestTapSeesRangesAsRuns(t *testing.T) {
 	var sim, tap [][2]int64
 	c := mustCache(t, Config{Capacity: 64, Block: 8})
 	c.SetObserver(func(base, n int64) {
-		if n > 1 && c.Resident(base*8, n*8) {
+		if n > 1 && c.bank.Contains(base+n-1) {
 			t.Errorf("run %d+%d resolved before the observer saw it", base, n)
 		}
 		sim = append(sim, [2]int64{base, n})
@@ -528,11 +516,11 @@ func TestTapSeesRangesAsRuns(t *testing.T) {
 		t.Error("NewTap accepted a zero block size")
 	}
 	for _, cache := range []*Cache{c, only} {
-		cache.Access(5, 30, false) // words 5..34: blocks 0..4
-		cache.Access(16, 0, true)  // empty range: no access
-		cache.AccessWord(17, true)
+		cache.Access(5, 30) // words 5..34: blocks 0..4
+		cache.Access(16, 0) // empty range: no access
+		cache.Access(17, 1)
 		cache.AccessBlock(-3, false)
-		cache.Access(8, 8, false)
+		cache.Access(8, 8)
 	}
 	want := [][2]int64{{0, 5}, {2, 1}, {-3, 1}, {1, 1}}
 	if !reflect.DeepEqual(sim, want) || !reflect.DeepEqual(tap, want) {
@@ -544,8 +532,7 @@ func TestTapSeesRangesAsRuns(t *testing.T) {
 	if st := only.Stats(); st != (Stats{Accesses: 8}) {
 		t.Errorf("tap-only cache stats %+v, want 8 accesses and nothing else", st)
 	}
-	if only.Len() != 0 || only.Resident(0, 8) {
-		t.Error("tap-only cache claims contents")
+	if only.bank != nil {
+		t.Error("tap-only cache simulates a bank")
 	}
-	only.Flush() // nothing to flush, nothing to panic over
 }

@@ -256,10 +256,10 @@ func (m *Machine) Fire(v sdf.NodeID) error {
 	if err := m.fireCheck(v); err != nil {
 		return err
 	}
-	// Load state. The module reads (and may update) its state; we charge
-	// reads, which is what the model counts — transfers into cache.
+	// Load state. The module reads (and may update) its state; the model
+	// counts transfers into cache, so one access per block is the charge.
 	st := m.state[v]
-	m.cache.Access(st.Base, st.Size, false)
+	m.cache.Access(st.Base, st.Size)
 
 	var acc uint64 = 1469598103934665603 // FNV offset basis
 	acc = mix(acc, uint64(v))
