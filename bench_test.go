@@ -1,10 +1,10 @@
 package streamsched_test
 
-// One benchmark per experiment in EXPERIMENTS.md. Each bench reports the
-// experiment's headline metric (misses/item in the DAM model, or ns/item
-// on real hardware for E14) via b.ReportMetric, so `go test -bench=.`
-// regenerates every table's characteristic numbers at reduced scale;
-// cmd/experiments prints the full tables.
+// One benchmark per experiment in cmd/experiments/README.md. Each bench
+// reports the experiment's headline metric (misses/item in the DAM model,
+// or ns/item on real hardware for E14) via b.ReportMetric, so `go test
+// -bench=.` regenerates every table's characteristic numbers at reduced
+// scale; cmd/experiments prints the full tables.
 
 import (
 	"fmt"

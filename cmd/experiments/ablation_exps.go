@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/report"
@@ -58,12 +57,13 @@ func runE10(cfg runConfig) error {
 
 // runE12 re-runs the E1-style comparison under different cache
 // organisations — set-associative placement (direct-mapped through fully
-// associative) and FIFO replacement — now from ONE recorded trace per
+// associative) and FIFO replacement — from ONE recorded trace per
 // scheduler: per-set Mattson stacks answer every set-associative LRU
 // point and multiplexed per-set replicas answer every FIFO point, where
 // the pointwise version paid one full simulation per (scheduler,
-// organisation, M) cell. Every cell is cross-validated against the cache
-// simulator (exact, not approximate) and the wall-clock win is reported.
+// organisation, M) cell. That every cell equals the cache simulator's
+// count is TestPropOrgCurvesMatchSimulatorOnRandomPipelines' job, which
+// holds this grid, graph and scheduler list against it.
 // Expected shape: absolute numbers move slightly but the scheduler
 // ordering (partitioned < scaled < flat) is preserved — the paper's
 // conclusions do not depend on the idealised fully-associative LRU.
@@ -94,11 +94,8 @@ func runE12(cfg runConfig) error {
 		return err
 	}
 
-	// One recorded trace per scheduler answers the whole grid. workers=1
-	// keeps the wall-clock comparison sequential vs sequential.
-	start := time.Now()
-	outcomes := schedule.SweepCurveOrgs(g, scheds, env, env.B, warm, meas, specs, 1)
-	curveTime := time.Since(start)
+	// One recorded trace per scheduler answers the whole grid.
+	outcomes := schedule.SweepCurveOrgs(g, scheds, env, env.B, warm, meas, specs, 0)
 	results := make([]*schedule.CurveResult, 0, len(outcomes))
 	for _, o := range outcomes {
 		if o.Err != nil {
@@ -106,13 +103,10 @@ func runE12(cfg runConfig) error {
 		}
 		results = append(results, o.Value)
 	}
-	curveMisses := func(r *schedule.CurveResult, c, w int64, pol cachesim.Policy) int64 {
+	missesPerItem := func(r *schedule.CurveResult, c, w int64, pol cachesim.Policy) float64 {
 		sets, _ := trace.SetsFor(c, env.B, w)
 		misses, _ := r.Orgs[specIdx[sets]].Misses(trace.EffectiveWays(c, env.B, w), pol == cachesim.FIFO)
-		return misses
-	}
-	missesPerItem := func(r *schedule.CurveResult, c, w int64, pol cachesim.Policy) float64 {
-		return float64(curveMisses(r, c, w, pol)) / float64(r.InputItems)
+		return float64(misses) / float64(r.InputItems)
 	}
 
 	orgName := func(w int64, pol cachesim.Policy) string {
@@ -143,48 +137,5 @@ func runE12(cfg runConfig) error {
 			}
 		}
 	}
-	if err := tb.Render(cfg.out); err != nil {
-		return err
-	}
-
-	// Cross-validate every cell against the simulator and time the naive
-	// pointwise equivalent of the whole grid.
-	start = time.Now()
-	points, mismatches := 0, 0
-	for si, s := range scheds {
-		for _, w := range waysList {
-			for _, pol := range policies {
-				for _, c := range caps {
-					simCfg := cachesim.Config{Capacity: c, Block: env.B, Ways: int(w), Policy: pol}
-					res, err := schedule.Measure(g, s, env, simCfg, warm, meas)
-					if err != nil {
-						return err
-					}
-					points++
-					got := res.Stats.Misses
-					curve := curveMisses(results[si], c, w, pol)
-					if curve != got {
-						mismatches++
-						fmt.Fprintf(cfg.out, "MISMATCH: %s %s M=%d: simulate %d, curve %d\n",
-							s.Name(), orgName(w, pol), c, got, curve)
-					}
-				}
-			}
-		}
-	}
-	simTime := time.Since(start)
-	status := "exact match at every point"
-	if mismatches > 0 {
-		status = fmt.Sprintf("%d MISMATCHED points (see above)", mismatches)
-	}
-	fmt.Fprintf(cfg.out, "cross-validation vs cachesim (%d scheduler x %d organisation x %d M points): %s\n",
-		len(scheds), len(waysList)*len(policies), len(caps), status)
-	fmt.Fprintf(cfg.out, "wall clock (both sequential): %v for %d traces vs %v for %d pointwise simulations (%.1fx)\n",
-		curveTime.Round(time.Millisecond), len(scheds),
-		simTime.Round(time.Millisecond), points,
-		float64(simTime)/float64(curveTime))
-	if mismatches > 0 {
-		return fmt.Errorf("E12: %d cross-validation mismatches", mismatches)
-	}
-	return nil
+	return tb.Render(cfg.out)
 }

@@ -37,7 +37,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	want := map[string]bool{}
-	for i := 1; i <= 22; i++ {
+	for i := 1; i <= 21; i++ {
 		if i == 14 {
 			continue // E14 is the real-memory benchmark in bench_test.go
 		}
@@ -59,10 +59,10 @@ func TestRegistryComplete(t *testing.T) {
 
 func expID(i int) string { return fmt.Sprintf("E%d", i) }
 
-// TestE20Harness pins the new hierarchy experiment's harness integration:
-// it is registered (so -list shows it), selectable as "-run e20", sorts
-// after E19, and runs correctly under the -jobs parallel mode with its
-// output buffered and attributed.
+// TestE20Harness pins the hierarchy experiment's harness integration: it
+// is registered (so -list shows it), selectable as "-run e20", sorts after
+// E19, and runs under the -jobs parallel mode with both its tables
+// buffered and attributed.
 func TestE20Harness(t *testing.T) {
 	selected, err := selectExperiments("e20")
 	if err != nil || len(selected) != 1 || selected[0].id != "E20" {
@@ -82,7 +82,7 @@ func TestE20Harness(t *testing.T) {
 		t.Fatalf("E20 failed under -jobs 2:\n%s", buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"=== E20", "cross-validation vs two-level simulator", "exact match at every point"} {
+	for _, want := range []string{"=== E20", "E20: memory misses/item through an (L1, L2) hierarchy", "E20: AMAT"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("parallel-mode E20 output missing %q:\n%s", want, out)
 		}
@@ -90,8 +90,8 @@ func TestE20Harness(t *testing.T) {
 }
 
 // TestE21Harness pins the shared-L2 experiment's harness integration:
-// registered, selectable, sorted after E20, and correct under -jobs with
-// its exact cross-validation reported.
+// registered, selectable, sorted after E20, and running under -jobs with
+// its tables buffered and attributed.
 func TestE21Harness(t *testing.T) {
 	selected, err := selectExperiments("e21")
 	if err != nil || len(selected) != 1 || selected[0].id != "E21" {
@@ -111,38 +111,9 @@ func TestE21Harness(t *testing.T) {
 		t.Fatalf("E21 failed under -jobs 2:\n%s", buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"=== E21", "cross-validation vs shared-L2 simulator", "exact match at every point"} {
+	for _, want := range []string{"=== E21", "E21: shared-L2 memory misses/item and AMAT"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("parallel-mode E21 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestE22Harness pins the instrumentation experiment's harness
-// integration: registered, selectable, sorted after E21, and exact under
-// -jobs 1 (a private registry; the counter cross-check must hold).
-func TestE22Harness(t *testing.T) {
-	selected, err := selectExperiments("e22")
-	if err != nil || len(selected) != 1 || selected[0].id != "E22" {
-		t.Fatalf("selectExperiments(e22) = %v, %v; want the E22 experiment", selected, err)
-	}
-	if !strings.Contains(selected[0].title, "instrumentation") {
-		t.Errorf("E22 title %q does not mention instrumentation", selected[0].title)
-	}
-	if experimentOrder("E21") >= experimentOrder("E22") {
-		t.Error("E22 should sort after E21")
-	}
-	if testing.Short() {
-		t.Skip("running E22 itself skipped in -short mode")
-	}
-	var buf bytes.Buffer
-	if failed := runExperiments(selected, runConfig{seed: 1}, 1, &buf); failed != 0 {
-		t.Fatalf("E22 failed:\n%s", buf.String())
-	}
-	out := buf.String()
-	for _, want := range []string{"=== E22", "exact match on every schedule and counter", "replay (bare ForEach)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E22 output missing %q:\n%s", want, out)
 		}
 	}
 }

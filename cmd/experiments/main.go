@@ -1,5 +1,5 @@
-// Command experiments regenerates every experiment recorded in
-// EXPERIMENTS.md: the empirical validation of the paper's theorems
+// Command experiments regenerates every experiment listed in
+// cmd/experiments/README.md: the empirical validation of the paper's theorems
 // (lower/upper bound sandwich, partitioned-vs-baseline comparisons,
 // parameter sweeps, ablations) on the DAM cache simulator.
 //
@@ -54,11 +54,6 @@ type runConfig struct {
 	full bool
 	seed int64
 	out  io.Writer // per-experiment output stream
-	// sharedMetrics is set when a process-wide metrics registry is live
-	// and multiple experiments may publish to it concurrently; exact
-	// counter cross-checks (E22) skip themselves then, since the deltas
-	// would include other experiments' traffic.
-	sharedMetrics bool
 }
 
 var registry []experiment
@@ -121,10 +116,7 @@ func realMain() (code int) {
 			}
 		}
 	}()
-	cfg := runConfig{
-		full: *full, seed: *seed,
-		sharedMetrics: obs.Default() != nil && *jobs > 1 && len(selected) > 1,
-	}
+	cfg := runConfig{full: *full, seed: *seed}
 	if failed := runExperiments(selected, cfg, *jobs, os.Stdout); failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failed)
 		return 1

@@ -2,9 +2,7 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"streamsched/internal/cachesim"
 	"streamsched/internal/report"
 	"streamsched/internal/schedule"
 )
@@ -17,9 +15,8 @@ func init() {
 // scheduler — but from one recorded trace per scheduler instead of one
 // simulation per (scheduler, M) point: Mattson reuse-distance profiling
 // yields the exact fully-associative LRU miss count for every capacity in
-// a single pass. The experiment cross-validates the curve against the
-// cache simulator and reports the wall-clock advantage of sweeping through
-// the curve.
+// a single pass. TestMeasureCurveMatchesMeasure holds the curve against
+// the cache simulator for every scheduler here, on random graphs.
 func runE19(cfg runConfig) error {
 	n, state := 34, int64(128)
 	warm, meas := int64(512), int64(2048)
@@ -36,12 +33,7 @@ func runE19(cfg runConfig) error {
 	env := schedule.Env{M: designM, B: 16}
 	scheds := append(schedule.Baselines(), schedule.Partitioned(g, nil))
 
-	// workers=1 so the wall-clock comparison below is sequential vs
-	// sequential: the printed ratio is the engine's algorithmic gain, not
-	// goroutine parallelism (which SweepCurves adds on top; see workers=0).
-	start := time.Now()
-	outcomes := schedule.SweepCurves(g, scheds, env, env.B, warm, meas, 1)
-	curveTime := time.Since(start)
+	outcomes := schedule.SweepCurves(g, scheds, env, env.B, warm, meas, 0)
 	results := make([]*schedule.CurveResult, 0, len(outcomes))
 	for _, o := range outcomes {
 		if o.Err != nil {
@@ -70,34 +62,6 @@ func runE19(cfg runConfig) error {
 		return err
 	}
 
-	// Cross-validate one column against the simulator and time the naive
-	// equivalent of the whole sweep.
-	start = time.Now()
-	exact := true
-	for si, s := range scheds {
-		for _, c := range caps {
-			res, err := schedule.Measure(g, s, env, cachesim.Config{Capacity: c, Block: env.B}, warm, meas)
-			if err != nil {
-				return err
-			}
-			if res.Stats.Misses != results[si].Curve.MissesAtCapacity(c, env.B) {
-				exact = false
-				fmt.Fprintf(cfg.out, "MISMATCH: %s at capacity %d: simulate %d, curve %d\n",
-					s.Name(), c, res.Stats.Misses, results[si].Curve.MissesAtCapacity(c, env.B))
-			}
-		}
-	}
-	simTime := time.Since(start)
-	status := "exact match at every point"
-	if !exact {
-		status = "MISMATCHED (see above)"
-	}
-	fmt.Fprintf(cfg.out, "cross-validation vs cachesim (%d scheduler x %d capacity points): %s\n",
-		len(scheds), len(caps), status)
-	fmt.Fprintf(cfg.out, "wall clock (both sequential): %v for %d curves vs %v for %d simulations (%.1fx)\n",
-		curveTime.Round(time.Millisecond), len(scheds),
-		simTime.Round(time.Millisecond), len(scheds)*len(caps),
-		float64(simTime)/float64(curveTime))
 	for _, r := range results {
 		fmt.Fprintf(cfg.out, "%s: trace %d accesses (%d in window), working set %d blocks\n",
 			r.Scheduler, r.TraceLen, r.Curve.Accesses, r.Curve.SaturationLines())

@@ -17,10 +17,16 @@ func registryReadme() string {
 Regenerates every experiment table in one run — the empirical validation
 of the paper's theorems (lower/upper bound sandwich, partitioned-vs-
 baseline comparisons, parameter sweeps, ablations) plus the repository's
-extensions (one-pass curve engines, hierarchies, shared L2,
-instrumentation). The process exits non-zero if any selected experiment
-fails, including the exact cross-validation experiments (E20, E21, E22),
-and rejects unknown ` + "`-run`" + ` ids.
+extensions (one-pass curve engines, hierarchies, shared L2). The process
+exits non-zero if any selected experiment fails, and rejects unknown
+` + "`-run`" + ` ids.
+
+Each experiment prints its scheduling result. That the one-pass engines
+behind E12 and E19–E21 are exact is proved by ` + "`go test ./...`" + `,
+not here: ` + "`TestPropOrgCurvesMatchSimulatorOnRandomPipelines`" + ` (E12's
+grid), ` + "`TestMeasureCurveMatchesMeasure`" + ` (E19),
+` + "`TestPropHierCurvesMatchSimulatorOnRandomPipelines`" + ` (E20) and
+` + "`TestMeasureSharedMatchesRunShared`" + ` (E21).
 
 ## Usage
 
@@ -30,7 +36,7 @@ go run ./cmd/experiments -list           # id + title of every experiment
 go run ./cmd/experiments -run E12,E19    # a selection (case-insensitive)
 go run ./cmd/experiments -jobs 4         # four experiments in flight at once
 go run ./cmd/experiments -full           # full-size graphs and windows
-go run ./cmd/experiments -run e22 -metrics m.json -v   # with observability
+go run ./cmd/experiments -run e20 -metrics m.json -v   # with observability
 ` + "```" + `
 
 | Flag | Meaning |
@@ -47,10 +53,7 @@ go run ./cmd/experiments -run e22 -metrics m.json -v   # with observability
 | ` + "`-v`" + ` | print the span-tree timing summary on exit |
 
 All observability artifacts flush on every exit path, failed experiments
-included. Note: with ` + "`-jobs N>1`" + ` and a live metrics session,
-E22 skips its exact counter cross-check (the deltas would include other
-experiments' concurrent traffic); run it alone for the armed check, as
-CI does.
+included.
 
 ## Experiments
 

@@ -67,7 +67,7 @@ func TestReadmeCoversObsFlags(t *testing.T) {
 			t.Errorf("README does not document the %s flag", flagName)
 		}
 	}
-	if !strings.Contains(doc, "| E22 |") {
-		t.Error("README experiment table is missing E22")
+	if !strings.Contains(doc, "| E21 |") {
+		t.Error("README experiment table is missing E21")
 	}
 }

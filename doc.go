@@ -46,8 +46,9 @@
 // stream — modelling the non-inclusive hierarchy in which the L2 only
 // sees the L1's misses, with an AMAT-style composed cost (HierCostModel).
 // Every grid point matches the exact two-level simulator (hierarchy.Sim,
-// which additionally supports exclusive victim-cache mode); experiment
-// E20 cross-validates the whole grid.
+// which additionally supports exclusive victim-cache mode), as
+// TestPropHierCurvesMatchSimulatorOnRandomPipelines and
+// TestPropHierCurvesMatchSimulatorOnRandomDags in internal/schedule check.
 //
 // SimulateShared puts the parallel extension in front of a shared L2:
 // cfg.Procs simulated processors with private L1s whose miss streams
@@ -57,18 +58,21 @@
 // SimulateSharedPoint is the pointwise oracle (per-processor traffic,
 // per-processor cost, makespan under the AMAT ladder), SweepShared
 // compares variants differing in processor count, claiming rule
-// (ParallelHomogeneous / ParallelPipeline), and partition. Experiment E21
-// cross-validates every (schedule, P, L1, L2) point exactly.
+// (ParallelHomogeneous / ParallelPipeline), and partition.
+// TestMeasureSharedMatchesRunShared in internal/parallel holds every
+// (schedule, P, L1, L2) point of a grid against that oracle.
 //
 // The pipeline is instrumented through internal/obs, a dependency-free
 // metrics layer (named counters, gauges, timers, and hierarchical stage
 // spans) that is a nil-receiver no-op until a registry is installed:
 // cmd/streamsched's measuring verbs and cmd/experiments expose it via
 // -metrics (JSON/CSV snapshot), -cpuprofile/-memprofile/-trace, and -v
-// (span-tree summary). Experiment E22 cross-checks the published counter
-// totals against the exact simulator's access counts.
+// (span-tree summary). TestMetricCountersMatchSimulator in
+// internal/schedule checks the published counter totals against the exact
+// simulator's access counts.
 //
 // Subpackage workloads provides parameterised topologies of classic
-// streaming applications; cmd/experiments regenerates every experiment in
-// EXPERIMENTS.md; cmd/streamsched is a CLI over JSON graph files.
+// streaming applications; cmd/experiments regenerates every experiment
+// listed in cmd/experiments/README.md; cmd/streamsched is a CLI over JSON
+// graph files.
 package streamsched

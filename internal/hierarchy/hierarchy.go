@@ -28,8 +28,8 @@
 // reference stream is precisely the L1 miss stream, which is a
 // deterministic function of the trace and the L1 organisation alone.
 // Exclusive hierarchies also depend on the L1's eviction stream, so they
-// are served by Sim only. Experiment E20 cross-validates every grid point
-// of the one-pass path against Sim.
+// are served by Sim only. TestProfileHierMatchesSimulator holds every grid
+// point of the one-pass path against Sim.
 //
 // The multiprocessor analogue replaces the single L1 with P private L1s
 // feeding one shared L2 in the interleaved order a parallel run emitted
@@ -38,8 +38,8 @@
 // makespan under the cost model) and SharedProfiler the one-pass grid
 // evaluator — the same engine as HierProfiler, which is its one-processor
 // form, with one L1 OrgProfilers per processor, their merged miss streams
-// driving the shared-L2 profilers. Experiment E21 cross-validates every
-// shared grid point against SharedSim. Everything runs inline on the
+// driving the shared-L2 profilers. TestProfileSharedMatchesSimulator holds
+// every shared grid point against SharedSim. Everything runs inline on the
 // calling goroutine in one pass.
 package hierarchy
 

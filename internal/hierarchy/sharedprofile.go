@@ -92,9 +92,9 @@ func (c *SharedCurves) AMAT(i, j int, cm CostModel) float64 {
 // point), so one parallel execution answers every (L1, L2) pairing. The
 // replay honours the log's measured window, so the curves equal those of
 // the same profiler fed live by the run (parallel.MeasureShared).
-// Experiment E21 cross-validates every grid point against SharedSim, an
-// independent implementation (policy-ordered Banks at both levels rather
-// than reuse-distance profilers).
+// TestProfileSharedMatchesSimulator holds every grid point against
+// SharedSim, an independent implementation (policy-ordered Banks at both
+// levels rather than reuse-distance profilers).
 func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
 	p, err := NewSharedProfiler(spec)
 	if err != nil {

@@ -73,7 +73,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 // TestHistogramPercentileGolden pins the quantile estimates on fixed
 // observation sets — the interpolation and min/max clamping must stay
-// deterministic or obsreport diffs and the E22 report churn.
+// deterministic or obsreport diffs churn.
 func TestHistogramPercentileGolden(t *testing.T) {
 	t.Run("uniform-1-100", func(t *testing.T) {
 		h := &Histogram{}

@@ -20,9 +20,11 @@
 // and gauges, internal/server's server.* counters, the server.inflight
 // gauge, and the server.request.duration / server.compute.duration
 // timers). Renaming or repurposing one is a breaking change for
-// downstream dashboards and the E22 cross-checks, and must be called out
-// in CHANGES.md like any API change. New names may be added freely. The
-// full list lives in README.md's Observability section.
+// downstream dashboards and the counter contract tests
+// (TestMetricCountersMatchSimulator, TestSweepPublishesOneObservationPerJob),
+// and must be called out in CHANGES.md like any API change. New names may
+// be added freely. The full list lives in README.md's Observability
+// section.
 //
 // Concurrent writers are expected: the sweep pools and the daemon's
 // computations update counters and timers from many goroutines.

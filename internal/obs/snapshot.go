@@ -37,8 +37,8 @@ type SpanNode struct {
 }
 
 // Snapshot is a registry's state at one instant, the serialisable form
-// behind the -metrics flag, the /metrics.json endpoint, and the E22
-// report.
+// behind the -metrics flag, the /metrics.json endpoint, and the counter
+// contract tests.
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters"`
 	Gauges     map[string]int64          `json:"gauges"`
@@ -62,8 +62,8 @@ func (s *Snapshot) CounterDelta(base *Snapshot, name string) int64 {
 }
 
 // HistogramCountDelta returns how many observations a histogram gained
-// since base (which may be nil, meaning zero) — the cross-check E22 runs
-// against the counters.
+// since base (which may be nil, meaning zero) — what the metric contract
+// tests hold against the counters.
 func (s *Snapshot) HistogramCountDelta(base *Snapshot, name string) int64 {
 	v := s.Histograms[name].Count
 	if base != nil {

@@ -110,8 +110,8 @@ func (r *SharedMeasureResult) MissesPerItem(i, j int) (l1, l2 float64) {
 // per-family shared-L2 profilers. A spec Procs of 0 is
 // filled from cfg.Procs; otherwise they must agree, and spec.Block must
 // equal cfg.Cache.Block. Each grid point matches what RunShared reports
-// for the corresponding SharedConfig (experiment E21 cross-validates every
-// point).
+// for the corresponding SharedConfig (TestMeasureSharedMatchesRunShared
+// checks every point).
 func MeasureShared(name string, g *sdf.Graph, p *partition.Partition, cfg Config, spec hierarchy.SharedSpec, warm, measured int64) (*SharedMeasureResult, error) {
 	if spec.Procs == 0 {
 		spec.Procs = cfg.Procs

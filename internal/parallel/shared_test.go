@@ -1,12 +1,14 @@
 package parallel
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/hierarchy"
 	"streamsched/internal/partition"
+	"streamsched/internal/sdf"
 )
 
 func hlv(capacity, block, ways int64, pol cachesim.Policy) hierarchy.Level {
@@ -20,10 +22,13 @@ func testSpec(procs int) hierarchy.SharedSpec {
 		L1s: []hierarchy.Level{
 			hlv(256, 16, 0, cachesim.LRU),
 			hlv(512, 16, 1, cachesim.LRU),
+			hlv(128, 16, 1, cachesim.LRU),
 		},
 		L2s: []hierarchy.Level{
 			hlv(2048, 16, 0, cachesim.LRU),
 			hlv(4096, 64, 4, cachesim.FIFO),
+			hlv(8192, 64, 8, cachesim.LRU),
+			hlv(2048, 64, 4, cachesim.FIFO),
 		},
 	}
 }
@@ -95,57 +100,81 @@ func TestRunTracedMatchesExecutor(t *testing.T) {
 
 // TestMeasureSharedMatchesRunShared: every grid point of the one-pass
 // profile equals the pointwise shared simulation of the same
-// configuration, at P in {1, 2, 4} — on a fresh execution, which is
+// configuration, at P in {1, 2, 4}, under E21's three schedules: the
+// homogeneous rule on the auto partition of a filterbank, and the
+// pipeline rule on the singleton and auto partitions of E21's pipeline at
+// E21's design point and window, where the coarse-block L2s see more than
+// compulsory misses. The pointwise side is a fresh execution, which is
 // identical because the interleaving depends only on the design caches,
 // not the evaluated hierarchy. Both are the run's sink, each with its own
 // window mark, so a mark that failed to reset either side's counters would
 // show up here as warm-up traffic on one side only.
 func TestMeasureSharedMatchesRunShared(t *testing.T) {
-	g := filterbank(t, 3, 64)
+	fb, pipe := filterbank(t, 3, 64), pipeline(t, 24, 96)
+	e21 := func(procs int, rule Rule) Config {
+		cfg := ruleConfig(procs, rule)
+		cfg.Env.M, cfg.Cache.Capacity = 512, 1024
+		return cfg
+	}
+	variants := []struct {
+		name       string
+		g          *sdf.Graph
+		p          *partition.Partition
+		cfg        func(int, Rule) Config
+		rule       Rule
+		warm, meas int64
+	}{
+		{"homog+auto", fb, nil, ruleConfig, HomogeneousRule, 100, 300},
+		{"pipe+fine", pipe, partition.Singleton(pipe), e21, PipelineRule, 256, 1024},
+		{"pipe+aware", pipe, nil, e21, PipelineRule, 256, 1024},
+	}
 	cm := hierarchy.DefaultCostModel
-	for _, procs := range []int{1, 2, 4} {
-		cfg, spec := testConfig(procs), testSpec(procs)
-		mr, err := MeasureShared("test", g, nil, cfg, spec, 100, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traced, plog, err := RunTraced(g, nil, cfg, 100, 300)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plog.Close()
-		if !reflect.DeepEqual(traced, mr.Run) {
-			t.Errorf("P=%d: RunTraced result %+v, MeasureShared %+v", procs, traced, mr.Run)
-		}
-		for i := range spec.L1s {
-			for j := range spec.L2s {
-				pt, err := RunShared(g, nil, cfg, spec.Config(i, j), cm, 100, 300)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(pt.Run, mr.Run) {
-					t.Errorf("P=%d point (%d,%d): RunShared result %+v, MeasureShared %+v", procs, i, j, pt.Run, mr.Run)
-				}
-				if pt.TraceLen != mr.TraceLen {
-					t.Errorf("P=%d point (%d,%d): pointwise run saw %d accesses, profiled run %d", procs, i, j, pt.TraceLen, mr.TraceLen)
-				}
-				var l1, acc int64
-				for p := 0; p < cfg.Procs; p++ {
-					if got, want := mr.Curves.L1Misses[i][p], pt.PerProcL1[p].Misses; got != want {
-						t.Errorf("P=%d point (%d,%d) proc %d: profile L1 %d, pointwise %d", procs, i, j, p, got, want)
+	for _, v := range variants {
+		for _, procs := range []int{1, 2, 4} {
+			cfg, spec := v.cfg(procs, v.rule), testSpec(procs)
+			mr, err := MeasureShared("test", v.g, v.p, cfg, spec, v.warm, v.meas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traced, plog, err := RunTraced(v.g, v.p, cfg, v.warm, v.meas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plog.Close()
+			if !reflect.DeepEqual(traced, mr.Run) {
+				t.Errorf("%s P=%d: RunTraced result %+v, MeasureShared %+v", v.name, procs, traced, mr.Run)
+			}
+			for i := range spec.L1s {
+				for j := range spec.L2s {
+					pt, err := RunShared(v.g, v.p, cfg, spec.Config(i, j), cm, v.warm, v.meas)
+					if err != nil {
+						t.Fatal(err)
 					}
-					l1 += pt.PerProcL1[p].Misses
-					acc += pt.PerProcL1[p].Accesses
-				}
-				if acc != mr.Curves.Accesses {
-					t.Errorf("P=%d point (%d,%d): profile counted %d window accesses, pointwise %d", procs, i, j, mr.Curves.Accesses, acc)
-				}
-				gl1, gl2 := mr.Curves.Point(i, j)
-				if gl1 != l1 || gl2 != pt.L2.Misses {
-					t.Errorf("P=%d point (%d,%d): profile (%d,%d), pointwise (%d,%d)", procs, i, j, gl1, gl2, l1, pt.L2.Misses)
-				}
-				if got, want := mr.Curves.AMAT(i, j, cm), pt.AMAT; got != want {
-					t.Errorf("P=%d point (%d,%d): profile AMAT %v, pointwise %v", procs, i, j, got, want)
+					at := fmt.Sprintf("%s P=%d point (%d,%d)", v.name, procs, i, j)
+					if !reflect.DeepEqual(pt.Run, mr.Run) {
+						t.Errorf("%s: RunShared result %+v, MeasureShared %+v", at, pt.Run, mr.Run)
+					}
+					if pt.TraceLen != mr.TraceLen {
+						t.Errorf("%s: pointwise run saw %d accesses, profiled run %d", at, pt.TraceLen, mr.TraceLen)
+					}
+					var l1, acc int64
+					for p := 0; p < cfg.Procs; p++ {
+						if got, want := mr.Curves.L1Misses[i][p], pt.PerProcL1[p].Misses; got != want {
+							t.Errorf("%s proc %d: profile L1 %d, pointwise %d", at, p, got, want)
+						}
+						l1 += pt.PerProcL1[p].Misses
+						acc += pt.PerProcL1[p].Accesses
+					}
+					if acc != mr.Curves.Accesses {
+						t.Errorf("%s: profile counted %d window accesses, pointwise %d", at, mr.Curves.Accesses, acc)
+					}
+					gl1, gl2 := mr.Curves.Point(i, j)
+					if gl1 != l1 || gl2 != pt.L2.Misses {
+						t.Errorf("%s: profile (%d,%d), pointwise (%d,%d)", at, gl1, gl2, l1, pt.L2.Misses)
+					}
+					if got, want := mr.Curves.AMAT(i, j, cm), pt.AMAT; got != want {
+						t.Errorf("%s: profile AMAT %v, pointwise %v", at, got, want)
+					}
 				}
 			}
 		}

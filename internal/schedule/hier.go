@@ -81,8 +81,8 @@ type HierPointResult struct {
 
 // MeasureHierPoint plans and runs g with s once, feeding every block-level
 // access of the measured window through the exact two-level simulator for
-// cfg — the pointwise oracle MeasureHier's one-pass grid is
-// cross-validated against (experiment E20). Sweeping a grid this way costs
+// cfg — the pointwise oracle the hierarchy property tests hold
+// MeasureHier's one-pass grid against. Sweeping a grid this way costs
 // one full execution per (L1, L2) point; MeasureHier answers the same grid
 // from one execution total.
 func MeasureHierPoint(g *sdf.Graph, s Scheduler, env Env, cfg hierarchy.Config, warm, measured int64) (*HierPointResult, error) {

@@ -57,11 +57,15 @@ func TestPropHierCurvesMatchSimulatorOnRandomPipelines(t *testing.T) {
 			hierLv(256, 16, 1, cachesim.LRU),  // direct-mapped
 			hierLv(256, 16, 0, cachesim.LRU),  // fully associative
 			hierLv(512, 16, 4, cachesim.FIFO), // FIFO L1
+			hierLv(512, 16, 1, cachesim.LRU),  // E20's larger L1s
+			hierLv(512, 16, 0, cachesim.LRU),
 		},
 		L2s: []hierarchy.Level{
 			hierLv(2048, 16, 0, cachesim.LRU),
 			hierLv(2048, 16, 8, cachesim.FIFO),
-			hierLv(4096, 64, 0, cachesim.LRU), // coarse block
+			hierLv(4096, 64, 0, cachesim.LRU),  // coarse block
+			hierLv(4096, 64, 8, cachesim.LRU),  // E20's set-associative
+			hierLv(4096, 64, 4, cachesim.FIFO), // coarse-block L2s
 		},
 	}
 	for seed := int64(0); seed < 4; seed++ {
@@ -75,6 +79,12 @@ func TestPropHierCurvesMatchSimulatorOnRandomPipelines(t *testing.T) {
 		for _, s := range []Scheduler{FlatTopo{}, Scaled{S: 3}, PartitionedPipeline{}} {
 			hierCase(t, g, s, env, spec, 96, 384)
 		}
+	}
+	// E20's input: its graph, design point and schedulers, large enough
+	// that the coarse-block L2s see more than compulsory misses.
+	g := uniformPipeline(t, 30, 128)
+	for _, s := range []Scheduler{FlatTopo{}, Scaled{S: 4}, Partitioned(g, nil)} {
+		hierCase(t, g, s, Env{M: 512, B: 16}, spec, 128, 512)
 	}
 }
 

@@ -87,6 +87,20 @@ func TestPropOrgCurvesMatchSimulatorOnRandomPipelines(t *testing.T) {
 			orgCase(t, g, s, env, geoms, 96, 384)
 		}
 	}
+	// E12's input: its graph, design point and schedulers under its whole
+	// grid, caps 128..4096 x ways {0, 8, 4, 1}, where every family with 8
+	// ways keeps request-bounded rows. The equality is exact at any window
+	// length, so a short one does.
+	var e12 []orgGeom
+	for _, c := range []int64{128, 256, 512, 1024, 2048, 4096} {
+		for _, w := range []int64{0, 8, 4, 1} {
+			e12 = append(e12, orgGeom{c, w})
+		}
+	}
+	g := uniformPipeline(t, 34, 128)
+	for _, s := range []Scheduler{FlatTopo{}, Scaled{S: 4}, PartitionedPipeline{}} {
+		orgCase(t, g, s, Env{M: 512, B: 16}, e12, 128, 512)
+	}
 }
 
 func TestPropOrgCurvesMatchSimulatorOnRandomDags(t *testing.T) {

@@ -201,3 +201,62 @@ func TestMeasureCurveOrgsSharesFullyAssociativeStack(t *testing.T) {
 		t.Fatalf("grid with a Sets=1 spec cost %d Fenwick ops, the fully-associative curve alone %d", withGrid, alone)
 	}
 }
+
+// TestMetricCountersMatchSimulator pins the metric contract of a profiled
+// sweep on a private registry: trace.accesses is the sum of the recorded
+// trace lengths, trace.profile.accesses the sum of the window accesses the
+// cache simulator counts for the same schedules, trace.profile.passes one
+// per scheduler, and the trace.profile histogram one observation per pass.
+// It holds on a FIFO grid, which never folds, and on an LRU-only grid whose
+// stepped windows must fold: a folded period counts its accesses as if it
+// had run.
+func TestMetricCountersMatchSimulator(t *testing.T) {
+	g, err := randgraph.RandomPipeline(rand.New(rand.NewSource(22)), randgraph.PipelineSpec{
+		Nodes: 12, StateMin: 16, StateMax: 128, RateMax: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds := []Scheduler{FlatTopo{}, Scaled{S: 4}, Partitioned(g, nil)}
+	const warm, measured = 256, 1024
+	for _, fifo := range []bool{true, false} {
+		specs, _, err := trace.GridSpecs([]int64{256, 1024, 4096}, 16, []int64{0, 1, 4}, fifo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		env := Env{M: 256, B: 16, Metrics: reg}
+		var traceLen, simAccesses int64
+		for _, o := range SweepCurveOrgs(g, scheds, env, env.B, warm, measured, specs, 2) {
+			if o.Err != nil {
+				t.Fatalf("%s: %v", o.Name, o.Err)
+			}
+			traceLen += o.Value.TraceLen
+		}
+		for _, s := range scheds {
+			res, err := Measure(g, s, Env{M: env.M, B: env.B}, cachesim.Config{Capacity: 1024, Block: env.B}, warm, measured)
+			if err != nil {
+				t.Fatal(err)
+			}
+			simAccesses += res.Stats.Accesses
+		}
+		snap := reg.Snapshot()
+		passes := snap.Counter("trace.profile.passes")
+		for _, c := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"trace.accesses", snap.Counter("trace.accesses"), traceLen},
+			{"trace.profile.accesses", snap.Counter("trace.profile.accesses"), simAccesses},
+			{"trace.profile.passes", passes, int64(len(scheds))},
+			{"trace.profile histogram count", snap.HistogramCountDelta(nil, "trace.profile"), passes},
+		} {
+			if c.got != c.want {
+				t.Errorf("fifo=%v: %s = %d, want %d", fifo, c.name, c.got, c.want)
+			}
+		}
+		if folded := snap.Counter("schedule.window.folded_periods"); fifo != (folded == 0) {
+			t.Errorf("fifo=%v: %d folded periods", fifo, folded)
+		}
+	}
+}

@@ -418,23 +418,6 @@ func (p *OrgProfilers) TimelineOps() int64 {
 	return ops
 }
 
-// PublishMetrics records a completed profiling pass's totals into reg
-// (no-op when reg is nil): the counted access total, the timeline work it
-// cost, and the pass count. Extract does it for the passes it closes;
-// callers that only read Curves (experiment E22) call it once per pass.
-func (p *OrgProfilers) PublishMetrics(reg *obs.Registry, curves []*OrgCurves) {
-	if reg == nil {
-		return
-	}
-	var accesses int64
-	if len(curves) > 0 {
-		accesses = curves[0].LRU.Accesses
-	}
-	reg.Counter("trace.profile.accesses").Add(accesses)
-	reg.Counter("trace.profile.timeline.ops").Add(p.TimelineOps())
-	reg.Counter("trace.profile.passes").Add(1)
-}
-
 // Curves extracts the profiles, in spec order. Specs of one family share
 // its LRU curve.
 func (p *OrgProfilers) Curves() []*OrgCurves {
@@ -463,14 +446,23 @@ func (p *OrgProfilers) Curves() []*OrgCurves {
 	return out
 }
 
-// Extract closes a profiling pass: Curves, timed under trace.profile, then
-// PublishMetrics, both into reg (nil: neither). The timer covers curve
+// Extract closes a profiling pass: Curves, timed under trace.profile, and
+// the pass's totals — the counted accesses, the timeline work they cost,
+// and the pass itself — all into reg (nil: none). The timer covers curve
 // extraction only — the touches happened while the trace was fed.
 func (p *OrgProfilers) Extract(reg *obs.Registry) []*OrgCurves {
 	stop := reg.Timer("trace.profile").Start()
 	curves := p.Curves()
 	stop()
-	p.PublishMetrics(reg, curves)
+	if reg != nil {
+		var accesses int64
+		if len(curves) > 0 {
+			accesses = curves[0].LRU.Accesses
+		}
+		reg.Counter("trace.profile.accesses").Add(accesses)
+		reg.Counter("trace.profile.timeline.ops").Add(p.TimelineOps())
+		reg.Counter("trace.profile.passes").Add(1)
+	}
 	return curves
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"streamsched/internal/obs"
 )
 
 func TestSweepRunsAllJobsInOrder(t *testing.T) {
@@ -52,5 +54,41 @@ func TestSweepSurvivesErrors(t *testing.T) {
 func TestSweepEmpty(t *testing.T) {
 	if out := Sweep[int](nil, 8); len(out) != 0 {
 		t.Fatalf("empty sweep returned %d outcomes", len(out))
+	}
+}
+
+// TestSweepPublishesOneObservationPerJob pins the pool's metrics on the
+// process-wide registry: sweep.jobs counts every job, sweep.queue.wait and
+// sweep.job.duration observe each exactly once, and the per-worker job
+// counters sum to the total, at one worker and at three.
+func TestSweepPublishesOneObservationPerJob(t *testing.T) {
+	reg := obs.NewRegistry()
+	defer obs.SetDefault(obs.SetDefault(reg))
+	const n = 7
+	jobs := make([]Job[int], n)
+	for i := range jobs {
+		jobs[i] = Job[int]{Name: fmt.Sprintf("job%d", i), Run: func() (int, error) { return i, nil }}
+	}
+	for _, workers := range []int{1, 3} {
+		base := reg.Snapshot()
+		Sweep(jobs, workers)
+		snap := reg.Snapshot()
+		var perWorker int64
+		for w := 0; w < workers; w++ {
+			perWorker += snap.CounterDelta(base, fmt.Sprintf("sweep.worker.%d.jobs", w))
+		}
+		for _, c := range []struct {
+			name string
+			got  int64
+		}{
+			{"sweep.jobs", snap.CounterDelta(base, "sweep.jobs")},
+			{"sweep.queue.wait count", snap.HistogramCountDelta(base, "sweep.queue.wait")},
+			{"sweep.job.duration count", snap.HistogramCountDelta(base, "sweep.job.duration")},
+			{"sum of sweep.worker.<i>.jobs", perWorker},
+		} {
+			if c.got != n {
+				t.Errorf("workers=%d: %s = %d, want %d", workers, c.name, c.got, n)
+			}
+		}
 	}
 }

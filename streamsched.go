@@ -243,7 +243,8 @@ func SimulateCurveOrgs(g *Graph, s Scheduler, env Env, block, warm, measured int
 //	amat := hr.Curves.AMAT(0, 0, streamsched.HierCostModel{L1Hit: 1, L2Hit: 10, Mem: 100})
 //
 // Each grid point exactly matches a pointwise run of the two-level
-// simulator (experiment E20 cross-validates every point).
+// simulator (TestPropHierCurvesMatchSimulatorOnRandomPipelines in
+// internal/schedule checks every point).
 func SimulateHier(g *Graph, s Scheduler, env Env, spec HierSpec, warm, measured int64) (*HierResult, error) {
 	return schedule.MeasureHier(g, s, env, spec, warm, measured)
 }
@@ -350,8 +351,8 @@ func SimulateParallel(g *Graph, p *Partition, cfg ParallelConfig, target int64) 
 //	l1, l2 := mr.Curves.Point(0, 0) // aggregate L1 misses, shared-L2 misses
 //
 // Each grid point exactly matches a pointwise SimulateSharedPoint run
-// with the corresponding SharedHierConfig (experiment E21 cross-validates
-// every point).
+// with the corresponding SharedHierConfig (TestMeasureSharedMatchesRunShared
+// in internal/parallel checks every point).
 func SimulateShared(g *Graph, p *Partition, cfg ParallelConfig, spec SharedHierSpec, warm, measured int64) (*SharedMeasureResult, error) {
 	return parallel.MeasureShared(cfg.Rule.String(), g, p, cfg, spec, warm, measured)
 }
