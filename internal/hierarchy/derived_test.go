@@ -127,9 +127,9 @@ func scatterID(style int, id int64) int64 {
 // ids; the mark at the start, anywhere inside, at the end, or absent;
 // short traces and long ones) and random L1 grids — LRU and FIFO mixed,
 // power-of-two and odd set counts, duplicate points, way counts on both
-// sides of assocListLimit so that bounded rows, list stacks and upgraded
-// timelines all decide misses — for P in {1, 2, 4}, every point's derived
-// miss stream is a Bank replay's.
+// sides of the row/marker crossover so that bounded rows and marker lists
+// both decide misses — for P in {1, 2, 4}, every point's derived miss
+// stream is a Bank replay's.
 func TestDerivedMissStreamMatchesBankReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	setCounts := []int64{1, 1, 2, 3, 4, 5, 8, 12, 16}

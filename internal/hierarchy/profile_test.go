@@ -53,9 +53,10 @@ func recordLog(blocks []int64, warm int) *trace.Log {
 // testSpec's: everything the per-ratio organisation profilers branch on.
 // Block ratios 1, 2 and 4 in one grid; LRU and FIFO points that share a set
 // count and ones that have theirs to themselves; way counts on both sides
-// of the 192-deep bound (bounded rows, the unbounded Sets=1 timeline, an
-// unbounded two-set family); two ratios whose specs share a set count but
-// differ in MaxWays; plus a few random points, one duplicate, shuffled.
+// of the row/marker crossover (rows, fully-associative marker lists down to
+// 1,024 lines, two-set ones 256 deep); two ratios whose specs share a set
+// count but list different way counts; plus a few random points, one
+// duplicate, shuffled.
 func oracleL2s(rng *rand.Rand, block int64) []Level {
 	at := func(ratio, sets, ways int64, pol cachesim.Policy) Level {
 		return lv(sets*ways*ratio*block, ratio*block, ways, pol)
@@ -66,10 +67,12 @@ func oracleL2s(rng *rand.Rand, block int64) []Level {
 		at(1, 8, 2, cachesim.FIFO),
 		at(2, 8, 16, cachesim.LRU),             // ... ratio 2, 8 sets, bound 16
 		at(2, 4, 8, cachesim.FIFO),             // FIFO alone at its set count
-		lv(256*block, block, 0, cachesim.LRU),  // Sets=1 past the bound: timeline
+		lv(256*block, block, 0, cachesim.LRU),  // Sets=1 marker lists ...
 		lv(256*block, block, 0, cachesim.FIFO), // and its FIFO twin
+		lv(1024*block, block, 0, cachesim.LRU), // ... 1,024 lines deep
 		lv(64*2*block, 2*block, 0, cachesim.LRU),
-		at(4, 2, 256, cachesim.LRU), // two sets, past the bound
+		at(2, 2, 256, cachesim.LRU), // two sets, 256 deep
+		at(4, 2, 256, cachesim.LRU),
 		at(4, 1, 32, cachesim.LRU),  // Sets=1 under the bound, as explicit ways
 		at(4, 16, 1, cachesim.FIFO), // direct-mapped
 	}
@@ -193,13 +196,14 @@ func TestProfileHierFilterCrossCheck(t *testing.T) {
 		t.Fatalf("unperturbed stage: %v", err)
 	}
 
-	// Point 2 (4-way LRU) reads its family at 3 ways: every access at depth
-	// exactly 4 becomes a miss the point's curve does not count.
+	// Point 2 (4-way LRU) reads its FIFO twin's verdict (point 3, the same
+	// family): every access the two policies decide differently becomes a
+	// miss the point's curve does not count, or the reverse.
 	h := build()
 	st, l1 := h.st, spec.L1s[2]
-	pt, ok := st.orgs[0].Point(st.specIdx[l1.Sets()], l1.EffWays()-1, false)
+	pt, ok := st.orgs[0].Point(st.specIdx[l1.Sets()], l1.EffWays(), true)
 	if !ok {
-		t.Fatal("no point one way short of L1 point 2")
+		t.Fatal("no FIFO twin of L1 point 2")
 	}
 	st.filters[2].point = pt
 	hc, err := profileHier(l, h)
@@ -357,9 +361,10 @@ func TestProfileHierEmptyWindow(t *testing.T) {
 }
 
 // TestPropHierOrgSpecsBoundChangesNothing is the property behind
-// hierOrgSpecs' MaxWays: truncating the L1 stacks at the deepest way count
-// the grid evaluates leaves every HierCurves number what unbounded stacks
-// give. The organisation curves feed HierCurves' Accesses and L1Misses
+// hierOrgSpecs' LRUWays: each spec lists exactly its L1 points' way
+// counts, and bounding the L1 stacks to them leaves every HierCurves
+// number what unbounded stacks give. The organisation curves feed
+// HierCurves' Accesses and L1Misses
 // (and the filter cross-check that fails the whole pass on a mismatch), so
 // those are compared against an unbounded trace.ProfileOrgs of the same
 // log, on random mixed-policy L1 grids.
@@ -381,14 +386,14 @@ func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
 		bounded, specIdx := hierOrgSpecs(spec.L1s)
 		unbounded := make([]trace.OrgSpec, len(bounded))
 		for i, s := range bounded {
-			var deepest int64
+			var listed []int64
 			for _, l1 := range spec.L1s {
-				if l1.Sets() == s.Sets && l1.EffWays() > deepest {
-					deepest = l1.EffWays()
+				if l1.Sets() == s.Sets {
+					listed = append(listed, l1.EffWays())
 				}
 			}
-			if s.MaxWays != deepest {
-				t.Fatalf("trial %d: spec sets=%d bounded at %d ways, deepest L1 point has %d", trial, s.Sets, s.MaxWays, deepest)
+			if !reflect.DeepEqual(s.LRUWays, listed) {
+				t.Fatalf("trial %d: spec sets=%d lists ways %v, its L1 points have %v", trial, s.Sets, s.LRUWays, listed)
 			}
 			unbounded[i] = trace.OrgSpec{Sets: s.Sets, FIFOWays: s.FIFOWays}
 		}

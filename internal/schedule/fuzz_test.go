@@ -42,7 +42,8 @@ func FuzzWindowFold(f *testing.F) {
 		if err != nil {
 			t.Skip() // the scheduler does not take this shape
 		}
-		sp := foldSpecs(t, env.B)[int(specs)%4]
+		shapes := foldSpecs(t, env.B)
+		sp := shapes[int(specs)%len(shapes)]
 		n, err := foldWindow(t, g, s, env, int64(warm%2048), 1+int64(measure%4096), sp)
 		if err == nil && n > 0 && (plan.Step == 0 || hasFIFO(sp)) {
 			t.Fatalf("%s/%s: folded %d periods of a window that cannot fold", g.Name(), s.Name(), n)

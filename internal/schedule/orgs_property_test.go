@@ -183,8 +183,10 @@ func foldWindow(t *testing.T, g *sdf.Graph, s Scheduler, env Env, warm, measured
 
 // foldSpecs are the recorder shapes a fold is checked under: the
 // fully-associative curve alone, with unbounded set-associative LRU
-// families, with request-bounded ones (rows shorter than assocListLimit),
-// and with FIFO replicas, which never fold.
+// families, with request-bounded rows (GridSpecs' grid), with FIFO
+// replicas, which never fold, and with marker lists of 1,024-line caches
+// (two and four sets: a Sets=1 list would join the curve's unbounded
+// family).
 func foldSpecs(t *testing.T, block int64) [][]trace.OrgSpec {
 	bounded, _, err := trace.GridSpecs([]int64{512, 1024}, block, []int64{1, 4, 0}, false)
 	if err != nil {
@@ -194,7 +196,8 @@ func foldSpecs(t *testing.T, block int64) [][]trace.OrgSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return [][]trace.OrgSpec{nil, {{Sets: 4}, {Sets: 16}}, bounded, fifo}
+	markers := []trace.OrgSpec{{Sets: 2, LRUWays: []int64{512, 32}}, {Sets: 4, LRUWays: []int64{256}}}
+	return [][]trace.OrgSpec{nil, {{Sets: 4}, {Sets: 16}}, bounded, fifo, markers}
 }
 
 // hasFIFO reports whether any spec replays FIFO, which keeps a window from

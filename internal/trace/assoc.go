@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Set-associative LRU profiling. A set-associative cache is a bank of
@@ -75,8 +76,7 @@ type AssocProfiler struct {
 
 // assocListLimit is the per-set stack size beyond which a list stack
 // upgrades to the timeline-based Profiler: move-to-front costs O(depth),
-// so deep stacks go back to the order-statistics structure. It is also the
-// deepest bound a request-bounded stack (boundedStacks) is built for.
+// so deep stacks go back to the order-statistics structure.
 const assocListLimit = 192
 
 // setStack is one set's adaptive Mattson stack.
@@ -182,7 +182,7 @@ func (p *AssocProfiler) Curve() *AssocCurve {
 		}
 		cold += c.cold
 	}
-	return newAssocCurve(p.idx.sets, 0, curveFromHist(total, cold))
+	return newAssocCurve(p.idx.sets, curveFromHist(total, cold))
 }
 
 // listStack is Mattson's algorithm on an explicit move-to-front array:
@@ -222,14 +222,15 @@ func (l *listStack) touch(blk int64) int {
 	return d
 }
 
-// boundedStacks is the request-bounded form of the per-set stacks: when
-// the deepest way count a request evaluates is known, an access deeper
-// than that misses at every requested way count, so each set keeps only
-// its bound most recent blocks. All sets live in one flat sets x bound
-// move-to-front array and share one depth histogram. Rows hold the blocks'
-// blockTable slots, which identify a block as exactly as its id does.
+// boundedStacks is the row form of a request-bounded family: when the way
+// counts a request evaluates are known, an access deeper than the deepest
+// misses at every one of them, so each set keeps only its bound most
+// recent blocks. All sets live in one flat sets x bound move-to-front
+// array and share one depth histogram. Rows hold the blocks' blockTable
+// slots, which identify a block as exactly as its id does.
 type boundedStacks struct {
-	bound int
+	ways  []int64 // the way counts, ascending and distinct
+	bound int     // the deepest of them
 	rows  []int32 // sets*bound entries, most recent first; noSlot = empty
 	// hist[d], 1 <= d <= bound: counted accesses found at depth d; hist[0]:
 	// those not found in their row (cold included). cold stays zero: the
@@ -237,12 +238,13 @@ type boundedStacks struct {
 	depthCounts
 }
 
-func newBoundedStacks(sets, bound int64) *boundedStacks {
+func newBoundedStacks(sets int64, ways []int64) *boundedStacks {
+	bound := ways[len(ways)-1]
 	rows := make([]int32, sets*bound)
 	for i := range rows {
 		rows[i] = noSlot
 	}
-	return &boundedStacks{bound: int(bound), rows: rows, depthCounts: depthCounts{hist: make([]int64, bound+1)}}
+	return &boundedStacks{ways: ways, bound: int(bound), rows: rows, depthCounts: depthCounts{hist: make([]int64, bound+1)}}
 }
 
 // touch processes one access to the block in slot and returns the depth it
@@ -254,20 +256,29 @@ func (b *boundedStacks) touch(set int64, slot int32) int {
 	return d
 }
 
-// curve folds the shared histogram into an AssocCurve valid up to the
-// bound. cold is the counted first-ever accesses, all of which are among
-// the deep ones; the remaining deep accesses sit at some finite depth
-// past the bound, which is all any requested way count needs to know.
+// curve answers the family's way counts from the shared histogram: an
+// access hits at w exactly when it was found at a depth of at most w.
 func (b *boundedStacks) curve(sets, cold int64) *AssocCurve {
-	hist := append(append([]int64(nil), b.hist...), b.hist[0]-cold)
-	return newAssocCurve(sets, int64(b.bound), curveFromHist(hist, cold))
+	var total int64
+	for _, n := range b.hist {
+		total += n
+	}
+	misses := make([]int64, len(b.ways))
+	left, d := total, 1
+	for i, w := range b.ways {
+		for ; d <= int(w); d++ {
+			left -= b.hist[d]
+		}
+		misses[i] = left
+	}
+	return &AssocCurve{Sets: sets, Accesses: total, Cold: cold, Ways: b.ways, misses: misses}
 }
 
 // AssocCurve is the result of per-set reuse-distance profiling: the exact
 // set-associative LRU miss count of the recorded (windowed) stream for a
 // fixed set count, as a function of the way count — every associativity
-// with that set count at once, or every one up to MaxWays when the
-// profile was request-bounded.
+// with that set count at once, or exactly the listed ones when the profile
+// was request-bounded.
 type AssocCurve struct {
 	// Sets is the set count the trace was sharded by.
 	Sets int64
@@ -275,35 +286,37 @@ type AssocCurve struct {
 	Accesses int64
 	// Cold is the number of counted first-ever accesses.
 	Cold int64
-	// MaxWays is the deepest way count the curve answers; zero means every
-	// way count (the stacks were not truncated).
-	MaxWays int64
-	curve   *MissCurve // depth histogram summed over the sets
+	// Ways lists the way counts a request-bounded curve answers, ascending;
+	// empty means every way count (the stacks were not truncated).
+	Ways   []int64
+	curve  *MissCurve // unbounded: the depth histogram summed over the sets
+	misses []int64    // request-bounded: misses[i] is the count at Ways[i]
 }
 
-func newAssocCurve(sets, maxWays int64, mc *MissCurve) *AssocCurve {
-	return &AssocCurve{Sets: sets, Accesses: mc.Accesses, Cold: mc.Cold, MaxWays: maxWays, curve: mc}
+func newAssocCurve(sets int64, mc *MissCurve) *AssocCurve {
+	return &AssocCurve{Sets: sets, Accesses: mc.Accesses, Cold: mc.Cold, curve: mc}
 }
-
-// Covers reports whether the curve answers the given way count.
-func (c *AssocCurve) Covers(ways int64) bool { return c.MaxWays == 0 || ways <= c.MaxWays }
 
 // Misses returns the exact miss count of a Sets-set LRU cache with the
 // given number of ways (lines per set). With Sets == 1 this is the
 // fully-associative curve and ways is the total line count. It panics on
-// a way count a request-bounded curve does not cover: the truncated
-// stacks hold no answer there, and a wrong number must never pass for one.
+// a way count a request-bounded curve does not list: the bounded state
+// holds no answer there, and a wrong number must never pass for one.
 func (c *AssocCurve) Misses(ways int64) int64 {
-	if !c.Covers(ways) {
-		panic(fmt.Sprintf("trace: AssocCurve profiled up to %d ways asked for %d", c.MaxWays, ways))
+	if c.curve != nil {
+		return c.curve.Misses(ways)
 	}
-	return c.curve.Misses(ways)
+	i, ok := slices.BinarySearch(c.Ways, ways)
+	if !ok {
+		panic(fmt.Sprintf("trace: AssocCurve profiled at ways %v asked for %d", c.Ways, ways))
+	}
+	return c.misses[i]
 }
 
 // Full returns the underlying fully-associative MissCurve when the curve
 // was profiled with a single set and no bound, and nil otherwise.
 func (c *AssocCurve) Full() *MissCurve {
-	if c.Sets != 1 || c.MaxWays != 0 {
+	if c.Sets != 1 {
 		return nil
 	}
 	return c.curve

@@ -16,7 +16,7 @@ func TestMoveToFrontEdges(t *testing.T) {
 		}
 		return depths
 	}
-	one := newBoundedStacks(1, 1)
+	one := newBoundedStacks(1, []int64{1})
 	if got := touches(one, 7, 7, 8, 7); !reflect.DeepEqual(got, []int{0, 1, 0, 0}) {
 		t.Errorf("bound 1: depths %v, want [0 1 0 0]", got)
 	}
@@ -24,7 +24,7 @@ func TestMoveToFrontEdges(t *testing.T) {
 		t.Errorf("bound 1: row %v hist %v, want [7] [3 1]", one.rows, one.hist)
 	}
 
-	b := newBoundedStacks(2, 4)
+	b := newBoundedStacks(2, []int64{4})
 	touches(b, 1, 2, 3, 4) // set 0 is now full: 4 3 2 1
 	full := []int32{4, 3, 2, 1, noSlot, noSlot, noSlot, noSlot}
 	if !reflect.DeepEqual(b.rows, full) {

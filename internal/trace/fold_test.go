@@ -15,13 +15,15 @@ import (
 // repeated k times report exactly the curves of profilers fed all k+2
 // periods — and keep profiling the rest of the stream identically. Specs
 // cover the unbounded fully-associative stack (past the list→timeline
-// upgrade), unbounded and request-bounded set-associative families, dense,
+// upgrade), unbounded set-associative families, request-bounded rows and
+// marker lists (fully- and set-associative, down to 1,024 lines), dense,
 // negative and sparse ids, and a window mark inside the lead-in.
 func TestOrgProfilersRepeatEqualsFeeding(t *testing.T) {
 	specs := [][]trace.OrgSpec{
 		{{Sets: 1}},
 		{{Sets: 1}, {Sets: 4}, {Sets: 7}},
-		{{Sets: 1}, {Sets: 8, MaxWays: 4}, {Sets: 1, MaxWays: 64}, {Sets: 3, MaxWays: 200}},
+		{{Sets: 1}, {Sets: 8, LRUWays: []int64{4}}, {Sets: 1, LRUWays: []int64{64}}, {Sets: 3, LRUWays: []int64{200}}},
+		{{Sets: 1, LRUWays: []int64{1024, 16, 200}}, {Sets: 2, LRUWays: []int64{256, 40}}, {Sets: 3, LRUWays: []int64{100, 64}}, {Sets: 4, LRUWays: []int64{2, 8}}},
 	}
 	ids := map[string]func(int64) int64{
 		"dense":    func(b int64) int64 { return b },
@@ -90,7 +92,7 @@ func TestOrgProfilersRepeatRefuses(t *testing.T) {
 	if fifo.Foldable() || fifo.Repeat(fifo.Tally(), 1) == nil {
 		t.Error("profilers with a FIFO replica fold")
 	}
-	p, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1}, {Sets: 4, MaxWays: 2}})
+	p, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1}, {Sets: 4, LRUWays: []int64{2}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,14 +42,36 @@ func fuzzRuns(data []byte) (runs [][2]int64, cuts []int64, stream []int64, warm 
 	return runs, cuts, stream, warm
 }
 
+// fuzzWays turns fuzz bytes into an LRU way list, one way count a byte (at
+// most eight): 1–128 when the top bit is clear, else multiples of 8 up to
+// 1,024 — both sides of the row/marker crossover. Order and duplicates
+// stay as drawn.
+func fuzzWays(data []byte) []int64 {
+	var ways []int64
+	for i, b := range data {
+		if i == 8 {
+			break
+		}
+		if b&0x80 == 0 {
+			ways = append(ways, 1+int64(b))
+		} else {
+			ways = append(ways, 8*(1+int64(b&0x7f)))
+		}
+	}
+	return ways
+}
+
 // FuzzProfilerRuns checks the run paths end to end on arbitrary run
 // streams: a log recorded with RecordRun replays the stream it was given,
 // and profiling it run by run (Profile: ForEachRunWindowed into
 // Profiler.TouchRun) gives the curve that block-by-block Touch calls give,
 // which is the curve of a naive move-to-front stack — at every capacity.
-// The seed corpus is testdata/fuzz/FuzzProfilerRuns.
+// The same runs also feed a fully-associative OrgProfilers that lists the
+// way counts fuzzWays draws from the second argument (rows or marker
+// lists), which must match the naive stack at each of them. The seed
+// corpus is testdata/fuzz/FuzzProfilerRuns.
 func FuzzProfilerRuns(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, wayBytes []byte) {
 		runs, cuts, stream, warm := fuzzRuns(data)
 		l := trace.NewLog()
 		for i, r := range runs {
@@ -120,6 +142,24 @@ func FuzzProfilerRuns(f *testing.F) {
 			}
 			if a, b := runFed.Misses(lines), want.Misses(lines); a != misses || b != misses {
 				t.Fatalf("%d lines: run-fed %d misses, block-fed %d, naive stack %d", lines, a, b, misses)
+			}
+		}
+
+		ways := fuzzWays(wayBytes)
+		if len(ways) == 0 {
+			return
+		}
+		orgs, err := trace.ProfileOrgs(l, []trace.OrgSpec{{Sets: 1, LRUWays: ways}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range ways {
+			misses := counted
+			for d := int64(1); d <= w && d < int64(len(depths)); d++ {
+				misses -= depths[d]
+			}
+			if got, ok := orgs[0].Misses(w, false); !ok || got != misses {
+				t.Fatalf("LRU ways %v at %d: organisation profilers %d misses (ok=%v), naive stack %d", ways, w, got, ok, misses)
 			}
 		}
 	})

@@ -19,12 +19,13 @@ type OrgSpec struct {
 	// FIFOWays lists the way counts to replay under FIFO; empty means the
 	// family is profiled under LRU only.
 	FIFOWays []int64
-	// MaxWays is the deepest way count the request will evaluate the LRU
-	// curve at; the per-set stacks are truncated there, and asking the
-	// curve for more fails loudly. Zero means unbounded: every way count is
-	// answered. It is derived from the evaluation grid (GridSpecs), never
-	// tuned by hand.
-	MaxWays int64
+	// LRUWays lists the way counts the request will evaluate the LRU curve
+	// at, in any order, duplicates allowed; the family keeps only the state
+	// those answers need, and the spec answers exactly these way counts —
+	// asking for another fails loudly. Empty means unbounded: every way
+	// count is answered. It is derived from the evaluation grid (AddPoint,
+	// GridSpecs), never tuned by hand.
+	LRUWays []int64
 }
 
 // Validate checks the spec.
@@ -37,10 +38,18 @@ func (s OrgSpec) Validate() error {
 			return fmt.Errorf("trace: FIFO way count must be >= 1, got %d", w)
 		}
 	}
-	if s.MaxWays < 0 {
-		return fmt.Errorf("trace: LRU way bound must be >= 0, got %d", s.MaxWays)
+	for _, w := range s.LRUWays {
+		if w < 1 {
+			return fmt.Errorf("trace: LRU way count must be >= 1, got %d", w)
+		}
 	}
 	return nil
+}
+
+// answersLRU reports whether the spec's LRU curve answers the way count:
+// every one when the spec is unbounded, else exactly the listed ones.
+func (s OrgSpec) answersLRU(ways int64) bool {
+	return len(s.LRUWays) == 0 || slices.Contains(s.LRUWays, ways)
 }
 
 // OrgCurves is the profile of one trace under one OrgSpec: the exact LRU
@@ -88,8 +97,8 @@ func EffectiveWays(capacity, block, ways int64) int64 {
 // AddPoint groups one more design point — sets sets of ways lines each,
 // replayed under FIFO too when fifo is set — into specs, which holds one
 // OrgSpec per distinct set count (specIdx maps a set count to its index),
-// and returns the grown list. Each spec's MaxWays is the deepest way count
-// added at its set count, so the profilers keep no stack depth the points
+// and returns the grown list. Every point's way count joins its spec's
+// LRUWays, FIFO points' too, so the profilers keep no state the points
 // cannot ask about.
 func AddPoint(specs []OrgSpec, specIdx map[int64]int, sets, ways int64, fifo bool) []OrgSpec {
 	idx, ok := specIdx[sets]
@@ -98,9 +107,7 @@ func AddPoint(specs []OrgSpec, specIdx map[int64]int, sets, ways int64, fifo boo
 		specIdx[sets] = idx
 		specs = append(specs, OrgSpec{Sets: sets})
 	}
-	if ways > specs[idx].MaxWays {
-		specs[idx].MaxWays = ways
-	}
+	specs[idx].LRUWays = append(specs[idx].LRUWays, ways)
 	if fifo {
 		specs[idx].FIFOWays = append(specs[idx].FIFOWays, ways)
 	}
@@ -130,8 +137,7 @@ func GridSpecs(caps []int64, block int64, ways []int64, fifo bool) ([]OrgSpec, m
 
 // Misses evaluates the organisation at one way count under LRU (fifo
 // false) or FIFO (fifo true). ok is false when the way count was not
-// profiled: not replayed under FIFO, or past a bounded LRU curve's
-// MaxWays.
+// profiled: not replayed under FIFO, or not in a bounded spec's LRUWays.
 func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 	if fifo {
 		if o.FIFO == nil {
@@ -139,7 +145,7 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 		}
 		return o.FIFO.Misses(ways)
 	}
-	if !o.LRU.Covers(ways) {
+	if !o.Spec.answersLRU(ways) {
 		return 0, false
 	}
 	return o.LRU.Misses(ways), true
@@ -153,10 +159,11 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // It does only work that can change an answer. Specs with the same set
 // count share one family — one set index and one LRU structure per access,
 // so a caller's fully-associative spec and a grid's Sets=1 spec cost one
-// timeline stack between them. A family whose specs all name a MaxWays
-// (and a modest one) keeps request-bounded stacks instead of the
-// list→timeline hybrid, and every FIFO point of every family is one
-// residency bit in the shared fifoBank.
+// timeline stack between them. A family whose specs all list their
+// LRUWays keeps request-bounded state instead of the list→timeline hybrid
+// — flat move-to-front rows below markerWays deep, marker lists from there
+// on — and every FIFO point of every family is one residency bit in the
+// shared fifoBank.
 //
 // Families are independent of one another, so only the order within a
 // family matters: RecordRun hands a whole run to the unbounded Sets=1
@@ -171,33 +178,46 @@ type OrgProfilers struct {
 	specs    []OrgSpec
 	familyOf []int // spec -> family
 	fams     []orgFamily
-	full     int       // the unbounded Sets=1 family, -1 when there is none
-	sets     []int64   // per family: the current access's set index
-	depth    []int     // per family: the depth the last Touch found, 0 = cold or past the bound
-	bank     *fifoBank // nil when no family is bounded or replays FIFO
+	full     int     // the unbounded Sets=1 family, -1 when there is none
+	sets     []int64 // per family: the current access's set index
+	// per family: the depth the last Touch found (a marker family's: the
+	// deepest way count of its zone), 0 = cold or past the bound
+	depth []int
+	bank  *fifoBank // nil when no family is bounded or replays FIFO
 }
 
 // orgFamily is the profiling state of one distinct set count.
 type orgFamily struct {
 	idx     setIndex
 	assoc   *AssocProfiler // unbounded LRU stacks, or
-	bounded *boundedStacks // request-bounded ones
+	rows    *boundedStacks // request-bounded rows, or
+	markers *markerStacks  // request-bounded marker lists
 	replica map[int64]int  // FIFO way count -> bank replica
 }
+
+// markerWays is where the request-bounded families cross over: a family
+// whose deepest listed way count is below it keeps flat move-to-front rows,
+// whose scan of a few entries beats a marker list's pointer updates; one
+// from it on keeps marker lists, whose cost does not grow with the depth.
+// BenchmarkBoundedFamilies is the measurement (PERFORMANCE.md's crossover
+// table): rows win at 16 and below, the two split at 32, markers win from
+// 64 on.
+const markerWays = 64
 
 // NewOrgProfilers validates the specs and builds their profilers.
 func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 	p := &OrgProfilers{specs: specs, familyOf: make([]int, len(specs)), full: -1}
-	// A family is bounded by the deepest way count any of its specs
-	// evaluates; one unbounded spec unbounds it.
-	bounds := make(map[int64]int64)
+	// A family answers the way counts its specs list; one unbounded spec
+	// unbounds it (nil).
+	lists := make(map[int64][]int64)
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d: %w", i, err)
 		}
-		switch b, seen := bounds[s.Sets]; {
-		case !seen, s.MaxWays == 0, b != 0 && s.MaxWays > b:
-			bounds[s.Sets] = s.MaxWays
+		if w, seen := lists[s.Sets]; len(s.LRUWays) == 0 || seen && w == nil {
+			lists[s.Sets] = nil
+		} else {
+			lists[s.Sets] = append(w, s.LRUWays...)
 		}
 	}
 	famIdx := make(map[int64]int)
@@ -207,19 +227,22 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 			fi = len(p.fams)
 			famIdx[s.Sets] = fi
 			f := orgFamily{idx: newSetIndex(s.Sets)}
-			if b := bounds[s.Sets]; b > 0 && b <= assocListLimit {
-				f.bounded = newBoundedStacks(s.Sets, b)
-			} else {
+			switch ways := uniqueWays(lists[s.Sets]); {
+			case len(ways) == 0:
 				f.assoc = NewAssocProfiler(s.Sets)
 				if s.Sets == 1 {
 					p.full = fi
 				}
+			case ways[len(ways)-1] < markerWays:
+				f.rows = newBoundedStacks(s.Sets, ways)
+			default:
+				f.markers = newMarkerStacks(s.Sets, ways)
 			}
 			p.fams = append(p.fams, f)
 		}
 		p.familyOf[i] = fi
 		f := &p.fams[fi]
-		if (f.bounded != nil || len(s.FIFOWays) > 0) && p.bank == nil {
+		if (f.assoc == nil || len(s.FIFOWays) > 0) && p.bank == nil {
 			p.bank = newFIFOBank()
 		}
 		for _, w := range s.FIFOWays {
@@ -248,15 +271,15 @@ type OrgPoint struct {
 
 // Point resolves (spec, ways, policy) to its OrgPoint. ok is false for a
 // point the profilers do not evaluate, exactly when OrgCurves.Misses' is:
-// a FIFO way count that is not replayed, or an LRU one past the bound.
+// a FIFO way count that is not replayed, or an LRU one the spec does not
+// list.
 func (p *OrgProfilers) Point(spec int, ways int64, fifo bool) (pt OrgPoint, ok bool) {
 	fi := p.familyOf[spec]
-	f := &p.fams[fi]
 	if fifo {
-		r := f.replica[ways]
+		r := p.fams[fi].replica[ways]
 		return OrgPoint{word: (r + 1) / 64, bit: 1 << ((r + 1) % 64)}, slices.Contains(p.specs[spec].FIFOWays, ways)
 	}
-	return OrgPoint{fam: fi, ways: int(ways)}, f.bounded == nil || ways <= int64(f.bounded.bound)
+	return OrgPoint{fam: fi, ways: int(ways)}, p.specs[spec].answersLRU(ways)
 }
 
 // Missed reports whether the block of the last Touch missed at pt. A run
@@ -281,9 +304,12 @@ func (p *OrgProfilers) ResetCounts() {
 // eachCount calls fn on every LRU stack's tally, in one fixed order.
 func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
 	for i := range p.fams {
-		if f := &p.fams[i]; f.bounded != nil {
-			fn(&f.bounded.depthCounts)
-		} else {
+		switch f := &p.fams[i]; {
+		case f.rows != nil:
+			fn(&f.rows.depthCounts)
+		case f.markers != nil:
+			fn(&f.markers.depthCounts)
+		default:
 			for s := range f.assoc.per {
 				fn(f.assoc.per[s].counts())
 			}
@@ -324,7 +350,8 @@ func (p *OrgProfilers) Tally() Tally {
 // P's blocks on top in order of last use over the rest in its old order,
 // and applying P again leaves that stack unchanged — so every repetition
 // after the first finds each block at the same depth. This holds per set,
-// and for request-bounded stacks, whose rows are the top of the full ones.
+// and for request-bounded stacks, whose rows and marker lists are the top
+// of the full ones (a marker zone is a fixed range of depths).
 // Repeat fails, changing nothing, when a count would overflow int64.
 func (p *OrgProfilers) Repeat(t Tally, k int64) error {
 	if !p.Foldable() {
@@ -395,9 +422,12 @@ func (p *OrgProfilers) touch(blk int64, skip int) {
 		if i == skip {
 			continue
 		}
-		if f.bounded != nil {
-			p.depth[i] = f.bounded.touch(set, slot)
-		} else {
+		switch {
+		case f.rows != nil:
+			p.depth[i] = f.rows.touch(set, slot)
+		case f.markers != nil:
+			p.depth[i] = f.markers.touch(set, slot)
+		default:
 			p.depth[i] = f.assoc.per[set].touch(f.idx.id(blk, set))
 		}
 	}
@@ -423,9 +453,12 @@ func (p *OrgProfilers) TimelineOps() int64 {
 func (p *OrgProfilers) Curves() []*OrgCurves {
 	lru := make([]*AssocCurve, len(p.fams))
 	for i := range p.fams {
-		if f := &p.fams[i]; f.bounded != nil {
-			lru[i] = f.bounded.curve(f.idx.sets, p.bank.cold)
-		} else {
+		switch f := &p.fams[i]; {
+		case f.rows != nil:
+			lru[i] = f.rows.curve(f.idx.sets, p.bank.cold)
+		case f.markers != nil:
+			lru[i] = f.markers.curve(f.idx.sets, p.bank.cold)
+		default:
 			lru[i] = f.assoc.Curve()
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -59,7 +60,8 @@ func recordStream(stream []int64, warm int) *trace.Log {
 const unboundedDepth = 24
 
 // checkOrgCurves compares every point of the curves against the oracle,
-// and Accesses/Cold against the unbounded profiler's.
+// and Accesses/Cold against the unbounded profiler's. A spec that lists
+// LRU way counts answers exactly those (checkRefusals).
 func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs []trace.OrgSpec, curves []*trace.OrgCurves) {
 	t.Helper()
 	unbounded := make([]trace.OrgSpec, len(specs))
@@ -79,26 +81,18 @@ func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs 
 			t.Fatalf("%s spec %d: accesses/cold %d/%d, unbounded profiler %d/%d", label, i,
 				oc.LRU.Accesses, oc.LRU.Cold, ref[i].LRU.Accesses, ref[i].LRU.Cold)
 		}
-		deepest := oc.LRU.MaxWays
-		if deepest == 0 {
-			deepest = unboundedDepth
+		ways := s.LRUWays
+		if len(ways) == 0 {
+			if len(oc.LRU.Ways) > 0 {
+				t.Fatalf("%s spec %d: unbounded spec, curve bounded at ways %v", label, i, oc.LRU.Ways)
+			}
+			for w := int64(1); w <= unboundedDepth; w++ {
+				ways = append(ways, w)
+			}
 		} else {
-			if deepest < s.MaxWays {
-				t.Fatalf("%s spec %d: curve answers %d ways, spec asked for %d", label, i, deepest, s.MaxWays)
-			}
-			if n, ok := oc.Misses(deepest+1, false); ok {
-				t.Fatalf("%s spec %d: %d ways is past the bound %d yet answered %d", label, i, deepest+1, deepest, n)
-			}
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%s spec %d: LRU.Misses past the bound did not panic", label, i)
-					}
-				}()
-				oc.LRU.Misses(deepest + 1)
-			}()
+			checkRefusals(t, fmt.Sprintf("%s spec %d", label, i), s, oc)
 		}
-		for w := int64(1); w <= deepest; w++ {
+		for _, w := range ways {
 			want := bankMisses(stream, warm, s.Sets, w, cachesim.LRU)
 			if got, ok := oc.Misses(w, false); !ok || got != want {
 				t.Fatalf("%s spec %d sets=%d ways=%d LRU: curve %d (ok=%v), bank %d", label, i, s.Sets, w, got, ok, want)
@@ -121,6 +115,35 @@ func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs 
 			}
 		}
 	}
+}
+
+// checkRefusals holds a spec that lists LRU way counts to answering only
+// those: every other way count up to one past the deepest is ok=false, and
+// the family's curve — which answers what its specs listed, unless one of
+// them is unbounded — panics on a way count none of them listed.
+func checkRefusals(t *testing.T, label string, s trace.OrgSpec, oc *trace.OrgCurves) {
+	t.Helper()
+	for w := int64(1); w <= slices.Max(s.LRUWays)+1; w++ {
+		if n, ok := oc.Misses(w, false); ok != slices.Contains(s.LRUWays, w) {
+			t.Fatalf("%s lists LRU ways %v, yet %d ways answered ok=%v (%d)", label, s.LRUWays, w, ok, n)
+		}
+	}
+	fam := oc.LRU.Ways
+	if len(fam) == 0 {
+		return
+	}
+	for _, w := range s.LRUWays {
+		if _, found := slices.BinarySearch(fam, w); !found {
+			t.Fatalf("%s lists %d ways, its curve answers %v", label, w, fam)
+		}
+	}
+	past := fam[len(fam)-1] + 1
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: LRU.Misses(%d) on a curve answering %v did not panic", label, past, fam)
+		}
+	}()
+	oc.LRU.Misses(past)
 }
 
 // oracleStream draws a stream over nblocks distinct blocks whose ids are
@@ -146,22 +169,34 @@ func oracleStream(rng *rand.Rand, n int, nblocks int64, ids int) []int64 {
 }
 
 // oracleSpecs draws a spec list: power-of-two and odd set counts, set
-// counts repeated across specs, FIFO lists with duplicates, and LRU
-// bounds below, at, and above what a set can hold.
+// counts repeated across specs, FIFO lists with duplicates, and LRU way
+// lists — unsorted, with duplicates and gaps — of way counts below, at and
+// above what a set can hold, on both sides of the row/marker crossover,
+// and 193, 256 and 1,024 deep.
 func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 	setCounts := []int64{1, 2, 3, 4, 5, 7, 8, 12, 16}
 	specs := make([]trace.OrgSpec, 2+rng.Intn(5))
 	for i := range specs {
 		s := trace.OrgSpec{Sets: setCounts[rng.Intn(len(setCounts))]}
 		perSet := nblocks/s.Sets + 1
-		switch rng.Intn(4) {
-		case 0: // unbounded
-		case 1: // below the set's footprint
-			s.MaxWays = 1 + rng.Int63n(perSet)
-		case 2: // exactly the footprint
-			s.MaxWays = perSet
-		default: // above it
-			s.MaxWays = perSet + 1 + rng.Int63n(8)
+		for k := rng.Intn(5); k > 0; k-- { // none: unbounded
+			var w int64
+			switch rng.Intn(5) {
+			case 0: // below the set's footprint
+				w = 1 + rng.Int63n(perSet)
+			case 1: // exactly the footprint
+				w = perSet
+			case 2: // above it
+				w = perSet + 1 + rng.Int63n(8)
+			case 3: // deep
+				w = []int64{193, 256, 1024}[rng.Intn(3)]
+			default: // around the crossover
+				w = 1 + rng.Int63n(64)
+			}
+			s.LRUWays = append(s.LRUWays, w)
+			if rng.Intn(4) == 0 {
+				s.LRUWays = append(s.LRUWays, w) // duplicate
+			}
 		}
 		for k := rng.Intn(4); k > 0; k-- {
 			w := 1 + rng.Int63n(perSet+4)
@@ -177,9 +212,10 @@ func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 
 // TestOrgProfilersMatchBankOracle is the profiler's core property on
 // random logs: dense, sparse and negative block ids, non-power-of-two set
-// counts, bounds around the footprint, duplicate way counts, a window
-// reset anywhere from the first access to past the last, footprints on
-// both sides of the list→timeline upgrade, short traces and long ones.
+// counts, way lists around the footprint and up to 1,024 deep, duplicate
+// way counts, a window reset anywhere from the first access to past the
+// last, footprints on both sides of the list→timeline upgrade and of the
+// deepest marker list (220–1,200 blocks), short traces and long ones.
 func TestOrgProfilersMatchBankOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	trials := 24
@@ -190,8 +226,8 @@ func TestOrgProfilersMatchBankOracle(t *testing.T) {
 		nblocks := int64(4 + rng.Intn(60))
 		if trial%6 == 5 {
 			// Deep enough that one-set stacks outgrow the list form and
-			// bounds outgrow the flat one.
-			nblocks = int64(220 + rng.Intn(200))
+			// one-set marker lists fill and drop blocks.
+			nblocks = int64(220 + rng.Intn(981))
 		}
 		n := 500 + rng.Intn(1500)
 		long := trial%4 == 3
@@ -220,7 +256,7 @@ func TestOrgProfilersManyFIFOReplicas(t *testing.T) {
 	var specs []trace.OrgSpec
 	replicas := 0
 	for _, sets := range []int64{1, 2, 3, 4} {
-		s := trace.OrgSpec{Sets: sets, MaxWays: 4}
+		s := trace.OrgSpec{Sets: sets, LRUWays: []int64{4}}
 		for w := int64(1); w <= 24; w++ {
 			s.FIFOWays = append(s.FIFOWays, w)
 		}
@@ -281,7 +317,7 @@ func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	specs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{32, 64}},
-		{Sets: 4, FIFOWays: []int64{8}, MaxWays: 8},
+		{Sets: 4, FIFOWays: []int64{8}, LRUWays: []int64{8}},
 		{Sets: 3, FIFOWays: []int64{2, 24}},
 	}
 	l := recordStream(oracleStream(rng, 3000, 200, 3), 700)
@@ -302,7 +338,7 @@ func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
 // against the oracle: never marked (whole trace measured), window at 0,
 // window at Len (empty window), and an empty log.
 func TestProfileOrgsJobsWindowEdges(t *testing.T) {
-	specs := []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{4}}, {Sets: 4, MaxWays: 2}}
+	specs := []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{4}}, {Sets: 4, LRUWays: []int64{2, 1}}}
 	stream := make([]int64, 50)
 	for i := range stream {
 		stream[i] = int64(i % 13)
@@ -339,7 +375,7 @@ func TestProfileOrgsJobsWindowEdges(t *testing.T) {
 // several goroutines at once — the Sweep shape — so the race detector
 // sees that profilers of different logs share nothing.
 func TestProfileOrgsJobsConcurrentLogs(t *testing.T) {
-	specs := []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{8}}, {Sets: 8, FIFOWays: []int64{2}, MaxWays: 2}}
+	specs := []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{8}}, {Sets: 8, FIFOWays: []int64{2}, LRUWays: []int64{2}}}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -455,8 +491,8 @@ func runStream(rng *rand.Rand, accesses int, ids int) (runs [][2]int64) {
 // exactly what the same stream fed block by block answers, at every way
 // count, and both equal the bank — with the window mark in the middle of
 // a run, enough accesses for compactions (many in the long trials), and
-// spec lists whose Sets=1 family is unbounded (takes runs whole), bounded
-// (does not), or absent. The run-recorded log also holds exactly the
+// spec lists whose Sets=1 family is unbounded (takes runs whole), marker
+// lists down to 1,024 lines (does not), or absent. The run-recorded log also holds exactly the
 // bytes of the same stream recorded block by block: both store the
 // stream's maximal runs.
 func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
@@ -473,8 +509,8 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 		runs := runStream(rng, accesses, trial%4)
 		specs := [][]trace.OrgSpec{
 			{{Sets: 1}},
-			{{Sets: 1}, {Sets: 1, FIFOWays: []int64{3, 64}}, {Sets: 4, MaxWays: 4}, {Sets: 3}},
-			{{Sets: 1, MaxWays: 16, FIFOWays: []int64{16}}, {Sets: 2}},
+			{{Sets: 1}, {Sets: 1, FIFOWays: []int64{3, 64}}, {Sets: 4, LRUWays: []int64{4, 1}}, {Sets: 3}},
+			{{Sets: 1, LRUWays: []int64{16, 1024, 300}, FIFOWays: []int64{16}}, {Sets: 2}},
 			{{Sets: 5, FIFOWays: []int64{2}}},
 		}[trial%4]
 
@@ -537,11 +573,13 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 		}
 		blockFed := p.Curves()
 		for i, spec := range specs {
-			deepest := spec.MaxWays
-			if deepest == 0 {
-				deepest = 13000 // past any footprint a stream has
+			ways := spec.LRUWays
+			if len(ways) == 0 {
+				for w := int64(1); w <= 13000; w++ { // past any footprint a stream has
+					ways = append(ways, w)
+				}
 			}
-			for w := int64(1); w <= deepest; w++ {
+			for _, w := range ways {
 				if a, b := runFed[i].LRU.Misses(w), blockFed[i].LRU.Misses(w); a != b {
 					t.Fatalf("%s spec %d ways %d: run-fed %d misses, block-fed %d", label, i, w, a, b)
 				}
@@ -555,7 +593,7 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 		}
 		checkOrgCurves(t, label, stream, warm, specs, runFed)
 		for _, lines := range []int64{64, 300, 2000} {
-			if specs[0].Sets == 1 && specs[0].MaxWays == 0 {
+			if specs[0].Sets == 1 && len(specs[0].LRUWays) == 0 {
 				if got, want := runFed[0].LRU.Misses(lines), bankMisses(stream, warm, 1, lines, cachesim.LRU); got != want {
 					t.Fatalf("%s: fully associative at %d lines: run-fed %d, bank %d", label, lines, got, want)
 				}

@@ -305,9 +305,10 @@ func TestOrgCurvesMissesHelper(t *testing.T) {
 // TestOrgProfilersPoint checks Point's coverage rule — ok exactly when
 // OrgCurves.Misses answers the same (ways, policy) — and that Missed,
 // counted per access, adds up to the curve at every covered LRU point of a
-// bounded family, an unbounded one, and two specs sharing a family.
+// bounded family, an unbounded one, and two specs sharing a family but
+// listing different way counts.
 func TestOrgProfilersPoint(t *testing.T) {
-	specs := []trace.OrgSpec{{Sets: 4, MaxWays: 3, FIFOWays: []int64{2}}, {Sets: 1}, {Sets: 4, MaxWays: 2}}
+	specs := []trace.OrgSpec{{Sets: 4, LRUWays: []int64{3, 1}, FIFOWays: []int64{2}}, {Sets: 1}, {Sets: 4, LRUWays: []int64{2}}}
 	p, err := trace.NewOrgProfilers(specs)
 	if err != nil {
 		t.Fatal(err)
@@ -352,10 +353,10 @@ func TestOrgProfilersPoint(t *testing.T) {
 			}
 		}
 	}
-	// Sets=4 is one family bounded at 3 ways with one FIFO replica, which the
-	// spec that did not ask for it cannot name; Sets=1 answers every LRU way
-	// count.
-	if want := (3 + 1) + 5 + 3; len(points) != want || covered != want {
+	// Sets=4 is one family answering 1, 2 and 3 ways with one FIFO replica;
+	// each of its specs names only the way counts and the replica it asked
+	// for. Sets=1 answers every LRU way count.
+	if want := (2 + 1) + 5 + 1; len(points) != want || covered != want {
 		t.Fatalf("Point resolved %d points, the curves cover %d, want %d", len(points), covered, want)
 	}
 	for _, pt := range points {

@@ -38,11 +38,13 @@
 //     from a recorded log instead. Its Touch also reports which design
 //     points the access missed in (Missed) — the miss streams the
 //     hierarchy profilers feed their next level from. It does only work that
-//     can change an answer: one structure per distinct set count, stacks
-//     truncated at the deepest way count the request evaluates
-//     (OrgSpec.MaxWays, filled in by GridSpecs), all FIFO points of all
-//     specs in one residency mask (an access costs one load plus work
-//     proportional to the FIFO replicas it misses in; FIFOCurve).
+//     can change an answer: one structure per distinct set count; a family
+//     bounded to the way counts the request evaluates (OrgSpec.LRUWays,
+//     filled in by GridSpecs/AddPoint) keeps flat move-to-front rows when
+//     they are shallow and Kim-Hill-Wood marker lists when they are deep
+//     (O(1) for a reuse inside the smallest listed way count); all FIFO
+//     points of all specs in one residency mask (an access costs one load
+//     plus work proportional to the FIFO replicas it misses in; FIFOCurve).
 //   - ProcLog is the multiprocessor trace: a Log whose runs carry the
 //     recording processor, so it keeps the global interleaving order a
 //     parallel run emitted them in — what the shared-L2 hierarchy oracles
@@ -57,7 +59,8 @@
 //   - Exactness: every curve equals what the cachesim simulator reports at
 //     the corresponding configuration — profiling is a faster evaluation
 //     order, never an approximation. A request-bounded curve answers
-//     exactly up to its bound and refuses (panics, or ok=false) past it.
+//     exactly its listed way counts and refuses (panics, or ok=false) any
+//     other.
 //   - One pass: a profile fed while the execution runs and one fed by a
 //     single replay of that execution's log are identical, however many
 //     organisations it drives; Replays() counts a log's replays.
