@@ -102,6 +102,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	w := parallel.Window{
 		Span: "shared",
 		Sink: prof.RecordRun,
+		Warm: prof.StartWarmup,
 		Mark: prof.ResetCounts,
 		Profile: func() (err error) {
 			curves, err = prof.Curves(obs.Default())

@@ -220,6 +220,18 @@ func (st *SharedProfiler) touch(proc int, blk int64) {
 	}
 }
 
+// StartWarmup says the accesses until ResetCounts only warm the caches.
+// The L2 stages then warm up by last use (trace.OrgProfilers.StartWarmup):
+// nothing reads their verdicts. The L1 profilers stay live, because their
+// verdicts are the filters' miss streams.
+func (st *SharedProfiler) StartWarmup() {
+	for _, f := range st.filters {
+		for _, s := range f.l2 {
+			s.prof.StartWarmup()
+		}
+	}
+}
+
 // ResetCounts starts the measured window: histograms and miss counters
 // reset, warm stack state kept.
 func (st *SharedProfiler) ResetCounts() {
@@ -376,6 +388,9 @@ func NewHierProfiler(spec HierSpec) (*HierProfiler, error) {
 // RecordRun runs accesses to the n blocks base, base+1, … through the
 // hierarchy, in that order.
 func (h *HierProfiler) RecordRun(base, n int64) { h.st.RecordRun(0, base, n) }
+
+// StartWarmup is SharedProfiler.StartWarmup.
+func (h *HierProfiler) StartWarmup() { h.st.StartWarmup() }
 
 // ResetCounts starts the measured window, keeping warm stack state.
 func (h *HierProfiler) ResetCounts() { h.st.ResetCounts() }

@@ -144,6 +144,9 @@ type Window struct {
 	// so it is independent of whatever hierarchy the sink evaluates, which
 	// is what lets one run answer a whole (L1, L2) grid exactly.
 	Sink func(proc int, base, n int64)
+	// Warm, when non-nil, starts the warm-up on whatever Sink feeds, as
+	// Mark starts the window (schedule.Window.Warm).
+	Warm func()
 	// Mark, when non-nil, starts the measured window on whatever Sink feeds.
 	Mark func()
 	// Profile, when non-nil, reads the results off whatever Sink fed, after
@@ -161,6 +164,11 @@ func (w Window) Measure(g *sdf.Graph, p *partition.Partition, cfg Config, warm, 
 		Span:  w.Span,
 		Cache: cfg.Cache,
 		Setup: func(_ *exec.Machine, plan *schedule.Plan) { r = plan.Runner.(*runner) },
+		Warm: func(*exec.Machine) {
+			if w.Warm != nil {
+				w.Warm()
+			}
+		},
 		Mark: func(*exec.Machine) {
 			if w.Mark != nil {
 				w.Mark()

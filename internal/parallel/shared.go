@@ -130,6 +130,7 @@ func MeasureShared(name string, g *sdf.Graph, p *partition.Partition, cfg Config
 	res, n, err := Window{
 		Span: "measure_shared",
 		Sink: prof.RecordRun,
+		Warm: prof.StartWarmup,
 		Mark: prof.ResetCounts,
 		Profile: func() (err error) {
 			curves, err = prof.Curves(obs.Or(cfg.Env.Metrics))

@@ -15,6 +15,10 @@ func hlv(capacity, block, ways int64, pol cachesim.Policy) hierarchy.Level {
 	return hierarchy.Level{Capacity: capacity, Block: block, Ways: ways, Policy: pol}
 }
 
+// testSpec is the shared-L2 grid the tests hold against the exact
+// simulator. Its last L2, 32 lines, is smaller than the test graphs'
+// footprints, so the order its stacks leave blocks in at the window mark —
+// rebuilt from a warm-up by last use — decides misses.
 func testSpec(procs int) hierarchy.SharedSpec {
 	return hierarchy.SharedSpec{
 		Block: 16,
@@ -29,6 +33,7 @@ func testSpec(procs int) hierarchy.SharedSpec {
 			hlv(4096, 64, 4, cachesim.FIFO),
 			hlv(8192, 64, 8, cachesim.LRU),
 			hlv(2048, 64, 4, cachesim.FIFO),
+			hlv(512, 16, 0, cachesim.LRU),
 		},
 	}
 }

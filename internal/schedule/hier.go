@@ -50,6 +50,7 @@ func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, wa
 		Span:     "measure_hier",
 		Cache:    cachesim.Config{Block: spec.Block},
 		Recorder: prof,
+		Warm:     func(*exec.Machine) { prof.StartWarmup() },
 		Mark:     func(*exec.Machine) { prof.ResetCounts() },
 		Profile: func() (err error) {
 			curves, err = prof.Curves(env.metrics())

@@ -10,9 +10,11 @@ package schedule
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamsched/internal/cachesim"
+	"streamsched/internal/exec"
 	"streamsched/internal/obs"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/sdf"
@@ -178,7 +180,61 @@ func foldWindow(t *testing.T, g *sdf.Graph, s Scheduler, env Env, warm, measured
 		t.Errorf("%s/%s warm %d measure %d specs %v: %d folded periods changed the result\nfolded   %+v\nunfolded %+v",
 			g.Name(), s.Name(), warm, measured, specs, n, got.Run, want.Run)
 	}
+	if !hasFIFO(specs) {
+		if w := wantFolds(t, g, s, env, warm, measured); n != w {
+			t.Errorf("%s/%s warm %d measure %d: folded %d periods, the first recurrence leaves %d whole periods",
+				g.Name(), s.Name(), warm, measured, n, w)
+		}
+	}
 	return n, nil
+}
+
+// discard is a recorder that keeps nothing.
+type discard struct{}
+
+func (discard) RecordRun(base, n int64) {}
+
+// wantFolds re-derives a fold from the machine alone: from the window's
+// mark it steps plan.Step firings at a time while the window looks (up to
+// a third of the window), compares each step's recurrence key with the
+// key at the last saved step — steps 0, 1, 3, 7, …, Brent's — and at the
+// first match returns how many whole periods fit between that recurrence
+// and the window's end. That is what a window that records one period and
+// runs no second one counts without running; 0 when it cannot fold.
+func wantFolds(t *testing.T, g *sdf.Graph, s Scheduler, env Env, warm, measured int64) int64 {
+	t.Helper()
+	plan, err := s.Prepare(g, env)
+	if err != nil || plan.Step <= 0 {
+		return 0
+	}
+	m, err := exec.NewMachine(g, exec.Config{
+		Cache: cachesim.Config{Block: env.B}, Caps: plan.Caps, TrackLatency: g.Source() != g.Sink(), Recorder: discard{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm > 0 {
+		if err := plan.Runner.Run(m, warm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := m.SourceFirings()
+	end := start + measured
+	keys, fired := [][]int64{m.AppendState(nil)}, []int64{start}
+	saved := 0
+	for j := 1; m.SourceFirings() <= end-plan.Step && m.SourceFirings()-start < (end-start)/3; j++ {
+		if err := plan.Runner.Run(m, m.SourceFirings()+plan.Step); err != nil {
+			t.Fatal(err)
+		}
+		keys, fired = append(keys, m.AppendState(nil)), append(fired, m.SourceFirings())
+		if slices.Equal(keys[j], keys[saved]) {
+			return (end - fired[j]) / (fired[j] - fired[saved])
+		}
+		if j == 2*saved+1 {
+			saved = j
+		}
+	}
+	return 0
 }
 
 // foldSpecs are the recorder shapes a fold is checked under: the

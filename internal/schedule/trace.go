@@ -64,19 +64,25 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 		return nil, fmt.Errorf("schedule: %w", err)
 	}
 	var profiles []*trace.OrgCurves
-	m, run, err := Window{
+	w := Window{
 		Span: "measure",
 		// A recording machine simulates no cache (the access stream is
 		// capacity-independent); the configuration only fixes the block
 		// granularity.
 		Cache:    cachesim.Config{Block: block},
 		Recorder: prof,
-		Mark:     func(*exec.Machine) { prof.ResetCounts() },
+		// Nothing reads the profilers' per-access verdicts.
+		Warm: func(*exec.Machine) { prof.StartWarmup() },
+		Mark: func(*exec.Machine) { prof.ResetCounts() },
 		Profile: func() error {
 			profiles = prof.Extract(env.metrics())
 			return nil
 		},
-	}.Measure(g, s, env, warm, measured)
+	}
+	if prof.Foldable() {
+		w.Folder = prof
+	}
+	m, run, err := w.Measure(g, s, env, warm, measured)
 	if err != nil {
 		return nil, err
 	}

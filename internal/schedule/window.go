@@ -38,12 +38,14 @@ type Run struct {
 // validation, the overflow guard, span and stage names, the Run header —
 // lives in Measure.
 //
-// When the plan has a Step and the Recorder can fold (an LRU-only
-// trace.OrgProfilers), Measure folds the steady state: once the machine's
-// state recurs inside the window it runs one more period for real and
-// counts the remaining whole periods as multiples of that one, so the
-// cost stops growing with measured. Results are exactly the unfolded
-// ones; every other window runs every firing.
+// When the plan has a Step and the window has a Folder, Measure folds the
+// steady state: it looks for the first recurrence of the machine's state
+// while the Folder records the stretch since the state it compares with —
+// one period, once the state recurs. It counts the rest of the window's
+// whole periods as steady repetitions of that one, without running them
+// and without running a second period, so the cost stops growing with
+// measured. Results are exactly the unfolded ones; every other window runs
+// every firing.
 type Window struct {
 	// Span names the obs span, suffixed with "[scheduler]".
 	Span string
@@ -57,13 +59,35 @@ type Window struct {
 	Recorder trace.Recorder
 	// Setup, when non-nil, runs once on the fresh machine before warm-up.
 	Setup func(m *exec.Machine, plan *Plan)
+	// Warm, when non-nil, starts the warm-up on whatever is recording, as
+	// Mark starts the window: the accesses until Mark only warm its state,
+	// so a recorder that can rebuild that state at the mark need not count
+	// them one by one.
+	Warm func(m *exec.Machine)
 	// Mark starts the measured window on whatever is counting: it resets
 	// the counters or marks the log. Item latency is reset alongside it.
 	Mark func(m *exec.Machine)
+	// Folder, when non-nil, is the recorder's folding side: with it a
+	// stepped plan's window folds its steady state.
+	Folder Folder
 	// Profile, when non-nil, runs after a conserved window under a
 	// "profile" stage — reading the results off whatever counted; its
 	// error fails the measurement.
 	Profile func() error
+}
+
+// Folder is a recorder that can count whole periods of a periodic stream
+// without being fed them (trace.OrgProfilers is one).
+type Folder interface {
+	// StartPeriod starts recording a candidate period at the current
+	// access, dropping any earlier candidate.
+	StartPeriod()
+	// RepeatSteady ends the candidate period and counts k more repetitions
+	// of it as a steady period, one that follows the same period; k == 0
+	// only ends it. It is called only when the stream is periodic from the
+	// period's start, and it fails, changing nothing, when a count would
+	// overflow int64.
+	RepeatSteady(k int64) error
 }
 
 // Measure runs the window for scheduler s on g and returns the finished
@@ -93,6 +117,9 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 	}
 	if w.Setup != nil {
 		w.Setup(m, plan)
+	}
+	if w.Warm != nil {
+		w.Warm(m)
 	}
 	stage = sp.Start("record")
 	defer stage.End()
@@ -137,64 +164,60 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 	return m, run, nil
 }
 
-// run drives m to end source firings. A plan with a step, recorded by
-// OrgProfilers that can fold, runs step by step while Brent's cycle search
-// compares the machine's recurrence key (exec.Machine.AppendState) at
-// each step boundary with one saved key; on the first recurrence it
-// folds. With no recurrence by a third of the window it stops looking.
-// Every other window is one Run call — which is what the stepped calls
-// amount to, by Plan.Step's contract.
+// run drives m to end source firings. A plan with a step, recorded by a
+// Folder, runs step by step while Brent's cycle search compares the
+// machine's recurrence key (exec.Machine.AppendState) at each step boundary
+// with one saved key, and the Folder records the stream since that key was
+// saved. On the first recurrence that stretch is one period of a stream
+// that is periodic from where the key was saved, so the machine advances
+// by the remaining whole periods from the counters saved with the key, the
+// Folder counts them as steady periods, and the rest runs for real. With no
+// recurrence by a third of the window it stops looking, and so it does once
+// the saved key is too late for a fold: a period of P >= Step firings from
+// it must recur and leave P more before the end. Every other window is one
+// Run call — which is what the stepped calls amount to, by Plan.Step's
+// contract.
 func (w Window) run(m *exec.Machine, plan *Plan, end int64, reg *obs.Registry) error {
-	f, ok := w.Recorder.(*trace.OrgProfilers)
-	if !ok || plan.Step <= 0 || !f.Foldable() {
+	f := w.Folder
+	start := m.SourceFirings()
+	if f == nil || plan.Step <= 0 || (end-start)/2 < plan.Step {
 		return plan.Runner.Run(m, end)
 	}
-	start := m.SourceFirings()
-	saved, savedAt := m.AppendState(nil), start
+	saved, savedAt, c := m.AppendState(nil), start, m.Counters()
+	f.StartPeriod()
 	var key []int64
-	for steps, power := int64(0), int64(1); m.SourceFirings() <= end-plan.Step && m.SourceFirings()-start < (end-start)/3; {
+	for steps, power := int64(0), int64(1); m.SourceFirings() <= end-plan.Step && (end-savedAt)/2 >= plan.Step && m.SourceFirings()-start < (end-start)/3; {
 		if err := plan.Runner.Run(m, m.SourceFirings()+plan.Step); err != nil {
 			return err
 		}
 		if key = m.AppendState(key[:0]); slices.Equal(key, saved) {
-			return fold(m, plan, f, m.SourceFirings()-savedAt, end, reg)
+			// The machine and the Folder each refuse an overflowing fold
+			// before changing anything, and the machine counts every
+			// access the Folder does, so the machine refuses first.
+			q := (end - m.SourceFirings()) / (m.SourceFirings() - savedAt)
+			if q > 0 {
+				if err := m.Advance(c, q); err != nil {
+					return err
+				}
+				reg.Counter("schedule.window.folded_periods").Add(q)
+			}
+			if err := f.RepeatSteady(q); err != nil {
+				return err
+			}
+			return plan.Runner.Run(m, end)
 		}
 		// Brent: move the saved key forward whenever the distance to it
 		// reaches a power of two, so a period of any length is found
 		// with one key in memory.
 		if steps++; steps == power {
-			saved, key, savedAt = key, saved, m.SourceFirings()
+			saved, key, savedAt, c = key, saved, m.SourceFirings(), m.Counters()
+			f.StartPeriod()
 			steps, power = 0, 2*power
 		}
 	}
-	return plan.Runner.Run(m, end)
-}
-
-// fold takes over at a recurrence: the stream repeats every period source
-// firings from here on, and the recorder has seen one period of it, so
-// every further period counts the same (trace.OrgProfilers.Repeat says
-// why). It runs one period for real, advances the machine and the
-// recorder by the remaining whole periods, and runs the rest for real.
-func fold(m *exec.Machine, plan *Plan, f *trace.OrgProfilers, period, end int64, reg *obs.Registry) error {
-	if (end-m.SourceFirings())/period < 2 {
-		return plan.Runner.Run(m, end)
-	}
-	key, c, t := m.AppendState(nil), m.Counters(), f.Tally()
-	from := m.SourceFirings()
-	if err := plan.Runner.Run(m, from+period); err != nil {
+	if err := f.RepeatSteady(0); err != nil {
 		return err
 	}
-	if !slices.Equal(m.AppendState(nil), key) {
-		return fmt.Errorf("schedule: the machine did not recur after one period of %d source firings", period)
-	}
-	q := (end - m.SourceFirings()) / (m.SourceFirings() - from)
-	if err := m.Advance(c, q); err != nil {
-		return err
-	}
-	if err := f.Repeat(t, q); err != nil {
-		return err
-	}
-	reg.Counter("schedule.window.folded_periods").Add(q)
 	return plan.Runner.Run(m, end)
 }
 

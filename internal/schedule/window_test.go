@@ -96,3 +96,40 @@ func headers(t *testing.T, env Env, spec hierarchy.HierSpec, warm, measured int6
 		}
 	}
 }
+
+// TestDaemonColdShapeFoldsFourPeriods pins the fold on the shape of the
+// daemon's cold profile request: an FM-radio-shaped split-join — a 12-block
+// low-pass, a demodulator, eight branches of two 12-block band-pass
+// filters, a summer — partitioned at M = 512, B = 16, warm 512, measure
+// 2560. The machine's state recurs one batch of 512 source firings after
+// the mark, so the window records that one period, runs no second one, and
+// counts the other four batches without running them — and the result
+// equals the unfolded pass.
+func TestDaemonColdShapeFoldsFourPeriods(t *testing.T) {
+	const block, filter = 16, 12 * 16
+	b := sdf.NewBuilder("fm-shaped")
+	src, lpf := b.AddNode("antenna", 0), b.AddNode("lowpass", filter)
+	demod, split := b.AddNode("demod", filter/4+1), b.AddNode("split", 1)
+	sum, sink := b.AddNode("sum", 9), b.AddNode("speaker", 0)
+	b.Connect(src, lpf, 1, 1)
+	b.Connect(lpf, demod, 1, 1)
+	b.Connect(demod, split, 1, 1)
+	for range 8 {
+		low, high := b.AddNode("low", filter), b.AddNode("high", filter)
+		b.Connect(split, low, 1, 1)
+		b.Connect(low, high, 1, 1)
+		b.Connect(high, sum, 1, 1)
+	}
+	b.Connect(sum, sink, 1, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := foldWindow(t, g, Partitioned(g, nil), Env{M: 512, B: block}, 512, 2560, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 4 {
+		t.Fatalf("folded %d periods, want 4", n)
+	}
+}

@@ -122,13 +122,16 @@ func (s *setStack) touch(blk int64) int {
 
 // touchRun feeds the stack the ids base, base+1, …, base+n-1 in order. A
 // stack in its timeline stage takes the run in one step where it can
-// (Profiler.TouchRun); a list stack takes it id by id.
-func (s *setStack) touchRun(base, n int64) {
+// (Profiler.TouchRun); a list stack takes it id by id. period, when
+// non-nil, notes the depth each id was found at, as in Profiler.touchRun.
+func (s *setStack) touchRun(base, n int64, period *periodLog) {
 	for ; n > 0 && s.mat == nil; base, n = base+1, n-1 {
-		s.touch(base)
+		if d := s.touch(base); period != nil {
+			period.noteRun(base, 1, d)
+		}
 	}
 	if n > 0 {
-		s.mat.TouchRun(base, n)
+		s.mat.touchRun(base, n, period)
 	}
 }
 

@@ -10,15 +10,31 @@ import (
 	"streamsched/internal/trace"
 )
 
-// TestOrgProfilersRepeatEqualsFeeding: on a stream that becomes periodic,
-// profilers fed one period after the first, tallied, fed the next and
-// repeated k times report exactly the curves of profilers fed all k+2
-// periods — and keep profiling the rest of the stream identically. Specs
-// cover the unbounded fully-associative stack (past the list→timeline
-// upgrade), unbounded set-associative families, request-bounded rows and
-// marker lists (fully- and set-associative, down to 1,024 lines), dense,
-// negative and sparse ids, and a window mark inside the lead-in.
-func TestOrgProfilersRepeatEqualsFeeding(t *testing.T) {
+// recordRuns feeds blocks to p a maximal run of consecutive ids at a time,
+// so an unbounded fully-associative family takes whole runs where it can.
+func recordRuns(p *trace.OrgProfilers, blocks []int64) {
+	for i := 0; i < len(blocks); {
+		j := i + 1
+		for j < len(blocks) && blocks[j] == blocks[j-1]+1 {
+			j++
+		}
+		p.RecordRun(blocks[i], int64(j-i))
+		i = j
+	}
+}
+
+// TestOrgProfilersOnePeriodFoldEqualsFeeding: on a stream that becomes
+// periodic, profilers that warmed up by last use over the lead-in up to
+// the window mark, fed the rest of it, recorded one period
+// (StartPeriod) and counted k steady repetitions of it (RepeatSteady)
+// report exactly the curves of profilers fed everything — lead-in and k+1
+// periods — access by access, and keep profiling the rest of the stream
+// identically. No second period is fed. Specs cover the unbounded
+// fully-associative stack alone (which takes whole runs) and past the
+// list→timeline upgrade, unbounded set-associative families,
+// request-bounded rows and marker lists (fully- and set-associative, down
+// to 1,024 lines), over dense, negative and sparse ids.
+func TestOrgProfilersOnePeriodFoldEqualsFeeding(t *testing.T) {
 	specs := [][]trace.OrgSpec{
 		{{Sets: 1}},
 		{{Sets: 1}, {Sets: 4}, {Sets: 7}},
@@ -39,40 +55,43 @@ func TestOrgProfilersRepeatEqualsFeeding(t *testing.T) {
 		k := int64(1 + rng.Intn(6))
 		mark := rng.Intn(len(lead))
 		for name, id := range ids {
+			mapped := func(blocks []int64) []int64 {
+				out := make([]int64, len(blocks))
+				for i, b := range blocks {
+					out[i] = id(b)
+				}
+				return out
+			}
+			lead, period, tail := mapped(lead), mapped(period), mapped(tail)
 			for _, sp := range specs {
-				fed := func(p *trace.OrgProfilers, blocks []int64) {
-					for _, b := range blocks {
-						p.Touch(id(b))
-					}
+				folded, err := trace.NewOrgProfilers(sp)
+				if err != nil {
+					t.Fatal(err)
 				}
-				start := func() *trace.OrgProfilers {
-					p, err := trace.NewOrgProfilers(sp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fed(p, lead[:mark])
-					p.ResetCounts()
-					fed(p, lead[mark:])
-					fed(p, period)
-					return p
-				}
-				folded, full := start(), start()
+				full, _ := trace.NewOrgProfilers(sp)
 				if !folded.Foldable() {
 					t.Fatalf("%v: LRU-only profilers not foldable", sp)
 				}
-				tally := folded.Tally()
-				fed(folded, period)
-				if err := folded.Repeat(tally, k); err != nil {
+				folded.StartWarmup()
+				recordRuns(folded, lead[:mark])
+				folded.ResetCounts()
+				recordRuns(folded, lead[mark:])
+				folded.StartPeriod()
+				recordRuns(folded, period)
+				if err := folded.RepeatSteady(k); err != nil {
 					t.Fatal(err)
 				}
+				recordRuns(full, lead[:mark])
+				full.ResetCounts()
+				recordRuns(full, lead[mark:])
 				for i := int64(0); i <= k; i++ {
-					fed(full, period)
+					recordRuns(full, period)
 				}
 				if got, want := folded.Curves(), full.Curves(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %s %v: repeated %d periods, curves differ from feeding them", trial, name, sp, k)
+					t.Fatalf("trial %d %s %v: one period and %d steady repeats, curves differ from feeding them", trial, name, sp, k)
 				}
-				fed(folded, tail)
-				fed(full, tail)
+				recordRuns(folded, tail)
+				recordRuns(full, tail)
 				if got, want := folded.Curves(), full.Curves(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d %s %v: the stream after the repeat profiles differently", trial, name, sp)
 				}
@@ -82,14 +101,15 @@ func TestOrgProfilersRepeatEqualsFeeding(t *testing.T) {
 }
 
 // TestOrgProfilersRepeatRefuses: FIFO replicas make the profilers
-// unfoldable, and a repeat that would overflow a count fails naming int64
-// and changes nothing.
+// unfoldable, a repeat that would overflow a count fails naming int64 and
+// changes nothing, and repeating zero times only ends the period.
 func TestOrgProfilersRepeatRefuses(t *testing.T) {
 	fifo, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1}, {Sets: 2, FIFOWays: []int64{4}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fifo.Foldable() || fifo.Repeat(fifo.Tally(), 1) == nil {
+	fifo.StartPeriod()
+	if fifo.Foldable() || fifo.RepeatSteady(1) == nil {
 		t.Error("profilers with a FIFO replica fold")
 	}
 	p, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1}, {Sets: 4, LRUWays: []int64{2}}})
@@ -100,15 +120,23 @@ func TestOrgProfilersRepeatRefuses(t *testing.T) {
 	for _, b := range stream {
 		p.Touch(b)
 	}
-	tally := p.Tally()
+	p.StartPeriod()
 	for _, b := range stream {
 		p.Touch(b)
 	}
 	before := p.Curves()
-	if err := p.Repeat(tally, math.MaxInt64/100); err == nil || !strings.Contains(err.Error(), "overflows int64") {
-		t.Fatalf("Repeat past int64 = %v, want an overflow error", err)
+	if err := p.RepeatSteady(math.MaxInt64 / 100); err == nil || !strings.Contains(err.Error(), "overflows int64") {
+		t.Fatalf("RepeatSteady past int64 = %v, want an overflow error", err)
 	}
 	if !reflect.DeepEqual(p.Curves(), before) {
-		t.Fatal("a refused Repeat changed the counts")
+		t.Fatal("a refused RepeatSteady changed the counts")
+	}
+	p.StartPeriod()
+	for _, b := range stream {
+		p.Touch(b)
+	}
+	before = p.Curves()
+	if err := p.RepeatSteady(0); err != nil || !reflect.DeepEqual(p.Curves(), before) {
+		t.Fatalf("RepeatSteady(0) = %v or changed the counts", err)
 	}
 }

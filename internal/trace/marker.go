@@ -1,5 +1,7 @@
 package trace
 
+import "slices"
+
 // Stack simulation with markers (Kim, Hill & Wood, "Implementing Stack
 // Simulation for Highly-Associative Memories", SIGMETRICS 1991). A request
 // that evaluates an LRU family at a fixed list of way counts w_1 < … < w_K
@@ -176,6 +178,20 @@ func growCells(cells []int32, need int) []int32 {
 	grown := make([]int32, n)
 	copy(grown, cells)
 	return grown
+}
+
+// zone returns the zone a block found at the given depth is counted in — 0
+// past the last way count, or for depth 0 — and so also maps what touch
+// reports back to its zone.
+func (m *markerStacks) zone(depth int) int {
+	if depth == 0 {
+		return 0
+	}
+	z, _ := slices.BinarySearch(m.ways, int64(depth))
+	if z == len(m.ways) {
+		return 0
+	}
+	return z + 1
 }
 
 // curve answers the family's way counts from the zone histogram: an access

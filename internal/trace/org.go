@@ -1,12 +1,10 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"streamsched/internal/obs"
-	"streamsched/internal/ratio"
 )
 
 // OrgSpec selects one cache-organisation family to profile a trace under:
@@ -174,6 +172,13 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // point at once, whether it missed there: Touch keeps the depth found in
 // each family and the FIFO bank's miss bits, and Missed reads them back per
 // point — the miss stream a next cache level is fed from.
+//
+// Two stretches of the stream need less than a touch per access, because
+// an LRU stack keeps of a stretch only its distinct blocks in last-use
+// order (fold.go): a warm-up whose verdicts nobody reads (StartWarmup),
+// and every period after the first of a periodic stream, which
+// RepeatSteady counts from one recorded period (StartPeriod) — the
+// profilers are a schedule.Folder.
 type OrgProfilers struct {
 	specs    []OrgSpec
 	familyOf []int // spec -> family
@@ -184,6 +189,11 @@ type OrgProfilers struct {
 	// deepest way count of its zone), 0 = cold or past the bound
 	depth []int
 	bank  *fifoBank // nil when no family is bounded or replays FIFO
+	// warm logs a warm-up's uses while the LRU stacks skip it (StartWarmup),
+	// period a candidate period's (StartPeriod); each is nil outside its
+	// stretch of the stream.
+	warm   *useLog
+	period *periodLog
 }
 
 // orgFamily is the profiling state of one distinct set count.
@@ -293,8 +303,11 @@ func (p *OrgProfilers) Missed(pt OrgPoint) bool {
 }
 
 // ResetCounts starts the measured window: histograms and miss counters
-// reset, warm stack state kept.
+// reset, warm stack state kept — rebuilt first, after StartWarmup.
 func (p *OrgProfilers) ResetCounts() {
+	if p.warm != nil {
+		p.endWarmup()
+	}
 	p.eachCount((*depthCounts).reset)
 	if p.bank != nil {
 		p.bank.resetCounts()
@@ -317,95 +330,41 @@ func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
 	}
 }
 
-// Foldable reports whether Repeat can count repetitions of the stream for
-// these profilers: every one is an LRU stack. FIFO is not a stack
-// algorithm — its state after a period need not recur — so one FIFO
-// replica makes the profilers unfoldable.
-func (p *OrgProfilers) Foldable() bool { return p.bank == nil || len(p.bank.reps) == 0 }
-
-// Tally is a snapshot of an OrgProfilers' windowed counts, the base that
-// Repeat measures a period from.
-type Tally struct {
-	counts         []depthCounts
-	accesses, cold int64 // the FIFO bank's
-}
-
-// Tally snapshots the windowed counts.
-func (p *OrgProfilers) Tally() Tally {
-	var t Tally
-	p.eachCount(func(c *depthCounts) {
-		t.counts = append(t.counts, depthCounts{hist: slices.Clone(c.hist), cold: c.cold})
-	})
-	if p.bank != nil {
-		t.accesses, t.cold = p.bank.accesses, p.bank.cold
-	}
-	return t
-}
-
-// Repeat counts k more repetitions of the stream fed since t was taken,
-// without being fed them: every depth histogram, cold count and access
-// count grows by k times its change since t. Foldable profilers must have
-// been fed, before t, one whole period of a periodic stream, and since t
-// the next one. That is exact: a period P applied to any LRU stack leaves
-// P's blocks on top in order of last use over the rest in its old order,
-// and applying P again leaves that stack unchanged — so every repetition
-// after the first finds each block at the same depth. This holds per set,
-// and for request-bounded stacks, whose rows and marker lists are the top
-// of the full ones (a marker zone is a fixed range of depths).
-// Repeat fails, changing nothing, when a count would overflow int64.
-func (p *OrgProfilers) Repeat(t Tally, k int64) error {
-	if !p.Foldable() {
-		return errors.New("trace: FIFO replicas cannot be folded")
-	}
-	// The first pass only checks, so that a refused repeat changes nothing.
-	for _, apply := range []bool{false, true} {
-		fits := true
-		add := func(x *int64, was int64) {
-			v, ok := ratio.AddMul(*x, k, *x-was)
-			if fits = fits && ok; apply {
-				*x = v
-			}
-		}
-		i := 0
-		p.eachCount(func(c *depthCounts) {
-			was := t.counts[i]
-			i++
-			for d := range c.hist {
-				var w int64
-				if d < len(was.hist) {
-					w = was.hist[d] // a histogram only grows
-				}
-				add(&c.hist[d], w)
-			}
-			add(&c.cold, was.cold)
-		})
-		if p.bank != nil {
-			add(&p.bank.accesses, t.accesses)
-			add(&p.bank.cold, t.cold)
-		}
-		if !fits {
-			return fmt.Errorf("trace: repeating the counts %d times overflows int64", k)
-		}
-	}
-	return nil
-}
-
 // Touch feeds one access to every organisation's profilers.
-func (p *OrgProfilers) Touch(blk int64) { p.touch(blk, -1) }
+func (p *OrgProfilers) Touch(blk int64) {
+	if p.warm != nil {
+		p.warmTouch(blk)
+		return
+	}
+	p.touch(blk, -1)
+}
 
 // RecordRun feeds accesses to the n blocks base, base+1, …, in that order,
 // to every organisation's profilers. It makes OrgProfilers a Recorder: an
 // execution machine can profile while it runs, with ResetCounts as its
 // window mark.
 func (p *OrgProfilers) RecordRun(base, n int64) {
-	if p.full >= 0 {
-		p.fams[p.full].assoc.per[0].touchRun(base, n) // Sets=1: within-set id == block id
-		if len(p.fams) == 1 && p.bank == nil {
-			return
+	end := base + n
+	switch {
+	case p.warm != nil && p.liveBank():
+		for ; base != end; base++ {
+			p.warmTouch(base)
 		}
-	}
-	for end := base + n; base != end; base++ {
-		p.touch(base, p.full)
+	case p.warm != nil:
+		for base != end {
+			base, _ = p.warm.useRun(base, end)
+		}
+	case p.full >= 0 && len(p.fams) == 1 && p.bank == nil:
+		p.fams[0].assoc.per[0].touchRun(base, n, p.period) // Sets=1: within-set id == block id
+	case p.full >= 0 && p.period == nil:
+		p.fams[p.full].assoc.per[0].touchRun(base, n, nil)
+		for ; base != end; base++ {
+			p.touch(base, p.full)
+		}
+	default: // a recorded period needs every family's depth per block
+		for ; base != end; base++ {
+			p.touch(base, -1)
+		}
 	}
 }
 
@@ -415,6 +374,18 @@ func (p *OrgProfilers) touch(blk int64, skip int) {
 	if p.bank != nil {
 		slot = p.bank.slot(blk)
 	}
+	p.touchStacks(blk, slot, skip)
+	if p.bank != nil {
+		p.bank.touch(slot, p.sets)
+	}
+	if p.period != nil {
+		p.period.noteFirst(blk, p.depth)
+	}
+}
+
+// touchStacks feeds one access, the block in slot, to every family's LRU
+// stacks but skip's.
+func (p *OrgProfilers) touchStacks(blk int64, slot int32, skip int) {
 	for i := range p.fams {
 		f := &p.fams[i]
 		set := f.idx.set(blk)
@@ -430,9 +401,6 @@ func (p *OrgProfilers) touch(blk int64, skip int) {
 		default:
 			p.depth[i] = f.assoc.per[set].touch(f.idx.id(blk, set))
 		}
-	}
-	if p.bank != nil {
-		p.bank.touch(slot, p.sets)
 	}
 }
 

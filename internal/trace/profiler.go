@@ -87,7 +87,12 @@ func (p *Profiler) Touch(blk int64) int {
 // CountAfter(s+k-1): one count, one histogram update, one masked clear and
 // one masked set. Unseen blocks, broken runs and sparse or negative ids
 // take the one-block path.
-func (p *Profiler) TouchRun(base, n int64) {
+func (p *Profiler) TouchRun(base, n int64) { p.touchRun(base, n, nil) }
+
+// touchRun is TouchRun noting in period, when non-nil, the depth the
+// blocks were found at (0: first-ever), a stretch of blocks sharing one
+// depth at a time.
+func (p *Profiler) touchRun(base, n int64, period *periodLog) {
 	for n > 0 {
 		var k int32 // leading blocks in consecutive slots
 		if base >= 0 && base < int64(len(p.dense)) && p.dense[base] != 0 {
@@ -99,13 +104,19 @@ func (p *Profiler) TouchRun(base, n int64) {
 			}
 		}
 		if k < 2 {
-			p.Touch(base)
+			if d := p.Touch(base); period != nil {
+				period.noteRun(base, 1, d)
+			}
 			base, n = base+1, n-1
 			continue
 		}
 		p.tl.Room(k, p.relabel) // renumbering keeps the slots consecutive
 		slot := p.dense[base]
-		p.count(p.tl.CountAfter(slot+k-1)+int64(k), int64(k))
+		d := p.tl.CountAfter(slot+k-1) + int64(k)
+		p.count(d, int64(k))
+		if period != nil {
+			period.noteRun(base, int64(k), int(d))
+		}
 		p.tl.Remove(slot, k)
 		slot = p.tl.Append(base, k)
 		for i := range p.dense[base : base+int64(k)] {
