@@ -240,9 +240,10 @@ func wantFolds(t *testing.T, g *sdf.Graph, s Scheduler, env Env, warm, measured 
 // foldSpecs are the recorder shapes a fold is checked under: the
 // fully-associative curve alone, with unbounded set-associative LRU
 // families, with request-bounded rows (GridSpecs' grid), with FIFO
-// replicas, which never fold, and with marker lists of 1,024-line caches
+// replicas, which never fold, with marker lists of 1,024-line caches
 // (two and four sets: a Sets=1 list would join the curve's unbounded
-// family).
+// family), and with direct-mapped FIFO points, which are LRU points and
+// fold.
 func foldSpecs(t *testing.T, block int64) [][]trace.OrgSpec {
 	bounded, _, err := trace.GridSpecs([]int64{512, 1024}, block, []int64{1, 4, 0}, false)
 	if err != nil {
@@ -253,15 +254,22 @@ func foldSpecs(t *testing.T, block int64) [][]trace.OrgSpec {
 		t.Fatal(err)
 	}
 	markers := []trace.OrgSpec{{Sets: 2, LRUWays: []int64{512, 32}}, {Sets: 4, LRUWays: []int64{256}}}
-	return [][]trace.OrgSpec{nil, {{Sets: 4}, {Sets: 16}}, bounded, fifo, markers}
+	direct, _, err := trace.GridSpecs([]int64{256, 1024}, block, []int64{1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [][]trace.OrgSpec{nil, {{Sets: 4}, {Sets: 16}}, bounded, fifo, markers, direct}
 }
 
-// hasFIFO reports whether any spec replays FIFO, which keeps a window from
-// folding.
+// hasFIFO reports whether any spec replays FIFO at more than one way, which
+// takes a FIFO replica and keeps a window from folding. A one-way FIFO
+// point is the one-way LRU point.
 func hasFIFO(specs []trace.OrgSpec) bool {
 	for _, s := range specs {
-		if len(s.FIFOWays) > 0 {
-			return true
+		for _, w := range s.FIFOWays {
+			if w > 1 {
+				return true
+			}
 		}
 	}
 	return false

@@ -102,9 +102,13 @@ func NewAssocProfiler(sets int64) *AssocProfiler {
 // set and feeds the set's stack the block's within-set id, so each
 // per-set stack sees a dense id space regardless of the stride the set
 // selection induces.
-func (p *AssocProfiler) Touch(blk int64) {
+func (p *AssocProfiler) Touch(blk int64) { p.touch(blk) }
+
+// touch is Touch returning the depth the block was found at in its set's
+// stack, 0 for a first-ever access.
+func (p *AssocProfiler) touch(blk int64) int {
 	set := p.idx.set(blk)
-	p.per[set].touch(p.idx.id(blk, set))
+	return p.per[set].touch(p.idx.id(blk, set))
 }
 
 // touch processes one access and returns the stack depth it was found at,
@@ -232,12 +236,13 @@ func (l *listStack) touch(blk int64) int {
 // array and share one depth histogram. Rows hold the blocks' blockTable
 // slots, which identify a block as exactly as its id does.
 type boundedStacks struct {
+	idx   setIndex
 	ways  []int64 // the way counts, ascending and distinct
 	bound int     // the deepest of them
 	rows  []int32 // sets*bound entries, most recent first; noSlot = empty
 	// hist[d], 1 <= d <= bound: counted accesses found at depth d; hist[0]:
 	// those not found in their row (cold included). cold stays zero: the
-	// FIFO bank's ever-seen bits count first-ever accesses.
+	// blockTable's seen bits count first-ever accesses.
 	depthCounts
 }
 
@@ -247,21 +252,27 @@ func newBoundedStacks(sets int64, ways []int64) *boundedStacks {
 	for i := range rows {
 		rows[i] = noSlot
 	}
-	return &boundedStacks{ways: ways, bound: int(bound), rows: rows, depthCounts: depthCounts{hist: make([]int64, bound+1)}}
+	return &boundedStacks{idx: newSetIndex(sets), ways: ways, bound: int(bound), rows: rows, depthCounts: depthCounts{hist: make([]int64, bound+1)}}
 }
 
-// touch processes one access to the block in slot and returns the depth it
-// was found at, 0 when it is deeper than the bound (or cold): the row's
-// last entry has then fallen off the stack.
+// touch processes one access to the block in slot, in the given set, and
+// returns the depth it was found at, 0 when it is deeper than the bound (or
+// cold): the row's last entry has then fallen off the stack. A reuse at
+// depth 1, the commonest at L2, leaves the row as it is. It is small enough
+// to inline into OrgProfilers' rows loop.
 func (b *boundedStacks) touch(set int64, slot int32) int {
-	d, _ := moveToFront(b.rows[int(set)*b.bound:][:b.bound], slot)
+	row := b.rows[int(set)*b.bound:][:b.bound]
+	d := 1
+	if row[0] != slot {
+		d, _ = moveToFront(row, slot)
+	}
 	b.hist[d]++
 	return d
 }
 
 // curve answers the family's way counts from the shared histogram: an
 // access hits at w exactly when it was found at a depth of at most w.
-func (b *boundedStacks) curve(sets, cold int64) *AssocCurve {
+func (b *boundedStacks) curve(cold int64) *AssocCurve {
 	var total int64
 	for _, n := range b.hist {
 		total += n
@@ -274,7 +285,7 @@ func (b *boundedStacks) curve(sets, cold int64) *AssocCurve {
 		}
 		misses[i] = left
 	}
-	return &AssocCurve{Sets: sets, Accesses: total, Cold: cold, Ways: b.ways, misses: misses}
+	return &AssocCurve{Sets: b.idx.sets, Accesses: total, Cold: cold, Ways: b.ways, misses: misses}
 }
 
 // AssocCurve is the result of per-set reuse-distance profiling: the exact

@@ -22,7 +22,7 @@ import (
 // of a 16-line one in front of BenchmarkProfileHier's half-random stream.
 // Each sub-benchmark reports ns per access.
 func BenchmarkBoundedFamilies(b *testing.B) {
-	streams, err := crossoverStreams()
+	streams, _, err := crossoverStreams()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,15 +58,69 @@ func BenchmarkBoundedFamilies(b *testing.B) {
 
 var crossoverSink int
 
+// BenchmarkOrgProfilersTouch times OrgProfilers.Touch on the benchmark
+// workloads' grids: the L2 grid of hier-shared's hier verb (capacities 2k…16k
+// words × 4, 8 ways and fully associative at B=16: five row families and one
+// marker family) fed the miss streams of a 16-line and a 64-line
+// fully-associative L1, and orgs-grid's LRU+FIFO grid (capacities 256…4k
+// words × 1, 2, 4, 8 ways and fully associative) fed the recorded stream
+// itself. Each op feeds the whole stream to one set of profilers, built
+// before the timer starts, so the first op starts cold and the rest replay
+// the stream on warm stacks; each sub-benchmark reports ns per access.
+func BenchmarkOrgProfilersTouch(b *testing.B) {
+	streams, recorded, err := crossoverStreams()
+	if err != nil {
+		b.Fatal(err)
+	}
+	l2grid, _, err := trace.GridSpecs([]int64{2048, 4096, 8192, 16384}, 16, []int64{4, 8, 0}, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	orgsGrid, _, err := trace.GridSpecs([]int64{256, 512, 1024, 2048, 4096}, 16, []int64{1, 2, 4, 8, 0}, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type bench struct {
+		name   string
+		specs  []trace.OrgSpec
+		blocks []int64
+	}
+	cases := []bench{{"orgs-grid/recorded", orgsGrid, recorded}}
+	for _, st := range streams[:2] { // recorded-l1fa16, recorded-l1fa64
+		blocks := make([]int64, len(st.slots))
+		for i, s := range st.slots {
+			blocks[i] = int64(s)
+		}
+		cases = append(cases, bench{"hier-l2/" + st.name, l2grid, blocks})
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := trace.NewOrgProfilers(c.specs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, blk := range c.blocks {
+					p.Touch(blk)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.blocks)), "ns/access")
+		})
+	}
+}
+
 type crossoverStream struct {
 	name  string
 	slots []int32 // dense block ids, which are their own bank slots
 }
 
-func crossoverStreams() ([]crossoverStream, error) {
+// crossoverStreams returns the three L2 reference streams and the recorded
+// schedule's stream they are derived from.
+func crossoverStreams() ([]crossoverStream, []int64, error) {
 	g, err := splitJoinGraph()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	l := trace.NewLog()
 	_, _, err = schedule.Window{
@@ -76,11 +130,11 @@ func crossoverStreams() ([]crossoverStream, error) {
 		Mark:     func(*exec.Machine) { l.MarkWindow() },
 	}.Measure(g, schedule.Partitioned(g, nil), schedule.Env{M: 512, B: 16}, 512, 512)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var recorded []int64
 	if err := l.ForEach(func(blk int64) { recorded = append(recorded, blk) }); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var out []crossoverStream
 	for _, s := range []struct {
@@ -94,11 +148,11 @@ func crossoverStreams() ([]crossoverStream, error) {
 	} {
 		misses, err := l1Misses(s.blocks, s.lines)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out = append(out, crossoverStream{s.name, misses})
 	}
-	return out, nil
+	return out, recorded, nil
 }
 
 // splitJoinGraph is the benchmark workload's graph shape: a source, a

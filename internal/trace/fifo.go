@@ -19,118 +19,132 @@ import (
 // Work is then proportional to misses: insert at the replica's head, clear
 // the victim's bit. One recorded trace therefore still answers every
 // requested FIFO point without re-running the scheduler or the simulator.
+// A one-way FIFO cache needs no replica at all: with one line per set,
+// both policies evict the only block, so it is the one-way LRU cache.
 
 // noSlot marks an empty row entry; blockTable never hands it out.
 const noSlot = math.MinInt32
 
-// fifoBank is the per-block state every organisation profiler shares —
-// bit 0 of a block's mask records that it was ever accessed (the cold-miss
-// tracker), bit r+1 that FIFO replica r holds it — plus the replicas
-// themselves. Blocks are addressed by slot: small non-negative ids index
-// the dense mask table directly, sparse or negative ids get slots counted
-// down from -1 in a side table, like Profiler's block index.
+// blockTable names the blocks an organisation profiler has seen by slot —
+// the id a request-bounded family's rows and marker lists and the FIFO
+// replicas hold — and keeps each block's first-ever bit, the cold-miss
+// tracker. Small non-negative ids are their own slots and keep their bit in
+// a flat bitmap; sparse or negative ids get slots counted down from -1 in a
+// side map, like Profiler's block index, and a new map entry is their first
+// sight.
+type blockTable struct {
+	seen   []uint64 // slot s >= 0: bit s&63 of seen[s>>6]
+	sparse map[int64]int32
+	cold   int64 // counted first-ever accesses
+}
+
+// slot returns blk's slot, counting the access cold on the block's first
+// sight.
+func (t *blockTable) slot(blk int64) int32 {
+	if t.see(blk) {
+		return int32(blk)
+	}
+	return t.slowSlot(blk)
+}
+
+// see is slot's fast path, small enough to inline: when blk is a dense id
+// inside the bitmap — its own slot — it sets the block's seen bit, counting
+// a first sight cold, and reports true.
+func (t *blockTable) see(blk int64) bool {
+	i := uint64(blk) >> 6
+	if i >= uint64(len(t.seen)) {
+		return false
+	}
+	w := t.seen[i]
+	t.cold += int64(^w >> (blk & 63) & 1)
+	t.seen[i] = w | 1<<(blk&63)
+	return true
+}
+
+// slowSlot is slot off its fast path: a dense id past the bitmap, or a
+// sparse or negative one.
+func (t *blockTable) slowSlot(blk int64) int32 {
+	if blk >= 0 && blk < denseLimit {
+		t.seen = growCells(t.seen, int(blk>>6)+1)
+		return t.slot(blk)
+	}
+	s, ok := t.sparse[blk]
+	if !ok {
+		if t.sparse == nil {
+			t.sparse = make(map[int64]int32, 64)
+		}
+		s = ^int32(len(t.sparse))
+		t.sparse[blk] = s
+		t.cold++
+	}
+	return s
+}
+
+// fifoBank is the FIFO replicas of an organisation profiler and one
+// residency bit per replica per block: bit r of a block's mask says that
+// replica r holds it. Blocks are addressed by their blockTable slot: slot
+// s >= 0 owns dense[s*words : (s+1)*words], s < 0 owns side[^s*words : …].
 type fifoBank struct {
 	words  int      // mask words per block
 	full   []uint64 // per word: the bits of existing replicas
 	missed []uint64 // per word: the replicas the last touch missed in
-	dense  []uint64 // slot s >= 0 owns dense[s*words : (s+1)*words]
-	side   []uint64 // slot s < 0 owns side[^s*words : (^s+1)*words]
-	sparse map[int64]int32
+	dense  []uint64
+	side   []uint64
 	reps   []fifoReplica
-
-	accesses int64
-	cold     int64
 }
 
 // fifoReplica is one (sets, ways) FIFO cache: per-set circular buffers of
 // block slots. It mirrors cachesim's FIFO exactly: empty slots fill in
 // index order and eviction removes the oldest insertion.
 type fifoReplica struct {
-	family int // which of the caller's set indices places blocks here
+	idx    setIndex
 	ways   int64
 	rows   []int32 // sets*ways entries, noSlot = empty
 	head   []int32 // per set: next insertion slot
 	misses int64
 }
 
-func newFIFOBank() *fifoBank {
-	return &fifoBank{words: 1, full: []uint64{0}, missed: []uint64{0}}
-}
-
-// addReplica adds a FIFO cache of sets x ways lines placed by the caller's
-// family-th set index, and returns its replica number. Replicas must be
-// added before the first touch.
-func (b *fifoBank) addReplica(family int, sets, ways int64) int {
+// addReplica adds a FIFO cache of sets x ways lines and returns its replica
+// number. Replicas must be added before the first touch.
+func (b *fifoBank) addReplica(sets, ways int64) int {
 	r := len(b.reps)
 	rows := make([]int32, sets*ways)
 	for i := range rows {
 		rows[i] = noSlot
 	}
-	b.reps = append(b.reps, fifoReplica{family: family, ways: ways, rows: rows, head: make([]int32, sets)})
-	bit := r + 1
-	for bit/64 >= b.words {
+	b.reps = append(b.reps, fifoReplica{idx: newSetIndex(sets), ways: ways, rows: rows, head: make([]int32, sets)})
+	if r/64 == b.words {
 		b.words++
 		b.full = append(b.full, 0)
 		b.missed = append(b.missed, 0)
 	}
-	b.full[bit/64] |= 1 << (bit % 64)
+	b.full[r/64] |= 1 << (r % 64)
 	return r
 }
 
-// slot returns blk's slot, assigning one on first sight.
-func (b *fifoBank) slot(blk int64) int32 {
-	if blk >= 0 && blk < denseLimit {
-		if need := (int(blk) + 1) * b.words; need > len(b.dense) {
-			n := 2 * len(b.dense)
-			if n < 1024*b.words {
-				n = 1024 * b.words
-			}
-			for n < need {
-				n *= 2
-			}
-			grown := make([]uint64, n)
-			copy(grown, b.dense)
-			b.dense = grown
-		}
-		return int32(blk)
-	}
-	s, ok := b.sparse[blk]
-	if !ok {
-		if b.sparse == nil {
-			b.sparse = make(map[int64]int32, 64)
-		}
-		s = ^int32(len(b.sparse))
-		b.sparse[blk] = s
-		b.side = append(b.side, make([]uint64, b.words)...)
-	}
-	return s
-}
-
-// mask returns the slot's mask words.
+// mask returns the slot's mask words, growing the tables on first sight.
 func (b *fifoBank) mask(slot int32) []uint64 {
-	if slot >= 0 {
-		return b.dense[int(slot)*b.words:][:b.words]
+	cells, i := &b.dense, int(slot)
+	if slot < 0 {
+		cells, i = &b.side, int(^slot)
 	}
-	return b.side[int(^slot)*b.words:][:b.words]
+	if need := (i + 1) * b.words; need > len(*cells) {
+		*cells = growCells(*cells, need)
+	}
+	return (*cells)[i*b.words:][:b.words]
 }
 
-// touch processes one access to the block in slot; sets[f] is its set
-// index under family f.
-func (b *fifoBank) touch(slot int32, sets []int64) {
-	b.accesses++
+// touch processes one access to blk, the block in slot.
+func (b *fifoBank) touch(blk int64, slot int32) {
 	m := b.mask(slot)
-	if m[0]&1 == 0 {
-		m[0] |= 1
-		b.cold++
-	}
 	for w, have := range m {
 		miss := b.full[w] &^ have
 		b.missed[w] = miss
 		for ; miss != 0; miss &= miss - 1 {
 			bit := bits.TrailingZeros64(miss)
-			r := &b.reps[w*64+bit-1]
+			r := &b.reps[w*64+bit]
 			r.misses++
-			set := sets[r.family]
+			set := r.idx.set(blk)
 			at := set*r.ways + int64(r.head[set])
 			if victim := r.rows[at]; victim != noSlot {
 				b.mask(victim)[w] &^= 1 << bit
@@ -144,11 +158,10 @@ func (b *fifoBank) touch(slot int32, sets []int64) {
 	}
 }
 
-// resetCounts zeroes the counters while keeping every replica's contents
-// and the ever-accessed bits, exactly like resetting the cache
-// simulator's statistics after warmup.
+// resetCounts zeroes the miss counters while keeping every replica's
+// contents, exactly like resetting the cache simulator's statistics after
+// warmup.
 func (b *fifoBank) resetCounts() {
-	b.accesses, b.cold = 0, 0
 	for i := range b.reps {
 		b.reps[i].misses = 0
 	}

@@ -187,56 +187,46 @@ func (u *useLog) steadyDepths(idx setIndex) []int {
 // tallies the period started from.
 type periodLog struct {
 	useLog
-	first    []int32   // entry*families + family: its first use's depth, as touch reports it
-	base     [][]int64 // the depth histograms at the start, in eachCount order
-	accesses int64     // the FIFO bank's, at the start
+	first []int32   // entry*families + family: its first use's depth, as touch reports it
+	base  [][]int64 // the depth histograms at the start, in eachCount order
 }
 
 // StartWarmup says the accesses until the next ResetCounts only warm the
 // stacks. The LRU families then stamp each block's last use instead of
 // being touched, and ResetCounts rebuilds their stacks by feeding the
 // distinct blocks once, in last-use order — the stacks the warm-up would
-// have left. The FIFO bank's replicas stay live: FIFO state is not a stack.
+// have left. The FIFO replicas stay live: FIFO state is not a stack.
 // Missed reads nothing valid until the mark, so only a caller that does
 // not read the verdicts may warm up this way.
 func (p *OrgProfilers) StartWarmup() { p.warm = &useLog{} }
 
-// warmTouch is touch during a warm-up.
+// warmTouch is touch during a warm-up: the FIFO replicas see every access.
+// The blockTable's seen bits need only one access per distinct block, which
+// endWarmup gives them.
 func (p *OrgProfilers) warmTouch(blk int64) {
 	p.warm.use(blk)
-	if p.liveBank() {
-		for i := range p.fams {
-			p.sets[i] = p.fams[i].idx.set(blk)
-		}
-		p.bank.touch(p.bank.slot(blk), p.sets)
+	if p.bank != nil {
+		p.bank.touch(blk, p.table.slot(blk))
 	}
 }
 
-// liveBank reports whether the FIFO bank must see every access: it holds
-// replicas. Without them it only tells first-ever accesses, which one
-// access per distinct block tells as well.
-func (p *OrgProfilers) liveBank() bool { return p.bank != nil && len(p.bank.reps) > 0 }
-
-// endWarmup rebuilds the stacks a warm-up skipped.
+// endWarmup rebuilds the stacks a warm-up skipped. The replicas saw the
+// warm-up live, so the bank sits the rebuild out.
 func (p *OrgProfilers) endWarmup() {
-	u := p.warm
-	p.warm = nil
-	live := p.liveBank()
+	u, bank := p.warm, p.bank
+	p.warm, p.bank = nil, nil
 	for _, e := range u.byLastUse() {
-		blk := u.blks[e]
-		if live {
-			p.touchStacks(blk, p.bank.slot(blk), -1)
-		} else {
-			p.touch(blk, -1)
-		}
+		p.touch(u.blks[e], 0)
 	}
+	p.bank = bank
 }
 
 // Foldable reports whether RepeatSteady can count repetitions of the
 // stream for these profilers: every one is an LRU stack. FIFO is not a
 // stack algorithm — its state after a period need not recur — so one FIFO
-// replica makes the profilers unfoldable.
-func (p *OrgProfilers) Foldable() bool { return !p.liveBank() }
+// replica makes the profilers unfoldable; a one-way FIFO point is an LRU
+// point and needs none.
+func (p *OrgProfilers) Foldable() bool { return p.bank == nil }
 
 // StartPeriod starts recording a candidate period of the stream, dropping
 // any earlier one: from here on the profilers note each block's first and
@@ -257,9 +247,6 @@ func (p *OrgProfilers) StartPeriod() {
 		l.base[i] = append(l.base[i][:0], c.hist...)
 		i++
 	})
-	if p.bank != nil {
-		l.accesses = p.bank.accesses
-	}
 	p.period = l
 }
 
@@ -305,10 +292,6 @@ func (p *OrgProfilers) RepeatSteady(k int64) error {
 		return fmt.Errorf("trace: FIFO replicas cannot be folded")
 	}
 	steady := p.steadyCounts(l)
-	var accesses int64
-	if p.bank != nil {
-		accesses = p.bank.accesses - l.accesses
-	}
 	// The first pass only checks, so that a refused repeat changes nothing.
 	for _, apply := range []bool{false, true} {
 		fits := true
@@ -329,12 +312,6 @@ func (p *OrgProfilers) RepeatSteady(k int64) error {
 			}
 			i++
 		})
-		if p.bank != nil {
-			v, ok := ratio.AddMul(p.bank.accesses, k, accesses)
-			if fits = fits && ok; apply {
-				p.bank.accesses = v
-			}
-		}
 		if !fits {
 			return fmt.Errorf("trace: repeating the counts %d times overflows int64", k)
 		}
@@ -354,37 +331,37 @@ func (p *OrgProfilers) steadyCounts(l *periodLog) []depthCounts {
 		steady = append(steady, depthCounts{hist: h})
 		i++
 	})
-	fams := len(p.fams)
-	at := 0 // the family's first tally in steady
-	for fi := range p.fams {
-		f := &p.fams[fi]
+	fams := len(p.depth)
+	fi, at := 0, 0 // the family, and its first tally in steady
+	for i := range p.rows {
+		f, c := &p.rows[i], &steady[at]
 		for e, d := range l.steadyDepths(f.idx) {
-			was := int(l.first[e*fams+fi])
-			switch {
-			case f.rows != nil:
-				c := &steady[at]
-				c.hist[was]--
-				if d > f.rows.bound {
-					d = 0
-				}
-				c.hist[d]++
-			case f.markers != nil:
-				c := &steady[at]
-				c.hist[f.markers.zone(was)]--
-				c.hist[f.markers.zone(d)]++
-			default:
-				c := &steady[at+int(f.idx.set(l.blks[e]))]
-				if was > 0 {
-					c.hist[was]-- // a first-ever use was counted cold, which a steady period has none of
-				}
-				c.count(int64(d), 1)
+			c.hist[l.first[e*fams+fi]]--
+			if d > f.bound {
+				d = 0
 			}
+			c.hist[d]++
 		}
-		if f.assoc != nil {
-			at += len(f.assoc.per)
-		} else {
-			at++
+		fi, at = fi+1, at+1
+	}
+	for i := range p.markers {
+		f, c := &p.markers[i], &steady[at]
+		for e, d := range l.steadyDepths(f.idx) {
+			c.hist[f.zone(int(l.first[e*fams+fi]))]--
+			c.hist[f.zone(d)]++
 		}
+		fi, at = fi+1, at+1
+	}
+	for i := range p.stacks {
+		f := &p.stacks[i]
+		for e, d := range l.steadyDepths(f.idx) {
+			c := &steady[at+int(f.idx.set(l.blks[e]))]
+			if was := l.first[e*fams+fi]; was > 0 {
+				c.hist[was]-- // a first-ever use was counted cold, which a steady period has none of
+			}
+			c.count(int64(d), 1)
+		}
+		fi, at = fi+1, at+len(f.per)
 	}
 	return steady
 }

@@ -22,6 +22,7 @@ import "slices"
 // node is allocated only when its set's list grows, so memory follows the
 // footprint, not sets × w_K.
 type markerStacks struct {
+	idx   setIndex
 	ways  []int64 // the way counts, ascending and distinct
 	nodes []markerNode
 	sets  []markerSet
@@ -31,8 +32,8 @@ type markerStacks struct {
 	dense []int32 // slot s >= 0 -> its node+1; 0: not on a list
 	side  []int32 // slot s < 0 -> side[^s], the same
 	// hist[z], 1 <= z <= K: counted accesses found in zone z; hist[0]: those
-	// not found (cold included). cold stays zero: the FIFO bank's ever-seen
-	// bits count first-ever accesses.
+	// not found (cold included). cold stays zero: the blockTable's seen bits
+	// count first-ever accesses.
 	depthCounts
 }
 
@@ -50,7 +51,7 @@ type markerSet struct {
 }
 
 func newMarkerStacks(sets int64, ways []int64) *markerStacks {
-	m := &markerStacks{ways: ways, sets: make([]markerSet, sets), marks: make([]int32, sets*int64(len(ways))),
+	m := &markerStacks{idx: newSetIndex(sets), ways: ways, sets: make([]markerSet, sets), marks: make([]int32, sets*int64(len(ways))),
 		depthCounts: depthCounts{hist: make([]int64, len(ways)+1)}}
 	for i := range m.sets {
 		m.sets[i] = markerSet{head: -1, last: -1}
@@ -58,15 +59,20 @@ func newMarkerStacks(sets int64, ways []int64) *markerStacks {
 	return m
 }
 
-// touch processes one access to the block in slot and returns the deepest
-// way count of the zone it was found in — exactly the listed way counts
-// at or past that one hit — or 0 when it is past the last (or cold).
+// touch processes one access to the block in slot, in the given set, and
+// returns the deepest way count of the zone it was found in — exactly the
+// listed way counts at or past that one hit — or 0 when it is past the last
+// (or cold).
 func (m *markerStacks) touch(set int64, slot int32) int {
 	s := &m.sets[set]
-	k := len(m.ways)
-	marks := m.marks[int(set)*k:][:k]
 	at := m.entry(slot)
 	x := *at - 1
+	if x == s.head && x >= 0 {
+		m.hist[1]++ // the head is in the first zone, and stays put
+		return int(m.ways[0])
+	}
+	k := len(m.ways)
+	marks := m.marks[int(set)*k:][:k]
 	if x < 0 {
 		m.hist[0]++
 		*at = m.insert(s, marks, slot) + 1
@@ -74,9 +80,6 @@ func (m *markerStacks) touch(set int64, slot int32) int {
 	}
 	z := m.nodes[x].zone
 	m.hist[z]++
-	if x == s.head {
-		return int(m.ways[0])
-	}
 	for i := range marks[:z-1] {
 		m.pass(marks, i, x)
 	}
@@ -155,10 +158,17 @@ func (m *markerStacks) pushFront(s *markerSet, x int32) {
 
 // entry returns the slot's node+1 cell, growing the tables on first sight.
 func (m *markerStacks) entry(slot int32) *int32 {
+	if uint(slot) < uint(len(m.dense)) {
+		return &m.dense[slot]
+	}
+	return m.growEntry(slot)
+}
+
+// growEntry is entry off its fast path: a slot past the dense table, or a
+// negative one.
+func (m *markerStacks) growEntry(slot int32) *int32 {
 	if slot >= 0 {
-		if int(slot) >= len(m.dense) {
-			m.dense = growCells(m.dense, int(slot)+1)
-		}
+		m.dense = growCells(m.dense, int(slot)+1)
 		return &m.dense[slot]
 	}
 	i := int(^slot)
@@ -170,12 +180,12 @@ func (m *markerStacks) entry(slot int32) *int32 {
 
 // growCells returns cells grown, zero-filled and at least doubled, to hold
 // need entries.
-func growCells(cells []int32, need int) []int32 {
+func growCells[T int32 | uint64](cells []T, need int) []T {
 	n := max(2*len(cells), 1024)
 	for n < need {
 		n *= 2
 	}
-	grown := make([]int32, n)
+	grown := make([]T, n)
 	copy(grown, cells)
 	return grown
 }
@@ -196,7 +206,7 @@ func (m *markerStacks) zone(depth int) int {
 
 // curve answers the family's way counts from the zone histogram: an access
 // hits at ways[z-1] exactly when it was found in a zone at or above z.
-func (m *markerStacks) curve(sets, cold int64) *AssocCurve {
+func (m *markerStacks) curve(cold int64) *AssocCurve {
 	var total int64
 	for _, n := range m.hist {
 		total += n
@@ -207,5 +217,5 @@ func (m *markerStacks) curve(sets, cold int64) *AssocCurve {
 		left -= m.hist[z+1]
 		misses[z] = left
 	}
-	return &AssocCurve{Sets: sets, Accesses: total, Cold: cold, Ways: m.ways, misses: misses}
+	return &AssocCurve{Sets: m.idx.sets, Accesses: total, Cold: cold, Ways: m.ways, misses: misses}
 }

@@ -160,8 +160,15 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // timeline stack between them. A family whose specs all list their
 // LRUWays keeps request-bounded state instead of the list→timeline hybrid
 // — flat move-to-front rows below markerWays deep, marker lists from there
-// on — and every FIFO point of every family is one residency bit in the
-// shared fifoBank.
+// on. Every FIFO point of more than one way is one residency bit in the
+// fifoBank; a one-way FIFO point is its family's one-way LRU point.
+//
+// The families are grouped by kind — rows, marker lists, unbounded stacks —
+// and an access is one loop per kind over entries that carry what their
+// touch needs, then the bank only when it holds replicas. The bounded
+// families and the replicas hold blocks by blockTable slot, and the table's
+// seen bits count first-ever accesses; profilers without a replica hold no
+// bank.
 //
 // Families are independent of one another, so only the order within a
 // family matters: RecordRun hands a whole run to the unbounded Sets=1
@@ -182,13 +189,19 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 type OrgProfilers struct {
 	specs    []OrgSpec
 	familyOf []int // spec -> family
-	fams     []orgFamily
-	full     int     // the unbounded Sets=1 family, -1 when there is none
-	sets     []int64 // per family: the current access's set index
+	// The families by kind, numbered in this order: rows, marker lists, then
+	// unbounded stacks, the unbounded Sets=1 family first among those when
+	// there is one (full).
+	rows    []boundedStacks
+	markers []markerStacks
+	stacks  []AssocProfiler
+	full    bool
 	// per family: the depth the last Touch found (a marker family's: the
 	// deepest way count of its zone), 0 = cold or past the bound
-	depth []int
-	bank  *fifoBank // nil when no family is bounded or replays FIFO
+	depth   []int
+	table   blockTable       // slots and first-ever accesses, for rows, marker lists and replicas
+	bank    *fifoBank        // nil when no FIFO point needs a replica
+	replica map[[2]int64]int // (sets, FIFO way count > 1) -> bank replica
 	// warm logs a warm-up's uses while the LRU stacks skip it (StartWarmup),
 	// period a candidate period's (StartPeriod); each is nil outside its
 	// stretch of the stream.
@@ -196,76 +209,92 @@ type OrgProfilers struct {
 	period *periodLog
 }
 
-// orgFamily is the profiling state of one distinct set count.
-type orgFamily struct {
-	idx     setIndex
-	assoc   *AssocProfiler // unbounded LRU stacks, or
-	rows    *boundedStacks // request-bounded rows, or
-	markers *markerStacks  // request-bounded marker lists
-	replica map[int64]int  // FIFO way count -> bank replica
-}
-
 // markerWays is where the request-bounded families cross over: a family
 // whose deepest listed way count is below it keeps flat move-to-front rows,
 // whose scan of a few entries beats a marker list's pointer updates; one
 // from it on keeps marker lists, whose cost does not grow with the depth.
 // BenchmarkBoundedFamilies is the measurement (PERFORMANCE.md's crossover
-// table): rows win at 16 and below, the two split at 32, markers win from
-// 64 on.
-const markerWays = 64
+// tables): rows win at 8 and below, the two split at 16, markers win from
+// 32 on.
+const markerWays = 32
+
+// orgFamily is what NewOrgProfilers gathers of one distinct set count
+// before it builds the family.
+type orgFamily struct {
+	sets      int64
+	ways      []int64 // the LRU way counts its specs list
+	unbounded bool    // one of its specs lists none
+	fifo      []int64 // the FIFO way counts its specs replay
+}
+
+// kind orders the families: rows, marker lists, the unbounded Sets=1
+// family, other unbounded stacks.
+func (f *orgFamily) kind() int {
+	switch {
+	case !f.unbounded && slices.Max(f.ways) < markerWays:
+		return 0
+	case !f.unbounded:
+		return 1
+	case f.sets == 1:
+		return 2
+	}
+	return 3
+}
 
 // NewOrgProfilers validates the specs and builds their profilers.
 func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
-	p := &OrgProfilers{specs: specs, familyOf: make([]int, len(specs)), full: -1}
-	// A family answers the way counts its specs list; one unbounded spec
-	// unbounds it (nil).
-	lists := make(map[int64][]int64)
+	p := &OrgProfilers{specs: specs, familyOf: make([]int, len(specs)), replica: make(map[[2]int64]int)}
+	var fams []orgFamily
+	at := make(map[int64]int) // set count -> family
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d: %w", i, err)
 		}
-		if w, seen := lists[s.Sets]; len(s.LRUWays) == 0 || seen && w == nil {
-			lists[s.Sets] = nil
-		} else {
-			lists[s.Sets] = append(w, s.LRUWays...)
-		}
-	}
-	famIdx := make(map[int64]int)
-	for i, s := range specs {
-		fi, ok := famIdx[s.Sets]
+		k, ok := at[s.Sets]
 		if !ok {
-			fi = len(p.fams)
-			famIdx[s.Sets] = fi
-			f := orgFamily{idx: newSetIndex(s.Sets)}
-			switch ways := uniqueWays(lists[s.Sets]); {
-			case len(ways) == 0:
-				f.assoc = NewAssocProfiler(s.Sets)
-				if s.Sets == 1 {
-					p.full = fi
-				}
-			case ways[len(ways)-1] < markerWays:
-				f.rows = newBoundedStacks(s.Sets, ways)
-			default:
-				f.markers = newMarkerStacks(s.Sets, ways)
-			}
-			p.fams = append(p.fams, f)
+			k = len(fams)
+			at[s.Sets] = k
+			fams = append(fams, orgFamily{sets: s.Sets})
 		}
-		p.familyOf[i] = fi
-		f := &p.fams[fi]
-		if (f.assoc == nil || len(s.FIFOWays) > 0) && p.bank == nil {
-			p.bank = newFIFOBank()
+		f := &fams[k]
+		// A family answers the way counts its specs list — one unbounded
+		// spec unbounds it — and way 1 when one replays FIFO there.
+		f.unbounded = f.unbounded || len(s.LRUWays) == 0
+		f.ways = append(f.ways, s.LRUWays...)
+		if slices.Contains(s.FIFOWays, 1) {
+			f.ways = append(f.ways, 1)
 		}
-		for _, w := range s.FIFOWays {
-			if _, ok := f.replica[w]; !ok {
-				if f.replica == nil {
-					f.replica = make(map[int64]int)
-				}
-				f.replica[w] = p.bank.addReplica(fi, s.Sets, w)
+		f.fifo = append(f.fifo, s.FIFOWays...)
+	}
+	slices.SortStableFunc(fams, func(a, b orgFamily) int { return a.kind() - b.kind() })
+	for n := range fams {
+		f := &fams[n]
+		at[f.sets] = n
+		switch f.kind() {
+		case 0:
+			p.rows = append(p.rows, *newBoundedStacks(f.sets, uniqueWays(f.ways)))
+		case 1:
+			p.markers = append(p.markers, *newMarkerStacks(f.sets, uniqueWays(f.ways)))
+		case 2:
+			p.full = true
+			fallthrough
+		default:
+			p.stacks = append(p.stacks, *NewAssocProfiler(f.sets))
+		}
+		for _, w := range uniqueWays(f.fifo) {
+			if w == 1 {
+				continue // the one-way LRU point
 			}
+			if p.bank == nil {
+				p.bank = &fifoBank{}
+			}
+			p.replica[[2]int64{f.sets, w}] = p.bank.addReplica(f.sets, w)
 		}
 	}
-	p.sets = make([]int64, len(p.fams))
-	p.depth = make([]int, len(p.fams))
+	for i, s := range specs {
+		p.familyOf[i] = at[s.Sets]
+	}
+	p.depth = make([]int, len(fams))
 	return p, nil
 }
 
@@ -282,14 +311,18 @@ type OrgPoint struct {
 // Point resolves (spec, ways, policy) to its OrgPoint. ok is false for a
 // point the profilers do not evaluate, exactly when OrgCurves.Misses' is:
 // a FIFO way count that is not replayed, or an LRU one the spec does not
-// list.
+// list. A one-way FIFO point is the family's one-way LRU point.
 func (p *OrgProfilers) Point(spec int, ways int64, fifo bool) (pt OrgPoint, ok bool) {
 	fi := p.familyOf[spec]
-	if fifo {
-		r := p.fams[fi].replica[ways]
-		return OrgPoint{word: (r + 1) / 64, bit: 1 << ((r + 1) % 64)}, slices.Contains(p.specs[spec].FIFOWays, ways)
+	if !fifo {
+		return OrgPoint{fam: fi, ways: int(ways)}, p.specs[spec].answersLRU(ways)
 	}
-	return OrgPoint{fam: fi, ways: int(ways)}, p.specs[spec].answersLRU(ways)
+	ok = slices.Contains(p.specs[spec].FIFOWays, ways)
+	if ways == 1 {
+		return OrgPoint{fam: fi, ways: 1}, ok
+	}
+	r := p.replica[[2]int64{p.specs[spec].Sets, ways}]
+	return OrgPoint{word: r / 64, bit: 1 << (r % 64)}, ok
 }
 
 // Missed reports whether the block of the last Touch missed at pt. A run
@@ -309,6 +342,7 @@ func (p *OrgProfilers) ResetCounts() {
 		p.endWarmup()
 	}
 	p.eachCount((*depthCounts).reset)
+	p.table.cold = 0
 	if p.bank != nil {
 		p.bank.resetCounts()
 	}
@@ -316,16 +350,15 @@ func (p *OrgProfilers) ResetCounts() {
 
 // eachCount calls fn on every LRU stack's tally, in one fixed order.
 func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
-	for i := range p.fams {
-		switch f := &p.fams[i]; {
-		case f.rows != nil:
-			fn(&f.rows.depthCounts)
-		case f.markers != nil:
-			fn(&f.markers.depthCounts)
-		default:
-			for s := range f.assoc.per {
-				fn(f.assoc.per[s].counts())
-			}
+	for i := range p.rows {
+		fn(&p.rows[i].depthCounts)
+	}
+	for i := range p.markers {
+		fn(&p.markers[i].depthCounts)
+	}
+	for i := range p.stacks {
+		for s := range p.stacks[i].per {
+			fn(p.stacks[i].per[s].counts())
 		}
 	}
 }
@@ -336,7 +369,7 @@ func (p *OrgProfilers) Touch(blk int64) {
 		p.warmTouch(blk)
 		return
 	}
-	p.touch(blk, -1)
+	p.touch(blk, 0)
 }
 
 // RecordRun feeds accesses to the n blocks base, base+1, …, in that order,
@@ -346,7 +379,7 @@ func (p *OrgProfilers) Touch(blk int64) {
 func (p *OrgProfilers) RecordRun(base, n int64) {
 	end := base + n
 	switch {
-	case p.warm != nil && p.liveBank():
+	case p.warm != nil && p.bank != nil:
 		for ; base != end; base++ {
 			p.warmTouch(base)
 		}
@@ -354,53 +387,46 @@ func (p *OrgProfilers) RecordRun(base, n int64) {
 		for base != end {
 			base, _ = p.warm.useRun(base, end)
 		}
-	case p.full >= 0 && len(p.fams) == 1 && p.bank == nil:
-		p.fams[0].assoc.per[0].touchRun(base, n, p.period) // Sets=1: within-set id == block id
-	case p.full >= 0 && p.period == nil:
-		p.fams[p.full].assoc.per[0].touchRun(base, n, nil)
+	case p.full && len(p.depth) == 1 && p.bank == nil:
+		p.stacks[0].per[0].touchRun(base, n, p.period) // Sets=1: within-set id == block id
+	case p.full && p.period == nil:
+		p.stacks[0].per[0].touchRun(base, n, nil)
 		for ; base != end; base++ {
-			p.touch(base, p.full)
+			p.touch(base, 1)
 		}
 	default: // a recorded period needs every family's depth per block
 		for ; base != end; base++ {
-			p.touch(base, -1)
+			p.touch(base, 0)
 		}
 	}
 }
 
-// touch feeds one access to every family but skip, and to the FIFO bank.
-func (p *OrgProfilers) touch(blk int64, skip int) {
-	var slot int32
-	if p.bank != nil {
-		slot = p.bank.slot(blk)
+// touch feeds one access to every family — the unbounded stacks from
+// stacks[from] on — one loop per kind, and to the FIFO bank.
+func (p *OrgProfilers) touch(blk int64, from int) {
+	slot := int32(blk)
+	if !p.table.see(blk) {
+		slot = p.table.slowSlot(blk)
 	}
-	p.touchStacks(blk, slot, skip)
+	depth := p.depth
+	for i := range p.rows {
+		f := &p.rows[i]
+		depth[i] = f.touch(f.idx.set(blk), slot)
+	}
+	depth = depth[len(p.rows):]
+	for i := range p.markers {
+		f := &p.markers[i]
+		depth[i] = f.touch(f.idx.set(blk), slot)
+	}
+	depth = depth[len(p.markers):]
+	for i := from; i < len(p.stacks); i++ {
+		depth[i] = p.stacks[i].touch(blk)
+	}
 	if p.bank != nil {
-		p.bank.touch(slot, p.sets)
+		p.bank.touch(blk, slot)
 	}
 	if p.period != nil {
 		p.period.noteFirst(blk, p.depth)
-	}
-}
-
-// touchStacks feeds one access, the block in slot, to every family's LRU
-// stacks but skip's.
-func (p *OrgProfilers) touchStacks(blk int64, slot int32, skip int) {
-	for i := range p.fams {
-		f := &p.fams[i]
-		set := f.idx.set(blk)
-		p.sets[i] = set
-		if i == skip {
-			continue
-		}
-		switch {
-		case f.rows != nil:
-			p.depth[i] = f.rows.touch(set, slot)
-		case f.markers != nil:
-			p.depth[i] = f.markers.touch(set, slot)
-		default:
-			p.depth[i] = f.assoc.per[set].touch(f.idx.id(blk, set))
-		}
 	}
 }
 
@@ -408,39 +434,40 @@ func (p *OrgProfilers) touchStacks(blk int64, slot int32, skip int) {
 // family's set stacks.
 func (p *OrgProfilers) TimelineOps() int64 {
 	var ops int64
-	for i := range p.fams {
-		if a := p.fams[i].assoc; a != nil {
-			ops += a.TimelineOps()
-		}
+	for i := range p.stacks {
+		ops += p.stacks[i].TimelineOps()
 	}
 	return ops
 }
 
 // Curves extracts the profiles, in spec order. Specs of one family share
-// its LRU curve.
+// its LRU curve; a FIFO curve reads its one-way point off that curve.
 func (p *OrgProfilers) Curves() []*OrgCurves {
-	lru := make([]*AssocCurve, len(p.fams))
-	for i := range p.fams {
-		switch f := &p.fams[i]; {
-		case f.rows != nil:
-			lru[i] = f.rows.curve(f.idx.sets, p.bank.cold)
-		case f.markers != nil:
-			lru[i] = f.markers.curve(f.idx.sets, p.bank.cold)
-		default:
-			lru[i] = f.assoc.Curve()
-		}
+	lru := make([]*AssocCurve, 0, len(p.depth))
+	for i := range p.rows {
+		lru = append(lru, p.rows[i].curve(p.table.cold))
+	}
+	for i := range p.markers {
+		lru = append(lru, p.markers[i].curve(p.table.cold))
+	}
+	for i := range p.stacks {
+		lru = append(lru, p.stacks[i].Curve())
 	}
 	out := make([]*OrgCurves, len(p.specs))
 	for j, s := range p.specs {
-		f := &p.fams[p.familyOf[j]]
-		out[j] = &OrgCurves{Spec: s, LRU: lru[p.familyOf[j]]}
+		fi := p.familyOf[j]
+		out[j] = &OrgCurves{Spec: s, LRU: lru[fi]}
 		if len(s.FIFOWays) == 0 {
 			continue
 		}
-		fc := &FIFOCurve{Sets: s.Sets, Accesses: p.bank.accesses, Cold: p.bank.cold, ways: uniqueWays(s.FIFOWays)}
+		fc := &FIFOCurve{Sets: s.Sets, Accesses: lru[fi].Accesses, Cold: lru[fi].Cold, ways: uniqueWays(s.FIFOWays)}
 		fc.misses = make([]int64, len(fc.ways))
 		for k, w := range fc.ways {
-			fc.misses[k] = p.bank.reps[f.replica[w]].misses
+			if w == 1 {
+				fc.misses[k] = lru[fi].Misses(1)
+			} else {
+				fc.misses[k] = p.bank.reps[p.replica[[2]int64{s.Sets, w}]].misses
+			}
 		}
 		out[j].FIFO = fc
 	}

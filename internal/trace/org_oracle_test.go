@@ -210,12 +210,107 @@ func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 	return specs
 }
 
+// checkVerdicts feeds the stream to fresh profilers access by access and
+// holds, after every access, every point's Missed against a cachesim.Bank
+// of the point's geometry, and at the end every curve's Cold against the
+// first-ever accesses in the window. A spec's points are its listed LRU way
+// counts (1…unboundedDepth when it lists none) and its FIFO way counts.
+func checkVerdicts(t *testing.T, label string, stream []int64, warm int, specs []trace.OrgSpec) {
+	t.Helper()
+	p, err := trace.NewOrgProfilers(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type point struct {
+		name string
+		pt   trace.OrgPoint
+		bank *cachesim.Bank
+	}
+	var points []point
+	add := func(i int, ways int64, policy cachesim.Policy) {
+		pt, ok := p.Point(i, ways, policy == cachesim.FIFO)
+		if !ok {
+			t.Fatalf("%s spec %d: %v point at %d ways not resolved", label, i, policy, ways)
+		}
+		points = append(points, point{fmt.Sprintf("spec %d sets=%d ways=%d %v", i, specs[i].Sets, ways, policy), pt,
+			cachesim.NewBank(specs[i].Sets, ways, policy)})
+	}
+	for i, s := range specs {
+		ways := s.LRUWays
+		if len(ways) == 0 {
+			for w := int64(1); w <= unboundedDepth; w++ {
+				ways = append(ways, w)
+			}
+		}
+		for _, w := range ways {
+			add(i, w, cachesim.LRU)
+		}
+		for _, w := range s.FIFOWays {
+			add(i, w, cachesim.FIFO)
+		}
+	}
+	seen := make(map[int64]bool)
+	var cold int64
+	for i, blk := range stream {
+		if i == warm {
+			p.ResetCounts()
+		}
+		p.Touch(blk)
+		if !seen[blk] && i >= warm {
+			cold++
+		}
+		seen[blk] = true
+		for _, q := range points {
+			miss := !q.bank.Access(blk)
+			if miss {
+				q.bank.Insert(blk)
+			}
+			if p.Missed(q.pt) != miss {
+				t.Fatalf("%s %s: access %d (block %d) Missed %v, bank missed %v", label, q.name, i, blk, !miss, miss)
+			}
+		}
+	}
+	if warm >= len(stream) {
+		p.ResetCounts()
+	}
+	for i, c := range p.Curves() {
+		if c.LRU.Cold != cold || c.FIFO != nil && c.FIFO.Cold != cold {
+			t.Fatalf("%s spec %d: LRU cold %d, FIFO %+v, want %d first-ever accesses in the window", label, i, c.LRU.Cold, c.FIFO, cold)
+		}
+	}
+}
+
+// kindSpecs are spec lists that hold one family of every kind — unbounded
+// stacks (the fully-associative one and a set-associative one), rows and
+// marker lists — at power-of-two and other set counts, each with one-way
+// FIFO points, which are LRU points; with replicas, every family also
+// replays FIFO at more than one way.
+func kindSpecs(replicas bool) []trace.OrgSpec {
+	specs := []trace.OrgSpec{
+		{Sets: 1, FIFOWays: []int64{1}},
+		{Sets: 3},
+		{Sets: 4, LRUWays: []int64{8, 2}, FIFOWays: []int64{1}},
+		{Sets: 6, LRUWays: []int64{3}},
+		{Sets: 2, LRUWays: []int64{100, 64}},
+		{Sets: 5, LRUWays: []int64{70, 1}, FIFOWays: []int64{1}},
+	}
+	if replicas {
+		for i := range specs {
+			specs[i].FIFOWays = append(specs[i].FIFOWays, 2, int64(3+i))
+		}
+	}
+	return specs
+}
+
 // TestOrgProfilersMatchBankOracle is the profiler's core property on
 // random logs: dense, sparse and negative block ids, non-power-of-two set
 // counts, way lists around the footprint and up to 1,024 deep, duplicate
 // way counts, a window reset anywhere from the first access to past the
 // last, footprints on both sides of the list→timeline upgrade and of the
-// deepest marker list (220–1,200 blocks), short traces and long ones.
+// deepest marker list (220–1,200 blocks), short traces and long ones. Each
+// log's curves are held against the bank, and so is every point's
+// per-access verdict (checkVerdicts) — on the random spec lists and on
+// kindSpecs', with and without FIFO replicas.
 func TestOrgProfilersMatchBankOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	trials := 24
@@ -241,8 +336,25 @@ func TestOrgProfilersMatchBankOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkOrgCurves(t, fmt.Sprintf("trial %d (ids %d, long %v, warm %d/%d) specs %+v", trial, trial%4, long, warm, n, specs),
-			stream, warm, specs, curves)
+		label := fmt.Sprintf("trial %d (ids %d, long %v, warm %d/%d) specs %+v", trial, trial%4, long, warm, n, specs)
+		checkOrgCurves(t, label, stream, warm, specs, curves)
+		if long {
+			stream = stream[:5000] // the per-access check costs a bank access per point
+		} else {
+			checkVerdicts(t, label, stream, warm, specs)
+		}
+		if trial < 8 {
+			// An early window, so that first-ever accesses are counted.
+			warm := warm % 32
+			kinds := kindSpecs(trial >= 4)
+			curves, err := trace.ProfileOrgs(recordStream(stream, warm), kinds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label = fmt.Sprintf("trial %d (ids %d, warm %d/%d) kindSpecs(%v)", trial, trial%4, warm, n, trial >= 4)
+			checkOrgCurves(t, label, stream, warm, kinds, curves)
+			checkVerdicts(t, label, stream, warm, kinds)
+		}
 	}
 }
 

@@ -137,17 +137,28 @@ func (t *timeline) Append(blk int64, n int32) int32 {
 	return s
 }
 
+// compact renumbers the live slots 1..live in recency order, in place when
+// the slot space holds four times their number plus need, into a fresh one
+// that big otherwise. In place, live slot k moves down to k — never up past
+// a slot still to be read — and then the bitmap and its counters are
+// cleared and the live prefix set again.
 func (t *timeline) compact(need int32, relabel func(int64, int32)) {
 	words, blkOf, live := t.words, t.blkOf, t.live
-	t.resize(4 * (live + need + 1024))
+	if size := 4 * (live + need + 1024); size > t.cap() {
+		t.resize(size)
+	}
 	var n int32
-	for w, bitsLeft := range words {
-		for ; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
+	for w := range words {
+		for bitsLeft := words[w]; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
 			blk := blkOf[w<<6+bits.TrailingZeros64(bitsLeft)]
 			n++
 			t.blkOf[n] = blk
 			relabel(blk, n)
 		}
+	}
+	clear(t.words)
+	for _, c := range t.counts {
+		clear(c)
 	}
 	t.live = 0
 	t.flip(1, n, +1)

@@ -221,6 +221,43 @@ func TestTimelineCompaction(t *testing.T) {
 	}
 }
 
+// TestProfilerTouchAllocatesNothingOnceSized: once a profiler's slot space,
+// block index and histogram have grown to a working set, Touch and TouchRun
+// allocate nothing, however many compactions the accesses force, because
+// the timeline renumbers its live slots in place. The working set mixes
+// dense and negative ids and is touched block by block, forwards and
+// backwards, and as one run.
+func TestProfilerTouchAllocatesNothingOnceSized(t *testing.T) {
+	const blocks = 3000 // past 4096 slots once sized: a counter level exists
+	p := NewProfiler()
+	compactions := 0
+	p.relabel = func(blk int64, slot int32) {
+		if slot == 1 {
+			compactions++
+		}
+		p.store(blk, slot)
+	}
+	pass := func() {
+		for b := int64(0); b < blocks; b++ {
+			p.Touch(b)
+		}
+		p.TouchRun(0, blocks)
+		for b := int64(blocks); b > 0; b-- {
+			p.Touch(-b)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		pass()
+	}
+	sized := compactions
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Errorf("%.1f allocations per pass once sized, want 0", allocs)
+	}
+	if compactions-sized < 5 {
+		t.Fatalf("%d compactions while counting allocations, want at least 5", compactions-sized)
+	}
+}
+
 // TestTimelineCountAfterMatchesNaiveScan checks the counted bitmap against
 // a plain scan of the slot space: single and ranged appends and removes,
 // a footprint large enough to grow the bitmap to three levels, and counts
