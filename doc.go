@@ -33,7 +33,7 @@
 //
 // The same trace also answers realistic cache organisations:
 // SimulateCurveOrgs additionally profiles each requested OrgSpec — exact
-// set-associative LRU misses for every way count (per-set Mattson
+// set-associative LRU misses at its listed way counts (per-set Mattson
 // stacks) and exact FIFO misses at the replayed way counts (multiplexed
 // per-set replicas) — so robustness sweeps over (capacity, ways, policy)
 // still cost one execution per scheduler. CacheSets maps a geometry to

@@ -145,7 +145,7 @@ func TestDerivedMissStreamMatchesBankReplay(t *testing.T) {
 			l1s = append(l1s, l1At(sets, ways, cachesim.Policy(rng.Intn(2)), rng.Intn(2) == 0))
 		}
 		l1s = append(l1s, l1s[rng.Intn(len(l1s))]) // a duplicate point
-		nblocks := int64(20 + rng.Intn(600))       // past 192 a one-set list stack upgrades
+		nblocks := int64(20 + rng.Intn(600))       // past 256 the deepest marker lists drop blocks
 		nruns, maxRun := 20+rng.Intn(200), int64(40)
 		if trial%20 == 7 {
 			nruns, maxRun = 60000, 2 // long enough for the timeline stacks to compact

@@ -363,11 +363,11 @@ func TestProfileHierEmptyWindow(t *testing.T) {
 // TestPropHierOrgSpecsBoundChangesNothing is the property behind
 // hierOrgSpecs' LRUWays: each spec lists exactly its L1 points' way
 // counts, and bounding the L1 stacks to them leaves every HierCurves
-// number what unbounded stacks give. The organisation curves feed
-// HierCurves' Accesses and L1Misses
-// (and the filter cross-check that fails the whole pass on a mismatch), so
-// those are compared against an unbounded trace.ProfileOrgs of the same
-// log, on random mixed-policy L1 grids.
+// number exact. The organisation curves feed HierCurves' Accesses and
+// L1Misses (and the filter cross-check that fails the whole pass on a
+// mismatch), so Accesses is held against the window's length and each L1
+// point's misses against a cachesim.Bank of its geometry replaying the
+// same stream, on random mixed-policy L1 grids.
 // SharedCurves has no organisation curves to bound: ProfileShared's L1
 // counts come from the per-processor filter banks alone.
 func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
@@ -383,9 +383,8 @@ func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
 			}
 			spec.L1s = append(spec.L1s, lv(lines*16, 16, ways, cachesim.Policy(rng.Intn(2))))
 		}
-		bounded, specIdx := hierOrgSpecs(spec.L1s)
-		unbounded := make([]trace.OrgSpec, len(bounded))
-		for i, s := range bounded {
+		bounded, _ := hierOrgSpecs(spec.L1s)
+		for _, s := range bounded {
 			var listed []int64
 			for _, l1 := range spec.L1s {
 				if l1.Sets() == s.Sets {
@@ -395,25 +394,30 @@ func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
 			if !reflect.DeepEqual(s.LRUWays, listed) {
 				t.Fatalf("trial %d: spec sets=%d lists ways %v, its L1 points have %v", trial, s.Sets, s.LRUWays, listed)
 			}
-			unbounded[i] = trace.OrgSpec{Sets: s.Sets, FIFOWays: s.FIFOWays}
 		}
 		n := 3000
-		l := recordLog(stream(rng, n, int64(20+rng.Intn(200))), rng.Intn(n+1))
-		ref, err := trace.ProfileOrgs(l, unbounded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq, err := ProfileHier(l, spec)
+		blocks := stream(rng, n, int64(20+rng.Intn(200)))
+		warm := rng.Intn(n + 1)
+		seq, err := ProfileHier(recordLog(blocks, warm), spec)
 		if err != nil {
 			t.Fatalf("trial %d L1s %v: %v", trial, spec.L1s, err)
 		}
-		if seq.Accesses != ref[0].LRU.Accesses {
-			t.Fatalf("trial %d: %d accesses, unbounded profile %d", trial, seq.Accesses, ref[0].LRU.Accesses)
+		if want := int64(max(n-warm, 0)); seq.Accesses != want {
+			t.Fatalf("trial %d: %d accesses, the window holds %d", trial, seq.Accesses, want)
 		}
 		for i, l1 := range spec.L1s {
-			want, ok := ref[specIdx[l1.Sets()]].Misses(l1.EffWays(), l1.Policy == cachesim.FIFO)
-			if !ok || seq.L1Misses[i] != want {
-				t.Fatalf("trial %d L1 %v: bounded %d misses, unbounded %d (ok=%v)", trial, l1, seq.L1Misses[i], want, ok)
+			bank := cachesim.NewBank(l1.Sets(), l1.EffWays(), l1.Policy)
+			var want int64
+			for j, blk := range blocks {
+				if !bank.Access(blk) {
+					bank.Insert(blk)
+					if j >= warm {
+						want++
+					}
+				}
+			}
+			if seq.L1Misses[i] != want {
+				t.Fatalf("trial %d L1 %v: bounded %d misses, bank %d", trial, l1, seq.L1Misses[i], want)
 			}
 		}
 	}

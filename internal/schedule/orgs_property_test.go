@@ -238,8 +238,9 @@ func wantFolds(t *testing.T, g *sdf.Graph, s Scheduler, env Env, warm, measured 
 }
 
 // foldSpecs are the recorder shapes a fold is checked under: the
-// fully-associative curve alone, with unbounded set-associative LRU
-// families, with request-bounded rows (GridSpecs' grid), with FIFO
+// fully-associative curve alone, with set-associative LRU families whose
+// way counts span the row/marker crossover, with request-bounded rows
+// (GridSpecs' grid), with FIFO
 // replicas, which never fold, with marker lists of 1,024-line caches
 // (two and four sets: a Sets=1 list would join the curve's unbounded
 // family), and with direct-mapped FIFO points, which are LRU points and
@@ -258,7 +259,8 @@ func foldSpecs(t *testing.T, block int64) [][]trace.OrgSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return [][]trace.OrgSpec{nil, {{Sets: 4}, {Sets: 16}}, bounded, fifo, markers, direct}
+	spanning := []int64{1, 2, 3, 5, 8, 16, 40, 100}
+	return [][]trace.OrgSpec{nil, {{Sets: 4, LRUWays: spanning}, {Sets: 16, LRUWays: spanning}}, bounded, fifo, markers, direct}
 }
 
 // hasFIFO reports whether any spec replays FIFO at more than one way, which

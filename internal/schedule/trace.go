@@ -22,8 +22,9 @@ type CurveResult struct {
 	Curve *trace.MissCurve
 	// Orgs holds the additional cache-organisation profiles requested via
 	// MeasureCurveOrgs, in request order: per OrgSpec, exact set-associative
-	// LRU misses for every way count and exact FIFO misses at the replayed
-	// way counts, all from the same recorded trace. Empty for MeasureCurve.
+	// LRU misses at its listed way counts and exact FIFO misses at the
+	// replayed way counts, all from the same recorded trace. Empty for
+	// MeasureCurve.
 	Orgs     []*trace.OrgCurves
 	TraceLen int64 // block accesses profiled (warmup + window)
 }
@@ -47,8 +48,8 @@ func MeasureCurve(g *sdf.Graph, s Scheduler, env Env, block int64, warm, measure
 
 // MeasureCurveOrgs is MeasureCurve with additional cache organisations:
 // alongside the fully-associative LRU curve, the same execution is
-// profiled under each requested OrgSpec (per-set Mattson stacks for
-// set-associative LRU, multiplexed per-set replicas for FIFO) — one
+// profiled under each requested OrgSpec (per-set Mattson stacks bounded to
+// its LRUWays, multiplexed per-set replicas for FIFO) — one
 // trace.OrgProfilers, the machine's recorder, drives every organisation
 // at once. The result's Orgs slice parallels orgs; each entry exactly
 // matches what Measure would report with the corresponding

@@ -46,48 +46,3 @@ func TestMoveToFrontEdges(t *testing.T) {
 		t.Errorf("hist %v, want %v (hist[0] counts the deep and cold accesses)", b.hist, want)
 	}
 }
-
-// TestSetStackDepthsAcrossUpgrade: a set stack reports the same depths from
-// its list stage, on the touch that upgrades it, and from the timeline it
-// upgraded to — checked against a naive move-to-front stack on a stream
-// that grows past assocListLimit and keeps re-reading old blocks.
-func TestSetStackDepthsAcrossUpgrade(t *testing.T) {
-	s := setStack{list: &listStack{}}
-	var naive []int64
-	touch := func(blk int64) {
-		want := 0
-		for i, b := range naive {
-			if b == blk {
-				want = i + 1
-				naive = append(naive[:i], naive[i+1:]...)
-				break
-			}
-		}
-		naive = append([]int64{blk}, naive...)
-		if got := s.touch(blk); got != want {
-			t.Fatalf("block %d with %d on the stack (upgraded: %v): depth %d, want %d", blk, len(naive)-1, s.mat != nil, got, want)
-		}
-	}
-	for blk := int64(0); blk < 2*assocListLimit; blk++ {
-		touch(-blk) // negative ids: the list holds ids, the timeline indexes them
-		touch(-blk / 2)
-		touch(-blk) // depth 2 (or 1), either side of the upgrade
-		if upgraded := s.mat != nil; upgraded != (len(naive) > assocListLimit) {
-			t.Fatalf("%d blocks on the stack, upgraded = %v", len(naive), upgraded)
-		}
-	}
-	for blk := int64(2*assocListLimit) - 1; blk >= 0; blk -= 7 {
-		touch(-blk) // deep re-reads from the timeline
-	}
-	c := s.counts()
-	if want := int64(2 * assocListLimit); c.cold != want {
-		t.Errorf("cold = %d, want %d", c.cold, want)
-	}
-	var counted int64
-	for _, n := range c.hist {
-		counted += n
-	}
-	if want := int64(4*assocListLimit + (2*assocListLimit+6)/7); counted != want {
-		t.Errorf("histogram holds %d re-references, want %d (the list's tally must survive the upgrade)", counted, want)
-	}
-}

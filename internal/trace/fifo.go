@@ -3,7 +3,7 @@ package trace
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // FIFO profiling. FIFO is not a stack algorithm — a bigger FIFO cache can
@@ -169,16 +169,7 @@ func (b *fifoBank) resetCounts() {
 
 // uniqueWays returns the distinct way counts of a list, ascending.
 func uniqueWays(ways []int64) []int64 {
-	uniq := append([]int64(nil), ways...)
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	n := 0
-	for i, w := range uniq {
-		if i == 0 || w != uniq[i-1] {
-			uniq[n] = w
-			n++
-		}
-	}
-	return uniq[:n]
+	return slices.Compact(slices.Sorted(slices.Values(ways)))
 }
 
 // FIFOCurve is the result of multiplexed FIFO replay: the exact FIFO miss

@@ -188,7 +188,7 @@ func (u *useLog) steadyDepths(idx setIndex) []int {
 type periodLog struct {
 	useLog
 	first []int32   // entry*families + family: its first use's depth, as touch reports it
-	base  [][]int64 // the depth histograms at the start, in eachCount order
+	base  [][]int64 // the depth histograms at the start, one per family
 }
 
 // StartWarmup says the accesses until the next ResetCounts only warm the
@@ -216,7 +216,7 @@ func (p *OrgProfilers) endWarmup() {
 	u, bank := p.warm, p.bank
 	p.warm, p.bank = nil, nil
 	for _, e := range u.byLastUse() {
-		p.touch(u.blks[e], 0)
+		p.touch(u.blks[e])
 	}
 	p.bank = bank
 }
@@ -319,7 +319,7 @@ func (p *OrgProfilers) RepeatSteady(k int64) error {
 	return nil
 }
 
-// steadyCounts returns one steady period's tallies, in eachCount order.
+// steadyCounts returns one steady period's tallies, one per family.
 func (p *OrgProfilers) steadyCounts(l *periodLog) []depthCounts {
 	var steady []depthCounts
 	i := 0
@@ -332,9 +332,9 @@ func (p *OrgProfilers) steadyCounts(l *periodLog) []depthCounts {
 		i++
 	})
 	fams := len(p.depth)
-	fi, at := 0, 0 // the family, and its first tally in steady
+	fi := 0 // the family, and its tally in steady
 	for i := range p.rows {
-		f, c := &p.rows[i], &steady[at]
+		f, c := &p.rows[i], &steady[fi]
 		for e, d := range l.steadyDepths(f.idx) {
 			c.hist[l.first[e*fams+fi]]--
 			if d > f.bound {
@@ -342,26 +342,24 @@ func (p *OrgProfilers) steadyCounts(l *periodLog) []depthCounts {
 			}
 			c.hist[d]++
 		}
-		fi, at = fi+1, at+1
+		fi++
 	}
 	for i := range p.markers {
-		f, c := &p.markers[i], &steady[at]
+		f, c := &p.markers[i], &steady[fi]
 		for e, d := range l.steadyDepths(f.idx) {
 			c.hist[f.zone(int(l.first[e*fams+fi]))]--
 			c.hist[f.zone(d)]++
 		}
-		fi, at = fi+1, at+1
+		fi++
 	}
-	for i := range p.stacks {
-		f := &p.stacks[i]
-		for e, d := range l.steadyDepths(f.idx) {
-			c := &steady[at+int(f.idx.set(l.blks[e]))]
+	if p.full != nil {
+		c := &steady[fi]
+		for e, d := range l.steadyDepths(newSetIndex(1)) {
 			if was := l.first[e*fams+fi]; was > 0 {
 				c.hist[was]-- // a first-ever use was counted cold, which a steady period has none of
 			}
 			c.count(int64(d), 1)
 		}
-		fi, at = fi+1, at+len(f.per)
 	}
 	return steady
 }

@@ -30,14 +30,14 @@ func recordRuns(p *trace.OrgProfilers, blocks []int64) {
 // report exactly the curves of profilers fed everything — lead-in and k+1
 // periods — access by access, and keep profiling the rest of the stream
 // identically. No second period is fed. Specs cover the unbounded
-// fully-associative stack alone (which takes whole runs) and past the
-// list→timeline upgrade, unbounded set-associative families,
-// request-bounded rows and marker lists (fully- and set-associative, down
-// to 1,024 lines), over dense, negative and sparse ids.
+// fully-associative stack alone (which takes whole runs) and beside
+// set-associative families, and request-bounded rows and marker lists
+// (fully- and set-associative, down to 1,024 lines), over dense, negative
+// and sparse ids.
 func TestOrgProfilersOnePeriodFoldEqualsFeeding(t *testing.T) {
 	specs := [][]trace.OrgSpec{
 		{{Sets: 1}},
-		{{Sets: 1}, {Sets: 4}, {Sets: 7}},
+		{{Sets: 1}, {Sets: 4, LRUWays: everyKindWays}, {Sets: 7, LRUWays: everyKindWays}},
 		{{Sets: 1}, {Sets: 8, LRUWays: []int64{4}}, {Sets: 1, LRUWays: []int64{64}}, {Sets: 3, LRUWays: []int64{200}}},
 		{{Sets: 1, LRUWays: []int64{1024, 16, 200}}, {Sets: 2, LRUWays: []int64{256, 40}}, {Sets: 3, LRUWays: []int64{100, 64}}, {Sets: 4, LRUWays: []int64{2, 8}}},
 	}
@@ -48,7 +48,7 @@ func TestOrgProfilersOnePeriodFoldEqualsFeeding(t *testing.T) {
 	}
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		footprint := int64(40 + rng.Intn(400)) // both sides of assocListLimit
+		footprint := int64(40 + rng.Intn(400)) // both sides of a 100-way set's reach
 		lead := randomStream(rng, 200+rng.Intn(2000), footprint)
 		period := randomStream(rng, 50+rng.Intn(1500), footprint)
 		tail := period[:rng.Intn(len(period))]
@@ -104,7 +104,7 @@ func TestOrgProfilersOnePeriodFoldEqualsFeeding(t *testing.T) {
 // unfoldable, a repeat that would overflow a count fails naming int64 and
 // changes nothing, and repeating zero times only ends the period.
 func TestOrgProfilersRepeatRefuses(t *testing.T) {
-	fifo, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1}, {Sets: 2, FIFOWays: []int64{4}}})
+	fifo, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1}, {Sets: 2, FIFOWays: []int64{4}, LRUWays: []int64{4}}})
 	if err != nil {
 		t.Fatal(err)
 	}

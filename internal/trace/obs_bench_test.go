@@ -19,12 +19,12 @@ func BenchmarkObsOverhead(b *testing.B) {
 	stream := benchStream(400000, 512)
 	specs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{32, 64, 128}},
-		{Sets: 4, FIFOWays: []int64{8}},
-		{Sets: 8, FIFOWays: []int64{8, 4}},
-		{Sets: 16, FIFOWays: []int64{8, 4}},
-		{Sets: 32, FIFOWays: []int64{4, 1}},
-		{Sets: 64, FIFOWays: []int64{1}},
-		{Sets: 128, FIFOWays: []int64{1}},
+		{Sets: 4, FIFOWays: []int64{8}, LRUWays: []int64{8}},
+		{Sets: 8, FIFOWays: []int64{8, 4}, LRUWays: []int64{8, 4}},
+		{Sets: 16, FIFOWays: []int64{8, 4}, LRUWays: []int64{8, 4}},
+		{Sets: 32, FIFOWays: []int64{4, 1}, LRUWays: []int64{4, 1}},
+		{Sets: 64, FIFOWays: []int64{1}, LRUWays: []int64{1}},
+		{Sets: 128, FIFOWays: []int64{1}, LRUWays: []int64{1}},
 	}
 	run := func(b *testing.B, reg *obs.Registry) {
 		log := trace.NewLog()

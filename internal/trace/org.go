@@ -8,9 +8,9 @@ import (
 )
 
 // OrgSpec selects one cache-organisation family to profile a trace under:
-// a set count whose per-set LRU stacks answer every way count at once,
-// plus an optional list of way counts to replay under FIFO replacement.
-// Sets == 1 is the fully-associative family (way count == total lines).
+// a set count, the way counts its per-set LRU stacks answer, and an
+// optional list of way counts to replay under FIFO replacement. Sets == 1
+// is the fully-associative family (way count == total lines).
 type OrgSpec struct {
 	// Sets is the number of sets the trace is sharded into; must be >= 1.
 	Sets int64
@@ -20,9 +20,9 @@ type OrgSpec struct {
 	// LRUWays lists the way counts the request will evaluate the LRU curve
 	// at, in any order, duplicates allowed; the family keeps only the state
 	// those answers need, and the spec answers exactly these way counts —
-	// asking for another fails loudly. Empty means unbounded: every way
-	// count is answered. It is derived from the evaluation grid (AddPoint,
-	// GridSpecs), never tuned by hand.
+	// asking for another fails loudly. Empty means every capacity, and is
+	// allowed only when Sets == 1. It is derived from the evaluation grid
+	// (AddPoint, GridSpecs), never tuned by hand.
 	LRUWays []int64
 }
 
@@ -41,18 +41,22 @@ func (s OrgSpec) Validate() error {
 			return fmt.Errorf("trace: LRU way count must be >= 1, got %d", w)
 		}
 	}
+	if s.Sets > 1 && len(s.LRUWays) == 0 {
+		return fmt.Errorf("trace: a %d-set organisation must list its LRUWays; only a fully-associative one answers every capacity", s.Sets)
+	}
 	return nil
 }
 
 // answersLRU reports whether the spec's LRU curve answers the way count:
-// every one when the spec is unbounded, else exactly the listed ones.
+// every one when a fully-associative spec lists none, else exactly the
+// listed ones.
 func (s OrgSpec) answersLRU(ways int64) bool {
 	return len(s.LRUWays) == 0 || slices.Contains(s.LRUWays, ways)
 }
 
 // OrgCurves is the profile of one trace under one OrgSpec: the exact LRU
-// miss count for every way count (from the per-set Mattson stacks) and,
-// when requested, the exact FIFO miss counts at the replayed way counts.
+// miss count at its way counts (from the per-set Mattson stacks) and, when
+// requested, the exact FIFO miss counts at the replayed way counts.
 type OrgCurves struct {
 	Spec OrgSpec
 	LRU  *AssocCurve
@@ -157,13 +161,14 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // It does only work that can change an answer. Specs with the same set
 // count share one family — one set index and one LRU structure per access,
 // so a caller's fully-associative spec and a grid's Sets=1 spec cost one
-// timeline stack between them. A family whose specs all list their
-// LRUWays keeps request-bounded state instead of the list→timeline hybrid
-// — flat move-to-front rows below markerWays deep, marker lists from there
-// on. Every FIFO point of more than one way is one residency bit in the
-// fifoBank; a one-way FIFO point is its family's one-way LRU point.
+// stack between them. A family whose specs all list their LRUWays keeps
+// request-bounded state — flat move-to-front rows below markerWays deep,
+// marker lists from there on; only a fully-associative spec that lists
+// none makes its family the one unbounded timeline stack (full). Every
+// FIFO point of more than one way is one residency bit in the fifoBank; a
+// one-way FIFO point is its family's one-way LRU point.
 //
-// The families are grouped by kind — rows, marker lists, unbounded stacks —
+// The families are grouped by kind — rows, marker lists, the full stack —
 // and an access is one loop per kind over entries that carry what their
 // touch needs, then the bank only when it holds replicas. The bounded
 // families and the replicas hold blocks by blockTable slot, and the table's
@@ -171,9 +176,8 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // bank.
 //
 // Families are independent of one another, so only the order within a
-// family matters: RecordRun hands a whole run to the unbounded Sets=1
-// family, whose one stack can take it in a step, and walks the run block
-// by block for the rest.
+// family matters: RecordRun hands a whole run to the full stack, which can
+// take it in a step, and walks the run block by block for the rest.
 //
 // The stack touch that counts an access also decides, for every design
 // point at once, whether it missed there: Touch keeps the depth found in
@@ -190,12 +194,10 @@ type OrgProfilers struct {
 	specs    []OrgSpec
 	familyOf []int // spec -> family
 	// The families by kind, numbered in this order: rows, marker lists, then
-	// unbounded stacks, the unbounded Sets=1 family first among those when
-	// there is one (full).
+	// the unbounded Sets=1 family when there is one.
 	rows    []boundedStacks
 	markers []markerStacks
-	stacks  []AssocProfiler
-	full    bool
+	full    *Profiler
 	// per family: the depth the last Touch found (a marker family's: the
 	// deepest way count of its zone), 0 = cold or past the bound
 	depth   []int
@@ -223,22 +225,19 @@ const markerWays = 32
 type orgFamily struct {
 	sets      int64
 	ways      []int64 // the LRU way counts its specs list
-	unbounded bool    // one of its specs lists none
+	unbounded bool    // one of its specs lists none: Sets == 1
 	fifo      []int64 // the FIFO way counts its specs replay
 }
 
-// kind orders the families: rows, marker lists, the unbounded Sets=1
-// family, other unbounded stacks.
+// kind orders the families: rows, marker lists, the full stack.
 func (f *orgFamily) kind() int {
 	switch {
-	case !f.unbounded && slices.Max(f.ways) < markerWays:
-		return 0
-	case !f.unbounded:
-		return 1
-	case f.sets == 1:
+	case f.unbounded:
 		return 2
+	case slices.Max(f.ways) < markerWays:
+		return 0
 	}
-	return 3
+	return 1
 }
 
 // NewOrgProfilers validates the specs and builds their profilers.
@@ -275,11 +274,8 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 			p.rows = append(p.rows, *newBoundedStacks(f.sets, uniqueWays(f.ways)))
 		case 1:
 			p.markers = append(p.markers, *newMarkerStacks(f.sets, uniqueWays(f.ways)))
-		case 2:
-			p.full = true
-			fallthrough
 		default:
-			p.stacks = append(p.stacks, *NewAssocProfiler(f.sets))
+			p.full = NewProfiler()
 		}
 		for _, w := range uniqueWays(f.fifo) {
 			if w == 1 {
@@ -348,7 +344,7 @@ func (p *OrgProfilers) ResetCounts() {
 	}
 }
 
-// eachCount calls fn on every LRU stack's tally, in one fixed order.
+// eachCount calls fn on every family's tally, in family order.
 func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
 	for i := range p.rows {
 		fn(&p.rows[i].depthCounts)
@@ -356,10 +352,8 @@ func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
 	for i := range p.markers {
 		fn(&p.markers[i].depthCounts)
 	}
-	for i := range p.stacks {
-		for s := range p.stacks[i].per {
-			fn(p.stacks[i].per[s].counts())
-		}
+	if p.full != nil {
+		fn(&p.full.depthCounts)
 	}
 }
 
@@ -369,7 +363,7 @@ func (p *OrgProfilers) Touch(blk int64) {
 		p.warmTouch(blk)
 		return
 	}
-	p.touch(blk, 0)
+	p.touch(blk)
 }
 
 // RecordRun feeds accesses to the n blocks base, base+1, …, in that order,
@@ -387,23 +381,26 @@ func (p *OrgProfilers) RecordRun(base, n int64) {
 		for base != end {
 			base, _ = p.warm.useRun(base, end)
 		}
-	case p.full && len(p.depth) == 1 && p.bank == nil:
-		p.stacks[0].per[0].touchRun(base, n, p.period) // Sets=1: within-set id == block id
-	case p.full && p.period == nil:
-		p.stacks[0].per[0].touchRun(base, n, nil)
+	case p.full != nil && len(p.depth) == 1 && p.bank == nil:
+		p.full.touchRun(base, n, p.period)
+	case p.full != nil && p.period == nil:
+		full := p.full
+		full.touchRun(base, n, nil)
+		p.full = nil // the other families take the run block by block
 		for ; base != end; base++ {
-			p.touch(base, 1)
+			p.touch(base)
 		}
+		p.full = full
 	default: // a recorded period needs every family's depth per block
 		for ; base != end; base++ {
-			p.touch(base, 0)
+			p.touch(base)
 		}
 	}
 }
 
-// touch feeds one access to every family — the unbounded stacks from
-// stacks[from] on — one loop per kind, and to the FIFO bank.
-func (p *OrgProfilers) touch(blk int64, from int) {
+// touch feeds one access to every family, one loop per kind, and to the
+// FIFO bank.
+func (p *OrgProfilers) touch(blk int64) {
 	slot := int32(blk)
 	if !p.table.see(blk) {
 		slot = p.table.slowSlot(blk)
@@ -418,9 +415,8 @@ func (p *OrgProfilers) touch(blk int64, from int) {
 		f := &p.markers[i]
 		depth[i] = f.touch(f.idx.set(blk), slot)
 	}
-	depth = depth[len(p.markers):]
-	for i := from; i < len(p.stacks); i++ {
-		depth[i] = p.stacks[i].touch(blk)
+	if p.full != nil {
+		depth[len(p.markers)] = p.full.Touch(blk)
 	}
 	if p.bank != nil {
 		p.bank.touch(blk, slot)
@@ -430,14 +426,13 @@ func (p *OrgProfilers) touch(blk int64, from int) {
 	}
 }
 
-// TimelineOps returns the total timeline operation count across every
-// family's set stacks.
+// TimelineOps returns the full stack's timeline operation count, 0 when
+// every family is request-bounded.
 func (p *OrgProfilers) TimelineOps() int64 {
-	var ops int64
-	for i := range p.stacks {
-		ops += p.stacks[i].TimelineOps()
+	if p.full == nil {
+		return 0
 	}
-	return ops
+	return p.full.TimelineOps()
 }
 
 // Curves extracts the profiles, in spec order. Specs of one family share
@@ -450,8 +445,9 @@ func (p *OrgProfilers) Curves() []*OrgCurves {
 	for i := range p.markers {
 		lru = append(lru, p.markers[i].curve(p.table.cold))
 	}
-	for i := range p.stacks {
-		lru = append(lru, p.stacks[i].Curve())
+	if p.full != nil {
+		mc := p.full.Curve()
+		lru = append(lru, &AssocCurve{Sets: 1, Accesses: mc.Accesses, Cold: mc.Cold, curve: mc})
 	}
 	out := make([]*OrgCurves, len(p.specs))
 	for j, s := range p.specs {

@@ -25,12 +25,12 @@ func BenchmarkProfileOrgs(b *testing.B) {
 	}
 	specs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{32, 64, 128}},
-		{Sets: 4, FIFOWays: []int64{8}},
-		{Sets: 8, FIFOWays: []int64{8, 4}},
-		{Sets: 16, FIFOWays: []int64{8, 4}},
-		{Sets: 32, FIFOWays: []int64{4, 1}},
-		{Sets: 64, FIFOWays: []int64{1}},
-		{Sets: 128, FIFOWays: []int64{1}},
+		{Sets: 4, FIFOWays: []int64{8}, LRUWays: []int64{8}},
+		{Sets: 8, FIFOWays: []int64{8, 4}, LRUWays: []int64{8, 4}},
+		{Sets: 16, FIFOWays: []int64{8, 4}, LRUWays: []int64{8, 4}},
+		{Sets: 32, FIFOWays: []int64{4, 1}, LRUWays: []int64{4, 1}},
+		{Sets: 64, FIFOWays: []int64{1}, LRUWays: []int64{1}},
+		{Sets: 128, FIFOWays: []int64{1}, LRUWays: []int64{1}},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,27 +40,11 @@ func BenchmarkProfileOrgs(b *testing.B) {
 	}
 }
 
-// BenchmarkAssocProfiler measures the per-set hybrid stack alone at a
-// realistic shard count.
-func BenchmarkAssocProfiler(b *testing.B) {
-	stream := benchStream(400000, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := trace.NewAssocProfiler(16)
-		for _, blk := range stream {
-			p.Touch(blk)
-		}
-		if c := p.Curve(); c.Accesses == 0 {
-			b.Fatal("empty curve")
-		}
-	}
-}
-
 // BenchmarkFIFOReplay measures multiplexed FIFO replay alone: one
 // OrgProfilers of a single FIFO spec, three way counts.
 func BenchmarkFIFOReplay(b *testing.B) {
 	stream := benchStream(400000, 512)
-	specs := []trace.OrgSpec{{Sets: 4, FIFOWays: []int64{4, 16, 64}}}
+	specs := []trace.OrgSpec{{Sets: 4, FIFOWays: []int64{4, 16, 64}, LRUWays: []int64{4, 16, 64}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := trace.NewOrgProfilers(specs)

@@ -1,11 +1,11 @@
 package trace_test
 
 // The organisation profiler's oracle: whatever structure a spec resolves
-// to — request-bounded flat stacks, the list→timeline hybrid, families
-// shared between specs, the residency-bitmask FIFO bank — every point it
-// answers must equal a pointwise replay of the same stream through a
-// cachesim.Bank of that geometry, and every point it cannot answer must
-// say so.
+// to — request-bounded rows and marker lists, the fully-associative
+// timeline stack, families shared between specs, the residency-bitmask
+// FIFO bank — every point it answers must equal a pointwise replay of the
+// same stream through a cachesim.Bank of that geometry, and every point it
+// cannot answer must say so.
 
 import (
 	"fmt"
@@ -55,31 +55,45 @@ func recordStream(stream []int64, warm int) *trace.Log {
 	return l
 }
 
-// unboundedDepth is how deep the oracle probes a curve that claims to
-// answer every way count.
+// unboundedDepth is how deep the oracle probes a fully-associative curve
+// that answers every capacity.
 const unboundedDepth = 24
 
+// everyKindWays is the way list a set-associative test spec names when the
+// test needs one: way counts from one way to past the row/marker crossover
+// (markerWays), so shallow and deep points are both checked.
+var everyKindWays = []int64{1, 2, 3, 5, 8, 16, 40, 100}
+
+// windowTotals is what every curve of the stream counts: the accesses in
+// the window, and how many of them are the block's first ever.
+func windowTotals(stream []int64, warm int) (accesses, cold int64) {
+	seen := make(map[int64]bool)
+	for i, blk := range stream {
+		if i >= warm {
+			accesses++
+			if !seen[blk] {
+				cold++
+			}
+		}
+		seen[blk] = true
+	}
+	return accesses, cold
+}
+
 // checkOrgCurves compares every point of the curves against the oracle,
-// and Accesses/Cold against the unbounded profiler's. A spec that lists
-// LRU way counts answers exactly those (checkRefusals).
+// and Accesses/Cold against the stream's window (windowTotals). A spec
+// that lists LRU way counts answers exactly those (checkRefusals).
 func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs []trace.OrgSpec, curves []*trace.OrgCurves) {
 	t.Helper()
-	unbounded := make([]trace.OrgSpec, len(specs))
-	for i, s := range specs {
-		unbounded[i] = trace.OrgSpec{Sets: s.Sets, FIFOWays: s.FIFOWays}
-	}
-	ref, err := trace.ProfileOrgs(recordStream(stream, warm), unbounded)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accesses, cold := windowTotals(stream, warm)
 	if len(curves) != len(specs) {
 		t.Fatalf("%s: %d curves for %d specs", label, len(curves), len(specs))
 	}
 	for i, s := range specs {
 		oc := curves[i]
-		if oc.LRU.Accesses != ref[i].LRU.Accesses || oc.LRU.Cold != ref[i].LRU.Cold {
-			t.Fatalf("%s spec %d: accesses/cold %d/%d, unbounded profiler %d/%d", label, i,
-				oc.LRU.Accesses, oc.LRU.Cold, ref[i].LRU.Accesses, ref[i].LRU.Cold)
+		if oc.LRU.Accesses != accesses || oc.LRU.Cold != cold {
+			t.Fatalf("%s spec %d: accesses/cold %d/%d, the window holds %d/%d", label, i,
+				oc.LRU.Accesses, oc.LRU.Cold, accesses, cold)
 		}
 		ways := s.LRUWays
 		if len(ways) == 0 {
@@ -104,9 +118,9 @@ func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs 
 			}
 			continue
 		}
-		if oc.FIFO.Accesses != ref[i].LRU.Accesses || oc.FIFO.Cold != ref[i].LRU.Cold {
+		if oc.FIFO.Accesses != accesses || oc.FIFO.Cold != cold {
 			t.Fatalf("%s spec %d: FIFO accesses/cold %d/%d, want %d/%d", label, i,
-				oc.FIFO.Accesses, oc.FIFO.Cold, ref[i].LRU.Accesses, ref[i].LRU.Cold)
+				oc.FIFO.Accesses, oc.FIFO.Cold, accesses, cold)
 		}
 		for _, w := range s.FIFOWays {
 			want := bankMisses(stream, warm, s.Sets, w, cachesim.FIFO)
@@ -119,8 +133,9 @@ func checkOrgCurves(t *testing.T, label string, stream []int64, warm int, specs 
 
 // checkRefusals holds a spec that lists LRU way counts to answering only
 // those: every other way count up to one past the deepest is ok=false, and
-// the family's curve — which answers what its specs listed, unless one of
-// them is unbounded — panics on a way count none of them listed.
+// the family's curve — which answers what its specs listed, unless it is
+// fully associative and one of them lists none — panics on a way count
+// none of them listed.
 func checkRefusals(t *testing.T, label string, s trace.OrgSpec, oc *trace.OrgCurves) {
 	t.Helper()
 	for w := int64(1); w <= slices.Max(s.LRUWays)+1; w++ {
@@ -172,14 +187,15 @@ func oracleStream(rng *rand.Rand, n int, nblocks int64, ids int) []int64 {
 // counts repeated across specs, FIFO lists with duplicates, and LRU way
 // lists — unsorted, with duplicates and gaps — of way counts below, at and
 // above what a set can hold, on both sides of the row/marker crossover,
-// and 193, 256 and 1,024 deep.
+// and 193, 256 and 1,024 deep. A fully-associative spec may list none; a
+// set-associative one drawn without any lists everyKindWays.
 func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 	setCounts := []int64{1, 2, 3, 4, 5, 7, 8, 12, 16}
 	specs := make([]trace.OrgSpec, 2+rng.Intn(5))
 	for i := range specs {
 		s := trace.OrgSpec{Sets: setCounts[rng.Intn(len(setCounts))]}
 		perSet := nblocks/s.Sets + 1
-		for k := rng.Intn(5); k > 0; k-- { // none: unbounded
+		for k := rng.Intn(5); k > 0; k-- { // none: every capacity, or everyKindWays
 			var w int64
 			switch rng.Intn(5) {
 			case 0: // below the set's footprint
@@ -197,6 +213,9 @@ func oracleSpecs(rng *rand.Rand, nblocks int64) []trace.OrgSpec {
 			if rng.Intn(4) == 0 {
 				s.LRUWays = append(s.LRUWays, w) // duplicate
 			}
+		}
+		if s.Sets > 1 && len(s.LRUWays) == 0 {
+			s.LRUWays = everyKindWays
 		}
 		for k := rng.Intn(4); k > 0; k-- {
 			w := 1 + rng.Int63n(perSet+4)
@@ -249,17 +268,11 @@ func checkVerdicts(t *testing.T, label string, stream []int64, warm int, specs [
 			add(i, w, cachesim.FIFO)
 		}
 	}
-	seen := make(map[int64]bool)
-	var cold int64
 	for i, blk := range stream {
 		if i == warm {
 			p.ResetCounts()
 		}
 		p.Touch(blk)
-		if !seen[blk] && i >= warm {
-			cold++
-		}
-		seen[blk] = true
 		for _, q := range points {
 			miss := !q.bank.Access(blk)
 			if miss {
@@ -273,6 +286,7 @@ func checkVerdicts(t *testing.T, label string, stream []int64, warm int, specs [
 	if warm >= len(stream) {
 		p.ResetCounts()
 	}
+	_, cold := windowTotals(stream, warm)
 	for i, c := range p.Curves() {
 		if c.LRU.Cold != cold || c.FIFO != nil && c.FIFO.Cold != cold {
 			t.Fatalf("%s spec %d: LRU cold %d, FIFO %+v, want %d first-ever accesses in the window", label, i, c.LRU.Cold, c.FIFO, cold)
@@ -280,15 +294,15 @@ func checkVerdicts(t *testing.T, label string, stream []int64, warm int, specs [
 	}
 }
 
-// kindSpecs are spec lists that hold one family of every kind — unbounded
-// stacks (the fully-associative one and a set-associative one), rows and
-// marker lists — at power-of-two and other set counts, each with one-way
-// FIFO points, which are LRU points; with replicas, every family also
-// replays FIFO at more than one way.
+// kindSpecs are spec lists that hold one family of every kind — the
+// fully-associative timeline stack, rows and marker lists — at power-of-two
+// and other set counts, each with one-way FIFO points, which are LRU
+// points; with replicas, every family also replays FIFO at more than one
+// way.
 func kindSpecs(replicas bool) []trace.OrgSpec {
 	specs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{1}},
-		{Sets: 3},
+		{Sets: 3, LRUWays: everyKindWays},
 		{Sets: 4, LRUWays: []int64{8, 2}, FIFOWays: []int64{1}},
 		{Sets: 6, LRUWays: []int64{3}},
 		{Sets: 2, LRUWays: []int64{100, 64}},
@@ -306,8 +320,8 @@ func kindSpecs(replicas bool) []trace.OrgSpec {
 // random logs: dense, sparse and negative block ids, non-power-of-two set
 // counts, way lists around the footprint and up to 1,024 deep, duplicate
 // way counts, a window reset anywhere from the first access to past the
-// last, footprints on both sides of the list→timeline upgrade and of the
-// deepest marker list (220–1,200 blocks), short traces and long ones. Each
+// last, footprints on both sides of the deepest marker list (220–1,200
+// blocks), short traces and long ones. Each
 // log's curves are held against the bank, and so is every point's
 // per-access verdict (checkVerdicts) — on the random spec lists and on
 // kindSpecs', with and without FIFO replicas.
@@ -320,8 +334,7 @@ func TestOrgProfilersMatchBankOracle(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		nblocks := int64(4 + rng.Intn(60))
 		if trial%6 == 5 {
-			// Deep enough that one-set stacks outgrow the list form and
-			// one-set marker lists fill and drop blocks.
+			// Deep enough that one-set marker lists fill and drop blocks.
 			nblocks = int64(220 + rng.Intn(981))
 		}
 		n := 500 + rng.Intn(1500)
@@ -388,7 +401,7 @@ func TestOrgProfilersManyFIFOReplicas(t *testing.T) {
 	for i := range ways {
 		ways[i] = int64(i + 1)
 	}
-	one := []trace.OrgSpec{{Sets: 3, FIFOWays: ways}}
+	one := []trace.OrgSpec{{Sets: 3, FIFOWays: ways, LRUWays: everyKindWays}}
 	p, err := trace.NewOrgProfilers(one)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +443,7 @@ func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
 	specs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{32, 64}},
 		{Sets: 4, FIFOWays: []int64{8}, LRUWays: []int64{8}},
-		{Sets: 3, FIFOWays: []int64{2, 24}},
+		{Sets: 3, FIFOWays: []int64{2, 24}, LRUWays: everyKindWays},
 	}
 	l := recordStream(oracleStream(rng, 3000, 200, 3), 700)
 	want, err := trace.ProfileOrgs(l, specs)
@@ -515,11 +528,10 @@ func TestProfileOrgsJobsConcurrentLogs(t *testing.T) {
 // timeline that took a non-negative block id as its liveness mark: every
 // block with a negative id vanished at the first compaction (4096 appends
 // in) and its later re-references read a stale slot. Negative, sparse and
-// mixed ids, long enough for every timeline-stage stack to compact at
-// least three times (a stack of f live blocks compacts every 4·(f+1025)
-// appends after the first 4096), at every capacity against the bank: the
-// fully-associative Profiler directly, then OrgProfilers' Sets=1 stack and
-// per-set stacks that outgrew their list form.
+// mixed ids, long enough for the timeline to compact at least three times
+// (a stack of f live blocks compacts every 4·(f+1025) appends after the
+// first 4096), at every capacity against the bank: the fully-associative
+// Profiler directly, then OrgProfilers' Sets=1 stack behind a window mark.
 func TestTimelineStacksKeepAnyIdAcrossCompactions(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for ids := 1; ids <= 3; ids++ {
@@ -536,21 +548,15 @@ func TestTimelineStacksKeepAnyIdAcrossCompactions(t *testing.T) {
 			}
 		}
 
-		// 3 sets x ~210 blocks: every per-set stack passes the list limit.
 		const big, m, warm = 630, 90000, 20000
 		stream = oracleStream(rng, m, big, ids)
-		specs := []trace.OrgSpec{{Sets: 1}, {Sets: 3}}
-		curves, err := trace.ProfileOrgs(recordStream(stream, warm), specs)
+		curves, err := trace.ProfileOrgs(recordStream(stream, warm), []trace.OrgSpec{{Sets: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, spec := range specs {
-			perSet := big / spec.Sets
-			for _, ways := range []int64{1, 2, 3, 5, 8, 16, 40, 100, 191, 192, 193, perSet - 1, perSet, perSet + 1, big + 1} {
-				want := bankMisses(stream, warm, spec.Sets, ways, cachesim.LRU)
-				if got := curves[i].LRU.Misses(ways); got != want {
-					t.Fatalf("ids %d sets=%d ways=%d: curve %d, bank %d", ids, spec.Sets, ways, got, want)
-				}
+		for _, lines := range []int64{1, 2, 3, 5, 8, 16, 40, 100, 191, 192, 193, big - 1, big, big + 1} {
+			if got, want := curves[0].LRU.Misses(lines), bankMisses(stream, warm, 1, lines, cachesim.LRU); got != want {
+				t.Fatalf("ids %d: Sets=1 stack at %d lines: curve %d, bank %d", ids, lines, got, want)
 			}
 		}
 	}
@@ -621,9 +627,9 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 		runs := runStream(rng, accesses, trial%4)
 		specs := [][]trace.OrgSpec{
 			{{Sets: 1}},
-			{{Sets: 1}, {Sets: 1, FIFOWays: []int64{3, 64}}, {Sets: 4, LRUWays: []int64{4, 1}}, {Sets: 3}},
-			{{Sets: 1, LRUWays: []int64{16, 1024, 300}, FIFOWays: []int64{16}}, {Sets: 2}},
-			{{Sets: 5, FIFOWays: []int64{2}}},
+			{{Sets: 1}, {Sets: 1, FIFOWays: []int64{3, 64}}, {Sets: 4, LRUWays: []int64{4, 1}}, {Sets: 3, LRUWays: everyKindWays}},
+			{{Sets: 1, LRUWays: []int64{16, 1024, 300}, FIFOWays: []int64{16}}, {Sets: 2, LRUWays: everyKindWays}},
+			{{Sets: 5, FIFOWays: []int64{2}, LRUWays: everyKindWays}},
 		}[trial%4]
 
 		byRun, byBlock := trace.NewLog(), trace.NewLog()

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -90,8 +91,8 @@ func TestOrgCurvesMatchCachesim(t *testing.T) {
 			log.RecordBlock(blk)
 		}
 
-		// One spec per distinct set count, with the FIFO way counts each
-		// geometry needs; all profiled from a single replay.
+		// One spec per distinct set count, listing the LRU and FIFO way
+		// counts each geometry needs; all profiled from a single replay.
 		specIdx := map[int64]int{}
 		var specs []trace.OrgSpec
 		for _, g := range geoms {
@@ -99,17 +100,7 @@ func TestOrgCurvesMatchCachesim(t *testing.T) {
 			if err != nil {
 				t.Fatalf("SetsFor(%d, %d, %d): %v", g.capacity, block, g.ways, err)
 			}
-			idx, ok := specIdx[sets]
-			if !ok {
-				idx = len(specs)
-				specIdx[sets] = idx
-				specs = append(specs, trace.OrgSpec{Sets: sets})
-			}
-			ways := g.ways
-			if ways == 0 {
-				ways = g.capacity / block // fully associative: all lines in one set
-			}
-			specs[idx].FIFOWays = append(specs[idx].FIFOWays, ways)
+			specs = trace.AddPoint(specs, specIdx, sets, trace.EffectiveWays(g.capacity, block, g.ways), true)
 		}
 		curves, err := trace.ProfileOrgs(log, specs)
 		if err != nil {
@@ -221,7 +212,7 @@ func TestProfileOrgsEmptyWindow(t *testing.T) {
 		log.RecordBlock(blk)
 	}
 	log.MarkWindow()
-	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{2}}})
+	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{2}, LRUWays: everyKindWays}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +364,10 @@ func TestProfileOrgsBadSpec(t *testing.T) {
 	if _, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 0}}); err == nil {
 		t.Error("Sets=0 accepted")
 	}
-	if _, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{0}}}); err == nil {
+	if _, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{0}, LRUWays: []int64{1}}}); err == nil {
 		t.Error("FIFO ways=0 accepted")
+	}
+	if _, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2}}); err == nil || !strings.Contains(err.Error(), "LRUWays") {
+		t.Errorf("Sets=2 without LRUWays: %v, want an error naming LRUWays", err)
 	}
 }

@@ -167,14 +167,8 @@ func (p *Profiler) TimelineOps() int64 { return p.tl.ops }
 
 // Curve freezes the current histogram into a MissCurve.
 func (p *Profiler) Curve() *MissCurve {
-	return curveFromHist(p.hist, p.cold)
-}
-
-// curveFromHist folds a stack-depth histogram (1-based) and a cold-miss
-// count into a MissCurve.
-func curveFromHist(hist []int64, cold int64) *MissCurve {
-	maxd := len(hist) - 1
-	for maxd > 0 && hist[maxd] == 0 {
+	maxd := len(p.hist) - 1
+	for maxd > 0 && p.hist[maxd] == 0 {
 		maxd--
 	}
 	if maxd < 0 {
@@ -183,21 +177,13 @@ func curveFromHist(hist []int64, cold int64) *MissCurve {
 	// suffix[i] = counted accesses at finite depth >= i.
 	suffix := make([]int64, maxd+2)
 	for d := maxd; d >= 1; d-- {
-		suffix[d] = suffix[d+1] + hist[d]
+		suffix[d] = suffix[d+1] + p.hist[d]
 	}
 	return &MissCurve{
-		Accesses: suffix[1] + cold,
-		Cold:     cold,
+		Accesses: suffix[1] + p.cold,
+		Cold:     p.cold,
 		suffix:   suffix,
 	}
-}
-
-// seedStack pushes blk as the new most-recent stack entry without counting
-// an access, assuming blk is not already on the stack. A list-based set
-// stack uses it to transfer its state when upgrading to a Profiler.
-func (p *Profiler) seedStack(blk int64) {
-	p.tl.Room(1, p.relabel)
-	p.store(blk, p.tl.Append(blk, 1))
 }
 
 // Profile replays a recorded log through a fresh Profiler, honouring the

@@ -28,8 +28,8 @@ func TestProfileOrgsSpillIdentical(t *testing.T) {
 	env := schedule.Env{M: 512, B: 16}
 	orgs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{16, 64}},
-		{Sets: 8, FIFOWays: []int64{4}},
-		{Sets: 32},
+		{Sets: 8, FIFOWays: []int64{4}, LRUWays: []int64{1, 4, 16, 40, 100}},
+		{Sets: 32, LRUWays: []int64{1, 4, 16, 40, 100}},
 	}
 	const warm, measured = 256, 2048
 	for _, s := range []schedule.Scheduler{schedule.FlatTopo{}, schedule.Partitioned(g, nil)} {

@@ -29,22 +29,22 @@
 //     proportional to the number of distinct blocks. It takes a run of
 //     blocks that were last touched together in one step.
 //   - MissCurve is the profile result: misses as a function of capacity.
-//   - AssocProfiler shards the trace by set index and runs one Mattson
-//     stack per set: exact set-associative LRU misses for every way count
-//     of a set count, still in one pass (AssocCurve).
 //   - OrgProfilers drives any number of organisations' profilers from one
 //     access stream, so one execution per scheduler answers every
 //     (capacity, ways, policy) robustness question; ProfileOrgs feeds it
 //     from a recorded log instead. Its Touch also reports which design
 //     points the access missed in (Missed) — the miss streams the
-//     hierarchy profilers feed their next level from. It does only work that
-//     can change an answer: one structure per distinct set count; a family
-//     bounded to the way counts the request evaluates (OrgSpec.LRUWays,
-//     filled in by GridSpecs/AddPoint) keeps flat move-to-front rows when
-//     they are shallow and Kim-Hill-Wood marker lists when they are deep
-//     (O(1) for a reuse inside the smallest listed way count); all FIFO
-//     points of all specs in one residency mask (an access costs one load
-//     plus work proportional to the FIFO replicas it misses in; FIFOCurve).
+//     hierarchy profilers feed their next level from. It does only work
+//     that can change an answer: one structure per distinct set count; a
+//     set-associative family answers exactly the way counts the request
+//     evaluates (OrgSpec.LRUWays, filled in by GridSpecs/AddPoint, an
+//     AssocCurve) from per-set stacks kept that deep — flat move-to-front
+//     rows when they are shallow and Kim-Hill-Wood marker lists when they
+//     are deep (O(1) for a reuse inside the smallest listed way count);
+//     only the fully-associative family may leave its way counts open, and
+//     then it is one Profiler; all FIFO points of all specs share one
+//     residency mask (an access costs one load plus work proportional to
+//     the FIFO replicas it misses in; FIFOCurve).
 //   - ProcLog is the multiprocessor trace: a Log whose runs carry the
 //     recording processor, so it keeps the global interleaving order a
 //     parallel run emitted them in — what the shared-L2 hierarchy oracles

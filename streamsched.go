@@ -52,15 +52,16 @@ type (
 	MissCurve = trace.MissCurve
 	// CurveResult is a measured run profiled into a MissCurve.
 	CurveResult = schedule.CurveResult
-	// OrgSpec selects a cache organisation family (set count + FIFO way
-	// counts) to profile a recorded trace under; see SimulateCurveOrgs.
+	// OrgSpec selects a cache organisation family (set count, the LRU way
+	// counts it answers, FIFO way counts) to profile a recorded trace
+	// under; see SimulateCurveOrgs.
 	OrgSpec = trace.OrgSpec
 	// OrgCurves is one organisation's profile: exact set-associative LRU
-	// misses for every way count plus exact FIFO misses at the replayed
-	// way counts, from the same trace.
+	// misses at its listed way counts plus exact FIFO misses at the
+	// replayed way counts, from the same trace.
 	OrgCurves = trace.OrgCurves
 	// AssocCurve is a per-set reuse-distance profile: exact set-associative
-	// LRU misses as a function of the way count, for a fixed set count.
+	// LRU misses at the listed way counts, for a fixed set count.
 	AssocCurve = trace.AssocCurve
 	// FIFOCurve is a multiplexed FIFO replay: exact FIFO misses at each
 	// replayed way count, for a fixed set count.
@@ -210,18 +211,13 @@ func SimulateCurve(g *Graph, s Scheduler, env Env, block, warm, measured int64) 
 
 // SimulateCurveOrgs is SimulateCurve with additional cache organisations:
 // the same recorded trace is also profiled under each requested OrgSpec —
-// per-set Mattson stacks give exact set-associative LRU misses for every
-// way count, and multiplexed per-set replicas give exact FIFO misses at
-// the replayed way counts. One execution of the schedule answers every
-// (capacity, ways, policy) point:
-//
-//	sets, _ := streamsched.CacheSets(capacity, env.B, 4) // 4-way
-//	cr, _ := streamsched.SimulateCurveOrgs(g, s, env, env.B, 1000, 10000,
-//		[]streamsched.OrgSpec{{Sets: sets, FIFOWays: []int64{4}}})
-//	lru := cr.Orgs[0].LRU.Misses(4)
-//	fifo, _ := cr.Orgs[0].FIFO.Misses(4)
-//
-// Each point exactly matches Simulate with the corresponding CacheConfig.
+// per-set Mattson stacks give exact set-associative LRU misses at the
+// spec's LRUWays, and multiplexed per-set replicas give exact FIFO misses
+// at its FIFOWays. One execution of the schedule answers every (capacity,
+// ways, policy) point (see ExampleSimulateCurveOrgs). A spec of more than
+// one set must list its LRUWays; only a fully-associative one may leave
+// them out and answer every capacity. Each point exactly matches Simulate
+// with the corresponding CacheConfig.
 func SimulateCurveOrgs(g *Graph, s Scheduler, env Env, block, warm, measured int64, orgs []OrgSpec) (*CurveResult, error) {
 	return schedule.MeasureCurveOrgs(g, s, env, block, warm, measured, orgs)
 }

@@ -15,6 +15,7 @@ import (
 	"streamsched/internal/parallel"
 	"streamsched/internal/schedule"
 	"streamsched/internal/server"
+	"streamsched/internal/trace"
 	"streamsched/workloads"
 )
 
@@ -455,7 +456,7 @@ func TestSimulateHierAcrossWorkloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr, err := streamsched.SimulateCurveOrgs(g, s, env, env.B, 128, 512,
-		[]streamsched.OrgSpec{{Sets: 4}})
+		[]streamsched.OrgSpec{{Sets: 4, LRUWays: []int64{1, 2, 4, 8, 16, 40, 100}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,5 +606,85 @@ func TestSimulateSharedFacade(t *testing.T) {
 	}
 	if len(results) != 2 || results[0].Procs != 1 || results[1].Procs != 4 {
 		t.Fatalf("sweep results: %+v", results)
+	}
+}
+
+// TestOrgSpecNeedsLRUWaysPastOneSet: an OrgSpec of more than one set that
+// lists no LRUWays — FIFO way counts do not stand in for them — is refused
+// by every entry point with an error naming LRUWays, never a panic, while a
+// one-set spec that lists none answers every capacity: each way count up
+// to past the footprint, equal to the fully-associative curve beside it.
+func TestOrgSpecNeedsLRUWaysPastOneSet(t *testing.T) {
+	g := buildPipeline(t, 8, 128)
+	env := streamsched.Env{M: 256, B: 16}
+	s := streamsched.AutoScheduler(g)
+	var blocks []int64
+	for i := int64(0); i < 400; i++ {
+		blocks = append(blocks, i*i%53)
+	}
+	l := trace.NewLog()
+	for _, blk := range blocks {
+		l.RecordBlock(blk)
+	}
+	measure := func(cr *streamsched.CurveResult, err error) ([]*trace.OrgCurves, *trace.MissCurve, error) {
+		if err != nil {
+			return nil, nil, err
+		}
+		return cr.Orgs, cr.Curve, nil
+	}
+	// Each entry profiles one spec and returns its curves and the
+	// fully-associative curve of the same stream.
+	entries := map[string]func([]trace.OrgSpec) ([]*trace.OrgCurves, *trace.MissCurve, error){
+		"NewOrgProfilers": func(specs []trace.OrgSpec) ([]*trace.OrgCurves, *trace.MissCurve, error) {
+			p, err := trace.NewOrgProfilers(specs)
+			if err != nil {
+				return nil, nil, err
+			}
+			for _, blk := range blocks {
+				p.Touch(blk)
+			}
+			return p.Curves(), trace.Profile(l), nil
+		},
+		"ProfileOrgs": func(specs []trace.OrgSpec) ([]*trace.OrgCurves, *trace.MissCurve, error) {
+			curves, err := trace.ProfileOrgs(l, specs)
+			return curves, trace.Profile(l), err
+		},
+		"schedule.MeasureCurveOrgs": func(specs []trace.OrgSpec) ([]*trace.OrgCurves, *trace.MissCurve, error) {
+			return measure(schedule.MeasureCurveOrgs(g, s, env, env.B, 64, 256, specs))
+		},
+		"SimulateCurveOrgs": func(specs []trace.OrgSpec) ([]*trace.OrgCurves, *trace.MissCurve, error) {
+			return measure(streamsched.SimulateCurveOrgs(g, s, env, env.B, 64, 256, specs))
+		},
+	}
+	for _, spec := range []streamsched.OrgSpec{{Sets: 4}, {Sets: 4, FIFOWays: []int64{4}}, {Sets: 1}} {
+		for name, entry := range entries {
+			var (
+				curves []*trace.OrgCurves
+				full   *trace.MissCurve
+				err    error
+			)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s(%+v) panicked: %v", name, spec, r)
+					}
+				}()
+				curves, full, err = entry([]trace.OrgSpec{spec})
+			}()
+			if spec.Sets > 1 {
+				if err == nil || !strings.Contains(err.Error(), "LRUWays") {
+					t.Errorf("%s(%+v) = %v, want an error naming LRUWays", name, spec, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s(%+v): %v", name, spec, err)
+			}
+			for lines := int64(1); lines <= full.SaturationLines()+2; lines++ {
+				if got, ok := curves[0].Misses(lines, false); !ok || got != full.Misses(lines) {
+					t.Fatalf("%s(%+v) at %d lines: %d misses (ok=%v), fully-associative curve %d", name, spec, lines, got, ok, full.Misses(lines))
+				}
+			}
+		}
 	}
 }
