@@ -3,6 +3,7 @@ package trace_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -64,9 +65,12 @@ var crossoverSink int
 // marker family) fed the miss streams of a 16-line and a 64-line
 // fully-associative L1, and orgs-grid's LRU+FIFO grid (capacities 256…4k
 // words × 1, 2, 4, 8 ways and fully associative) fed the recorded stream
-// itself. Each op feeds the whole stream to one set of profilers, built
-// before the timer starts, so the first op starts cold and the rest replay
-// the stream on warm stacks; each sub-benchmark reports ns per access.
+// itself, and that grid's LRU half alone, so that the difference between
+// the two is the FIFO bank's share; the orgs-grid case also reports FIFO
+// replica insertions (misses of more than one way) per access. Each op
+// feeds the whole stream to one set of profilers, built before the timer
+// starts, so the first op starts cold and the rest replay the stream on
+// warm stacks; each sub-benchmark reports ns per access.
 func BenchmarkOrgProfilersTouch(b *testing.B) {
 	streams, recorded, err := crossoverStreams()
 	if err != nil {
@@ -76,7 +80,12 @@ func BenchmarkOrgProfilersTouch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	orgsGrid, _, err := trace.GridSpecs([]int64{256, 512, 1024, 2048, 4096}, 16, []int64{1, 2, 4, 8, 0}, true)
+	orgsCaps, orgsWays := []int64{256, 512, 1024, 2048, 4096}, []int64{1, 2, 4, 8, 0}
+	orgsGrid, _, err := trace.GridSpecs(orgsCaps, 16, orgsWays, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	orgsLRU, _, err := trace.GridSpecs(orgsCaps, 16, orgsWays, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func BenchmarkOrgProfilersTouch(b *testing.B) {
 		specs  []trace.OrgSpec
 		blocks []int64
 	}
-	cases := []bench{{"orgs-grid/recorded", orgsGrid, recorded}}
+	cases := []bench{{"orgs-grid/recorded", orgsGrid, recorded}, {"orgs-grid-lru/recorded", orgsLRU, recorded}}
 	for _, st := range streams[:2] { // recorded-l1fa16, recorded-l1fa64
 		blocks := make([]int64, len(st.slots))
 		for i, s := range st.slots {
@@ -106,6 +115,17 @@ func BenchmarkOrgProfilersTouch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.blocks)), "ns/access")
+			var inserts int64
+			for _, oc := range p.Curves() {
+				for _, w := range slices.Compact(slices.Sorted(slices.Values(oc.Spec.FIFOWays))) {
+					if n, ok := oc.Misses(w, true); ok && w > 1 {
+						inserts += n
+					}
+				}
+			}
+			if inserts > 0 {
+				b.ReportMetric(float64(inserts)/float64(b.N*len(c.blocks)), "inserts/access")
+			}
 		})
 	}
 }

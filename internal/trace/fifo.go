@@ -84,6 +84,9 @@ func (t *blockTable) slowSlot(blk int64) int32 {
 // residency bit per replica per block: bit r of a block's mask says that
 // replica r holds it. Blocks are addressed by their blockTable slot: slot
 // s >= 0 owns dense[s*words : (s+1)*words], s < 0 owns side[^s*words : …].
+// The replicas are flat: every replica's rows live in one rows arena and
+// every replica's per-set insertion heads in one heads arena, and a
+// replica is a descriptor of offsets into them.
 type fifoBank struct {
 	words  int      // mask words per block
 	full   []uint64 // per word: the bits of existing replicas
@@ -91,16 +94,18 @@ type fifoBank struct {
 	dense  []uint64
 	side   []uint64
 	reps   []fifoReplica
+	rows   []int32 // per replica: sets*ways block slots, noSlot = empty
+	heads  []int32 // per replica: per set, the next insertion way
 }
 
 // fifoReplica is one (sets, ways) FIFO cache: per-set circular buffers of
-// block slots. It mirrors cachesim's FIFO exactly: empty slots fill in
+// block slots in the bank's rows. It mirrors cachesim's FIFO exactly: empty slots fill in
 // index order and eviction removes the oldest insertion.
 type fifoReplica struct {
 	idx    setIndex
 	ways   int64
-	rows   []int32 // sets*ways entries, noSlot = empty
-	head   []int32 // per set: next insertion slot
+	rows   int64 // offset of its sets*ways entries in the bank's rows
+	heads  int64 // offset of its per-set heads in the bank's heads
 	misses int64
 }
 
@@ -108,11 +113,9 @@ type fifoReplica struct {
 // number. Replicas must be added before the first touch.
 func (b *fifoBank) addReplica(sets, ways int64) int {
 	r := len(b.reps)
-	rows := make([]int32, sets*ways)
-	for i := range rows {
-		rows[i] = noSlot
-	}
-	b.reps = append(b.reps, fifoReplica{idx: newSetIndex(sets), ways: ways, rows: rows, head: make([]int32, sets)})
+	b.reps = append(b.reps, fifoReplica{idx: newSetIndex(sets), ways: ways, rows: int64(len(b.rows)), heads: int64(len(b.heads))})
+	b.rows = append(b.rows, slices.Repeat([]int32{noSlot}, int(sets*ways))...)
+	b.heads = append(b.heads, make([]int32, sets)...)
 	if r/64 == b.words {
 		b.words++
 		b.full = append(b.full, 0)
@@ -134,26 +137,34 @@ func (b *fifoBank) mask(slot int32) []uint64 {
 	return (*cells)[i*b.words:][:b.words]
 }
 
-// touch processes one access to blk, the block in slot.
+// touch processes one access to blk, the block in slot: every replica it
+// misses in gets its bit set in one OR per word, inserts slot at the set's
+// head and clears the evicted slot's bit. A victim was inserted by an
+// earlier touch, which sized its mask, so its bit is cleared by direct
+// index.
 func (b *fifoBank) touch(blk int64, slot int32) {
 	m := b.mask(slot)
 	for w, have := range m {
 		miss := b.full[w] &^ have
 		b.missed[w] = miss
+		m[w] = have | miss
 		for ; miss != 0; miss &= miss - 1 {
 			bit := bits.TrailingZeros64(miss)
 			r := &b.reps[w*64+bit]
 			r.misses++
 			set := r.idx.set(blk)
-			at := set*r.ways + int64(r.head[set])
-			if victim := r.rows[at]; victim != noSlot {
-				b.mask(victim)[w] &^= 1 << bit
+			head := &b.heads[r.heads+set]
+			at := r.rows + set*r.ways + int64(*head)
+			victim := b.rows[at]
+			b.rows[at] = slot
+			if *head++; int64(*head) == r.ways {
+				*head = 0
 			}
-			r.rows[at] = slot
-			if r.head[set]++; int64(r.head[set]) == r.ways {
-				r.head[set] = 0
+			if victim >= 0 {
+				b.dense[int(victim)*b.words+w] &^= 1 << bit
+			} else if victim != noSlot {
+				b.side[int(^victim)*b.words+w] &^= 1 << bit
 			}
-			m[w] |= 1 << bit
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package trace_test
 
 import (
+	"fmt"
 	"testing"
 
 	"streamsched/internal/trace"
@@ -61,6 +62,37 @@ func fuzzWays(data []byte) []int64 {
 	return ways
 }
 
+// fuzzFIFO turns fuzz bytes into FIFO specs: the first byte's bits choose
+// set counts 1–8 (bit i: i+1 sets, so 3, 5, 6 and 7 are not powers of
+// two), and each later byte (at most sixteen) a FIFO way count 1–64, order
+// and duplicates as drawn. Every set count replays every way count, so
+// eight set counts and nine distinct way counts past one hold more
+// replicas than one mask word. A spec lists one LRU way count, as a spec
+// of more than one set must list some.
+func fuzzFIFO(data []byte) []trace.OrgSpec {
+	if len(data) < 2 {
+		return nil
+	}
+	var ways []int64
+	for i, b := range data[1:] {
+		if i == 16 {
+			break
+		}
+		ways = append(ways, 1+int64(b&0x3f))
+	}
+	var specs []trace.OrgSpec
+	for i := range 8 {
+		if data[0]&(1<<i) != 0 {
+			specs = append(specs, trace.OrgSpec{Sets: int64(i + 1), LRUWays: []int64{1}, FIFOWays: ways})
+		}
+	}
+	return specs
+}
+
+// fifoBudget bounds the bank accesses of FuzzProfilerRuns' FIFO oracle:
+// points (LRU and FIFO) times accesses.
+const fifoBudget = 1 << 20
+
 // FuzzProfilerRuns checks the run paths end to end on arbitrary run
 // streams: a log recorded with RecordRun replays the stream it was given,
 // and profiling it run by run (Profile: ForEachRunWindowed into
@@ -68,10 +100,13 @@ func fuzzWays(data []byte) []int64 {
 // which is the curve of a naive move-to-front stack — at every capacity.
 // The same runs also feed a fully-associative OrgProfilers that lists the
 // way counts fuzzWays draws from the second argument (rows or marker
-// lists), which must match the naive stack at each of them. The seed
-// corpus is testdata/fuzz/FuzzProfilerRuns.
+// lists), which must match the naive stack at each of them, and the FIFO
+// specs fuzzFIFO draws from the third: each replica's window misses off
+// the run-fed log, and every access's Missed verdict fed block by block,
+// must match a cachesim.Bank FIFO replay. The seed corpus is
+// testdata/fuzz/FuzzProfilerRuns.
 func FuzzProfilerRuns(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data, wayBytes []byte) {
+	f.Fuzz(func(t *testing.T, data, wayBytes, fifoBytes []byte) {
 		runs, cuts, stream, warm := fuzzRuns(data)
 		l := trace.NewLog()
 		for i, r := range runs {
@@ -145,22 +180,32 @@ func FuzzProfilerRuns(f *testing.F) {
 			}
 		}
 
-		ways := fuzzWays(wayBytes)
-		if len(ways) == 0 {
-			return
-		}
-		orgs, err := trace.ProfileOrgs(l, []trace.OrgSpec{{Sets: 1, LRUWays: ways}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range ways {
-			misses := counted
-			for d := int64(1); d <= w && d < int64(len(depths)); d++ {
-				misses -= depths[d]
+		if ways := fuzzWays(wayBytes); len(ways) > 0 {
+			orgs, err := trace.ProfileOrgs(l, []trace.OrgSpec{{Sets: 1, LRUWays: ways}})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got, ok := orgs[0].Misses(w, false); !ok || got != misses {
-				t.Fatalf("LRU ways %v at %d: organisation profilers %d misses (ok=%v), naive stack %d", ways, w, got, ok, misses)
+			for _, w := range ways {
+				misses := counted
+				for d := int64(1); d <= w && d < int64(len(depths)); d++ {
+					misses -= depths[d]
+				}
+				if got, ok := orgs[0].Misses(w, false); !ok || got != misses {
+					t.Fatalf("LRU ways %v at %d: organisation profilers %d misses (ok=%v), naive stack %d", ways, w, got, ok, misses)
+				}
 			}
+		}
+
+		// The FIFO oracle replays a cachesim.Bank per point per access, so an
+		// input past fifoBudget bank accesses skips it.
+		if specs := fuzzFIFO(fifoBytes); len(specs) > 0 && len(stream)*len(specs)*(len(specs[0].FIFOWays)+1) <= fifoBudget {
+			orgs, err := trace.ProfileOrgs(l, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("FIFO specs %+v", specs)
+			checkOrgCurves(t, label, stream, warm, specs, orgs)
+			checkVerdicts(t, label, stream, warm, specs)
 		}
 	})
 }
