@@ -95,13 +95,11 @@ func runE12(cfg runConfig) error {
 	}
 
 	// One recorded trace per scheduler answers the whole grid.
-	outcomes := schedule.SweepCurveOrgs(g, scheds, env, env.B, warm, meas, specs, 0)
-	results := make([]*schedule.CurveResult, 0, len(outcomes))
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %w", o.Name, o.Err)
-		}
-		results = append(results, o.Value)
+	results, err := schedule.Sweep(scheds, func(s schedule.Scheduler) (*schedule.CurveResult, error) {
+		return schedule.MeasureCurveOrgs(g, s, env, env.B, warm, meas, specs)
+	})
+	if err != nil {
+		return err
 	}
 	missesPerItem := func(r *schedule.CurveResult, c, w int64, pol cachesim.Policy) float64 {
 		sets, _ := trace.SetsFor(c, env.B, w)

@@ -33,13 +33,11 @@ func runE19(cfg runConfig) error {
 	env := schedule.Env{M: designM, B: 16}
 	scheds := append(schedule.Baselines(), schedule.Partitioned(g, nil))
 
-	outcomes := schedule.SweepCurves(g, scheds, env, env.B, warm, meas, 0)
-	results := make([]*schedule.CurveResult, 0, len(outcomes))
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %w", o.Name, o.Err)
-		}
-		results = append(results, o.Value)
+	results, err := schedule.Sweep(scheds, func(s schedule.Scheduler) (*schedule.CurveResult, error) {
+		return schedule.MeasureCurve(g, s, env, env.B, warm, meas)
+	})
+	if err != nil {
+		return err
 	}
 
 	caps := []int64{256, 512, 1024, 2048, 4096, 8192}

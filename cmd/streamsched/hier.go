@@ -33,7 +33,6 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	warm := fs.Int64("warm", 1024, "warmup source firings")
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	scale := fs.Int64("scale", 4, "scaling factor for -sched scaled")
-	workers := fs.Int("workers", 0, "parallel recordings (default GOMAXPROCS)")
 	addIgnoredJobsFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
@@ -62,11 +61,12 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	defer func() { err = errors.Join(err, sess.Close()) }()
 	env := schedule.Env{M: *m, B: *b}
 	sweepSp := obs.Default().StartSpan("hier.sweep")
-	outcomes := schedule.SweepHier(g, scheds, env, spec, *warm, *meas, *workers)
+	results, err := schedule.Sweep(scheds, func(s schedule.Scheduler) (*schedule.HierResult, error) {
+		return schedule.MeasureHier(g, s, env, spec, *warm, *meas)
+	})
 	sweepSp.End()
-	results, err := collectSweep("hier", outcomes)
 	if err != nil {
-		return err
+		return fmt.Errorf("hier: %w", err)
 	}
 
 	tb := report.NewTable(

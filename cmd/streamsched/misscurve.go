@@ -32,7 +32,6 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	warm := fs.Int64("warm", 1024, "warmup source firings")
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	scale := fs.Int64("scale", 4, "scaling factor for -sched scaled")
-	workers := fs.Int("workers", 0, "parallel recordings (default GOMAXPROCS)")
 	addIgnoredJobsFlags(fs)
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
@@ -91,11 +90,12 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 		}
 	}
 	sweepSp := obs.Default().StartSpan("misscurve.sweep")
-	outcomes := schedule.SweepCurveOrgs(g, scheds, env, *b, *warm, *meas, specs, *workers)
+	results, err := schedule.Sweep(scheds, func(s schedule.Scheduler) (*schedule.CurveResult, error) {
+		return schedule.MeasureCurveOrgs(g, s, env, *b, *warm, *meas, specs)
+	})
 	sweepSp.End()
-	results, err := collectSweep("misscurve", outcomes)
 	if err != nil {
-		return err
+		return fmt.Errorf("misscurve: %w", err)
 	}
 	if defaultOrg {
 		if caps == nil {
@@ -163,19 +163,6 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 		}
 	}
 	return nil
-}
-
-// collectSweep unwraps sweep outcomes, failing on the first scheduler
-// error with the verb's prefix.
-func collectSweep[T any](verb string, outcomes []trace.Outcome[T]) ([]T, error) {
-	results := make([]T, 0, len(outcomes))
-	for _, o := range outcomes {
-		if o.Err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", verb, o.Name, o.Err)
-		}
-		results = append(results, o.Value)
-	}
-	return results, nil
 }
 
 // curveTable renders one capacity-by-scheduler table of misses/item.

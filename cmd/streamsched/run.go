@@ -12,6 +12,7 @@ import (
 	"streamsched"
 	"streamsched/internal/cachesim"
 	"streamsched/internal/partition"
+	"streamsched/internal/ratio"
 	"streamsched/internal/report"
 	"streamsched/internal/schedule"
 	"streamsched/internal/sdf"
@@ -445,8 +446,9 @@ func workloadBy(name string, scale int64) (*sdf.Graph, error) {
 	}
 }
 
-// parseSize parses integers with optional k/m suffixes (base 1024), e.g.
-// "64k". Exposed for future flag use; currently handy in tests.
+// parseSize parses an integer with an optional k/m suffix (base 1024),
+// e.g. "64k", refusing one whose suffix takes it past int64. parseCapsFlag
+// reads every capacity-list flag through it.
 func parseSize(s string) (int64, error) {
 	mult := int64(1)
 	ls := strings.ToLower(s)
@@ -460,5 +462,9 @@ func parseSize(s string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return v * mult, nil
+	n, ok := ratio.AddMul(0, v, mult)
+	if !ok {
+		return 0, fmt.Errorf("%d times %d overflows int64", v, mult)
+	}
+	return n, nil
 }

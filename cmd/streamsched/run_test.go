@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -251,8 +252,43 @@ func TestParseSize(t *testing.T) {
 			t.Errorf("parseSize(%q) = %d, %v", c.in, got, err)
 		}
 	}
-	if _, err := parseSize("x"); err == nil {
-		t.Error("parseSize(x) accepted")
+	// Neither input fits in int64 once its suffix applies; an unchecked
+	// multiply would wrap 2^54+1 KiB to 1024 words.
+	for _, in := range []string{"x", "18014398509481985k", "9223372036854775807k"} {
+		if v, err := parseSize(in); err == nil {
+			t.Errorf("parseSize(%q) accepted as %d", in, v)
+		} else if in != "x" && !strings.Contains(err.Error(), "overflows int64") {
+			t.Errorf("parseSize(%q) error %v does not say it overflows", in, err)
+		}
+	}
+}
+
+// TestSweepBytesIndependentOfGOMAXPROCS: misscurve and hier run one job
+// per scheduler on a pool as wide as GOMAXPROCS; the bytes they print
+// must not depend on that width, and -workers is not a flag.
+func TestSweepBytesIndependentOfGOMAXPROCS(t *testing.T) {
+	path := writeGraph(t, "fmradio", 64)
+	for _, args := range [][]string{
+		{"misscurve", "-M", "256", "-sched", "all", "-warm", "64", "-measure", "256", "-csv", path},
+		{"hier", "-M", "256", "-sched", "all", "-l1caps", "256,512", "-l1ways", "2,full",
+			"-l2caps", "2k,4k", "-warm", "64", "-measure", "256", "-csv", path},
+	} {
+		out := func(procs int) string {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var sb strings.Builder
+			if err := run(args, &sb); err != nil {
+				t.Fatal(err)
+			}
+			return sb.String()
+		}
+		if one, two := out(1), out(2); one != two {
+			t.Errorf("%s -sched all prints different bytes at GOMAXPROCS 1 and 2:\n%s\nvs\n%s", args[0], one, two)
+		}
+		var sb strings.Builder
+		withWorkers := append([]string{args[0], "-workers", "2"}, args[1:]...)
+		if err := run(withWorkers, &sb); !errors.Is(err, errUsage) {
+			t.Errorf("%s -workers 2: err = %v, want a usage error", args[0], err)
+		}
 	}
 }
 

@@ -37,7 +37,8 @@
 // stacks) and exact FIFO misses at the replayed way counts (multiplexed
 // per-set replicas) — so robustness sweeps over (capacity, ways, policy)
 // still cost one execution per scheduler. CacheSets maps a geometry to
-// the set count an OrgSpec needs.
+// the set count an OrgSpec needs. Sweep runs any of these once per
+// scheduler in parallel and returns the results in scheduler order.
 //
 // SimulateHier extends the engine to two-level cache hierarchies
 // (internal/hierarchy): one recorded execution evaluates every (L1, L2)
@@ -56,9 +57,10 @@
 // them (trace.ProcLog records per-processor streams plus the global
 // interleaving). One traced run answers a whole SharedHierSpec grid;
 // SimulateSharedPoint is the pointwise oracle (per-processor traffic,
-// per-processor cost, makespan under the AMAT ladder), SweepShared
-// compares variants differing in processor count, claiming rule
-// (ParallelHomogeneous / ParallelPipeline), and partition.
+// per-processor cost, makespan under the AMAT ladder). A spec whose
+// Procs is 0 takes cfg.Procs, so one spec compares runs differing in
+// processor count, claiming rule (ParallelHomogeneous /
+// ParallelPipeline), and partition.
 // TestMeasureSharedMatchesRunShared in internal/parallel holds every
 // (schedule, P, L1, L2) point of a grid against that oracle.
 //

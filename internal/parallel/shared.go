@@ -7,7 +7,6 @@ import (
 	"streamsched/internal/obs"
 	"streamsched/internal/partition"
 	"streamsched/internal/sdf"
-	"streamsched/internal/trace"
 )
 
 // SharedResult is one pointwise shared-hierarchy measurement: a parallel
@@ -148,34 +147,4 @@ func MeasureShared(name string, g *sdf.Graph, p *partition.Partition, cfg Config
 		Run:      res,
 		TraceLen: n,
 	}, nil
-}
-
-// SharedVariant names one sweep configuration: a partition (nil meaning
-// partition.Auto at Cfg.Env.M) and a run configuration. Variants may
-// differ in processor count, claiming rule, and partition — the dimensions
-// shared-L2 contention experiments compare.
-type SharedVariant struct {
-	Name string
-	P    *partition.Partition
-	Cfg  Config
-}
-
-// SweepShared profiles one shared hierarchy grid per variant
-// on a bounded goroutine pool (workers <= 0 means GOMAXPROCS). spec.Procs
-// is filled from each variant's processor count, so one spec serves
-// variants of different widths. Outcomes are returned in variant order;
-// failed variants carry their error and a nil value.
-func SweepShared(g *sdf.Graph, variants []SharedVariant, spec hierarchy.SharedSpec, warm, measured int64, workers int) []trace.Outcome[*SharedMeasureResult] {
-	jobs := make([]trace.Job[*SharedMeasureResult], len(variants))
-	for i, v := range variants {
-		jobs[i] = trace.Job[*SharedMeasureResult]{
-			Name: v.Name,
-			Run: func() (*SharedMeasureResult, error) {
-				s := spec
-				s.Procs = 0
-				return MeasureShared(v.Name, g, v.P, v.Cfg, s, warm, measured)
-			},
-		}
-	}
-	return trace.Sweep(jobs, workers)
 }

@@ -9,6 +9,7 @@ import (
 	"streamsched/internal/hierarchy"
 	"streamsched/internal/partition"
 	"streamsched/internal/sdf"
+	"streamsched/internal/trace"
 )
 
 func hlv(capacity, block, ways int64, pol cachesim.Policy) hierarchy.Level {
@@ -214,23 +215,32 @@ func TestRunSharedMakespan(t *testing.T) {
 	}
 }
 
-// TestSweepSharedDeterministicAcrossWorkers: the sweep returns identical
-// curves regardless of pool width — parallel profiling must not perturb
-// the simulated runs.
+// TestSweepSharedDeterministicAcrossWorkers: a trace.Sweep of shared
+// profiles returns identical curves regardless of pool width — parallel
+// profiling must not perturb the simulated runs.
 func TestSweepSharedDeterministicAcrossWorkers(t *testing.T) {
 	g := filterbank(t, 3, 64)
 	auto, err := partition.Auto(g, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []SharedVariant{
-		{Name: "P1", P: auto, Cfg: testConfig(1)},
-		{Name: "P2", P: auto, Cfg: testConfig(2)},
-		{Name: "P4-singleton", P: partition.Singleton(g), Cfg: testConfig(4)},
+	variants := []struct {
+		name string
+		p    *partition.Partition
+		cfg  Config
+	}{
+		{"P1", auto, testConfig(1)},
+		{"P2", auto, testConfig(2)},
+		{"P4-singleton", partition.Singleton(g), testConfig(4)},
 	}
-	spec := testSpec(0)
+	jobs := make([]trace.Job[*SharedMeasureResult], len(variants))
+	for i, v := range variants {
+		jobs[i] = trace.Job[*SharedMeasureResult]{Name: v.name, Run: func() (*SharedMeasureResult, error) {
+			return MeasureShared(v.name, g, v.p, v.cfg, testSpec(0), 100, 300)
+		}}
+	}
 	run := func(workers int) []*SharedMeasureResult {
-		out := SweepShared(g, variants, spec, 100, 300, workers)
+		out := trace.Sweep(jobs, workers)
 		res := make([]*SharedMeasureResult, len(out))
 		for i, o := range out {
 			if o.Err != nil {

@@ -7,7 +7,6 @@ import (
 	"streamsched/internal/exec"
 	"streamsched/internal/hierarchy"
 	"streamsched/internal/sdf"
-	"streamsched/internal/trace"
 )
 
 // HierResult is the multi-level analogue of CurveResult: one run of a
@@ -61,16 +60,6 @@ func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, wa
 		return nil, err
 	}
 	return &HierResult{Run: run, Curves: curves, TraceLen: m.Cache().Stats().Accesses}, nil
-}
-
-// SweepHier profiles one hierarchy grid per scheduler on a
-// bounded goroutine pool (workers <= 0 means GOMAXPROCS). Outcomes are
-// returned in scheduler order; failed schedulers carry their error and a
-// nil value.
-func SweepHier(g *sdf.Graph, scheds []Scheduler, env Env, spec hierarchy.HierSpec, warm, measured int64, workers int) []trace.Outcome[*HierResult] {
-	return sweep(scheds, workers, func(s Scheduler) (*HierResult, error) {
-		return MeasureHier(g, s, env, spec, warm, measured)
-	})
 }
 
 // HierPointResult is one pointwise two-level measurement: a full schedule

@@ -89,19 +89,3 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	}
 	return &CurveResult{Run: run, Curve: profiles[0].LRU.Full(), Orgs: profiles[1:], TraceLen: m.Cache().Stats().Accesses}, nil
 }
-
-// SweepCurves profiles one curve per scheduler on a bounded
-// goroutine pool (workers <= 0 means GOMAXPROCS). Outcomes are returned in
-// scheduler order; failed schedulers carry their error and a nil value.
-func SweepCurves(g *sdf.Graph, scheds []Scheduler, env Env, block, warm, measured int64, workers int) []trace.Outcome[*CurveResult] {
-	return SweepCurveOrgs(g, scheds, env, block, warm, measured, nil, workers)
-}
-
-// SweepCurveOrgs is SweepCurves with additional cache organisations: every
-// scheduler's single recorded trace is also profiled under each OrgSpec
-// (see MeasureCurveOrgs).
-func SweepCurveOrgs(g *sdf.Graph, scheds []Scheduler, env Env, block, warm, measured int64, orgs []trace.OrgSpec, workers int) []trace.Outcome[*CurveResult] {
-	return sweep(scheds, workers, func(s Scheduler) (*CurveResult, error) {
-		return MeasureCurveOrgs(g, s, env, block, warm, measured, orgs)
-	})
-}

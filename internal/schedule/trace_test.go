@@ -1,8 +1,13 @@
 package schedule
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -149,20 +154,57 @@ func TestSweepCurves(t *testing.T) {
 	}
 	env := Env{M: 128, B: 16}
 	scheds := schedulersForGraph(g)
-	out := SweepCurves(g, scheds, env, env.B, 64, 256, 3)
-	if len(out) != len(scheds) {
-		t.Fatalf("sweep returned %d outcomes for %d schedulers", len(out), len(scheds))
+	out, err := Sweep(scheds, func(s Scheduler) (*CurveResult, error) {
+		return MeasureCurve(g, s, env, env.B, 64, 256)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, o := range out {
-		if o.Err != nil {
-			t.Fatalf("scheduler %s: %v", scheds[i].Name(), o.Err)
+	if len(out) != len(scheds) {
+		t.Fatalf("sweep returned %d results for %d schedulers", len(out), len(scheds))
+	}
+	for i, r := range out {
+		if r.Scheduler != scheds[i].Name() {
+			t.Fatalf("result %d is %q's, want %q's", i, r.Scheduler, scheds[i].Name())
 		}
-		if o.Name != scheds[i].Name() {
-			t.Fatalf("outcome %d name %q, want %q", i, o.Name, scheds[i].Name())
+		if r.Curve.Accesses == 0 {
+			t.Fatalf("scheduler %s recorded an empty window", r.Scheduler)
 		}
-		if o.Value.Curve.Accesses == 0 {
-			t.Fatalf("scheduler %s recorded an empty window", o.Name)
+	}
+}
+
+// TestSweepNamesFirstFailureInSchedulerOrder: a scheduler that cannot
+// plan fails the sweep with its own name even when a later scheduler
+// fails first on the clock, and every scheduler after it still runs.
+func TestSweepNamesFirstFailureInSchedulerOrder(t *testing.T) {
+	g, err := randgraph.RandomPipeline(rand.New(rand.NewSource(5)), randgraph.PipelineSpec{
+		Nodes: 6, StateMin: 16, StateMax: 64, RateMax: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheds := []Scheduler{FlatTopo{}, Scaled{S: 0}, DemandDriven{}, Scaled{S: -1}, Partitioned(g, nil)}
+	// One worker per scheduler, so the failing scheduler can wait for
+	// every other job to finish before it fails.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(len(scheds)))
+	var others sync.WaitGroup
+	others.Add(len(scheds) - 1)
+	var ran atomic.Int64
+	env := Env{M: 128, B: 16}
+	_, err = Sweep(scheds, func(s Scheduler) (*CurveResult, error) {
+		if s.Name() == "scaled(s=0)" {
+			others.Wait()
+		} else {
+			defer others.Done()
 		}
+		ran.Add(1)
+		return MeasureCurve(g, s, env, env.B, 16, 64)
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "scaled(s=0): ") || !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("sweep error = %v, want scaled(s=0)'s ErrUnsupported", err)
+	}
+	if got := ran.Load(); got != int64(len(scheds)) {
+		t.Fatalf("%d of %d schedulers ran", got, len(scheds))
 	}
 }
 
@@ -227,11 +269,14 @@ func TestMetricCountersMatchSimulator(t *testing.T) {
 		reg := obs.NewRegistry()
 		env := Env{M: 256, B: 16, Metrics: reg}
 		var traceLen, simAccesses int64
-		for _, o := range SweepCurveOrgs(g, scheds, env, env.B, warm, measured, specs, 2) {
-			if o.Err != nil {
-				t.Fatalf("%s: %v", o.Name, o.Err)
-			}
-			traceLen += o.Value.TraceLen
+		results, err := Sweep(scheds, func(s Scheduler) (*CurveResult, error) {
+			return MeasureCurveOrgs(g, s, env, env.B, warm, measured, specs)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			traceLen += r.TraceLen
 		}
 		for _, s := range scheds {
 			res, err := Measure(g, s, Env{M: env.M, B: env.B}, cachesim.Config{Capacity: 1024, Block: env.B}, warm, measured)

@@ -221,13 +221,22 @@ func (w Window) run(m *exec.Machine, plan *Plan, end int64, reg *obs.Registry) e
 	return plan.Runner.Run(m, end)
 }
 
-// sweep measures once per scheduler on a bounded goroutine pool (workers
-// <= 0 means GOMAXPROCS). Outcomes are returned in scheduler order; failed
-// schedulers carry their error and a nil value.
-func sweep[T any](scheds []Scheduler, workers int, measure func(Scheduler) (T, error)) []trace.Outcome[T] {
+// Sweep measures once per scheduler on the trace.Sweep pool, one worker
+// per CPU up to one per scheduler, and returns the results in scheduler
+// order. Every scheduler runs even when another fails; the error is the
+// first failure in scheduler order, named "<scheduler>: <err>".
+func Sweep[T any](scheds []Scheduler, measure func(Scheduler) (T, error)) ([]T, error) {
 	jobs := make([]trace.Job[T], len(scheds))
 	for i, s := range scheds {
 		jobs[i] = trace.Job[T]{Name: s.Name(), Run: func() (T, error) { return measure(s) }}
 	}
-	return trace.Sweep(jobs, workers)
+	out := trace.Sweep(jobs, 0)
+	results := make([]T, len(out))
+	for i, o := range out {
+		if o.Err != nil {
+			return nil, fmt.Errorf("%s: %w", o.Name, o.Err)
+		}
+		results[i] = o.Value
+	}
+	return results, nil
 }

@@ -1,8 +1,6 @@
 package streamsched
 
 import (
-	"errors"
-	"fmt"
 	"io"
 
 	"streamsched/internal/cachesim"
@@ -112,9 +110,6 @@ type (
 	// SharedMeasureResult is a recorded parallel run profiled into a
 	// shared (L1, L2) miss grid.
 	SharedMeasureResult = parallel.SharedMeasureResult
-	// SharedVariant names one SweepShared configuration (partition +
-	// parallel run config).
-	SharedVariant = parallel.SharedVariant
 )
 
 // Claiming rules for ParallelConfig.Rule.
@@ -262,12 +257,16 @@ func SimulateHierPoint(g *Graph, s Scheduler, env Env, cfg HierConfig, warm, mea
 	return schedule.MeasureHierPoint(g, s, env, cfg, warm, measured)
 }
 
-// SweepHierCurves records and profiles one hierarchy grid per scheduler on
-// a bounded goroutine pool (workers <= 0 means GOMAXPROCS). Results are in
-// scheduler order; if any scheduler fails, its slot is nil and the joined
-// error reports every failure.
-func SweepHierCurves(g *Graph, scheds []Scheduler, env Env, spec HierSpec, warm, measured int64, workers int) ([]*HierResult, error) {
-	return collectOutcomes(schedule.SweepHier(g, scheds, env, spec, warm, measured, workers))
+// Sweep runs measure once per scheduler, one goroutine per CPU up to one
+// per scheduler, and returns the results in scheduler order. Every
+// scheduler runs; the error is the first failure in scheduler order,
+// prefixed with its scheduler's name:
+//
+//	results, err := streamsched.Sweep(scheds, func(s streamsched.Scheduler) (*streamsched.CurveResult, error) {
+//		return streamsched.SimulateCurve(g, s, env, env.B, 1000, 10000)
+//	})
+func Sweep[T any](scheds []Scheduler, measure func(Scheduler) (T, error)) ([]T, error) {
+	return schedule.Sweep(scheds, measure)
 }
 
 // CacheSets returns the set count of a (capacity, block, ways) geometry,
@@ -276,35 +275,6 @@ func SweepHierCurves(g *Graph, scheds []Scheduler, env Env, spec HierSpec, warm,
 // CacheConfig validation rejects.
 func CacheSets(capacity, block, ways int64) (int64, error) {
 	return trace.SetsFor(capacity, block, ways)
-}
-
-// SweepCurves records and profiles one miss curve per scheduler on a
-// bounded goroutine pool (workers <= 0 means GOMAXPROCS). Results are in
-// scheduler order; if any scheduler fails, its slot is nil and the joined
-// error reports every failure.
-func SweepCurves(g *Graph, scheds []Scheduler, env Env, block, warm, measured int64, workers int) ([]*CurveResult, error) {
-	return SweepCurveOrgs(g, scheds, env, block, warm, measured, nil, workers)
-}
-
-// SweepCurveOrgs is SweepCurves with additional cache organisations: every
-// scheduler's single recorded trace is also profiled under each OrgSpec
-// (see SimulateCurveOrgs).
-func SweepCurveOrgs(g *Graph, scheds []Scheduler, env Env, block, warm, measured int64, orgs []OrgSpec, workers int) ([]*CurveResult, error) {
-	return collectOutcomes(schedule.SweepCurveOrgs(g, scheds, env, block, warm, measured, orgs, workers))
-}
-
-// collectOutcomes unwraps sweep outcomes into results in scheduler order;
-// failed schedulers leave a nil slot and contribute to the joined error.
-func collectOutcomes[T any](out []trace.Outcome[T]) ([]T, error) {
-	results := make([]T, len(out))
-	var errs []error
-	for i, o := range out {
-		results[i] = o.Value
-		if o.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", o.Name, o.Err))
-		}
-	}
-	return results, errors.Join(errs...)
 }
 
 // LowerBound computes the paper's lower bound on misses per source firing
@@ -361,15 +331,6 @@ func SimulateShared(g *Graph, p *Partition, cfg ParallelConfig, spec SharedHierS
 // aggregate AMAT — the pointwise oracle SimulateShared's grid matches.
 func SimulateSharedPoint(g *Graph, p *Partition, cfg ParallelConfig, hcfg SharedHierConfig, cm HierCostModel, warm, measured int64) (*SharedRunResult, error) {
 	return parallel.RunShared(g, p, cfg, hcfg, cm, warm, measured)
-}
-
-// SweepShared records and profiles one shared hierarchy grid per variant
-// on a bounded goroutine pool (workers <= 0 means GOMAXPROCS); variants
-// may differ in processor count, claiming rule, and partition. Results
-// are in variant order; if any variant fails, its slot is nil and the
-// joined error reports every failure.
-func SweepShared(g *Graph, variants []SharedVariant, spec SharedHierSpec, warm, measured int64, workers int) ([]*SharedMeasureResult, error) {
-	return collectOutcomes(parallel.SweepShared(g, variants, spec, warm, measured, workers))
 }
 
 // Bandwidth returns the partition's bandwidth (items crossing component

@@ -365,7 +365,9 @@ func TestSweepCurvesAcrossSchedulers(t *testing.T) {
 	g := buildPipeline(t, 24, 128)
 	env := streamsched.Env{M: 512, B: 16}
 	scheds := append(streamsched.Baselines(), streamsched.AutoScheduler(g))
-	results, err := streamsched.SweepCurves(g, scheds, env, env.B, 256, 1024, 0)
+	results, err := streamsched.Sweep(scheds, func(s streamsched.Scheduler) (*streamsched.CurveResult, error) {
+		return streamsched.SimulateCurve(g, s, env, env.B, 256, 1024)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +495,9 @@ func TestSweepHierCurvesAcrossSchedulers(t *testing.T) {
 		L2s:   []streamsched.HierLevel{{Capacity: 4096, Block: 64}},
 	}
 	scheds := append(streamsched.Baselines(), streamsched.AutoScheduler(g))
-	results, err := streamsched.SweepHierCurves(g, scheds, env, spec, 256, 1024, 0)
+	results, err := streamsched.Sweep(scheds, func(s streamsched.Scheduler) (*streamsched.HierResult, error) {
+		return streamsched.SimulateHier(g, s, env, spec, 256, 1024)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,17 +599,17 @@ func TestSimulateSharedFacade(t *testing.T) {
 		}
 	}
 
-	variants := []streamsched.SharedVariant{
-		{Name: "P1", Cfg: cfg}, {Name: "P4", Cfg: cfg},
-	}
-	variants[0].Cfg.Procs = 1
-	variants[1].Cfg.Procs = 4
-	results, err := streamsched.SweepShared(g, variants, spec, 128, 512, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 || results[0].Procs != 1 || results[1].Procs != 4 {
-		t.Fatalf("sweep results: %+v", results)
+	// The spec leaves Procs at 0, so one spec serves every processor count.
+	for _, procs := range []int{1, 4} {
+		c := cfg
+		c.Procs = procs
+		r, err := streamsched.SimulateShared(g, nil, c, spec, 128, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Procs != procs {
+			t.Fatalf("P=%d run profiled %d processors", procs, r.Procs)
+		}
 	}
 }
 
