@@ -123,6 +123,9 @@ func addLevelGridFlags(fs *flag.FlagSet, verb string) *levelGrid {
 // L2 design points (capacity-major, ways-minor) and the cost model.
 func (lg *levelGrid) parse(b int64) (l1s, l2s []hierarchy.Level, cm hierarchy.CostModel, err error) {
 	l2block := *lg.l2block
+	if l2block < 0 {
+		return nil, nil, cm, fmt.Errorf("%s: -l2block %d must be positive", lg.verb, l2block)
+	}
 	if l2block == 0 {
 		l2block = b
 	}

@@ -465,11 +465,12 @@ func TestHierCommand(t *testing.T) {
 
 	// Flag validation: missing grids, bad geometry, bad cost model.
 	for _, args := range [][]string{
-		{"hier", "-M", "256", "-l2caps", "1k", path},                                     // no -l1caps
-		{"hier", "-M", "256", "-l1caps", "256", path},                                    // no -l2caps
-		{"hier", "-l1caps", "256", "-l2caps", "1k", path},                                // no -M
-		{"hier", "-M", "256", "-l1caps", "384", "-l1ways", "5", "-l2caps", "1k", path},   // bad L1 geometry
-		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-l2block", "24", path}, // misaligned L2 block
+		{"hier", "-M", "256", "-l2caps", "1k", path},                                        // no -l1caps
+		{"hier", "-M", "256", "-l1caps", "256", path},                                       // no -l2caps
+		{"hier", "-l1caps", "256", "-l2caps", "1k", path},                                   // no -M
+		{"hier", "-M", "256", "-l1caps", "384", "-l1ways", "5", "-l2caps", "1k", path},      // bad L1 geometry
+		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-l2block", "24", path},    // misaligned L2 block
+		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "2048", "-l2block", "-16", path}, // negative L2 block
 		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-l1policy", "mru", path},
 		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "1,2", path},
 	} {
@@ -482,6 +483,11 @@ func TestHierCommand(t *testing.T) {
 		"-l2caps", "1152", "-l2block", "64", "-l2ways", "5", path}, &sb)
 	if err == nil || !strings.Contains(err.Error(), "-l2ways 5") {
 		t.Errorf("L2 geometry error = %v", err)
+	}
+	// A negative L2 block is refused as such, not as a geometry it implies.
+	err = run([]string{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "2048", "-l2block", "-16", path}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "hier: -l2block -16 must be positive") {
+		t.Errorf("negative L2 block error = %v", err)
 	}
 }
 
@@ -551,6 +557,7 @@ func TestSharedCommand(t *testing.T) {
 		{"shared", "-M", "256", "-rule", "x", "-l1caps", "256", "-l2caps", "1k", path}, // bad rule
 		{"shared", "-M", "256", "-l1caps", "384", "-l1ways", "5", "-l2caps", "1k", path},
 		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-l2block", "24", path},
+		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "2048", "-l2block", "-16", path},
 		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "1,2", path},
 	} {
 		if err := run(args, &sb); err == nil {

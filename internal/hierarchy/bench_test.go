@@ -43,8 +43,8 @@ func benchSpec() HierSpec {
 }
 
 // BenchmarkProfileHier measures the one-pass grid evaluation: one log
-// replayed through the L1 organisation profilers plus one exact filter per
-// L1 point feeding the L2 profilers.
+// replayed through the L1 organisation profilers, whose miss mask feeds
+// one L2 lane per L1 point.
 func BenchmarkProfileHier(b *testing.B) {
 	l := benchLog()
 	spec := benchSpec()

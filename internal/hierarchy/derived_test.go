@@ -22,9 +22,10 @@ type procRun struct {
 // SharedProfiler one access at a time, and requires every L1 design
 // point's miss events — which accesses, by which processor, to which
 // block — to be exactly those of one private cachesim.Bank per (point,
-// processor) fed the same replay: the sequences agree element for element,
+// processor) fed the same replay: bit i of each access's miss mask, the
+// one its group's lanes are fed, agrees with the Bank element for element,
 // not just in length. The windowed totals collect returns (and its in-band
-// checks) must then match the Banks' in-window counts.
+// check) must then match the Banks' in-window counts.
 func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun) {
 	t.Helper()
 	const block = 16
@@ -54,15 +55,13 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 			banks[i][p] = l1.bank()
 		}
 	}
-	before := make([]int64, len(l1s))
 	var at int64
 	pl.ForEachRunWindowed(st.ResetCounts, func(proc int, base, n int64) {
 		for blk := base; blk < base+n; blk++ {
-			for i, f := range st.filters {
-				before[i] = f.misses[proc]
-			}
 			st.touch(proc, blk)
-			for i, f := range st.filters {
+			for i := range l1s {
+				g := st.groups[i/64]
+				derived := st.orgs[proc].MissMask(g.table)>>(i-g.first)&1 == 1
 				b := banks[i][proc]
 				missed := !b.Access(blk)
 				if missed {
@@ -71,7 +70,7 @@ func checkDerivedMissStream(t testing.TB, procs int, l1s []Level, runs []procRun
 						want[i][proc]++
 					}
 				}
-				if derived := f.misses[proc] != before[i]; derived != missed {
+				if derived != missed {
 					t.Fatalf("access %d (processor %d, block %d) at L1 point %d %v: derived miss %v, Bank replay %v",
 						at, proc, blk, i, l1s[i], derived, missed)
 				}

@@ -19,10 +19,13 @@
 //     access yields the exact L1 curves and decides, for every L1 design
 //     point at once, whether the access missed there (LRU: found deeper
 //     than the point's ways in its set-count family; FIFO: absent from the
-//     point's replica); each point's miss stream, coarsened per L2 block
-//     ratio, feeds a trace.OrgProfilers built from the L2 grid the same
-//     way. A hierarchy is profilers feeding profilers, and one recorded
-//     execution answers the whole (L1, L2) grid.
+//     point's replica), read for up to 64 points at once as a miss mask.
+//     Per L2 block ratio one trace.OrgLanes, built from the L2 grid the
+//     same way, holds a lane per L1 point, and the access, coarsened to
+//     the ratio, feeds the lanes of the points that missed: each lane's
+//     stream is its point's miss stream. A hierarchy is profilers feeding
+//     profilers, and one recorded execution answers the whole (L1, L2)
+//     grid.
 //
 // The composition is exact for non-inclusive hierarchies because the L2's
 // reference stream is precisely the L1 miss stream, which is a
@@ -38,7 +41,7 @@
 // makespan under the cost model) and SharedProfiler the one-pass grid
 // evaluator — the same engine as HierProfiler, which is its one-processor
 // form, with one L1 OrgProfilers per processor, their merged miss streams
-// driving the shared-L2 profilers. TestProfileSharedMatchesSimulator holds
+// driving the shared-L2 lanes. TestProfileSharedMatchesSimulator holds
 // every shared grid point against SharedSim. Everything runs inline on the
 // calling goroutine in one pass.
 package hierarchy

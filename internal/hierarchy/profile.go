@@ -87,36 +87,18 @@ func (c *HierCurves) AMAT(i, j int, cm CostModel) float64 {
 	return cm.AMAT(c.Accesses, c.L1Misses[i], c.L2Misses[i][j])
 }
 
-// filter is one L1 design point of a hierarchy pass. It holds no cache: the
-// stack touch of the processor's L1 organisation profilers has decided, for
-// every point at once, whether an access missed, and point is where to read
-// this one's verdict. The filter owns a windowed miss counter per processor
-// and the L2 stage its miss stream — interleaved in access order — feeds:
-// one trace.OrgProfilers per distinct L2 block ratio.
-type filter struct {
-	point  trace.OrgPoint
-	misses []int64
-	l2     []l2Stage
-}
-
-// l2Stage is the organisation profilers of the L2 points sharing one block
-// ratio, fed the miss stream coarsened to that ratio.
-type l2Stage struct {
-	ratio int64
-	prof  *trace.OrgProfilers
-}
-
 // l2Grid is the profiling shape of the L2 design points: grouped by block
 // ratio, and within a ratio into organisation specs by set count exactly
 // like the L1 points (hierOrgSpecs). It depends only on the L2 grid, so
-// every L1 point's filter is built from the same one.
+// every L1 point's lane is built from the same one.
 type l2Grid struct {
 	levels  []Level
 	shapes  []l2Shape // one per distinct block ratio, first-seen order
 	shapeOf []int     // per L2 point: its ratio's shape
 }
 
-// l2Shape is what one l2Stage is built from and read back through.
+// l2Shape is what one block ratio's lanes are built from and read back
+// through.
 type l2Shape struct {
 	ratio   int64
 	levels  []Level
@@ -145,11 +127,24 @@ func newL2Grid(block int64, l2s []Level) *l2Grid {
 	return g
 }
 
+// laneGroup is up to 64 consecutive L1 design points of a hierarchy pass,
+// one lane each. It holds no cache: the stack touch of the processor's L1
+// organisation profilers has decided, for every point at once, whether an
+// access missed, and table reads those verdicts as one mask. Per L2 block
+// ratio one trace.OrgLanes takes the access, coarsened to the ratio, in
+// the lanes of the points that missed — so each lane's stream is its
+// point's misses, interleaved across processors in access order.
+type laneGroup struct {
+	first int // the group's first L1 point: lane i is point first+i
+	table *trace.MaskTable
+	lanes []*trace.OrgLanes // per l2Grid shape
+}
+
 // SharedProfiler is the one hierarchy profiler, for P processors with
 // private L1s in front of a shared L2: per processor one
 // trace.OrgProfilers over the L1 grid's organisation specs (same-set-count
-// points share a single stack touch), and one filter per L1 design point
-// reading its misses off them and feeding that point's L2 profilers. It
+// points share a single stack touch), and per 64 L1 design points one
+// laneGroup, whose lanes profile the shared L2 behind each point. It
 // profiles while a parallel run goes — RecordRun is the executor's
 // per-processor sink and ResetCounts its window mark — and ProfileShared
 // feeds it from a recorded ProcLog instead. HierProfiler is its
@@ -158,7 +153,7 @@ type SharedProfiler struct {
 	spec    SharedSpec
 	specIdx map[int64]int         // set count -> spec of the processors' profilers
 	orgs    []*trace.OrgProfilers // per processor
-	filters []*filter
+	groups  []laneGroup
 	grid    *l2Grid
 }
 
@@ -169,7 +164,7 @@ func NewSharedProfiler(spec SharedSpec) (*SharedProfiler, error) {
 	}
 	specs, specIdx := hierOrgSpecs(spec.L1s)
 	g := newL2Grid(spec.Block, spec.L2s)
-	st := &SharedProfiler{spec: spec, specIdx: specIdx, orgs: make([]*trace.OrgProfilers, spec.Procs), filters: make([]*filter, len(spec.L1s)), grid: g}
+	st := &SharedProfiler{spec: spec, specIdx: specIdx, orgs: make([]*trace.OrgProfilers, spec.Procs), grid: g}
 	for p := range st.orgs {
 		orgs, err := trace.NewOrgProfilers(specs)
 		if err != nil {
@@ -177,20 +172,27 @@ func NewSharedProfiler(spec SharedSpec) (*SharedProfiler, error) {
 		}
 		st.orgs[p] = orgs
 	}
+	pts := make([]trace.OrgPoint, len(spec.L1s))
 	for i, l1 := range spec.L1s {
 		pt, ok := st.orgs[0].Point(specIdx[l1.Sets()], l1.EffWays(), l1.Policy == cachesim.FIFO)
 		if !ok {
 			return nil, fmt.Errorf("hierarchy: internal: L1 point %d not covered by its organisation profilers", i)
 		}
-		f := &filter{point: pt, misses: make([]int64, spec.Procs), l2: make([]l2Stage, len(g.shapes))}
+		pts[i] = pt
+	}
+	for first := 0; first < len(pts); first += 64 {
+		group := pts[first:min(first+64, len(pts))]
+		table, err := st.orgs[0].MaskTable(group)
+		if err != nil {
+			return nil, err
+		}
+		lg := laneGroup{first: first, table: table, lanes: make([]*trace.OrgLanes, len(g.shapes))}
 		for k, sh := range g.shapes {
-			prof, err := trace.NewOrgProfilers(sh.specs)
-			if err != nil {
+			if lg.lanes[k], err = trace.NewOrgLanes(sh.specs, len(group)); err != nil {
 				return nil, err
 			}
-			f.l2[k] = l2Stage{ratio: sh.ratio, prof: prof}
 		}
-		st.filters[i] = f
+		st.groups = append(st.groups, lg)
 	}
 	return st, nil
 }
@@ -203,31 +205,32 @@ func (st *SharedProfiler) RecordRun(proc int, base, n int64) {
 	}
 }
 
-// touch runs one access by processor proc through its L1 profilers; at
-// every L1 point it missed, the block feeds each L2 stage at the stage's
-// own granularity.
+// touch runs one access by processor proc through its L1 profilers; each
+// group reads the points it missed at as one mask, and the block feeds
+// those points' lanes at every L2 block ratio.
 func (st *SharedProfiler) touch(proc int, blk int64) {
 	orgs := st.orgs[proc]
 	orgs.Touch(blk)
-	for _, f := range st.filters {
-		if !orgs.Missed(f.point) {
+	for i := range st.groups {
+		g := &st.groups[i]
+		mask := orgs.MissMask(g.table)
+		if mask == 0 {
 			continue
 		}
-		f.misses[proc]++
-		for _, s := range f.l2 {
-			s.prof.Touch(coarsen(blk, s.ratio))
+		for k, lanes := range g.lanes {
+			lanes.Touch(coarsen(blk, st.grid.shapes[k].ratio), mask)
 		}
 	}
 }
 
 // StartWarmup says the accesses until ResetCounts only warm the caches.
-// The L2 stages then warm up by last use (trace.OrgProfilers.StartWarmup):
+// The L2 lanes then warm up by last use (trace.OrgLanes.StartWarmup):
 // nothing reads their verdicts. The L1 profilers stay live, because their
-// verdicts are the filters' miss streams.
+// verdicts are the lanes' masks.
 func (st *SharedProfiler) StartWarmup() {
-	for _, f := range st.filters {
-		for _, s := range f.l2 {
-			s.prof.StartWarmup()
+	for _, g := range st.groups {
+		for _, lanes := range g.lanes {
+			lanes.StartWarmup()
 		}
 	}
 }
@@ -238,56 +241,53 @@ func (st *SharedProfiler) ResetCounts() {
 	for _, orgs := range st.orgs {
 		orgs.ResetCounts()
 	}
-	for _, f := range st.filters {
-		clear(f.misses)
-		for _, s := range f.l2 {
-			s.prof.ResetCounts()
+	for _, g := range st.groups {
+		for _, lanes := range g.lanes {
+			lanes.ResetCounts()
 		}
 	}
 }
 
 // collect closes the pass: per-processor counted accesses, L1 miss counts
-// by (point, processor) and L2 miss counts by (L1 point, L2 point). Two
-// conservation checks ride along for free: each filter's event count must
-// equal its point's own curve value (the same stack touches, summed per
-// event and per depth histogram), and every L2 stage must have counted
-// exactly the accesses its filter emitted.
+// by (point, processor) off each processor's L1 curves, and L2 miss counts
+// by (L1 point, L2 point) off the lanes. A conservation check rides along
+// for free: every lane must have counted exactly the misses its point's
+// L1 curves count, summed over processors — the mask that fed it and the
+// curves come from the same stack touches.
 func (st *SharedProfiler) collect() (*SharedCurves, error) {
 	out := &SharedCurves{Spec: st.spec, ProcAccesses: make([]int64, len(st.orgs)),
-		L1Misses: make([][]int64, len(st.filters)), L2Misses: make([][]int64, len(st.filters))}
+		L1Misses: make([][]int64, len(st.spec.L1s)), L2Misses: make([][]int64, len(st.spec.L1s))}
+	for i := range out.L1Misses {
+		out.L1Misses[i] = make([]int64, len(st.orgs))
+	}
 	for p, orgs := range st.orgs {
 		curves := orgs.Curves()
 		out.ProcAccesses[p] = curves[0].LRU.Accesses
 		out.Accesses += curves[0].LRU.Accesses
 		for i, lv := range st.spec.L1s {
-			misses, _ := levelMisses(curves, st.specIdx, lv) // covered: NewSharedProfiler resolved its Point
-			if got := st.filters[i].misses[p]; got != misses {
-				return nil, fmt.Errorf("hierarchy: internal: L1 point %d filter saw %d misses, curve says %d (processor %d)",
-					i, got, misses, p)
-			}
+			out.L1Misses[i][p], _ = levelMisses(curves, st.specIdx, lv) // covered: NewSharedProfiler resolved its Point
 		}
 	}
-	for i, f := range st.filters {
-		out.L1Misses[i] = f.misses
-		var err error
-		if out.L2Misses[i], err = st.grid.row(f); err != nil {
-			return nil, fmt.Errorf("hierarchy: internal: L1 point %d: %w", i, err)
+	for _, g := range st.groups {
+		for i := g.first; i < min(g.first+64, len(st.spec.L1s)); i++ {
+			var err error
+			if out.L2Misses[i], err = st.grid.row(g, i-g.first, out.L1Total(i)); err != nil {
+				return nil, fmt.Errorf("hierarchy: internal: L1 point %d: %w", i, err)
+			}
 		}
 	}
 	return out, nil
 }
 
-// row extracts one filter's L2 miss counts, in L2-spec order.
-func (g *l2Grid) row(f *filter) ([]int64, error) {
-	var emitted int64
-	for _, m := range f.misses {
-		emitted += m
-	}
-	curves := make([][]*trace.OrgCurves, len(f.l2))
-	for k, s := range f.l2 {
-		curves[k] = s.prof.Curves()
-		if got := curves[k][0].LRU.Accesses; got != emitted {
-			return nil, fmt.Errorf("filter emitted %d misses, its L2 stage at block ratio %d counted %d accesses", emitted, s.ratio, got)
+// row extracts one lane's L2 miss counts, in L2-spec order, checking that
+// each block ratio's lane counted the misses the lane's L1 point let
+// through.
+func (g *l2Grid) row(lg laneGroup, lane int, misses int64) ([]int64, error) {
+	curves := make([][]*trace.OrgCurves, len(lg.lanes))
+	for k, lanes := range lg.lanes {
+		curves[k] = lanes.Curves(lane)
+		if got := curves[k][0].LRU.Accesses; got != misses {
+			return nil, fmt.Errorf("its L1 curves count %d misses, its L2 lane at block ratio %d counted %d accesses", misses, g.shapes[k].ratio, got)
 		}
 	}
 	row := make([]int64, len(g.levels))
@@ -336,15 +336,16 @@ func (st *SharedProfiler) curves(reg *obs.Registry, timer string) (*SharedCurves
 	if err != nil {
 		return nil, err
 	}
-	st.publish(reg, out.Accesses)
+	st.publish(reg, out)
 	return out, nil
 }
 
 // publish records one hierarchy pass's totals (no-op when reg is nil): the
 // counted accesses, the filter-stream length (accesses the L1 points let
-// through — the combined length of the streams that fed the L2 profilers),
-// the timeline work of both levels, and the grid size.
-func (st *SharedProfiler) publish(reg *obs.Registry, accesses int64) {
+// through — the combined length of the streams that fed the L2 lanes), the
+// L1 profilers' timeline work (the lanes keep no timeline), and the grid
+// size.
+func (st *SharedProfiler) publish(reg *obs.Registry, out *SharedCurves) {
 	if reg == nil {
 		return
 	}
@@ -352,15 +353,10 @@ func (st *SharedProfiler) publish(reg *obs.Registry, accesses int64) {
 	for _, orgs := range st.orgs {
 		ops += orgs.TimelineOps()
 	}
-	for _, f := range st.filters {
-		for _, m := range f.misses {
-			misses += m
-		}
-		for _, s := range f.l2 {
-			ops += s.prof.TimelineOps()
-		}
+	for i := range out.L1Misses {
+		misses += out.L1Total(i)
 	}
-	reg.Counter("trace.profile.accesses").Add(accesses)
+	reg.Counter("trace.profile.accesses").Add(out.Accesses)
 	reg.Counter("trace.profile.timeline.ops").Add(ops)
 	reg.Counter("trace.profile.passes").Add(1)
 	reg.Counter("hier.filter.misses").Add(misses)

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -135,14 +136,34 @@ func hierCases() []hierCase {
 		c.warm = []int{0, n / 3, n, n + 1}[trial%4]
 		cases = append(cases, c)
 	}
+	n := 3000
+	cases = append(cases, hierCase{name: "65 L1 points", spec: HierSpec{Block: 16, L1s: wideL1s(), L2s: oracleL2s(rng, 16)},
+		blocks: scatter(stream(rng, n, 300)), warm: n / 3})
 	return cases
+}
+
+// wideL1s is an L1 grid of 65 points, one more than a lane group holds, so
+// that a second group exists: fully-associative and direct-mapped points
+// of 1 to 65 lines, every fifth under FIFO; the last, alone in the second
+// group, is a 65-line fully-associative FIFO point.
+func wideL1s() []Level {
+	var l1s []Level
+	for i := int64(0); i < 65; i++ {
+		pol := cachesim.LRU
+		if i%5 == 4 {
+			pol = cachesim.FIFO
+		}
+		l1s = append(l1s, lv((i+1)*16, 16, i%2, pol))
+	}
+	return l1s
 }
 
 // TestProfileHierMatchesSimulator is the package's core exactness check:
 // every grid point of the one-pass profile equals a fresh pointwise replay
 // through the two-level simulator, warm window included — on the standard
 // grid, and on oracleL2s grids over scattered ids with the window mark at
-// 0, mid-stream and at/past the end, over short traces and long ones.
+// 0, mid-stream and at/past the end, over short traces and long ones, and
+// behind a 65-point L1 grid, whose lanes take two groups.
 func TestProfileHierMatchesSimulator(t *testing.T) {
 	for ci, c := range hierCases() {
 		l := recordLog(c.blocks, c.warm)
@@ -174,56 +195,66 @@ func TestProfileHierMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestProfileHierFilterCrossCheck trips the two retained in-band checks: a
-// pass whose filter reads the wrong threshold, or whose L2 stage saw a
-// stream other than its filter's, must fail, not report a number.
+// TestProfileHierFilterCrossCheck trips the retained in-band check from
+// both sides of the lanes: a pass whose mask table reads a point's verdict
+// off the wrong threshold, or whose lane is fed another point's misses,
+// must fail naming the L1 point, not report a number.
 func TestProfileHierFilterCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	l := recordLog(stream(rng, 2000, 100), 500)
 	spec := testSpec()
-	build := func() *HierProfiler {
-		h, err := NewHierProfiler(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
 	profileHier := func(l *trace.Log, h *HierProfiler) (*HierCurves, error) {
 		l.ForEachRunWindowed(h.ResetCounts, h.RecordRun)
 		return h.Curves(nil)
 	}
-	if _, err := profileHier(l, build()); err != nil {
-		t.Fatalf("unperturbed stage: %v", err)
+	// build returns a profiler whose mask table reads point i's bit off
+	// pts[i], after perturb has had its way with them.
+	build := func(perturb func(st *SharedProfiler, pts []trace.OrgPoint)) *HierProfiler {
+		h, err := NewHierProfiler(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := h.st
+		pts := make([]trace.OrgPoint, len(spec.L1s))
+		for i, l1 := range spec.L1s {
+			pts[i], _ = st.orgs[0].Point(st.specIdx[l1.Sets()], l1.EffWays(), l1.Policy == cachesim.FIFO)
+		}
+		perturb(st, pts)
+		if st.groups[0].table, err = st.orgs[0].MaskTable(pts); err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-
-	// Point 2 (4-way LRU) reads its FIFO twin's verdict (point 3, the same
-	// family): every access the two policies decide differently becomes a
-	// miss the point's curve does not count, or the reverse.
-	h := build()
-	st, l1 := h.st, spec.L1s[2]
-	pt, ok := st.orgs[0].Point(st.specIdx[l1.Sets()], l1.EffWays(), true)
-	if !ok {
-		t.Fatal("no FIFO twin of L1 point 2")
+	if _, err := profileHier(l, build(func(*SharedProfiler, []trace.OrgPoint) {})); err != nil {
+		t.Fatalf("unperturbed pass: %v", err)
 	}
-	st.filters[2].point = pt
-	hc, err := profileHier(l, h)
-	if err == nil || !strings.Contains(err.Error(), "filter saw") || !strings.Contains(err.Error(), "curve says") {
-		t.Fatalf("perturbed threshold: got curves %v, err %v; want the filter-vs-curve error", hc, err)
-	}
-	if !strings.Contains(err.Error(), "L1 point 2 ") {
-		t.Errorf("error %q does not name the perturbed point", err)
-	}
-
-	// Point 3's first L2 stage is also fed point 1's misses: its counted
-	// accesses no longer add up to what filter 3 emitted.
-	h = build()
-	h.st.filters[1].l2[0].prof = h.st.filters[3].l2[0].prof
-	hc, err = profileHier(l, h)
-	if err == nil || !strings.Contains(err.Error(), "emitted") || !strings.Contains(err.Error(), "counted") {
-		t.Fatalf("cross-fed L2 stage: got curves %v, err %v; want the L2 conservation error", hc, err)
-	}
-	if !strings.Contains(err.Error(), "L1 point 1:") {
-		t.Errorf("error %q does not name the first point whose stage disagrees", err)
+	for _, c := range []struct {
+		name    string
+		point   int
+		perturb func(st *SharedProfiler, pts []trace.OrgPoint)
+	}{
+		// Point 2 (4-way LRU) reads its FIFO twin's verdict (point 3, the
+		// same family): every access the two policies decide differently
+		// feeds lane 2 a miss point 2's curve does not count, or the reverse.
+		{"FIFO twin's verdict", 2, func(st *SharedProfiler, pts []trace.OrgPoint) {
+			l1 := spec.L1s[2]
+			pt, ok := st.orgs[0].Point(st.specIdx[l1.Sets()], l1.EffWays(), true)
+			if !ok {
+				t.Fatal("no FIFO twin of L1 point 2")
+			}
+			pts[2] = pt
+		}},
+		// Lane 1's bit carries point 3's misses: the lane counts a stream
+		// other than its point's.
+		{"cross-fed lane", 1, func(_ *SharedProfiler, pts []trace.OrgPoint) { pts[1] = pts[3] }},
+	} {
+		hc, err := profileHier(l, build(c.perturb))
+		if err == nil || !strings.Contains(err.Error(), "L1 curves count") || !strings.Contains(err.Error(), "counted") {
+			t.Fatalf("%s: got curves %v, err %v; want the lane conservation error", c.name, hc, err)
+		}
+		if want := fmt.Sprintf("L1 point %d:", c.point); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name the perturbed point", c.name, err)
+		}
 	}
 }
 
@@ -364,12 +395,11 @@ func TestProfileHierEmptyWindow(t *testing.T) {
 // hierOrgSpecs' LRUWays: each spec lists exactly its L1 points' way
 // counts, and bounding the L1 stacks to them leaves every HierCurves
 // number exact. The organisation curves feed HierCurves' Accesses and
-// L1Misses (and the filter cross-check that fails the whole pass on a
+// L1Misses (and the lane cross-check that fails the whole pass on a
 // mismatch), so Accesses is held against the window's length and each L1
 // point's misses against a cachesim.Bank of its geometry replaying the
-// same stream, on random mixed-policy L1 grids.
-// SharedCurves has no organisation curves to bound: ProfileShared's L1
-// counts come from the per-processor filter banks alone.
+// same stream, on random mixed-policy L1 grids. SharedCurves' L1 counts
+// are read off the same curves, one set per processor.
 func TestPropHierOrgSpecsBoundChangesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	lineCounts := []int64{1, 4, 8, 16, 32}

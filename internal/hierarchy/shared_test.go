@@ -228,7 +228,7 @@ func TestSharedSimOneSetL2(t *testing.T) {
 // misses — on random interleaved traces, windows included: first the
 // standard grid, then oracleL2s grids over scattered ids with the window
 // mark at 0, mid-stream and at/past the end, over short traces and long
-// ones.
+// ones; last, behind a 65-point L1 grid, whose lanes take two groups.
 func TestProfileSharedMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	l1s := []Level{
@@ -262,6 +262,8 @@ func TestProfileSharedMatchesSimulator(t *testing.T) {
 			checkSharedAgainstSimulator(t, pl, spec)
 		}
 	}
+	wide := SharedSpec{Block: 16, Procs: 2, L1s: wideL1s(), L2s: l2s}
+	checkSharedAgainstSimulator(t, procTraceAt(t, rng, 2, 1500, 96, nil, 1000, true), wide)
 }
 
 func checkSharedAgainstSimulator(t *testing.T, pl *trace.ProcLog, spec SharedSpec) {

@@ -88,8 +88,8 @@ func (c *SharedCurves) AMAT(i, j int, cm CostModel) float64 {
 // processor runs its own L1 organisation profilers over its own accesses,
 // fed in the recorded global order; the interleaved miss stream each L1
 // design point's P private replicas emit drives that point's shared-L2
-// profilers (per-set Mattson stacks for LRU, one residency bit per FIFO
-// point), so one parallel execution answers every (L1, L2) pairing. The
+// lanes (per-set Mattson stacks for LRU, one residency bit per FIFO point),
+// so one parallel execution answers every (L1, L2) pairing. The
 // replay honours the log's measured window, so the curves equal those of
 // the same profiler fed live by the run (parallel.MeasureShared).
 // TestProfileSharedMatchesSimulator holds every grid point against

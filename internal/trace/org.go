@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"streamsched/internal/obs"
@@ -155,7 +156,7 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 
 // OrgProfilers is the incremental form of ProfileOrgs: every
 // organisation's profilers behind one Touch, so a caller that drives other
-// per-access state off the same replay (the hierarchy profilers' L2 stages)
+// per-access state off the same replay (the hierarchy profilers' L2 lanes)
 // can share a single trace replay instead of replaying once per consumer.
 //
 // It does only work that can change an answer. Specs with the same set
@@ -182,7 +183,8 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // The stack touch that counts an access also decides, for every design
 // point at once, whether it missed there: Touch keeps the depth found in
 // each family and the FIFO bank's miss bits, and Missed reads them back per
-// point — the miss stream a next cache level is fed from.
+// point, MissMask for up to 64 points at once — the miss streams a next
+// cache level is fed from.
 //
 // Two stretches of the stream need less than a touch per access, because
 // an LRU stack keeps of a stretch only its distinct blocks in last-use
@@ -240,14 +242,13 @@ func (f *orgFamily) kind() int {
 	return 1
 }
 
-// NewOrgProfilers validates the specs and builds their profilers.
-func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
-	p := &OrgProfilers{specs: specs, familyOf: make([]int, len(specs)), replica: make(map[[2]int64]int)}
-	var fams []orgFamily
+// orgFamilies validates the specs and gathers one orgFamily per distinct
+// set count, ordered by kind, with the family of each spec.
+func orgFamilies(specs []OrgSpec) (fams []orgFamily, familyOf []int, err error) {
 	at := make(map[int64]int) // set count -> family
 	for i, s := range specs {
 		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("spec %d: %w", i, err)
+			return nil, nil, fmt.Errorf("spec %d: %w", i, err)
 		}
 		k, ok := at[s.Sets]
 		if !ok {
@@ -266,9 +267,37 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 		f.fifo = append(f.fifo, s.FIFOWays...)
 	}
 	slices.SortStableFunc(fams, func(a, b orgFamily) int { return a.kind() - b.kind() })
+	for n, f := range fams {
+		at[f.sets] = n
+	}
+	familyOf = make([]int, len(specs))
+	for i, s := range specs {
+		familyOf[i] = at[s.Sets]
+	}
+	return fams, familyOf, nil
+}
+
+// replicas calls add for every FIFO replica of the families, in order: each
+// family's FIFO way counts past one, ascending.
+func replicas(fams []orgFamily, add func(sets, ways int64)) {
+	for _, f := range fams {
+		for _, w := range uniqueWays(f.fifo) {
+			if w > 1 { // a one-way FIFO point is the one-way LRU point
+				add(f.sets, w)
+			}
+		}
+	}
+}
+
+// NewOrgProfilers validates the specs and builds their profilers.
+func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
+	fams, familyOf, err := orgFamilies(specs)
+	if err != nil {
+		return nil, err
+	}
+	p := &OrgProfilers{specs: specs, familyOf: familyOf, replica: make(map[[2]int64]int)}
 	for n := range fams {
 		f := &fams[n]
-		at[f.sets] = n
 		switch f.kind() {
 		case 0:
 			p.rows = append(p.rows, *newBoundedStacks(f.sets, uniqueWays(f.ways)))
@@ -277,19 +306,13 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 		default:
 			p.full = NewProfiler()
 		}
-		for _, w := range uniqueWays(f.fifo) {
-			if w == 1 {
-				continue // the one-way LRU point
-			}
-			if p.bank == nil {
-				p.bank = &fifoBank{}
-			}
-			p.replica[[2]int64{f.sets, w}] = p.bank.addReplica(f.sets, w)
+	}
+	replicas(fams, func(sets, ways int64) {
+		if p.bank == nil {
+			p.bank = &fifoBank{}
 		}
-	}
-	for i, s := range specs {
-		p.familyOf[i] = at[s.Sets]
-	}
+		p.replica[[2]int64{sets, ways}] = p.bank.addReplica(sets, ways)
+	})
 	p.depth = make([]int, len(fams))
 	return p, nil
 }
@@ -329,6 +352,121 @@ func (p *OrgProfilers) Missed(pt OrgPoint) bool {
 	}
 	d := p.depth[pt.fam]
 	return d == 0 || d > pt.ways
+}
+
+// MaskTable reads the verdicts of up to 64 design points off one Touch as
+// a bit mask — bit i says the access missed at point i — with one table
+// lookup per family instead of a Missed call per point. Like an OrgPoint it
+// depends only on the spec list, so one table reads any OrgProfilers built
+// from the same specs.
+//
+// A bounded family can report only a few depths: a row family its exact
+// depth, at most its bound; a marker family the deepest way count of the
+// zone it found the block in; either, 0 for a miss. A multiplicative hash
+// found when the table is built — the identity for rows — sends each of
+// them to a slot of its own, so a lookup is a multiply, a shift and a load,
+// and a marker family's table is sized by its zones, not by its deepest way
+// count. The unbounded stack can report any depth, so its points have no
+// table.
+type MaskTable struct {
+	fams  []hashMasks
+	masks []uint64 // every family's slots: the points it missed at
+	fifo  []fifoMaskBit
+}
+
+// hashMasks: a family whose depth d reads masks[off + d*mul>>shift].
+type hashMasks struct {
+	fam, off int
+	mul      uint64
+	shift    uint
+}
+
+// fifoMaskBit copies a FIFO replica's miss bit to its point's bit.
+type fifoMaskBit struct {
+	word      int
+	bit, lane uint
+}
+
+// MaskTable builds the MaskTable of pts, at most 64 points of bounded
+// families or FIFO replicas; bit i of a MissMask is pts[i].
+func (p *OrgProfilers) MaskTable(pts []OrgPoint) (*MaskTable, error) {
+	if len(pts) > 64 {
+		return nil, fmt.Errorf("trace: a miss mask holds 64 points, got %d", len(pts))
+	}
+	t := &MaskTable{}
+	var fams []int // in first-seen order
+	for i, pt := range pts {
+		switch {
+		case pt.bit != 0:
+			t.fifo = append(t.fifo, fifoMaskBit{word: pt.word, bit: uint(bits.TrailingZeros64(pt.bit)), lane: uint(i)})
+		case pt.fam >= len(p.rows)+len(p.markers):
+			return nil, fmt.Errorf("trace: point %d is on the unbounded stack, whose depths no mask table holds", i)
+		case !slices.Contains(fams, pt.fam):
+			fams = append(fams, pt.fam)
+		}
+	}
+	for _, fam := range fams {
+		var depths []uint64
+		f, slots := hashMasks{mul: 1}, 0 // rows: a depth is its own slot
+		if fam < len(p.rows) {
+			for d := 0; d <= p.rows[fam].bound; d++ {
+				depths = append(depths, uint64(d))
+			}
+			slots = len(depths)
+		} else {
+			depths = []uint64{0}
+			for _, w := range p.markers[fam-len(p.rows)].ways {
+				depths = append(depths, uint64(w))
+			}
+			f, slots = depthHash(depths)
+		}
+		f.fam, f.off = fam, len(t.masks)
+		t.fams = append(t.fams, f)
+		t.masks = append(t.masks, make([]uint64, slots)...)
+		for _, d := range depths {
+			m := &t.masks[f.off+int(d*f.mul>>f.shift)]
+			for i, pt := range pts {
+				if pt.bit == 0 && pt.fam == fam && (d == 0 || uint64(pt.ways) < d) {
+					*m |= 1 << i // the point misses a block found at depth d
+				}
+			}
+		}
+	}
+	return t, nil
+}
+
+// depthHash finds a multiplier and shift that send the depths — at least
+// two, 0 among them — to distinct slots of a table of the returned size:
+// the smallest power of two at which one of a fixed sequence of
+// multipliers works.
+func depthHash(depths []uint64) (f hashMasks, slots int) {
+	for b := uint(bits.Len(uint(len(depths) - 1))); ; b++ {
+		for k := uint64(1); k <= 64; k++ {
+			f = hashMasks{mul: k*0x9e3779b97f4a7c15 | 1, shift: 64 - b}
+			used := make(map[uint64]bool, len(depths))
+			for _, d := range depths {
+				used[d*f.mul>>f.shift] = true
+			}
+			if len(used) == len(depths) {
+				return f, 1 << b
+			}
+		}
+	}
+}
+
+// MissMask returns the mask t reads off the last Touch: bit i set when the
+// block missed at t's point i. It is branch-free: a family's slot is a
+// hash of its depth, and a FIFO point's bit a shift of its replica's.
+func (p *OrgProfilers) MissMask(t *MaskTable) uint64 {
+	var mask uint64
+	masks, depth := t.masks, p.depth
+	for _, f := range t.fams {
+		mask |= masks[f.off+int(uint64(depth[f.fam])*f.mul>>(f.shift&63))]
+	}
+	for _, f := range t.fifo {
+		mask |= (p.bank.missed[f.word] >> f.bit & 1) << f.lane
+	}
+	return mask
 }
 
 // ResetCounts starts the measured window: histograms and miss counters
@@ -435,8 +573,7 @@ func (p *OrgProfilers) TimelineOps() int64 {
 	return p.full.TimelineOps()
 }
 
-// Curves extracts the profiles, in spec order. Specs of one family share
-// its LRU curve; a FIFO curve reads its one-way point off that curve.
+// Curves extracts the profiles, in spec order (orgCurves).
 func (p *OrgProfilers) Curves() []*OrgCurves {
 	lru := make([]*AssocCurve, 0, len(p.depth))
 	for i := range p.rows {
@@ -449,9 +586,17 @@ func (p *OrgProfilers) Curves() []*OrgCurves {
 		mc := p.full.Curve()
 		lru = append(lru, &AssocCurve{Sets: 1, Accesses: mc.Accesses, Cold: mc.Cold, curve: mc})
 	}
-	out := make([]*OrgCurves, len(p.specs))
-	for j, s := range p.specs {
-		fi := p.familyOf[j]
+	return orgCurves(p.specs, p.familyOf, lru, p.bank, p.replica)
+}
+
+// orgCurves assembles the specs' curves, in spec order, from their
+// families' LRU curves and the bank's replicas (replica: (sets, ways) ->
+// replica number). Specs of one family share its LRU curve; a FIFO curve
+// reads its one-way point off that curve.
+func orgCurves(specs []OrgSpec, familyOf []int, lru []*AssocCurve, bank *fifoBank, replica map[[2]int64]int) []*OrgCurves {
+	out := make([]*OrgCurves, len(specs))
+	for j, s := range specs {
+		fi := familyOf[j]
 		out[j] = &OrgCurves{Spec: s, LRU: lru[fi]}
 		if len(s.FIFOWays) == 0 {
 			continue
@@ -462,7 +607,7 @@ func (p *OrgProfilers) Curves() []*OrgCurves {
 			if w == 1 {
 				fc.misses[k] = lru[fi].Misses(1)
 			} else {
-				fc.misses[k] = p.bank.reps[p.replica[[2]int64{s.Sets, w}]].misses
+				fc.misses[k] = bank.reps[replica[[2]int64{s.Sets, w}]].misses
 			}
 		}
 		out[j].FIFO = fc

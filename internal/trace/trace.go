@@ -33,8 +33,9 @@
 //     access stream, so one execution per scheduler answers every
 //     (capacity, ways, policy) robustness question; ProfileOrgs feeds it
 //     from a recorded log instead. Its Touch also reports which design
-//     points the access missed in (Missed) — the miss streams the
-//     hierarchy profilers feed their next level from. It does only work
+//     points the access missed in (Missed per point, or MissMask for up to
+//     64 points at once) — the miss streams the hierarchy profilers feed
+//     their next level from. It does only work
 //     that can change an answer: one structure per distinct set count; a
 //     set-associative family answers exactly the way counts the request
 //     evaluates (OrgSpec.LRUWays, filled in by GridSpecs/AddPoint, an
@@ -45,6 +46,10 @@
 //     then it is one Profiler; all FIFO points of all specs share one
 //     residency mask (an access costs one load plus work proportional to
 //     the FIFO replicas it misses in; FIFOCurve).
+//   - OrgLanes profiles up to 64 streams — lanes — under one spec list, fed
+//     together by a mask of the lanes each access reaches: one block-table
+//     lookup and one set index per family per access for all of them. The
+//     hierarchy profilers' L2 is one lane per L1 design point.
 //   - ProcLog is the multiprocessor trace: a Log whose runs carry the
 //     recording processor, so it keeps the global interleaving order a
 //     parallel run emitted them in — what the shared-L2 hierarchy oracles
