@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -193,7 +194,7 @@ func parseCostModel(verb, flagVal string) (hierarchy.CostModel, error) {
 	var vals [3]float64
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || v < 0 {
+		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return hierarchy.CostModel{}, fmt.Errorf("%s: bad -amat latency %q", verb, p)
 		}
 		vals[i] = v

@@ -473,6 +473,8 @@ func TestHierCommand(t *testing.T) {
 		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "2048", "-l2block", "-16", path}, // negative L2 block
 		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-l1policy", "mru", path},
 		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "1,2", path},
+		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "NaN,10,100", path},
+		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "1,Inf,100", path},
 	} {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("%v accepted", args)
@@ -559,6 +561,8 @@ func TestSharedCommand(t *testing.T) {
 		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-l2block", "24", path},
 		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "2048", "-l2block", "-16", path},
 		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "1,2", path},
+		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "NaN,10,100", path},
+		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-amat", "1,Inf,100", path},
 	} {
 		if err := run(args, &sb); err == nil {
 			t.Errorf("%v accepted", args)

@@ -120,15 +120,6 @@ func (s *Session) Registry() *Registry {
 	return s.reg
 }
 
-// ServerAddr returns the introspection server's bound address, or "" when
-// Listen was not requested — useful when Listen was ":0".
-func (s *Session) ServerAddr() string {
-	if s == nil {
-		return ""
-	}
-	return s.srv.Addr()
-}
-
 // Close stops profiling, writes the requested artifacts, and restores the
 // previous default registry. It is idempotent and nil-safe, and returns
 // the combined error of every teardown step rather than stopping at the

@@ -232,9 +232,6 @@ func (r Rat) Div(s Rat) (Rat, error) {
 	return r.Mul(inv)
 }
 
-// Inv returns 1/r.
-func (r Rat) Inv() (Rat, error) { return One().Div(r) }
-
 // MulInt returns r * n.
 func (r Rat) MulInt(n int64) (Rat, error) { return r.Mul(FromInt(n)) }
 

@@ -35,9 +35,6 @@ type Compiled struct {
 	SourcePerPeriod int64
 }
 
-// Steps returns the total number of steps (prologue + period).
-func (c *Compiled) Steps() int { return len(c.Prologue) + len(c.Period) }
-
 // Firings returns the total firings encoded in a slice of steps.
 func Firings(steps []Step) int64 {
 	var n int64

@@ -13,7 +13,7 @@ import (
 // words and block B has sets = (M/B)/W, and it misses an access exactly
 // when the block's depth in its set's stack exceeds W. A request names the
 // way counts it evaluates (OrgSpec.LRUWays), so each set keeps only its
-// deepest listed way count of blocks — boundedStacks' rows here, marker
+// deepest listed way count of blocks — laneRows' rows here, marker
 // lists in marker.go — and one pass answers every listed way count at once.
 // Only the fully-associative family (one set) may leave its way counts
 // open; the timeline Profiler answers every capacity there.
@@ -63,63 +63,70 @@ func moveToFront(row []int32, x int32) int {
 	return 0
 }
 
-// boundedStacks is the row form of a request-bounded family: when the way
-// counts a request evaluates are known, an access deeper than the deepest
-// misses at every one of them, so each set keeps only its bound most
-// recent blocks. All sets live in one flat sets x bound move-to-front
-// array and share one depth histogram. Rows hold the blocks' blockTable
+// laneRows is the row form of a request-bounded family, for every lane of
+// an orgStore: when the way counts a request evaluates are known, an access
+// deeper than the deepest misses at every one of them, so each set keeps
+// only its bound most recent blocks. Every (set, lane) row lives in one
+// flat move-to-front arena laid out [set][lane][bound], so the lanes an
+// access reaches touch neighbouring rows. Rows hold the blocks' blockTable
 // slots, which identify a block as exactly as its id does.
-type boundedStacks struct {
+//
+// A reuse at depth 1, the commonest at L2, leaves the row as it is, so it is
+// read off heads — every row's first entry, [set][lane], a small fraction of
+// the rows — and not counted: the lane's accesses less its other depths are
+// its depth-1 count, which only the curve needs. The commonest touch thus
+// reads one small array and stores nothing.
+type laneRows struct {
 	idx   setIndex
 	ways  []int64 // the way counts, ascending and distinct
 	bound int     // the deepest of them
-	rows  []int32 // sets*bound entries, most recent first; noSlot = empty
-	// hist[d], 1 <= d <= bound: counted accesses found at depth d; hist[0]:
-	// those not found in their row (cold included). cold stays zero: the
-	// blockTable's seen bits count first-ever accesses.
-	depthCounts
+	lanes int
+	rows  []int32 // sets*lanes*bound entries, most recent first; noSlot = empty
+	heads []int32 // sets*lanes: each row's first entry
+	// hist[lane*(bound+1)+d], 2 <= d <= bound: the lane's counted accesses
+	// found at depth d; d == 0: those not found in their row (cold included);
+	// d == 1 stays zero.
+	hist []int64
 }
 
-func newBoundedStacks(sets int64, ways []int64) *boundedStacks {
-	bound := ways[len(ways)-1]
-	rows := make([]int32, sets*bound)
-	for i := range rows {
-		rows[i] = noSlot
-	}
-	return &boundedStacks{idx: newSetIndex(sets), ways: ways, bound: int(bound), rows: rows, depthCounts: depthCounts{hist: make([]int64, bound+1)}}
+func newLaneRows(sets int64, ways []int64, lanes int) laneRows {
+	bound := int(ways[len(ways)-1])
+	return laneRows{idx: newSetIndex(sets), ways: ways, bound: bound, lanes: lanes,
+		rows: slices.Repeat([]int32{noSlot}, int(sets)*lanes*bound), heads: slices.Repeat([]int32{noSlot}, int(sets)*lanes),
+		hist: make([]int64, lanes*(bound+1))}
 }
 
-// touch processes one access to the block in slot, in the given set, and
-// returns the depth it was found at, 0 when it is deeper than the bound (or
-// cold): the row's last entry has then fallen off the stack. A reuse at
-// depth 1, the commonest at L2, leaves the row as it is. It is small enough
-// to inline into OrgProfilers' rows loop.
-func (b *boundedStacks) touch(set int64, slot int32) int {
-	row := b.rows[int(set)*b.bound:][:b.bound]
-	d := 1
-	if row[0] != slot {
-		d = moveToFront(row, slot)
+// touch is the one row kernel: it feeds the block in slot to row — set
+// set's row of lane, numbered set*lanes + lane — and returns the depth it
+// was found at, 0 when it is deeper than the bound (or cold): the row's last
+// entry has then fallen off the stack. A reuse at depth 1 is read off the
+// row's head and changes nothing. The kernel takes the row number, not the
+// set, so that it stays small enough to inline into both profilers' loops.
+func (f *laneRows) touch(row int, slot int32, lane int) int {
+	if f.heads[row] == slot {
+		return 1
 	}
-	b.hist[d]++
+	f.heads[row] = slot
+	d := moveToFront(f.rows[row*f.bound:][:f.bound], slot)
+	f.hist[lane*(f.bound+1)+d]++
 	return d
 }
 
-// curve answers the family's way counts from the shared histogram: an
-// access hits at w exactly when it was found at a depth of at most w.
-func (b *boundedStacks) curve(cold int64) *AssocCurve {
-	var total int64
-	for _, n := range b.hist {
-		total += n
-	}
-	misses := make([]int64, len(b.ways))
-	left, d := total, 1
-	for i, w := range b.ways {
-		for ; d <= int(w); d++ {
-			left -= b.hist[d]
+// curve answers the family's way counts for one lane of the given counted
+// accesses. An access misses at w exactly when it was found past w or not at
+// all, so the misses need no depth-1 count: the lane's depth-1 reuses, which
+// the rows never count, are its accesses less the histogram's total.
+func (f *laneRows) curve(lane int, accesses, cold int64) *AssocCurve {
+	hist := f.hist[lane*(f.bound+1):][:f.bound+1]
+	misses := make([]int64, len(f.ways))
+	left, d := hist[0], f.bound
+	for i := len(f.ways) - 1; i >= 0; i-- {
+		for ; d > int(f.ways[i]); d-- {
+			left += hist[d]
 		}
 		misses[i] = left
 	}
-	return &AssocCurve{Sets: b.idx.sets, Accesses: total, Cold: cold, Ways: b.ways, misses: misses}
+	return &AssocCurve{Sets: f.idx.sets, Accesses: accesses, Cold: cold, Ways: f.ways, misses: misses}
 }
 
 // AssocCurve is the result of per-set reuse-distance profiling: the exact

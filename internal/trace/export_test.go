@@ -10,6 +10,6 @@ func BoundedTouch(markers bool, ways []int64) func(slot int32) int {
 		m := newMarkerStacks(1, ways)
 		return func(slot int32) int { return m.touch(0, slot) }
 	}
-	b := newBoundedStacks(1, ways)
-	return func(slot int32) int { return b.touch(0, slot) }
+	f := newLaneRows(1, ways, 1)
+	return func(slot int32) int { return f.touch(0, slot, 0) }
 }

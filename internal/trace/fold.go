@@ -183,12 +183,30 @@ func (u *useLog) steadyDepths(idx setIndex) []int {
 }
 
 // periodLog is a candidate period as OrgProfilers record it: its use log,
-// the depth each family reported for every block's first use, and the
+// the bucket each family counted every block's first use in, and the
 // tallies the period started from.
 type periodLog struct {
 	useLog
-	first []int32   // entry*families + family: its first use's depth, as touch reports it
-	base  [][]int64 // the depth histograms at the start, one per family
+	first []int32   // entry*families + family: its first use's bucket, as touch reports it
+	base  [][]int64 // the tallies at the start, in eachCount's order
+}
+
+// eachCount calls fn on every tally a fold repeats: each family's
+// histogram in family order, then the access count the rows' depth-1
+// reuses are derived from, as a tally of one bucket. A row family of one
+// lane owns its whole histogram, and neither it nor the access count ever
+// grows, so both are handed over as views of the store's own counts.
+func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
+	for i := range p.rows {
+		fn(&depthCounts{hist: p.rows[i].hist})
+	}
+	for i := range p.markers {
+		fn(&p.markers[i].lanes[0].depthCounts)
+	}
+	if p.full != nil {
+		fn(&p.full.depthCounts)
+	}
+	fn(&depthCounts{hist: p.accesses})
 }
 
 // StartWarmup says the accesses until the next ResetCounts only warm the
@@ -205,20 +223,20 @@ func (p *OrgProfilers) StartWarmup() { p.warm = &useLog{} }
 // endWarmup gives them.
 func (p *OrgProfilers) warmTouch(blk int64) {
 	p.warm.use(blk)
-	if p.bank != nil {
-		p.bank.touch(blk, p.table.slot(blk))
+	if p.banks != nil {
+		p.banks[0].touch(blk, p.table.slot(blk))
 	}
 }
 
 // endWarmup rebuilds the stacks a warm-up skipped. The replicas saw the
 // warm-up live, so the bank sits the rebuild out.
 func (p *OrgProfilers) endWarmup() {
-	u, bank := p.warm, p.bank
-	p.warm, p.bank = nil, nil
+	u, banks := p.warm, p.banks
+	p.warm, p.banks = nil, nil
 	for _, e := range u.byLastUse() {
 		p.touch(u.blks[e])
 	}
-	p.bank = bank
+	p.banks = banks
 }
 
 // Foldable reports whether RepeatSteady can count repetitions of the
@@ -226,7 +244,7 @@ func (p *OrgProfilers) endWarmup() {
 // stack algorithm — its state after a period need not recur — so one FIFO
 // replica makes the profilers unfoldable; a one-way FIFO point is an LRU
 // point and needs none.
-func (p *OrgProfilers) Foldable() bool { return p.bank == nil }
+func (p *OrgProfilers) Foldable() bool { return p.banks == nil }
 
 // StartPeriod starts recording a candidate period of the stream, dropping
 // any earlier one: from here on the profilers note each block's first and
@@ -250,7 +268,7 @@ func (p *OrgProfilers) StartPeriod() {
 	p.period = l
 }
 
-// noteFirst records the depths this access was found at if it is its
+// noteFirst records the buckets this access was counted in if it is its
 // block's first use in the period.
 func (l *periodLog) noteFirst(blk int64, depth []int) {
 	if _, first := l.use(blk); first {
@@ -278,10 +296,12 @@ func (l *periodLog) noteRun(base, k int64, d int) {
 // period's counts with each block's first use moved to the bucket its
 // steady depth D_b falls in, and no cold access (fold.go says why that is
 // exact). Rows and marker lists are the top of the full stacks — a marker
-// zone is a fixed range of depths — so the same holds for them. The stacks
-// already are in the steady state: the recorded period left each set's
-// blocks on top in last-use order, as every later period will. RepeatSteady
-// fails, changing nothing, when a count would overflow int64.
+// zone is a fixed range of depths — so the same holds for them, and the
+// access count repeats with the histograms, since the rows' depth-1 reuses
+// are derived from it. The stacks already are in the steady state: the
+// recorded period left each set's blocks on top in last-use order, as every
+// later period will. RepeatSteady fails, changing nothing, when a count
+// would overflow int64.
 func (p *OrgProfilers) RepeatSteady(k int64) error {
 	l := p.period
 	p.period = nil
@@ -342,13 +362,14 @@ func (p *OrgProfilers) steadyCounts(l *periodLog) []depthCounts {
 			}
 			c.hist[d]++
 		}
+		c.hist[1] = 0 // derived from the access count, never stored
 		fi++
 	}
 	for i := range p.markers {
 		f, c := &p.markers[i], &steady[fi]
 		for e, d := range l.steadyDepths(f.idx) {
-			c.hist[f.zone(int(l.first[e*fams+fi]))]--
-			c.hist[f.zone(d)]++
+			c.hist[l.first[e*fams+fi]]--
+			c.hist[f.lanes[0].zone(d)]++
 		}
 		fi++
 	}

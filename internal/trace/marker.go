@@ -18,7 +18,7 @@ import "slices"
 
 // markerStacks is the marker form of a request-bounded family: all sets'
 // recency lists in one node pool, with one shared zone histogram. Lists
-// hold blocks by their blockTable slot, like boundedStacks' rows, and a
+// hold blocks by their blockTable slot, like laneRows' rows, and a
 // node is allocated only when its set's list grows, so memory follows the
 // footprint, not sets × w_K.
 type markerStacks struct {
@@ -60,8 +60,8 @@ func newMarkerStacks(sets int64, ways []int64) *markerStacks {
 }
 
 // touch processes one access to the block in slot, in the given set, and
-// returns the deepest way count of the zone it was found in — exactly the
-// listed way counts at or past that one hit — or 0 when it is past the last
+// returns the zone it was found in — the histogram bucket it counted; the
+// listed way counts from ways[z-1] on hit — or 0 when it is past the last
 // (or cold).
 func (m *markerStacks) touch(set int64, slot int32) int {
 	s := &m.sets[set]
@@ -69,7 +69,7 @@ func (m *markerStacks) touch(set int64, slot int32) int {
 	x := *at - 1
 	if x == s.head && x >= 0 {
 		m.hist[1]++ // the head is in the first zone, and stays put
-		return int(m.ways[0])
+		return 1
 	}
 	k := len(m.ways)
 	marks := m.marks[int(set)*k:][:k]
@@ -89,7 +89,7 @@ func (m *markerStacks) touch(set int64, slot int32) int {
 	m.unlink(s, x)
 	m.pushFront(s, x)
 	m.nodes[x].zone = 1
-	return int(m.ways[z-1])
+	return int(z)
 }
 
 // insert puts a block that is not on its set's list at the front, every
@@ -191,8 +191,7 @@ func growCells[T int32 | uint64](cells []T, need int) []T {
 }
 
 // zone returns the zone a block found at the given depth is counted in — 0
-// past the last way count, or for depth 0 — and so also maps what touch
-// reports back to its zone.
+// past the last way count, or for depth 0.
 func (m *markerStacks) zone(depth int) int {
 	if depth == 0 {
 		return 0

@@ -9,9 +9,9 @@ import (
 // TestMarkerStacksMatchNaiveZones: on random slot streams over one to
 // three sets (dense and negative slots, footprints below and far past the
 // deepest way count) and random way lists (one to five way counts, 1 to 40
-// deep, depth 1 included), every touch reports the deepest way count of
-// the zone a naive per-set move-to-front stack finds the block in — 0 past
-// the last or cold — and the node pool never outgrows sets × the deepest.
+// deep, depth 1 included), every touch reports the zone a naive per-set
+// move-to-front stack finds the block in — 0 past the last or cold — and
+// the node pool never outgrows sets × the deepest.
 func TestMarkerStacksMatchNaiveZones(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for trial := 0; trial < 300; trial++ {
@@ -39,7 +39,7 @@ func TestMarkerStacksMatchNaiveZones(t *testing.T) {
 			naive[set] = slices.Insert(row, 0, slot)
 			want := 0
 			if i := slices.IndexFunc(ways, func(w int64) bool { return d > 0 && d <= w }); i >= 0 {
-				want = int(ways[i])
+				want = i + 1
 			}
 			if got := m.touch(set, slot); got != want {
 				t.Fatalf("trial %d ways %v sets %d, access %d (slot %d, naive depth %d): marker lists report %d, want %d",

@@ -42,14 +42,6 @@ func (c *MissCurve) MissesAtCapacity(capacity, block int64) int64 {
 // Hits returns the hit count at the given line count.
 func (c *MissCurve) Hits(lines int64) int64 { return c.Accesses - c.Misses(lines) }
 
-// MissRatio returns misses/accesses at the given line count.
-func (c *MissCurve) MissRatio(lines int64) float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses(lines)) / float64(c.Accesses)
-}
-
 // MissesPerItem divides the miss count at the given capacity by an item
 // count (typically input items), the unit the paper's bounds are stated in.
 func (c *MissCurve) MissesPerItem(capacity, block, items int64) float64 {

@@ -169,22 +169,21 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // FIFO point of more than one way is one residency bit in the fifoBank; a
 // one-way FIFO point is its family's one-way LRU point.
 //
-// The families are grouped by kind — rows, marker lists, the full stack —
-// and an access is one loop per kind over entries that carry what their
-// touch needs, then the bank only when it holds replicas. The bounded
-// families and the replicas hold blocks by blockTable slot, and the table's
-// seen bits count first-ever accesses; profilers without a replica hold no
-// bank.
+// The bounded families, the replicas and the blockTable are an orgStore of
+// one lane — OrgLanes' store, fed one stream — so a single stream runs the
+// same row kernel, marker lists and bank as the L2 lanes. An access is one
+// loop per family kind — rows, marker lists, the full stack — then the bank
+// only when it holds replicas.
 //
 // Families are independent of one another, so only the order within a
 // family matters: RecordRun hands a whole run to the full stack, which can
 // take it in a step, and walks the run block by block for the rest.
 //
 // The stack touch that counts an access also decides, for every design
-// point at once, whether it missed there: Touch keeps the depth found in
-// each family and the FIFO bank's miss bits, and Missed reads them back per
-// point, MissMask for up to 64 points at once — the miss streams a next
-// cache level is fed from.
+// point at once, whether it missed there: Touch keeps the bucket each family
+// counted the access in and the FIFO bank's miss bits, and Missed reads them
+// back per point, MissMask for up to 64 points at once — the miss streams a
+// next cache level is fed from.
 //
 // Two stretches of the stream need less than a touch per access, because
 // an LRU stack keeps of a stretch only its distinct blocks in last-use
@@ -193,19 +192,14 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // RepeatSteady counts from one recorded period (StartPeriod) — the
 // profilers are a schedule.Folder.
 type OrgProfilers struct {
-	specs    []OrgSpec
-	familyOf []int // spec -> family
-	// The families by kind, numbered in this order: rows, marker lists, then
-	// the unbounded Sets=1 family when there is one.
-	rows    []boundedStacks
-	markers []markerStacks
-	full    *Profiler
-	// per family: the depth the last Touch found (a marker family's: the
-	// deepest way count of its zone), 0 = cold or past the bound
-	depth   []int
-	table   blockTable       // slots and first-ever accesses, for rows, marker lists and replicas
-	bank    *fifoBank        // nil when no FIFO point needs a replica
-	replica map[[2]int64]int // (sets, FIFO way count > 1) -> bank replica
+	orgStore // one lane
+	// full is the unbounded Sets=1 family's stack, numbered after the
+	// store's rows and marker lists; nil when there is none.
+	full *Profiler
+	// per family: the bucket the last Touch counted the access in — a row
+	// family's or the full stack's depth, a marker family's zone; 0 = cold
+	// or past the bound
+	depth []int
 	// warm logs a warm-up's uses while the LRU stacks skip it (StartWarmup),
 	// period a candidate period's (StartPeriod); each is nil outside its
 	// stretch of the stream.
@@ -277,43 +271,17 @@ func orgFamilies(specs []OrgSpec) (fams []orgFamily, familyOf []int, err error) 
 	return fams, familyOf, nil
 }
 
-// replicas calls add for every FIFO replica of the families, in order: each
-// family's FIFO way counts past one, ascending.
-func replicas(fams []orgFamily, add func(sets, ways int64)) {
-	for _, f := range fams {
-		for _, w := range uniqueWays(f.fifo) {
-			if w > 1 { // a one-way FIFO point is the one-way LRU point
-				add(f.sets, w)
-			}
-		}
-	}
-}
-
 // NewOrgProfilers validates the specs and builds their profilers.
 func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
-	fams, familyOf, err := orgFamilies(specs)
+	s, unbounded, err := newOrgStore(specs, 1)
 	if err != nil {
 		return nil, err
 	}
-	p := &OrgProfilers{specs: specs, familyOf: familyOf, replica: make(map[[2]int64]int)}
-	for n := range fams {
-		f := &fams[n]
-		switch f.kind() {
-		case 0:
-			p.rows = append(p.rows, *newBoundedStacks(f.sets, uniqueWays(f.ways)))
-		case 1:
-			p.markers = append(p.markers, *newMarkerStacks(f.sets, uniqueWays(f.ways)))
-		default:
-			p.full = NewProfiler()
-		}
+	p := &OrgProfilers{orgStore: s, depth: make([]int, len(s.rows)+len(s.markers))}
+	if unbounded {
+		p.full = NewProfiler()
+		p.depth = append(p.depth, 0)
 	}
-	replicas(fams, func(sets, ways int64) {
-		if p.bank == nil {
-			p.bank = &fifoBank{}
-		}
-		p.replica[[2]int64{sets, ways}] = p.bank.addReplica(sets, ways)
-	})
-	p.depth = make([]int, len(fams))
 	return p, nil
 }
 
@@ -322,9 +290,9 @@ func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
 // so that Missed costs two loads per access. A point depends only on the
 // spec list, so it reads any OrgProfilers built from the same specs.
 type OrgPoint struct {
-	fam, ways int    // LRU: miss ⇔ depth[fam] == 0 || depth[fam] > ways
-	word      int    // FIFO: the replica's bit in the bank's miss words;
-	bit       uint64 // bit == 0 marks an LRU point
+	fam, bucket int    // LRU: miss ⇔ depth[fam] == 0 || depth[fam] > bucket
+	word        int    // FIFO: the replica's bit in the bank's miss words;
+	bit         uint64 // bit == 0 marks an LRU point
 }
 
 // Point resolves (spec, ways, policy) to its OrgPoint. ok is false for a
@@ -334,11 +302,11 @@ type OrgPoint struct {
 func (p *OrgProfilers) Point(spec int, ways int64, fifo bool) (pt OrgPoint, ok bool) {
 	fi := p.familyOf[spec]
 	if !fifo {
-		return OrgPoint{fam: fi, ways: int(ways)}, p.specs[spec].answersLRU(ways)
+		return OrgPoint{fam: fi, bucket: p.bucket(fi, ways)}, p.specs[spec].answersLRU(ways)
 	}
 	ok = slices.Contains(p.specs[spec].FIFOWays, ways)
 	if ways == 1 {
-		return OrgPoint{fam: fi, ways: 1}, ok
+		return OrgPoint{fam: fi, bucket: p.bucket(fi, 1)}, ok
 	}
 	r := p.replica[[2]int64{p.specs[spec].Sets, ways}]
 	return OrgPoint{word: r / 64, bit: 1 << (r % 64)}, ok
@@ -348,10 +316,10 @@ func (p *OrgProfilers) Point(spec int, ways int64, fifo bool) (pt OrgPoint, ok b
 // taken by RecordRun leaves no per-block report.
 func (p *OrgProfilers) Missed(pt OrgPoint) bool {
 	if pt.bit != 0 {
-		return p.bank.missed[pt.word]&pt.bit != 0
+		return p.banks[0].missed[pt.word]&pt.bit != 0
 	}
 	d := p.depth[pt.fam]
-	return d == 0 || d > pt.ways
+	return d == 0 || d > pt.bucket
 }
 
 // MaskTable reads the verdicts of up to 64 design points off one Touch as
@@ -360,26 +328,20 @@ func (p *OrgProfilers) Missed(pt OrgPoint) bool {
 // depends only on the spec list, so one table reads any OrgProfilers built
 // from the same specs.
 //
-// A bounded family can report only a few depths: a row family its exact
-// depth, at most its bound; a marker family the deepest way count of the
-// zone it found the block in; either, 0 for a miss. A multiplicative hash
-// found when the table is built — the identity for rows — sends each of
-// them to a slot of its own, so a lookup is a multiply, a shift and a load,
-// and a marker family's table is sized by its zones, not by its deepest way
-// count. The unbounded stack can report any depth, so its points have no
+// A bounded family reports the bucket it counted the access in: a row
+// family its depth, at most its bound, a marker family its zone, at most
+// its way-count list's length; either, 0 for a miss. So each family has one
+// slot per bucket, at an offset of its own, and a lookup is an add and a
+// load. The unbounded stack can report any depth, so its points have no
 // table.
 type MaskTable struct {
-	fams  []hashMasks
+	fams  []famMasks
 	masks []uint64 // every family's slots: the points it missed at
 	fifo  []fifoMaskBit
 }
 
-// hashMasks: a family whose depth d reads masks[off + d*mul>>shift].
-type hashMasks struct {
-	fam, off int
-	mul      uint64
-	shift    uint
-}
+// famMasks: a family whose bucket b reads masks[off+b].
+type famMasks struct{ fam, off int }
 
 // fifoMaskBit copies a FIFO replica's miss bit to its point's bit.
 type fifoMaskBit struct {
@@ -406,65 +368,37 @@ func (p *OrgProfilers) MaskTable(pts []OrgPoint) (*MaskTable, error) {
 		}
 	}
 	for _, fam := range fams {
-		var depths []uint64
-		f, slots := hashMasks{mul: 1}, 0 // rows: a depth is its own slot
+		var buckets int // a row family's depths or a marker family's zones, and 0
 		if fam < len(p.rows) {
-			for d := 0; d <= p.rows[fam].bound; d++ {
-				depths = append(depths, uint64(d))
-			}
-			slots = len(depths)
+			buckets = p.rows[fam].bound + 1
 		} else {
-			depths = []uint64{0}
-			for _, w := range p.markers[fam-len(p.rows)].ways {
-				depths = append(depths, uint64(w))
-			}
-			f, slots = depthHash(depths)
+			buckets = len(p.markers[fam-len(p.rows)].lanes[0].ways) + 1
 		}
-		f.fam, f.off = fam, len(t.masks)
-		t.fams = append(t.fams, f)
-		t.masks = append(t.masks, make([]uint64, slots)...)
-		for _, d := range depths {
-			m := &t.masks[f.off+int(d*f.mul>>f.shift)]
+		t.fams = append(t.fams, famMasks{fam: fam, off: len(t.masks)})
+		for b := range buckets {
+			var m uint64
 			for i, pt := range pts {
-				if pt.bit == 0 && pt.fam == fam && (d == 0 || uint64(pt.ways) < d) {
-					*m |= 1 << i // the point misses a block found at depth d
+				if pt.bit == 0 && pt.fam == fam && (b == 0 || pt.bucket < b) {
+					m |= 1 << i // the point misses a block counted in bucket b
 				}
 			}
+			t.masks = append(t.masks, m)
 		}
 	}
 	return t, nil
 }
 
-// depthHash finds a multiplier and shift that send the depths — at least
-// two, 0 among them — to distinct slots of a table of the returned size:
-// the smallest power of two at which one of a fixed sequence of
-// multipliers works.
-func depthHash(depths []uint64) (f hashMasks, slots int) {
-	for b := uint(bits.Len(uint(len(depths) - 1))); ; b++ {
-		for k := uint64(1); k <= 64; k++ {
-			f = hashMasks{mul: k*0x9e3779b97f4a7c15 | 1, shift: 64 - b}
-			used := make(map[uint64]bool, len(depths))
-			for _, d := range depths {
-				used[d*f.mul>>f.shift] = true
-			}
-			if len(used) == len(depths) {
-				return f, 1 << b
-			}
-		}
-	}
-}
-
 // MissMask returns the mask t reads off the last Touch: bit i set when the
-// block missed at t's point i. It is branch-free: a family's slot is a
-// hash of its depth, and a FIFO point's bit a shift of its replica's.
+// block missed at t's point i. It is branch-free: a family's slot is its
+// bucket's, and a FIFO point's bit a shift of its replica's.
 func (p *OrgProfilers) MissMask(t *MaskTable) uint64 {
 	var mask uint64
 	masks, depth := t.masks, p.depth
 	for _, f := range t.fams {
-		mask |= masks[f.off+int(uint64(depth[f.fam])*f.mul>>(f.shift&63))]
+		mask |= masks[f.off+depth[f.fam]]
 	}
 	for _, f := range t.fifo {
-		mask |= (p.bank.missed[f.word] >> f.bit & 1) << f.lane
+		mask |= (p.banks[0].missed[f.word] >> f.bit & 1) << f.lane
 	}
 	return mask
 }
@@ -475,23 +409,9 @@ func (p *OrgProfilers) ResetCounts() {
 	if p.warm != nil {
 		p.endWarmup()
 	}
-	p.eachCount((*depthCounts).reset)
-	p.table.cold = 0
-	if p.bank != nil {
-		p.bank.resetCounts()
-	}
-}
-
-// eachCount calls fn on every family's tally, in family order.
-func (p *OrgProfilers) eachCount(fn func(*depthCounts)) {
-	for i := range p.rows {
-		fn(&p.rows[i].depthCounts)
-	}
-	for i := range p.markers {
-		fn(&p.markers[i].depthCounts)
-	}
+	p.resetCounts()
 	if p.full != nil {
-		fn(&p.full.depthCounts)
+		p.full.reset()
 	}
 }
 
@@ -511,7 +431,7 @@ func (p *OrgProfilers) Touch(blk int64) {
 func (p *OrgProfilers) RecordRun(base, n int64) {
 	end := base + n
 	switch {
-	case p.warm != nil && p.bank != nil:
+	case p.warm != nil && p.banks != nil:
 		for ; base != end; base++ {
 			p.warmTouch(base)
 		}
@@ -519,7 +439,7 @@ func (p *OrgProfilers) RecordRun(base, n int64) {
 		for base != end {
 			base, _ = p.warm.useRun(base, end)
 		}
-	case p.full != nil && len(p.depth) == 1 && p.bank == nil:
+	case p.full != nil && len(p.depth) == 1 && p.banks == nil:
 		p.full.touchRun(base, n, p.period)
 	case p.full != nil && p.period == nil:
 		full := p.full
@@ -543,21 +463,22 @@ func (p *OrgProfilers) touch(blk int64) {
 	if !p.table.see(blk) {
 		slot = p.table.slowSlot(blk)
 	}
+	p.accesses[0]++
 	depth := p.depth
 	for i := range p.rows {
 		f := &p.rows[i]
-		depth[i] = f.touch(f.idx.set(blk), slot)
+		depth[i] = f.touch(int(f.idx.set(blk)), slot, 0) // one lane: the set's row
 	}
 	depth = depth[len(p.rows):]
 	for i := range p.markers {
 		f := &p.markers[i]
-		depth[i] = f.touch(f.idx.set(blk), slot)
+		depth[i] = f.lanes[0].touch(f.idx.set(blk), slot)
 	}
 	if p.full != nil {
 		depth[len(p.markers)] = p.full.Touch(blk)
 	}
-	if p.bank != nil {
-		p.bank.touch(blk, slot)
+	if p.banks != nil {
+		p.banks[0].touch(blk, slot)
 	}
 	if p.period != nil {
 		p.period.noteFirst(blk, p.depth)
@@ -573,46 +494,14 @@ func (p *OrgProfilers) TimelineOps() int64 {
 	return p.full.TimelineOps()
 }
 
-// Curves extracts the profiles, in spec order (orgCurves).
+// Curves extracts the profiles, in spec order.
 func (p *OrgProfilers) Curves() []*OrgCurves {
-	lru := make([]*AssocCurve, 0, len(p.depth))
-	for i := range p.rows {
-		lru = append(lru, p.rows[i].curve(p.table.cold))
-	}
-	for i := range p.markers {
-		lru = append(lru, p.markers[i].curve(p.table.cold))
-	}
+	var full *AssocCurve
 	if p.full != nil {
 		mc := p.full.Curve()
-		lru = append(lru, &AssocCurve{Sets: 1, Accesses: mc.Accesses, Cold: mc.Cold, curve: mc})
+		full = &AssocCurve{Sets: 1, Accesses: mc.Accesses, Cold: mc.Cold, curve: mc}
 	}
-	return orgCurves(p.specs, p.familyOf, lru, p.bank, p.replica)
-}
-
-// orgCurves assembles the specs' curves, in spec order, from their
-// families' LRU curves and the bank's replicas (replica: (sets, ways) ->
-// replica number). Specs of one family share its LRU curve; a FIFO curve
-// reads its one-way point off that curve.
-func orgCurves(specs []OrgSpec, familyOf []int, lru []*AssocCurve, bank *fifoBank, replica map[[2]int64]int) []*OrgCurves {
-	out := make([]*OrgCurves, len(specs))
-	for j, s := range specs {
-		fi := familyOf[j]
-		out[j] = &OrgCurves{Spec: s, LRU: lru[fi]}
-		if len(s.FIFOWays) == 0 {
-			continue
-		}
-		fc := &FIFOCurve{Sets: s.Sets, Accesses: lru[fi].Accesses, Cold: lru[fi].Cold, ways: uniqueWays(s.FIFOWays)}
-		fc.misses = make([]int64, len(fc.ways))
-		for k, w := range fc.ways {
-			if w == 1 {
-				fc.misses[k] = lru[fi].Misses(1)
-			} else {
-				fc.misses[k] = bank.reps[replica[[2]int64{s.Sets, w}]].misses
-			}
-		}
-		out[j].FIFO = fc
-	}
-	return out
+	return p.curves(0, full)
 }
 
 // Extract closes a profiling pass: Curves, timed under trace.profile, and
