@@ -3,7 +3,6 @@ package plancache
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"hash"
 )
 
 // Digest builds a Key from a canonical serialisation of tagged fields.
@@ -14,10 +13,10 @@ import (
 // format ordered it. Callers are expected to write fields in a fixed
 // code-determined order after normalising their input (defaults applied,
 // lists canonicalised); the JSON layer's field order therefore never
-// reaches the hash.
+// reaches the hash. The framed fields accumulate in one buffer, hashed
+// once by Sum.
 type Digest struct {
-	h   hash.Hash
-	buf [binary.MaxVarintLen64]byte
+	buf []byte
 }
 
 // Field kind bytes, one per Digest method, so a string value can never
@@ -29,51 +28,37 @@ const (
 )
 
 // NewDigest returns an empty digest.
-func NewDigest() *Digest { return &Digest{h: sha256.New()} }
-
-func (d *Digest) uvarint(v uint64) {
-	n := binary.PutUvarint(d.buf[:], v)
-	d.h.Write(d.buf[:n])
-}
-
-func (d *Digest) varint(v int64) {
-	n := binary.PutVarint(d.buf[:], v)
-	d.h.Write(d.buf[:n])
-}
+func NewDigest() *Digest { return &Digest{buf: make([]byte, 0, 1024)} }
 
 func (d *Digest) tag(tag string, kind byte) {
-	d.uvarint(uint64(len(tag)))
-	d.h.Write([]byte(tag))
-	d.h.Write([]byte{kind})
+	d.buf = binary.AppendUvarint(d.buf, uint64(len(tag)))
+	d.buf = append(d.buf, tag...)
+	d.buf = append(d.buf, kind)
 }
 
 // Str writes a tagged string field.
 func (d *Digest) Str(tag, v string) {
 	d.tag(tag, kindStr)
-	d.uvarint(uint64(len(v)))
-	d.h.Write([]byte(v))
+	d.buf = binary.AppendUvarint(d.buf, uint64(len(v)))
+	d.buf = append(d.buf, v...)
 }
 
 // Int writes a tagged integer field.
 func (d *Digest) Int(tag string, v int64) {
 	d.tag(tag, kindInt)
-	d.varint(v)
+	d.buf = binary.AppendVarint(d.buf, v)
 }
 
 // Ints writes a tagged integer-list field (length-prefixed, so an empty
 // list is distinct from an absent field).
 func (d *Digest) Ints(tag string, vs []int64) {
 	d.tag(tag, kindInts)
-	d.uvarint(uint64(len(vs)))
+	d.buf = binary.AppendUvarint(d.buf, uint64(len(vs)))
 	for _, v := range vs {
-		d.varint(v)
+		d.buf = binary.AppendVarint(d.buf, v)
 	}
 }
 
 // Sum finalises the digest into a Key. The digest remains usable —
 // further writes extend the original field sequence.
-func (d *Digest) Sum() Key {
-	var k Key
-	d.h.Sum(k[:0])
-	return k
-}
+func (d *Digest) Sum() Key { return sha256.Sum256(d.buf) }

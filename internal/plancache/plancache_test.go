@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -277,5 +278,29 @@ func TestKeyString(t *testing.T) {
 	}
 	if fmt.Sprintf("%x", k[:]) != s {
 		t.Fatal("String() disagrees with hex encoding")
+	}
+}
+
+// TestDigestBytes pins the framing byte for byte: the key is SHA-256 of
+// uvarint(len(tag)) ‖ tag ‖ kind ‖ value for each field in turn (a
+// string's value is uvarint(len) ‖ bytes, an int's its zig-zag varint, a
+// list's uvarint(len) ‖ varints), so a rewrite of Digest cannot move a
+// daemon cache key.
+func TestDigestBytes(t *testing.T) {
+	d := NewDigest()
+	d.Str("ab", "c")
+	d.Int("n", -1)
+	d.Ints("l", []int64{1, 300})
+	want := sha256.Sum256([]byte{
+		2, 'a', 'b', kindStr, 1, 'c',
+		1, 'n', kindInt, 0x01,
+		1, 'l', kindInts, 2, 0x02, 0xd8, 0x04,
+	})
+	if got := d.Sum(); got != Key(want) {
+		t.Fatalf("digest %s, want %x", got, want)
+	}
+	d.Int("more", 0) // Sum leaves the digest usable
+	if d.Sum() == Key(want) {
+		t.Fatal("a field written after Sum did not change the key")
 	}
 }

@@ -56,7 +56,6 @@ var (
 	ErrBadRate      = errors.New("sdf: channel rates must be positive")
 	ErrBadState     = errors.New("sdf: state sizes must be non-negative and sum within int64")
 	ErrBadNode      = errors.New("sdf: node id out of range")
-	ErrBadEdge      = errors.New("sdf: edge id out of range")
 )
 
 // Graph is an immutable, validated SDF graph.
@@ -82,18 +81,17 @@ type Graph struct {
 	pipeline    bool
 }
 
-// Builder assembles a Graph. The zero value is not usable; use NewBuilder.
+// Builder assembles a Graph.
 type Builder struct {
-	name   string
-	nodes  []Node
-	edges  []Edge
-	byName map[string]NodeID
-	err    error
+	name  string
+	nodes []Node
+	edges []Edge
+	err   error
 }
 
 // NewBuilder returns an empty Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, byName: make(map[string]NodeID)}
+	return &Builder{name: name}
 }
 
 // AddNode adds a module with the given display name and state size in words
@@ -105,9 +103,6 @@ func (b *Builder) AddNode(name string, state int64) NodeID {
 		b.err = fmt.Errorf("%w: node %q has state %d", ErrBadState, name, state)
 	}
 	b.nodes = append(b.nodes, Node{Name: name, State: state})
-	if _, dup := b.byName[name]; !dup {
-		b.byName[name] = id
-	}
 	return id
 }
 
@@ -137,8 +132,12 @@ func (b *Builder) Chain(ids ...NodeID) {
 
 // NodeByName returns the first node added with the given name.
 func (b *Builder) NodeByName(name string) (NodeID, bool) {
-	id, ok := b.byName[name]
-	return id, ok
+	for v, nd := range b.nodes {
+		if nd.Name == name {
+			return NodeID(v), true
+		}
+	}
+	return 0, false
 }
 
 // Build validates the graph and returns it. After Build the Builder can

@@ -1,25 +1,80 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 
 	"streamsched/internal/plancache"
+	"streamsched/internal/sdf"
 )
 
 // keyOf runs a profile body through the daemon's untrusted-input path —
-// strict decode, then normalise — and keys it.
+// decode, then normalise — and keys it.
 func keyOf(body []byte) (*ProfileRequest, plancache.Key, error) {
-	var req ProfileRequest
-	if err := unmarshalStrict(body, &req); err != nil {
-		return nil, plancache.Key{}, err
-	}
-	g, err := req.normalize()
+	req, g, err := parseProfile(body)
 	if err != nil {
 		return nil, plancache.Key{}, err
 	}
-	return &req, req.key(EngineVersion, g), nil
+	return req, req.key(EngineVersion, g), nil
+}
+
+// checkOnePass runs body through the one-pass decoder as a plan request
+// and as a profile request. Whenever it accepts, encoding/json must
+// accept the same body and read the same fields and the same raw graph
+// bytes, and both readings must normalise to the same error, or to the
+// same fields, graph and key. It returns how many of the two endpoints'
+// decoders accepted.
+func checkOnePass(t testing.TB, body []byte) int {
+	t.Helper()
+	accepted := 0
+	for _, kind := range []string{"plan", "profile"} {
+		var fast, ref ProfileRequest
+		profile, refTarget := &fast, any(&ref)
+		normalize := (*ProfileRequest).normalize
+		key := func(r *ProfileRequest, g *sdf.Graph) plancache.Key { return r.key(EngineVersion, g) }
+		if kind == "plan" {
+			profile, refTarget = nil, &ref.PlanRequest
+			normalize = func(r *ProfileRequest) (*sdf.Graph, error) { return r.PlanRequest.normalize() }
+			key = func(r *ProfileRequest, g *sdf.Graph) plancache.Key { return r.PlanRequest.key(EngineVersion, g) }
+		}
+		if !decodeRequest(body, &fast.PlanRequest, profile) {
+			continue
+		}
+		accepted++
+		if err := unmarshalStrict(body, refTarget); err != nil {
+			t.Fatalf("%s: one-pass decode accepted a body encoding/json refuses (%v):\n%s", kind, err, body)
+		}
+		fields := func(r *ProfileRequest) string {
+			return fmt.Sprintf("graph %q m %d b %d scheduler %q scale %d warm %d measure %d caps %v (nil %t)",
+				r.Graph, r.M, r.B, r.Scheduler, r.Scale, r.Warm, r.Measure, r.Caps, r.Caps == nil)
+		}
+		if a, b := fields(&fast), fields(&ref); a != b {
+			t.Fatalf("%s: one-pass decode read\n%s\nencoding/json read\n%s\nbody:\n%s", kind, a, b, body)
+		}
+		gf, errF := normalize(&fast)
+		gr, errR := normalize(&ref)
+		if fmt.Sprint(errF) != fmt.Sprint(errR) {
+			t.Fatalf("%s: normalize after one-pass decode: %v; after encoding/json: %v\n%s", kind, errF, errR, body)
+		}
+		if errF != nil {
+			continue
+		}
+		if a, b := fields(&fast), fields(&ref); a != b {
+			t.Fatalf("%s: normalised one-pass request\n%s\nnormalised encoding/json request\n%s", kind, a, b)
+		}
+		jf, _ := gf.MarshalJSON()
+		jr, _ := gr.MarshalJSON()
+		if !bytes.Equal(jf, jr) {
+			t.Fatalf("%s: graphs differ:\n%s\nvs\n%s", kind, jf, jr)
+		}
+		if kf, kr := key(&fast, gf), key(&ref, gr); kf != kr {
+			t.Fatalf("%s: one-pass key %s, encoding/json key %s\n%s", kind, kf, kr, body)
+		}
+	}
+	return accepted
 }
 
 // FuzzProfileRequestKey throws arbitrary bytes at the request path that
@@ -29,9 +84,13 @@ func keyOf(body []byte) (*ProfileRequest, plancache.Key, error) {
 // normalised request (every default explicit, caps canonical) and
 // re-spelling it with its fields reordered, re-indented and its defaults
 // omitted all normalise back to the same key. The seed corpus is
-// testdata/fuzz/FuzzProfileRequestKey (the bodies server_test.go builds).
+// testdata/fuzz/FuzzProfileRequestKey (the bodies server_test.go builds,
+// and one body per reason the one-pass decoder declines, named
+// decline-*). Every input also goes through checkOnePass, which holds the
+// one-pass decoder to encoding/json on both endpoints.
 func FuzzProfileRequestKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkOnePass(t, body)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		req, key, err := keyOf(body)

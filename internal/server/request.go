@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 
+	"streamsched/internal/jsonscan"
 	"streamsched/internal/plancache"
 	"streamsched/internal/schedule"
 	"streamsched/internal/sdf"
@@ -52,6 +54,9 @@ type PlanRequest struct {
 	// ignored by the others but always part of the cache key).
 	Scale int64 `json:"scale"`
 
+	// graph is Graph as decodeRequest read it, not yet built; nil when
+	// encoding/json decoded the body.
+	graph *sdf.Builder
 	// sched is Scheduler resolved against the graph (schedule.ByName);
 	// normalize sets it.
 	sched schedule.Scheduler
@@ -124,35 +129,116 @@ type ErrorResponse struct {
 
 // Stable error codes (SERVICE.md documents the full table).
 const (
-	CodeBadRequest  = "bad_request"
-	CodeTooLarge    = "too_large"
-	CodeNotFound    = "not_found"
-	CodeMethod      = "method_not_allowed"
-	CodeTimeout     = "timeout"
-	CodeInternal    = "internal"
-	CodeUnavailable = "unavailable"
+	CodeBadRequest = "bad_request"
+	CodeTooLarge   = "too_large"
+	CodeNotFound   = "not_found"
+	CodeMethod     = "method_not_allowed"
+	CodeTimeout    = "timeout"
+	CodeInternal   = "internal"
 )
 
-// badRequestError marks validation failures that map to HTTP 400.
-type badRequestError struct{ msg string }
+// Member names of the request bodies, in jsonscan.Member's index order: a
+// plan request takes the first five, a profile request all eight.
+var requestMembers = []string{"graph", "m", "b", "scheduler", "scale", "warm", "measure", "caps"}
 
-func (e *badRequestError) Error() string { return e.msg }
-
-func badRequestf(format string, args ...any) error {
-	return &badRequestError{msg: fmt.Sprintf(format, args...)}
+// decodeRequest decodes the common spelling of a request body in one
+// pass (package jsonscan), handing the graph value to sdf.DecodeJSON, and
+// reports whether it did. profile is r's profile request, or nil on the
+// plan endpoint, whose body may not name warm, measure or caps. On false
+// the request holds garbage, and the caller must decode the body with
+// unmarshalStrict, which owns every other spelling and every decode
+// error.
+func decodeRequest(body []byte, r *PlanRequest, profile *ProfileRequest) bool {
+	members := requestMembers
+	if profile == nil {
+		members = members[:5]
+	}
+	s := jsonscan.New(body)
+	var seen uint64
+	for i := 0; s.Next('{', i); i++ {
+		switch s.Member(members, &seen) {
+		case 0:
+			s.Space()
+			start := s.Pos()
+			r.graph = sdf.DecodeJSON(s)
+			r.Graph = body[start:s.Pos()]
+		case 1:
+			r.M = s.Int()
+		case 2:
+			r.B = s.Int()
+		case 3:
+			r.Scheduler = s.Text()
+		case 4:
+			r.Scale = s.Int()
+		case 5:
+			profile.Warm = s.Int()
+		case 6:
+			profile.Measure = s.Int()
+		case 7:
+			profile.Caps = []int64{} // as encoding/json leaves "caps": []
+			for j := 0; s.Next('[', j); j++ {
+				profile.Caps = append(profile.Caps, s.Int())
+			}
+		}
+	}
+	return s.End()
 }
 
-// normalizePlan applies defaults and validates; returns the parsed graph.
+// parsePlan decodes, defaults and validates a plan request body.
+func parsePlan(body []byte) (*PlanRequest, *sdf.Graph, error) {
+	req := new(PlanRequest)
+	if !decodeRequest(body, req, nil) {
+		*req = PlanRequest{}
+		if err := unmarshalStrict(body, req); err != nil {
+			return nil, nil, err
+		}
+	}
+	g, err := req.normalize()
+	return req, g, err
+}
+
+// parseProfile decodes, defaults and validates a profile request body.
+func parseProfile(body []byte) (*ProfileRequest, *sdf.Graph, error) {
+	req := new(ProfileRequest)
+	if !decodeRequest(body, &req.PlanRequest, req) {
+		*req = ProfileRequest{}
+		if err := unmarshalStrict(body, req); err != nil {
+			return nil, nil, err
+		}
+	}
+	g, err := req.normalize()
+	return req, g, err
+}
+
+// unmarshalStrict decodes JSON rejecting unknown fields, so a client
+// typo (e.g. "blocksize") fails loudly instead of silently hashing to
+// the default.
+func unmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("bad request json: %v", err)
+	}
+	return nil
+}
+
+// normalize applies defaults and validates; returns the parsed graph.
 func (r *PlanRequest) normalize() (*sdf.Graph, error) {
 	if len(r.Graph) == 0 {
-		return nil, badRequestf("missing graph")
+		return nil, errors.New("missing graph")
 	}
-	g, err := sdf.ReadJSON(bytes.NewReader(r.Graph))
+	var g *sdf.Graph
+	var err error
+	if r.graph != nil {
+		g, err = r.graph.Build()
+	} else {
+		g, err = sdf.ReadJSON(bytes.NewReader(r.Graph))
+	}
 	if err != nil {
-		return nil, badRequestf("bad graph: %v", err)
+		return nil, fmt.Errorf("bad graph: %v", err)
 	}
 	if g.NumNodes() > maxGraphNodes {
-		return nil, badRequestf("graph has %d nodes, limit %d", g.NumNodes(), maxGraphNodes)
+		return nil, fmt.Errorf("graph has %d nodes, limit %d", g.NumNodes(), maxGraphNodes)
 	}
 	if r.B == 0 {
 		r.B = DefaultBlock
@@ -164,16 +250,16 @@ func (r *PlanRequest) normalize() (*sdf.Graph, error) {
 		r.Scale = DefaultScale
 	}
 	if r.M <= 0 {
-		return nil, badRequestf("m must be positive, got %d", r.M)
+		return nil, fmt.Errorf("m must be positive, got %d", r.M)
 	}
 	if r.B <= 0 {
-		return nil, badRequestf("b must be positive, got %d", r.B)
+		return nil, fmt.Errorf("b must be positive, got %d", r.B)
 	}
 	if r.Scale <= 0 {
-		return nil, badRequestf("scale must be positive, got %d", r.Scale)
+		return nil, fmt.Errorf("scale must be positive, got %d", r.Scale)
 	}
 	if r.sched, err = schedule.ByName(r.Scheduler, g, r.Scale); err != nil {
-		return nil, badRequestf("%v (want flat, scaled, demand, kohli, or partitioned)", err)
+		return nil, fmt.Errorf("%v (want flat, scaled, demand, kohli, or partitioned)", err)
 	}
 	return g, nil
 }
@@ -192,17 +278,17 @@ func (r *ProfileRequest) normalize() (*sdf.Graph, error) {
 		r.Measure = DefaultMeasure
 	}
 	if r.Warm < 0 {
-		return nil, badRequestf("warm must be non-negative, got %d", r.Warm)
+		return nil, fmt.Errorf("warm must be non-negative, got %d", r.Warm)
 	}
 	if r.Measure <= 0 {
-		return nil, badRequestf("measure must be positive, got %d", r.Measure)
+		return nil, fmt.Errorf("measure must be positive, got %d", r.Measure)
 	}
 	// The window ends at warm + measure source firings (or a little later:
 	// batch schedulers overshoot warm-up, which the engine re-checks);
 	// refuse a sum that cannot fit rather than run, or cache, such a
 	// request.
 	if r.Measure > math.MaxInt64-r.Warm {
-		return nil, badRequestf("warm %d + measure %d overflows int64", r.Warm, r.Measure)
+		return nil, fmt.Errorf("warm %d + measure %d overflows int64", r.Warm, r.Measure)
 	}
 	// Canonicalise the capacity grid: block-align down, dedupe, sort.
 	if len(r.Caps) > 0 {
@@ -210,7 +296,7 @@ func (r *ProfileRequest) normalize() (*sdf.Graph, error) {
 		seen := make(map[int64]bool, len(r.Caps))
 		for _, c := range r.Caps {
 			if c < r.B {
-				return nil, badRequestf("capacity %d below block size %d", c, r.B)
+				return nil, fmt.Errorf("capacity %d below block size %d", c, r.B)
 			}
 			c -= c % r.B
 			if !seen[c] {

@@ -27,7 +27,10 @@
 // A raw-body memo accelerates the common hot case — clients resending a
 // byte-identical request — by mapping SHA-256(endpoint ‖ body) straight
 // to the canonical key, skipping JSON parsing and graph canonicalisation
-// entirely on that path (counted by server.fastpath.hits).
+// entirely on that path (counted by server.fastpath.hits). A body the
+// memo misses is decoded in one pass when it is spelled the common way
+// (decodeRequest), and by encoding/json otherwise; both readings share
+// one normalize and so one key.
 //
 // The daemon metric contract (see README and SERVICE.md) adds the
 // server.* family to plancache's cache.*: server.requests,
@@ -39,11 +42,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -244,7 +245,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind stri
 		s.writeError(w, http.StatusMethodNotAllowed, CodeMethod, "use POST")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1))
+	body, err := readBody(r, s.cfg.MaxBodyBytes+1)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, "read body: "+err.Error())
 		return
@@ -267,12 +268,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind stri
 	}
 	key, compute, err := parse(body)
 	if err != nil {
-		var bad *badRequestError
-		if errors.As(err, &bad) {
-			s.writeError(w, http.StatusBadRequest, CodeBadRequest, bad.Error())
-		} else {
-			s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		}
+		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	s.rawStore(rk, key)
@@ -306,6 +302,36 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind stri
 		s.timeouts.Inc()
 		s.writeError(w, http.StatusGatewayTimeout, CodeTimeout,
 			"computation still running; retry to pick up the cached result")
+	}
+}
+
+// bodyHint caps the buffer readBody allocates from Content-Length, so a
+// client that announces a huge body makes the daemon allocate only as
+// much as it actually sends.
+const bodyHint = 64 << 10
+
+// readBody reads at most limit bytes of the request body into one buffer
+// sized from Content-Length (up to bodyHint, and 512 bytes when the
+// length is unknown); the buffer grows past that only as bytes arrive.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	size := int64(512)
+	if n := r.ContentLength; n >= 0 {
+		size = min(n, bodyHint) + 1 // room to see EOF without growing
+	}
+	body := make([]byte, 0, max(0, min(size, limit))) // limit < 0 reads nothing
+	rd := io.LimitReader(r.Body, limit)
+	for {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return body, err
+		}
 	}
 }
 
@@ -389,31 +415,23 @@ func (s *Server) runFlight(key plancache.Key, f *flight, compute func() ([]byte,
 // planBody parses and keys a plan request and returns its compute
 // closure.
 func (s *Server) planBody(body []byte) (plancache.Key, func() ([]byte, error), error) {
-	var req PlanRequest
-	if err := unmarshalStrict(body, &req); err != nil {
-		return plancache.Key{}, nil, err
-	}
-	g, err := req.normalize()
+	req, g, err := parsePlan(body)
 	if err != nil {
 		return plancache.Key{}, nil, err
 	}
 	key := req.key(s.cfg.Engine, g)
-	return key, func() ([]byte, error) { return s.computePlan(&req, g, key) }, nil
+	return key, func() ([]byte, error) { return s.computePlan(req, g, key) }, nil
 }
 
 // profileBody parses and keys a profile request and returns its compute
 // closure.
 func (s *Server) profileBody(body []byte) (plancache.Key, func() ([]byte, error), error) {
-	var req ProfileRequest
-	if err := unmarshalStrict(body, &req); err != nil {
-		return plancache.Key{}, nil, err
-	}
-	g, err := req.normalize()
+	req, g, err := parseProfile(body)
 	if err != nil {
 		return plancache.Key{}, nil, err
 	}
 	key := req.key(s.cfg.Engine, g)
-	return key, func() ([]byte, error) { return s.computeProfile(&req, g, key) }, nil
+	return key, func() ([]byte, error) { return s.computeProfile(req, g, key) }, nil
 }
 
 // computePlan runs the scheduler and serialises the response body.
@@ -536,16 +554,4 @@ func marshalBody(v any) ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
-}
-
-// unmarshalStrict decodes JSON rejecting unknown fields, so a client
-// typo (e.g. "blocksize") fails loudly instead of silently hashing to
-// the default.
-func unmarshalStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequestf("bad request json: %v", err)
-	}
-	return nil
 }

@@ -500,3 +500,124 @@ func TestCapsCanonicalisation(t *testing.T) {
 		t.Fatalf("computations = %d, want 1", got)
 	}
 }
+
+// TestGoldenKeys pins the content address of one plan and one profile
+// request, spelled compactly and re-spelled (members reordered and
+// case-folded, so encoding/json decodes it). The hex keys were computed
+// before the digest hashed one buffer; SERVICE.md's cache-key contract
+// promises they change only with EngineVersion.
+func TestGoldenKeys(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	graph := testGraphJSON(t, 16)
+	for _, tc := range []struct {
+		path, extra, respelled, want string
+	}{
+		{"/v1/plan", `, "b": 16, "scheduler": "partitioned"`,
+			`{"Scheduler": "partitioned", "M": 512, "graph": %s}`,
+			"1e5d4a280f37e1f26614331dd6ecb35f0469d9508a99e80d702592a2265e47ee"},
+		{"/v1/profile", `, "warm": 64, "measure": 256, "caps": [1024, 256, 300]`,
+			`{"caps": [300, 1024, 256, 256], "Measure": 256, "graph": %s, "WARM": 64, "m": 512, "b": 16}`,
+			"c6d32168634d6aca42fb798dd063252250782faf57f319d2a7470d89899a7a35"},
+	} {
+		for _, body := range [][]byte{planBody(t, graph, tc.extra), []byte(fmt.Sprintf(tc.respelled, graph))} {
+			resp, out := post(t, ts.URL+tc.path, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.path, resp.StatusCode, out)
+			}
+			if got := resp.Header.Get("X-Streamsched-Key"); got != tc.want {
+				t.Errorf("%s key %s, want %s\n%s", tc.path, got, tc.want, body)
+			}
+		}
+	}
+}
+
+// TestReadBody: the body buffer is sized from Content-Length but never
+// past bodyHint, so a header announcing more than arrives costs only what
+// arrives; an unknown length starts small and grows; the limit holds.
+func TestReadBody(t *testing.T) {
+	long := strings.Repeat("x", 3000)
+	for _, tc := range []struct {
+		name     string
+		announce int64
+		send     string
+		limit    int64
+		want     string
+		maxCap   int
+	}{
+		{"exact length", 5, "hello", 100, "hello", 6},
+		{"lying length", 8 << 20, "hi", 8<<20 + 1, "hi", bodyHint + 1},
+		{"unknown length", -1, long, 8 << 20, long, 8192},
+		{"over the limit", int64(len(long)), long, 5, long[:5], 64},
+		{"negative limit", 5, "hello", -1, "", 8}, // streamschedd -maxbody -2
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(tc.send))
+		r.ContentLength = tc.announce
+		body, err := readBody(r, tc.limit)
+		if err != nil || string(body) != tc.want || cap(body) > tc.maxCap {
+			t.Errorf("%s: read %d bytes (cap %d, err %v), want %d bytes in at most %d", tc.name, len(body), cap(body), err, len(tc.want), tc.maxCap)
+		}
+	}
+	// A negative MaxBodyBytes answers every body 413 without reading it.
+	w := httptest.NewRecorder()
+	New(Config{MaxBodyBytes: -2, CacheBytes: 1 << 20}).Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader("{}")))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("MaxBodyBytes -2: status %d, want 413: %s", w.Code, w.Body)
+	}
+}
+
+// BenchmarkHandlerHit times the warm paths through the handler on a
+// 1.7 KB profile request: a byte-identical resend (the raw-body memo), a
+// never-seen spelling of the same request in the common spelling (one-pass
+// decode, build, key), and a never-seen spelling the one-pass decoder
+// declines (encoding/json decode, build, key).
+func BenchmarkHandlerHit(b *testing.B) {
+	g, err := workloads.FMRadio(8, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph, _ := g.MarshalJSON()
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, graph); err != nil {
+		b.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"graph":%s,"m":512,"b":16,"scheduler":"partitioned","warm":1024,"measure":512,"caps":[256,1024,4096]}`, compact.Bytes())
+	h := New(Config{CacheBytes: 64 << 20}).Handler()
+	serve := func(body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/profile", bytes.NewReader(body)))
+		return w
+	}
+	if w := serve([]byte(body)); w.Code != http.StatusOK {
+		b.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	b.Run("fast", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if serve([]byte(body)).Header().Get("X-Streamsched-Cache") != "hit" {
+				b.Fatal("miss")
+			}
+		}
+	})
+	var n uint32 // outside the closures: the framework may call them more than once
+	for _, c := range []struct{ name, body string }{
+		{"canonical", body},
+		// encoding/json folds "M" to m; the one-pass decoder declines it.
+		{"declined", strings.Replace(body, `"m":`, `"M":`, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				// Spell the variant number in spaces and tabs after the
+				// brace, so every body is new to the raw-body memo.
+				n++
+				v := []byte{'{'}
+				for k := n; k != 0; k >>= 1 {
+					v = append(v, " \t"[k&1])
+				}
+				if serve(append(v, c.body[1:]...)).Header().Get("X-Streamsched-Cache") != "hit" {
+					b.Fatal("miss")
+				}
+			}
+		})
+	}
+}
