@@ -1,195 +1,177 @@
-// Command benchdiff turns `go test -bench` output into a JSON benchmark
-// snapshot (benchmark name -> ns/op) and gates performance regressions
-// between two snapshots. It is the reproducible core of the CI
-// bench-regression job — the base commit and the head commit benchmarked
-// back to back on one runner and diffed — and works identically locally:
-//
-//	go test -run '^$' -bench . -benchtime 3x -count 3 ./... | \
-//	    go run ./cmd/benchdiff -out BENCH_HEAD.json -baseline BENCH_BASE.json
-//
-// With -count N the minimum ns/op across repetitions is kept — the
-// least-noise estimator for a gate.
-//
-// The gate fails (exit 1) if any benchmark present in both the snapshot
-// and the baseline is more than -max-regress slower than the baseline.
-// New benchmarks are reported but do not fail; benchmarks that vanished
-// from the snapshot are warned about.
+// Command benchdiff gates paired bench/run.sh runs (files from pairs.sh)
+// against ./BENCHMARK.json. Per (workload, end-to-end metric) a head median
+// worse than the base median by more than the bound fails (OUT OF BOUND)
+// unless the base IQR is wider than the bound (unresolved). An incorrect
+// run or a higher head failed-op share fails. Exit 1: failed; 2: bad input.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 )
 
+// run is one tagged result line.
+type run struct {
+	Side     string `json:"side"` // base or head
+	Workload string `json:"workload"`
+	Seed     int    `json:"seed"`
+	RanFirst bool   `json:"ran_first"`
+	Result   struct {
+		Correct           bool `json:"correct"`
+		Attempted, Failed int
+		Metrics           map[string]struct{ Value float64 } `json:"metrics"`
+	} `json:"result"`
+}
+
+// MarshalJSON flattens a run the way BENCH_PR<n>.json lists it.
+func (r run) MarshalJSON() ([]byte, error) {
+	flat := map[string]any{"attempted": r.Result.Attempted, "failed": r.Result.Failed, "correct": r.Result.Correct, "seed": r.Seed, "ran_first": r.RanFirst}
+	for name, m := range r.Result.Metrics {
+		flat[name] = math.Round(m.Value*1000) / 1000
+	}
+	return json.Marshal(flat)
+}
+
+// workload is one workload's runs, shaped as in BENCH_PR<n>.json.
+type workload struct {
+	Seeds  []int `json:"seeds"`
+	Pairs  int   `json:"pairs"`
+	Parent side  `json:"parent"`
+	Head   side  `json:"head"`
+}
+
+type side struct {
+	Runs              []run `json:"runs"`
+	failed, attempted int
+}
+
+type metric struct {
+	Name, Better string
+	Bound        float64
+}
+
 func main() {
-	in := flag.String("in", "-", "bench output to parse (- for stdin)")
-	out := flag.String("out", "", "write the parsed snapshot JSON here")
-	baseline := flag.String("baseline", "", "baseline JSON to gate against")
-	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional slowdown per benchmark")
+	jsonOut := flag.String("json", "", "write the runs here, per workload, as parent and head")
 	flag.Parse()
-
-	if *out == "" && *baseline == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: nothing to do: pass -out and/or -baseline")
-		os.Exit(2)
+	var decl struct {
+		EndToEnd []metric `json:"end_to_end"`
 	}
-	r := io.Reader(os.Stdin)
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		r = f
+	readJSON("BENCHMARK.json", &decl)
+	if flag.NArg() == 0 {
+		check("", fmt.Errorf("no run files"))
 	}
-	cur, err := parseBench(r)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+	runs := make([]run, flag.NArg())
+	for i, f := range flag.Args() {
+		readJSON(f, &runs[i])
 	}
-	if len(cur) == 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: no benchmark results in input")
-		os.Exit(2)
+	ws := map[string]*workload{}
+	failures, err := compare(os.Stdout, decl.EndToEnd, runs, ws)
+	check("", err)
+	if *jsonOut != "" {
+		data, err := json.MarshalIndent(map[string]any{"workloads": ws}, "", " ")
+		check("", err)
+		check("", os.WriteFile(*jsonOut, append(data, '\n'), 0o644))
 	}
-	if *out != "" {
-		if err := writeSnapshot(*out, cur); err != nil {
-			fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("wrote %d benchmarks to %s\n", len(cur), *out)
+	for _, f := range failures {
+		fmt.Printf("\nFAIL %s\n", f)
 	}
-	if *baseline == "" {
-		return
+	if len(failures) > 0 {
+		os.Exit(1)
 	}
-	base, err := readSnapshot(*baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-	regressions, notes := compare(base, cur, *maxRegress)
-	os.Exit(reportComparison(os.Stdout, os.Stderr, regressions, notes, *maxRegress, len(cur)))
 }
 
-// reportComparison prints the comparison's findings and returns the
-// process exit code: 1 on regressions, 0 otherwise.
-func reportComparison(out, errOut io.Writer, regressions, notes []string, maxRegress float64, tracked int) int {
-	for _, n := range notes {
-		fmt.Fprintln(out, n)
-	}
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintln(errOut, r)
+// compare groups the runs into ws, prints the verdict table and returns
+// the gate's failures. A workload without both sides, and a run without an
+// end-to-end metric, are errors.
+func compare(out io.Writer, metrics []metric, runs []run, ws map[string]*workload) (failures []string, err error) {
+	var names []string
+	for _, r := range runs {
+		if ws[r.Workload] == nil {
+			ws[r.Workload], names = &workload{}, append(names, r.Workload)
 		}
-		fmt.Fprintf(errOut, "benchdiff: %d benchmark(s) regressed more than %.0f%%\n",
-			len(regressions), maxRegress*100)
-		return 1
-	}
-	fmt.Fprintf(out, "no regressions beyond %.0f%% across %d tracked benchmarks\n",
-		maxRegress*100, tracked)
-	return 0
-}
-
-// parseBench extracts ns/op per benchmark from `go test -bench` output.
-// Repeated runs of the same benchmark (from -count) keep the minimum.
-// The -N GOMAXPROCS suffix is stripped so snapshots compare across
-// machines with different core counts.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
+		w := ws[r.Workload]
+		s := map[string]*side{"base": &w.Parent, "head": &w.Head}[r.Side]
+		if s == nil {
+			return nil, fmt.Errorf("%s seed %d: side %q, want base or head", r.Workload, r.Seed, r.Side)
 		}
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
-		// Find "ns/op" and take the number before it.
-		for i := 2; i < len(fields); i++ {
-			if fields[i] != "ns/op" {
-				continue
-			}
-			v, err := strconv.ParseFloat(fields[i-1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad ns/op for %s: %q", name, fields[i-1])
-			}
-			if old, ok := out[name]; !ok || v < old {
-				out[name] = v
-			}
-			break
+		s.Runs, s.failed, s.attempted = append(s.Runs, r), s.failed+r.Result.Failed, s.attempted+r.Result.Attempted
+		if !r.Result.Correct {
+			failures = append(failures, fmt.Sprintf("%s: %s seed %d: incorrect run", r.Workload, r.Side, r.Seed))
 		}
 	}
-	return out, sc.Err()
-}
-
-// compare gates cur against base: a benchmark present in both regresses
-// when cur > base*(1+maxRegress). Returns the failures and informational
-// notes (new/vanished benchmarks, improvements).
-func compare(base, cur map[string]float64, maxRegress float64) (regressions, notes []string) {
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	slices.Sort(names)
+	fmt.Fprint(out, "| workload | metric | bound | base median | base q1 – q3 | head median | change | head won | verdict |\n| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: | --- |\n")
 	for _, name := range names {
-		c := cur[name]
-		b, ok := base[name]
-		if !ok {
-			notes = append(notes, fmt.Sprintf("NEW    %s: %.0f ns/op (not in baseline)", name, c))
-			continue
+		w := ws[name]
+		b, h := w.Parent, w.Head
+		if len(b.Runs) == 0 || len(h.Runs) == 0 {
+			return nil, fmt.Errorf("%s: %d base and %d head runs, want both sides", name, len(b.Runs), len(h.Runs))
 		}
-		ratio := 0.0
-		if b > 0 {
-			ratio = c/b - 1
+		if h.failed*max(b.attempted, 1) > b.failed*max(h.attempted, 1) {
+			failures = append(failures, fmt.Sprintf("%s: head failed %d of %d ops, base %d of %d", name, h.failed, h.attempted, b.failed, b.attempted))
 		}
-		switch {
-		case c > b*(1+maxRegress):
-			regressions = append(regressions,
-				fmt.Sprintf("REGRESS %s: %.0f ns/op vs baseline %.0f (%+.0f%%)", name, c, b, ratio*100))
-		case ratio < -maxRegress:
-			notes = append(notes, fmt.Sprintf("FASTER %s: %.0f ns/op vs baseline %.0f (%+.0f%%)", name, c, b, ratio*100))
+		for _, r := range b.Runs {
+			w.Seeds = append(w.Seeds, r.Seed)
+		}
+		w.Pairs = min(len(b.Runs), len(h.Runs))
+		for _, m := range metrics {
+			sign, ok := map[string]float64{"lower": 1, "higher": -1}[m.Better]
+			if !ok {
+				return nil, fmt.Errorf("%s: better is %q, want lower or higher", m.Name, m.Better)
+			}
+			bySeed, bv, hv, won := map[int]float64{}, []float64{}, []float64{}, 0
+			for _, r := range append(append([]run(nil), b.Runs...), h.Runs...) {
+				v, ok := r.Result.Metrics[m.Name]
+				if !ok {
+					return nil, fmt.Errorf("%s: %s seed %d has no %s", name, r.Side, r.Seed, m.Name)
+				}
+				if r.Side == "base" {
+					bv, bySeed[r.Seed] = append(bv, v.Value), v.Value
+					continue
+				}
+				hv = append(hv, v.Value)
+				if bs, ok := bySeed[r.Seed]; ok && sign*(v.Value-bs) < 0 {
+					won++
+				}
+			}
+			bm, q1, q3, hm := quantile(bv, .5), quantile(bv, .25), quantile(bv, .75), quantile(hv, .5)
+			verdict := "ok"
+			if (q3-q1)/bm > m.Bound {
+				verdict = "unresolved"
+			} else if worse := sign * (hm/bm - 1); worse > m.Bound {
+				verdict = "OUT OF BOUND"
+				failures = append(failures, fmt.Sprintf("%s: %s: head median %.4g is %.1f%% worse than base %.4g, bound %.0f%%", name, m.Name, hm, 100*worse, bm, 100*m.Bound))
+			}
+			fmt.Fprintf(out, "| %s | %s | %.0f%% | %.4g | %.4g – %.4g | %.4g | %+.1f%% | %d of %d | %s |\n", name, m.Name, 100*m.Bound, bm, q1, q3, hm, 100*(hm/bm-1), won, w.Pairs, verdict)
 		}
 	}
-	baseNames := make([]string, 0, len(base))
-	for name := range base {
-		baseNames = append(baseNames, name)
-	}
-	sort.Strings(baseNames)
-	for _, name := range baseNames {
-		if _, ok := cur[name]; !ok {
-			notes = append(notes, fmt.Sprintf("GONE   %s: in baseline but not in this run", name))
-		}
-	}
-	return regressions, notes
+	return failures, nil
 }
 
-func writeSnapshot(path string, snap map[string]float64) error {
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// quantile interpolates linearly between sorted values, as bench/kit does.
+func quantile(vs []float64, q float64) float64 {
+	s := slices.Sorted(slices.Values(vs))
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	return s[lo] + (s[min(lo+1, len(s)-1)]-s[lo])*(pos-float64(lo))
 }
 
-func readSnapshot(path string) (map[string]float64, error) {
+func readJSON(path string, v any) {
 	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, v)
+	}
+	check(path+": ", err)
+}
+
+func check(what string, err error) {
 	if err != nil {
-		return nil, err
+		fmt.Fprintf(os.Stderr, "benchdiff: %s%v\n", what, err)
+		os.Exit(2)
 	}
-	var snap map[string]float64
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return snap, nil
 }

@@ -74,35 +74,59 @@ func runE1(cfg runConfig) error {
 // misses/item grow only with the number of cuts per item, i.e. stay near
 // (#segments)/B after normalizing.
 func runE2(cfg runConfig) error {
-	state := int64(128)
-	m := int64(256)
-	warm, meas := int64(512), int64(2048)
-	lengths := []int{10, 18, 34, 66}
-	if cfg.full {
-		lengths = append(lengths, 130, 258)
+	e2, err := buildE2(cfg.full)
+	if err != nil {
+		return err
 	}
 	tb := report.NewTable(
-		fmt.Sprintf("E2: misses/item vs pipeline length (M=%d, B=16, state=%d/module, cache=2M)", m, state),
+		fmt.Sprintf("E2: misses/item vs pipeline length (M=%d, B=16, state=%d/module, cache=2M)", e2.m, e2.state),
 		"modules", "total-state", "flat-topo", "partitioned", "flat/partitioned")
-	env := schedule.Env{M: m, B: 16}
-	for _, n := range lengths {
-		g, err := uniformPipeline("uniform-pipeline", n, state)
-		if err != nil {
-			return err
-		}
-		flat, err := measure(g, schedule.FlatTopo{}, env, 2*m, warm, meas)
-		if err != nil {
-			return err
-		}
-		part, err := measure(g, schedule.PartitionedPipeline{}, env, 2*m, warm, meas)
-		if err != nil {
-			return err
-		}
-		tb.Add(report.I(int64(n)), report.I(g.TotalState()),
-			report.F(flat.MissesPerItem), report.F(part.MissesPerItem),
-			report.Ratio(flat.MissesPerItem, part.MissesPerItem))
+	for _, r := range e2.rows {
+		tb.Add(report.I(int64(r.modules)), report.I(r.totalState),
+			report.F(r.flat), report.F(r.partitioned),
+			report.Ratio(r.flat, r.partitioned))
 	}
 	return tb.Render(cfg.out)
+}
+
+// e2Table is the table E2 prints: per pipeline length, the flat-topo and
+// partitioned misses per item.
+type e2Table struct {
+	m, state int64
+	rows     []e2Row
+}
+
+type e2Row struct {
+	modules           int
+	totalState        int64
+	flat, partitioned float64
+}
+
+// buildE2 measures E2's table.
+func buildE2(full bool) (*e2Table, error) {
+	e2 := &e2Table{m: 256, state: 128}
+	warm, meas := int64(512), int64(2048)
+	lengths := []int{10, 18, 34, 66}
+	if full {
+		lengths = append(lengths, 130, 258)
+	}
+	env := schedule.Env{M: e2.m, B: 16}
+	for _, n := range lengths {
+		g, err := uniformPipeline("uniform-pipeline", n, e2.state)
+		if err != nil {
+			return nil, err
+		}
+		flat, err := measure(g, schedule.FlatTopo{}, env, 2*e2.m, warm, meas)
+		if err != nil {
+			return nil, err
+		}
+		part, err := measure(g, schedule.PartitionedPipeline{}, env, 2*e2.m, warm, meas)
+		if err != nil {
+			return nil, err
+		}
+		e2.rows = append(e2.rows, e2Row{n, g.TotalState(), flat.MissesPerItem, part.MissesPerItem})
+	}
+	return e2, nil
 }
 
 // runE4 reports the Theorem 3 / Theorem 5 sandwich: every scheduler's
@@ -204,32 +228,57 @@ func runE5(cfg runConfig) error {
 // runE8 sweeps block size B: the partitioned schedule's misses/item should
 // scale as 1/B, so misses/item × B stays near constant.
 func runE8(cfg runConfig) error {
-	n, state, m := 34, int64(128), int64(512)
-	warm, meas := int64(512), int64(2048)
-	if cfg.full {
-		meas = 8192
-	}
-	g, err := uniformPipeline("uniform-pipeline", n, state)
+	e8, err := buildE8(cfg.full)
 	if err != nil {
 		return err
 	}
 	tb := report.NewTable(
-		fmt.Sprintf("E8: block size sweep (pipeline n=%d, state=%d, M=%d, cache=2M)", n, state, m),
+		fmt.Sprintf("E8: block size sweep (pipeline n=%d, state=%d, M=%d, cache=2M)", e8.n, e8.state, e8.m),
 		"B", "partitioned misses/item", "misses/item x B", "flat misses/item", "flat x B")
+	for _, r := range e8.rows {
+		tb.Add(report.I(r.b),
+			report.F(r.partitioned), report.F(r.partitioned*float64(r.b)),
+			report.F(r.flat), report.F(r.flat*float64(r.b)))
+	}
+	return tb.Render(cfg.out)
+}
+
+// e8Table is the table E8 prints: per block size, the partitioned and
+// flat-topo misses per item.
+type e8Table struct {
+	n        int
+	state, m int64
+	rows     []e8Row
+}
+
+type e8Row struct {
+	b                 int64
+	partitioned, flat float64
+}
+
+// buildE8 measures E8's table.
+func buildE8(full bool) (*e8Table, error) {
+	e8 := &e8Table{n: 34, state: 128, m: 512}
+	warm, meas := int64(512), int64(2048)
+	if full {
+		meas = 8192
+	}
+	g, err := uniformPipeline("uniform-pipeline", e8.n, e8.state)
+	if err != nil {
+		return nil, err
+	}
 	for _, b := range []int64{8, 16, 32, 64, 128} {
-		env := schedule.Env{M: m, B: b}
-		cacheCfg := cachesim.Config{Capacity: 2 * m, Block: b}
+		env := schedule.Env{M: e8.m, B: b}
+		cacheCfg := cachesim.Config{Capacity: 2 * e8.m, Block: b}
 		part, err := schedule.Measure(g, schedule.PartitionedPipeline{}, env, cacheCfg, warm, meas)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		flat, err := schedule.Measure(g, schedule.FlatTopo{}, env, cacheCfg, warm, meas)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		tb.Add(report.I(b),
-			report.F(part.MissesPerItem), report.F(part.MissesPerItem*float64(b)),
-			report.F(flat.MissesPerItem), report.F(flat.MissesPerItem*float64(b)))
+		e8.rows = append(e8.rows, e8Row{b, part.MissesPerItem, flat.MissesPerItem})
 	}
-	return tb.Render(cfg.out)
+	return e8, nil
 }

@@ -463,6 +463,22 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsUnknownMembers: a member the format does not have is
+// an error naming it, at every level. A misspelt "state" used to be
+// dropped, building a module of state 0.
+func TestReadJSONRejectsUnknownMembers(t *testing.T) {
+	for name, js := range map[string]string{
+		"stat": `{"name":"x","nodes":[{"name":"s","stat":16},{"name":"t","state":0}],"edges":[{"from":0,"to":1,"out":1,"in":1}]}`,
+		"kind": `{"name":"x","kind":"dag","nodes":[{"name":"s","state":16},{"name":"t","state":0}],"edges":[{"from":0,"to":1,"out":1,"in":1}]}`,
+		"rate": `{"name":"x","nodes":[{"name":"s","state":16},{"name":"t","state":0}],"edges":[{"from":0,"to":1,"out":1,"in":1,"rate":2}]}`,
+	} {
+		_, err := ReadJSON(strings.NewReader(js))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+name+`"`) {
+			t.Errorf("graph with a %q member: err %v, want one naming it", name, err)
+		}
+	}
+}
+
 func TestWriteDOT(t *testing.T) {
 	g := diamond(t)
 	var buf bytes.Buffer

@@ -51,10 +51,14 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON parses a graph from the CLI interchange format and validates it
-// through the normal Build path.
+// through the normal Build path. A member the format does not have, at any
+// level, is an error rather than dropped: a misspelt "state" would
+// otherwise build a zero-state module. ReadJSON reads one value and
+// leaves the rest of r unread.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	var jg jsonGraph
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&jg); err != nil {
 		return nil, fmt.Errorf("sdf: parse graph json: %w", err)
 	}

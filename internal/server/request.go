@@ -210,14 +210,17 @@ func parseProfile(body []byte) (*ProfileRequest, *sdf.Graph, error) {
 	return req, g, err
 }
 
-// unmarshalStrict decodes JSON rejecting unknown fields, so a client
-// typo (e.g. "blocksize") fails loudly instead of silently hashing to
-// the default.
+// unmarshalStrict decodes one JSON value rejecting unknown fields, so a
+// client typo (e.g. "blocksize") fails loudly instead of silently hashing
+// to the default, and rejecting anything but whitespace after the value.
 func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request json: %v", err)
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("bad request json: invalid character %q after top-level value", rest[0])
 	}
 	return nil
 }

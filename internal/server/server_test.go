@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"streamsched/internal/jsonscan/jsonscantest"
 	"streamsched/internal/obs"
 	"streamsched/workloads"
 )
@@ -334,6 +335,38 @@ func TestStateOverflowRejected(t *testing.T) {
 	}
 	if n := srv.Cache().Len(); n != 0 {
 		t.Fatalf("a rejected graph left %d cache entries", n)
+	}
+}
+
+// TestMalformedSeedsRejected: the corpus's decline-trailing-bytes body
+// (a request followed by " x") and decline-unknown-graph-member body (a
+// graph with a "kind" member) are bad requests on both endpoints. Both
+// used to answer 200: encoding/json stopped reading after the first value
+// and dropped graph members it did not know. The plan bodies are the
+// seeds without their profile-only members, so that what /v1/plan refuses
+// is the defect and not "warm".
+func TestMalformedSeedsRejected(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{})
+	seeds := jsonscantest.Corpus(t, "testdata/fuzz/FuzzProfileRequestKey")
+	for name, want := range map[string]string{
+		"decline-trailing-bytes":       `bad request json: invalid character 'x' after top-level value`,
+		"decline-unknown-graph-member": `bad graph: sdf: parse graph json: json: unknown field "kind"`,
+	} {
+		profile := seeds[name]
+		plan := strings.Replace(string(profile), `, "warm": 8, "measure": 32, "caps": [64, 256]`, "", 1)
+		if plan == string(profile) {
+			t.Fatalf("%s: no profile members to strip:\n%s", name, profile)
+		}
+		for path, body := range map[string][]byte{"/v1/profile": profile, "/v1/plan": []byte(plan)} {
+			resp, got := post(t, ts.URL+path, body)
+			var er ErrorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(got, &er) != nil || er.Code != CodeBadRequest || er.Error != want {
+				t.Errorf("%s on %s: status %d: %s, want 400 %q", name, path, resp.StatusCode, got, want)
+			}
+		}
+	}
+	if n := srv.Cache().Len(); n != 0 {
+		t.Fatalf("rejected requests left %d cache entries", n)
 	}
 }
 

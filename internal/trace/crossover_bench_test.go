@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,20 +60,22 @@ func BenchmarkBoundedFamilies(b *testing.B) {
 
 var crossoverSink int
 
-// BenchmarkOrgProfilersTouch times OrgProfilers.Touch on the benchmark
-// workloads' grids: the L2 grid of hier-shared's hier verb (capacities 2k…16k
-// words × 4, 8 ways and fully associative at B=16: five row families and one
-// marker family) fed the miss streams of a 16-line and a 64-line
-// fully-associative L1, and orgs-grid's LRU+FIFO grid (capacities 256…4k
-// words × 1, 2, 4, 8 ways and fully associative) fed the recorded stream
-// itself, and that grid's LRU half alone, so that the difference between
-// the two is the FIFO bank's share; the orgs-grid case also reports FIFO
-// replica insertions (misses of more than one way) per access. Each op
-// feeds the whole stream to one set of profilers, built before the timer
-// starts, so the first op starts cold and the rest replay the stream on
-// warm stacks; each sub-benchmark reports ns per access.
+// BenchmarkOrgProfilersTouch times the two organisation drivers on the
+// benchmark workloads' grids. OrgProfilers.Touch runs orgs-grid's LRU+FIFO
+// grid (capacities 256…4k words × 1, 2, 4, 8 ways and fully associative)
+// fed the recorded stream itself, and that grid's LRU half alone, so that
+// the difference between the two is the FIFO bank's share; the orgs-grid
+// case also reports FIFO replica insertions (misses of more than one way)
+// per access. OrgLanes.Touch runs the L2 grid of hier-shared's hier verb
+// (capacities 2k…16k words × 4, 8 ways and fully associative at B=16: five
+// row families and one marker family) as the hierarchy pass does: one lane
+// per L1 point — a 16-line and a 64-line fully-associative L1 — fed the
+// recorded stream with the mask of the points that missed. Each op feeds
+// the whole stream, to profilers built before the timer starts, so the
+// first op starts cold and the rest replay the stream on warm stacks;
+// each sub-benchmark reports ns per access (per lane access for lanes).
 func BenchmarkOrgProfilersTouch(b *testing.B) {
-	streams, recorded, err := crossoverStreams()
+	_, recorded, err := crossoverStreams()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,20 +92,10 @@ func BenchmarkOrgProfilersTouch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	type bench struct {
-		name   string
-		specs  []trace.OrgSpec
-		blocks []int64
-	}
-	cases := []bench{{"orgs-grid/recorded", orgsGrid, recorded}, {"orgs-grid-lru/recorded", orgsLRU, recorded}}
-	for _, st := range streams[:2] { // recorded-l1fa16, recorded-l1fa64
-		blocks := make([]int64, len(st.slots))
-		for i, s := range st.slots {
-			blocks[i] = int64(s)
-		}
-		cases = append(cases, bench{"hier-l2/" + st.name, l2grid, blocks})
-	}
-	for _, c := range cases {
+	for _, c := range []struct {
+		name  string
+		specs []trace.OrgSpec
+	}{{"orgs-grid/recorded", orgsGrid}, {"orgs-grid-lru/recorded", orgsLRU}} {
 		b.Run(c.name, func(b *testing.B) {
 			p, err := trace.NewOrgProfilers(c.specs)
 			if err != nil {
@@ -110,11 +103,11 @@ func BenchmarkOrgProfilersTouch(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, blk := range c.blocks {
+				for _, blk := range recorded {
 					p.Touch(blk)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.blocks)), "ns/access")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recorded)), "ns/access")
 			var inserts int64
 			for _, oc := range p.Curves() {
 				for _, w := range slices.Compact(slices.Sorted(slices.Values(oc.Spec.FIFOWays))) {
@@ -124,10 +117,61 @@ func BenchmarkOrgProfilersTouch(b *testing.B) {
 				}
 			}
 			if inserts > 0 {
-				b.ReportMetric(float64(inserts)/float64(b.N*len(c.blocks)), "inserts/access")
+				b.ReportMetric(float64(inserts)/float64(b.N*len(recorded)), "inserts/access")
 			}
 		})
 	}
+	blocks, masks, err := l1MissMasks(recorded, []int64{16, 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	laneAccesses := 0
+	for _, m := range masks {
+		laneAccesses += bits.OnesCount64(m)
+	}
+	b.Run("hier-l2/lanes-l1fa16+l1fa64", func(b *testing.B) {
+		l, err := trace.NewOrgLanes(l2grid, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, blk := range blocks {
+				l.Touch(blk, masks[j])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*laneAccesses), "ns/access")
+	})
+}
+
+// l1MissMasks feeds blocks to one fully-associative LRU L1 per entry of
+// lines and keeps each access that missed at any of them, with the mask of
+// the L1s it missed at (bit i: lines[i]): the reference stream of the L2
+// lanes behind them.
+func l1MissMasks(blocks, lines []int64) ([]int64, []uint64, error) {
+	p, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1, LRUWays: lines}})
+	if err != nil {
+		return nil, nil, err
+	}
+	pts := make([]trace.OrgPoint, len(lines))
+	for i, n := range lines {
+		pts[i], _ = p.Point(0, n, false)
+	}
+	var missed []int64
+	var masks []uint64
+	for _, blk := range blocks {
+		p.Touch(blk)
+		var mask uint64
+		for i, pt := range pts {
+			if p.Missed(pt) {
+				mask |= 1 << i
+			}
+		}
+		if mask != 0 {
+			missed, masks = append(missed, blk), append(masks, mask)
+		}
+	}
+	return missed, masks, nil
 }
 
 type crossoverStream struct {
@@ -198,18 +242,12 @@ func splitJoinGraph() (*sdf.Graph, error) {
 // l1Misses is the miss stream of a fully-associative LRU cache of the
 // given lines: the reference stream of the L2 behind it.
 func l1Misses(blocks []int64, lines int64) ([]int32, error) {
-	p, err := trace.NewOrgProfilers([]trace.OrgSpec{{Sets: 1, LRUWays: []int64{lines}}})
-	if err != nil {
-		return nil, err
+	missed, _, err := l1MissMasks(blocks, []int64{lines})
+	out := make([]int32, len(missed))
+	for i, blk := range missed {
+		out[i] = int32(blk)
 	}
-	pt, _ := p.Point(0, lines, false)
-	var out []int32
-	for _, blk := range blocks {
-		if p.Touch(blk); p.Missed(pt) {
-			out = append(out, int32(blk))
-		}
-	}
-	return out, nil
+	return out, err
 }
 
 // halfRandomStream is BenchmarkProfileHier's stream: sequential runs, a
