@@ -71,7 +71,12 @@ E14 (real-memory wall-clock validation) is deliberately not in the
 registry: it measures actual hardware time, so it lives as
 ` + "`BenchmarkE14RealMemory`" + ` in the root ` + "`bench_test.go`" + `
 and runs under ` + "`go test -bench`" + ` with the other per-experiment
-benchmarks.
+benchmarks. It is the one hardware corroboration of the cache model:
+` + "`internal/realexec`" + ` runs a 34-module pipeline of 256 KiB modules (~8 MiB of
+state) on real memory, once in flat order and once partitioned into
+segments of at most 512 KiB. ` + "`go test -run '^$' -bench BenchmarkE14RealMemory -benchtime 3000x -count 3 .`" + `
+on a 2-vCPU Intel Xeon virtual machine read 725–791 µs per source firing flat
+and 35–39 µs partitioned: the partitioned schedule is about 20× faster.
 `)
 	return b.String()
 }

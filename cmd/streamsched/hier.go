@@ -46,6 +46,9 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("hier: -M and -B must be positive\n%w", errUsage)
 	}
+	if *warm < 0 {
+		return fmt.Errorf("hier: warm must be non-negative, got %d\n%w", *warm, errUsage)
+	}
 	l1s, l2s, cm, err := grid.parse(*b)
 	if err != nil {
 		return err

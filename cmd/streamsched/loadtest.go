@@ -77,7 +77,7 @@ func cmdLoadtest(args []string, out io.Writer) error {
 	// Measured phase: conc closed-loop workers share a global request
 	// counter and cycle deterministically over the variant bodies.
 	var next, hits, misses, failures atomic.Int64
-	lat := obs.NewRegistry().Histogram("loadtest.latency")
+	lat := new(obs.Histogram)
 	var firstErr atomic.Value
 	var wg sync.WaitGroup
 	start := time.Now()

@@ -43,6 +43,11 @@ func TestLoadtestPlan(t *testing.T) {
 	if snap.Counters["cache.hits"] < 400 {
 		t.Fatalf("cache.hits = %d, want >= 400", snap.Counters["cache.hits"])
 	}
+	// -minrate turns a throughput below it into a failure.
+	err = run([]string{"loadtest", "-addr", ts.URL, "-n", "40", "-c", "2", "-distinct", "3", "-minrate", "1e15"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "below required") {
+		t.Fatalf("-minrate 1e15: %v", err)
+	}
 }
 
 func TestLoadtestProfile(t *testing.T) {

@@ -44,6 +44,9 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("misscurve: -M and -B must be positive\n%w", errUsage)
 	}
+	if *warm < 0 {
+		return fmt.Errorf("misscurve: warm must be non-negative, got %d\n%w", *warm, errUsage)
+	}
 	scheds, err := schedulersBy(*sched, g, *scale)
 	if err != nil {
 		return err

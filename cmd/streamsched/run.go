@@ -212,6 +212,9 @@ func cmdSimulate(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("simulate: -M and -B must be positive\n%w", errUsage)
 	}
+	if *warm < 0 {
+		return fmt.Errorf("simulate: warm must be non-negative, got %d\n%w", *warm, errUsage)
+	}
 	if *cache == 0 {
 		*cache = 2 * *m
 	}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -199,6 +201,52 @@ func TestBuffersCommand(t *testing.T) {
 	}
 }
 
+// TestSimulateCacheMatchesMissCurve: simulate at one -cache prints the
+// misses per item that misscurve's curve reads at that capacity.
+func TestSimulateCacheMatchesMissCurve(t *testing.T) {
+	path := writeGraph(t, "des", 128)
+	common := []string{"-M", "256", "-B", "16", "-sched", "flat", "-warm", "128", "-measure", "256"}
+	for _, c := range []string{"512", "1024"} {
+		var sim, curve strings.Builder
+		if err := run(append(append([]string{"simulate"}, common...), "-cache", c, path), &sim); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append(append([]string{"misscurve"}, common...), "-caps", c, "-csv", path), &curve); err != nil {
+			t.Fatal(err)
+		}
+		row := strings.Split(strings.TrimSpace(curve.String()), "\n")[1]
+		want, err := strconv.ParseFloat(row[strings.Index(row, ",")+1:], 64)
+		if err != nil {
+			t.Fatalf("misscurve row %q: %v", row, err)
+		}
+		m := regexp.MustCompile(`\(([0-9.]+) per input item\)`).FindStringSubmatch(sim.String())
+		if m == nil {
+			t.Fatalf("simulate printed no misses per item:\n%s", sim.String())
+		}
+		if got, _ := strconv.ParseFloat(m[1], 64); math.Abs(got-want) > 0.0005 {
+			t.Errorf("-cache %s: simulate reads %v misses per item, misscurve %v", c, got, want)
+		}
+	}
+}
+
+// TestNegativeWarmRefused: the measuring verbs refuse a negative -warm in
+// the daemon's words instead of running it as -warm 0.
+func TestNegativeWarmRefused(t *testing.T) {
+	path := writeGraph(t, "fmradio", 64)
+	for _, args := range [][]string{
+		{"simulate", "-M", "256"},
+		{"misscurve", "-M", "256"},
+		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k"},
+		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k"},
+	} {
+		var sb strings.Builder
+		err := run(append(args, "-warm", "-5", path), &sb)
+		if !errors.Is(err, errUsage) || !strings.HasPrefix(err.Error(), args[0]+": warm must be non-negative, got -5\n") {
+			t.Errorf("%s -warm -5: %v", args[0], err)
+		}
+	}
+}
+
 func TestCompileCommand(t *testing.T) {
 	path := writeGraph(t, "des", 128)
 	outFile := filepath.Join(t.TempDir(), "sched.txt")
@@ -236,6 +284,11 @@ func TestCompileCommand(t *testing.T) {
 	}
 	if err := run([]string{"compile", path}, &sb); err == nil {
 		t.Error("missing -M accepted")
+	}
+	// -max bounds the recording: too short a bound to find the period fails.
+	err = run([]string{"compile", "-M", "512", "-warm", "1", "-max", "2", "-o", outFile, path}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "no steady-state recurrence within 2 source firings") {
+		t.Errorf("compile -max 2: %v", err)
 	}
 }
 
@@ -495,7 +548,8 @@ func TestHierCommand(t *testing.T) {
 
 // checkJobsFlagsIgnored pins the deprecated -profilejobs/-decodejobs: a
 // verb given both prints the CSV bytes it prints at defaults, and its -v
-// summary names no shard worker.
+// summary names no shard worker (and names the verb's sweep span, where
+// it opens one).
 func checkJobsFlagsIgnored(t *testing.T, args []string, path string) {
 	t.Helper()
 	var want, got strings.Builder
@@ -510,6 +564,9 @@ func checkJobsFlagsIgnored(t *testing.T, args []string, path string) {
 	}
 	if strings.Contains(got.String(), "shard worker") {
 		t.Errorf("%s -v reports shard workers:\n%s", args[0], got.String())
+	}
+	if span := map[string]string{"misscurve": "misscurve.sweep", "hier": "hier.sweep"}[args[0]]; !strings.Contains(got.String(), span) {
+		t.Errorf("%s -v names no %s span:\n%s", args[0], span, got.String())
 	}
 }
 
@@ -549,6 +606,16 @@ func TestSharedCommand(t *testing.T) {
 
 	checkJobsFlagsIgnored(t, []string{"shared", "-M", "256", "-P", "2", "-l1caps", "256,512", "-l2caps", "1k,4k",
 		"-warm", "64", "-measure", "256", "-csv"}, path)
+
+	// -detail=false drops the per-processor breakdown and keeps the grid.
+	var brief strings.Builder
+	if err := run([]string{"shared", "-M", "256", "-B", "16", "-P", "2", "-l1caps", "256,512", "-l2caps", "4k",
+		"-l2block", "64", "-l2ways", "4", "-warm", "64", "-measure", "256", "-detail=false", path}, &brief); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(brief.String(), "per-processor breakdown") || !strings.HasPrefix(out, brief.String()[:strings.Index(brief.String(), "\n")]) {
+		t.Errorf("-detail=false output:\n%s", brief.String())
+	}
 
 	// Flag validation: missing grids, bad P/rule, bad geometry.
 	for _, args := range [][]string{

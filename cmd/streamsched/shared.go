@@ -49,6 +49,9 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("shared: -M and -B must be positive\n%w", errUsage)
 	}
+	if *warm < 0 {
+		return fmt.Errorf("shared: warm must be non-negative, got %d\n%w", *warm, errUsage)
+	}
 	if *procs < 1 {
 		return fmt.Errorf("shared: -P must be >= 1, got %d", *procs)
 	}

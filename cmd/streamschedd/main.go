@@ -79,7 +79,7 @@ func realMain(args []string, logw io.Writer, ready chan<- string) error {
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	fmt.Fprintf(logw, "streamschedd: engine %s\n", srv.Engine())
+	fmt.Fprintf(logw, "streamschedd: engine %s\n", server.EngineVersion)
 	fmt.Fprintf(logw, "streamschedd: cache budget %d bytes, jobs %d (0 means %d), timeout %v\n",
 		budget, *jobs, runtime.GOMAXPROCS(0), *timeout)
 	fmt.Fprintf(logw, "streamschedd: listening on http://%s (POST /v1/plan, /v1/profile; GET /metrics)\n",

@@ -33,6 +33,7 @@ func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cachebytes", "lots"},
 		{"-maxbody", "nah"},
+		{"-timeout", "soon"},
 		{"-bogus"},
 	} {
 		if err := realMain(args, io.Discard, nil); err == nil {

@@ -77,9 +77,6 @@ func (f *FIFO) HighWater() int64 { return f.highWater }
 // Region returns the backing region.
 func (f *FIFO) Region() cachesim.Region { return f.region }
 
-// HasValues reports whether the FIFO stores item values.
-func (f *FIFO) HasValues() bool { return f.vals != nil }
-
 // PushN appends n items, charging writes to cache (which may be nil for
 // unaccounted operations). When the FIFO stores values, vals must have
 // length n; otherwise vals is ignored and may be nil.

@@ -19,7 +19,7 @@ func TestNewValidation(t *testing.T) {
 		t.Errorf("small region err = %v", err)
 	}
 	f, err := New(region(0, 8), 8, true)
-	if err != nil || f.Cap() != 8 || !f.HasValues() {
+	if err != nil || f.Cap() != 8 || f.vals == nil {
 		t.Errorf("valid FIFO: %v, %v", f, err)
 	}
 }

@@ -11,9 +11,6 @@ type Region struct {
 // End returns the first address past the region.
 func (r Region) End() int64 { return r.Base + r.Size }
 
-// Contains reports whether addr lies inside the region.
-func (r Region) Contains(addr int64) bool { return addr >= r.Base && addr < r.End() }
-
 // String renders the region as [base, end).
 func (r Region) String() string { return fmt.Sprintf("[%d,%d)", r.Base, r.End()) }
 
@@ -55,7 +52,3 @@ func (a *Arena) AllocBlockAligned(size, b int64, padToBlock bool) Region {
 	}
 	return r
 }
-
-// Used returns the total number of words allocated so far (including
-// alignment padding).
-func (a *Arena) Used() int64 { return a.next }

@@ -84,12 +84,6 @@ func NewBank(sets, ways int64, policy Policy) *Bank {
 	return b
 }
 
-// Sets returns the number of sets.
-func (b *Bank) Sets() int64 { return b.sets }
-
-// Ways returns the lines per set.
-func (b *Bank) Ways() int64 { return b.ways }
-
 // chainOf maps a block to its set's chain, collision-free for negative ids
 // too.
 func (b *Bank) chainOf(blk int64) *chain {
@@ -118,7 +112,9 @@ func (b *Bank) Access(blk int64) bool {
 	return true
 }
 
-// Contains reports residency without touching the policy order.
+// Contains reports residency without touching the policy order. It is
+// the oracle for residency: TestBankMatchesReference holds it against a
+// naive per-set reference after every operation.
 func (b *Bank) Contains(blk int64) bool { return b.find(blk) >= 0 }
 
 // Insert places blk at the front of its set, evicting the back entry if

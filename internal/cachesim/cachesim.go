@@ -155,9 +155,6 @@ func (c *Cache) Skip(n int64) error {
 	return nil
 }
 
-// Config returns the configuration the cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

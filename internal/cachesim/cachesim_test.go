@@ -310,11 +310,8 @@ func TestArenaAlloc(t *testing.T) {
 	if r3.Size != 0 {
 		t.Errorf("r3 = %v", r3)
 	}
-	if a.Used() != 21 {
-		t.Errorf("Used = %d, want 21", a.Used())
-	}
-	if !r1.Contains(9) || r1.Contains(10) || r1.Contains(-1) {
-		t.Error("Contains misbehaves")
+	if r3.Base != 21 || r1.End() != 10 {
+		t.Errorf("r3 = %v, r1 ends at %d", r3, r1.End())
 	}
 }
 

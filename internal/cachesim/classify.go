@@ -40,15 +40,6 @@ type ClassStats [numClasses]int64
 // Get returns the miss count for a class.
 func (s ClassStats) Get(cl Class) int64 { return s[cl] }
 
-// Total returns the sum across classes.
-func (s ClassStats) Total() int64 {
-	var t int64
-	for _, v := range s {
-		t += v
-	}
-	return t
-}
-
 // classRange maps a block range to a class.
 type classRange struct {
 	firstBlock int64 // inclusive

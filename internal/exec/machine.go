@@ -181,9 +181,6 @@ func (m *Machine) SetCache(c *cachesim.Cache) { m.cache = c }
 // Buf returns the FIFO of channel e.
 func (m *Machine) Buf(e sdf.EdgeID) *buffer.FIFO { return m.bufs[e] }
 
-// StateRegion returns the address region holding v's state.
-func (m *Machine) StateRegion(v sdf.NodeID) cachesim.Region { return m.state[v] }
-
 // Fired returns how many times v has fired.
 func (m *Machine) Fired(v sdf.NodeID) int64 { return m.fired[v] }
 
@@ -198,7 +195,9 @@ func (m *Machine) InputItems() int64 { return m.inputItems }
 func (m *Machine) SinkItems() int64 { return m.sinkItems }
 
 // Outputs returns the recorded sink-consumed values (up to CollectOutputs).
-// The slice must not be modified.
+// The slice must not be modified. It is the oracle for value equivalence:
+// TestSchedulersAgreeOnOutputs and TestCompiledReplayMatchesDynamic
+// compare it across schedules of one graph.
 func (m *Machine) Outputs() []int64 { return m.outputs }
 
 // ClassifyLayout registers every memory object with the cache's miss
@@ -225,16 +224,26 @@ func (m *Machine) ClassifyLayout(cross []sdf.EdgeID) {
 }
 
 // CanFire reports whether v can fire right now: every input channel has the
-// requisite items and every output channel has space.
+// requisite items and every output channel has space. It builds no error,
+// so the schedulers' `for m.CanFire(v)` loops allocate nothing.
 func (m *Machine) CanFire(v sdf.NodeID) bool {
-	return m.fireCheck(v) == nil
+	for _, e := range m.g.InEdges(v) {
+		if m.bufs[e].Len() < m.g.Edge(e).In {
+			return false
+		}
+	}
+	for _, e := range m.g.OutEdges(v) {
+		if m.bufs[e].Space() < m.g.Edge(e).Out {
+			return false
+		}
+	}
+	return true
 }
 
-// Blocked explains why v cannot fire (ErrNotReady or ErrNoSpace), or
-// returns nil if it can.
-func (m *Machine) Blocked(v sdf.NodeID) error { return m.fireCheck(v) }
-
-func (m *Machine) fireCheck(v sdf.NodeID) error {
+// blocked explains why v cannot fire (ErrNotReady or ErrNoSpace): the
+// first input short of items, else the first output short of space. Fire
+// calls it only once CanFire has refused.
+func (m *Machine) blocked(v sdf.NodeID) error {
 	for _, e := range m.g.InEdges(v) {
 		if m.bufs[e].Len() < m.g.Edge(e).In {
 			return fmt.Errorf("%w: node %s edge %d has %d of %d",
@@ -253,8 +262,8 @@ func (m *Machine) fireCheck(v sdf.NodeID) error {
 // Fire executes one firing of v: loads v's state (touching every block),
 // consumes from each input channel, and produces onto each output channel.
 func (m *Machine) Fire(v sdf.NodeID) error {
-	if err := m.fireCheck(v); err != nil {
-		return err
+	if !m.CanFire(v) {
+		return m.blocked(v)
 	}
 	// Load state. The module reads (and may update) its state; the model
 	// counts transfers into cache, so one access per block is the charge.

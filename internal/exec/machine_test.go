@@ -89,21 +89,46 @@ func TestFireBlockedReasons(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, mid := sdf.NodeID(0), sdf.NodeID(1)
-	if err := m.Blocked(mid); !errors.Is(err, ErrNotReady) {
+	if err := m.blocked(mid); !errors.Is(err, ErrNotReady) {
 		t.Errorf("mid blocked = %v, want ErrNotReady", err)
 	}
 	// Fill src->mid buffer (cap 2).
 	if err := m.FireTimes(src, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Blocked(src); !errors.Is(err, ErrNoSpace) {
+	if err := m.blocked(src); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("src blocked = %v, want ErrNoSpace", err)
 	}
 	if err := m.Fire(src); !errors.Is(err, ErrNoSpace) {
 		t.Errorf("Fire on full output = %v, want ErrNoSpace", err)
 	}
-	if err := m.Blocked(mid); err != nil {
+	if err := m.blocked(mid); err != nil {
 		t.Errorf("mid should be fireable: %v", err)
+	}
+}
+
+// TestCanFireAllocatesNothing: the schedulers loop on CanFire until it
+// refuses, so a refusal must not build the error Fire would return.
+func TestCanFireAllocatesNothing(t *testing.T) {
+	g := buildChain(t, 0, 8, 0)
+	m, err := NewMachine(g, Config{Cache: testCache, Caps: unitCaps(g, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, mid := sdf.NodeID(0), sdf.NodeID(1)
+	if err := m.FireTimes(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []sdf.NodeID{src, sdf.NodeID(2)} { // no space; no items
+		if m.CanFire(v) {
+			t.Fatalf("node %d can fire", v)
+		}
+		if n := testing.AllocsPerRun(100, func() { m.CanFire(v) }); n != 0 {
+			t.Errorf("CanFire(%d) on a blocked node allocates %v times", v, n)
+		}
+	}
+	if !m.CanFire(mid) {
+		t.Error("mid should be fireable")
 	}
 }
 
@@ -170,7 +195,7 @@ func TestStateBlocksNeverShared(t *testing.T) {
 		}
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		claim(m.StateRegion(sdf.NodeID(v)), v, false)
+		claim(m.state[v], v, false)
 	}
 	for e := 0; e < g.NumEdges(); e++ {
 		r := m.Buf(sdf.EdgeID(e)).Region()

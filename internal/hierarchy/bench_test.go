@@ -18,7 +18,7 @@ func benchLog() *trace.Log {
 		if i == 50000 {
 			l.MarkWindow()
 		}
-		l.RecordBlock(blk)
+		l.RecordRun(blk, 1)
 	}
 	return l
 }
@@ -111,7 +111,7 @@ func benchProcLog(procs int) *trace.ProcLog {
 		if i == 50000 {
 			pl.MarkWindow()
 		}
-		pl.Record(cur, blk)
+		pl.RecordRun(cur, blk, 1)
 	}
 	return pl
 }

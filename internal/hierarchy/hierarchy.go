@@ -87,10 +87,7 @@ func (lv Level) Validate() error {
 	return nil
 }
 
-// Lines returns the level's line count (Capacity/Block).
-func (lv Level) Lines() int64 { return lv.Capacity / lv.Block }
-
-// Sets returns the level's set count: Lines()/Ways, or 1 when fully
+// Sets returns the level's set count: Capacity/Block/Ways, or 1 when fully
 // associative.
 func (lv Level) Sets() int64 { return lv.config().Sets() }
 

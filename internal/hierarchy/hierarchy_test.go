@@ -179,12 +179,18 @@ func TestSimCoarsening(t *testing.T) {
 	}
 }
 
+// simAMAT evaluates a cost model over a two-level simulator's counters,
+// the pointwise value every one-pass AMAT is held to.
+func simAMAT(sim *Sim, cm CostModel) float64 {
+	return cm.AMAT(sim.L1Stats().Accesses, sim.L1Stats().Misses, sim.L2Stats().Misses)
+}
+
 func TestSimAMAT(t *testing.T) {
 	sim, err := NewSim(Config{L1: lv(16, 16, 0, cachesim.LRU), L2: lv(32, 16, 0, cachesim.LRU)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sim.AMAT(DefaultCostModel); got != 0 {
+	if got := simAMAT(sim, DefaultCostModel); got != 0 {
 		t.Errorf("empty AMAT = %v, want 0", got)
 	}
 	for _, blk := range []int64{0, 1, 0, 1, 2, 0} {
@@ -193,7 +199,7 @@ func TestSimAMAT(t *testing.T) {
 	cm := CostModel{L1Hit: 1, L2Hit: 10, Mem: 100}
 	l1, l2 := sim.L1Stats(), sim.L2Stats()
 	want := (float64(l1.Accesses) + 10*float64(l1.Misses) + 100*float64(l2.Misses)) / float64(l1.Accesses)
-	if got := sim.AMAT(cm); got != want {
+	if got := simAMAT(sim, cm); got != want {
 		t.Errorf("AMAT = %v, want %v", got, want)
 	}
 }
@@ -203,11 +209,11 @@ func TestSimAMAT(t *testing.T) {
 func TestSimulateLogWindow(t *testing.T) {
 	l := trace.NewLog()
 	for blk := int64(0); blk < 8; blk++ {
-		l.RecordBlock(blk)
+		l.RecordRun(blk, 1)
 	}
 	l.MarkWindow()
 	for blk := int64(0); blk < 8; blk++ {
-		l.RecordBlock(blk)
+		l.RecordRun(blk, 1)
 	}
 	cfg := Config{L1: lv(2*16, 16, 0, cachesim.LRU), L2: lv(16*16, 16, 0, cachesim.LRU)}
 	sim, err := SimulateLog(l, cfg)
@@ -224,7 +230,7 @@ func TestSimulateLogWindow(t *testing.T) {
 	}
 
 	empty := trace.NewLog()
-	empty.RecordBlock(1)
+	empty.RecordRun(1, 1)
 	empty.MarkWindow()
 	sim, err = SimulateLog(empty, cfg)
 	if err != nil {

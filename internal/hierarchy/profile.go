@@ -26,9 +26,6 @@ type HierSpec struct {
 	L2s []Level
 }
 
-// Validate checks the grid.
-func (s HierSpec) Validate() error { return validateGrid(s.Block, s.L1s, s.L2s) }
-
 // validateGrid checks an (L1, L2) grid against its recording block; both
 // spec types share it.
 func validateGrid(block int64, l1s, l2s []Level) error {

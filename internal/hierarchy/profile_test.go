@@ -42,7 +42,7 @@ func recordLog(blocks []int64, warm int) *trace.Log {
 		if i == warm {
 			l.MarkWindow()
 		}
-		l.RecordBlock(blk)
+		l.RecordRun(blk, 1)
 	}
 	if warm >= len(blocks) {
 		l.MarkWindow()
@@ -187,7 +187,7 @@ func TestProfileHierMatchesSimulator(t *testing.T) {
 						ci, c.name, c.warm, len(c.blocks), spec.L1s[i], spec.L2s[j], l1, l2,
 						sim.L1Stats().Misses, sim.L2Stats().Misses)
 				}
-				if got, want := hc.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
+				if got, want := hc.AMAT(i, j, DefaultCostModel), simAMAT(sim, DefaultCostModel); got != want {
 					t.Errorf("case %d (%d,%d): AMAT %v vs %v", ci, i, j, got, want)
 				}
 			}
@@ -347,7 +347,7 @@ func TestProfileHierSinglePass(t *testing.T) {
 
 func TestHierSpecValidate(t *testing.T) {
 	ok := testSpec()
-	if err := ok.Validate(); err != nil {
+	if err := validateGrid(ok.Block, ok.L1s, ok.L2s); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
 	bad := []HierSpec{
@@ -359,7 +359,7 @@ func TestHierSpecValidate(t *testing.T) {
 		{Block: 16, L1s: []Level{lv(250, 16, 0, cachesim.LRU)}, L2s: ok.L2s}, // bad geometry
 	}
 	for i, s := range bad {
-		if err := s.Validate(); err == nil {
+		if err := validateGrid(s.Block, s.L1s, s.L2s); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}

@@ -78,9 +78,6 @@ func NewSharedSim(cfg SharedConfig) (*SharedSim, error) {
 	return s, nil
 }
 
-// Config returns the configuration the simulator was built with.
-func (s *SharedSim) Config() SharedConfig { return s.cfg }
-
 // Access feeds one L1-granularity block access by processor proc through
 // the hierarchy: a private L1 lookup, then — on a miss — a shared L2
 // lookup at L2 granularity. Both levels fill on their misses; victims are

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamsched/internal/cachesim"
+	"streamsched/internal/obs"
 	"streamsched/internal/trace"
 )
 
@@ -27,14 +28,14 @@ func procTraceAt(t *testing.T, rng *rand.Rand, procs, n int, nblocks int64, live
 	if err != nil {
 		t.Fatal(err)
 	}
-	mark, record := pl.MarkWindow, pl.Record
+	mark, record := pl.MarkWindow, func(proc int, blk int64) { pl.RecordRun(proc, blk, 1) }
 	if live != nil {
 		mark = func() {
 			pl.MarkWindow()
 			live.ResetCounts()
 		}
 		record = func(proc int, blk int64) {
-			pl.Record(proc, blk)
+			pl.RecordRun(proc, blk, 1)
 			live.RecordRun(proc, blk, 1)
 		}
 	}
@@ -133,7 +134,7 @@ func TestSharedSimP1EqualsSim(t *testing.T) {
 			if shared.L2Stats() != ref.L2Stats() {
 				t.Errorf("pol=%v l2block=%d: L2 %+v != %+v", pol, l2block, shared.L2Stats(), ref.L2Stats())
 			}
-			if shared.AMAT(DefaultCostModel) != ref.AMAT(DefaultCostModel) {
+			if shared.AMAT(DefaultCostModel) != simAMAT(ref, DefaultCostModel) {
 				t.Errorf("pol=%v l2block=%d: AMAT diverges", pol, l2block)
 			}
 			// With one processor the makespan is the whole cost.
@@ -350,6 +351,8 @@ func TestProfileSharedSpilled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	pl.SetMetrics(reg)
 	replayed, err := ProfileShared(pl, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -360,8 +363,9 @@ func TestProfileSharedSpilled(t *testing.T) {
 	if want := pl.Len() - pl.WindowStart(); streamed.Accesses != want {
 		t.Errorf("streamed profile counted %d accesses, window holds %d", streamed.Accesses, want)
 	}
-	if pl.Replays() != 1 {
-		t.Errorf("ProfileShared paid %d replays, want 1", pl.Replays())
+	snap := reg.Snapshot()
+	if n, timed := snap.Counters["trace.replays"], snap.Histograms["trace.replay"].Count; n != 1 || timed != 1 {
+		t.Errorf("ProfileShared paid %d replays (%d timed), want 1", n, timed)
 	}
 }
 

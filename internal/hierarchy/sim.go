@@ -36,9 +36,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	}, nil
 }
 
-// Config returns the configuration the simulator was built with.
-func (s *Sim) Config() Config { return s.cfg }
-
 // coarsen maps an L1 block id to its containing L2 block id (floored so
 // negative ids stay collision-free).
 func coarsen(blk, ratio int64) int64 {
@@ -115,11 +112,6 @@ func (s *Sim) L1Stats() LevelStats { return s.l1.stats }
 // L2Stats returns the L2's traffic counters. L2 misses are the
 // hierarchy's memory transfers.
 func (s *Sim) L2Stats() LevelStats { return s.l2.stats }
-
-// AMAT evaluates the cost model over the accumulated counters.
-func (s *Sim) AMAT(cm CostModel) float64 {
-	return cm.AMAT(s.l1.stats.Accesses, s.l1.stats.Misses, s.l2.stats.Misses)
-}
 
 // SimulateLog replays a recorded trace through a fresh Sim, honouring the
 // log's measured window (accesses before WindowStart warm both levels but

@@ -181,6 +181,77 @@ func TestEverySchedulerRespectsPipelineBound(t *testing.T) {
 	}
 }
 
+// TestEverySchedulerRespectsDagBound is the dag form of the pipeline
+// oracle: on seeded layered and split-join dags small enough for the
+// exact minBW₃ (Theorems 7 and 10), every baseline and the partitioned
+// scheduler miss at least a quarter of DagExact's bound per source firing
+// at every capacity of the pipeline test's grid.
+func TestEverySchedulerRespectsDagBound(t *testing.T) {
+	env := schedule.Env{M: 256, B: 16}
+	seeds := int64(40)
+	caps := []int64{env.M / 4, env.M / 2, env.M, 2 * env.M, 4 * env.M, 8 * env.M}
+	if testing.Short() {
+		seeds, caps = 10, []int64{env.M / 4, env.M / 2, env.M}
+	}
+	// Every module fits 3c at the grid's smallest capacity, M/4, so minBW₃
+	// exists at every point.
+	maxState := 3 * env.M / 4
+	type input struct {
+		name string
+		g    *sdf.Graph
+	}
+	var inputs []input
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := randgraph.RandomLayeredDag(rng, randgraph.LayeredSpec{
+			Layers: 2 + rng.Intn(2), Width: 2 + rng.Intn(2), StateMin: 16, StateMax: maxState, ExtraEdges: rng.Intn(3),
+		})
+		if err != nil {
+			t.Fatalf("layered dag seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("layered dag seed %d", seed), g})
+		g, err = randgraph.RandomSplitJoin(rng, randgraph.SplitJoinSpec{
+			Branches: 2 + rng.Intn(2), BranchDepth: 1 + rng.Intn(3), StateMin: 16, StateMax: maxState, RateMax: 3,
+		})
+		if err != nil {
+			t.Fatalf("split-join seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("split-join seed %d", seed), g})
+	}
+	positive := 0 // grid points where the bound says anything
+	for _, in := range inputs {
+		bounds := make([]Bound, len(caps))
+		for i, c := range caps {
+			var err error
+			if bounds[i], err = DagExact(in.g, c, env.B); err != nil {
+				t.Fatalf("%s, c=%d: %v", in.name, c, err)
+			}
+		}
+		for _, bd := range bounds {
+			if bd.PerSourceFiring > 0 {
+				positive++
+			}
+		}
+		for _, s := range append(schedule.Baselines(), schedule.Partitioned(in.g, nil)) {
+			cr, err := schedule.MeasureCurve(in.g, s, env, env.B, 512, 1024)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", in.name, s.Name(), err)
+			}
+			for i, c := range caps {
+				perFiring := float64(cr.Curve.MissesAtCapacity(c, env.B)) / float64(cr.SourceFired)
+				if perFiring < 0.25*bounds[i].PerSourceFiring {
+					t.Errorf("%s, %s, c=%d: %.4f misses/firing below a quarter of the exact dag bound %.4f",
+						in.name, s.Name(), c, perFiring, bounds[i].PerSourceFiring)
+				}
+			}
+		}
+	}
+	t.Logf("the exact bound is positive at %d of %d grid points", positive, len(inputs)*len(caps))
+	if positive < len(inputs) {
+		t.Errorf("the exact bound is positive at only %d of %d grid points", positive, len(inputs)*len(caps))
+	}
+}
+
 // everySegment is Pipeline mutated to count every Theorem 5 segment, whatever
 // its state: a wrong bound that TestEverySchedulerRespectsPipelineBound must
 // catch.

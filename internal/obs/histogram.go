@@ -78,14 +78,6 @@ func (h *Histogram) Start() func() {
 	return func() { h.Observe(time.Since(start)) }
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Stats captures the histogram's exported summary. Safe to call
 // concurrently with Record; after writers quiesce the counts are exact.
 func (h *Histogram) Stats() HistogramStats {
@@ -152,14 +144,6 @@ type HistogramStats struct {
 	P90     int64             `json:"p90"`
 	P99     int64             `json:"p99"`
 	Buckets []HistogramBucket `json:"buckets,omitempty"`
-}
-
-// Mean returns the mean observation, or 0 with no observations.
-func (s HistogramStats) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / s.Count
 }
 
 // Quantile estimates the q-quantile (0 <= q <= 1) from the buckets:

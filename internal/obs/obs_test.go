@@ -77,6 +77,9 @@ func TestNestedSpans(t *testing.T) {
 	if len(snap.Spans) != 1 {
 		t.Fatalf("got %d roots, want 1", len(snap.Spans))
 	}
+	if got := snap.Histograms["span.self"].Count; got != 4 {
+		t.Errorf("span.self holds %d self times, want one per ended span (4)", got)
+	}
 	rt := snap.Spans[0]
 	if rt.Name != "sweep" || rt.Open || rt.DurNS <= 0 {
 		t.Errorf("root: %+v", rt)
@@ -245,7 +248,7 @@ func TestNopZeroAlloc(t *testing.T) {
 		stop()
 		r.Histogram("h").Record(7)
 		r.Histogram("h").Observe(time.Second)
-		_ = r.Histogram("h").Count()
+		_ = r.Histogram("h").Stats()
 		hstop := r.Histogram("h").Start()
 		hstop()
 		sp := r.StartSpan("root")

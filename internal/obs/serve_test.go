@@ -187,10 +187,10 @@ func TestSessionListen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Registry() == nil {
+	if s.reg == nil {
 		t.Fatal("Listen did not arm a registry")
 	}
-	s.Registry().Counter("live").Add(3)
+	s.reg.Counter("live").Add(3)
 	addr := s.srv.Addr()
 	body, _ := get(t, "http://"+addr+"/metrics")
 	if !strings.Contains(body, "streamsched_live_total 3") {

@@ -111,15 +111,6 @@ func StartSession(cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// Registry returns the session's live registry, or nil when no
-// observation (metrics, verbose, listen) was requested.
-func (s *Session) Registry() *Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // Close stops profiling, writes the requested artifacts, and restores the
 // previous default registry. It is idempotent and nil-safe, and returns
 // the combined error of every teardown step rather than stopping at the

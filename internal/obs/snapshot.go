@@ -18,14 +18,6 @@ type TimerStats struct {
 	MaxNS   int64 `json:"max_ns"`
 }
 
-// Mean returns the mean observation, or 0 with no observations.
-func (t TimerStats) Mean() time.Duration {
-	if t.Count == 0 {
-		return 0
-	}
-	return time.Duration(t.TotalNS / t.Count)
-}
-
 // SpanNode is one exported span: a stage name, its wall-clock duration,
 // the self time not covered by its children, and its child stages.
 type SpanNode struct {
@@ -57,17 +49,6 @@ func (s *Snapshot) CounterDelta(base *Snapshot, name string) int64 {
 	v := s.Counters[name]
 	if base != nil {
 		v -= base.Counters[name]
-	}
-	return v
-}
-
-// HistogramCountDelta returns how many observations a histogram gained
-// since base (which may be nil, meaning zero) — what the metric contract
-// tests hold against the counters.
-func (s *Snapshot) HistogramCountDelta(base *Snapshot, name string) int64 {
-	v := s.Histograms[name].Count
-	if base != nil {
-		v -= base.Histograms[name].Count
 	}
 	return v
 }

@@ -55,12 +55,14 @@ func TestRunTracedWindow(t *testing.T) {
 	if plog.WindowStart() <= 0 || plog.WindowStart() >= plog.Len() {
 		t.Errorf("window mark %d outside (0, %d)", plog.WindowStart(), plog.Len())
 	}
-	var perProc int64
-	for p := 0; p < plog.Procs(); p++ {
-		perProc += plog.ProcLen(p)
+	perProc := make([]int64, plog.Procs())
+	if err := plog.ForEach(func(proc int, _ int64) { perProc[proc]++ }); err != nil {
+		t.Fatal(err)
 	}
-	if perProc != plog.Len() {
-		t.Errorf("per-proc lengths sum %d != total %d", perProc, plog.Len())
+	for p, n := range perProc {
+		if n == 0 {
+			t.Errorf("processor %d recorded no access", p)
+		}
 	}
 	// The windowed result's misses equal the in-window L1 misses of a
 	// replay through banks identical to the run's private caches... the

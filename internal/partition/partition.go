@@ -203,17 +203,6 @@ func (p *Partition) ComponentDegree(g *sdf.Graph) []int {
 	return deg
 }
 
-// IsDegreeLimited reports whether every component has at most limit
-// incident cross edges.
-func (p *Partition) IsDegreeLimited(g *sdf.Graph, limit int) bool {
-	for _, d := range p.ComponentDegree(g) {
-		if d > limit {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks that the partition is well ordered and bound-bounded:
 // every component's total state is at most bound words.
 func (p *Partition) Validate(g *sdf.Graph, bound int64) error {

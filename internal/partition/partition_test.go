@@ -193,9 +193,6 @@ func TestComponentDegree(t *testing.T) {
 	if deg[0] != 2 || deg[1] != 2 {
 		t.Errorf("degrees = %v", deg)
 	}
-	if !p.IsDegreeLimited(g, 2) || p.IsDegreeLimited(g, 1) {
-		t.Error("degree limit check wrong")
-	}
 }
 
 func TestChainOrder(t *testing.T) {

@@ -1,8 +1,6 @@
 // Package plancache is the daemon's content-addressed result cache: a
 // byte-budgeted, deterministically LRU-evicting map from content hashes
-// (Key, built with Digest) to immutable serialised results, with engine
-// version pinning so results computed by a superseded engine are
-// invalidated instead of served stale.
+// (Key, built with Digest) to immutable serialised results.
 //
 // Design contract (SERVICE.md spells out the operator-facing version):
 //
@@ -22,8 +20,7 @@
 //
 // The cache publishes the daemon metric contract's cache.* family to an
 // obs.Registry (nil = off): cache.hits, cache.misses, cache.evictions,
-// cache.inserts, cache.rejected counters plus cache.bytes and
-// cache.entries gauges.
+// cache.inserts counters plus cache.bytes and cache.entries gauges.
 package plancache
 
 import (
@@ -56,8 +53,11 @@ type Config struct {
 	// and every Put is rejected. A single value larger than the budget
 	// is rejected rather than evicting the whole cache for it.
 	Budget int64
-	// Version is the engine version recorded on inserted entries; see
-	// PinVersion. Typically server.EngineVersion.
+	// Version is ignored.
+	//
+	// Deprecated: the engine version is part of every key the daemon
+	// builds, and the cache lives in memory only, so a new engine starts
+	// empty. The field stays because the frozen bench/ module sets it.
 	Version string
 	// Metrics receives the cache.* metric family. Nil falls back to the
 	// process default registry (which is itself usually nil = off).
@@ -67,37 +67,33 @@ type Config struct {
 // Cache is the content-addressed result cache. All methods are safe for
 // concurrent use; the zero value is unusable — construct with New.
 type Cache struct {
-	mu      sync.Mutex
-	budget  int64
-	version string
-	bytes   int64
-	order   *list.List // front = most recent
-	items   map[Key]*list.Element
+	mu     sync.Mutex
+	budget int64
+	bytes  int64
+	order  *list.List // front = most recent
+	items  map[Key]*list.Element
 
-	hits, misses, evictions, inserts, rejected *obs.Counter
-	bytesG, entriesG                           *obs.Gauge
+	hits, misses, evictions, inserts *obs.Counter
+	bytesG, entriesG                 *obs.Gauge
 }
 
 type entry struct {
-	key     Key
-	val     []byte
-	version string
-	size    int64
+	key  Key
+	val  []byte
+	size int64
 }
 
-// New builds a cache with the given budget and version.
+// New builds a cache with the given budget.
 func New(cfg Config) *Cache {
 	reg := obs.Or(cfg.Metrics)
 	return &Cache{
 		budget:    cfg.Budget,
-		version:   cfg.Version,
 		order:     list.New(),
 		items:     make(map[Key]*list.Element),
 		hits:      reg.Counter("cache.hits"),
 		misses:    reg.Counter("cache.misses"),
 		evictions: reg.Counter("cache.evictions"),
 		inserts:   reg.Counter("cache.inserts"),
-		rejected:  reg.Counter("cache.rejected"),
 		bytesG:    reg.Gauge("cache.bytes"),
 		entriesG:  reg.Gauge("cache.entries"),
 	}
@@ -105,10 +101,6 @@ func New(cfg Config) *Cache {
 
 // Get returns the cached value for k and refreshes its recency. The
 // returned slice is the cache's own copy — callers must not mutate it.
-// An entry recorded under a version other than the currently pinned one
-// is removed and reported as a miss (belt and braces: version is also
-// part of every key the daemon builds, so this only triggers for callers
-// that exclude the version from their keys).
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -117,39 +109,30 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 		c.misses.Inc()
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if e.version != c.version {
-		c.removeLocked(el)
-		c.evictions.Inc()
-		c.misses.Inc()
-		return nil, false
-	}
 	c.order.MoveToFront(el)
 	c.hits.Inc()
-	return e.val, true
+	return el.Value.(*entry).val, true
 }
 
-// Put inserts (or refreshes) k -> val, recording the currently pinned
-// version, and evicts least-recently-used entries until the byte budget
-// holds. The cache takes ownership of val. Returns false when the value
-// was rejected (caching disabled, or the single value exceeds the whole
-// budget).
+// Put inserts (or refreshes) k -> val and evicts least-recently-used
+// entries until the byte budget holds. The cache takes ownership of val.
+// Returns false when the value was rejected (caching disabled, or the
+// single value exceeds the whole budget).
 func (c *Cache) Put(k Key, val []byte) bool {
 	size := int64(len(val)) + entryOverhead
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.budget <= 0 || size > c.budget {
-		c.rejected.Inc()
 		return false
 	}
 	if el, ok := c.items[k]; ok {
-		// Refresh in place: newest recency, new value and version.
+		// Refresh in place: newest recency, new value.
 		e := el.Value.(*entry)
 		c.bytes += size - e.size
-		e.val, e.size, e.version = val, size, c.version
+		e.val, e.size = val, size
 		c.order.MoveToFront(el)
 	} else {
-		el := c.order.PushFront(&entry{key: k, val: val, version: c.version, size: size})
+		el := c.order.PushFront(&entry{key: k, val: val, size: size})
 		c.items[k] = el
 		c.bytes += size
 		c.inserts.Inc()
@@ -166,32 +149,6 @@ func (c *Cache) Put(k Key, val []byte) bool {
 	return true
 }
 
-// PinVersion pins a (new) engine version: entries recorded under any
-// other version are deterministically invalidated, traversed in stable
-// least-recently-used-first order, and subsequent Puts record the new
-// version. Returns the number of entries evicted. Pinning the already
-// current version is a no-op.
-func (c *Cache) PinVersion(v string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if v == c.version {
-		return 0
-	}
-	c.version = v
-	n := 0
-	for el := c.order.Back(); el != nil; {
-		prev := el.Prev()
-		if el.Value.(*entry).version != v {
-			c.removeLocked(el)
-			c.evictions.Inc()
-			n++
-		}
-		el = prev
-	}
-	c.publishLocked()
-	return n
-}
-
 // removeLocked unlinks el; c.mu must be held.
 func (c *Cache) removeLocked(el *list.Element) {
 	e := c.order.Remove(el).(*entry)
@@ -203,13 +160,6 @@ func (c *Cache) removeLocked(el *list.Element) {
 func (c *Cache) publishLocked() {
 	c.bytesG.Set(c.bytes)
 	c.entriesG.Set(int64(len(c.items)))
-}
-
-// Version returns the currently pinned engine version.
-func (c *Cache) Version() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
 }
 
 // Len returns the number of resident entries.
@@ -230,8 +180,10 @@ func (c *Cache) Bytes() int64 {
 func (c *Cache) Budget() int64 { return c.budget }
 
 // Keys returns the resident keys in recency order, most recent first —
-// the exact order eviction will consume from the back. Intended for
-// tests and introspection endpoints.
+// the exact order eviction will consume from the back. It is the oracle
+// for the determinism property: TestEvictionOrderDeterministic and
+// TestEvictionDeterministicReplay compare it after a fixed operation
+// sequence.
 func (c *Cache) Keys() []Key {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -20,7 +20,7 @@ func key(i int) Key {
 func val(n int) []byte { return make([]byte, n) }
 
 func TestGetPutBasics(t *testing.T) {
-	c := New(Config{Budget: 10 * (100 + entryOverhead), Version: "v1"})
+	c := New(Config{Budget: 10 * (100 + entryOverhead)})
 	if _, ok := c.Get(key(1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -50,7 +50,7 @@ func TestGetPutBasics(t *testing.T) {
 // and Get refreshes recency.
 func TestEvictionOrderDeterministic(t *testing.T) {
 	size := int64(100 + entryOverhead)
-	c := New(Config{Budget: 3 * size, Version: "v1"})
+	c := New(Config{Budget: 3 * size})
 	c.Put(key(1), val(100))
 	c.Put(key(2), val(100))
 	c.Put(key(3), val(100))
@@ -99,7 +99,7 @@ func TestEvictionDeterministicReplay(t *testing.T) {
 		seq[i] = op{put: rng.Intn(2) == 0, key: rng.Intn(64), size: rng.Intn(400)}
 	}
 	run := func() *Cache {
-		c := New(Config{Budget: 20 * (200 + entryOverhead), Version: "v1"})
+		c := New(Config{Budget: 20 * (200 + entryOverhead)})
 		for _, o := range seq {
 			if o.put {
 				c.Put(key(o.key), val(o.size))
@@ -122,7 +122,7 @@ func TestEvictionDeterministicReplay(t *testing.T) {
 // random workload.
 func TestBudgetInvariant(t *testing.T) {
 	budget := int64(10 * (300 + entryOverhead))
-	c := New(Config{Budget: budget, Version: "v1"})
+	c := New(Config{Budget: budget})
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		c.Put(key(rng.Intn(128)), val(rng.Intn(600)))
@@ -132,55 +132,28 @@ func TestBudgetInvariant(t *testing.T) {
 	}
 }
 
-func TestVersionPinInvalidation(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := New(Config{Budget: 1 << 20, Version: "v1", Metrics: reg})
-	for i := 0; i < 4; i++ {
-		c.Put(key(i), val(10))
-	}
-	// No-op pin: same version.
-	if n := c.PinVersion("v1"); n != 0 {
-		t.Fatalf("PinVersion(same) evicted %d entries", n)
-	}
-	// Mixed versions: two entries under v2, old four invalidated.
-	if n := c.PinVersion("v2"); n != 4 {
-		t.Fatalf("PinVersion(v2) evicted %d entries, want 4", n)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entries resident after pin: Len = %d", c.Len())
-	}
-	c.Put(key(10), val(10))
-	c.Put(key(11), val(10))
-	if _, ok := c.Get(key(10)); !ok {
-		t.Fatal("fresh v2 entry missing")
-	}
-	if c.Version() != "v2" {
-		t.Fatalf("Version = %q, want v2", c.Version())
-	}
-	// Eviction metrics counted the pin invalidations.
-	if got := reg.Counter("cache.evictions").Value(); got != 4 {
-		t.Fatalf("cache.evictions = %d, want 4", got)
-	}
-}
-
-// TestVersionMismatchOnGet: an entry recorded under a stale version is a
-// miss even if its key is looked up directly (for callers whose keys do
-// not embed the version).
+// TestVersionMismatchOnGet: the engine version is part of every key the
+// daemon builds, so an entry put under one version's key is a miss under
+// the next version's — the only invalidation a new engine needs.
 func TestVersionMismatchOnGet(t *testing.T) {
-	c := New(Config{Budget: 1 << 20, Version: "v1"})
-	c.Put(key(1), val(10))
-	// Pin without traversal hitting it is impossible through the public
-	// API (PinVersion always traverses), so simulate the window by
-	// re-pinning and re-inserting under v1-tagged key but v2 pinned:
-	// direct construction — pin back and forth.
-	c.PinVersion("v2")
-	if _, ok := c.Get(key(1)); ok {
-		t.Fatal("stale-version entry served")
+	keyUnder := func(engine string) Key {
+		d := NewDigest()
+		d.Str("engine", engine)
+		d.Str("kind", "plan")
+		return d.Sum()
+	}
+	c := New(Config{Budget: 1 << 20})
+	c.Put(keyUnder("v1"), val(10))
+	if _, ok := c.Get(keyUnder("v2")); ok {
+		t.Fatal("an entry was served under another engine version's key")
+	}
+	if _, ok := c.Get(keyUnder("v1")); !ok {
+		t.Fatal("the entry is missing under its own key")
 	}
 }
 
 func TestDisabledCache(t *testing.T) {
-	c := New(Config{Budget: 0, Version: "v1"})
+	c := New(Config{Budget: 0})
 	if c.Put(key(1), val(1)) {
 		t.Fatal("disabled cache accepted a value")
 	}
@@ -192,7 +165,7 @@ func TestDisabledCache(t *testing.T) {
 func TestMetricsPublished(t *testing.T) {
 	reg := obs.NewRegistry()
 	size := int64(50 + entryOverhead)
-	c := New(Config{Budget: 2 * size, Version: "v1", Metrics: reg})
+	c := New(Config{Budget: 2 * size, Metrics: reg})
 	c.Put(key(1), val(50))
 	c.Put(key(2), val(50))
 	c.Get(key(1))

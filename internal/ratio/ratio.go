@@ -68,9 +68,6 @@ func Zero() Rat { return Rat{0, 1} }
 // One returns the rational 1.
 func One() Rat { return Rat{1, 1} }
 
-// Num returns the numerator (carries the sign).
-func (r Rat) Num() int64 { return r.p }
-
 // Den returns the denominator (always >= 1 for values built by this package).
 func (r Rat) Den() int64 {
 	if r.q == 0 {
@@ -78,9 +75,6 @@ func (r Rat) Den() int64 {
 	}
 	return r.q
 }
-
-// IsZero reports whether r == 0.
-func (r Rat) IsZero() bool { return r.p == 0 }
 
 // IsInt reports whether r is an integer.
 func (r Rat) IsInt() bool { return r.Den() == 1 }
@@ -194,11 +188,6 @@ func (r Rat) Add(s Rat) (Rat, error) {
 	return New(num, den)
 }
 
-// Sub returns r - s.
-func (r Rat) Sub(s Rat) (Rat, error) {
-	return r.Add(Rat{-s.p, s.Den()})
-}
-
 // Mul returns r * s.
 func (r Rat) Mul(s Rat) (Rat, error) {
 	// Cross-reduce before multiplying to keep intermediates small.
@@ -220,23 +209,8 @@ func (r Rat) Mul(s Rat) (Rat, error) {
 	return New(num, den)
 }
 
-// Div returns r / s.
-func (r Rat) Div(s Rat) (Rat, error) {
-	if s.p == 0 {
-		return Rat{}, fmt.Errorf("%w: div %v / 0", ErrDivZero, r)
-	}
-	inv, err := New(s.Den(), s.p) // New flips the sign onto the numerator
-	if err != nil {
-		return Rat{}, err
-	}
-	return r.Mul(inv)
-}
-
 // MulInt returns r * n.
 func (r Rat) MulInt(n int64) (Rat, error) { return r.Mul(FromInt(n)) }
-
-// DivInt returns r / n.
-func (r Rat) DivInt(n int64) (Rat, error) { return r.Div(FromInt(n)) }
 
 // Int returns the integer value of r; ok is false when r is not an integer.
 func (r Rat) Int() (v int64, ok bool) {
@@ -244,32 +218,6 @@ func (r Rat) Int() (v int64, ok bool) {
 		return 0, false
 	}
 	return r.p, true
-}
-
-// Floor returns the largest integer <= r.
-func (r Rat) Floor() int64 {
-	q := r.Den()
-	if r.p >= 0 {
-		return r.p / q
-	}
-	v := r.p / q
-	if r.p%q != 0 {
-		v--
-	}
-	return v
-}
-
-// Ceil returns the smallest integer >= r.
-func (r Rat) Ceil() int64 {
-	q := r.Den()
-	if r.p <= 0 {
-		return r.p / q
-	}
-	v := r.p / q
-	if r.p%q != 0 {
-		v++
-	}
-	return v
 }
 
 // Float returns the nearest float64 approximation of r.
@@ -281,19 +229,6 @@ func (r Rat) String() string {
 		return fmt.Sprintf("%d", r.p)
 	}
 	return fmt.Sprintf("%d/%d", r.p, r.q)
-}
-
-// Sum adds a slice of rationals.
-func Sum(rs []Rat) (Rat, error) {
-	acc := Zero()
-	var err error
-	for _, r := range rs {
-		acc, err = acc.Add(r)
-		if err != nil {
-			return Rat{}, err
-		}
-	}
-	return acc, nil
 }
 
 // LCM64 returns lcm(a, b) for positive a, b, with overflow detection.

@@ -113,9 +113,6 @@ func (m *Machine) Fire(v sdf.NodeID) {
 	m.sum += acc
 }
 
-// Fired returns how many times v has fired.
-func (m *Machine) Fired(v sdf.NodeID) int64 { return m.fired[v] }
-
 // SourceFirings returns the source's firing count.
 func (m *Machine) SourceFirings() int64 { return m.fired[m.g.Source()] }
 

@@ -47,8 +47,8 @@ func TestRunFlatFiresEveryone(t *testing.T) {
 		t.Errorf("source fired %d", m.SourceFirings())
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		if m.Fired(sdf.NodeID(v)) != m.SourceFirings() {
-			t.Errorf("node %d fired %d of %d", v, m.Fired(sdf.NodeID(v)), m.SourceFirings())
+		if m.fired[sdf.NodeID(v)] != m.SourceFirings() {
+			t.Errorf("node %d fired %d of %d", v, m.fired[sdf.NodeID(v)], m.SourceFirings())
 		}
 	}
 	if m.Checksum() == 0 {
@@ -76,7 +76,7 @@ func TestRunSegments(t *testing.T) {
 	// unit-rate edge.
 	for e := 0; e < g.NumEdges(); e++ {
 		ed := g.Edge(sdf.EdgeID(e))
-		want := m.Fired(ed.From) - m.Fired(ed.To)
+		want := m.fired[ed.From] - m.fired[ed.To]
 		if got := int64(m.bufs[e].count); got != want {
 			t.Errorf("edge %d holds %d, want %d", e, got, want)
 		}

@@ -122,8 +122,12 @@ func TestClassMissesInResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ClassMisses.Total() != res.Stats.Misses {
-		t.Errorf("class total %d != misses %d", res.ClassMisses.Total(), res.Stats.Misses)
+	var total int64
+	for _, m := range res.ClassMisses {
+		total += m
+	}
+	if total != res.Stats.Misses {
+		t.Errorf("class total %d != misses %d", total, res.Stats.Misses)
 	}
 	flat, err := Measure(g, FlatTopo{}, env, testCacheCfg(2*env.M), 512, 1024)
 	if err != nil {

@@ -149,13 +149,10 @@ func (r *recorder) note(v sdf.NodeID) {
 	r.steps = append(r.steps, Step{Node: v, Count: 1})
 }
 
-// Runner returns a Runner that replays the compiled schedule.
+// Runner returns a Runner that replays the compiled schedule. It is the
+// oracle for the compiled replay: TestCompiledReplayMatchesDynamic holds
+// its outputs and misses to the dynamic scheduler it was compiled from.
 func (c *Compiled) Runner() Runner { return &compiledRunner{c: c} }
-
-// Plan wraps the compiled schedule as a Plan.
-func (c *Compiled) Plan() *Plan {
-	return &Plan{Caps: append([]int64(nil), c.Caps...), Runner: c.Runner()}
-}
 
 type compiledRunner struct {
 	c *Compiled

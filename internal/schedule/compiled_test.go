@@ -114,7 +114,7 @@ type compiledScheduler struct{ c *Compiled }
 
 func (cs compiledScheduler) Name() string { return "compiled" }
 func (cs compiledScheduler) Prepare(*sdf.Graph, Env) (*Plan, error) {
-	return cs.c.Plan(), nil
+	return &Plan{Caps: append([]int64(nil), cs.c.Caps...), Runner: cs.c.Runner()}, nil
 }
 
 // TestCompiledTextRoundTrip: Write's format is a caps line, the period's

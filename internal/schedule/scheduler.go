@@ -118,7 +118,6 @@ func Measure(g *sdf.Graph, s Scheduler, env Env, cacheCfg cachesim.Config, warm,
 	}
 	if reg := env.metrics(); reg != nil {
 		reg.Counter("exec.accesses").Add(res.Stats.Accesses)
-		reg.Counter("exec.hits").Add(res.Stats.Hits)
 		reg.Counter("exec.misses").Add(res.Stats.Misses)
 		reg.Counter("exec.source.firings").Add(run.SourceFired)
 	}

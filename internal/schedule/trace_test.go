@@ -248,7 +248,9 @@ func TestMeasureCurveOrgsSharesFullyAssociativeStack(t *testing.T) {
 // sweep on a private registry: trace.accesses is the sum of the recorded
 // trace lengths, trace.profile.accesses the sum of the window accesses the
 // cache simulator counts for the same schedules, trace.profile.passes one
-// per scheduler, and the trace.profile histogram one observation per pass.
+// per scheduler, and the trace.profile histogram one observation per pass;
+// the simulator's own exec.accesses, exec.misses and exec.source.firings
+// are its results' sums.
 // It holds on a FIFO grid, which never folds, and on an LRU-only grid whose
 // stepped windows must fold: a folded period counts its accesses as if it
 // had run.
@@ -268,7 +270,7 @@ func TestMetricCountersMatchSimulator(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		env := Env{M: 256, B: 16, Metrics: reg}
-		var traceLen, simAccesses int64
+		var traceLen, simAccesses, simMisses, simFired int64
 		results, err := Sweep(scheds, func(s Scheduler) (*CurveResult, error) {
 			return MeasureCurveOrgs(g, s, env, env.B, warm, measured, specs)
 		})
@@ -278,29 +280,36 @@ func TestMetricCountersMatchSimulator(t *testing.T) {
 		for _, r := range results {
 			traceLen += r.TraceLen
 		}
+		simReg := obs.NewRegistry()
 		for _, s := range scheds {
-			res, err := Measure(g, s, Env{M: env.M, B: env.B}, cachesim.Config{Capacity: 1024, Block: env.B}, warm, measured)
+			res, err := Measure(g, s, Env{M: env.M, B: env.B, Metrics: simReg}, cachesim.Config{Capacity: 1024, Block: env.B}, warm, measured)
 			if err != nil {
 				t.Fatal(err)
 			}
 			simAccesses += res.Stats.Accesses
+			simMisses += res.Stats.Misses
+			simFired += res.SourceFired
 		}
+		sim := simReg.Snapshot()
 		snap := reg.Snapshot()
-		passes := snap.Counter("trace.profile.passes")
+		passes := snap.Counters["trace.profile.passes"]
 		for _, c := range []struct {
 			name      string
 			got, want int64
 		}{
-			{"trace.accesses", snap.Counter("trace.accesses"), traceLen},
-			{"trace.profile.accesses", snap.Counter("trace.profile.accesses"), simAccesses},
+			{"trace.accesses", snap.Counters["trace.accesses"], traceLen},
+			{"trace.profile.accesses", snap.Counters["trace.profile.accesses"], simAccesses},
 			{"trace.profile.passes", passes, int64(len(scheds))},
-			{"trace.profile histogram count", snap.HistogramCountDelta(nil, "trace.profile"), passes},
+			{"trace.profile histogram count", snap.Histograms["trace.profile"].Count, passes},
+			{"exec.accesses", sim.Counters["exec.accesses"], simAccesses},
+			{"exec.misses", sim.Counters["exec.misses"], simMisses},
+			{"exec.source.firings", sim.Counters["exec.source.firings"], simFired},
 		} {
 			if c.got != c.want {
 				t.Errorf("fifo=%v: %s = %d, want %d", fifo, c.name, c.got, c.want)
 			}
 		}
-		if folded := snap.Counter("schedule.window.folded_periods"); fifo != (folded == 0) {
+		if folded := snap.Counters["schedule.window.folded_periods"]; fifo != (folded == 0) {
 			t.Errorf("fifo=%v: %d folded periods", fifo, folded)
 		}
 	}

@@ -76,7 +76,6 @@ type Graph struct {
 	topo      []NodeID    // canonical topological order (Kahn, smallest ID first)
 
 	totalState  int64
-	maxState    int64
 	homogeneous bool
 	pipeline    bool
 }
@@ -130,16 +129,6 @@ func (b *Builder) Chain(ids ...NodeID) {
 	}
 }
 
-// NodeByName returns the first node added with the given name.
-func (b *Builder) NodeByName(name string) (NodeID, bool) {
-	for v, nd := range b.nodes {
-		if nd.Name == name {
-			return NodeID(v), true
-		}
-	}
-	return 0, false
-}
-
 // Build validates the graph and returns it. After Build the Builder can
 // continue to be used; Build takes copies.
 func (b *Builder) Build() (*Graph, error) {
@@ -179,16 +168,6 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// MustBuild is Build but panics on error; intended for tests and embedded
-// workload constructors whose inputs are statically known to be valid.
-func (b *Builder) MustBuild() *Graph {
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 func (g *Graph) findEndpoints() error {
@@ -411,9 +390,6 @@ func (g *Graph) computeShape() error {
 			return fmt.Errorf("%w: total state of graph %q overflows int64", ErrBadState, g.name)
 		}
 		g.totalState += nd.State
-		if nd.State > g.maxState {
-			g.maxState = nd.State
-		}
 	}
 	return nil
 }
@@ -441,9 +417,6 @@ func (g *Graph) InEdges(v NodeID) []EdgeID { return g.inEdges[v] }
 // OutEdges returns the channel IDs leaving v. The slice must not be modified.
 func (g *Graph) OutEdges(v NodeID) []EdgeID { return g.outEdges[v] }
 
-// Degree returns the total number of channels incident on v.
-func (g *Graph) Degree(v NodeID) int { return len(g.inEdges[v]) + len(g.outEdges[v]) }
-
 // Source returns the unique node with no incoming channels.
 func (g *Graph) Source() NodeID { return g.source }
 
@@ -470,18 +443,6 @@ func (g *Graph) Topo() []NodeID { return g.topo }
 // TotalState returns the sum of all module state sizes.
 func (g *Graph) TotalState() int64 { return g.totalState }
 
-// MaxState returns the largest single module state size.
-func (g *Graph) MaxState() int64 { return g.maxState }
-
-// StateOf returns the total state of the given set of nodes.
-func (g *Graph) StateOf(ids []NodeID) int64 {
-	var s int64
-	for _, v := range ids {
-		s += g.nodes[v].State
-	}
-	return s
-}
-
 // IsHomogeneous reports whether every channel has unit rates (the paper's
 // homogeneous dataflow class).
 func (g *Graph) IsHomogeneous() bool { return g.homogeneous }
@@ -498,7 +459,11 @@ func (g *Graph) MinBuf(e EdgeID) int64 {
 	return ed.In + ed.Out
 }
 
-// NodeByName returns the first node with the given display name.
+// NodeByName returns the first node with the given display name. The
+// tests read hand-built and workload graphs through it: TestNodeByName
+// checks it, and TestFilterbankRates, TestTheorem5CutsAtGainMinEdges and
+// TestPartitionedBatchQuotas look modules up by the names their builders
+// gave them.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
 	for v, nd := range g.nodes {
 		if nd.Name == name {

@@ -116,29 +116,3 @@ func (g *Graph) ComponentTopoOrder(assign []int, k int) ([]int, error) {
 	}
 	return order, nil
 }
-
-// Reaches reports whether u precedes v (u ≺ v): a directed path exists from
-// u to v.
-func (g *Graph) Reaches(u, v NodeID) bool {
-	if u == v {
-		return false
-	}
-	seen := make([]bool, len(g.nodes))
-	stack := []NodeID{u}
-	seen[u] = true
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.outEdges[x] {
-			w := g.edges[e].To
-			if w == v {
-				return true
-			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return false
-}

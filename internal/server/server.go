@@ -61,18 +61,14 @@ import (
 )
 
 // EngineVersion names the planning/profiling engine semantics baked into
-// this build. It participates in every cache key and is the pin the
-// result cache invalidates on, so bump it whenever a scheduler, the
-// execution machine, or the profiling engine changes observable output —
-// stale entries from the previous engine are then unreachable (new keys)
-// and reclaimed deterministically (version pin).
+// this build. It participates in every cache key, so bump it whenever a
+// scheduler, the execution machine, or the profiling engine changes
+// observable output. The cache lives in memory only: a new engine starts
+// with an empty one.
 const EngineVersion = "streamsched-engine/1"
 
 // Config configures a Server.
 type Config struct {
-	// Engine overrides the engine version (tests only; default
-	// EngineVersion).
-	Engine string
 	// CacheBytes is the result cache's byte budget. 0 disables caching.
 	CacheBytes int64
 	// Jobs bounds concurrent computations (the worker pool). 0 means
@@ -132,12 +128,8 @@ type flight struct {
 	err  error
 }
 
-// New builds a server. The cache is pinned to the configured engine
-// version.
+// New builds a server.
 func New(cfg Config) *Server {
-	if cfg.Engine == "" {
-		cfg.Engine = EngineVersion
-	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
@@ -153,7 +145,6 @@ func New(cfg Config) *Server {
 		reg: reg,
 		cache: plancache.New(plancache.Config{
 			Budget:  cfg.CacheBytes,
-			Version: cfg.Engine,
 			Metrics: reg,
 		}),
 		sem:          make(chan struct{}, cfg.Jobs),
@@ -170,12 +161,6 @@ func New(cfg Config) *Server {
 		compDur:      reg.Timer("server.compute.duration"),
 	}
 }
-
-// Engine returns the engine version the server plans with.
-func (s *Server) Engine() string { return s.cfg.Engine }
-
-// Cache exposes the result cache (stats endpoints, tests).
-func (s *Server) Cache() *plancache.Cache { return s.cache }
 
 // Handler returns the daemon's mux:
 //
@@ -205,7 +190,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("/version", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]string{"engine": s.cfg.Engine})
+		json.NewEncoder(w).Encode(map[string]string{"engine": EngineVersion})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -419,7 +404,7 @@ func (s *Server) planBody(body []byte) (plancache.Key, func() ([]byte, error), e
 	if err != nil {
 		return plancache.Key{}, nil, err
 	}
-	key := req.key(s.cfg.Engine, g)
+	key := req.key(EngineVersion, g)
 	return key, func() ([]byte, error) { return s.computePlan(req, g, key) }, nil
 }
 
@@ -430,7 +415,7 @@ func (s *Server) profileBody(body []byte) (plancache.Key, func() ([]byte, error)
 	if err != nil {
 		return plancache.Key{}, nil, err
 	}
-	key := req.key(s.cfg.Engine, g)
+	key := req.key(EngineVersion, g)
 	return key, func() ([]byte, error) { return s.computeProfile(req, g, key) }, nil
 }
 
@@ -443,7 +428,7 @@ func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) 
 		return nil, fmt.Errorf("plan %s: %w", sched.Name(), err)
 	}
 	resp := &PlanResponse{
-		Engine:     s.cfg.Engine,
+		Engine:     EngineVersion,
 		Key:        key.String(),
 		Graph:      g.Name(),
 		Nodes:      g.NumNodes(),
@@ -477,7 +462,7 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 		caps = trace.DefaultCapacityGrid(req.B, cr.Curve.SaturationLines())
 	}
 	resp := &ProfileResponse{
-		Engine:          s.cfg.Engine,
+		Engine:          EngineVersion,
 		Key:             key.String(),
 		Graph:           g.Name(),
 		Scheduler:       cr.Scheduler,
@@ -507,7 +492,7 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.reg.Snapshot()
 	stats := map[string]any{
-		"engine":        s.cfg.Engine,
+		"engine":        EngineVersion,
 		"cache_entries": s.cache.Len(),
 		"cache_bytes":   s.cache.Bytes(),
 		"cache_budget":  s.cache.Budget(),

@@ -236,6 +236,9 @@ func TestSingleFlight(t *testing.T) {
 	if hits+sharedN != clients-1 {
 		t.Fatalf("hits (%d) + shared (%d) = %d, want %d", hits, sharedN, hits+sharedN, clients-1)
 	}
+	if got := snap.Gauges["server.inflight"]; got != 0 {
+		t.Fatalf("server.inflight = %d after every request returned, want 0", got)
+	}
 	for i := 1; i < clients; i++ {
 		if !bytes.Equal(bodies[0], bodies[i]) {
 			t.Fatalf("client %d got different bytes", i)
@@ -314,7 +317,7 @@ func TestErrorPaths(t *testing.T) {
 			}
 		})
 	}
-	if n := srv.Cache().Len(); n != 0 {
+	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("rejected requests left %d cache entries", n)
 	}
 }
@@ -333,7 +336,7 @@ func TestStateOverflowRejected(t *testing.T) {
 	if !strings.Contains(er.Error, "overflows int64") {
 		t.Errorf("error %q does not name the overflow", er.Error)
 	}
-	if n := srv.Cache().Len(); n != 0 {
+	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("a rejected graph left %d cache entries", n)
 	}
 }
@@ -365,7 +368,7 @@ func TestMalformedSeedsRejected(t *testing.T) {
 			}
 		}
 	}
-	if n := srv.Cache().Len(); n != 0 {
+	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("rejected requests left %d cache entries", n)
 	}
 }
@@ -386,7 +389,7 @@ func TestFoldOverflowNotCached(t *testing.T) {
 	if elapsed > 100*time.Millisecond {
 		t.Errorf("the overflow took %v to report", elapsed)
 	}
-	if n := srv.Cache().Len(); n != 0 {
+	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("a failed profile left %d cache entries", n)
 	}
 }
@@ -428,19 +431,19 @@ func TestTimeout(t *testing.T) {
 }
 
 // TestEngineVersionChangesKey: the same request under a different engine
-// version must address a different entry.
+// version must address a different entry, plan and profile alike.
 func TestEngineVersionChangesKey(t *testing.T) {
-	_, tsA, _ := newTestServer(t, Config{})
-	_, tsB, _ := newTestServer(t, Config{Engine: "streamsched-engine/test-next"})
-	req := planBody(t, testGraphJSON(t, 16), "")
-	respA, _ := post(t, tsA.URL+"/v1/plan", req)
-	respB, bodyB := post(t, tsB.URL+"/v1/plan", req)
-	if respA.Header.Get("X-Streamsched-Key") == respB.Header.Get("X-Streamsched-Key") {
-		t.Fatal("engine version does not participate in the key")
+	body := planBody(t, testGraphJSON(t, 16), "")
+	req, g, err := parseProfile(body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var pr PlanResponse
-	if err := json.Unmarshal(bodyB, &pr); err != nil || pr.Engine != "streamsched-engine/test-next" {
-		t.Fatalf("engine not reported: %s", bodyB)
+	const next = "streamsched-engine/test-next"
+	if req.key(EngineVersion, g) == req.key(next, g) {
+		t.Fatal("engine version does not participate in the profile key")
+	}
+	if req.PlanRequest.key(EngineVersion, g) == req.PlanRequest.key(next, g) {
+		t.Fatal("engine version does not participate in the plan key")
 	}
 }
 

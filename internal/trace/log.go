@@ -87,9 +87,6 @@ func (l *Log) Metrics() *obs.Registry { return l.metrics().reg }
 // NewLog returns an empty in-memory trace log.
 func NewLog() *Log { return &Log{} }
 
-// RecordBlock appends one block access: RecordRun(blk, 1).
-func (l *Log) RecordBlock(blk int64) { l.RecordRun(blk, 1) }
-
 // RecordRun implements Recorder: it appends accesses to the n blocks
 // base, base+1, …, in that order.
 func (l *Log) RecordRun(base, n int64) { l.record(0, base, n) }
@@ -126,7 +123,8 @@ func (l *Log) WindowStart() int64 { return l.window }
 func (l *Log) EncodedBytes() int64 { return int64(len(l.runs)) * runBytes }
 
 // Replays returns how many times the trace has been replayed end to end.
-// Single-pass regression tests assert on it.
+// It is the single-pass oracle: TestProfileHierSinglePass and
+// TestProfileOrgsJobsMatchesSequential require one replay per profile.
 func (l *Log) Replays() int64 { return l.replays }
 
 // walk is the one replay loop behind every replay form: it hands fn the

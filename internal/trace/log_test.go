@@ -10,7 +10,7 @@ import (
 func logRoundTrip(t *testing.T, l *Log, blocks []int64) {
 	t.Helper()
 	for _, b := range blocks {
-		l.RecordBlock(b)
+		l.RecordRun(b, 1)
 	}
 	if l.Len() != int64(len(blocks)) {
 		t.Fatalf("len = %d, want %d", l.Len(), len(blocks))
@@ -76,7 +76,7 @@ func TestLogRoundTrip(t *testing.T) {
 	// The log must stay appendable and re-readable after a replay.
 	more := []int64{7, 7, 99}
 	for _, b := range more {
-		l.RecordBlock(b)
+		l.RecordRun(b, 1)
 	}
 	var got []int64
 	if err := l.ForEach(func(b int64) { got = append(got, b) }); err != nil {
@@ -105,7 +105,7 @@ func TestLogRunsSplitOnlyAtMark(t *testing.T) {
 		t.Fatalf("empty log replays %v, want one reset", got)
 	}
 	l.RecordRun(10, 3)
-	l.RecordBlock(13) // continues 10..12
+	l.RecordRun(13, 1) // continues 10..12
 	l.MarkWindow()
 	l.MarkWindow()     // a second mark at the same position changes nothing
 	l.RecordRun(14, 2) // would continue 10..13, but the mark lies between
@@ -128,11 +128,11 @@ func TestLogWindowAndProfile(t *testing.T) {
 	warm := []int64{1, 2, 3}
 	meas := []int64{1, 2, 3, 9}
 	for _, b := range warm {
-		l.RecordBlock(b)
+		l.RecordRun(b, 1)
 	}
 	l.MarkWindow()
 	for _, b := range meas {
-		l.RecordBlock(b)
+		l.RecordRun(b, 1)
 	}
 	if l.WindowStart() != 3 {
 		t.Fatalf("window start = %d, want 3", l.WindowStart())
@@ -160,7 +160,7 @@ func TestProfileMatchesOnlineProfiler(t *testing.T) {
 	p := NewProfiler()
 	for i := 0; i < 20_000; i++ {
 		b := rng.Int63n(500)
-		l.RecordBlock(b)
+		l.RecordRun(b, 1)
 		p.Touch(b)
 	}
 	fromLog := Profile(l)
@@ -175,7 +175,7 @@ func TestProfileMatchesOnlineProfiler(t *testing.T) {
 func TestProfileEmptyWindow(t *testing.T) {
 	l := NewLog()
 	for _, b := range []int64{1, 2, 1, 2} {
-		l.RecordBlock(b)
+		l.RecordRun(b, 1)
 	}
 	l.MarkWindow() // nothing recorded after the mark
 	curve := Profile(l)

@@ -39,9 +39,6 @@ func (c *MissCurve) MissesAtCapacity(capacity, block int64) int64 {
 	return c.Misses(capacity / block)
 }
 
-// Hits returns the hit count at the given line count.
-func (c *MissCurve) Hits(lines int64) int64 { return c.Accesses - c.Misses(lines) }
-
 // MissesPerItem divides the miss count at the given capacity by an item
 // count (typically input items), the unit the paper's bounds are stated in.
 func (c *MissCurve) MissesPerItem(capacity, block, items int64) float64 {

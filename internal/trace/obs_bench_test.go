@@ -30,7 +30,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		log := trace.NewLog()
 		log.SetMetrics(reg)
 		for _, blk := range stream {
-			log.RecordBlock(blk)
+			log.RecordRun(blk, 1)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

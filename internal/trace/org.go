@@ -313,7 +313,10 @@ func (p *OrgProfilers) Point(spec int, ways int64, fifo bool) (pt OrgPoint, ok b
 }
 
 // Missed reports whether the block of the last Touch missed at pt. A run
-// taken by RecordRun leaves no per-block report.
+// taken by RecordRun leaves no per-block report. It is the per-access
+// oracle for every point: TestOrgProfilersMatchBankOracle holds it
+// against a cachesim.Bank after each access, and
+// TestOrgProfilersMissMaskMatchesMissed holds the miss masks to it.
 func (p *OrgProfilers) Missed(pt OrgPoint) bool {
 	if pt.bit != 0 {
 		return p.banks[0].missed[pt.word]&pt.bit != 0

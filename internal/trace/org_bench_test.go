@@ -21,7 +21,7 @@ func BenchmarkProfileOrgs(b *testing.B) {
 	stream := benchStream(400000, 512)
 	log := trace.NewLog()
 	for _, blk := range stream {
-		log.RecordBlock(blk)
+		log.RecordRun(blk, 1)
 	}
 	specs := []trace.OrgSpec{
 		{Sets: 1, FIFOWays: []int64{32, 64, 128}},

@@ -47,7 +47,7 @@ func recordStream(stream []int64, warm int) *trace.Log {
 		if i == warm {
 			l.MarkWindow()
 		}
-		l.RecordBlock(blk)
+		l.RecordRun(blk, 1)
 	}
 	if warm >= len(stream) {
 		l.MarkWindow()
@@ -369,6 +369,24 @@ func TestOrgProfilersMatchBankOracle(t *testing.T) {
 			checkVerdicts(t, label, stream, warm, kinds)
 		}
 	}
+	// Unwarmed streams whose rows open with block 0 (dense ids: slot 0),
+	// so that every first access is counted and checked: a row head that
+	// starts at slot 0 rather than at no slot reads block 0's first access
+	// in its row as a reuse.
+	for trial := 0; trial < 4; trial++ {
+		nblocks := int64(8 + rng.Intn(56))
+		stream := append([]int64{0}, oracleStream(rng, 300, nblocks, 0)...)
+		for _, replicas := range []bool{false, true} {
+			kinds := kindSpecs(replicas)
+			label := fmt.Sprintf("unwarmed trial %d (%d blocks, opens with block 0) kindSpecs(%v)", trial, nblocks, replicas)
+			checkVerdicts(t, label, stream, 0, kinds)
+			curves, err := trace.ProfileOrgs(recordStream(stream, 0), kinds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkOrgCurves(t, label, stream, 0, kinds, curves)
+		}
+	}
 }
 
 // TestOrgProfilersManyFIFOReplicas drives more FIFO points than one mask
@@ -474,7 +492,7 @@ func TestProfileOrgsJobsWindowEdges(t *testing.T) {
 			if i == mark {
 				l.MarkWindow()
 			}
-			l.RecordBlock(blk)
+			l.RecordRun(blk, 1)
 		}
 		if mark == 50 {
 			l.MarkWindow()
@@ -648,7 +666,7 @@ func TestRunFedProfilersMatchBlockFedAndBank(t *testing.T) {
 					byRun.MarkWindow()
 					byBlock.MarkWindow()
 				}
-				byBlock.RecordBlock(b)
+				byBlock.RecordRun(b, 1)
 				stream = append(stream, b)
 			}
 			if i == markAt && cut == r[1] {

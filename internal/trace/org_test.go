@@ -88,7 +88,7 @@ func TestOrgCurvesMatchCachesim(t *testing.T) {
 			if i == warm {
 				log.MarkWindow()
 			}
-			log.RecordBlock(blk)
+			log.RecordRun(blk, 1)
 		}
 
 		// One spec per distinct set count, listing the LRU and FIFO way
@@ -148,7 +148,7 @@ func TestAssocCurveFullMatchesMissCurve(t *testing.T) {
 		if i == 500 {
 			log.MarkWindow()
 		}
-		log.RecordBlock(blk)
+		log.RecordRun(blk, 1)
 	}
 	want := trace.Profile(log)
 	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 1}})
@@ -209,7 +209,7 @@ func TestSetsFor(t *testing.T) {
 func TestProfileOrgsEmptyWindow(t *testing.T) {
 	log := trace.NewLog()
 	for _, blk := range []int64{0, 1, 2, 3, 0, 1} {
-		log.RecordBlock(blk)
+		log.RecordRun(blk, 1)
 	}
 	log.MarkWindow()
 	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{2}, LRUWays: everyKindWays}})
@@ -272,7 +272,7 @@ func TestGridSpecs(t *testing.T) {
 func TestOrgCurvesMissesHelper(t *testing.T) {
 	log := trace.NewLog()
 	for _, blk := range []int64{0, 1, 2, 0, 1, 2} {
-		log.RecordBlock(blk)
+		log.RecordRun(blk, 1)
 	}
 	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{2}}, {Sets: 1}})
 	if err != nil {
@@ -360,7 +360,7 @@ func TestOrgProfilersPoint(t *testing.T) {
 // TestProfileOrgsBadSpec checks spec validation.
 func TestProfileOrgsBadSpec(t *testing.T) {
 	log := trace.NewLog()
-	log.RecordBlock(1)
+	log.RecordRun(1, 1)
 	if _, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 0}}); err == nil {
 		t.Error("Sets=0 accepted")
 	}

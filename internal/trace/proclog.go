@@ -29,7 +29,6 @@ import (
 type ProcLog struct {
 	log   Log
 	procs int
-	perN  []int64 // accesses recorded per processor
 }
 
 // NewProcLog returns an empty trace for procs processors.
@@ -37,11 +36,8 @@ func NewProcLog(procs int) (*ProcLog, error) {
 	if procs < 1 {
 		return nil, fmt.Errorf("trace: ProcLog needs >= 1 processor, got %d", procs)
 	}
-	return &ProcLog{procs: procs, perN: make([]int64, procs)}, nil
+	return &ProcLog{procs: procs}, nil
 }
-
-// Record appends one access by processor proc to the global order.
-func (pl *ProcLog) Record(proc int, blk int64) { pl.RecordRun(proc, blk, 1) }
 
 // RecordRun appends processor proc's accesses to the n blocks base,
 // base+1, … to the global order — the shape a per-processor cache's
@@ -49,9 +45,6 @@ func (pl *ProcLog) Record(proc int, blk int64) { pl.RecordRun(proc, blk, 1) }
 func (pl *ProcLog) RecordRun(proc int, base, n int64) {
 	if proc < 0 || proc >= pl.procs {
 		panic(fmt.Sprintf("trace: ProcLog.RecordRun processor %d out of [0,%d)", proc, pl.procs))
-	}
-	if n > 0 {
-		pl.perN[proc] += n
 	}
 	pl.log.record(proc, base, n)
 }
@@ -62,21 +55,12 @@ func (pl *ProcLog) Procs() int { return pl.procs }
 // Len returns the total number of recorded accesses.
 func (pl *ProcLog) Len() int64 { return pl.log.Len() }
 
-// ProcLen returns the number of accesses processor proc recorded.
-func (pl *ProcLog) ProcLen(proc int) int64 { return pl.perN[proc] }
-
 // MarkWindow marks the current global position as the start of the
 // measured window.
 func (pl *ProcLog) MarkWindow() { pl.log.MarkWindow() }
 
 // WindowStart returns the global index of the first measured access.
 func (pl *ProcLog) WindowStart() int64 { return pl.log.WindowStart() }
-
-// EncodedBytes returns the bytes the stored runs hold.
-func (pl *ProcLog) EncodedBytes() int64 { return pl.log.EncodedBytes() }
-
-// Replays returns how many times the trace has been replayed end to end.
-func (pl *ProcLog) Replays() int64 { return pl.log.Replays() }
 
 // SetMetrics routes the trace's instrumentation into reg, as
 // Log.SetMetrics does.

@@ -32,7 +32,7 @@ func randomProcTrace(t *testing.T, rng *rand.Rand, procs int, n int) (*ProcLog, 
 			}
 			pl.RecordRun(proc, blk, int64(k))
 		} else {
-			pl.Record(proc, blk)
+			pl.RecordRun(proc, blk, 1)
 		}
 		for i := 0; i < k; i++ {
 			wantProc = append(wantProc, proc)
@@ -60,13 +60,6 @@ func TestProcLogRoundTrip(t *testing.T) {
 		if int64(i) != pl.Len() {
 			t.Fatalf("replayed %d of %d accesses", i, pl.Len())
 		}
-		var perN int64
-		for p := 0; p < procs; p++ {
-			perN += pl.ProcLen(p)
-		}
-		if perN != pl.Len() {
-			t.Fatalf("per-proc counts sum %d, total %d", perN, pl.Len())
-		}
 	}
 }
 
@@ -76,11 +69,11 @@ func TestProcLogWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		pl.Record(i%2, int64(i))
+		pl.RecordRun(i%2, int64(i), 1)
 	}
 	pl.MarkWindow()
 	for i := 10; i < 25; i++ {
-		pl.Record(i%2, int64(i))
+		pl.RecordRun(i%2, int64(i), 1)
 	}
 	resets, counted := 0, int64(0)
 	pl.ForEachRunWindowed(func() { resets++ }, func(proc int, base, n int64) {
@@ -114,18 +107,18 @@ func TestProcLogRunsNeverMergeAcrossProcsOrMark(t *testing.T) {
 	}
 	pl.RecordRun(0, 10, 2)
 	pl.RecordRun(1, 12, 2) // continues the blocks on another processor
-	pl.Record(1, 14)       // merges
+	pl.RecordRun(1, 14, 1) // merges
 	pl.MarkWindow()
-	pl.Record(1, 15) // continues, across the mark
-	pl.Record(0, 16)
+	pl.RecordRun(1, 15, 1) // continues, across the mark
+	pl.RecordRun(0, 16, 1)
 	var got []string
 	pl.ForEachRunWindowed(func() { got = append(got, "reset") },
 		func(proc int, base, n int64) { got = append(got, fmt.Sprintf("%d:%d+%d", proc, base, n)) })
 	if want := []string{"0:10+2", "1:12+3", "reset", "1:15+1", "0:16+1"}; !slices.Equal(got, want) {
 		t.Fatalf("replay = %v, want %v", got, want)
 	}
-	if pl.ProcLen(0) != 3 || pl.ProcLen(1) != 4 || pl.EncodedBytes() != 4*runBytes {
-		t.Fatalf("per-processor lengths %d/%d, %d bytes; want 3/4 in 4 runs", pl.ProcLen(0), pl.ProcLen(1), pl.EncodedBytes())
+	if pl.log.EncodedBytes() != 4*runBytes {
+		t.Fatalf("%d bytes; want 4 runs", pl.log.EncodedBytes())
 	}
 }
 
@@ -135,13 +128,13 @@ func TestProcLogRunLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		pl.Record(0, int64(i))
+		pl.RecordRun(0, int64(i), 1)
 	}
 	for i := 0; i < 100; i++ {
-		pl.Record(1, int64(i))
+		pl.RecordRun(1, int64(i), 1)
 	}
 	for i := 0; i < 100; i++ {
-		pl.Record(0, int64(i))
+		pl.RecordRun(0, int64(i), 1)
 	}
 	if len(pl.log.runs) != 3 {
 		t.Fatalf("%d runs, want 3 (a processor's continuing run not merging)", len(pl.log.runs))
@@ -158,5 +151,5 @@ func TestProcLogRejectsBadProcs(t *testing.T) {
 			t.Fatal("Record with out-of-range proc did not panic")
 		}
 	}()
-	pl.Record(2, 0)
+	pl.RecordRun(2, 0, 1)
 }

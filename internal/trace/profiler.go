@@ -188,7 +188,10 @@ func (p *Profiler) Curve() *MissCurve {
 
 // Profile replays a recorded log through a fresh Profiler, honouring the
 // log's measured window (accesses before WindowStart warm the stack but
-// are not counted), and returns the resulting miss curve.
+// are not counted), and returns the resulting miss curve. It is the replay
+// oracle for the live profilers: TestProfileMatchesOnlineProfiler holds
+// a streamed Profiler to it, TestAssocCurveFullMatchesMissCurve the
+// organisation profilers' fully-associative curve.
 func Profile(l *Log) *MissCurve {
 	p := NewProfiler()
 	l.ForEachRunWindowed(p.ResetCounts, p.TouchRun)

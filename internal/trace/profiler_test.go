@@ -149,9 +149,6 @@ func TestProfilerKnownSequence(t *testing.T) {
 	if got := c.Misses(2); got != 6 {
 		t.Fatalf("misses at 2 lines = %d, want 6 (thrash)", got)
 	}
-	if got := c.Hits(3); got != 3 {
-		t.Fatalf("hits at 3 lines = %d, want 3", got)
-	}
 	if c.SaturationLines() != 3 {
 		t.Fatalf("saturation = %d, want 3", c.SaturationLines())
 	}

@@ -82,12 +82,18 @@ func TestSweepPublishesOneObservationPerJob(t *testing.T) {
 			got  int64
 		}{
 			{"sweep.jobs", snap.CounterDelta(base, "sweep.jobs")},
-			{"sweep.queue.wait count", snap.HistogramCountDelta(base, "sweep.queue.wait")},
-			{"sweep.job.duration count", snap.HistogramCountDelta(base, "sweep.job.duration")},
+			{"sweep.queue.wait count", snap.Histograms["sweep.queue.wait"].Count - base.Histograms["sweep.queue.wait"].Count},
+			{"sweep.job.duration count", snap.Histograms["sweep.job.duration"].Count - base.Histograms["sweep.job.duration"].Count},
 			{"sum of sweep.worker.<i>.jobs", perWorker},
 		} {
 			if c.got != n {
 				t.Errorf("workers=%d: %s = %d, want %d", workers, c.name, c.got, n)
+			}
+		}
+		for _, j := range jobs {
+			name := "sweep.job[" + j.Name + "]"
+			if got := snap.Timers[name].Count - base.Timers[name].Count; got != 1 {
+				t.Errorf("workers=%d: %s timed %d runs, want 1", workers, name, got)
 			}
 		}
 	}

@@ -628,7 +628,7 @@ func TestOrgSpecNeedsLRUWaysPastOneSet(t *testing.T) {
 	}
 	l := trace.NewLog()
 	for _, blk := range blocks {
-		l.RecordBlock(blk)
+		l.RecordRun(blk, 1)
 	}
 	measure := func(cr *streamsched.CurveResult, err error) ([]*trace.OrgCurves, *trace.MissCurve, error) {
 		if err != nil {
