@@ -452,7 +452,9 @@ func (c *census) namePattern(e ast.Expr) string {
 var flagDefiners = regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc)(Var)?$|^(Var|TextVar)$`)
 
 // TestCensusFlags fails on a streamsched or streamschedd flag that
-// README's flag table leaves out or that no test passes.
+// README's flag table leaves out or that no test passes, and on a
+// streamsched verb's flag that its line of the usage text (errUsage)
+// leaves out or that the verb does not define.
 func TestCensusFlags(t *testing.T) {
 	c := loadCensus(t)
 	readme, err := os.ReadFile("README.md")
@@ -488,45 +490,168 @@ func TestCensusFlags(t *testing.T) {
 		if bin != "streamsched" && bin != "streamschedd" || p.ImportPath == c.module {
 			continue
 		}
+		// A verb's flags are those its function defines on the FlagSet
+		// it names, plus those of the helpers it passes that set to.
+		verbOf := map[string]string{}                // function -> the verb its NewFlagSet names
+		callers := map[string]map[string]bool{}      // helper -> functions that call it
+		defined := map[string]map[string]token.Pos{} // function -> flag -> definition
+		var usage string
 		for _, f := range c.files[p] {
-			ast.Inspect(f, func(nd ast.Node) bool {
-				call, ok := nd.(*ast.CallExpr)
-				if !ok {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok {
+					for _, spec := range gd.Specs {
+						if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Names) == 1 && vs.Names[0].Name == "errUsage" {
+							if call, ok := vs.Values[0].(*ast.CallExpr); ok && len(call.Args) == 1 {
+								if tv := c.info.Types[call.Args[0]]; tv.Value != nil {
+									usage = constant.StringVal(tv.Value)
+								}
+							}
+						}
+					}
+				}
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fname := fd.Name.Name
+				ast.Inspect(fd.Body, func(nd ast.Node) bool {
+					call, ok := nd.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if id, ok := call.Fun.(*ast.Ident); ok {
+						if fn, ok := c.info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == p.ImportPath {
+							if callers[id.Name] == nil {
+								callers[id.Name] = map[string]bool{}
+							}
+							callers[id.Name][fname] = true
+						}
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					fn, ok := c.info.Uses[sel.Sel].(*types.Func)
+					if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+						return true
+					}
+					if fn.Name() == "NewFlagSet" && len(call.Args) > 0 {
+						if tv := c.info.Types[call.Args[0]]; tv.Value != nil && tv.Value.Kind() == constant.String {
+							verbOf[fname] = constant.StringVal(tv.Value)
+						}
+						return true
+					}
+					if !flagDefiners.MatchString(fn.Name()) {
+						return true
+					}
+					arg := 0
+					if strings.HasSuffix(fn.Name(), "Var") {
+						arg = 1
+					}
+					if len(call.Args) <= arg {
+						return true
+					}
+					tv := c.info.Types[call.Args[arg]]
+					if tv.Value == nil || tv.Value.Kind() != constant.String {
+						return true
+					}
+					n++
+					flag := "-" + constant.StringVal(tv.Value)
+					pos := c.fset.Position(call.Pos())
+					if !table[flag] {
+						t.Errorf("%s: %s flag %s is missing from README's flag table", pos, bin, flag)
+					}
+					if !testArgs[flag] {
+						t.Errorf("%s: no test passes %s's flag %s", pos, bin, flag)
+					}
+					if defined[fname] == nil {
+						defined[fname] = map[string]token.Pos{}
+					}
+					defined[fname][flag] = call.Pos()
 					return true
+				})
+			}
+		}
+		if bin != "streamsched" {
+			continue
+		}
+		if usage == "" {
+			t.Fatalf("%s: no errUsage text found", p.ImportPath)
+		}
+		listed := usageFlags(usage)
+		// A function's flags land on its own verb's flag set or, for a
+		// helper, on those of the verbs that call it.
+		verbs := func(fname string) []string {
+			if v, ok := verbOf[fname]; ok {
+				return []string{v}
+			}
+			var vs []string
+			for caller := range callers[fname] {
+				if v, ok := verbOf[caller]; ok {
+					vs = append(vs, v)
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
+			}
+			return vs
+		}
+		registered := map[string]map[string]bool{}
+		for fname, flags := range defined {
+			vs := verbs(fname)
+			if len(vs) == 0 {
+				t.Errorf("%s: %s defines flags on no verb's flag set", p.ImportPath, fname)
+			}
+			for _, verb := range vs {
+				if registered[verb] == nil {
+					registered[verb] = map[string]bool{}
 				}
-				fn, ok := c.info.Uses[sel.Sel].(*types.Func)
-				if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" || !flagDefiners.MatchString(fn.Name()) {
-					return true
+				for flag, pos := range flags {
+					registered[verb][flag] = true
+					if !listed[verb][flag] {
+						t.Errorf("%s: %s %s's flag %s is missing from its usage line (errUsage)", c.fset.Position(pos), bin, verb, flag)
+					}
 				}
-				arg := 0
-				if strings.HasSuffix(fn.Name(), "Var") {
-					arg = 1
+			}
+		}
+		for verb, flags := range listed {
+			for flag := range flags {
+				if !registered[verb][flag] {
+					t.Errorf("%s: the usage line of %s %s names %s, which the verb does not define", p.ImportPath, bin, verb, flag)
 				}
-				if len(call.Args) <= arg {
-					return true
-				}
-				tv := c.info.Types[call.Args[arg]]
-				if tv.Value == nil || tv.Value.Kind() != constant.String {
-					return true
-				}
-				n++
-				flag := "-" + constant.StringVal(tv.Value)
-				pos := c.fset.Position(call.Pos())
-				if !table[flag] {
-					t.Errorf("%s: %s flag %s is missing from README's flag table", pos, bin, flag)
-				}
-				if !testArgs[flag] {
-					t.Errorf("%s: no test passes %s's flag %s", pos, bin, flag)
-				}
-				return true
-			})
+			}
+		}
+		if len(registered) < 10 {
+			t.Errorf("census mapped flags to only %d streamsched verbs", len(registered))
 		}
 	}
 	if n < 30 {
 		t.Fatalf("census found only %d flag definitions", n)
 	}
+}
+
+// usageFlags reads the flags each verb's line of the CLI's usage text
+// names: "  streamsched <verb> …" lines, and the shared lines of the form
+// "<what> (<verb>, <verb>, …): …" that apply to the verbs they list.
+func usageFlags(usage string) map[string]map[string]bool {
+	flagRe := regexp.MustCompile(`(?:^|[\s\[])(-[A-Za-z0-9]+)`)
+	verbRe := regexp.MustCompile(`^  streamsched (\w+)(.*)$`)
+	sharedRe := regexp.MustCompile(`^[a-z ]+ \(([a-z, ]+)\):(.*)$`)
+	listed := map[string]map[string]bool{}
+	add := func(verb, rest string) {
+		if listed[verb] == nil {
+			listed[verb] = map[string]bool{}
+		}
+		for _, m := range flagRe.FindAllStringSubmatch(rest, -1) {
+			listed[verb][m[1]] = true
+		}
+	}
+	for _, line := range strings.Split(usage, "\n") {
+		if m := verbRe.FindStringSubmatch(line); m != nil {
+			add(m[1], m[2])
+		} else if m := sharedRe.FindStringSubmatch(line); m != nil {
+			for _, verb := range strings.Split(m[1], ",") {
+				add(strings.TrimSpace(verb), m[2])
+			}
+		}
+	}
+	return listed
 }

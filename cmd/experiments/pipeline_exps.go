@@ -132,7 +132,9 @@ func buildE2(full bool) (*e2Table, error) {
 // runE4 reports the Theorem 3 / Theorem 5 sandwich: every scheduler's
 // measured misses per source firing is at least a fraction of the lower
 // bound, and the partitioned schedule (with O(1) augmentation) is within a
-// constant factor of it.
+// constant factor of it. internal/lowerbound's
+// TestPartitionedWithinConstantOfBound holds that constant over seeded
+// pipelines and dags.
 func runE4(cfg runConfig) error {
 	warm, meas := int64(1024), int64(4096)
 	if cfg.full {

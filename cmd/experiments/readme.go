@@ -26,7 +26,10 @@ behind E12 and E19–E21 are exact is proved by ` + "`go test ./...`" + `,
 not here: ` + "`TestPropOrgCurvesMatchSimulatorOnRandomPipelines`" + ` (E12's
 grid), ` + "`TestMeasureCurveMatchesMeasure`" + ` (E19),
 ` + "`TestPropHierCurvesMatchSimulatorOnRandomPipelines`" + ` (E20) and
-` + "`TestMeasureSharedMatchesRunShared`" + ` (E21).
+` + "`TestMeasureSharedMatchesRunShared`" + ` (E21). E4 prints the
+sandwich on one pipeline; ` + "`TestPartitionedWithinConstantOfBound`" + `
+(` + "`internal/lowerbound`" + `) holds its constant over seeded pipelines
+and dags at 2M, 4M and 8M.
 
 ## Usage
 

@@ -23,18 +23,19 @@ import (
 var errUsage = errors.New(`usage:
   streamsched info <graph.json>
   streamsched partition -M <words> [-algo auto|theorem5|dp|interval|agglomerative|exact] [-dot <out.dot>] <graph.json>
-  streamsched simulate -M <words> -B <words> [-cache <words>] [-ways N] [-policy lru|fifo] [-sched <name>] [-warm N] [-measure N] <graph.json>
-  streamsched misscurve -M <words> -B <words> [-sched <name>|all] [-caps c1,c2,...] [-ways w1,w2,full] [-policy lru|fifo|both] [-csv] <graph.json>
-  streamsched hier -M <words> -B <words> -l1caps c1,... -l2caps c1,... [-l1ways w,full] [-l2ways w,full] [-l1policy lru|fifo] [-l2policy lru|fifo] [-l2block <words>] [-amat l1,l2,mem] [-csv] <graph.json>
-  streamsched shared -M <words> -B <words> -P <procs> -l1caps c1,... -l2caps c1,... [-rule auto|homogeneous|pipeline] [-algo <name>|singleton] [-l1ways w,full] [-l2ways w,full] [-l1policy lru|fifo] [-l2policy lru|fifo] [-l2block <words>] [-amat l1,l2,mem] [-csv] <graph.json>
+  streamsched simulate -M <words> -B <words> [-cache <words>] [-ways N] [-policy lru|fifo] [-sched <name>] [-warm N] [-measure N] [-scale N] <graph.json>
+  streamsched misscurve -M <words> -B <words> [-sched <name>|all] [-caps c1,c2,...] [-ways w1,w2,full] [-policy lru|fifo|both] [-warm N] [-measure N] [-scale N] [-csv] <graph.json>
+  streamsched hier -M <words> -B <words> -l1caps c1,... -l2caps c1,... [-sched <name>|all] [-l1ways w,full] [-l2ways w,full] [-l1policy lru|fifo] [-l2policy lru|fifo] [-l2block <words>] [-amat l1,l2,mem] [-warm N] [-measure N] [-scale N] [-csv] <graph.json>
+  streamsched shared -M <words> -B <words> -P <procs> -l1caps c1,... -l2caps c1,... [-rule auto|homogeneous|pipeline] [-algo <name>|singleton] [-l1ways w,full] [-l2ways w,full] [-l1policy lru|fifo] [-l2policy lru|fifo] [-l2block <words>] [-amat l1,l2,mem] [-warm N] [-measure N] [-detail=false] [-csv] <graph.json>
   streamsched bound -M <words> -B <words> <graph.json>
-  streamsched buffers -M <words> [-sched <name>] [-probe N] <graph.json>
-  streamsched compile -M <words> [-sched <name>] [-o <file>] <graph.json>
-  streamsched export -workload <name> [-o <file>]
-  streamsched loadtest -addr <url> [-kind plan|profile] [-c N] [-n N] [-distinct N] [-workload <name>] [-M <words>] [-B <words>]
+  streamsched buffers -M <words> [-B <words>] [-sched <name>] [-probe N] [-scale N] <graph.json>
+  streamsched compile -M <words> [-B <words>] [-sched <name>] [-warm N] [-max N] [-scale N] [-o <file>] <graph.json>
+  streamsched export -workload <name> [-scale <words>] [-o <file>]
+  streamsched loadtest -addr <url> [-kind plan|profile] [-c N] [-n N] [-distinct N] [-workload <name>] [-M <words>] [-B <words>] [-scale <words>] [-warm N] [-measure N] [-minrate <req/s>]
 workloads: fmradio filterbank beamformer fft bitonic des mp3
 schedulers: flat scaled demand kohli partitioned
-observability (simulate, misscurve, hier, shared): [-metrics <file[.csv]>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-listen <addr>] [-v]`)
+observability (simulate, misscurve, hier, shared): [-metrics <file[.csv]>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-listen <addr>] [-v]
+accepted and ignored (misscurve, hier, shared): [-profilejobs N] [-decodejobs N]`)
 
 // run dispatches a CLI invocation; out receives normal output.
 func run(args []string, out io.Writer) error {

@@ -19,6 +19,7 @@ package cachesim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Policy selects the replacement policy.
@@ -117,6 +118,11 @@ type Cache struct {
 	bank  *Bank // nil for NewTap: nothing is simulated
 	stats Stats
 
+	// pow2 is set when cfg.Block is 1<<shift, so Access can shift a
+	// non-negative word address to its block instead of dividing.
+	pow2  bool
+	shift uint
+
 	observer    func(b, n int64) // access tap (SetObserver / NewTap)
 	classes     []classRange     // registered object ranges (classify.go)
 	classMisses ClassStats
@@ -128,7 +134,16 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.Sets()
-	return &Cache{cfg: cfg, bank: NewBank(sets, cfg.Lines()/sets, cfg.Policy)}, nil
+	c := &Cache{cfg: cfg, bank: NewBank(sets, cfg.Lines()/sets, cfg.Policy)}
+	c.setShift()
+	return c, nil
+}
+
+// setShift records the block's shift when the block is a power of two.
+func (c *Cache) setShift() {
+	if b := c.cfg.Block; b&(b-1) == 0 {
+		c.pow2, c.shift = true, uint(bits.TrailingZeros64(uint64(b)))
+	}
 }
 
 // NewTap returns a cache that simulates nothing: it has no lines, keeps
@@ -140,7 +155,9 @@ func NewTap(block int64, tap func(base, n int64)) (*Cache, error) {
 	if block <= 0 {
 		return nil, fmt.Errorf("cachesim: block size must be positive, got %d", block)
 	}
-	return &Cache{cfg: Config{Block: block}, observer: tap}, nil
+	c := &Cache{cfg: Config{Block: block}, observer: tap}
+	c.setShift()
+	return c, nil
 }
 
 // Skip counts n block accesses a tap did not forward, so that a recording
@@ -174,9 +191,16 @@ func (c *Cache) ResetStats() {
 func (c *Cache) SetObserver(fn func(base, n int64)) { c.observer = fn }
 
 // Access touches the word range [addr, addr+size). Each distinct block in
-// the range counts as one block access.
+// the range counts as one block access. A word's block is addr/B,
+// truncated toward zero; a power-of-two block shifts a non-negative
+// address instead, which is the same quotient.
 func (c *Cache) Access(addr, size int64) {
 	if size <= 0 {
+		return
+	}
+	if c.pow2 && addr >= 0 {
+		first := addr >> c.shift
+		c.accessRun(first, (addr+size-1)>>c.shift-first+1)
 		return
 	}
 	first := addr / c.cfg.Block

@@ -533,3 +533,83 @@ func TestTapSeesRangesAsRuns(t *testing.T) {
 		t.Error("tap-only cache simulates a bank")
 	}
 }
+
+// TestAccessMatchesPerWordDivision holds Access's addressing against a
+// per-word reference: every word of a range belongs to block word/B,
+// truncated toward zero, and the range touches those blocks once each, in
+// order. Negative, zero and block-straddling ranges run through power-of-two
+// blocks (1, 16: the shift for non-negative addresses) and others (3, 48:
+// always the division), on a simulating cache and a tap; both must report
+// the reference's tap runs, and the simulating cache the Stats of a cache
+// fed the reference's blocks one by one. A zero-value Cache divides.
+func TestAccessMatchesPerWordDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for _, block := range []int64{1, 3, 16, 48} {
+		type access struct{ addr, size int64 }
+		var accesses []access
+		for _, addr := range []int64{-5 * block, -block - 1, -block, -block + 1, -1, 0, 1, block - 1, block, 3*block + 1} {
+			for _, size := range []int64{1, 2, block, block + 1, 2*block + 3} {
+				accesses = append(accesses, access{addr, size})
+			}
+		}
+		for i := 0; i < 300; i++ {
+			accesses = append(accesses, access{rng.Int63n(40*block) - 20*block, 1 + rng.Int63n(3*block)})
+		}
+
+		cfg := Config{Capacity: 4 * block, Block: block}
+		var sim, tap, want [][2]int64
+		c := mustCache(t, cfg)
+		c.SetObserver(func(base, n int64) { sim = append(sim, [2]int64{base, n}) })
+		only, err := NewTap(block, func(base, n int64) { tap = append(tap, [2]int64{base, n}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mustCache(t, cfg)
+		for _, a := range accesses {
+			c.Access(a.addr, a.size)
+			only.Access(a.addr, a.size)
+			var run [2]int64
+			for w := a.addr; w < a.addr+a.size; w++ {
+				blk := w / block
+				switch {
+				case run[1] == 0:
+					run = [2]int64{blk, 1}
+				case blk != run[0]+run[1]-1:
+					run[1]++
+				default:
+					continue
+				}
+				ref.AccessBlock(blk, false)
+			}
+			want = append(want, run)
+		}
+		if !reflect.DeepEqual(sim, want) || !reflect.DeepEqual(tap, want) {
+			for i := range want {
+				if i >= len(sim) || i >= len(tap) || sim[i] != want[i] || tap[i] != want[i] {
+					t.Fatalf("block %d: Access(%d, %d) reached the observer as %v and the tap as %v, per-word division gives %v",
+						block, accesses[i].addr, accesses[i].size, at(sim, i), at(tap, i), want[i])
+				}
+			}
+			t.Fatalf("block %d: %d observer and %d tap runs, want %d", block, len(sim), len(tap), len(want))
+		}
+		if got, ref := c.Stats(), ref.Stats(); got != ref {
+			t.Errorf("block %d: Stats %+v, per-word division reference %+v", block, got, ref)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a zero-value Cache resolved an access without dividing by its zero block")
+		}
+	}()
+	var zero Cache
+	zero.Access(16, 1)
+}
+
+// at returns runs[i], or a zero run past the end.
+func at(runs [][2]int64, i int) [2]int64 {
+	if i < len(runs) {
+		return runs[i]
+	}
+	return [2]int64{}
+}

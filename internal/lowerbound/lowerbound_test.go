@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"streamsched/internal/cachesim"
 	"streamsched/internal/partition"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/schedule"
@@ -269,25 +268,121 @@ func everySegment(g *sdf.Graph, m, b int64) (Bound, error) {
 	return finish(g, scaled, len(segs), b, true)
 }
 
-// TestPartitionedWithinConstantOfBound is the Theorem 5 sandwich: the
-// partitioned schedule on an O(M) cache must be within a constant factor
-// of the lower bound.
+// sandwichC is the constant of the Theorem 5 sandwich as measured: the worst
+// ratio of the partitioned schedule's misses on a 2M, 4M or 8M cache to the
+// lower bound at M, over TestPartitionedWithinConstantOfBound's whole
+// sweep. The committed sweep's worst is 38.69, random pipeline seed 7 at
+// 2M (its rates reach 3, so a segment boundary carries up to 9x the
+// bound's per-segment gain); the hand-built 18-stage pipeline reads 5.58,
+// the worst dag 13.38.
+const sandwichC = 39
+
+// TestPartitionedWithinConstantOfBound is the Theorem 5 sandwich: wherever
+// the theorem's preconditions hold — every module's state fits M, and the
+// lower bound at M is positive (for a dag: DagExact's minBW₃ exists and is
+// positive) — the partitioned schedule planned for M misses at most
+// sandwichC times that bound per source firing on a cache of 2M, 4M and
+// 8M, all read off one fully-associative curve. The inputs are the
+// hand-built 18-stage pipeline and seeded random pipelines, layered dags
+// and split-join dags. The check must also reject the schedule built on a
+// partitioner that allows 2M of state per component.
 func TestPartitionedWithinConstantOfBound(t *testing.T) {
 	env := schedule.Env{M: 256, B: 16}
-	g := bigPipeline(t, 18, 128)
-	bound, err := Pipeline(g, env.M, env.B)
-	if err != nil {
-		t.Fatal(err)
+	seeds := int64(40)
+	caps := []int64{2 * env.M, 4 * env.M, 8 * env.M}
+	if testing.Short() {
+		seeds, caps = 10, caps[:2] // seed 7 holds the sweep's worst ratio
 	}
-	cache := cachesim.Config{Capacity: 4 * env.M, Block: env.B} // O(1) augmentation
-	res, err := schedule.Measure(g, schedule.PartitionedPipeline{}, env, cache, 2048, 4096)
-	if err != nil {
-		t.Fatal(err)
+	type input struct {
+		name string
+		g    *sdf.Graph
+		dag  bool
 	}
-	perFiring := float64(res.Stats.Misses) / float64(res.SourceFired)
-	ratio := perFiring / bound.PerSourceFiring
-	// Theory promises O(1); in practice the constant lands well under 32.
-	if ratio > 32 {
-		t.Errorf("partitioned/bound ratio = %.1f, want O(1) (<= 32)", ratio)
+	inputs := []input{{"bigPipeline", bigPipeline(t, 18, 128), false}}
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, err := randgraph.RandomPipeline(rng, randgraph.PipelineSpec{
+			Nodes: 8 + rng.Intn(12), StateMin: 16, StateMax: env.M, RateMax: 3,
+		})
+		if err != nil {
+			t.Fatalf("pipeline seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("random pipeline seed %d", seed), g, false})
+		rng = rand.New(rand.NewSource(seed))
+		if g, err = randgraph.RandomLayeredDag(rng, randgraph.LayeredSpec{
+			Layers: 2 + rng.Intn(3), Width: 2 + rng.Intn(2), StateMin: 16, StateMax: env.M, ExtraEdges: rng.Intn(3),
+		}); err != nil {
+			t.Fatalf("layered dag seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("layered dag seed %d", seed), g, true})
+		if g, err = randgraph.RandomSplitJoin(rng, randgraph.SplitJoinSpec{
+			Branches: 2 + rng.Intn(3), BranchDepth: 1 + rng.Intn(3), StateMin: 16, StateMax: env.M, RateMax: 3,
+		}); err != nil {
+			t.Fatalf("split-join seed %d: %v", seed, err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("split-join seed %d", seed), g, true})
+	}
+	// worstRatio measures the schedule on partition p (nil: the
+	// scheduler's own, M-bounded) against the bound.
+	worstRatio := func(in input, p *partition.Partition, bound float64) (worst float64, at int64) {
+		s := schedule.Partitioned(in.g, p)
+		cr, err := schedule.MeasureCurve(in.g, s, env, env.B, 2048, 4096)
+		if err != nil {
+			t.Fatalf("%s, %s: %v", in.name, s.Name(), err)
+		}
+		for _, c := range caps {
+			perFiring := float64(cr.Curve.MissesAtCapacity(c, env.B)) / float64(cr.SourceFired)
+			if r := perFiring / bound; r > worst {
+				worst, at = r, c
+			}
+		}
+		return worst, at
+	}
+	checked, caught := 0, 0
+	var worst float64
+	for _, in := range inputs {
+		var bound Bound
+		var err error
+		if in.dag {
+			if in.g.NumNodes() > partition.MaxExactNodes {
+				continue // no exact minBW₃
+			}
+			bound, err = DagExact(in.g, env.M, env.B)
+		} else {
+			bound, err = Pipeline(in.g, env.M, env.B)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		if bound.PerSourceFiring <= 0 {
+			continue // the graph fits the bound's cache: nothing to sandwich
+		}
+		checked++
+		r, c := worstRatio(in, nil, bound.PerSourceFiring)
+		worst = max(worst, r)
+		if r > sandwichC {
+			t.Errorf("%s: partitioned misses %.2f times the lower bound at M on a %dM cache, want at most %d",
+				in.name, r, c/env.M, sandwichC)
+		}
+		var loose *partition.Partition
+		if in.dag {
+			loose, err = partition.Auto(in.g, 2*env.M)
+		} else {
+			loose, err = partition.PipelineOptimalDP(in.g, 2*env.M)
+		}
+		if err != nil {
+			t.Fatalf("%s: 2M partition: %v", in.name, err)
+		}
+		if r, _ := worstRatio(in, loose, bound.PerSourceFiring); r > sandwichC {
+			caught++
+		}
+	}
+	t.Logf("%d of %d inputs meet the preconditions; worst ratio %.2f; the 2M partitioner breaks the constant on %d",
+		checked, len(inputs), worst, caught)
+	if checked < len(inputs)/2 {
+		t.Errorf("only %d of %d inputs meet Theorem 5's preconditions", checked, len(inputs))
+	}
+	if caught == 0 {
+		t.Error("the sandwich accepts a partitioner that allows 2M of state per component")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"streamsched/internal/jsonscan/jsonscantest"
 	"streamsched/internal/obs"
+	"streamsched/internal/randgraph"
 	"streamsched/workloads"
 )
 
@@ -655,5 +657,37 @@ func BenchmarkHandlerHit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkComputeProfileCold times one never-seen profile computation —
+// parse, key, plan, record and profile, everything a cold /v1/profile pays
+// but the cache and HTTP — on a request shaped like the daemon-cold
+// benchmark workload's: an 8-branch split-join of two-filter branches whose
+// modules hold 12 blocks of state give or take one, M=512, B=16, warm 512,
+// measure 2560, capacities 256 to 8192.
+func BenchmarkComputeProfileCold(b *testing.B) {
+	const block = 16
+	g, err := randgraph.RandomSplitJoin(rand.New(rand.NewSource(1)), randgraph.SplitJoinSpec{
+		Branches: 8, BranchDepth: 2, StateMin: 11 * block, StateMax: 13 * block,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	graph, err := g.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := []byte(fmt.Sprintf(`{"graph":%s,"m":512,"b":%d,"scheduler":"partitioned","warm":512,"measure":2560,"caps":[256,512,1024,2048,4096,8192]}`, graph, block))
+	s := New(Config{CacheBytes: 1 << 20})
+	b.ReportAllocs()
+	for b.Loop() {
+		_, compute, err := s.profileBody(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := compute(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

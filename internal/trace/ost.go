@@ -22,8 +22,11 @@ import "math/bits"
 // so compaction can tell the owner where it moved. Dead slots accumulate
 // as blocks are reaccessed, so when the slot space runs out the live slots
 // are renumbered 1..live in recency order (consecutive slots stay
-// consecutive) into a space four times their number: memory follows the
-// distinct blocks, not the trace length, at amortised O(1) per append.
+// consecutive) into a space of at least four times their number: memory
+// follows the distinct blocks, not the trace length, at amortised O(1) per
+// append. A space that must grow at least doubles, so a footprint that
+// creeps up between compactions reallocates O(log) times, not on most of
+// them.
 type timeline struct {
 	words  []uint64  // occupancy, bit s&63 of words[s>>6]; slot 0 is never used
 	counts [][]int32 // counts[l][i]: live slots under entry i of level l+1
@@ -139,13 +142,13 @@ func (t *timeline) Append(blk int64, n int32) int32 {
 
 // compact renumbers the live slots 1..live in recency order, in place when
 // the slot space holds four times their number plus need, into a fresh one
-// that big otherwise. In place, live slot k moves down to k — never up past
-// a slot still to be read — and then the bitmap and its counters are
-// cleared and the live prefix set again.
+// that big and at least twice the old one otherwise. In place, live slot k
+// moves down to k — never up past a slot still to be read — and then the
+// bitmap and its counters are cleared and the live prefix set again.
 func (t *timeline) compact(need int32, relabel func(int64, int32)) {
 	words, blkOf, live := t.words, t.blkOf, t.live
 	if size := 4 * (live + need + 1024); size > t.cap() {
-		t.resize(size)
+		t.resize(max(size, 2*t.cap()))
 	}
 	var n int32
 	for w := range words {

@@ -247,7 +247,7 @@ func TestProfilerTouchAllocatesNothingOnceSized(t *testing.T) {
 		pass()
 	}
 	sized := compactions
-	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+	if allocs := testing.AllocsPerRun(40, pass); allocs != 0 {
 		t.Errorf("%.1f allocations per pass once sized, want 0", allocs)
 	}
 	if compactions-sized < 5 {
@@ -358,6 +358,71 @@ func TestTimelineCountAfterMatchesNaiveScan(t *testing.T) {
 	verify("three levels")
 	if len(tl.counts) < 2 {
 		t.Fatalf("a %d-slot timeline has %d counter levels, want at least 2", tl.cap(), len(tl.counts))
+	}
+}
+
+// TestTimelineGrowsGeometrically feeds the timeline the shape of a cold
+// daemon request: a footprint that creeps up by a few blocks between
+// compactions, from 300 to 700 live blocks, over reuses of the blocks
+// already live. A space grown to exactly four times the live count would
+// reallocate on nearly every compaction; grown at least twofold it
+// reallocates O(log) times — at most 3 from 4,096 slots. Every reuse's
+// depth, CountAfter plus one, must equal its position in a naive recency
+// list.
+func TestTimelineGrowsGeometrically(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	tl := newTimeline()
+	slotOf := map[int64]int32{}
+	var recency []int64 // most recent last
+	compactions, resizes := 0, 0
+	relabel := func(blk int64, slot int32) {
+		if slot == 1 {
+			compactions++
+		}
+		slotOf[blk] = slot
+	}
+	touch := func(blk int64) {
+		before := tl.cap()
+		tl.Room(1, relabel)
+		if tl.cap() != before {
+			resizes++
+		}
+		if s, seen := slotOf[blk]; seen {
+			i := len(recency) - 1
+			for recency[i] != blk {
+				i--
+			}
+			if got, want := tl.CountAfter(s)+1, int64(len(recency)-i); got != want {
+				t.Fatalf("%d live blocks, %d-slot space: depth of block %d = %d, naive recency list %d",
+					tl.Len(), tl.cap(), blk, got, want)
+			}
+			tl.Remove(s, 1)
+			recency = append(recency[:i], recency[i+1:]...)
+		}
+		slotOf[blk] = tl.Append(blk, 1)
+		recency = append(recency, blk)
+	}
+
+	next := int64(0)
+	for ; next < 300; next++ {
+		touch(next)
+	}
+	for next < 700 {
+		seen := compactions
+		for compactions == seen {
+			// Recent reuses mostly, as a streaming schedule's are.
+			touch(recency[len(recency)-1-int(rng.ExpFloat64()*40)%len(recency)])
+		}
+		for grow := next + 3 + rng.Int63n(5); next < grow; next++ {
+			touch(next)
+		}
+	}
+	if compactions < 20 {
+		t.Fatalf("%d compactions, want at least 20 for the footprint to creep", compactions)
+	}
+	if resizes > 3 {
+		t.Errorf("%d resizes over %d compactions growing to %d live blocks, want at most 3",
+			resizes, compactions, tl.Len())
 	}
 }
 
