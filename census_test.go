@@ -17,10 +17,12 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -60,9 +62,9 @@ var stdMethods = map[string]bool{
 }
 
 type censusPkg struct {
-	ImportPath, Dir, Export, Name      string
-	Standard                           bool
-	GoFiles, TestGoFiles, XTestGoFiles []string
+	ImportPath, Dir, Export, Name            string
+	Standard                                 bool
+	GoFiles, TestGoFiles, XTestGoFiles, Deps []string
 }
 
 // censusDecl is one exported declaration in internal/.
@@ -103,7 +105,7 @@ func loadCensus(t *testing.T) *census {
 }
 
 func buildCensus() (*census, error) {
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,Name,Standard,GoFiles,TestGoFiles,XTestGoFiles", "./...")
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,Name,Standard,GoFiles,TestGoFiles,XTestGoFiles,Deps", "./...")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -336,6 +338,41 @@ func TestCensusExportedNames(t *testing.T) {
 	}
 }
 
+// netPackages are the module's packages that may link a network stack:
+// the HTTP exposition, the daemon's core and command, and the experiment
+// harness (its -listen).
+var netPackages = map[string]bool{
+	"internal/obs/obshttp": true,
+	"internal/server":      true,
+	"cmd/streamschedd":     true,
+	"cmd/experiments":      true,
+}
+
+// TestCensusNetwork fails on a non-test package of the module, other
+// than netPackages, that depends on net or a package below it: the
+// engine, the library, the examples and the batch CLI model a cache and
+// a schedule, and talk to no network.
+func TestCensusNetwork(t *testing.T) {
+	c := loadCensus(t)
+	linked := map[string]bool{}
+	for _, p := range c.pkgs {
+		for _, d := range p.Deps {
+			if d == "net" || strings.HasPrefix(d, "net/") {
+				linked[c.rel(p)] = true
+				if !netPackages[c.rel(p)] {
+					t.Errorf("%s depends on %s; only %v may link a network stack", p.ImportPath, d, slices.Sorted(maps.Keys(netPackages)))
+				}
+				break
+			}
+		}
+	}
+	for p := range netPackages {
+		if !linked[p] {
+			t.Errorf("%s links no net package: drop it from netPackages", p)
+		}
+	}
+}
+
 // metricMethods are the obs.Registry methods that register a name.
 var metricMethods = map[string]bool{"Counter": true, "Gauge": true, "Timer": true, "Histogram": true, "StartSpan": true}
 
@@ -452,9 +489,10 @@ func (c *census) namePattern(e ast.Expr) string {
 var flagDefiners = regexp.MustCompile(`^(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|BoolFunc)(Var)?$|^(Var|TextVar)$`)
 
 // TestCensusFlags fails on a streamsched or streamschedd flag that
-// README's flag table leaves out or that no test passes, and on a
-// streamsched verb's flag that its line of the usage text (errUsage)
-// leaves out or that the verb does not define.
+// README's flag table leaves out or that no test passes, and on a verb's
+// flag that its line of the command's usage text (errUsage) leaves out
+// or that the verb does not define. The daemon's own flags belong to the
+// verb-less "streamschedd" line.
 func TestCensusFlags(t *testing.T) {
 	c := loadCensus(t)
 	readme, err := os.ReadFile("README.md")
@@ -573,13 +611,10 @@ func TestCensusFlags(t *testing.T) {
 				})
 			}
 		}
-		if bin != "streamsched" {
-			continue
-		}
 		if usage == "" {
 			t.Fatalf("%s: no errUsage text found", p.ImportPath)
 		}
-		listed := usageFlags(usage)
+		listed := usageFlags(usage, bin)
 		// A function's flags land on its own verb's flag set or, for a
 		// helper, on those of the verbs that call it.
 		verbs := func(fname string) []string {
@@ -619,8 +654,8 @@ func TestCensusFlags(t *testing.T) {
 				}
 			}
 		}
-		if len(registered) < 10 {
-			t.Errorf("census mapped flags to only %d streamsched verbs", len(registered))
+		if want := map[string]int{"streamsched": 9, "streamschedd": 2}[bin]; len(registered) < want {
+			t.Errorf("census mapped flags to only %d %s verbs, want %d", len(registered), bin, want)
 		}
 	}
 	if n < 30 {
@@ -628,12 +663,13 @@ func TestCensusFlags(t *testing.T) {
 	}
 }
 
-// usageFlags reads the flags each verb's line of the CLI's usage text
-// names: "  streamsched <verb> …" lines, and the shared lines of the form
-// "<what> (<verb>, <verb>, …): …" that apply to the verbs they list.
-func usageFlags(usage string) map[string]map[string]bool {
+// usageFlags reads the flags each verb's line of bin's usage text names:
+// "  <bin> <verb> …" lines, a verb-less "  <bin> [-flag …]" line (the
+// verb bin itself), and the shared lines of the form "<what> (<verb>,
+// <verb>, …): …" that apply to the verbs they list.
+func usageFlags(usage, bin string) map[string]map[string]bool {
 	flagRe := regexp.MustCompile(`(?:^|[\s\[])(-[A-Za-z0-9]+)`)
-	verbRe := regexp.MustCompile(`^  streamsched (\w+)(.*)$`)
+	verbRe := regexp.MustCompile(`^  ` + regexp.QuoteMeta(bin) + `(?: ([a-z]\w*))?(\s.*)?$`)
 	sharedRe := regexp.MustCompile(`^[a-z ]+ \(([a-z, ]+)\):(.*)$`)
 	listed := map[string]map[string]bool{}
 	add := func(verb, rest string) {
@@ -646,6 +682,9 @@ func usageFlags(usage string) map[string]map[string]bool {
 	}
 	for _, line := range strings.Split(usage, "\n") {
 		if m := verbRe.FindStringSubmatch(line); m != nil {
+			if m[1] == "" {
+				m[1] = bin
+			}
 			add(m[1], m[2])
 		} else if m := sharedRe.FindStringSubmatch(line); m != nil {
 			for _, verb := range strings.Split(m[1], ",") {

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"streamsched/internal/obs"
+	"streamsched/internal/obs/obshttp"
 	"streamsched/internal/trace"
 )
 
@@ -95,12 +96,16 @@ func realMain() (code int) {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	var serve func(*obs.Registry) (io.Closer, error)
+	if *listen != "" {
+		serve = func(reg *obs.Registry) (io.Closer, error) { return obshttp.Serve(*listen, reg) }
+	}
 	sess, err := obs.StartSession(obs.SessionConfig{
 		Metrics:    *metrics,
 		CPUProfile: *cpuprofile,
 		MemProfile: *memprofile,
 		Trace:      *traceOut,
-		Listen:     *listen,
+		Serve:      serve,
 		Verbose:    *verbose,
 		Log:        os.Stdout,
 	})

@@ -17,7 +17,6 @@ type obsFlags struct {
 	cpuprofile string
 	memprofile string
 	traceOut   string
-	listen     string
 	verbose    bool
 }
 
@@ -28,7 +27,6 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile here")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile here on exit")
 	fs.StringVar(&o.traceOut, "trace", "", "write a runtime/trace execution trace here")
-	fs.StringVar(&o.listen, "listen", "", "serve live introspection on this address while the run lasts (/metrics, /metrics.json, /spans, /debug/pprof)")
 	fs.BoolVar(&o.verbose, "v", false, "print the span-tree timing summary on exit")
 	return o
 }
@@ -52,7 +50,6 @@ func (o *obsFlags) start(out io.Writer) (*obs.Session, error) {
 		CPUProfile: o.cpuprofile,
 		MemProfile: o.memprofile,
 		Trace:      o.traceOut,
-		Listen:     o.listen,
 		Verbose:    o.verbose,
 		Log:        out,
 	})

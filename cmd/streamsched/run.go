@@ -31,10 +31,9 @@ var errUsage = errors.New(`usage:
   streamsched buffers -M <words> [-B <words>] [-sched <name>] [-probe N] [-scale N] <graph.json>
   streamsched compile -M <words> [-B <words>] [-sched <name>] [-warm N] [-max N] [-scale N] [-o <file>] <graph.json>
   streamsched export -workload <name> [-scale <words>] [-o <file>]
-  streamsched loadtest -addr <url> [-kind plan|profile] [-c N] [-n N] [-distinct N] [-workload <name>] [-M <words>] [-B <words>] [-scale <words>] [-warm N] [-measure N] [-minrate <req/s>]
 workloads: fmradio filterbank beamformer fft bitonic des mp3
 schedulers: flat scaled demand kohli partitioned
-observability (simulate, misscurve, hier, shared): [-metrics <file[.csv]>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-listen <addr>] [-v]
+observability (simulate, misscurve, hier, shared): [-metrics <file[.csv]>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-v]
 accepted and ignored (misscurve, hier, shared): [-profilejobs N] [-decodejobs N]`)
 
 // run dispatches a CLI invocation; out receives normal output.
@@ -63,8 +62,6 @@ func run(args []string, out io.Writer) error {
 		return cmdCompile(args[1:], out)
 	case "export":
 		return cmdExport(args[1:], out)
-	case "loadtest":
-		return cmdLoadtest(args[1:], out)
 	case "help", "-h", "--help":
 		fmt.Fprintln(out, errUsage.Error())
 		return nil
@@ -413,9 +410,9 @@ func cmdExport(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return errUsage
 	}
-	g, err := workloadBy(*name, *scale)
+	g, err := workloads.ByName(*name, *scale)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w\n%w", err, errUsage)
 	}
 	w := out
 	if *output != "" {
@@ -427,27 +424,6 @@ func cmdExport(args []string, out io.Writer) error {
 		w = f
 	}
 	return g.WriteJSON(w)
-}
-
-func workloadBy(name string, scale int64) (*sdf.Graph, error) {
-	switch name {
-	case "fmradio":
-		return workloads.FMRadio(8, scale)
-	case "filterbank":
-		return workloads.Filterbank(6, 4, scale)
-	case "beamformer":
-		return workloads.Beamformer(6, 4, scale)
-	case "fft":
-		return workloads.FFT(8, 32, scale)
-	case "bitonic":
-		return workloads.BitonicSort(6, 4, scale)
-	case "des":
-		return workloads.DES(16, scale)
-	case "mp3":
-		return workloads.MP3Decoder(scale)
-	default:
-		return nil, fmt.Errorf("unknown workload %q\n%w", name, errUsage)
-	}
 }
 
 // parseSize parses an integer with an optional k/m suffix (base 1024),

@@ -22,7 +22,7 @@ func loadtestServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 func TestLoadtestPlan(t *testing.T) {
 	ts, reg := loadtestServer(t)
 	var out strings.Builder
-	err := run([]string{"loadtest", "-addr", ts.URL, "-n", "400", "-c", "8", "-distinct", "3"}, &out)
+	err := cmdLoadtest([]string{"-addr", ts.URL, "-n", "400", "-c", "8", "-distinct", "3"}, &out)
 	if err != nil {
 		t.Fatalf("loadtest: %v\n%s", err, out.String())
 	}
@@ -44,7 +44,7 @@ func TestLoadtestPlan(t *testing.T) {
 		t.Fatalf("cache.hits = %d, want >= 400", snap.Counters["cache.hits"])
 	}
 	// -minrate turns a throughput below it into a failure.
-	err = run([]string{"loadtest", "-addr", ts.URL, "-n", "40", "-c", "2", "-distinct", "3", "-minrate", "1e15"}, &out)
+	err = cmdLoadtest([]string{"-addr", ts.URL, "-n", "40", "-c", "2", "-distinct", "3", "-minrate", "1e15"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "below required") {
 		t.Fatalf("-minrate 1e15: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestLoadtestPlan(t *testing.T) {
 func TestLoadtestProfile(t *testing.T) {
 	ts, _ := loadtestServer(t)
 	var out strings.Builder
-	err := run([]string{"loadtest", "-addr", ts.URL, "-kind", "profile", "-n", "40", "-c", "4",
+	err := cmdLoadtest([]string{"-addr", ts.URL, "-kind", "profile", "-n", "40", "-c", "4",
 		"-distinct", "2", "-warm", "32", "-measure", "64"}, &out)
 	if err != nil {
 		t.Fatalf("loadtest profile: %v\n%s", err, out.String())
@@ -65,14 +65,15 @@ func TestLoadtestProfile(t *testing.T) {
 
 func TestLoadtestBadArgs(t *testing.T) {
 	for _, args := range [][]string{
-		{"loadtest", "-kind", "nope"},
-		{"loadtest", "-n", "0"},
-		{"loadtest", "-workload", "nope"},
-		{"loadtest", "extra-positional"},
+		{"-kind", "nope"},
+		{"-n", "0"},
+		{"-workload", "nope"},
+		{"extra-positional"},
+		{"-addr", "https://127.0.0.1:1"},
 	} {
 		var out strings.Builder
-		if err := run(args, &out); err == nil {
-			t.Errorf("run(%v) succeeded", args)
+		if err := cmdLoadtest(args, &out); err == nil {
+			t.Errorf("loadtest %v succeeded", args)
 		}
 	}
 }

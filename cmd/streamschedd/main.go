@@ -7,6 +7,7 @@
 //
 //	streamschedd [-listen 127.0.0.1:8372] [-cachebytes 256m] [-jobs N]
 //	             [-timeout 60s] [-maxbody 8m]
+//	streamschedd loadtest -addr http://127.0.0.1:8372 [-c N] [-n N] ...
 //
 // The process serves until SIGINT/SIGTERM, then drains in-flight
 // requests (bounded by the request timeout) before exiting.
@@ -32,6 +33,11 @@ import (
 	"streamsched/internal/server"
 )
 
+// errUsage is returned for malformed invocations.
+var errUsage = errors.New(`usage:
+  streamschedd [-listen <addr>] [-cachebytes <bytes>] [-jobs N] [-timeout <duration>] [-maxbody <bytes>]
+  streamschedd loadtest -addr <url> [-kind plan|profile] [-c N] [-n N] [-distinct N] [-workload <name>] [-M <words>] [-B <words>] [-scale <words>] [-warm N] [-measure N] [-minrate <req/s>]`)
+
 func main() {
 	if err := realMain(os.Args[1:], os.Stderr, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "streamschedd:", err)
@@ -39,10 +45,14 @@ func main() {
 	}
 }
 
-// realMain runs the daemon until ctx-equivalent shutdown. logw receives
-// startup/shutdown lines; ready (tests only) is closed with the bound
-// address once the listener is accepting.
+// realMain runs the daemon until ctx-equivalent shutdown, or the load
+// driver when args start with "loadtest". logw receives startup/shutdown
+// lines; ready (tests only) is closed with the bound address once the
+// listener is accepting.
 func realMain(args []string, logw io.Writer, ready chan<- string) error {
+	if len(args) > 0 && args[0] == "loadtest" {
+		return cmdLoadtest(args[1:], os.Stdout)
+	}
 	fs := flag.NewFlagSet("streamschedd", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	listen := fs.String("listen", "127.0.0.1:8372", "listen address")
@@ -51,7 +61,7 @@ func realMain(args []string, logw io.Writer, ready chan<- string) error {
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request wait bound")
 	maxBody := fs.String("maxbody", "8m", "request body size limit (k/m/g suffixes)")
 	if err := fs.Parse(args); err != nil {
-		return fmt.Errorf("usage: streamschedd [-listen addr] [-cachebytes n] [-jobs n] [-timeout d] [-maxbody n] (%v)", err)
+		return fmt.Errorf("%v\n%w", err, errUsage)
 	}
 	budget, err := parseBytes(*cacheBytes)
 	if err != nil {

@@ -446,7 +446,7 @@ func (m *Machine) Advance(c Counters, k int64) error {
 	check(m.latSum, c.latSum)
 	check(m.latCount, c.latCount)
 	if !fits {
-		return fmt.Errorf("exec: advancing %d periods overflows int64", k)
+		return fmt.Errorf("exec: advancing %d periods overflows int64%.0w", k, sdf.ErrUnprocessable)
 	}
 	if err := m.cache.Skip(k * (accesses - c.accesses)); err != nil {
 		return fmt.Errorf("exec: advance: %w", err)

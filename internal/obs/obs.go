@@ -1,11 +1,11 @@
 // Package obs is the engine's instrumentation layer: named counters,
 // gauges, timers, and histograms collected in a Registry, plus
 // hierarchical Spans for stage timing (record -> profile -> sweep ->
-// report) and an HTTP exposition server (Serve) for watching a run live.
-// It is dependency-free (stdlib only) and concurrency-safe.
+// report); package obshttp serves a registry live. It is
+// dependency-free (stdlib only, no network stack) and concurrency-safe.
 //
 // The package is built around a nil-is-off contract: every method on
-// *Registry, *Counter, *Gauge, *Timer, *Histogram, *Span, and *Server is
+// *Registry, *Counter, *Gauge, *Timer, *Histogram, and *Span is
 // safe to call on a nil receiver and does nothing. Instrumented code
 // therefore never branches on an "enabled" flag — it asks for the
 // registry (its own, or Default()), and when observation is off every

@@ -1,17 +1,23 @@
-package obs
+// Package obshttp serves an obs.Registry over HTTP. It is the one
+// observability package that links net/http; only the daemon's mux and
+// the experiment harness's -listen (through obs.SessionConfig.Serve) use it.
+package obshttp
 
 import (
 	"fmt"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
+
+	"streamsched/internal/obs"
 )
 
 // Server is the live introspection endpoint: a plain HTTP server over a
-// registry, started by Serve (typically via SessionConfig.Listen / the
-// -listen flag) and stopped by Close. While a sweep runs, /metrics can be
-// scraped by Prometheus and /spans curl-watched; the pprof endpoints make
-// a long run debuggable without restarting it with -cpuprofile.
+// registry, started by Serve (through obs.SessionConfig.Serve, for the
+// experiment harness's -listen) and stopped by Close. While a sweep runs,
+// /metrics can be scraped by Prometheus and /spans curl-watched; the pprof
+// endpoints make a long run debuggable without restarting it with
+// -cpuprofile.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -28,7 +34,7 @@ type Server struct {
 // Every request takes a fresh snapshot, so a scrape mid-run sees the
 // counters and histograms as they stand, not the teardown state. A nil
 // registry serves empty snapshots.
-func Handler(reg *Registry) http.Handler {
+func Handler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -66,7 +72,7 @@ func Handler(reg *Registry) http.Handler {
 // "127.0.0.1:0") over reg and returns once the listener is bound, so a
 // caller that starts a sweep next is already scrapeable. The server runs
 // until Close.
-func Serve(addr string, reg *Registry) (*Server, error) {
+func Serve(addr string, reg *obs.Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)

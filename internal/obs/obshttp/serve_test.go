@@ -1,4 +1,4 @@
-package obs
+package obshttp
 
 import (
 	"encoding/json"
@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamsched/internal/obs"
 )
 
 func get(t *testing.T, url string) (string, *http.Response) {
@@ -57,7 +59,7 @@ func parseProm(t *testing.T, body string) map[string]int64 {
 // and parses /metrics back: names sanitised, counters suffixed _total,
 // histogram buckets cumulative and consistent with _count.
 func TestMetricsEndpointRoundTrip(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("trace.accesses").Add(42)
 	r.Gauge("sweep.workers").Set(4)
 	h := r.Histogram("sweep.queue.wait")
@@ -107,7 +109,7 @@ func TestMetricsEndpointRoundTrip(t *testing.T) {
 // TestServeEndpoints binds a real listener on port 0 and walks every
 // endpoint, including a JSON round-trip of /metrics.json into Snapshot.
 func TestServeEndpoints(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("c").Add(7)
 	sp := r.StartSpan("sweep")
 	sp.Start("profile").End()
@@ -127,7 +129,7 @@ func TestServeEndpoints(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("json content type: %q", ct)
 	}
-	var snap Snapshot
+	var snap obs.Snapshot
 	if err := json.Unmarshal([]byte(jsonBody), &snap); err != nil {
 		t.Fatalf("metrics.json round-trip: %v", err)
 	}
@@ -180,18 +182,19 @@ func TestServeNilSafety(t *testing.T) {
 	}
 }
 
-// TestSessionListen: a session with Listen arms a registry and serves it
-// for the session's lifetime; Close shuts the server down.
-func TestSessionListen(t *testing.T) {
-	s, err := StartSession(SessionConfig{Listen: "127.0.0.1:0", Log: io.Discard})
+// TestSessionServe: a session given Serve as its hook serves its
+// registry for the session's lifetime, and Close shuts the server down.
+func TestSessionServe(t *testing.T) {
+	var log strings.Builder
+	s, err := obs.StartSession(obs.SessionConfig{
+		Serve: func(reg *obs.Registry) (io.Closer, error) { return Serve("127.0.0.1:0", reg) },
+		Log:   &log,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.reg == nil {
-		t.Fatal("Listen did not arm a registry")
-	}
-	s.reg.Counter("live").Add(3)
-	addr := s.srv.Addr()
+	obs.Default().Counter("live").Add(3)
+	addr := strings.TrimPrefix(strings.Fields(log.String())[4], "http://")
 	body, _ := get(t, "http://"+addr+"/metrics")
 	if !strings.Contains(body, "streamsched_live_total 3") {
 		t.Errorf("mid-session scrape: %q", body)

@@ -22,11 +22,10 @@ type SessionConfig struct {
 	MemProfile string
 	// Trace, when non-empty, writes a runtime/trace execution trace.
 	Trace string
-	// Listen, when non-empty, serves live introspection over HTTP on this
-	// address for the session's lifetime: /metrics (Prometheus text),
-	// /metrics.json, /spans, and /debug/pprof. Arms a live registry like
-	// Metrics does.
-	Listen string
+	// Serve, when non-nil, serves the session's registry live until Close
+	// (obshttp.Serve, for the experiment harness's -listen; a hook, so that
+	// this package links no network stack). Arms a registry like Metrics.
+	Serve func(*Registry) (io.Closer, error)
 	// Verbose prints the span-tree summary to Log at Close.
 	Verbose bool
 	// Log is the verbose destination; nil means os.Stderr.
@@ -43,10 +42,9 @@ type Session struct {
 	cfg    SessionConfig
 	reg    *Registry
 	prev   *Registry
-	swap   bool
 	cpu    *os.File
 	traceF *os.File
-	srv    *Server
+	srv    io.Closer
 	closed bool
 }
 
@@ -55,22 +53,19 @@ type Session struct {
 // safe to Close.
 func (s *Session) start() error {
 	c := s.cfg
-	if c.Metrics != "" || c.Verbose || c.Listen != "" {
+	if c.Metrics != "" || c.Verbose || c.Serve != nil {
 		s.reg = NewRegistry()
 		s.prev = SetDefault(s.reg)
-		s.swap = true
 	}
-	if c.Listen != "" {
-		srv, err := Serve(c.Listen, s.reg)
+	if c.Serve != nil {
+		srv, err := c.Serve(s.reg)
 		if err != nil {
 			return err
 		}
 		s.srv = srv
-		out := c.Log
-		if out == nil {
-			out = os.Stderr
+		if a, ok := srv.(interface{ Addr() string }); ok {
+			fmt.Fprintf(c.Log, "obs: serving introspection on http://%s (/metrics, /metrics.json, /spans, /debug/pprof)\n", a.Addr())
 		}
-		fmt.Fprintf(out, "obs: serving introspection on http://%s (/metrics, /metrics.json, /spans, /debug/pprof)\n", srv.Addr())
 	}
 	if c.CPUProfile != "" {
 		f, err := os.Create(c.CPUProfile)
@@ -103,6 +98,9 @@ func (s *Session) start() error {
 // started session is already cleaned up and a nil Session is returned —
 // nil.Close() is a safe no-op, so `defer s.Close()` works unconditionally.
 func StartSession(cfg SessionConfig) (*Session, error) {
+	if cfg.Log == nil {
+		cfg.Log = os.Stderr
+	}
 	s := &Session{cfg: cfg}
 	if err := s.start(); err != nil {
 		s.Close()
@@ -121,8 +119,10 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	var errs []error
-	if err := s.srv.Close(); err != nil {
-		errs = append(errs, fmt.Errorf("obs: listen: %w", err))
+	if s.srv != nil {
+		if err := s.srv.Close(); err != nil {
+			errs = append(errs, fmt.Errorf("obs: listen: %w", err))
+		}
 	}
 	if s.cpu != nil {
 		pprof.StopCPUProfile()
@@ -137,26 +137,22 @@ func (s *Session) Close() error {
 		}
 	}
 	if s.cfg.MemProfile != "" {
-		if err := writeMemProfile(s.cfg.MemProfile); err != nil {
+		runtime.GC() // materialise up-to-date heap statistics
+		allocs := func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) }
+		if err := writeFile(s.cfg.MemProfile, "mem profile", allocs); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	if s.swap {
-		SetDefault(s.prev)
-	}
 	if s.reg != nil {
+		SetDefault(s.prev)
 		snap := s.reg.Snapshot()
 		if s.cfg.Metrics != "" {
-			if err := writeSnapshot(snap, s.cfg.Metrics); err != nil {
+			if err := writeFile(s.cfg.Metrics, "metrics", func(w io.Writer) error { return snap.writeAs(w, s.cfg.Metrics) }); err != nil {
 				errs = append(errs, err)
 			}
 		}
 		if s.cfg.Verbose {
-			out := s.cfg.Log
-			if out == nil {
-				out = os.Stderr
-			}
-			if err := snap.WriteSpanTree(out); err != nil {
+			if err := snap.WriteSpanTree(s.cfg.Log); err != nil {
 				errs = append(errs, fmt.Errorf("obs: span tree: %w", err))
 			}
 		}
@@ -164,33 +160,18 @@ func (s *Session) Close() error {
 	return errors.Join(errs...)
 }
 
-func writeMemProfile(path string) error {
+// writeFile creates path and fills it with write; its error names what
+// was being written.
+func writeFile(path, what string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: mem profile: %w", err)
-	}
-	runtime.GC() // materialise up-to-date heap statistics
-	err = pprof.Lookup("allocs").WriteTo(f, 0)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
-		return fmt.Errorf("obs: mem profile: %w", err)
-	}
-	return nil
-}
-
-func writeSnapshot(snap *Snapshot, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: metrics: %w", err)
-	}
-	err = snap.writeAs(f, path)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("obs: metrics: %w", err)
+		return fmt.Errorf("obs: %s: %w", what, err)
 	}
 	return nil
 }

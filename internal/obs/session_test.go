@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,4 +153,51 @@ func TestSessionStartError(t *testing.T) {
 		t.Fatalf("profiler left running after failed start: %v", err)
 	}
 	ok.Close()
+}
+
+// fakeServer stands in for obshttp.Server behind SessionConfig.Serve.
+type fakeServer struct {
+	reg    *Registry
+	closed int
+	err    error
+}
+
+func (f *fakeServer) Addr() string { return "127.0.0.1:9190" }
+
+func (f *fakeServer) Close() error { f.closed++; return f.err }
+
+// TestSessionListen: a session with a Serve hook arms a registry, hands
+// it to the hook, prints where it serves, and closes what the hook
+// returned exactly once; a failed hook fails the start and leaves the
+// default registry as it was.
+func TestSessionListen(t *testing.T) {
+	orig := Default()
+	defer SetDefault(orig)
+	srv := &fakeServer{err: errors.New("boom")}
+	var log strings.Builder
+	s, err := StartSession(SessionConfig{
+		Serve: func(reg *Registry) (io.Closer, error) { srv.reg = reg; return srv, nil },
+		Log:   &log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.reg == nil || srv.reg != s.reg || Default() != s.reg {
+		t.Fatal("Serve did not get the session's armed default registry")
+	}
+	if want := "obs: serving introspection on http://127.0.0.1:9190 "; !strings.HasPrefix(log.String(), want) {
+		t.Errorf("log %q, want prefix %q", log.String(), want)
+	}
+	if err := s.Close(); err == nil || !strings.Contains(err.Error(), "obs: listen: boom") {
+		t.Errorf("Close: %v, want the server's close error", err)
+	}
+	s.Close()
+	if srv.closed != 1 || Default() != orig {
+		t.Errorf("server closed %d times, default restored %v", srv.closed, Default() == orig)
+	}
+
+	failed, err := StartSession(SessionConfig{Serve: func(*Registry) (io.Closer, error) { return nil, errors.New("no port") }})
+	if err == nil || failed != nil || Default() != orig {
+		t.Errorf("failed Serve: session %v, err %v, default restored %v", failed, err, Default() == orig)
+	}
 }

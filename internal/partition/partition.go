@@ -37,7 +37,7 @@ var (
 	ErrNotWellOrdered = errors.New("partition: contracted graph is cyclic")
 	ErrOverBound      = errors.New("partition: component state exceeds bound")
 	ErrNotPipeline    = errors.New("partition: graph is not a pipeline")
-	ErrInfeasible     = errors.New("partition: no feasible partition under bound")
+	ErrInfeasible     = fmt.Errorf("partition: no feasible partition under bound%.0w", sdf.ErrUnprocessable)
 	ErrTooLarge       = errors.New("partition: graph too large for exact search")
 )
 

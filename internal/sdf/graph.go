@@ -58,6 +58,11 @@ var (
 	ErrBadNode      = errors.New("sdf: node id out of range")
 )
 
+// ErrUnprocessable marks a failure the request causes, not the engine: no
+// partition under the bound, or a window driving a count past int64. Its
+// carriers wrap it with "%.0w", which leaves their message as it was.
+var ErrUnprocessable = errors.New("sdf: the request admits no result")
+
 // Graph is an immutable, validated SDF graph.
 type Graph struct {
 	name  string

@@ -129,12 +129,13 @@ type ErrorResponse struct {
 
 // Stable error codes (SERVICE.md documents the full table).
 const (
-	CodeBadRequest = "bad_request"
-	CodeTooLarge   = "too_large"
-	CodeNotFound   = "not_found"
-	CodeMethod     = "method_not_allowed"
-	CodeTimeout    = "timeout"
-	CodeInternal   = "internal"
+	CodeBadRequest    = "bad_request"
+	CodeTooLarge      = "too_large"
+	CodeNotFound      = "not_found"
+	CodeMethod        = "method_not_allowed"
+	CodeTimeout       = "timeout"
+	CodeUnprocessable = "unprocessable"
+	CodeInternal      = "internal"
 )
 
 // Member names of the request bodies, in jsonscan.Member's index order: a

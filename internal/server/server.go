@@ -45,6 +45,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,6 +55,7 @@ import (
 	"time"
 
 	"streamsched/internal/obs"
+	"streamsched/internal/obs/obshttp"
 	"streamsched/internal/plancache"
 	"streamsched/internal/schedule"
 	"streamsched/internal/sdf"
@@ -169,11 +171,11 @@ func New(cfg Config) *Server {
 //	GET  /v1/stats     cache and pool stats as JSON
 //	GET  /healthz      liveness ("ok")
 //	GET  /version      engine version JSON
-//	GET  /metrics, /metrics.json, /spans, /debug/pprof/   internal/obs exposition
+//	GET  /metrics, /metrics.json, /spans, /debug/pprof/   internal/obs/obshttp exposition
 //	GET  /             endpoint index
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	obsH := obs.Handler(s.reg)
+	obsH := obshttp.Handler(s.reg)
 	for _, p := range []string{"/metrics", "/metrics.json", "/spans", "/debug/pprof/"} {
 		mux.Handle(p, obsH)
 	}
@@ -278,6 +280,10 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind stri
 	defer cancel()
 	select {
 	case <-f.done:
+		if errors.Is(f.err, sdf.ErrUnprocessable) {
+			s.writeError(w, http.StatusUnprocessableEntity, CodeUnprocessable, f.err.Error())
+			return
+		}
 		if f.err != nil {
 			s.writeError(w, http.StatusInternalServerError, CodeInternal, f.err.Error())
 			return

@@ -377,7 +377,7 @@ func TestMalformedSeedsRejected(t *testing.T) {
 
 // TestFoldOverflowNotCached: a window that fits in int64 but whose folded
 // steady state counts more accesses than int64 holds fails fast — the
-// fold makes it cheap to reach — with an overflow error, and leaves
+// fold makes it cheap to reach — with a 422 overflow error, and leaves
 // nothing in the cache.
 func TestFoldOverflowNotCached(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{})
@@ -385,14 +385,37 @@ func TestFoldOverflowNotCached(t *testing.T) {
 	start := time.Now()
 	resp, data := post(t, ts.URL+"/v1/profile", body)
 	elapsed := time.Since(start)
-	if resp.StatusCode == http.StatusOK || !strings.Contains(string(data), "overflows int64") {
-		t.Fatalf("status %d: %s, want an overflow error", resp.StatusCode, data)
+	var er ErrorResponse
+	if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(data, &er) != nil ||
+		er.Code != CodeUnprocessable || !strings.Contains(er.Error, "overflows int64") {
+		t.Fatalf("status %d: %s, want a 422 unprocessable overflow error", resp.StatusCode, data)
 	}
 	if elapsed > 100*time.Millisecond {
 		t.Errorf("the overflow took %v to report", elapsed)
 	}
 	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("a failed profile left %d cache entries", n)
+	}
+}
+
+// TestModuleOverBoundUnprocessable: a partitioned schedule of a graph
+// with a module larger than m has no partition, which is the request's
+// fault: both endpoints answer 422 unprocessable, not 500, and cache
+// nothing.
+func TestModuleOverBoundUnprocessable(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{})
+	graph := `{"name": "p", "nodes": [{"name": "a", "state": 600}, {"name": "b", "state": 8}], "edges": [{"from": 0, "to": 1, "out": 1, "in": 1}]}`
+	body := []byte(`{"graph": ` + graph + `, "m": 256, "scheduler": "partitioned"}`)
+	for _, ep := range []string{"/v1/plan", "/v1/profile"} {
+		resp, data := post(t, ts.URL+ep, body)
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(data, &er) != nil ||
+			er.Code != CodeUnprocessable || !strings.Contains(er.Error, "no feasible partition") {
+			t.Errorf("%s: status %d: %s, want 422 unprocessable", ep, resp.StatusCode, data)
+		}
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("failed requests left %d cache entries", n)
 	}
 }
 

@@ -243,49 +243,45 @@ func MP3Decoder(tableWords int64) (*sdf.Graph, error) {
 	return b.Build()
 }
 
+// names lists the workloads ByName builds, in Suite's order.
+var names = []string{"fmradio", "filterbank", "beamformer", "fft", "bitonic", "des", "mp3"}
+
+// ByName builds the named workload at its standard shape with state
+// scale scale: the graphs the CLI exports and the daemon's load test
+// posts.
+func ByName(name string, scale int64) (*sdf.Graph, error) {
+	switch name {
+	case "fmradio":
+		return FMRadio(8, scale)
+	case "filterbank":
+		return Filterbank(6, 4, scale)
+	case "beamformer":
+		return Beamformer(6, 4, scale)
+	case "fft":
+		return FFT(8, 32, scale)
+	case "bitonic":
+		return BitonicSort(6, 4, scale)
+	case "des":
+		return DES(16, scale)
+	case "mp3":
+		return MP3Decoder(scale)
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
+}
+
 // Suite returns the standard workload collection scaled so that module
 // states are a meaningful fraction of cache size m, as used by the
-// dag-workload experiments (E6).
+// dag-workload experiments (E6). The MP3 decoder's largest table is then
+// 4·(m/4) = m and its tables total ≈ 2.75m, so it does not fit in cache
+// and the scheduling comparison is meaningful.
 func Suite(m int64) ([]*sdf.Graph, error) {
-	q := m / 4
-	if q < 4 {
-		q = 4
-	}
-	var out []*sdf.Graph
-	add := func(g *sdf.Graph, err error) error {
+	out := make([]*sdf.Graph, len(names))
+	for i, name := range names {
+		g, err := ByName(name, max(m/4, 4))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out = append(out, g)
-		return nil
-	}
-	if err := add(FMRadio(8, q)); err != nil {
-		return nil, err
-	}
-	if err := add(Filterbank(6, 4, q)); err != nil {
-		return nil, err
-	}
-	if err := add(Beamformer(6, 4, q)); err != nil {
-		return nil, err
-	}
-	if err := add(FFT(8, 32, q)); err != nil {
-		return nil, err
-	}
-	if err := add(BitonicSort(6, 4, q)); err != nil {
-		return nil, err
-	}
-	if err := add(DES(16, q)); err != nil {
-		return nil, err
-	}
-	tw := q
-	if tw < 1 {
-		tw = 1
-	}
-	// Largest table = 4q = m; total table state = 11q ≈ 2.75m, so the
-	// decoder does not fit in cache and the scheduling comparison is
-	// meaningful.
-	if err := add(MP3Decoder(tw)); err != nil {
-		return nil, err
+		out[i] = g
 	}
 	return out, nil
 }
