@@ -65,6 +65,24 @@ func TestInfoCommand(t *testing.T) {
 	}
 }
 
+// TestInfoRefusesTrailingBytes: a graph file is one graph and nothing
+// after it but whitespace, as a request body is; the daemon's wording.
+func TestInfoRefusesTrailingBytes(t *testing.T) {
+	path := writeGraph(t, "fmradio", 64)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, " x"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	err = run([]string{"info", path}, &sb)
+	if want := `sdf: parse graph json: invalid character 'x' after top-level value`; err == nil || err.Error() != want {
+		t.Fatalf("info on a graph followed by \" x\": %v, want %s", err, want)
+	}
+}
+
 func TestPartitionCommand(t *testing.T) {
 	path := writeGraph(t, "des", 128)
 	dot := filepath.Join(t.TempDir(), "p.dot")

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"streamsched/internal/obs"
+	"streamsched/internal/sdf"
 	"streamsched/workloads"
 )
 
@@ -36,7 +37,7 @@ func cmdLoadtest(args []string, out io.Writer) error {
 	workload := fs.String("workload", "fmradio", "workload family for generated graphs")
 	m := fs.Int64("M", 512, "design cache size in words")
 	b := fs.Int64("B", 16, "block size in words")
-	scale := fs.Int64("scale", 64, "base state scale; variant i uses scale+16i")
+	scale := fs.Int64("scale", 64, "base state scale; variant i uses scale+16i, wrapped to keep modules within -M")
 	warm := fs.Int64("warm", 64, "profile warmup firings (kind profile)")
 	measure := fs.Int64("measure", 256, "profile measured firings (kind profile)")
 	minRate := fs.Float64("minrate", 0, "fail if throughput falls below this many req/s (0: report only)")
@@ -155,14 +156,29 @@ func cmdLoadtest(args []string, out io.Writer) error {
 }
 
 // loadtestBodies builds the distinct request payloads: one workload graph
-// per variant, with the state scale stepped so each variant hashes to its
-// own cache entry.
+// per variant, with the state scale stepped by 16 so each variant hashes
+// to its own cache entry. A scale whose largest module would not fit in m
+// is never used (the base scale aside): the variants wrap around to the
+// base scale, and a wrapped variant's graph name carries its round.
 func loadtestBodies(kind, workload string, distinct int, m, b, scale, warm, measure int64) ([][]byte, error) {
 	bodies := make([][]byte, 0, distinct)
+	var fit []*sdf.Graph // the graphs at scale, scale+16, … up to the first that does not fit
 	for i := 0; i < distinct; i++ {
-		g, err := workloads.ByName(workload, scale+16*int64(i))
-		if err != nil {
-			return nil, fmt.Errorf("%w\n%w", err, errUsage)
+		if len(fit) == i {
+			g, err := workloads.ByName(workload, scale+16*int64(i))
+			if err != nil {
+				return nil, fmt.Errorf("%w\n%w", err, errUsage)
+			}
+			if i == 0 || maxState(g) <= m {
+				fit = append(fit, g)
+			}
+		}
+		g := fit[i%len(fit)]
+		if round := i / len(fit); round > 0 {
+			var err error
+			if g, err = renamed(g, fmt.Sprintf("%s-%d", g.Name(), round)); err != nil {
+				return nil, err
+			}
 		}
 		var graph bytes.Buffer
 		if err := g.WriteJSON(&graph); err != nil {
@@ -180,6 +196,29 @@ func loadtestBodies(kind, workload string, distinct int, m, b, scale, warm, meas
 		bodies = append(bodies, body)
 	}
 	return bodies, nil
+}
+
+// maxState returns the state of g's largest module.
+func maxState(g *sdf.Graph) int64 {
+	var most int64
+	for v := range g.NumNodes() {
+		most = max(most, g.Node(sdf.NodeID(v)).State)
+	}
+	return most
+}
+
+// renamed returns a copy of g under another name.
+func renamed(g *sdf.Graph, name string) (*sdf.Graph, error) {
+	b := sdf.NewBuilder(name)
+	for v := range g.NumNodes() {
+		n := g.Node(sdf.NodeID(v))
+		b.AddNode(n.Name, n.State)
+	}
+	for e := range g.NumEdges() {
+		ed := g.Edge(sdf.EdgeID(e))
+		b.Connect(ed.From, ed.To, ed.Out, ed.In)
+	}
+	return b.Build()
 }
 
 // loadtestConn is one keep-alive HTTP/1.1 connection to the daemon. The

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
 
 	"streamsched/internal/obs"
+	"streamsched/internal/sdf"
 	"streamsched/internal/server"
 )
 
@@ -60,6 +64,46 @@ func TestLoadtestProfile(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "errors:       0") {
 		t.Fatalf("profile loadtest reported errors:\n%s", out.String())
+	}
+}
+
+// TestLoadtestManyVariants: 64 fmradio variants at -M 512 are 64 distinct
+// bodies, and no graph among them has a module larger than m, so none is
+// refused; the first four are the bodies CI's smoke test has always sent.
+func TestLoadtestManyVariants(t *testing.T) {
+	bodies, err := loadtestBodies("plan", "fmradio", 64, 512, 16, 64, 64, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for i, body := range bodies {
+		if j, ok := seen[string(body)]; ok {
+			t.Fatalf("variants %d and %d are the same body", j, i)
+		}
+		seen[string(body)] = i
+		var req struct{ Graph json.RawMessage }
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		g, err := sdf.ReadJSON(bytes.NewReader(req.Graph))
+		if err != nil {
+			t.Fatalf("variant %d: %v", i, err)
+		}
+		if s := maxState(g); s > 512 {
+			t.Errorf("variant %d (%s) has a module of %d words, past M = 512", i, g.Name(), s)
+		}
+	}
+	first, err := loadtestBodies("plan", "fmradio", 4, 512, 16, 64, 64, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range first {
+		if !bytes.Equal(body, bodies[i]) {
+			t.Errorf("variant %d differs between -distinct 4 and -distinct 64", i)
+		}
+		if want := fmt.Sprintf(`"state":%d`, 64+16*i); !strings.Contains(string(body), want) {
+			t.Errorf("variant %d lacks %s: the first variants' scales moved", i, want)
+		}
 	}
 }
 

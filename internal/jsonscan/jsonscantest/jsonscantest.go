@@ -41,16 +41,19 @@ func Corpus(t testing.TB, dir string) map[string][]byte {
 	return out
 }
 
-// tokens are the insertions Mutate draws from: escapes, non-ASCII bytes
-// that fold to ASCII letters (ſ to s, the Kelvin sign to k), null,
-// literals that are not int64 integers, int64's edges, and the structural
-// bytes and members whose misplacement makes JSON malformed or repeated.
+// tokens are the insertions Mutate draws from: escapes (surrogates, lone
+// and paired, among them), non-ASCII bytes that fold to ASCII letters (ſ
+// to s, the Kelvin sign to k), invalid UTF-8, null, literals that are not
+// int64 integers, int64's edges, and the structural bytes and members
+// whose misplacement makes JSON malformed or repeated.
 var tokens = []string{
 	`"`, `\`, `A`, `\"`, `ſ`, "K", `é`, "\x7f", "\x01",
+	`\u0073`, `\ud800`, `\udc00`, `\ud83d\ude00`, `\n`, `\q`, "\xff",
 	`null`, `true`, `1e3`, `.5`, `0`, `00`, `-`, `-0`, `+1`,
 	`9223372036854775807`, `9223372036854775808`, `-9223372036854775808`, `-9223372036854775809`,
 	`,`, `:`, `{`, `}`, `[`, `]`, ` `, "\t", "\n",
 	`"m": 1, `, `"name": "x", `, `"state": 2, `, `"from": 0, `, `"caps": [], `,
+	`"caps": [null], `, `"nodes": [{}], `, `"graph": null, `,
 }
 
 // Mutate returns a copy of in with one to three random edits: a byte

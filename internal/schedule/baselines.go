@@ -47,12 +47,13 @@ func (s Scaled) Prepare(g *sdf.Graph, _ Env) (*Plan, error) {
 // flatPlan is the flat schedule scaled by scale: buffers for scale
 // periods, cap(e) = scale·reps(from)·out(e) (at least minBuf), and one
 // step of scale·reps(source) source firings per period. A scale at which
-// either does not fit in int64 is refused.
+// either does not fit in int64 is refused, as the request's fault
+// (sdf.ErrUnprocessable).
 func flatPlan(g *sdf.Graph, scale int64) (*Plan, error) {
 	src := g.Source()
 	step, ok := ratio.AddMul(0, scale, g.Repetitions(src))
 	if !ok {
-		return nil, fmt.Errorf("%w: scale %d times %d source firings per period overflows int64", ErrUnsupported, scale, g.Repetitions(src))
+		return nil, fmt.Errorf("%w: scale %d times %d source firings per period overflows int64%.0w", ErrUnsupported, scale, g.Repetitions(src), sdf.ErrUnprocessable)
 	}
 	caps := minBufCaps(g)
 	for e := range caps {
@@ -62,8 +63,8 @@ func flatPlan(g *sdf.Graph, scale int64) (*Plan, error) {
 			c, ok = ratio.AddMul(0, c, ed.Out)
 		}
 		if !ok {
-			return nil, fmt.Errorf("%w: scale %d overflows int64 in the buffer of edge %d (%s -> %s)",
-				ErrUnsupported, scale, e, g.Node(ed.From).Name, g.Node(ed.To).Name)
+			return nil, fmt.Errorf("%w: scale %d overflows int64 in the buffer of edge %d (%s -> %s)%.0w",
+				ErrUnsupported, scale, e, g.Node(ed.From).Name, g.Node(ed.To).Name, sdf.ErrUnprocessable)
 		}
 		caps[e] = max(caps[e], c)
 	}

@@ -22,6 +22,7 @@ package schedule
 
 import (
 	"errors"
+	"fmt"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
@@ -33,6 +34,9 @@ import (
 var (
 	ErrDeadlock    = errors.New("schedule: no module can fire (deadlock)")
 	ErrUnsupported = errors.New("schedule: scheduler does not support this graph")
+	// ErrBudget refuses a window whose estimated work is past Env.Budget:
+	// the request asked for too much, so it wraps sdf.ErrUnprocessable.
+	ErrBudget = fmt.Errorf("schedule: window past the work budget%.0w", sdf.ErrUnprocessable)
 )
 
 // Env carries the machine parameters a scheduler may use when planning.
@@ -46,6 +50,10 @@ type Env struct {
 	// to the process-wide obs.Default(), which is itself nil — fully
 	// disabled — unless a CLI session or test installed one.
 	Metrics *obs.Registry
+	// Budget, when positive, is a ceiling on the block accesses one
+	// Window.Measure may make, warm-up included; a window estimated past
+	// it fails with ErrBudget before it runs past it. Zero means none.
+	Budget int64
 	// Deprecated: ProfileJobs and DecodeJobs are ignored (every profile
 	// runs inline); kept only because the frozen bench/ module names them.
 	ProfileJobs, DecodeJobs int

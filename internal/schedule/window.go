@@ -8,6 +8,7 @@ import (
 	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
 	"streamsched/internal/obs"
+	"streamsched/internal/ratio"
 	"streamsched/internal/sdf"
 	"streamsched/internal/trace"
 )
@@ -106,6 +107,10 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 	if err != nil {
 		return nil, run, fmt.Errorf("schedule: prepare %s: %w", run.Scheduler, err)
 	}
+	limit, err := w.firingLimit(g, plan, env.Budget, warm, measured)
+	if err != nil {
+		return nil, run, err
+	}
 	m, err := exec.NewMachine(g, exec.Config{
 		Cache:        w.Cache,
 		Caps:         plan.Caps,
@@ -136,7 +141,7 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 	if measured > math.MaxInt64-fired0 {
 		return nil, run, fmt.Errorf("schedule: measured window %d after %d warm-up firings overflows int64", measured, fired0)
 	}
-	if err := w.run(m, plan, fired0+measured, env.metrics()); err != nil {
+	if err := w.run(m, plan, fired0+measured, limit, env.metrics()); err != nil {
 		return nil, run, fmt.Errorf("schedule: run %s: %w", run.Scheduler, err)
 	}
 	if err := m.CheckConservation(); err != nil {
@@ -174,19 +179,20 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 // Folder counts them as steady periods, and the rest runs for real. With no
 // recurrence by a third of the window it stops looking, and so it does once
 // the saved key is too late for a fold: a period of P >= Step firings from
-// it must recur and leave P more before the end. Every other window is one
-// Run call — which is what the stepped calls amount to, by Plan.Step's
-// contract.
-func (w Window) run(m *exec.Machine, plan *Plan, end int64, reg *obs.Registry) error {
+// it must recur and leave P more before the end. It also stops at limit,
+// the source firings the work budget allows, and then refuses to run the
+// rest if the window ends past it. Every other window is one Run call —
+// which is what the stepped calls amount to, by Plan.Step's contract.
+func (w Window) run(m *exec.Machine, plan *Plan, end, limit int64, reg *obs.Registry) error {
 	f := w.Folder
 	start := m.SourceFirings()
-	if f == nil || plan.Step <= 0 || (end-start)/2 < plan.Step {
+	if !w.folds(plan, end-start) {
 		return plan.Runner.Run(m, end)
 	}
 	saved, savedAt, c := m.AppendState(nil), start, m.Counters()
 	f.StartPeriod()
 	var key []int64
-	for steps, power := int64(0), int64(1); m.SourceFirings() <= end-plan.Step && (end-savedAt)/2 >= plan.Step && m.SourceFirings()-start < (end-start)/3; {
+	for steps, power := int64(0), int64(1); m.SourceFirings() <= end-plan.Step && (end-savedAt)/2 >= plan.Step && m.SourceFirings()-start < (end-start)/3 && m.SourceFirings() < limit; {
 		if err := plan.Runner.Run(m, m.SourceFirings()+plan.Step); err != nil {
 			return err
 		}
@@ -215,10 +221,69 @@ func (w Window) run(m *exec.Machine, plan *Plan, end int64, reg *obs.Registry) e
 			steps, power = 0, 2*power
 		}
 	}
+	if end > limit {
+		return fmt.Errorf("%w: no recurrence in the first %d source firings, and the window ends at %d", ErrBudget, m.SourceFirings(), end)
+	}
 	if err := f.RepeatSteady(0); err != nil {
 		return err
 	}
 	return plan.Runner.Run(m, end)
+}
+
+// folds reports whether a window of measured source firings under plan
+// looks for a recurrence to fold: its plan has a step, it has a Folder,
+// and the window holds at least two steps.
+func (w Window) folds(plan *Plan, measured int64) bool {
+	return w.Folder != nil && plan.Step > 0 && measured/2 >= plan.Step
+}
+
+// firingLimit turns budget, a ceiling on block accesses, into a ceiling on
+// the source firings the machine may reach, at accessesPerFiring's
+// estimate; no budget is no ceiling. It tests the ceiling once, now that
+// the plan says whether the window folds: a window that cannot runs warm +
+// measured firings, and one that can runs its warm-up and then looks for a
+// recurrence only below the ceiling (run).
+func (w Window) firingLimit(g *sdf.Graph, plan *Plan, budget, warm, measured int64) (int64, error) {
+	if budget <= 0 {
+		return math.MaxInt64, nil
+	}
+	per := accessesPerFiring(g, w.Cache.Block)
+	limit, warm := budget/per, max(warm, 0)
+	if warm > limit || (!w.folds(plan, measured) && measured > limit-warm) {
+		return 0, fmt.Errorf("%w: %d warm-up and %d measured source firings at ~%d block accesses each, against a budget of %d accesses",
+			ErrBudget, warm, measured, per, budget)
+	}
+	return limit, nil
+}
+
+// accessesPerFiring estimates the block accesses a schedule of g makes
+// per source firing: in a period every module firing touches its state
+// and the items it pops and pushes, each in whole blocks, and the period's
+// sum is divided among the source's firings, rounded up. It is at least 1
+// and saturates at math.MaxInt64.
+func accessesPerFiring(g *sdf.Graph, block int64) int64 {
+	block = max(block, 1)
+	var period int64
+	ok := true
+	add := func(reps, words int64) {
+		if ok {
+			period, ok = ratio.AddMul(period, reps, words/block+min(words%block, 1))
+		}
+	}
+	for v := range g.NumNodes() {
+		id := sdf.NodeID(v)
+		add(g.Repetitions(id), g.Node(id).State)
+	}
+	for e := range g.NumEdges() {
+		ed := g.Edge(sdf.EdgeID(e))
+		add(g.Repetitions(ed.From), ed.Out)
+		add(g.Repetitions(ed.To), ed.In)
+	}
+	if !ok {
+		return math.MaxInt64
+	}
+	src := g.Repetitions(g.Source())
+	return max(1, period/src+min(period%src, 1))
 }
 
 // Sweep measures once per scheduler on the trace.Sweep pool, one worker

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"errors"
 	"testing"
 
 	"streamsched/internal/cachesim"
@@ -131,5 +132,62 @@ func TestDaemonColdShapeFoldsFourPeriods(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("folded %d periods, want 4", n)
+	}
+}
+
+// TestWindowBudget: Env.Budget refuses, before anything runs, a window
+// that cannot fold and whose warm-up and window are estimated past it, and
+// runs one just inside it; the refusal is the request's fault. A window
+// that folds runs its warm-up and looks for a recurrence only within the
+// budget: a long window that recurs early runs, folded, to the unbudgeted
+// result, and one whose search the budget cuts short is refused rather
+// than run to its end.
+func TestWindowBudget(t *testing.T) {
+	b := sdf.NewBuilder("chain")
+	src, f, h, sink := b.AddNode("src", 0), b.AddNode("f", 64), b.AddNode("h", 32), b.AddNode("sink", 0)
+	b.Connect(src, f, 2, 1)
+	b.Connect(f, h, 1, 2)
+	b.Connect(h, sink, 1, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, measured = 64, 1024
+	per := accessesPerFiring(g, 16)
+	measure := func(name string, budget, measured int64) (*CurveResult, error) {
+		t.Helper()
+		s, err := ByName(name, g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MeasureCurve(g, s, Env{M: 256, B: 16, Budget: budget}, 16, warm, measured)
+	}
+	cr, err := measure("demand", per*(warm+measured), measured)
+	if err != nil {
+		t.Fatalf("demand inside its budget: %v", err)
+	}
+	// An estimate: a push or pop that wraps its ring touches one block
+	// more than its rate's whole blocks.
+	if est := per * (cr.SourceFired + warm); cr.TraceLen < est || cr.TraceLen > est+est/10 {
+		t.Errorf("demand made %d accesses; the estimate is %d", cr.TraceLen, est)
+	}
+	if _, err := measure("demand", per*(warm+measured)-1, measured); !errors.Is(err, ErrBudget) || !errors.Is(err, sdf.ErrUnprocessable) {
+		t.Errorf("demand one access past its budget: %v, want ErrBudget", err)
+	}
+	const long = 1 << 40
+	want, err := measure("flat", 0, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := measure("flat", per*(warm+1000), long)
+	if err != nil {
+		t.Fatalf("flat folding within its budget: %v", err)
+	}
+	if got.Curve.Accesses != want.Curve.Accesses || got.Curve.MissesAtCapacity(128, 16) != want.Curve.MissesAtCapacity(128, 16) {
+		t.Errorf("budgeted fold read %d accesses, %d misses at 128; unbudgeted %d, %d",
+			got.Curve.Accesses, got.Curve.MissesAtCapacity(128, 16), want.Curve.Accesses, want.Curve.MissesAtCapacity(128, 16))
+	}
+	if _, err := measure("flat", per*warm, long); !errors.Is(err, ErrBudget) {
+		t.Errorf("flat with no budget left to look for a recurrence: %v, want ErrBudget", err)
 	}
 }

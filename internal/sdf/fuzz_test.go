@@ -16,20 +16,45 @@ import (
 	"streamsched/internal/jsonscan/jsonscantest"
 )
 
+// addTo makes the Builder calls encoding/json's reading of a graph stands
+// for: every node, then every edge, in document order. It is the
+// reference DecodeJSON is held to.
+func (jg *jsonGraph) addTo(b *Builder) {
+	for _, n := range jg.Nodes {
+		b.AddNode(n.Name, n.State)
+	}
+	for _, e := range jg.Edges {
+		b.Connect(NodeID(e.From), NodeID(e.To), e.Out, e.In)
+	}
+}
+
 // checkOnePass reports whether DecodeJSON reads all of data in one pass,
-// and if it does, fails t unless encoding/json reads the same graph: the
-// Builder it leads ReadJSON to fill must hold the same name, nodes, edges
-// and pending error.
+// with encoding/json as the oracle: it fails t unless DecodeJSON accepts
+// exactly what encoding/json, reading data as ReadJSON's wording path
+// does (unknown members and trailing bytes refused), accepts; unless
+// ParseError words exactly the refusals; and unless an accepted graph's
+// Builder holds the name, nodes, edges and pending error encoding/json's
+// reading leads to.
 func checkOnePass(t testing.TB, data []byte) bool {
 	t.Helper()
 	s := jsonscan.New(data)
 	b := DecodeJSON(s)
-	if !s.End() {
-		return false
-	}
+	ok := s.End()
 	var jg jsonGraph
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&jg); err != nil {
-		t.Fatalf("one-pass decode accepted a graph encoding/json refuses (%v):\n%s", err, data)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&jg)
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%q after the graph", rest)
+	}
+	if ok != (err == nil) {
+		t.Fatalf("one-pass decode accepted %t; encoding/json: %v\n%s", ok, err, data)
+	}
+	if perr := ParseError(data); (perr == nil) != ok {
+		t.Fatalf("one-pass decode accepted %t; ParseError: %v\n%s", ok, perr, data)
+	}
+	if !ok {
+		return false
 	}
 	ref := NewBuilder(jg.Name)
 	jg.addTo(ref)
@@ -40,26 +65,33 @@ func checkOnePass(t testing.TB, data []byte) bool {
 	return true
 }
 
-// TestDecodeJSONDeclines pins the graph decoder's spelling: the corpus's
-// fmradio export is decoded in one pass, and each decline-* graph, which
-// differs from a small accepted graph by one reason to decline, goes to
-// encoding/json.
+// TestDecodeJSONDeclines pins the graph decoder's two halves on the
+// corpus: the exported workloads and every accept-* graph — an escape, a
+// non-ASCII byte, a case-folded name, a repeated member, a null element,
+// a repeated nodes array decoded over the first, a lone surrogate — are
+// read in one pass as encoding/json reads them, and every decline-*
+// graph, one error away from a small accepted one, is refused by
+// encoding/json too.
 func TestDecodeJSONDeclines(t *testing.T) {
 	seeds := jsonscantest.Corpus(t, "testdata/fuzz/FuzzReadJSON")
-	if !checkOnePass(t, seeds["fmradio"]) {
-		t.Fatal("fmradio declined")
-	}
-	n := 0
+	var accepts, declines int
 	for name, data := range seeds {
-		if strings.HasPrefix(name, "decline-") {
-			n++
-			if checkOnePass(t, data) {
+		ok := checkOnePass(t, data)
+		switch {
+		case name == "fmradio" || strings.HasPrefix(name, "accept-"):
+			accepts++
+			if !ok {
+				t.Errorf("%s: one-pass decode declined\n%s", name, data)
+			}
+		case strings.HasPrefix(name, "decline-"):
+			declines++
+			if ok {
 				t.Errorf("%s: one-pass decode accepted\n%s", name, data)
 			}
 		}
 	}
-	if n == 0 {
-		t.Fatal("no decline-* seeds")
+	if accepts < 8 || declines < 11 {
+		t.Fatalf("%d accept-* and %d decline-* seeds, want 8 and 11", accepts, declines)
 	}
 }
 
@@ -91,9 +123,10 @@ func TestDecodeJSONMatchesEncodingJSON(t *testing.T) {
 // reps(to)·in, compared in 128 bits; and MarshalJSON output reads back to
 // a graph that marshals to the same bytes. The seed corpus is
 // testdata/fuzz/FuzzReadJSON: exported workloads, a pipeline whose total
-// state overflows int64, and one graph per reason the one-pass decoder
-// declines (decline-*). Every input also goes through checkOnePass, which
-// holds DecodeJSON to encoding/json.
+// state overflows int64, graphs in spellings other than the exported one
+// (accept-*) and graphs one error away from an accepted one (decline-*).
+// Every input also goes through checkOnePass, which holds DecodeJSON to
+// encoding/json: the same graphs accepted, the same reading.
 func FuzzReadJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkOnePass(t, data)

@@ -102,28 +102,39 @@ func NewBuilder(name string) *Builder {
 // and returns its ID. Duplicate names are permitted (names are for
 // reporting); state must be non-negative.
 func (b *Builder) AddNode(name string, state int64) NodeID {
-	id := NodeID(len(b.nodes))
-	if state < 0 && b.err == nil {
-		b.err = fmt.Errorf("%w: node %q has state %d", ErrBadState, name, state)
-	}
-	b.nodes = append(b.nodes, Node{Name: name, State: state})
-	return id
+	n := Node{Name: name, State: state}
+	b.checkNode(n)
+	b.nodes = append(b.nodes, n)
+	return NodeID(len(b.nodes) - 1)
 }
 
 // Connect adds a channel from -> to on which `from` produces out items per
 // firing and `to` consumes in items per firing, and returns its ID.
 func (b *Builder) Connect(from, to NodeID, out, in int64) EdgeID {
-	id := EdgeID(len(b.edges))
-	if b.err == nil {
-		if int(from) < 0 || int(from) >= len(b.nodes) || int(to) < 0 || int(to) >= len(b.nodes) {
-			b.err = fmt.Errorf("%w: connect %d -> %d with %d nodes", ErrBadNode, from, to, len(b.nodes))
-		} else if out <= 0 || in <= 0 {
-			b.err = fmt.Errorf("%w: edge %s -> %s rates out=%d in=%d",
-				ErrBadRate, b.nodes[from].Name, b.nodes[to].Name, out, in)
-		}
+	e := Edge{From: from, To: to, Out: out, In: in}
+	b.checkEdge(e)
+	b.edges = append(b.edges, e)
+	return EdgeID(len(b.edges) - 1)
+}
+
+// checkNode records n's fault, if it is the first: a negative state.
+func (b *Builder) checkNode(n Node) {
+	if n.State < 0 && b.err == nil {
+		b.err = fmt.Errorf("%w: node %q has state %d", ErrBadState, n.Name, n.State)
 	}
-	b.edges = append(b.edges, Edge{From: from, To: to, Out: out, In: in})
-	return id
+}
+
+// checkEdge records e's fault, if it is the first: an endpoint that is not
+// one of the nodes added so far, or a rate that is not positive.
+func (b *Builder) checkEdge(e Edge) {
+	switch {
+	case b.err != nil:
+	case int(e.From) < 0 || int(e.From) >= len(b.nodes) || int(e.To) < 0 || int(e.To) >= len(b.nodes):
+		b.err = fmt.Errorf("%w: connect %d -> %d with %d nodes", ErrBadNode, e.From, e.To, len(b.nodes))
+	case e.Out <= 0 || e.In <= 0:
+		b.err = fmt.Errorf("%w: edge %s -> %s rates out=%d in=%d",
+			ErrBadRate, b.nodes[e.From].Name, b.nodes[e.To].Name, e.Out, e.In)
+	}
 }
 
 // Chain connects a sequence of nodes with unit-rate channels, a convenience

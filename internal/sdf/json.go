@@ -2,6 +2,7 @@ package sdf
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -50,32 +51,36 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadJSON parses a graph from the CLI interchange format and validates it
-// through the normal Build path. A member the format does not have, at any
-// level, is an error rather than dropped: a misspelt "state" would
-// otherwise build a zero-state module. ReadJSON reads one value and
-// leaves the rest of r unread.
+// ReadJSON reads r to EOF and parses it as one graph in the CLI
+// interchange format, through DecodeJSON, then validates it through the
+// normal Build path. A member the format does not have, at any level, is
+// an error rather than dropped: a misspelt "state" would otherwise build
+// a zero-state module. So is anything but whitespace after the graph.
 func ReadJSON(r io.Reader) (*Graph, error) {
-	var jg jsonGraph
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jg); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("sdf: parse graph json: %w", err)
 	}
-	b := NewBuilder(jg.Name)
-	jg.addTo(b)
+	s := jsonscan.New(data)
+	b := DecodeJSON(s)
+	if !s.End() {
+		if err := ParseError(data); err != nil {
+			return nil, err
+		}
+		return nil, errors.New("sdf: parse graph json: the one-pass decoder refused a graph encoding/json reads")
+	}
 	return b.Build()
 }
 
-// addTo makes the Builder calls a decoded graph stands for: every node,
-// then every edge, in document order.
-func (jg *jsonGraph) addTo(b *Builder) {
-	for _, n := range jg.Nodes {
-		b.AddNode(n.Name, n.State)
+// ParseError words why data is not one graph in the interchange format:
+// encoding/json's error, prefixed "sdf: parse graph json: ", or nil when
+// encoding/json reads data. It is the wording half of the decoder, for
+// data DecodeJSON refused; nil then means DecodeJSON has a gap.
+func ParseError(data []byte) error {
+	if err := jsonscan.Explain(data, new(jsonGraph)); err != nil {
+		return fmt.Errorf("sdf: parse graph json: %w", err)
 	}
-	for _, e := range jg.Edges {
-		b.Connect(NodeID(e.From), NodeID(e.To), e.Out, e.In)
-	}
+	return nil
 }
 
 // Member names of the interchange format, in jsonscan.Member's index
@@ -86,77 +91,73 @@ var (
 	edgeMembers  = []string{"from", "to", "out", "in"}
 )
 
-// DecodeJSON reads the graph value at s's position in one pass when it is
-// spelled the common way (see package jsonscan): exact-case members, each
-// at most once, and nothing encoding/json would ignore or convert — no
-// null, no unknown member, no escape. It returns a Builder holding what
-// encoding/json's decode of the same value would lead ReadJSON to add —
-// every node, then every edge, in document order — not yet built. If s
-// declines, the result is meaningless and the caller must decode the
-// input with encoding/json instead.
+// DecodeJSON reads the graph value at s's position in one pass (package
+// jsonscan) and returns a Builder holding what encoding/json's decode of
+// it into jsonGraph leads to — the name, every node, then every edge, in
+// document order, with the faults AddNode and Connect would record — not
+// yet built. Node and Edge have jsonNode's and jsonEdge's shape, so the
+// decode goes straight into the Builder's slices. If s declines,
+// encoding/json refuses the value too, and the result is nil.
 func DecodeJSON(s *jsonscan.Scanner) *Builder {
-	b := NewBuilder("")
-	var edges []jsonEdge
-	var seen uint64
-	for i := 0; s.Next('{', i); i++ {
-		switch s.Member(graphMembers, &seen) {
-		case 0:
-			b.name = s.Text()
-		case 1:
-			for j := 0; s.Next('[', j); j++ {
-				n := decodeNode(s)
-				b.AddNode(n.Name, n.State)
-			}
-		case 2:
-			for j := 0; s.Next('[', j); j++ {
-				e := decodeEdge(s)
-				if seen&(1<<1) == 0 { // no nodes yet: connect after them
-					edges = append(edges, e)
-				} else {
-					b.Connect(NodeID(e.From), NodeID(e.To), e.Out, e.In)
+	b := new(Builder)
+	if !s.Null() { // a null graph leaves b empty
+		for i := 0; s.Next('{', i); i++ {
+			switch s.Member(graphMembers) {
+			case 0:
+				if !s.Null() {
+					b.name = s.Text()
 				}
+			case 1:
+				b.nodes = jsonscan.Array(s, b.nodes, decodeNode)
+			case 2:
+				b.edges = jsonscan.Array(s, b.edges, decodeEdge)
 			}
 		}
 	}
 	if !s.OK() {
 		return nil
 	}
-	for _, e := range edges {
-		b.Connect(NodeID(e.From), NodeID(e.To), e.Out, e.In)
+	for _, n := range b.nodes {
+		b.checkNode(n)
+	}
+	for _, e := range b.edges {
+		b.checkEdge(e)
 	}
 	return b
 }
 
-func decodeNode(s *jsonscan.Scanner) jsonNode {
-	var n jsonNode
-	var seen uint64
+func decodeNode(s *jsonscan.Scanner, n *Node) {
 	for i := 0; s.Next('{', i); i++ {
-		switch s.Member(nodeMembers, &seen) {
+		m := s.Member(nodeMembers)
+		if s.Null() {
+			continue
+		}
+		switch m {
 		case 0:
 			n.Name = s.Text()
 		case 1:
 			n.State = s.Int()
 		}
 	}
-	return n
 }
 
-func decodeEdge(s *jsonscan.Scanner) jsonEdge {
-	var e jsonEdge
-	var seen uint64
+func decodeEdge(s *jsonscan.Scanner, e *Edge) {
 	for i := 0; s.Next('{', i); i++ {
-		switch s.Member(edgeMembers, &seen) {
+		m := s.Member(edgeMembers)
+		if s.Null() {
+			continue
+		}
+		switch m {
 		case 0:
-			e.From = decodeInt(s)
+			e.From = NodeID(decodeInt(s))
 		case 1:
-			e.To = decodeInt(s)
+			e.To = NodeID(decodeInt(s))
 		case 2:
 			e.Out = s.Int()
 		case 3:
 			e.In = s.Int()
 		}
 	}
-	return e
 }
 
 // decodeInt reads an int member, declining a value int cannot hold, as

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -21,12 +22,49 @@ func keyOf(body []byte) (*ProfileRequest, plancache.Key, error) {
 	return req, req.key(EngineVersion, g), nil
 }
 
+// refGraph mirrors the graph interchange format for encoding/json, so
+// that checkOnePass reads a graph member without the decoder under test.
+type refGraph struct {
+	Name  string `json:"name"`
+	Nodes []struct {
+		Name  string `json:"name"`
+		State int64  `json:"state"`
+	} `json:"nodes"`
+	Edges []struct {
+		From int   `json:"from"`
+		To   int   `json:"to"`
+		Out  int64 `json:"out"`
+		In   int64 `json:"in"`
+	} `json:"edges"`
+}
+
+// refBuilder is encoding/json's reading of a raw graph member: the
+// Builder its decode leads to, nil when encoding/json refuses the value
+// as a graph.
+func refBuilder(raw []byte) *sdf.Builder {
+	var rg refGraph
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if dec.Decode(&rg) != nil {
+		return nil
+	}
+	b := sdf.NewBuilder(rg.Name)
+	for _, n := range rg.Nodes {
+		b.AddNode(n.Name, n.State)
+	}
+	for _, e := range rg.Edges {
+		b.Connect(sdf.NodeID(e.From), sdf.NodeID(e.To), e.Out, e.In)
+	}
+	return b
+}
+
 // checkOnePass runs body through the one-pass decoder as a plan request
-// and as a profile request. Whenever it accepts, encoding/json must
-// accept the same body and read the same fields and the same raw graph
-// bytes, and both readings must normalise to the same error, or to the
-// same fields, graph and key. It returns how many of the two endpoints'
-// decoders accepted.
+// and as a profile request, with encoding/json as the oracle: the decoder
+// must accept exactly the bodies unmarshalStrict accepts, and read the
+// same fields and raw graph bytes; it must take the graph member for a
+// graph exactly when encoding/json reads it as one; and both readings
+// must normalise to the same error, or to the same fields, graph and key.
+// It returns how many of the two endpoints' decoders accepted.
 func checkOnePass(t testing.TB, body []byte) int {
 	t.Helper()
 	accepted := 0
@@ -40,13 +78,14 @@ func checkOnePass(t testing.TB, body []byte) int {
 			normalize = func(r *ProfileRequest) (*sdf.Graph, error) { return r.PlanRequest.normalize() }
 			key = func(r *ProfileRequest, g *sdf.Graph) plancache.Key { return r.PlanRequest.key(EngineVersion, g) }
 		}
-		if !decodeRequest(body, &fast.PlanRequest, profile) {
+		ok := decodeRequest(body, &fast.PlanRequest, profile)
+		if err := unmarshalStrict(body, refTarget); ok != (err == nil) {
+			t.Fatalf("%s: one-pass decode accepted %t; encoding/json: %v\n%s", kind, ok, err, body)
+		}
+		if !ok {
 			continue
 		}
 		accepted++
-		if err := unmarshalStrict(body, refTarget); err != nil {
-			t.Fatalf("%s: one-pass decode accepted a body encoding/json refuses (%v):\n%s", kind, err, body)
-		}
 		fields := func(r *ProfileRequest) string {
 			return fmt.Sprintf("graph %q m %d b %d scheduler %q scale %d warm %d measure %d caps %v (nil %t)",
 				r.Graph, r.M, r.B, r.Scheduler, r.Scale, r.Warm, r.Measure, r.Caps, r.Caps == nil)
@@ -54,9 +93,15 @@ func checkOnePass(t testing.TB, body []byte) int {
 		if a, b := fields(&fast), fields(&ref); a != b {
 			t.Fatalf("%s: one-pass decode read\n%s\nencoding/json read\n%s\nbody:\n%s", kind, a, b, body)
 		}
+		if len(ref.Graph) > 0 {
+			ref.graph = refBuilder(ref.Graph)
+		}
+		if (fast.graph == nil) != (ref.graph == nil) {
+			t.Fatalf("%s: one-pass decode read a graph: %t; encoding/json: %t\n%s", kind, fast.graph != nil, ref.graph != nil, body)
+		}
 		gf, errF := normalize(&fast)
 		gr, errR := normalize(&ref)
-		if fmt.Sprint(errF) != fmt.Sprint(errR) {
+		if fmt.Sprint(errF) != fmt.Sprint(errR) || errors.Is(errF, errDecoderGap) {
 			t.Fatalf("%s: normalize after one-pass decode: %v; after encoding/json: %v\n%s", kind, errF, errR, body)
 		}
 		if errF != nil {
@@ -85,9 +130,10 @@ func checkOnePass(t testing.TB, body []byte) int {
 // re-spelling it with its fields reordered, re-indented and its defaults
 // omitted all normalise back to the same key. The seed corpus is
 // testdata/fuzz/FuzzProfileRequestKey (the bodies server_test.go builds,
-// and one body per reason the one-pass decoder declines, named
-// decline-*). Every input also goes through checkOnePass, which holds the
-// one-pass decoder to encoding/json on both endpoints.
+// accept-* bodies in spellings other than the common one, and decline-*
+// bodies, each one error away from accept-profile). Every input also goes
+// through checkOnePass, which holds the one-pass decoder to encoding/json
+// on both endpoints: the same bodies accepted, the same reading.
 func FuzzProfileRequestKey(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkOnePass(t, body)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -55,7 +54,7 @@ type PlanRequest struct {
 	Scale int64 `json:"scale"`
 
 	// graph is Graph as decodeRequest read it, not yet built; nil when
-	// encoding/json decoded the body.
+	// Graph is not a graph in the interchange format (normalize words why).
 	graph *sdf.Builder
 	// sched is Scheduler resolved against the graph (schedule.ByName);
 	// normalize sets it.
@@ -142,57 +141,64 @@ const (
 // plan request takes the first five, a profile request all eight.
 var requestMembers = []string{"graph", "m", "b", "scheduler", "scale", "warm", "measure", "caps"}
 
-// decodeRequest decodes the common spelling of a request body in one
-// pass (package jsonscan), handing the graph value to sdf.DecodeJSON, and
-// reports whether it did. profile is r's profile request, or nil on the
-// plan endpoint, whose body may not name warm, measure or caps. On false
-// the request holds garbage, and the caller must decode the body with
-// unmarshalStrict, which owns every other spelling and every decode
-// error.
+// decodeRequest decodes a request body in one pass (package jsonscan),
+// handing the graph value to sdf.DecodeJSON, and reports whether
+// encoding/json, reading the body into the request type, would accept it;
+// when it would, r holds what encoding/json would read. profile is r's
+// profile request, or nil on the plan endpoint, whose body may not name
+// warm, measure or caps. The graph member is raw JSON to encoding/json, so
+// a value there that is not a graph still decodes: r.graph stays nil and
+// normalize words the fault.
 func decodeRequest(body []byte, r *PlanRequest, profile *ProfileRequest) bool {
 	members := requestMembers
 	if profile == nil {
 		members = members[:5]
 	}
 	s := jsonscan.New(body)
-	var seen uint64
+	if s.Null() { // encoding/json reads null as the empty request
+		return s.End()
+	}
 	for i := 0; s.Next('{', i); i++ {
-		switch s.Member(members, &seen) {
-		case 0:
+		switch m := s.Member(members); {
+		case m == 0:
 			s.Space()
-			start := s.Pos()
-			r.graph = sdf.DecodeJSON(s)
-			r.Graph = body[start:s.Pos()]
-		case 1:
-			r.M = s.Int()
-		case 2:
-			r.B = s.Int()
-		case 3:
-			r.Scheduler = s.Text()
-		case 4:
-			r.Scale = s.Int()
-		case 5:
-			profile.Warm = s.Int()
-		case 6:
-			profile.Measure = s.Int()
-		case 7:
-			profile.Caps = []int64{} // as encoding/json leaves "caps": []
-			for j := 0; s.Next('[', j); j++ {
-				profile.Caps = append(profile.Caps, s.Int())
+			start, saved := s.Pos(), *s
+			if r.graph = sdf.DecodeJSON(s); !s.OK() {
+				*s = saved
+				s.Skip()
 			}
+			r.Graph = body[start:s.Pos()]
+		case m == 7:
+			profile.Caps = jsonscan.Array(s, profile.Caps, func(s *jsonscan.Scanner, c *int64) { *c = s.Int() })
+		case s.Null(): // leaves a scalar as it was
+		case m == 1:
+			r.M = s.Int()
+		case m == 2:
+			r.B = s.Int()
+		case m == 3:
+			r.Scheduler = s.Text()
+		case m == 4:
+			r.Scale = s.Int()
+		case m == 5:
+			profile.Warm = s.Int()
+		case m == 6:
+			profile.Measure = s.Int()
 		}
 	}
 	return s.End()
 }
 
+// errDecoderGap answers a body that decodeRequest refused and
+// encoding/json reads, or a graph that sdf.DecodeJSON refused and
+// encoding/json reads: a gap in the one-pass decoder, which is the
+// daemon's fault (500), and never a reason to read the body a second way.
+var errDecoderGap = errors.New("the one-pass request decoder refused a body encoding/json reads")
+
 // parsePlan decodes, defaults and validates a plan request body.
 func parsePlan(body []byte) (*PlanRequest, *sdf.Graph, error) {
 	req := new(PlanRequest)
 	if !decodeRequest(body, req, nil) {
-		*req = PlanRequest{}
-		if err := unmarshalStrict(body, req); err != nil {
-			return nil, nil, err
-		}
+		return nil, nil, declined(body, new(PlanRequest))
 	}
 	g, err := req.normalize()
 	return req, g, err
@@ -202,26 +208,28 @@ func parsePlan(body []byte) (*PlanRequest, *sdf.Graph, error) {
 func parseProfile(body []byte) (*ProfileRequest, *sdf.Graph, error) {
 	req := new(ProfileRequest)
 	if !decodeRequest(body, &req.PlanRequest, req) {
-		*req = ProfileRequest{}
-		if err := unmarshalStrict(body, req); err != nil {
-			return nil, nil, err
-		}
+		return nil, nil, declined(body, new(ProfileRequest))
 	}
 	g, err := req.normalize()
 	return req, g, err
 }
 
+// declined words the error in a body decodeRequest refused: encoding/json's
+// error decoding it into v, a new request of the endpoint's type.
+func declined(body []byte, v any) error {
+	if err := unmarshalStrict(body, v); err != nil {
+		return err
+	}
+	return errDecoderGap
+}
+
 // unmarshalStrict decodes one JSON value rejecting unknown fields, so a
 // client typo (e.g. "blocksize") fails loudly instead of silently hashing
 // to the default, and rejecting anything but whitespace after the value.
+// It words the errors decodeRequest only detects.
 func unmarshalStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := jsonscan.Explain(data, v); err != nil {
 		return fmt.Errorf("bad request json: %v", err)
-	}
-	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
-		return fmt.Errorf("bad request json: invalid character %q after top-level value", rest[0])
 	}
 	return nil
 }
@@ -231,13 +239,13 @@ func (r *PlanRequest) normalize() (*sdf.Graph, error) {
 	if len(r.Graph) == 0 {
 		return nil, errors.New("missing graph")
 	}
-	var g *sdf.Graph
-	var err error
-	if r.graph != nil {
-		g, err = r.graph.Build()
-	} else {
-		g, err = sdf.ReadJSON(bytes.NewReader(r.Graph))
+	if r.graph == nil {
+		if err := sdf.ParseError(r.Graph); err != nil {
+			return nil, fmt.Errorf("bad graph: %v", err)
+		}
+		return nil, errDecoderGap
 	}
+	g, err := r.graph.Build()
 	if err != nil {
 		return nil, fmt.Errorf("bad graph: %v", err)
 	}

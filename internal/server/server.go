@@ -28,9 +28,9 @@
 // byte-identical request — by mapping SHA-256(endpoint ‖ body) straight
 // to the canonical key, skipping JSON parsing and graph canonicalisation
 // entirely on that path (counted by server.fastpath.hits). A body the
-// memo misses is decoded in one pass when it is spelled the common way
-// (decodeRequest), and by encoding/json otherwise; both readings share
-// one normalize and so one key.
+// memo misses is decoded in one pass (decodeRequest), which reads what
+// encoding/json would read; encoding/json runs only on a refused body, to
+// word the error.
 //
 // The daemon metric contract (see README and SERVICE.md) adds the
 // server.* family to plancache's cache.*: server.requests,
@@ -114,6 +114,14 @@ type Server struct {
 	inflightG                                                  *obs.Gauge
 	reqDur, compDur                                            *obs.Timer
 }
+
+// workBudget is the ceiling on the block accesses one profile request's
+// window may make (schedule.Env.Budget), warm-up included. 2^28 accesses
+// are ~17 s of one core for a window that does not fold: recording and
+// profiling a demand-driven fmradio window cost ~63 ns per access on a
+// 2-vCPU KVM host. A request estimated past it is answered 422
+// unprocessable before it runs.
+const workBudget = 1 << 28
 
 // rawKey addresses the raw-body memo.
 type rawKey [sha256.Size]byte
@@ -254,6 +262,10 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind stri
 		}
 	}
 	key, compute, err := parse(body)
+	if errors.Is(err, errDecoderGap) {
+		s.writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
@@ -458,7 +470,7 @@ func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) 
 // response body.
 func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache.Key) ([]byte, error) {
 	sched := req.sched
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, Budget: workBudget}
 	cr, err := schedule.MeasureCurve(g, sched, env, req.B, req.Warm, req.Measure)
 	if err != nil {
 		return nil, fmt.Errorf("profile %s: %w", sched.Name(), err)

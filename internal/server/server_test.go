@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"streamsched/internal/jsonscan/jsonscantest"
 	"streamsched/internal/obs"
 	"streamsched/internal/randgraph"
+	"streamsched/internal/schedule"
 	"streamsched/workloads"
 )
 
@@ -285,9 +287,10 @@ func TestErrorPaths(t *testing.T) {
 		{"tiny cap", "POST", "/v1/profile", string(planBody(t, graph, `, "caps": [1]`)), http.StatusBadRequest, CodeBadRequest},
 		// scale·reps·out past int64: the buffer wrapped negative, was
 		// replaced by minBuf, and the plan was served and cached with a 200.
+		// It is the request's fault, not the daemon's.
 		{"scale overflow", "POST", "/v1/plan", string(planBody(t,
 			[]byte(`{"name": "ac", "nodes": [{"name": "a", "state": 0}, {"name": "c", "state": 0}], "edges": [{"from": 0, "to": 1, "out": 2, "in": 1}]}`),
-			`, "scheduler": "scaled", "scale": 4611686018427387904`)), http.StatusInternalServerError, CodeInternal},
+			`, "scheduler": "scaled", "scale": 4611686018427387904`)), http.StatusUnprocessableEntity, CodeUnprocessable},
 		{"get on plan", "GET", "/v1/plan", "", http.StatusMethodNotAllowed, CodeMethod},
 		{"unknown path", "GET", "/v1/nope", "", http.StatusNotFound, CodeNotFound},
 		{"oversized", "POST", "/v1/plan", `{"graph": {"name": "` + strings.Repeat("x", 5000) + `"}}`, http.StatusRequestEntityTooLarge, CodeTooLarge},
@@ -395,6 +398,36 @@ func TestFoldOverflowNotCached(t *testing.T) {
 	}
 	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("a failed profile left %d cache entries", n)
+	}
+}
+
+// TestWorkBudgetRefused: a window that cannot fold (demand and kohli
+// plans have no step) and whose estimated work is past workBudget is
+// refused before it runs — its computation fails with ErrBudget in under
+// 10 ms, and the handler answers 422 unprocessable — and leaves nothing in
+// the cache. The measure is written out: 1e15 is a decode error.
+func TestWorkBudgetRefused(t *testing.T) {
+	srv, ts, _ := newTestServer(t, Config{})
+	for _, sched := range []string{"demand", "kohli"} {
+		body := planBody(t, testGraphJSON(t, 16), `, "scheduler": "`+sched+`", "measure": 1000000000000000`)
+		_, compute, err := srv.profileBody(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = compute()
+		if elapsed := time.Since(start); !errors.Is(err, schedule.ErrBudget) || elapsed > 10*time.Millisecond {
+			t.Fatalf("%s: computation failed with %v after %v, want ErrBudget in < 10ms", sched, err, elapsed)
+		}
+		resp, data := post(t, ts.URL+"/v1/profile", body)
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(data, &er) != nil ||
+			er.Code != CodeUnprocessable || !strings.Contains(er.Error, "window past the work budget") {
+			t.Fatalf("%s: status %d: %s, want a 422 budget error", sched, resp.StatusCode, data)
+		}
+	}
+	if n := srv.cache.Len(); n != 0 {
+		t.Fatalf("refused profiles left %d cache entries", n)
 	}
 }
 
@@ -564,7 +597,7 @@ func TestCapsCanonicalisation(t *testing.T) {
 
 // TestGoldenKeys pins the content address of one plan and one profile
 // request, spelled compactly and re-spelled (members reordered and
-// case-folded, so encoding/json decodes it). The hex keys were computed
+// case-folded). The hex keys were computed
 // before the digest hashed one buffer; SERVICE.md's cache-key contract
 // promises they change only with EngineVersion.
 func TestGoldenKeys(t *testing.T) {
@@ -629,8 +662,9 @@ func TestReadBody(t *testing.T) {
 // BenchmarkHandlerHit times the warm paths through the handler on a
 // 1.7 KB profile request: a byte-identical resend (the raw-body memo), a
 // never-seen spelling of the same request in the common spelling (one-pass
-// decode, build, key), and a never-seen spelling the one-pass decoder
-// declines (encoding/json decode, build, key).
+// decode, build, key), the same with a case-folded member name (still one
+// pass), and a never-seen body with an error in it (refused in one pass,
+// worded by encoding/json, answered 400).
 func BenchmarkHandlerHit(b *testing.B) {
 	g, err := workloads.FMRadio(8, 16)
 	if err != nil {
@@ -660,10 +694,15 @@ func BenchmarkHandlerHit(b *testing.B) {
 		}
 	})
 	var n uint32 // outside the closures: the framework may call them more than once
-	for _, c := range []struct{ name, body string }{
-		{"canonical", body},
-		// encoding/json folds "M" to m; the one-pass decoder declines it.
-		{"declined", strings.Replace(body, `"m":`, `"M":`, 1)},
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"canonical", body, http.StatusOK},
+		// encoding/json folds "M" to m, and so does the one-pass decoder.
+		{"folded", strings.Replace(body, `"m":`, `"M":`, 1), http.StatusOK},
+		// An exponent where an integer belongs is an error.
+		{"declined", strings.Replace(body, `"m":512`, `"m":5e2`, 1), http.StatusBadRequest},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -675,8 +714,9 @@ func BenchmarkHandlerHit(b *testing.B) {
 				for k := n; k != 0; k >>= 1 {
 					v = append(v, " \t"[k&1])
 				}
-				if serve(append(v, c.body[1:]...)).Header().Get("X-Streamsched-Cache") != "hit" {
-					b.Fatal("miss")
+				w := serve(append(v, c.body[1:]...))
+				if w.Code != c.status || (w.Code == http.StatusOK && w.Header().Get("X-Streamsched-Cache") != "hit") {
+					b.Fatalf("status %d, cache %q: %s", w.Code, w.Header().Get("X-Streamsched-Cache"), w.Body)
 				}
 			}
 		})

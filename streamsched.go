@@ -138,8 +138,9 @@ const (
 // with AddNode, channels with Connect or Chain, and validate with Build.
 func NewGraph(name string) *GraphBuilder { return sdf.NewBuilder(name) }
 
-// ReadGraphJSON parses and validates a graph from the JSON interchange
-// format used by the CLI tools.
+// ReadGraphJSON reads r to EOF and parses and validates one graph in the
+// JSON interchange format used by the CLI tools and the daemon; anything
+// but whitespace after the graph is an error.
 func ReadGraphJSON(r io.Reader) (*Graph, error) { return sdf.ReadJSON(r) }
 
 // PartitionGraph computes a low-bandwidth well-ordered partition with every
