@@ -23,36 +23,65 @@ func init() {
 // uses a quarter-size partition bound on the same cache (Theorem 5's O(1)
 // augmentation, read in reverse).
 func runE10(cfg runConfig) error {
-	m := int64(512)
-	n, state := 34, int64(128)
-	warm, meas := int64(1024), int64(4096)
-	if cfg.full {
-		meas = 16384
-	}
-	g, err := uniformPipeline("uniform-pipeline", n, state)
-	if err != nil {
-		return err
-	}
-	env := schedule.Env{M: m, B: 16}
-	// Partitioned schedule designed for M/4, run on the same cache of M
-	// words the scaled baselines get.
-	partEnv := schedule.Env{M: m / 4, B: 16}
-	part, err := measure(g, schedule.PartitionedPipeline{}, partEnv, m, warm, meas)
+	e10, err := buildE10(cfg.full)
 	if err != nil {
 		return err
 	}
 	tb := report.NewTable(
 		fmt.Sprintf("E10: scaling floor (pipeline n=%d, state=%d, M=%d, B=16, cache=M; partitioned reference: %s misses/item)",
-			n, state, m, report.F(part.MissesPerItem)),
+			e10.n, e10.state, e10.m, report.F(e10.partitioned)),
 		"s", "buffer-words", "scaled misses/item")
-	for _, s := range []int64{1, 2, 4, 8, 16, 32, 64, 128, 256} {
-		res, err := measure(g, schedule.Scaled{S: s}, env, m, warm, meas)
-		if err != nil {
-			return err
-		}
-		tb.Add(report.I(s), report.I(res.BufferWords), report.F(res.MissesPerItem))
+	for _, r := range e10.rows {
+		tb.Add(report.I(r.s), report.I(r.bufferWords), report.F(r.scaled))
 	}
 	return tb.Render(cfg.out)
+}
+
+// e10Table is the table E10 prints: per scaling factor, the scaled
+// schedule's buffer words and misses per item, and the partitioned
+// reference's misses per item.
+type e10Table struct {
+	n           int
+	state, m    int64
+	edges       int
+	partitioned float64
+	rows        []e10Row
+}
+
+type e10Row struct {
+	s, bufferWords int64
+	scaled         float64
+}
+
+// buildE10 measures E10's table.
+func buildE10(full bool) (*e10Table, error) {
+	e10 := &e10Table{n: 34, state: 128, m: 512}
+	warm, meas := int64(1024), int64(4096)
+	if full {
+		meas = 16384
+	}
+	g, err := uniformPipeline("uniform-pipeline", e10.n, e10.state)
+	if err != nil {
+		return nil, err
+	}
+	e10.edges = g.NumEdges()
+	env := schedule.Env{M: e10.m, B: 16}
+	// Partitioned schedule designed for M/4, run on the same cache of M
+	// words the scaled baselines get.
+	partEnv := schedule.Env{M: e10.m / 4, B: 16}
+	part, err := measure(g, schedule.PartitionedPipeline{}, partEnv, e10.m, warm, meas)
+	if err != nil {
+		return nil, err
+	}
+	e10.partitioned = part.MissesPerItem
+	for _, s := range []int64{1, 2, 4, 8, 16, 32, 64, 128, 256} {
+		res, err := measure(g, schedule.Scaled{S: s}, env, e10.m, warm, meas)
+		if err != nil {
+			return nil, err
+		}
+		e10.rows = append(e10.rows, e10Row{s, res.BufferWords, res.MissesPerItem})
+	}
+	return e10, nil
 }
 
 // runE12 re-runs the E1-style comparison under different cache

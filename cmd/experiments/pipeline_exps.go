@@ -21,21 +21,64 @@ func init() {
 
 // runE1 sweeps M for a fixed oversized pipeline. Expected shape: baselines
 // pay ~totalState/B per item until the whole graph fits; the partitioned
-// schedule stays near bandwidth(P)/B throughout. The sweep replans at
-// every M (the schedule is designed for the cache it runs against), so it
-// cannot collapse into one trace the way E12/E19 do; instead the whole
-// (M, scheduler) grid runs as independent jobs on the goroutine-pooled
-// trace.Sweep path.
+// schedule stays near bandwidth(P)/B throughout.
 func runE1(cfg runConfig) error {
-	n, state := 34, int64(128)
-	warm, meas := int64(512), int64(2048)
-	if cfg.full {
-		n, meas = 66, 8192
-	}
-	g, err := uniformPipeline("uniform-pipeline", n, state)
+	e1, err := buildE1(cfg.full)
 	if err != nil {
 		return err
 	}
+	tb := report.NewTable(
+		fmt.Sprintf("E1: misses/item vs M (pipeline n=%d, state=%d/module, total=%d, B=16, cache=2M)",
+			e1.n, e1.state, e1.totalState),
+		"M", "flat-topo", "scaled(s=4)", "demand-driven", "kohli-greedy", "partitioned")
+	for _, r := range e1.rows {
+		row := []string{report.I(r.m)}
+		for _, v := range r.misses {
+			row = append(row, report.F(v))
+		}
+		tb.Add(row...)
+	}
+	return tb.Render(cfg.out)
+}
+
+// e1Table is the table E1 prints: per M, each scheduler's misses per item,
+// in e1Scheds order, plus what the claim reads beside them.
+type e1Table struct {
+	n                 int
+	state, totalState int64
+	rows              []e1Row
+}
+
+type e1Row struct {
+	m      int64
+	misses []float64 // per scheduler: flat-topo, scaled(s=4), demand-driven, kohli-greedy, partitioned
+	// partitioned's misses per source firing, and bandwidth(P)/B of the
+	// partition designed for m: the bound it stays near
+	partFiring, bound float64
+}
+
+// The columns of E1 that the claim reads.
+const (
+	e1Flat        = 0
+	e1Demand      = 2
+	e1Partitioned = 4
+)
+
+// buildE1 measures E1's table. The sweep replans at every M (the schedule
+// is designed for the cache it runs against), so it cannot collapse into
+// one trace the way E12/E19 do; instead the whole (M, scheduler) grid runs
+// as independent jobs on the goroutine-pooled trace.Sweep path.
+func buildE1(full bool) (*e1Table, error) {
+	e1 := &e1Table{n: 34, state: 128}
+	warm, meas := int64(512), int64(2048)
+	if full {
+		e1.n, meas = 66, 8192
+	}
+	g, err := uniformPipeline("uniform-pipeline", e1.n, e1.state)
+	if err != nil {
+		return nil, err
+	}
+	e1.totalState = g.TotalState()
 	ms := []int64{128, 256, 512, 1024, 2048, 4096}
 	scheds := append(schedule.Baselines(), schedule.PartitionedPipeline{})
 	jobs := make([]trace.Job[*schedule.Result], 0, len(ms)*len(scheds))
@@ -51,22 +94,28 @@ func runE1(cfg runConfig) error {
 		}
 	}
 	outcomes := trace.Sweep(jobs, 0)
-	tb := report.NewTable(
-		fmt.Sprintf("E1: misses/item vs M (pipeline n=%d, state=%d/module, total=%d, B=16, cache=2M)",
-			n, state, g.TotalState()),
-		"M", "flat-topo", "scaled(s=4)", "demand-driven", "kohli-greedy", "partitioned")
 	for mi, m := range ms {
-		row := []string{report.I(m)}
+		r := e1Row{m: m}
 		for si := range scheds {
 			o := outcomes[mi*len(scheds)+si]
 			if o.Err != nil {
-				return fmt.Errorf("%s: %w", o.Name, o.Err)
+				return nil, fmt.Errorf("%s: %w", o.Name, o.Err)
 			}
-			row = append(row, report.F(o.Value.MissesPerItem))
+			r.misses = append(r.misses, o.Value.MissesPerItem)
 		}
-		tb.Add(row...)
+		r.partFiring = missesPerFiring(outcomes[mi*len(scheds)+e1Partitioned].Value)
+		p, err := partition.PipelineOptimalDP(g, m)
+		if err != nil {
+			return nil, err
+		}
+		bw, err := p.Bandwidth(g)
+		if err != nil {
+			return nil, err
+		}
+		r.bound = bw.Float() / 16
+		e1.rows = append(e1.rows, r)
 	}
-	return tb.Render(cfg.out)
+	return e1, nil
 }
 
 // runE2 sweeps pipeline length at fixed M. Expected shape: baseline

@@ -242,14 +242,22 @@ func (w Window) folds(plan *Plan, measured int64) bool {
 // estimate; no budget is no ceiling. It tests the ceiling once, now that
 // the plan says whether the window folds: a window that cannot runs warm +
 // measured firings, and one that can runs its warm-up and then looks for a
-// recurrence only below the ceiling (run).
+// recurrence only below the ceiling (run). A plan with a step fires the
+// source a whole step at a time, so its warm-up runs to the next step
+// boundary, and a step past the ceiling is refused whatever the window.
 func (w Window) firingLimit(g *sdf.Graph, plan *Plan, budget, warm, measured int64) (int64, error) {
 	if budget <= 0 {
 		return math.MaxInt64, nil
 	}
 	per := accessesPerFiring(g, w.Cache.Block)
-	limit, warm := budget/per, max(warm, 0)
-	if warm > limit || (!w.folds(plan, measured) && measured > limit-warm) {
+	limit, step := budget/per, max(plan.Step, 1)
+	if step > limit {
+		return 0, fmt.Errorf("%w: a step of %d source firings at ~%d block accesses each, against a budget of %d accesses",
+			ErrBudget, step, per, budget)
+	}
+	warm = max(warm, 0)
+	steps := warm/step + min(warm%step, 1) // the warm-up's whole steps
+	if steps > limit/step || (!w.folds(plan, measured) && measured > limit-steps*step) {
 		return 0, fmt.Errorf("%w: %d warm-up and %d measured source firings at ~%d block accesses each, against a budget of %d accesses",
 			ErrBudget, warm, measured, per, budget)
 	}

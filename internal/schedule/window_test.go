@@ -3,6 +3,7 @@ package schedule
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/hierarchy"
@@ -189,5 +190,15 @@ func TestWindowBudget(t *testing.T) {
 	}
 	if _, err := measure("flat", per*warm, long); !errors.Is(err, ErrBudget) {
 		t.Errorf("flat with no budget left to look for a recurrence: %v, want ErrBudget", err)
+	}
+	// A scaled plan fires the source a step of scale firings at a time, so
+	// a step past the budget is refused however short the window is.
+	scaled, err := ByName("scaled", g, 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := MeasureCurve(g, scaled, Env{M: 256, B: 16, Budget: per * (warm + measured)}, 16, warm, measured); !errors.Is(err, ErrBudget) || time.Since(start) > time.Second {
+		t.Errorf("scaled with a step of 2^40 firings: %v after %v, want ErrBudget at once", err, time.Since(start))
 	}
 }

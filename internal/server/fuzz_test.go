@@ -5,9 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"streamsched/internal/obs"
 	"streamsched/internal/plancache"
 	"streamsched/internal/sdf"
 )
@@ -186,4 +194,93 @@ func FuzzProfileRequestKey(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzBudget is FuzzServe's work budget: 2^18 block accesses, ~20 ms of
+// one core for a window that does not fold, so every input costs
+// milliseconds and a bigger window is refused as the daemon refuses one
+// past workBudget.
+const fuzzBudget = 1 << 18
+
+// FuzzServe throws arbitrary bodies through the computation: each input
+// is posted to /v1/plan and /v1/profile through the real handler, on a
+// server whose work budget is lowered to fuzzBudget. The property: no
+// panic (a computation runs on a goroutine of its own, so a panic there
+// ends the run), every status is 200, 400, 413, 422 or 504 — never a 500,
+// which would tell the client to retry and the operator that the daemon is
+// broken — and a 200 body is byte-identical when the same input is posted
+// a second time. The seeds are FuzzProfileRequestKey's corpus, the
+// fold-overflow and module-over-bound bodies, and integers near 2^62 or
+// with b > m.
+func FuzzServe(f *testing.F) {
+	seeds, err := filepath.Glob("testdata/fuzz/FuzzProfileRequestKey/*")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range seeds {
+		f.Add(corpusBytes(f, path))
+	}
+	graph := testGraphJSON(f, 16)
+	f.Add(planBody(f, graph, `, "scheduler": "flat", "measure": 4611686018427387903`))
+	f.Add([]byte(`{"graph": {"name": "p", "nodes": [{"name": "a", "state": 600}, {"name": "b", "state": 8}], "edges": [{"from": 0, "to": 1, "out": 1, "in": 1}]}, "m": 256, "scheduler": "partitioned"}`))
+	for _, extra := range []string{
+		`, "b": 1024`,
+		`, "m": 4611686018427387904`,
+		`, "b": 4611686018427387904`,
+		`, "warm": 4611686018427387904`,
+		`, "measure": 4611686018427387903, "scheduler": "demand"`,
+		`, "scheduler": "scaled", "scale": 4611686018427387904`,
+		`, "caps": [4611686018427387904]`,
+	} {
+		f.Add(planBody(f, graph, extra))
+	}
+	f.Add([]byte(`{"graph": {"name": "big", "nodes": [{"name": "a", "state": 4611686018427387904}, {"name": "b", "state": 1}], "edges": [{"from": 0, "to": 1, "out": 4611686018427387904, "in": 1}]}, "m": 512}`))
+	srv := New(Config{CacheBytes: 16 << 20, Timeout: 5 * time.Second, Metrics: obs.NewRegistry()})
+	srv.budget = fuzzBudget
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ep := range []string{"/v1/plan", "/v1/profile"} {
+			first := serve(h, ep, body)
+			switch first.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+				http.StatusUnprocessableEntity, http.StatusGatewayTimeout:
+			default:
+				t.Fatalf("%s: status %d: %s\nbody:\n%s", ep, first.Code, first.Body, body)
+			}
+			if first.Code != http.StatusOK {
+				continue
+			}
+			if again := serve(h, ep, body); again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("%s: posted again: status %d, body\n%s\nfirst\n%s", ep, again.Code, again.Body, first.Body)
+			}
+		}
+	})
+}
+
+// serve posts body to the handler's endpoint ep and returns the recorded
+// response.
+func serve(h http.Handler, ep string, body []byte) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, ep, bytes.NewReader(body)))
+	return w
+}
+
+// corpusBytes reads the one []byte value of a "go test fuzz v1" corpus
+// file.
+func corpusBytes(f *testing.F, path string) []byte {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, value, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+	value, prefixed := strings.CutPrefix(value, "[]byte(")
+	value, closed := strings.CutSuffix(value, ")")
+	if !prefixed || !closed {
+		f.Fatalf("%s: not one []byte value", path)
+	}
+	s, err := strconv.Unquote(value)
+	if err != nil {
+		f.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }

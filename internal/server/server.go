@@ -110,6 +110,11 @@ type Server struct {
 
 	inflight atomic.Int64
 
+	// budget is the most block accesses a profile request's window may
+	// make (schedule.Env.Budget): workBudget, which FuzzServe lowers so
+	// that every input it posts costs milliseconds.
+	budget int64
+
 	requests, errors, computations, shared, timeouts, fastpath *obs.Counter
 	inflightG                                                  *obs.Gauge
 	reqDur, compDur                                            *obs.Timer
@@ -160,6 +165,7 @@ func New(cfg Config) *Server {
 		sem:          make(chan struct{}, cfg.Jobs),
 		flights:      make(map[plancache.Key]*flight),
 		rawKeys:      make(map[rawKey]plancache.Key),
+		budget:       workBudget,
 		requests:     reg.Counter("server.requests"),
 		errors:       reg.Counter("server.errors"),
 		computations: reg.Counter("server.computations"),
@@ -470,7 +476,7 @@ func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) 
 // response body.
 func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache.Key) ([]byte, error) {
 	sched := req.sched
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, Budget: workBudget}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, Budget: s.budget}
 	cr, err := schedule.MeasureCurve(g, sched, env, req.B, req.Warm, req.Measure)
 	if err != nil {
 		return nil, fmt.Errorf("profile %s: %w", sched.Name(), err)

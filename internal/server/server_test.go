@@ -22,7 +22,7 @@ import (
 )
 
 // testGraphJSON returns an interchange-format graph payload.
-func testGraphJSON(t *testing.T, scale int64) []byte {
+func testGraphJSON(t testing.TB, scale int64) []byte {
 	t.Helper()
 	g, err := workloads.FMRadio(4, scale)
 	if err != nil {
@@ -66,7 +66,7 @@ func post(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	return resp, data
 }
 
-func planBody(t *testing.T, graph []byte, extra string) []byte {
+func planBody(t testing.TB, graph []byte, extra string) []byte {
 	t.Helper()
 	return []byte(fmt.Sprintf(`{"graph": %s, "m": 512%s}`, graph, extra))
 }

@@ -144,6 +144,32 @@ func BenchmarkOrgProfilersTouch(b *testing.B) {
 	})
 }
 
+// BenchmarkFIFOBank times the FIFO bank alone: orgs-grid's 20 FIFO
+// replicas (capacities 256…4k words × 2, 4, 8 ways and fully associative
+// at B=16) fed the recorded stream, with no LRU family beside them. Each op
+// replays the whole stream into one bank built before the timer starts, so
+// the first op starts cold and the rest replay on warm replicas. It reports
+// ns per access and ns per replica insertion (a miss in a replica), the
+// kernel's unit of work.
+func BenchmarkFIFOBank(b *testing.B) {
+	_, recorded, err := crossoverStreams()
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs, _, err := trace.GridSpecs([]int64{256, 512, 1024, 2048, 4096}, 16, []int64{1, 2, 4, 8, 0}, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	replay, inserts := trace.FIFOBankReplay(specs, recorded)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
+	}
+	ns := float64(b.Elapsed().Nanoseconds())
+	b.ReportMetric(ns/float64(b.N*len(recorded)), "ns/access")
+	b.ReportMetric(ns/float64(inserts()), "ns/insert")
+}
+
 // l1MissMasks feeds blocks to one fully-associative LRU L1 per entry of
 // lines and keeps each access that missed at any of them, with the mask of
 // the L1s it missed at (bit i: lines[i]): the reference stream of the L2

@@ -13,3 +13,38 @@ func BoundedTouch(markers bool, ways []int64) func(slot int32) int {
 	f := newLaneRows(1, ways, 1)
 	return func(slot int32) int { return f.touch(0, slot, 0) }
 }
+
+// FIFOBankReplay builds the fifoBank an OrgProfilers over specs holds — a
+// replica per FIFO way count of more than one way — names blocks' slots
+// once, and returns a replay that touches the bank alone with every block
+// in order, and the number of replica insertions made so far, so that
+// BenchmarkFIFOBank in the external test package can time the bank without
+// the families beside it.
+func FIFOBankReplay(specs []OrgSpec, blocks []int64) (replay func(), inserts func() int64) {
+	var bank fifoBank
+	for _, s := range specs {
+		for _, w := range uniqueWays(s.FIFOWays) {
+			if w > 1 {
+				bank.addReplica(s.Sets, w)
+			}
+		}
+	}
+	var table blockTable
+	slots := make([]int32, len(blocks))
+	for i, blk := range blocks {
+		slots[i] = table.slot(blk)
+	}
+	replay = func() {
+		for i, blk := range blocks {
+			bank.touch(blk, slots[i])
+		}
+	}
+	inserts = func() int64 {
+		var n int64
+		for _, m := range bank.misses {
+			n += m
+		}
+		return n
+	}
+	return replay, inserts
+}

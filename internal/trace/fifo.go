@@ -21,6 +21,15 @@ import (
 // requested FIFO point without re-running the scheduler or the simulator.
 // A one-way FIFO cache needs no replica at all: with one line per set,
 // both policies evict the only block, so it is the one-way LRU cache.
+//
+// The kernel is shaped by its unit of work, the insertion, of which a
+// grid of small caches makes several per access (orgs-grid's 20 replicas
+// about 4.7). The residency masks are stored word-major — one column per
+// mask word, indexed by slot — so a victim's bit is cleared by its slot
+// alone; each mask word's misses run in a function of their own, with the
+// word's descriptors, counters and arenas in locals; the insertion head
+// wraps without a branch; and one kernel serves every set count, way
+// count, replica count and slot sign.
 
 // noSlot marks an empty row entry; blockTable never hands it out.
 const noSlot = math.MinInt32
@@ -81,19 +90,21 @@ func (t *blockTable) slowSlot(blk int64) int32 {
 }
 
 // fifoBank is the FIFO replicas of an organisation profiler and one
-// residency bit per replica per block: bit r of a block's mask says that
-// replica r holds it. Blocks are addressed by their blockTable slot: slot
-// s >= 0 owns dense[s*words : (s+1)*words], s < 0 owns side[^s*words : …].
-// The replicas are flat: every replica's rows live in one rows arena and
-// every replica's per-set insertion heads in one heads arena, and a
-// replica is a descriptor of offsets into them.
+// residency bit per replica per block: bit r%64 of a block's mask word r/64
+// says that replica r holds it. The masks are word-major: mask word w of
+// every block lives in column w, slot s >= 0's at dense[w][s] and a sparse
+// slot s < 0's at side[w][^s]. The replicas are flat: every replica's rows
+// live in one rows arena and every replica's per-set insertion heads in one
+// heads arena, a replica is a descriptor of offsets into them, and the miss
+// counters sit beside the descriptors. Both are padded to whole mask words,
+// so a word's 64 descriptors and counters are fixed-size arrays.
 type fifoBank struct {
-	words  int      // mask words per block
-	full   []uint64 // per word: the bits of existing replicas
-	missed []uint64 // per word: the replicas the last touch missed in
-	dense  []uint64
-	side   []uint64
+	full   []uint64   // per word: the bits of existing replicas
+	missed []uint64   // per word: the replicas the last touch missed in
+	dense  [][]uint64 // per word: the column of slots s >= 0
+	side   [][]uint64 // per word: the column of slots s < 0, at ^s
 	reps   []fifoReplica
+	misses []int64 // per replica
 	rows   []int32 // per replica: sets*ways block slots, noSlot = empty
 	heads  []int32 // per replica: per set, the next insertion way
 }
@@ -102,69 +113,80 @@ type fifoBank struct {
 // block slots in the bank's rows. It mirrors cachesim's FIFO exactly: empty slots fill in
 // index order and eviction removes the oldest insertion.
 type fifoReplica struct {
-	idx    setIndex
-	ways   int64
-	rows   int64 // offset of its sets*ways entries in the bank's rows
-	heads  int64 // offset of its per-set heads in the bank's heads
-	misses int64
+	idx   setIndex
+	ways  int64
+	rows  int64 // offset of its sets*ways entries in the bank's rows
+	heads int64 // offset of its per-set heads in the bank's heads
 }
 
 // addReplica adds a FIFO cache of sets x ways lines and returns its replica
 // number. Replicas must be added before the first touch.
 func (b *fifoBank) addReplica(sets, ways int64) int {
-	r := len(b.reps)
-	b.reps = append(b.reps, fifoReplica{idx: newSetIndex(sets), ways: ways, rows: int64(len(b.rows)), heads: int64(len(b.heads))})
-	b.rows = append(b.rows, slices.Repeat([]int32{noSlot}, int(sets*ways))...)
-	b.heads = append(b.heads, make([]int32, sets)...)
-	if r/64 == b.words {
-		b.words++
+	r := 0
+	for _, f := range b.full {
+		r += bits.OnesCount64(f)
+	}
+	if r%64 == 0 {
 		b.full = append(b.full, 0)
 		b.missed = append(b.missed, 0)
+		b.dense = append(b.dense, nil)
+		b.side = append(b.side, nil)
+		b.reps = append(b.reps, make([]fifoReplica, 64)...)
+		b.misses = append(b.misses, make([]int64, 64)...)
 	}
 	b.full[r/64] |= 1 << (r % 64)
+	b.reps[r] = fifoReplica{idx: newSetIndex(sets), ways: ways, rows: int64(len(b.rows)), heads: int64(len(b.heads))}
+	b.rows = append(b.rows, slices.Repeat([]int32{noSlot}, int(sets*ways))...)
+	b.heads = append(b.heads, make([]int32, sets)...)
 	return r
 }
 
-// mask returns the slot's mask words, growing the tables on first sight.
-func (b *fifoBank) mask(slot int32) []uint64 {
-	cells, i := &b.dense, int(slot)
-	if slot < 0 {
-		cells, i = &b.side, int(^slot)
+// touch processes one access to blk, the block in slot, one mask word of
+// replicas at a time.
+func (b *fifoBank) touch(blk int64, slot int32) {
+	for w := range b.missed {
+		b.touchWord(w, blk, slot)
 	}
-	if need := (i + 1) * b.words; need > len(*cells) {
-		*cells = growCells(*cells, need)
-	}
-	return (*cells)[i*b.words:][:b.words]
 }
 
-// touch processes one access to blk, the block in slot: every replica it
-// misses in gets its bit set in one OR per word, inserts slot at the set's
+// touchWord is touch for the replicas of mask word w. Every replica the
+// block misses in gets its bit set in one OR, inserts slot at the set's
 // head and clears the evicted slot's bit. A victim was inserted by an
-// earlier touch, which sized its mask, so its bit is cleared by direct
-// index.
-func (b *fifoBank) touch(blk int64, slot int32) {
-	m := b.mask(slot)
-	for w, have := range m {
-		miss := b.full[w] &^ have
-		b.missed[w] = miss
-		m[w] = have | miss
-		for ; miss != 0; miss &= miss - 1 {
-			bit := bits.TrailingZeros64(miss)
-			r := &b.reps[w*64+bit]
-			r.misses++
-			set := r.idx.set(blk)
-			head := &b.heads[r.heads+set]
-			at := r.rows + set*r.ways + int64(*head)
-			victim := b.rows[at]
-			b.rows[at] = slot
-			if *head++; int64(*head) == r.ways {
-				*head = 0
-			}
-			if victim >= 0 {
-				b.dense[int(victim)*b.words+w] &^= 1 << bit
-			} else if victim != noSlot {
-				b.side[int(^victim)*b.words+w] &^= 1 << bit
-			}
+// earlier touch, which sized this word's column for it, so its bit is
+// cleared by direct index.
+func (b *fifoBank) touchWord(w int, blk int64, slot int32) {
+	cols, i := b.dense, int(slot)
+	if slot < 0 {
+		cols, i = b.side, int(^slot)
+	}
+	col := cols[w]
+	if i >= len(col) {
+		col = growCells(col, i+1)
+		cols[w] = col
+	}
+	have := col[i]
+	miss := b.full[w] &^ have
+	col[i] = have | miss
+	b.missed[w] = miss
+	reps, misses := (*[64]fifoReplica)(b.reps[w*64:]), (*[64]int64)(b.misses[w*64:])
+	rows, heads, dense := b.rows, b.heads, b.dense[w]
+	for ; miss != 0; miss &= miss - 1 {
+		bit := bits.TrailingZeros64(miss) & 63 // & 63: no bounds check on the arrays
+		r := &reps[bit]
+		misses[bit]++
+		set := r.idx.set(blk)
+		hi := r.heads + set
+		h := heads[hi]
+		at := r.rows + set*r.ways + int64(h)
+		victim := rows[at]
+		rows[at] = slot
+		h++
+		h &= int32((int64(h) - r.ways) >> 63) // 0 once h reaches ways
+		heads[hi] = h
+		if victim >= 0 {
+			dense[victim] &^= 1 << bit
+		} else if victim != noSlot {
+			b.side[w][^victim] &^= 1 << bit
 		}
 	}
 }
@@ -173,9 +195,7 @@ func (b *fifoBank) touch(blk int64, slot int32) {
 // contents, exactly like resetting the cache simulator's statistics after
 // warmup.
 func (b *fifoBank) resetCounts() {
-	for i := range b.reps {
-		b.reps[i].misses = 0
-	}
+	clear(b.misses)
 }
 
 // uniqueWays returns the distinct way counts of a list, ascending.

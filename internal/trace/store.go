@@ -112,7 +112,7 @@ func (s *orgStore) curves(lane int, full *AssocCurve) []*OrgCurves {
 			if w == 1 {
 				fc.misses[k] = fam.Misses(1)
 			} else {
-				fc.misses[k] = s.banks[lane].reps[s.replica[[2]int64{spec.Sets, w}]].misses
+				fc.misses[k] = s.banks[lane].misses[s.replica[[2]int64{spec.Sets, w}]]
 			}
 		}
 		out[j].FIFO = fc
