@@ -31,6 +31,20 @@ func TestPaperClaims(t *testing.T) {
 			}
 			return e2Claim(e2)
 		}},
+		{"E5", "Fig 4: the partitioned schedule designed for M needs only a constant-factor cache augmentation: its misses/item do not rise as the augmentation c grows, and from c = 2 on they are within a constant factor of its partition's bandwidth(P)/B and beat flat-topo on a cache of M", func() error {
+			e5, err := buildE5(false)
+			if err != nil {
+				return err
+			}
+			return e5Claim(e5)
+		}},
+		{"E6", "Tab 2: on the workload suite, the partitioned schedule beats the flat-topo and scaled baselines on every workload whose total state exceeds the cache", func() error {
+			e6, err := buildE6(false)
+			if err != nil {
+				return err
+			}
+			return e6Claim(e6)
+		}},
 		{"E8", "Fig 6: the partitioned schedule moves whole blocks, so its misses/item scale as 1/B: misses/item x B stays near constant across B", func() error {
 			e8, err := buildE8(false)
 			if err != nil {
@@ -75,6 +89,53 @@ func e2Claim(e2 *e2Table) error {
 	}
 	if hi > 2*lo {
 		return fmt.Errorf("partitioned misses/item range %.3g-%.3g over %d-%d modules: not flat", lo, hi, e2.rows[0].modules, e2.rows[len(e2.rows)-1].modules)
+	}
+	return nil
+}
+
+// e5Claim: the partitioned misses/item never rise from one augmentation
+// factor to the next (a larger LRU cache on the same schedule cannot miss
+// more), and at every c >= 2 they are at most 4 x bandwidth(P)/B of the
+// partition designed for M (Theorem 5's constant, with slack) and below
+// flat-topo's misses/item on a cache of M.
+func e5Claim(e5 *e5Table) error {
+	if len(e5.rows) < 3 {
+		return fmt.Errorf("%d augmentation factors, want at least 3", len(e5.rows))
+	}
+	for i, r := range e5.rows {
+		if prev := e5.rows[max(i-1, 0)]; r.partitioned > prev.partitioned {
+			return fmt.Errorf("partitioned %.3g misses/item at c=%d, then %.3g at c=%d: rises along the sweep", prev.partitioned, prev.c, r.partitioned, r.c)
+		}
+		if r.c < 2 {
+			continue
+		}
+		if r.partitioned > 4*e5.bound {
+			return fmt.Errorf("partitioned %.3g misses/item at c=%d, more than 4 x bandwidth(P)/B = %.3g", r.partitioned, r.c, e5.bound)
+		}
+		if r.partitioned >= e5.flat {
+			return fmt.Errorf("partitioned %.3g misses/item at c=%d, flat-topo %.3g at c=1: no win", r.partitioned, r.c, e5.flat)
+		}
+	}
+	return nil
+}
+
+// e6Claim: on every workload whose total state exceeds the cache (2M
+// words), the partitioned misses/item are below both flat-topo's and
+// scaled(s=4)'s, and at least one workload exceeds the cache.
+func e6Claim(e6 *e6Table) error {
+	over := 0
+	for _, r := range e6.rows {
+		if r.totalState <= 2*e6.m {
+			continue
+		}
+		over++
+		if r.partitioned >= r.flat || r.partitioned >= r.scaled {
+			return fmt.Errorf("%s (total state %d, cache %d): partitioned %.3g misses/item, flat-topo %.3g, scaled %.3g: no win",
+				r.name, r.totalState, 2*e6.m, r.partitioned, r.flat, r.scaled)
+		}
+	}
+	if over == 0 {
+		return fmt.Errorf("no workload's total state exceeds the cache of %d words", 2*e6.m)
 	}
 	return nil
 }

@@ -20,46 +20,72 @@ func init() {
 // scheduler wins on every workload whose total state exceeds the cache,
 // with the largest factors on the deepest graphs.
 func runE6(cfg runConfig) error {
-	m := int64(512)
-	warm, meas := int64(512), int64(1024)
-	if cfg.full {
-		meas = 4096
-	}
-	graphs, err := workloads.Suite(m)
+	e6, err := buildE6(cfg.full)
 	if err != nil {
 		return err
 	}
-	env := schedule.Env{M: m, B: 16}
 	tb := report.NewTable(
-		fmt.Sprintf("E6: workload suite, misses/item (M=%d, B=16, cache=2M)", m),
+		fmt.Sprintf("E6: workload suite, misses/item (M=%d, B=16, cache=2M)", e6.m),
 		"workload", "shape", "state/M", "flat-topo", "scaled(s=4)", "partitioned", "flat/part")
-	for _, g := range graphs {
-		shape := "dag"
-		if g.IsPipeline() {
-			shape = "pipeline"
-		}
-		if g.IsHomogeneous() {
-			shape += ",homog"
-		}
-		flat, err := measure(g, schedule.FlatTopo{}, env, 2*m, warm, meas)
-		if err != nil {
-			return fmt.Errorf("%s flat: %w", g.Name(), err)
-		}
-		scaled, err := measure(g, schedule.Scaled{S: 4}, env, 2*m, warm, meas)
-		if err != nil {
-			return fmt.Errorf("%s scaled: %w", g.Name(), err)
-		}
-		part, err := measure(g, schedule.Partitioned(g, nil), env, 2*m, warm, meas)
-		if err != nil {
-			return fmt.Errorf("%s partitioned: %w", g.Name(), err)
-		}
-		tb.Add(g.Name(), shape,
-			report.Ratio(float64(g.TotalState()), float64(m)),
-			report.F(flat.MissesPerItem), report.F(scaled.MissesPerItem),
-			report.F(part.MissesPerItem),
-			report.Ratio(flat.MissesPerItem, part.MissesPerItem))
+	for _, r := range e6.rows {
+		tb.Add(r.name, r.shape,
+			report.Ratio(float64(r.totalState), float64(e6.m)),
+			report.F(r.flat), report.F(r.scaled), report.F(r.partitioned),
+			report.Ratio(r.flat, r.partitioned))
 	}
 	return tb.Render(cfg.out)
+}
+
+// e6Table is the table E6 prints: per workload, its shape, total state and
+// the misses per item of flat-topo, scaled(s=4) and partitioned on a cache
+// of 2M.
+type e6Table struct {
+	m    int64
+	rows []e6Row
+}
+
+type e6Row struct {
+	name, shape               string
+	totalState                int64
+	flat, scaled, partitioned float64
+}
+
+// buildE6 measures E6's table.
+func buildE6(full bool) (*e6Table, error) {
+	e6 := &e6Table{m: 512}
+	warm, meas := int64(512), int64(1024)
+	if full {
+		meas = 4096
+	}
+	graphs, err := workloads.Suite(e6.m)
+	if err != nil {
+		return nil, err
+	}
+	env := schedule.Env{M: e6.m, B: 16}
+	for _, g := range graphs {
+		r := e6Row{name: g.Name(), shape: "dag", totalState: g.TotalState()}
+		if g.IsPipeline() {
+			r.shape = "pipeline"
+		}
+		if g.IsHomogeneous() {
+			r.shape += ",homog"
+		}
+		flat, err := measure(g, schedule.FlatTopo{}, env, 2*e6.m, warm, meas)
+		if err != nil {
+			return nil, fmt.Errorf("%s flat: %w", g.Name(), err)
+		}
+		scaled, err := measure(g, schedule.Scaled{S: 4}, env, 2*e6.m, warm, meas)
+		if err != nil {
+			return nil, fmt.Errorf("%s scaled: %w", g.Name(), err)
+		}
+		part, err := measure(g, schedule.Partitioned(g, nil), env, 2*e6.m, warm, meas)
+		if err != nil {
+			return nil, fmt.Errorf("%s partitioned: %w", g.Name(), err)
+		}
+		r.flat, r.scaled, r.partitioned = flat.MissesPerItem, scaled.MissesPerItem, part.MissesPerItem
+		e6.rows = append(e6.rows, r)
+	}
+	return e6, nil
 }
 
 // runE7 examines the inhomogeneous batch scheduler: how the batch size T

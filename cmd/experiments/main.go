@@ -18,7 +18,7 @@
 // fails, and refuses unknown experiment ids.
 //
 // The observability flags mirror streamsched's: -metrics writes an
-// internal/obs snapshot (JSON, or CSV for a .csv path) on exit,
+// internal/obs snapshot (JSON) on exit,
 // -cpuprofile/-memprofile/-trace capture pprof and runtime/trace
 // artifacts, -listen serves live introspection (/metrics, /metrics.json,
 // /spans, /debug/pprof) while the harness runs, and -v prints the
@@ -76,7 +76,7 @@ func realMain() (code int) {
 	full := flag.Bool("full", false, "use full-size parameters (slower)")
 	seed := flag.Int64("seed", 1, "seed for randomized workloads")
 	list := flag.Bool("list", false, "list experiments and exit")
-	metrics := flag.String("metrics", "", "write a metrics snapshot here on exit (.csv for CSV, else JSON)")
+	metrics := flag.String("metrics", "", "write a JSON metrics snapshot here on exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile here")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile here on exit")
 	traceOut := flag.String("trace", "", "write a runtime/trace execution trace here")

@@ -247,33 +247,71 @@ func runE4(cfg runConfig) error {
 // runE5 sweeps the augmentation factor: the partitioned scheduler designed
 // for M running on a cache of c·M, versus the flat baseline on M.
 func runE5(cfg runConfig) error {
-	n, state, m := 34, int64(128), int64(256)
-	warm, meas := int64(512), int64(2048)
-	if cfg.full {
-		meas = 8192
-	}
-	g, err := uniformPipeline("uniform-pipeline", n, state)
-	if err != nil {
-		return err
-	}
-	env := schedule.Env{M: m, B: 16}
-	flat, err := measure(g, schedule.FlatTopo{}, env, m, warm, meas)
+	e5, err := buildE5(cfg.full)
 	if err != nil {
 		return err
 	}
 	tb := report.NewTable(
 		fmt.Sprintf("E5: augmentation sweep (pipeline n=%d, state=%d, M=%d, B=16; flat baseline at cache=M: %s misses/item)",
-			n, state, m, report.F(flat.MissesPerItem)),
+			e5.n, e5.state, e5.m, report.F(e5.flat)),
 		"cache", "partitioned misses/item", "speedup vs flat@M")
-	for _, c := range []int64{1, 2, 4, 8} {
-		res, err := measure(g, schedule.PartitionedPipeline{}, env, c*m, warm, meas)
-		if err != nil {
-			return err
-		}
-		tb.Add(fmt.Sprintf("%dM", c), report.F(res.MissesPerItem),
-			report.Ratio(flat.MissesPerItem, res.MissesPerItem))
+	for _, r := range e5.rows {
+		tb.Add(fmt.Sprintf("%dM", r.c), report.F(r.partitioned), report.Ratio(e5.flat, r.partitioned))
 	}
 	return tb.Render(cfg.out)
+}
+
+// e5Table is the table E5 prints: flat-topo's misses per item on a cache
+// of M, and per augmentation factor c the partitioned misses per item on
+// a cache of c·M, plus the bound the claim reads beside them.
+type e5Table struct {
+	n        int
+	state, m int64
+	flat     float64
+	// bandwidth(P)/B of the partition designed for M
+	bound float64
+	rows  []e5Row
+}
+
+type e5Row struct {
+	c           int64
+	partitioned float64
+}
+
+// buildE5 measures E5's table.
+func buildE5(full bool) (*e5Table, error) {
+	e5 := &e5Table{n: 34, state: 128, m: 256}
+	warm, meas := int64(512), int64(2048)
+	if full {
+		meas = 8192
+	}
+	g, err := uniformPipeline("uniform-pipeline", e5.n, e5.state)
+	if err != nil {
+		return nil, err
+	}
+	env := schedule.Env{M: e5.m, B: 16}
+	flat, err := measure(g, schedule.FlatTopo{}, env, e5.m, warm, meas)
+	if err != nil {
+		return nil, err
+	}
+	e5.flat = flat.MissesPerItem
+	for _, c := range []int64{1, 2, 4, 8} {
+		res, err := measure(g, schedule.PartitionedPipeline{}, env, c*e5.m, warm, meas)
+		if err != nil {
+			return nil, err
+		}
+		e5.rows = append(e5.rows, e5Row{c: c, partitioned: res.MissesPerItem})
+	}
+	p, err := partition.PipelineOptimalDP(g, e5.m)
+	if err != nil {
+		return nil, err
+	}
+	bw, err := p.Bandwidth(g)
+	if err != nil {
+		return nil, err
+	}
+	e5.bound = bw.Float() / 16
+	return e5, nil
 }
 
 // runE8 sweeps block size B: the partitioned schedule's misses/item should

@@ -31,7 +31,7 @@ sandwich on one pipeline; ` + "`TestPartitionedWithinConstantOfBound`" + `
 (` + "`internal/lowerbound`" + `) holds its constant over seeded pipelines
 and dags at 2M, 4M and 8M.
 
-` + "`TestPaperClaims`" + ` (` + "`claims_test.go`" + `) holds E1, E2, E8 and E10 to
+` + "`TestPaperClaims`" + ` (` + "`claims_test.go`" + `) holds E1, E2, E5, E6, E8 and E10 to
 what the paper says their figures show, over the table each run prints
 (built by the same function), at quick size. Each predicate asks for the
 figure's shape with a constant factor of slack, and each is caught by a
@@ -47,6 +47,13 @@ committed mutant (` + "`mutants/experiments-*`" + `):
   itself falls ~15x over the sweep, as bandwidth(P)/B does.
 - E2 (Fig 2): flat-topo grows with pipeline length at least half as fast
   as the total state; the partitioned column stays within 2x.
+- E5 (Fig 4): the partitioned misses/item, the schedule designed for M on
+  a cache of c·M, never rise from one factor c to the next, and from
+  c = 2 on they are at most 4x the bandwidth(P)/B of the partition
+  designed for M and below flat-topo's on a cache of M.
+- E6 (Tab 2): on every workload whose total state exceeds the cache
+  (2M), the partitioned misses/item are below both flat-topo's and
+  scaled(s=4)'s; at quick size all seven workloads exceed it.
 - E8 (Fig 6): partitioned misses/item x B stay within 2x over B = 8-128
   and misses/item fall as B grows.
 - E10 (Fig 7): with floor = 2|edges|/B, the scaled misses/item start
@@ -76,7 +83,7 @@ go run ./cmd/experiments -run e20 -metrics m.json -v   # with observability
 | ` + "`-full`" + ` | full-size parameters (slower) |
 | ` + "`-seed N`" + ` | seed for randomized workloads |
 | ` + "`-list`" + ` | list experiments and exit |
-| ` + "`-metrics <file>`" + ` | write an internal/obs metrics snapshot on exit (JSON, or CSV for a ` + "`.csv`" + ` path) |
+| ` + "`-metrics <file>`" + ` | write an internal/obs metrics snapshot (JSON) on exit |
 | ` + "`-cpuprofile <file>`" + ` | write a pprof CPU profile |
 | ` + "`-memprofile <file>`" + ` | write a pprof heap profile on exit |
 | ` + "`-trace <file>`" + ` | write a runtime/trace execution trace |

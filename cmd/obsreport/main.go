@@ -9,10 +9,9 @@
 //
 // With -base, every value is reported as a base → head shift and counter
 // deltas subtract the base; without it the head snapshot is reported
-// alone. Timers are omitted — every registry timer routes through a
-// same-named histogram sibling, so the histograms section already carries
-// their counts, totals, and percentiles. Output is sorted by metric name,
-// so diffs of reports are stable.
+// alone. Every duration is a histogram, so the histograms section carries
+// each one's count, total, and percentiles. Output is sorted by metric
+// name, so diffs of reports are stable.
 package main
 
 import (

@@ -23,7 +23,7 @@ type obsFlags struct {
 // addObsFlags registers the observability flags on a verb's flag set.
 func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	o := &obsFlags{}
-	fs.StringVar(&o.metrics, "metrics", "", "write a metrics snapshot here on exit (.csv for CSV, else JSON)")
+	fs.StringVar(&o.metrics, "metrics", "", "write a JSON metrics snapshot here on exit")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile here")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile here on exit")
 	fs.StringVar(&o.traceOut, "trace", "", "write a runtime/trace execution trace here")

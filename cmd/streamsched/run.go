@@ -33,7 +33,7 @@ var errUsage = errors.New(`usage:
   streamsched export -workload <name> [-scale <words>] [-o <file>]
 workloads: fmradio filterbank beamformer fft bitonic des mp3
 schedulers: flat scaled demand kohli partitioned
-observability (simulate, misscurve, hier, shared): [-metrics <file[.csv]>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-v]
+observability (simulate, misscurve, hier, shared): [-metrics <file>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-v]
 accepted and ignored (misscurve, hier, shared): [-profilejobs N] [-decodejobs N]`)
 
 // run dispatches a CLI invocation; out receives normal output.

@@ -65,10 +65,10 @@
 // (schedule, P, L1, L2) point of a grid against that oracle.
 //
 // The pipeline is instrumented through internal/obs, a dependency-free
-// metrics layer (named counters, gauges, timers, and hierarchical stage
-// spans) that is a nil-receiver no-op until a registry is installed:
+// metrics layer (named counters, gauges, histograms, and hierarchical
+// stage spans) that is a nil-receiver no-op until a registry is installed:
 // cmd/streamsched's measuring verbs and cmd/experiments expose it via
-// -metrics (JSON/CSV snapshot), -cpuprofile/-memprofile/-trace, and -v
+// -metrics (JSON snapshot), -cpuprofile/-memprofile/-trace, and -v
 // (span-tree summary). TestMetricCountersMatchSimulator in
 // internal/schedule checks the published counter totals against the exact
 // simulator's access counts.

@@ -319,15 +319,15 @@ func hierOrgSpecs(levels []Level) ([]trace.OrgSpec, map[int64]int) {
 }
 
 // Curves closes the pass: the exact grid, timed under hier.shared.profile
-// and published into reg (nil: neither). The timer covers extraction and
+// and published into reg (nil: neither). The time covers extraction and
 // the in-band checks only — the touches happened as the accesses came.
 func (st *SharedProfiler) Curves(reg *obs.Registry) (*SharedCurves, error) {
 	return st.curves(reg, "hier.shared.profile")
 }
 
-// curves is collect timed under the named timer, then published.
-func (st *SharedProfiler) curves(reg *obs.Registry, timer string) (*SharedCurves, error) {
-	stop := reg.Timer(timer).Start()
+// curves is collect timed into the named histogram, then published.
+func (st *SharedProfiler) curves(reg *obs.Registry, name string) (*SharedCurves, error) {
+	stop := reg.Histogram(name).Start()
 	out, err := st.collect()
 	stop()
 	if err != nil {

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // BenchmarkHistogramRecord measures the lock-free recording hot path —
 // the cost per-job and per-batch instrumentation pays on every
@@ -33,16 +30,5 @@ func BenchmarkHistogramRecord(b *testing.B) {
 				v++
 			}
 		})
-	})
-}
-
-// BenchmarkTimerObserve measures the timer path: a handle on its
-// lock-free histogram sibling.
-func BenchmarkTimerObserve(b *testing.B) {
-	b.Run("registry", func(b *testing.B) {
-		t := NewRegistry().Timer("t")
-		for i := 0; i < b.N; i++ {
-			t.Observe(time.Duration(i))
-		}
 	})
 }

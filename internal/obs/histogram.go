@@ -67,6 +67,10 @@ func (h *Histogram) Record(v int64) {
 // Observe records one duration in nanoseconds.
 func (h *Histogram) Observe(d time.Duration) { h.Record(int64(d)) }
 
+// nopStop is the shared no-op a disabled Start returns so the disabled
+// path allocates nothing.
+var nopStop = func() {}
+
 // Start begins timing one operation and returns the function that stops
 // the clock and records the elapsed duration. On a nil Histogram it
 // returns a shared no-op without reading the clock or allocating.

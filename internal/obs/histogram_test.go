@@ -142,34 +142,3 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 		t.Errorf("enabled Record allocates: %.1f allocs/op, want 0", allocs)
 	}
 }
-
-// TestTimerHistogramSibling: a registry Timer and the same-named Histogram
-// are one distribution — identical counts and totals, TimerStats derived
-// exactly from the histogram.
-func TestTimerHistogramSibling(t *testing.T) {
-	r := NewRegistry()
-	tm := r.Timer("x")
-	tm.Observe(1000 * time.Nanosecond)
-	tm.Observe(3000 * time.Nanosecond)
-	r.Histogram("x").Record(2000)
-	hs := r.Histogram("x").Stats()
-	if hs.Count != 3 || hs.Sum != 6000 {
-		t.Errorf("histogram side: count=%d sum=%d, want 3/6000", hs.Count, hs.Sum)
-	}
-	ts := tm.Stats()
-	if ts.Count != hs.Count || ts.TotalNS != hs.Sum || ts.MinNS != hs.Min || ts.MaxNS != hs.Max {
-		t.Errorf("timer stats %+v diverge from histogram stats %+v", ts, hs)
-	}
-	snap := r.Snapshot()
-	if snap.Timers["x"].Count != snap.Histograms["x"].Count {
-		t.Error("snapshot timer and histogram counts diverge")
-	}
-	// A standalone zero-value Timer has no sibling: it discards, like the
-	// nil Timer.
-	var standalone Timer
-	standalone.Observe(time.Millisecond)
-	standalone.Start()()
-	if got := standalone.Stats(); got != (TimerStats{}) {
-		t.Errorf("standalone timer recorded: %+v", got)
-	}
-}

@@ -1,11 +1,11 @@
 // Package obs is the engine's instrumentation layer: named counters,
-// gauges, timers, and histograms collected in a Registry, plus
+// gauges and histograms collected in a Registry, plus
 // hierarchical Spans for stage timing (record -> profile -> sweep ->
 // report); package obshttp serves a registry live. It is
 // dependency-free (stdlib only, no network stack) and concurrency-safe.
 //
 // The package is built around a nil-is-off contract: every method on
-// *Registry, *Counter, *Gauge, *Timer, *Histogram, and *Span is
+// *Registry, *Counter, *Gauge, *Histogram, and *Span is
 // safe to call on a nil receiver and does nothing. Instrumented code
 // therefore never branches on an "enabled" flag — it asks for the
 // registry (its own, or Default()), and when observation is off every
@@ -19,7 +19,7 @@
 // scheduling service publishes (internal/plancache's cache.* counters
 // and gauges, internal/server's server.* counters, the server.inflight
 // gauge, and the server.request.duration / server.compute.duration
-// timers). Renaming or repurposing one is a breaking change for
+// histograms). Renaming or repurposing one is a breaking change for
 // downstream dashboards and the counter contract tests
 // (TestMetricCountersMatchSimulator, TestSweepPublishesOneObservationPerJob),
 // and must be called out in CHANGES.md like any API change. New names may
@@ -27,11 +27,11 @@
 // section.
 //
 // Concurrent writers are expected: the sweep pools and the daemon's
-// computations update counters and timers from many goroutines.
-// Counter, Gauge, and Histogram are lock-free atomics. A Timer records
-// into its same-named Histogram sibling (lock-free, and percentiles come
-// for free in snapshots). Hot loops should still batch (observe once per
-// chunk of work) rather than once per item.
+// computations update counters and histograms from many goroutines.
+// Counter, Gauge, and Histogram are lock-free atomics; a duration is a
+// Histogram (Start/Observe, in nanoseconds), so its count, total and
+// percentiles come from one record. Hot loops should still batch (observe
+// once per chunk of work) rather than once per item.
 package obs
 
 import (
@@ -99,42 +99,6 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Timer accumulates duration observations: count, total, min, and max.
-// It is a handle on the Histogram sibling Registry.Timer registers under
-// the same name, so every timer call site also exports a latency
-// distribution (p50/p90/p99) under the timer's stable TimerStats
-// contract. The nil Timer, and a zero-value Timer not obtained from a
-// Registry, discard observations.
-type Timer struct {
-	h *Histogram // sibling; nil unless created via Registry.Timer
-}
-
-// histogram is the timer's sibling, nil for the nil or zero-value Timer.
-func (t *Timer) histogram() *Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.h
-}
-
-// Observe records one duration.
-func (t *Timer) Observe(d time.Duration) { t.histogram().Observe(d) }
-
-// nopStop is the shared no-op a disabled Start returns so the disabled
-// path allocates nothing.
-var nopStop = func() {}
-
-// Start begins timing one operation and returns the function that stops
-// the clock and records the elapsed duration. On a discarding Timer it
-// returns a shared no-op without reading the clock or allocating.
-func (t *Timer) Start() func() { return t.histogram().Start() }
-
-// Stats returns the accumulated observation summary.
-func (t *Timer) Stats() TimerStats {
-	hs := t.histogram().Stats()
-	return TimerStats{Count: hs.Count, TotalNS: hs.Sum, MinNS: hs.Min, MaxNS: hs.Max}
-}
-
 // Registry holds named metrics and root spans. Metrics are created on
 // first use and live for the registry's lifetime; looking a name up twice
 // returns the same instance. The nil Registry is the disabled
@@ -144,7 +108,6 @@ type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 	roots      []*Span
 }
@@ -212,41 +175,13 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timer returns the named timer, creating it on first use. The timer
-// records into a Histogram sibling under the same name (created
-// alongside), so the snapshot's histograms section carries a latency
-// distribution for every timer name.
-func (r *Registry) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.timers[name]
-	if t == nil {
-		if r.timers == nil {
-			r.timers = make(map[string]*Timer)
-		}
-		t = &Timer{h: r.histogramLocked(name)}
-		r.timers[name] = t
-	}
-	return t
-}
-
-// Histogram returns the named histogram, creating it on first use. Timer
-// siblings share this namespace: Histogram("x") after Timer("x") returns
-// the timer's distribution.
+// Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.histogramLocked(name)
-}
-
-// histogramLocked is Histogram with r.mu already held.
-func (r *Registry) histogramLocked(name string) *Histogram {
 	h := r.histograms[name]
 	if h == nil {
 		if r.histograms == nil {
@@ -258,17 +193,25 @@ func (r *Registry) histogramLocked(name string) *Histogram {
 	return h
 }
 
+// maxRoots bounds the root spans a registry keeps: a long-lived registry
+// (the daemon's, which opens one root per computation) holds only the
+// newest maxRoots trees. It is above the roots one cmd/experiments -run all
+// records, so a CLI or experiments snapshot keeps every root.
+const maxRoots = 1024
+
 // StartSpan opens a new root span. Nest further stages with Span.Start and
-// close each with End; Snapshot exports the tree. Every span in the tree
-// records its self time (duration minus its children's) into the
-// span.self histogram at End, so stage self-times have a distribution
-// alongside the tree.
+// close each with End; Snapshot exports the tree. The registry keeps the
+// newest maxRoots roots and lets older trees go.
 func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{name: name, start: time.Now(), selfH: r.Histogram("span.self")}
+	sp := &Span{name: name, start: time.Now()}
 	r.mu.Lock()
+	if len(r.roots) == maxRoots {
+		r.roots[0] = nil
+		r.roots = r.roots[1:]
+	}
 	r.roots = append(r.roots, sp)
 	r.mu.Unlock()
 	return sp
@@ -281,7 +224,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
-		Timers:     map[string]TimerStats{},
 		Histograms: map[string]HistogramStats{},
 	}
 	if r == nil {
@@ -296,10 +238,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for k, v := range r.timers {
-		timers[k] = v
-	}
 	hists := make(map[string]*Histogram, len(r.histograms))
 	for k, v := range r.histograms {
 		hists[k] = v
@@ -311,9 +249,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
-	}
-	for k, v := range timers {
-		s.Timers[k] = v.Stats()
 	}
 	for k, v := range hists {
 		s.Histograms[k] = v.Stats()

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < per; i++ {
 				r.Counter("c").Add(2)
 				r.Gauge("g").Max(int64(g*per + i))
-				r.Timer("t").Observe(time.Duration(i+1) * time.Microsecond)
+				r.Histogram("t").Observe(time.Duration(i+1) * time.Microsecond)
 			}
 		}(g)
 	}
@@ -32,16 +33,16 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Gauge("g").Value(); got != goroutines*per-1 {
 		t.Errorf("gauge high-water: got %d, want %d", got, goroutines*per-1)
 	}
-	ts := r.Timer("t").Stats()
-	if ts.Count != goroutines*per {
-		t.Errorf("timer count: got %d, want %d", ts.Count, goroutines*per)
+	hs := r.Histogram("t").Stats()
+	if hs.Count != goroutines*per {
+		t.Errorf("histogram count: got %d, want %d", hs.Count, goroutines*per)
 	}
 	wantTotal := int64(goroutines) * per * (per + 1) / 2 * int64(time.Microsecond)
-	if ts.TotalNS != wantTotal {
-		t.Errorf("timer total: got %d, want %d", ts.TotalNS, wantTotal)
+	if hs.Sum != wantTotal {
+		t.Errorf("histogram sum: got %d, want %d", hs.Sum, wantTotal)
 	}
-	if ts.MinNS != int64(time.Microsecond) || ts.MaxNS != int64(per*int(time.Microsecond)) {
-		t.Errorf("timer min/max: got %d/%d", ts.MinNS, ts.MaxNS)
+	if hs.Min != int64(time.Microsecond) || hs.Max != int64(per*int(time.Microsecond)) {
+		t.Errorf("histogram min/max: got %d/%d", hs.Min, hs.Max)
 	}
 }
 
@@ -54,13 +55,13 @@ func TestMetricIdentity(t *testing.T) {
 	if got := r.Counter("x").Value(); got != 2 {
 		t.Errorf("counter forked: got %d, want 2", got)
 	}
-	if r.Timer("t") != r.Timer("t") || r.Gauge("g") != r.Gauge("g") {
-		t.Error("timer or gauge forked on repeated lookup")
+	if r.Histogram("h") != r.Histogram("h") || r.Gauge("g") != r.Gauge("g") {
+		t.Error("histogram or gauge forked on repeated lookup")
 	}
 }
 
 // TestNestedSpans builds a record -> profile -> sweep tree and checks the
-// exported structure, durations, and open flags.
+// exported structure, durations, self times, and open flags.
 func TestNestedSpans(t *testing.T) {
 	r := NewRegistry()
 	root := r.StartSpan("sweep")
@@ -77,8 +78,8 @@ func TestNestedSpans(t *testing.T) {
 	if len(snap.Spans) != 1 {
 		t.Fatalf("got %d roots, want 1", len(snap.Spans))
 	}
-	if got := snap.Histograms["span.self"].Count; got != 4 {
-		t.Errorf("span.self holds %d self times, want one per ended span (4)", got)
+	if len(snap.Histograms) != 0 {
+		t.Errorf("spans registered histograms: %v", snap.Histograms)
 	}
 	rt := snap.Spans[0]
 	if rt.Name != "sweep" || rt.Open || rt.DurNS <= 0 {
@@ -100,6 +101,23 @@ func TestNestedSpans(t *testing.T) {
 	if !rt.Children[2].Open {
 		t.Error("report span should still be open in the snapshot")
 	}
+	// Self time is the duration its children do not cover, clamped at
+	// zero; a leaf's self time is its duration.
+	for _, n := range []SpanNode{rt, rt.Children[1]} {
+		self := n.DurNS
+		for _, c := range n.Children {
+			self -= c.DurNS
+		}
+		if self < 0 {
+			self = 0
+		}
+		if n.SelfNS != self {
+			t.Errorf("%s: self %d ns, want %d", n.Name, n.SelfNS, self)
+		}
+	}
+	if leaf := rt.Children[0]; leaf.SelfNS != leaf.DurNS {
+		t.Errorf("leaf record: self %d ns, want its duration %d", leaf.SelfNS, leaf.DurNS)
+	}
 	// A second End must not restart or extend the clock.
 	d := rt.DurNS
 	root.End()
@@ -109,13 +127,37 @@ func TestNestedSpans(t *testing.T) {
 	open.End()
 }
 
+// TestRegistryKeepsNewestRoots: a registry that opens more roots than
+// maxRoots (a daemon opens one per computation) keeps exactly the newest
+// maxRoots trees, oldest first.
+func TestRegistryKeepsNewestRoots(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 2*maxRoots; i++ {
+		sp := r.StartSpan(strconv.Itoa(i))
+		sp.Start("stage").End()
+		sp.End()
+	}
+	spans := r.Snapshot().Spans
+	if len(spans) != maxRoots {
+		t.Fatalf("snapshot holds %d roots, want the newest %d", len(spans), maxRoots)
+	}
+	for i, n := range spans {
+		if want := strconv.Itoa(maxRoots + i); n.Name != want {
+			t.Fatalf("root %d is %q, want %q", i, n.Name, want)
+		}
+	}
+}
+
 // TestSnapshotGoldenJSON pins the JSON serialisation on a hand-built
 // snapshot (no wall-clock nondeterminism).
 func TestSnapshotGoldenJSON(t *testing.T) {
 	snap := &Snapshot{
 		Counters: map[string]int64{"trace.accesses": 42, "exec.misses": 7},
 		Gauges:   map[string]int64{"sweep.workers": 4},
-		Timers:   map[string]TimerStats{"trace.decode": {Count: 2, TotalNS: 3000, MinNS: 1000, MaxNS: 2000}},
+		Histograms: map[string]HistogramStats{"trace.replay": {
+			Count: 2, Sum: 3000, Min: 1000, Max: 2000, P50: 1024, P90: 2000, P99: 2000,
+			Buckets: []HistogramBucket{{Le: 1023, Count: 1}, {Le: 2047, Count: 1}},
+		}},
 		Spans: []SpanNode{{
 			Name: "sweep", DurNS: 5000,
 			Children: []SpanNode{{Name: "record", DurNS: 2000}, {Name: "profile", DurNS: 3000, Open: true}},
@@ -133,12 +175,25 @@ func TestSnapshotGoldenJSON(t *testing.T) {
   "gauges": {
     "sweep.workers": 4
   },
-  "timers": {
-    "trace.decode": {
+  "histograms": {
+    "trace.replay": {
       "count": 2,
-      "total_ns": 3000,
-      "min_ns": 1000,
-      "max_ns": 2000
+      "sum": 3000,
+      "min": 1000,
+      "max": 2000,
+      "p50": 1024,
+      "p90": 2000,
+      "p99": 2000,
+      "buckets": [
+        {
+          "le": 1023,
+          "count": 1
+        },
+        {
+          "le": 2047,
+          "count": 1
+        }
+      ]
     }
   },
   "spans": [
@@ -162,38 +217,6 @@ func TestSnapshotGoldenJSON(t *testing.T) {
 `
 	if b.String() != want {
 		t.Errorf("JSON snapshot drifted:\ngot:\n%s\nwant:\n%s", b.String(), want)
-	}
-}
-
-// TestSnapshotGoldenCSV pins the flat CSV serialisation, including the
-// dotted span paths.
-func TestSnapshotGoldenCSV(t *testing.T) {
-	snap := &Snapshot{
-		Counters: map[string]int64{"trace.accesses": 42},
-		Gauges:   map[string]int64{"sweep.workers": 4},
-		Timers:   map[string]TimerStats{"trace.decode": {Count: 2, TotalNS: 3000, MinNS: 1000, MaxNS: 2000}},
-		Histograms: map[string]HistogramStats{"sweep.queue.wait": {
-			Count: 2, Sum: 3000, Min: 1000, Max: 2000, P50: 1024, P90: 2000, P99: 2000,
-		}},
-		Spans: []SpanNode{{
-			Name: "sweep", DurNS: 5000,
-			Children: []SpanNode{{Name: "record", DurNS: 2000}},
-		}},
-	}
-	var b strings.Builder
-	if err := snap.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	const want = `kind,name,value,count,min_ns,max_ns,p50,p90,p99
-counter,trace.accesses,42,,,,,,
-gauge,sweep.workers,4,,,,,,
-timer,trace.decode,3000,2,1000,2000,,,
-histogram,sweep.queue.wait,3000,2,1000,2000,1024,2000,2000
-span,sweep,5000,,,,,,
-span,sweep.record,2000,,,,,,
-`
-	if b.String() != want {
-		t.Errorf("CSV snapshot drifted:\ngot:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 
@@ -243,9 +266,6 @@ func TestNopZeroAlloc(t *testing.T) {
 		_ = r.Counter("c").Value()
 		r.Gauge("g").Set(3)
 		r.Gauge("g").Max(4)
-		r.Timer("t").Observe(time.Second)
-		stop := r.Timer("t").Start()
-		stop()
 		r.Histogram("h").Record(7)
 		r.Histogram("h").Observe(time.Second)
 		_ = r.Histogram("h").Stats()
@@ -266,7 +286,7 @@ func TestNopZeroAlloc(t *testing.T) {
 func TestNilRegistrySnapshot(t *testing.T) {
 	var r *Registry
 	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Timers)+len(snap.Spans) != 0 {
+	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms)+len(snap.Spans) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", snap)
 	}
 	var b strings.Builder

@@ -66,7 +66,7 @@ func TestMetricsEndpointRoundTrip(t *testing.T) {
 	h.Record(100)
 	h.Record(2000)
 	h.Record(2000)
-	r.Timer("trace.decode").Observe(5 * time.Microsecond)
+	r.Histogram("trace.replay").Observe(5 * time.Microsecond)
 
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
@@ -93,10 +93,10 @@ func TestMetricsEndpointRoundTrip(t *testing.T) {
 		samples[`streamsched_sweep_queue_wait_bucket{le="2047"}`] != 3 {
 		t.Errorf("cumulative buckets: %v", samples)
 	}
-	// The timer's sibling histogram carries its totals; no separate timer
-	// family is exported.
-	if samples["streamsched_trace_decode_count"] != 1 {
-		t.Errorf("timer sibling: %v", samples)
+	// A duration is a histogram in nanoseconds.
+	if samples["streamsched_trace_replay_count"] != 1 ||
+		samples["streamsched_trace_replay_sum"] != 5000 {
+		t.Errorf("duration histogram: %v", samples)
 	}
 
 	// Determinism: a second scrape of the unchanged registry is identical.

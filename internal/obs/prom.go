@@ -18,9 +18,7 @@ import (
 // gauges as gauges, histograms as native Prometheus histograms
 // (cumulative _bucket{le="..."} series over the non-empty power-of-two
 // buckets, plus _sum and _count). Duration-valued series keep their
-// recorded unit, nanoseconds. Timers are covered by their same-named
-// histogram sibling and are not exported separately — the sibling's
-// _count and _sum carry the same totals.
+// recorded unit, nanoseconds.
 
 // promName sanitises an internal metric name into a valid Prometheus
 // metric name: [a-zA-Z0-9_:] survive, everything else becomes '_', and

@@ -14,7 +14,7 @@ import (
 // land. Zero value: observe nothing.
 type SessionConfig struct {
 	// Metrics, when non-empty, writes a registry snapshot to this path at
-	// Close — CSV when the path ends in .csv, indented JSON otherwise.
+	// Close, as indented JSON.
 	Metrics string
 	// CPUProfile/MemProfile, when non-empty, write pprof profiles (CPU
 	// stopped and heap captured at Close).
@@ -147,7 +147,7 @@ func (s *Session) Close() error {
 		SetDefault(s.prev)
 		snap := s.reg.Snapshot()
 		if s.cfg.Metrics != "" {
-			if err := writeFile(s.cfg.Metrics, "metrics", func(w io.Writer) error { return snap.writeAs(w, s.cfg.Metrics) }); err != nil {
+			if err := writeFile(s.cfg.Metrics, "metrics", snap.WriteJSON); err != nil {
 				errs = append(errs, err)
 			}
 		}

@@ -57,28 +57,6 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestSessionCSV: a .csv metrics path selects the CSV serialisation.
-func TestSessionCSV(t *testing.T) {
-	orig := Default()
-	defer SetDefault(orig)
-	path := filepath.Join(t.TempDir(), "metrics.csv")
-	s, err := StartSession(SessionConfig{Metrics: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	Default().Counter("c").Add(1)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(raw), "kind,name,value") {
-		t.Errorf("CSV header missing: %q", string(raw))
-	}
-}
-
 // TestSessionInert: an all-zero config observes nothing and leaves the
 // default registry alone; nil sessions Close cleanly.
 func TestSessionInert(t *testing.T) {

@@ -6,17 +6,7 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"streamsched/internal/report"
 )
-
-// TimerStats is a Timer's exported summary.
-type TimerStats struct {
-	Count   int64 `json:"count"`
-	TotalNS int64 `json:"total_ns"`
-	MinNS   int64 `json:"min_ns"`
-	MaxNS   int64 `json:"max_ns"`
-}
 
 // SpanNode is one exported span: a stage name, its wall-clock duration,
 // the self time not covered by its children, and its child stages.
@@ -34,7 +24,6 @@ type SpanNode struct {
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters"`
 	Gauges     map[string]int64          `json:"gauges"`
-	Timers     map[string]TimerStats     `json:"timers"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 	Spans      []SpanNode                `json:"spans,omitempty"`
 }
@@ -59,46 +48,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// WriteCSV serialises the snapshot as one flat CSV: kind, name, value,
-// for timers the count/min/max columns, and for histograms additionally
-// the p50/p90/p99 estimates. Spans flatten to dotted paths
-// (parent.child) with their duration in nanoseconds. Every section is
-// emitted in sorted name order, so output is deterministic for a given
-// state.
-func (s *Snapshot) WriteCSV(w io.Writer) error {
-	t := report.NewTable("", "kind", "name", "value", "count", "min_ns", "max_ns", "p50", "p90", "p99")
-	for _, k := range sortedKeys(s.Counters) {
-		t.Add("counter", k, report.I(s.Counters[k]))
-	}
-	for _, k := range sortedKeys(s.Gauges) {
-		t.Add("gauge", k, report.I(s.Gauges[k]))
-	}
-	for _, k := range sortedKeys(s.Timers) {
-		ts := s.Timers[k]
-		t.Add("timer", k, report.I(ts.TotalNS), report.I(ts.Count), report.I(ts.MinNS), report.I(ts.MaxNS))
-	}
-	for _, k := range sortedKeys(s.Histograms) {
-		hs := s.Histograms[k]
-		t.Add("histogram", k, report.I(hs.Sum), report.I(hs.Count), report.I(hs.Min), report.I(hs.Max),
-			report.I(hs.P50), report.I(hs.P90), report.I(hs.P99))
-	}
-	var walk func(prefix string, n SpanNode)
-	walk = func(prefix string, n SpanNode) {
-		path := n.Name
-		if prefix != "" {
-			path = prefix + "." + n.Name
-		}
-		t.Add("span", path, report.I(n.DurNS))
-		for _, c := range n.Children {
-			walk(path, c)
-		}
-	}
-	for _, n := range s.Spans {
-		walk("", n)
-	}
-	return t.RenderCSV(w)
 }
 
 // WriteSpanTree renders the span forest as an indented human-readable
@@ -129,13 +78,4 @@ func (s *Snapshot) WriteSpanTree(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// writeAs serialises for a destination path: CSV for a .csv suffix, JSON
-// otherwise.
-func (s *Snapshot) writeAs(w io.Writer, path string) error {
-	if strings.HasSuffix(path, ".csv") {
-		return s.WriteCSV(w)
-	}
-	return s.WriteJSON(w)
 }

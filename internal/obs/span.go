@@ -18,7 +18,6 @@ import (
 type Span struct {
 	name  string
 	start time.Time
-	selfH *Histogram // span.self sink, inherited from the registry root
 
 	mu       sync.Mutex
 	done     bool
@@ -31,50 +30,24 @@ func (s *Span) Start(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now(), selfH: s.selfH}
+	c := &Span{name: name, start: time.Now()}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
 }
 
-// End stops the span's clock. Only the first End counts; that first End
-// also records the span's self time — its duration minus the time covered
-// by its children at that instant — into the registry's span.self
-// histogram.
+// End stops the span's clock. Only the first End counts.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.done {
-		s.mu.Unlock()
-		return
+	if !s.done {
+		s.done = true
+		s.dur = time.Since(s.start)
 	}
-	s.done = true
-	s.dur = time.Since(s.start)
-	var child time.Duration
-	for _, c := range s.children {
-		child += c.elapsed()
-	}
-	self := s.dur - child
-	if self < 0 {
-		self = 0
-	}
-	h := s.selfH
 	s.mu.Unlock()
-	h.Observe(self)
-}
-
-// elapsed returns the span's duration so far: the final duration once
-// ended, the running clock otherwise.
-func (s *Span) elapsed() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return s.dur
-	}
-	return time.Since(s.start)
 }
 
 // node exports the span subtree as snapshot data. Open spans report their

@@ -37,8 +37,7 @@
 // server.errors, server.computations, server.singleflight.shared,
 // server.timeouts, server.fastpath.hits counters, the server.inflight
 // gauge, and the server.request.duration / server.compute.duration
-// timers (each with a same-named latency histogram, so /metrics carries
-// p50/p90/p99).
+// histograms (so /metrics carries their counts, totals and p50/p90/p99).
 package server
 
 import (
@@ -117,7 +116,7 @@ type Server struct {
 
 	requests, errors, computations, shared, timeouts, fastpath *obs.Counter
 	inflightG                                                  *obs.Gauge
-	reqDur, compDur                                            *obs.Timer
+	reqDur, compDur                                            *obs.Histogram
 }
 
 // workBudget is the ceiling on the block accesses one profile request's
@@ -173,8 +172,8 @@ func New(cfg Config) *Server {
 		timeouts:     reg.Counter("server.timeouts"),
 		fastpath:     reg.Counter("server.fastpath.hits"),
 		inflightG:    reg.Gauge("server.inflight"),
-		reqDur:       reg.Timer("server.request.duration"),
-		compDur:      reg.Timer("server.compute.duration"),
+		reqDur:       reg.Histogram("server.request.duration"),
+		compDur:      reg.Histogram("server.compute.duration"),
 	}
 }
 
@@ -512,24 +511,24 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 }
 
 // handleStats serves cache/pool stats as JSON (not cached, not part of
-// the stable metric contract — use /metrics for dashboards).
+// the stable metric contract — use /metrics for dashboards). It reads the
+// counters it reports and nothing else of the registry.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.reg.Snapshot()
 	stats := map[string]any{
 		"engine":        EngineVersion,
 		"cache_entries": s.cache.Len(),
 		"cache_bytes":   s.cache.Bytes(),
 		"cache_budget":  s.cache.Budget(),
 		"jobs":          s.cfg.Jobs,
-		"cache_hits":    snap.Counters["cache.hits"],
-		"cache_misses":  snap.Counters["cache.misses"],
-		"evictions":     snap.Counters["cache.evictions"],
-		"requests":      snap.Counters["server.requests"],
-		"computations":  snap.Counters["server.computations"],
-		"shared":        snap.Counters["server.singleflight.shared"],
-		"fastpath":      snap.Counters["server.fastpath.hits"],
-		"timeouts":      snap.Counters["server.timeouts"],
-		"errors":        snap.Counters["server.errors"],
+		"cache_hits":    s.reg.Counter("cache.hits").Value(),
+		"cache_misses":  s.reg.Counter("cache.misses").Value(),
+		"evictions":     s.reg.Counter("cache.evictions").Value(),
+		"requests":      s.requests.Value(),
+		"computations":  s.computations.Value(),
+		"shared":        s.shared.Value(),
+		"fastpath":      s.fastpath.Value(),
+		"timeouts":      s.timeouts.Value(),
+		"errors":        s.errors.Value(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(stats)

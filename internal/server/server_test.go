@@ -506,9 +506,10 @@ func TestEngineVersionChangesKey(t *testing.T) {
 }
 
 func TestAuxEndpoints(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
+	_, ts, reg := newTestServer(t, Config{})
 	post(t, ts.URL+"/v1/plan", planBody(t, testGraphJSON(t, 16), ""))
 	post(t, ts.URL+"/v1/plan", planBody(t, testGraphJSON(t, 16), ""))
+	post(t, ts.URL+"/v1/plan", []byte(`{"m": 512}`))
 
 	get := func(path string) (int, []byte) {
 		resp, err := http.Get(ts.URL + path)
@@ -533,8 +534,20 @@ func TestAuxEndpoints(t *testing.T) {
 	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatalf("stats json: %v", err)
 	}
-	if stats["cache_entries"].(float64) != 1 || stats["cache_hits"].(float64) != 1 {
+	if stats["cache_entries"].(float64) != 1 || stats["cache_hits"].(float64) != 1 || stats["errors"].(float64) != 1 {
 		t.Fatalf("stats counters off: %s", body)
+	}
+	// Every counter /v1/stats reports is the registry's.
+	snap := reg.Snapshot()
+	for key, name := range map[string]string{
+		"cache_hits": "cache.hits", "cache_misses": "cache.misses", "evictions": "cache.evictions",
+		"requests": "server.requests", "computations": "server.computations",
+		"shared": "server.singleflight.shared", "fastpath": "server.fastpath.hits",
+		"timeouts": "server.timeouts", "errors": "server.errors",
+	} {
+		if got, want := int64(stats[key].(float64)), snap.Counters[name]; got != want {
+			t.Errorf("stats %s = %d, registry %s = %d", key, got, name, want)
+		}
 	}
 	// The obs exposition is mounted on the same mux.
 	if code, body := get("/metrics"); code != 200 || !strings.Contains(string(body), "streamsched_server_requests_total") {

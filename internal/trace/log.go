@@ -50,7 +50,7 @@ const runBytes = int64(unsafe.Sizeof(run{}))
 type logMetrics struct {
 	reg     *obs.Registry
 	replays *obs.Counter
-	replay  *obs.Timer
+	replay  *obs.Histogram
 }
 
 var nopLogMetrics logMetrics
@@ -59,7 +59,7 @@ func newLogMetrics(reg *obs.Registry) *logMetrics {
 	if reg == nil {
 		return &nopLogMetrics
 	}
-	return &logMetrics{reg: reg, replays: reg.Counter("trace.replays"), replay: reg.Timer("trace.replay")}
+	return &logMetrics{reg: reg, replays: reg.Counter("trace.replays"), replay: reg.Histogram("trace.replay")}
 }
 
 // metrics resolves the log's registry handles, capturing the process
@@ -72,7 +72,7 @@ func (l *Log) metrics() *logMetrics {
 }
 
 // SetMetrics routes the log's instrumentation (trace.replays, and the
-// trace.replay timer — full replay wall-clock, consumer callbacks
+// trace.replay histogram — full replay wall-clock, consumer callbacks
 // included) into reg instead of the process default; nil disables it.
 // Access counts are the recording window's to publish (trace.accesses),
 // not the log's. Without it the default registry is captured at the first

@@ -509,10 +509,10 @@ func (p *OrgProfilers) Curves() []*OrgCurves {
 
 // Extract closes a profiling pass: Curves, timed under trace.profile, and
 // the pass's totals — the counted accesses, the timeline work they cost,
-// and the pass itself — all into reg (nil: none). The timer covers curve
+// and the pass itself — all into reg (nil: none). The time covers curve
 // extraction only — the touches happened while the trace was fed.
 func (p *OrgProfilers) Extract(reg *obs.Registry) []*OrgCurves {
-	stop := reg.Timer("trace.profile").Start()
+	stop := reg.Histogram("trace.profile").Start()
 	curves := p.Curves()
 	stop()
 	if reg != nil {

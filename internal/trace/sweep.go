@@ -32,8 +32,8 @@ type Outcome[T any] struct {
 //
 // When the process-wide obs registry is live, each pool drain publishes
 // sweep.jobs and per-worker sweep.worker.<i>.jobs counters, the
-// sweep.queue.wait timer (time from submission to a worker picking the
-// job up), a per-variant sweep.job[<name>] timer, and the aggregate
+// sweep.queue.wait histogram (time from submission to a worker picking
+// the job up), a per-variant sweep.job[<name>] histogram, and the aggregate
 // sweep.job.duration histogram (per-job wall time across all variants,
 // with percentiles).
 //
@@ -67,14 +67,14 @@ func Sweep[T any](jobs []Job[T], workers int) []Outcome[T] {
 			pprof.Do(context.Background(), labels, func(ctx context.Context) {
 				workerJobs := reg.Counter(fmt.Sprintf("sweep.worker.%d.jobs", w))
 				totalJobs := reg.Counter("sweep.jobs")
-				queueWait := reg.Timer("sweep.queue.wait")
+				queueWait := reg.Histogram("sweep.queue.wait")
 				jobDur := reg.Histogram("sweep.job.duration")
 				for it := range next {
 					i := it.idx
 					if reg != nil {
 						queueWait.Observe(time.Since(it.enqueued))
 					}
-					stop := reg.Timer("sweep.job[" + jobs[i].Name + "]").Start()
+					stop := reg.Histogram("sweep.job[" + jobs[i].Name + "]").Start()
 					stopDur := jobDur.Start()
 					var v T
 					var err error

@@ -92,7 +92,7 @@ func TestSweepPublishesOneObservationPerJob(t *testing.T) {
 		}
 		for _, j := range jobs {
 			name := "sweep.job[" + j.Name + "]"
-			if got := snap.Timers[name].Count - base.Timers[name].Count; got != 1 {
+			if got := snap.Histograms[name].Count - base.Histograms[name].Count; got != 1 {
 				t.Errorf("workers=%d: %s timed %d runs, want 1", workers, name, got)
 			}
 		}
