@@ -105,7 +105,11 @@ func loadCensus(t *testing.T) *census {
 }
 
 func buildCensus() (*census, error) {
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,Name,Standard,GoFiles,TestGoFiles,XTestGoFiles,Deps", "./...")
+	// -pgo=off: with each binary's default.pgo applied, go list reports
+	// every package a profiled main imports a second time, as a variant
+	// ("internal/obs [streamsched/cmd/streamsched]"); the census reads
+	// each package once, from source.
+	cmd := exec.Command("go", "list", "-pgo=off", "-export", "-deps", "-json=ImportPath,Dir,Export,Name,Standard,GoFiles,TestGoFiles,XTestGoFiles,Deps", "./...")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

@@ -1,8 +1,12 @@
-// Command benchdiff gates paired bench/run.sh runs (files from pairs.sh)
-// against ./BENCHMARK.json. Per (workload, end-to-end metric) a head median
-// worse than the base median by more than the bound fails (OUT OF BOUND)
-// unless the base IQR is wider than the bound (unresolved). An incorrect
-// run or a higher head failed-op share fails. Exit 1: failed; 2: bad input.
+// Command benchdiff gates paired bench/run.sh runs (files from pairs.sh,
+// or a committed BENCH_PR<n>.json, whose runs it re-judges) against
+// ./BENCHMARK.json. Per (workload, end-to-end metric) a head median worse
+// than the base median by more than the bound fails (OUT OF BOUND). Where
+// the base IQR is wider than the bound, the row is judged by its median
+// per-pair ratio (head over base, same seed) if at least minPairs ratios
+// lie within the bound of each other, and is unresolved otherwise. An
+// incorrect run or a higher head failed-op share fails. Exit 1: failed;
+// 2: bad input.
 package main
 
 import (
@@ -21,11 +25,14 @@ type run struct {
 	Workload string `json:"workload"`
 	Seed     int    `json:"seed"`
 	RanFirst bool   `json:"ran_first"`
-	Result   struct {
-		Correct           bool `json:"correct"`
-		Attempted, Failed int
-		Metrics           map[string]struct{ Value float64 } `json:"metrics"`
-	} `json:"result"`
+	Result   result `json:"result"`
+}
+
+// result is the benchmark's own result line.
+type result struct {
+	Correct           bool `json:"correct"`
+	Attempted, Failed int
+	Metrics           map[string]struct{ Value float64 } `json:"metrics"`
 }
 
 // MarshalJSON flattens a run the way BENCH_PR<n>.json lists it.
@@ -50,6 +57,10 @@ type side struct {
 	failed, attempted int
 }
 
+// minPairs is the fewest same-seed pairs whose ratios may judge a row the
+// side medians cannot: the batch pairs.sh adds at once.
+const minPairs = 5
+
 type metric struct {
 	Name, Better string
 	Bound        float64
@@ -65,9 +76,9 @@ func main() {
 	if flag.NArg() == 0 {
 		check("", fmt.Errorf("no run files"))
 	}
-	runs := make([]run, flag.NArg())
-	for i, f := range flag.Args() {
-		readJSON(f, &runs[i])
+	var runs []run
+	for _, f := range flag.Args() {
+		runs = append(runs, readRuns(f)...)
 	}
 	ws := map[string]*workload{}
 	failures, err := compare(os.Stdout, decl.EndToEnd, runs, ws)
@@ -105,7 +116,7 @@ func compare(out io.Writer, metrics []metric, runs []run, ws map[string]*workloa
 		}
 	}
 	slices.Sort(names)
-	fmt.Fprint(out, "| workload | metric | bound | base median | base q1 – q3 | head median | change | head won | verdict |\n| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: | --- |\n")
+	fmt.Fprint(out, "| workload | metric | bound | base median | base q1 – q3 | head median | change | pair ratio (q1 – q3) | head won | verdict |\n| --- | --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: | --- |\n")
 	for _, name := range names {
 		w := ws[name]
 		b, h := w.Parent, w.Head
@@ -124,7 +135,7 @@ func compare(out io.Writer, metrics []metric, runs []run, ws map[string]*workloa
 			if !ok {
 				return nil, fmt.Errorf("%s: better is %q, want lower or higher", m.Name, m.Better)
 			}
-			bySeed, bv, hv, won := map[int]float64{}, []float64{}, []float64{}, 0
+			bySeed, bv, hv, ratios, won := map[int]float64{}, []float64{}, []float64{}, []float64{}, 0
 			for _, r := range append(append([]run(nil), b.Runs...), h.Runs...) {
 				v, ok := r.Result.Metrics[m.Name]
 				if !ok {
@@ -135,19 +146,39 @@ func compare(out io.Writer, metrics []metric, runs []run, ws map[string]*workloa
 					continue
 				}
 				hv = append(hv, v.Value)
-				if bs, ok := bySeed[r.Seed]; ok && sign*(v.Value-bs) < 0 {
-					won++
+				if bs, ok := bySeed[r.Seed]; ok {
+					if sign*(v.Value-bs) < 0 {
+						won++
+					}
+					if bs != 0 {
+						ratios = append(ratios, v.Value/bs)
+					}
 				}
 			}
 			bm, q1, q3, hm := quantile(bv, .5), quantile(bv, .25), quantile(bv, .75), quantile(hv, .5)
-			verdict := "ok"
-			if (q3-q1)/bm > m.Bound {
-				verdict = "unresolved"
-			} else if worse := sign * (hm/bm - 1); worse > m.Bound {
-				verdict = "OUT OF BOUND"
-				failures = append(failures, fmt.Sprintf("%s: %s: head median %.4g is %.1f%% worse than base %.4g, bound %.0f%%", name, m.Name, hm, 100*worse, bm, 100*m.Bound))
+			paired := "–"
+			var rm, rq1, rq3 float64
+			if len(ratios) > 0 {
+				rm, rq1, rq3 = quantile(ratios, .5), quantile(ratios, .25), quantile(ratios, .75)
+				paired = fmt.Sprintf("%.3f (%.3f – %.3f)", rm, rq1, rq3)
 			}
-			fmt.Fprintf(out, "| %s | %s | %.0f%% | %.4g | %.4g – %.4g | %.4g | %+.1f%% | %d of %d | %s |\n", name, m.Name, 100*m.Bound, bm, q1, q3, hm, 100*(hm/bm-1), won, w.Pairs, verdict)
+			verdict := "ok"
+			switch {
+			case (q3-q1)/bm <= m.Bound:
+				if worse := sign * (hm/bm - 1); worse > m.Bound {
+					verdict = "OUT OF BOUND"
+					failures = append(failures, fmt.Sprintf("%s: %s: head median %.4g is %.1f%% worse than base %.4g, bound %.0f%%", name, m.Name, hm, 100*worse, bm, 100*m.Bound))
+				}
+			case len(ratios) >= minPairs && (rq3-rq1)/rm <= m.Bound:
+				verdict = "ok (pairs)"
+				if worse := sign * (rm - 1); worse > m.Bound {
+					verdict = "OUT OF BOUND (pairs)"
+					failures = append(failures, fmt.Sprintf("%s: %s: median pair ratio %.3f (q1 – q3 %.3f – %.3f) is %.1f%% worse, bound %.0f%%; the base IQR is too wide to judge the medians", name, m.Name, rm, rq1, rq3, 100*worse, 100*m.Bound))
+				}
+			default:
+				verdict = "unresolved"
+			}
+			fmt.Fprintf(out, "| %s | %s | %.0f%% | %.4g | %.4g – %.4g | %.4g | %+.1f%% | %s | %d of %d | %s |\n", name, m.Name, 100*m.Bound, bm, q1, q3, hm, 100*(hm/bm-1), paired, won, w.Pairs, verdict)
 		}
 	}
 	return failures, nil
@@ -159,6 +190,49 @@ func quantile(vs []float64, q float64) float64 {
 	pos := q * float64(len(s)-1)
 	lo := int(pos)
 	return s[lo] + (s[min(lo+1, len(s)-1)]-s[lo])*(pos-float64(lo))
+}
+
+// readRuns reads one pairs.sh run file, or every run of a committed
+// BENCH_PR<n>.json snapshot: the shape -json writes, per workload parent
+// and head runs, each with its metrics flattened beside seed, ran_first,
+// correct, attempted and failed.
+func readRuns(path string) []run {
+	var snap struct {
+		Workloads map[string]struct {
+			Parent, Head struct{ Runs []json.RawMessage }
+		}
+	}
+	readJSON(path, &snap)
+	if snap.Workloads == nil {
+		var r run
+		readJSON(path, &r)
+		return []run{r}
+	}
+	var runs []run
+	for name, w := range snap.Workloads {
+		for side, flats := range map[string][]json.RawMessage{"base": w.Parent.Runs, "head": w.Head.Runs} {
+			for _, flat := range flats {
+				r := run{Side: side, Workload: name, Result: result{Metrics: map[string]struct{ Value float64 }{}}}
+				var fields map[string]any
+				err := json.Unmarshal(flat, &struct {
+					Seed     *int
+					RanFirst *bool `json:"ran_first"`
+					*result
+				}{&r.Seed, &r.RanFirst, &r.Result})
+				if err == nil {
+					err = json.Unmarshal(flat, &fields)
+				}
+				check(path+": ", err)
+				for k, v := range fields {
+					if f, ok := v.(float64); ok && !slices.Contains([]string{"seed", "attempted", "failed"}, k) {
+						r.Result.Metrics[k] = struct{ Value float64 }{f}
+					}
+				}
+				runs = append(runs, r)
+			}
+		}
+	}
+	return runs
 }
 
 func readJSON(path string, v any) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -195,6 +196,85 @@ func TestCompareWideBaseIQRIsUnresolved(t *testing.T) {
 	}
 	if !strings.Contains(table, "| hier-shared | op_p90_ms | 10% | 10 | 9 – 11 |") || !strings.Contains(table, "| unresolved |") {
 		t.Errorf("row not unresolved:\n%s", table)
+	}
+}
+
+// TestCompareWideBaseTightPairsResolve: a base as wide as the one above
+// cannot judge the medians, but when every pair moves together the
+// median pair ratio can: a head 15% worse in every pair is out of bound,
+// and one 3% better is ok, both marked as judged by the pairs.
+func TestCompareWideBaseTightPairsResolve(t *testing.T) {
+	metrics := endToEnd(t)
+	spread := []float64{0.80, 0.90, 1.00, 1.10, 1.20}
+	for _, tc := range []struct {
+		factor  float64
+		verdict string
+		fails   bool
+	}{{1.15, "| 1.161 (1.150 – 1.161) | 0 of 5 | OUT OF BOUND (pairs) |", true}, {0.97, "| 0.980 (0.970 – 0.980) | 5 of 5 | ok (pairs) |", false}} {
+		runs := pairs(t, metrics, "daemon-cold", func(side string, seed int, vals map[string]float64) (bool, int) {
+			vals["cpu_ms_per_op"] = 10 * spread[seed-1]
+			if side == "head" {
+				vals["cpu_ms_per_op"] *= tc.factor * (1 + float64(seed%2)/100)
+			}
+			return true, 0
+		})
+		table, failures, err := gate(metrics, runs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(table, "| daemon-cold | cpu_ms_per_op | 10% | 10 | 9 – 11 |") || !strings.Contains(table, tc.verdict) {
+			t.Errorf("head ×%.2f: want the row to read %q:\n%s", tc.factor, tc.verdict, table)
+		}
+		if got := len(failures) == 1 && strings.Contains(failures[0], "daemon-cold: cpu_ms_per_op: median pair ratio 1.161"); got != tc.fails {
+			t.Errorf("head ×%.2f: failures %v", tc.factor, failures)
+		}
+	}
+}
+
+// TestRejudgeCommittedSnapshots re-judges every committed BENCH_PR<n>.json
+// that lists its verdicts: a row the side medians judged (ok or OUT OF
+// BOUND) keeps its verdict, and only a row they left unresolved may be
+// judged by its pairs now.
+func TestRejudgeCommittedSnapshots(t *testing.T) {
+	metrics := endToEnd(t)
+	files, err := filepath.Glob("../../BENCH_PR*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	judged := 0
+	for _, f := range files {
+		var snap struct {
+			Verdicts []struct{ Workload, Metric, Verdict string }
+		}
+		readJSON(f, &snap)
+		if len(snap.Verdicts) == 0 {
+			continue
+		}
+		table, _, err := gate(metrics, readRuns(f))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		for _, v := range snap.Verdicts {
+			prefix := fmt.Sprintf("| %s | %s | ", v.Workload, v.Metric)
+			i := strings.Index(table, prefix)
+			if i < 0 {
+				t.Errorf("%s: no row %s %s", f, v.Workload, v.Metric)
+				continue
+			}
+			row := table[i : i+strings.IndexByte(table[i:], '\n')]
+			cells := strings.Split(strings.Trim(row, "| "), " | ")
+			got := cells[len(cells)-1]
+			if v.Verdict != "unresolved" && got != v.Verdict {
+				t.Errorf("%s: %s %s was %s, now %s", f, v.Workload, v.Metric, v.Verdict, got)
+			}
+			if v.Verdict == "unresolved" && got != "unresolved" {
+				t.Logf("%s: %s %s: unresolved → %s", filepath.Base(f), v.Workload, v.Metric, got)
+			}
+			judged++
+		}
+	}
+	if judged == 0 {
+		t.Fatal("no committed verdicts found")
 	}
 }
 

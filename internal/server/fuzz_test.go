@@ -206,7 +206,7 @@ const fuzzBudget = 1 << 18
 // is posted to /v1/plan and /v1/profile through the real handler, on a
 // server whose work budget is lowered to fuzzBudget. The property: no
 // panic (a computation runs on a goroutine of its own, so a panic there
-// ends the run), every status is 200, 400, 413, 422 or 504 — never a 500,
+// ends the run), every status is 200, 400, 413, 422, 429 or 504 — never a 500,
 // which would tell the client to retry and the operator that the daemon is
 // broken — and a 200 body is byte-identical when the same input is posted
 // a second time. The seeds are FuzzProfileRequestKey's corpus, the
@@ -243,7 +243,7 @@ func FuzzServe(f *testing.F) {
 			first := serve(h, ep, body)
 			switch first.Code {
 			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
-				http.StatusUnprocessableEntity, http.StatusGatewayTimeout:
+				http.StatusUnprocessableEntity, http.StatusTooManyRequests, http.StatusGatewayTimeout:
 			default:
 				t.Fatalf("%s: status %d: %s\nbody:\n%s", ep, first.Code, first.Body, body)
 			}

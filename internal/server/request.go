@@ -133,6 +133,7 @@ const (
 	CodeNotFound      = "not_found"
 	CodeMethod        = "method_not_allowed"
 	CodeTimeout       = "timeout"
+	CodeBusy          = "busy"
 	CodeUnprocessable = "unprocessable"
 	CodeInternal      = "internal"
 )

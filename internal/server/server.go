@@ -72,8 +72,9 @@ const EngineVersion = "streamsched-engine/1"
 type Config struct {
 	// CacheBytes is the result cache's byte budget. 0 disables caching.
 	CacheBytes int64
-	// Jobs bounds concurrent computations (the worker pool). 0 means
-	// one per CPU; negative is rejected by New.
+	// Jobs bounds concurrent computations (the worker pool), and
+	// admitPerJob times Jobs the computations running or queued. 0
+	// means one per CPU; negative is rejected by New.
 	Jobs int
 	// Timeout bounds how long a client waits for a computation (the
 	// computation itself runs to completion and fills the cache).
@@ -126,6 +127,12 @@ type Server struct {
 // 2-vCPU KVM host. A request estimated past it is answered 422
 // unprocessable before it runs.
 const workBudget = 1 << 28
+
+// admitPerJob bounds the computations the daemon holds at once, running
+// on the -jobs pool or queued for it, to admitPerJob times -jobs. A
+// request that would start one more is answered 429 busy; one that joins
+// a computation already in flight adds no work and is never refused.
+const admitPerJob = 4
 
 // rawKey addresses the raw-body memo.
 type rawKey [sha256.Size]byte
@@ -280,7 +287,12 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, kind stri
 		s.writeResult(w, key, cached, true)
 		return
 	}
-	f, leader := s.flightFor(key)
+	f, leader, err := s.flightFor(key)
+	if err != nil {
+		w.Header().Set("Retry-After", "1")
+		s.writeError(w, http.StatusTooManyRequests, CodeBusy, err.Error())
+		return
+	}
 	if f == nil {
 		// flightFor re-checked the cache under the flight lock and hit:
 		// the previous leader finished between our Get and the lock.
@@ -378,27 +390,32 @@ func (s *Server) rawStore(rk rawKey, key plancache.Key) {
 // flightFor returns the in-flight computation for key, creating one
 // (leader == true) if none exists. A nil flight means the cache was
 // populated while we raced for the lock — the caller should re-read it.
-func (s *Server) flightFor(key plancache.Key) (f *flight, leader bool) {
+// It refuses to create one past the admission bound: every flight in the
+// map is admitted until its leader deletes it, so the map is the count.
+func (s *Server) flightFor(key plancache.Key) (f *flight, leader bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f, ok := s.flights[key]; ok {
-		return f, false
+		return f, false, nil
 	}
 	// The previous leader deletes its flight only after Put, so a
 	// missing flight with a populated cache means the result landed
 	// between the caller's cache miss and this lock.
 	if _, ok := s.cache.Get(key); ok {
-		return nil, false
+		return nil, false, nil
+	}
+	if n := len(s.flights); n >= admitPerJob*s.cfg.Jobs {
+		return nil, false, fmt.Errorf("%d computations admitted, the most -jobs %d allows; retry later", n, s.cfg.Jobs)
 	}
 	f = &flight{done: make(chan struct{})}
 	s.flights[key] = f
-	return f, true
+	return f, true, nil
 }
 
 // runFlight executes one computation on the worker pool, publishes the
-// result to the cache, and releases the flight. It runs detached from
-// any request context: the work always completes and warms the cache,
-// even if every waiting client times out.
+// result to the cache, and releases the flight, and with it its
+// admission. It runs detached from any request context: the work always
+// completes and warms the cache, even if every waiting client times out.
 func (s *Server) runFlight(key plancache.Key, f *flight, compute func() ([]byte, error)) {
 	s.sem <- struct{}{}
 	func() {

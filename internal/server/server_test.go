@@ -250,6 +250,80 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestAdmissionBound: with the worker pool held, admitPerJob·jobs
+// distinct computations are admitted and queue; one more never-seen
+// request is answered 429 busy at once and computes nothing, while a
+// request joining an admitted flight is not refused. Once the pool frees,
+// every admitted request answers 200 and the refused one computes on its
+// retry.
+func TestAdmissionBound(t *testing.T) {
+	const jobs = 1
+	srv, ts, reg := newTestServer(t, Config{Jobs: jobs})
+	body := func(i int) []byte {
+		return planBody(t, testGraphJSON(t, int64(16+16*i)), `, "measure": 256`)
+	}
+	srv.sem <- struct{}{} // hold the pool's one slot
+	var wg sync.WaitGroup
+	statuses := make(chan int, admitPerJob*jobs+1)
+	postAsync := func(b []byte) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/profile", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for i := range admitPerJob * jobs {
+		postAsync(body(i))
+	}
+	waitFor("the admitted flights", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.flights) == admitPerJob*jobs
+	})
+	refused := body(admitPerJob * jobs)
+	resp, data := post(t, ts.URL+"/v1/profile", refused)
+	var er ErrorResponse
+	if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(data, &er) != nil || er.Code != CodeBusy ||
+		resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("request past the bound: status %d, Retry-After %q: %s, want 429 busy",
+			resp.StatusCode, resp.Header.Get("Retry-After"), data)
+	}
+	postAsync(body(0)) // a follower of an admitted flight
+	waitFor("the follower", func() bool { return reg.Counter("server.singleflight.shared").Value() == 1 })
+	if got := reg.Counter("server.computations").Value(); got != 0 {
+		t.Fatalf("server.computations = %d with the pool held, want 0", got)
+	}
+	<-srv.sem
+	wg.Wait()
+	close(statuses)
+	for status := range statuses {
+		if status != http.StatusOK {
+			t.Errorf("admitted request or follower: status %d, want 200", status)
+		}
+	}
+	if resp, data := post(t, ts.URL+"/v1/profile", refused); resp.StatusCode != http.StatusOK {
+		t.Fatalf("refused request retried on a free pool: status %d: %s", resp.StatusCode, data)
+	}
+	if got := reg.Counter("server.computations").Value(); got != admitPerJob*jobs+1 {
+		t.Fatalf("server.computations = %d, want %d", got, admitPerJob*jobs+1)
+	}
+}
+
 // TestDistinctRequestsDoNotCoalesce: different graphs compute separately.
 func TestDistinctRequestsDoNotCoalesce(t *testing.T) {
 	_, ts, reg := newTestServer(t, Config{})
