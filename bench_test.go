@@ -8,18 +8,22 @@ package streamsched_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"streamsched/internal/cachesim"
 	"streamsched/internal/exec"
 	"streamsched/internal/hierarchy"
 	"streamsched/internal/lowerbound"
+	"streamsched/internal/obs"
 	"streamsched/internal/parallel"
 	"streamsched/internal/partition"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/realexec"
 	"streamsched/internal/schedule"
 	"streamsched/internal/sdf"
+	"streamsched/internal/trace"
 	"streamsched/workloads"
 
 	"math/rand"
@@ -437,6 +441,73 @@ func BenchmarkE19MissCurveSweep(b *testing.B) {
 			}
 		}
 	})
+	// The schedulers that stop mid-burst fold their steady state too: an
+	// LRU organisation grid over DES, whose window folds, so a window 16x
+	// longer costs about the same. key-share times a step of the record
+	// (b.N steps, ns/op) and the recurrence key's build and full-length
+	// compare at the step boundary, the search's cost per step.
+	des, err := workloads.DES(16, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs, _, err := trace.GridSpecs(caps, env.B, []int64{1, 2, 4, 8, 0}, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range []schedule.Scheduler{schedule.DemandDriven{}, schedule.KohliGreedy{}, schedule.PartitionedPipeline{}} {
+		for _, n := range []int64{4096, 65536} {
+			b.Run(fmt.Sprintf("fold/des/%s/measure=%d", s.Name(), n), func(b *testing.B) {
+				reg := obs.NewRegistry()
+				folding := env
+				folding.Metrics = reg
+				for i := 0; i < b.N; i++ {
+					if _, err := schedule.MeasureCurveOrgs(des, s, folding, env.B, 1024, n, specs); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(reg.Counter("schedule.window.folded_periods").Value())/float64(b.N), "folded-periods")
+			})
+		}
+		b.Run("key-share/des/"+s.Name(), func(b *testing.B) {
+			plan, err := s.Prepare(des, env)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof, err := trace.NewOrgProfilers(append([]trace.OrgSpec{{Sets: 1}}, specs...))
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := exec.NewMachine(des, exec.Config{Cache: cachesim.Config{Block: env.B}, Caps: plan.Caps, TrackLatency: true, Recorder: prof})
+			if err != nil {
+				b.Fatal(err)
+			}
+			prof.StartWarmup()
+			if err := plan.Runner.Run(m, 1024); err != nil {
+				b.Fatal(err)
+			}
+			prof.ResetCounts()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := plan.Runner.Run(m, m.SourceFirings()+plan.Step); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			step := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			saved := m.AppendState(nil)
+			key := slices.Clone(saved)
+			const keys = 100_000
+			start := time.Now()
+			for range keys {
+				if key = m.AppendState(key[:0]); !slices.Equal(key, saved) {
+					b.Fatal("the key changed")
+				}
+			}
+			perKey := float64(time.Since(start).Nanoseconds()) / keys
+			b.ReportMetric(perKey, "key-ns")
+			b.ReportMetric(100*perKey/step, "key-share-%")
+		})
+	}
 }
 
 // BenchmarkE20HierSweep compares a 12-point (L1, L2) hierarchy grid done

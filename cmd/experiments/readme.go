@@ -65,6 +65,43 @@ Every claim held at quick size when it was added; a claim that fails
 there is recorded here as a finding, and its sizes and thresholds stay
 as written.
 
+### Warm-up against the first recurrence
+
+Each claim's window starts after its warm-up. Below, each schedule's
+first recurrence is read off ` + "`schedule.Compile`" + ` (warm 0): the prologue,
+in source firings before the key its search matched (an upper bound on
+the transient, within the search's factor of two), and the period.
+"Steady from" is the first source firing from which the firings repeat
+with that period. A row marked T measures a transient: its warm-up ends
+before that firing. Only the firing schedule is compared, not the
+simulated cache's contents, and the sizes are the quick ones. Flat-topo
+and scaled(s) recur at once in every row (prologue 0, period one step)
+and are left out; no claim is re-judged here.
+
+| Claim | warm + window | schedule | prologue + period | steady from | |
+| --- | --- | --- | --- | --- | --- |
+| E1 | 512 + 2048 | demand-driven, M = 128-4096 | 0 + 1 | 0 | |
+| E1 | 512 + 2048 | kohli-greedy, M = 128-4096 | (M/4 - 1) + M/4 | 1 | |
+| E1 | 512 + 2048 | partitioned-pipeline, M = 128, 256, 512, 1024 | 8191 + 256, 512, 1024, 2048 | 7683, 7173, 6153, 4113 | T |
+| E1 | 512 + 2048 | partitioned-pipeline, M = 2048 | 4095 + 4096 | 33 | period > window |
+| E1 | 512 + 2048 | partitioned-pipeline, M = 4096 | 1 + 2 | 1 | |
+| E2 | 512 + 2048 | partitioned-pipeline, n = 10, 18, 34, 66 | 2047, 4095, 8191, 16383 + 512 | 1029, 3077, 7173, 15365 | T |
+| E5 | 512 + 2048 | partitioned-pipeline, M = 256 | 8191 + 512 | 7173 | T |
+| E6 | 512 + 1024 | fmradio, partitioned-homog | 512 + 512 | 512 | |
+| E6 | 512 + 1024 | filterbank, partitioned-batch | 0 + 512 | 0 | |
+| E6 | 512 + 1024 | beamformer, partitioned-homog | 1536 + 512 | 1536 | T |
+| E6 | 512 + 1024 | fft, partitioned-pipeline | 2016 + 1024 | 1280 | T |
+| E6 | 512 + 1024 | bitonic, partitioned-homog | 1536 + 512 | 1024 | T |
+| E6 | 512 + 1024 | des, partitioned-pipeline | 4095 + 1024 | 3081 | T |
+| E6 | 512 + 1024 | mp3, partitioned-pipeline | 127 + 85 | 88 | |
+| E8 | 512 + 2048 | partitioned-pipeline, B = 8-128 | 8191 + 1024 | 6153 | T |
+| E10 | 1024 + 4096 | partitioned-pipeline for M/4 = 128 | 8191 + 256 | 7683 | T |
+
+The half-full pipeline rule fills one 2M cross-edge buffer after
+another, so on the 34-module pipeline it settles only after ~6k-8k
+source firings: every claim that reads its partitioned column (E1 at M
+<= 1024, E2, E5, E8, E10) measures that fill.
+
 ## Usage
 
 ` + "```sh" + `

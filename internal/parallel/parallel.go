@@ -276,7 +276,10 @@ func resolveRule(g *sdf.Graph, r Rule) (Rule, error) {
 // runner is the greedy list-scheduling loop: the least-loaded processor
 // claims a claimable component, preferring the one it ran last (cache
 // affinity), and executes it atomically on its private cache. Its state
-// carries over between Run calls, so warm-up and window are one run.
+// carries over between Run calls, so warm-up and window are one run. Its
+// plan has no step: a claim runs whole and settles at its target
+// (schedule.Claims.Execute), and the loop's clocks and affinities are in
+// no recurrence key, so a window runs as one Run call and never folds.
 type runner struct {
 	claims schedule.Claims
 	caches []*cachesim.Cache

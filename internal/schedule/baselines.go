@@ -101,9 +101,11 @@ type DemandDriven struct{}
 // Name implements Scheduler.
 func (DemandDriven) Name() string { return "demand-driven" }
 
-// Prepare implements Scheduler.
+// Prepare implements Scheduler. A sweep fires the source at most once and
+// Run stops only between sweeps, so every stop is exact; the step is one
+// period's source firings.
 func (DemandDriven) Prepare(g *sdf.Graph, _ Env) (*Plan, error) {
-	return &Plan{Caps: minBufCaps(g), Runner: demandRunner{}}, nil
+	return &Plan{Caps: minBufCaps(g), Runner: demandRunner{}, Step: g.Repetitions(g.Source())}, nil
 }
 
 type demandRunner struct{}
@@ -142,7 +144,7 @@ type KohliGreedy struct{}
 // Name implements Scheduler.
 func (KohliGreedy) Name() string { return "kohli-greedy" }
 
-// Prepare implements Scheduler.
+// Prepare implements Scheduler. The step is one period's source firings.
 func (k KohliGreedy) Prepare(g *sdf.Graph, env Env) (*Plan, error) {
 	if env.M <= 0 {
 		return nil, fmt.Errorf("%w: kohli-greedy needs M > 0", ErrUnsupported)
@@ -156,12 +158,17 @@ func (k KohliGreedy) Prepare(g *sdf.Graph, env Env) (*Plan, error) {
 		}
 		caps[e] = c
 	}
-	return &Plan{Caps: caps, Runner: greedyRunner{}}, nil
+	return &Plan{Caps: caps, Runner: greedyRunner{}, Step: g.Repetitions(g.Source())}, nil
 }
 
+// greedyRunner sweeps the modules in topological order, firing each while
+// it can. The source comes first in every sweep, so a Run that stops in
+// the source's burst resumes with a fresh sweep: that sweep's first act is
+// the rest of the burst.
 type greedyRunner struct{}
 
-// Run implements Runner.
+// Run implements Runner: it stops right after the source's target-th
+// firing.
 func (greedyRunner) Run(m *exec.Machine, target int64) error {
 	g := m.Graph()
 	for m.SourceFirings() < target {
@@ -173,9 +180,7 @@ func (greedyRunner) Run(m *exec.Machine, target int64) error {
 				}
 				progress = true
 				if v == g.Source() && m.SourceFirings() >= target {
-					// Finish the sweep so downstream modules drain, then
-					// the outer loop exits.
-					break
+					return nil
 				}
 			}
 		}
@@ -186,3 +191,19 @@ func (greedyRunner) Run(m *exec.Machine, target int64) error {
 	}
 	return nil
 }
+
+// settle implements burstRunner: it finishes the sweep a Run stopped in.
+func (greedyRunner) settle(m *exec.Machine) error {
+	for _, v := range m.Graph().Topo()[1:] {
+		for m.CanFire(v) {
+			if err := m.Fire(v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// appendCursor implements burstRunner: a fresh sweep resumes any stop, so
+// the runner carries nothing.
+func (greedyRunner) appendCursor(dst []int64) []int64 { return dst }

@@ -59,7 +59,7 @@ func BufferUtilization(g *sdf.Graph, s Scheduler, env Env, probe int64) ([]Buffe
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.Runner.Run(m, probe); err != nil {
+	if err := settledRun(m, plan, probe); err != nil {
 		return nil, err
 	}
 	isCross := make(map[sdf.EdgeID]bool, len(plan.CrossEdges))

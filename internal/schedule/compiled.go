@@ -12,11 +12,12 @@ import (
 // This file compiles dynamic schedules into static looped schedules. The
 // paper's runtime strategies (half-full rule, T-batching) are dynamic; a
 // deployment typically wants a fixed, auditable firing sequence — the
-// "looped schedule" form classical SDF compilers emit. Compile drives any
-// Scheduler until its buffer-occupancy state recurs, then factors the
-// firing trace into a prologue (executed once, filling the pipeline) and a
-// steady-state period (repeated forever). Replaying the compiled schedule
-// is behaviourally identical to the dynamic original.
+// "looped schedule" form classical SDF compilers emit. Compile runs any
+// Scheduler step by step under the window's recurrence search (recur),
+// then factors the firing trace into a prologue (executed once, filling
+// the pipeline) and a steady-state period (repeated forever). Every runner
+// stops where it resumes exactly, so the trace is the uninterrupted run's,
+// and replaying the compiled schedule is that run.
 
 // Step is a run of count consecutive firings of one module.
 type Step struct {
@@ -44,13 +45,14 @@ func Firings(steps []Step) int64 {
 	return n
 }
 
-// Compile records s's firing decisions on g until the channel-occupancy
-// vector recurs at a scheduling boundary, yielding a static schedule.
-// Cycle detection starts only after `warm` source firings, so the period
-// captures the scheduler's limit cycle rather than a start-up transient;
-// everything before the cycle becomes the prologue. maxSource bounds the
-// recording; if no recurrence is found within it, Compile fails (no
-// scheduler in this package does that for valid inputs).
+// Compile records s's firing decisions on g until the channels' occupancy
+// and the runner's cursor recur at a step boundary, yielding a static
+// schedule. Cycle detection starts only after `warm` source firings, so the
+// period captures the scheduler's limit cycle rather than a start-up
+// transient; everything before the key the search matches becomes the
+// prologue. maxSource bounds the recording; if no recurrence is found
+// within it, Compile fails. A plan with no step (internal/parallel's) is
+// refused.
 func Compile(g *sdf.Graph, s Scheduler, env Env, warm, maxSource int64) (*Compiled, error) {
 	if maxSource <= 0 {
 		return nil, fmt.Errorf("schedule: maxSource must be positive, got %d", maxSource)
@@ -62,78 +64,49 @@ func Compile(g *sdf.Graph, s Scheduler, env Env, warm, maxSource int64) (*Compil
 	if err != nil {
 		return nil, err
 	}
+	if plan.Step <= 0 {
+		return nil, fmt.Errorf("%w: %s plans no step to compile by", ErrUnsupported, s.Name())
+	}
 	m, err := probeMachine(g, plan, env)
 	if err != nil {
 		return nil, err
 	}
 	var rec recorder
 	m.SetFireHook(rec.note)
-
-	occupancy := func() string {
-		var sb strings.Builder
-		for e := 0; e < g.NumEdges(); e++ {
-			fmt.Fprintf(&sb, "%d,", m.Buf(sdf.EdgeID(e)).Len())
-		}
-		return sb.String()
+	if err := plan.Runner.Run(m, warm); err != nil {
+		return nil, fmt.Errorf("schedule: compile recording: %w", err)
 	}
-	// last is the firing count of the last step when the snapshot was
-	// taken: the next firing may be the same module's, which grows that
-	// step past the boundary.
-	type snapshot struct {
-		steps  int
-		last   int64
-		source int64
-	}
-	seen := map[string]snapshot{}
-	if warm == 0 {
-		seen[occupancy()] = snapshot{}
-	}
-	// Recording granularity: the runner is driven in chunks of ~M/2 source
-	// firings. The dynamic runners decide from channel occupancy alone, so
-	// the recorded execution is a deterministic function of occupancy at
-	// chunk boundaries — an occupancy recurrence there is an exact cycle of
-	// the recorded dynamics, which is precisely what the replay reproduces.
-	// (Chunking can pause a dynamic burst at a boundary, so the recorded
-	// policy may differ slightly from an uninterrupted run; outputs are
-	// identical either way and the cost stays in the same envelope. A
-	// runner with a Plan.Step is paused only between batches, so its
-	// recording is the uninterrupted run.)
-	chunk := env.M / 2
-	if chunk < 1 {
-		chunk = 1
-	}
-	for m.SourceFirings() < maxSource {
-		if err := plan.Runner.Run(m, m.SourceFirings()+chunk); err != nil {
-			return nil, fmt.Errorf("schedule: compile recording: %w", err)
+	// At the saved key: how many steps were recorded, and how many firings
+	// the last of them had — the next firing may be the same module's,
+	// which grows that step past the saved key.
+	var steps int
+	var last int64
+	savedAt, found, err := recur(m, plan, false, func() {
+		steps, last = len(rec.steps), 0
+		if steps > 0 {
+			last = rec.steps[steps-1].Count
 		}
-		if m.SourceFirings() < warm {
-			continue
-		}
-		key := occupancy()
-		if snap, ok := seen[key]; ok && m.SourceFirings() > snap.source {
-			steps := rec.steps
-			prologue := append([]Step(nil), steps[:snap.steps]...)
-			period := append([]Step(nil), steps[snap.steps:]...)
-			if i := snap.steps - 1; i >= 0 && steps[i].Count > snap.last {
-				// The step straddling the cycle's start: its firings after
-				// the boundary open every period, not just the first.
-				prologue[i].Count = snap.last
-				period = append([]Step{{Node: steps[i].Node, Count: steps[i].Count - snap.last}}, period...)
-			}
-			return &Compiled{
-				Caps:            plan.Caps,
-				Prologue:        prologue,
-				Period:          period,
-				SourcePerPeriod: m.SourceFirings() - snap.source,
-			}, nil
-		}
-		snap := snapshot{steps: len(rec.steps), source: m.SourceFirings()}
-		if snap.steps > 0 {
-			snap.last = rec.steps[snap.steps-1].Count
-		}
-		seen[key] = snap
+	}, func(int64) bool { return m.SourceFirings() < maxSource })
+	if err != nil {
+		return nil, fmt.Errorf("schedule: compile recording: %w", err)
 	}
-	return nil, fmt.Errorf("schedule: no steady-state recurrence within %d source firings", maxSource)
+	if !found {
+		return nil, fmt.Errorf("schedule: no steady-state recurrence within %d source firings", maxSource)
+	}
+	prologue := append([]Step(nil), rec.steps[:steps]...)
+	period := append([]Step(nil), rec.steps[steps:]...)
+	if i := steps - 1; i >= 0 && rec.steps[i].Count > last {
+		// The step straddling the saved key: its firings after the key
+		// open every period, not just the first.
+		prologue[i].Count = last
+		period = append([]Step{{Node: rec.steps[i].Node, Count: rec.steps[i].Count - last}}, period...)
+	}
+	return &Compiled{
+		Caps:            plan.Caps,
+		Prologue:        prologue,
+		Period:          period,
+		SourcePerPeriod: m.SourceFirings() - savedAt,
+	}, nil
 }
 
 // recorder accumulates a run-length-encoded firing trace.

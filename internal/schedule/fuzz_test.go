@@ -10,9 +10,11 @@ import (
 
 // FuzzWindowFold drives the window fold with arbitrary graphs, schedulers,
 // windows and recorder shapes: MeasureCurveOrgs folded must equal the
-// unfolded pass field for field (foldWindow), and only a stepped plan
-// recorded by LRU-only profilers may fold. The seed corpus is
-// testdata/fuzz/FuzzWindowFold; windows are capped so a case stays small.
+// unfolded pass field for field (foldWindow), and only a window recorded
+// by LRU-only profilers may fold. The seed corpus is
+// testdata/fuzz/FuzzWindowFold; among its seeds demand-driven,
+// kohli-greedy and the half-full pipeline each fold. Windows are capped so
+// a case stays small.
 func FuzzWindowFold(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, shape, sched, specs, mexp uint8, warm, measure uint16) {
 		rng := rand.New(rand.NewSource(seed))
@@ -38,14 +40,13 @@ func FuzzWindowFold(f *testing.F) {
 		env := Env{M: 32 << (mexp % 3), B: 16}
 		scheds := []Scheduler{Partitioned(g, nil), FlatTopo{}, Scaled{S: 2}, DemandDriven{}, KohliGreedy{}, PartitionedBatch{}}
 		s := scheds[int(sched)%len(scheds)]
-		plan, err := s.Prepare(g, env)
-		if err != nil {
+		if _, err := s.Prepare(g, env); err != nil {
 			t.Skip() // the scheduler does not take this shape
 		}
 		shapes := foldSpecs(t, env.B)
 		sp := shapes[int(specs)%len(shapes)]
 		n, err := foldWindow(t, g, s, env, int64(warm%2048), 1+int64(measure%4096), sp)
-		if err == nil && n > 0 && (plan.Step == 0 || hasFIFO(sp)) {
+		if err == nil && n > 0 && hasFIFO(sp) {
 			t.Fatalf("%s/%s: folded %d periods of a window that cannot fold", g.Name(), s.Name(), n)
 		}
 	})

@@ -130,8 +130,8 @@ func TestPropOrgCurvesMatchSimulatorOnRandomDags(t *testing.T) {
 			foldCases(t, g, []Scheduler{PartitionedHomogeneous{}, FlatTopo{}, Scaled{S: 3}, KohliGreedy{}})
 		}
 	}
-	// The other two shapes: the batch scheduler folds, the half-full
-	// pipeline rule declares no step.
+	// The other two shapes: the batch scheduler and the half-full pipeline
+	// rule fold too.
 	rng := rand.New(rand.NewSource(104))
 	inh, err := randgraph.RandomSplitJoin(rng, randgraph.SplitJoinSpec{Branches: 2, BranchDepth: 3, StateMin: 16, StateMax: 96, RateMax: 3})
 	if err != nil {
@@ -279,15 +279,16 @@ func hasFIFO(specs []trace.OrgSpec) bool {
 
 // foldCases runs windows of 3–8 batches of T = M source firings after no,
 // one and one and a half batches of warm-up, none a whole number of
-// periods long, and one of 16 batches — long enough to find a period of
-// three batches, as the batch scheduler's ring offsets can take — under
-// every foldSpecs shape. Every result must equal the unfolded pass; a
-// scheduler with a step must fold somewhere, and nothing else may.
+// periods long, and one of 24 batches — long enough to find a period of
+// three batches, as the batch scheduler's ring offsets and the half-full
+// pipeline's cross-edge rings can take — under every foldSpecs shape.
+// Every result must equal the unfolded pass; a scheduler with a step must
+// fold somewhere, and nothing else may.
 func foldCases(t *testing.T, g *sdf.Graph, scheds []Scheduler) {
 	t.Helper()
 	env := Env{M: 128, B: 16}
 	T := env.M
-	windows := [][2]int64{{0, 3*T + T/3}, {T, 8*T - 5}, {3 * T / 2, 5*T + 7}, {T / 2, 16*T + 3}}
+	windows := [][2]int64{{0, 3*T + T/3}, {T, 8*T - 5}, {3 * T / 2, 5*T + 7}, {T / 2, 24*T + 3}}
 	for _, s := range scheds {
 		plan, err := s.Prepare(g, env)
 		if err != nil {

@@ -72,14 +72,15 @@ func (s PartitionedPipeline) Prepare(g *sdf.Graph, env Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Caps: caps, Runner: r, CrossEdges: p.CrossEdges(g)}, nil
+	return &Plan{Caps: caps, Runner: r, CrossEdges: p.CrossEdges(g), Step: g.Repetitions(g.Source())}, nil
 }
 
 // Claims is a partitioned runner seen one component at a time: how many
 // components there are, whether component c may run now, and running it
-// toward target source firings. The runners' own Run loops are one
-// processor making these claims; internal/parallel lets P processors make
-// them, so the multiprocessor reuses each rule instead of restating it.
+// toward target source firings, settling there. The runners' own Run
+// loops are one processor making these claims (the pipeline rule's pauses
+// at its target instead); internal/parallel lets P processors make them,
+// so the multiprocessor reuses each rule instead of restating it.
 type Claims interface {
 	Components() int
 	Claimable(m *exec.Machine, c int) bool
@@ -88,11 +89,15 @@ type Claims interface {
 
 // pipelineRunner holds the static structure of a segmented pipeline: the
 // members of each segment in chain order and the cross edge following each
-// segment.
+// segment. Its one piece of run state is the segment a Run stopped in.
 type pipelineRunner struct {
 	p       *partition.Partition
 	members [][]sdf.NodeID
 	after   []sdf.EdgeID // after[i] = cross edge from segment i to i+1 (-1 for last)
+	// paused is the segment whose execution the last Run cut short, right
+	// after a source firing, and -1 when none was: the next Run resumes it
+	// instead of applying the half-full rule again.
+	paused int
 }
 
 func newPipelineRunner(g *sdf.Graph, p *partition.Partition) (*pipelineRunner, error) {
@@ -100,6 +105,7 @@ func newPipelineRunner(g *sdf.Graph, p *partition.Partition) (*pipelineRunner, e
 		p:       p,
 		members: p.Members(g),
 		after:   make([]sdf.EdgeID, p.K),
+		paused:  -1,
 	}
 	for i := range r.after {
 		r.after[i] = -1
@@ -117,20 +123,36 @@ func newPipelineRunner(g *sdf.Graph, p *partition.Partition) (*pipelineRunner, e
 	return r, nil
 }
 
-// Run implements Runner via the half-full rule.
+// Run implements Runner via the half-full rule. It stops right after the
+// source's target-th firing, inside the source segment's execution, which
+// the next Run resumes.
 func (r *pipelineRunner) Run(m *exec.Machine, target int64) error {
 	for m.SourceFirings() < target {
-		i := r.pickSegment(m)
+		i := r.paused
 		if i < 0 {
-			return fmt.Errorf("%w: no schedulable segment at %d source firings",
-				ErrDeadlock, m.SourceFirings())
+			if i = r.pickSegment(m); i < 0 {
+				return fmt.Errorf("%w: no schedulable segment at %d source firings",
+					ErrDeadlock, m.SourceFirings())
+			}
 		}
-		if err := r.Execute(m, i, target); err != nil {
+		if err := r.execute(m, i, target, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// settle implements burstRunner: it finishes the execution a Run stopped
+// in, as Execute does at its target.
+func (r *pipelineRunner) settle(m *exec.Machine) error {
+	if r.paused < 0 {
+		return nil
+	}
+	return r.execute(m, r.paused, m.SourceFirings(), false)
+}
+
+// appendCursor implements burstRunner: the segment a Run stopped in.
+func (r *pipelineRunner) appendCursor(dst []int64) []int64 { return append(dst, int64(r.paused)) }
 
 // Components implements Claims.
 func (r *pipelineRunner) Components() int { return r.p.K }
@@ -174,8 +196,16 @@ func (r *pipelineRunner) pickSegment(m *exec.Machine) int {
 // buffer empties, its output cross buffer fills, or (for the source
 // segment) the target is reached: i.e. until no member module can fire.
 func (r *pipelineRunner) Execute(m *exec.Machine, i int, target int64) error {
-	g := m.Graph()
-	src := g.Source()
+	return r.execute(m, i, target, false)
+}
+
+// execute is Execute, except that with pause set it stops right after the
+// source's target-th firing and records segment i as paused. Resuming
+// restarts the pass at the segment's first member, the source, where it
+// stopped; the pass it cut short had fired, so it loses nothing.
+func (r *pipelineRunner) execute(m *exec.Machine, i int, target int64, pause bool) error {
+	src := m.Graph().Source()
+	r.paused = -1
 	for {
 		progress := false
 		for _, v := range r.members[i] {
@@ -187,6 +217,10 @@ func (r *pipelineRunner) Execute(m *exec.Machine, i int, target int64) error {
 					return err
 				}
 				progress = true
+				if pause && v == src && m.SourceFirings() >= target {
+					r.paused = i
+					return nil
+				}
 			}
 		}
 		if !progress {

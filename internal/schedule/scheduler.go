@@ -66,9 +66,25 @@ func (e Env) metrics() *obs.Registry { return obs.Or(e.Metrics) }
 // Runner drives a machine until the source has fired at least target times
 // (a cumulative count since machine creation, so runs are resumable). The
 // package's dynamic runners decide from the machine's channel occupancy
-// alone; the compiled runner keeps its position in the schedule.
+// alone and stop right after the source's target-th firing (demand-driven
+// at the end of that sweep), the batch runners at the end of the batch
+// that reaches it; the compiled runner keeps its position in the schedule.
+// Each stops where it resumes exactly: Run(m, a) then Run(m, b) runs what
+// Run(m, b) alone runs.
 type Runner interface {
 	Run(m *exec.Machine, target int64) error
+}
+
+// burstRunner is a runner whose Run can stop in the middle of a burst.
+// settle finishes the burst as the end of the input would, never firing
+// the source; Window.Measure settles after its warm-up and its window,
+// BufferUtilization after its probe, and nothing else settles, so a chain
+// of steps stays one run. appendCursor appends what the runner carries
+// between Run calls to the recurrence key, which is a period only when
+// that recurs with the machine's state.
+type burstRunner interface {
+	settle(m *exec.Machine) error
+	appendCursor(dst []int64) []int64
 }
 
 // Plan is a scheduler's output for a specific graph: buffer capacities for
@@ -82,9 +98,10 @@ type Plan struct {
 	// Step, when positive, is the Runner's step in source firings: from
 	// wherever a Run call stopped, Run(m, m.SourceFirings()+Step) fires
 	// the source exactly Step times, and any chain of such calls followed
-	// by Run(m, end) runs exactly what one Run(m, end) runs. Runners that
-	// fire the source in whole batches have one; Prepare derives it.
-	// Zero means the runner must reach its end in one call.
+	// by Run(m, end) runs exactly what one Run(m, end) runs. Every plan
+	// this package prepares has one: a batch, or for the dynamic runners
+	// one period's source firings. Zero, which only internal/parallel's
+	// claim loop plans, means the runner must reach its end in one call.
 	Step int64
 }
 

@@ -46,7 +46,8 @@ type Run struct {
 // whole periods as steady repetitions of that one, without running them
 // and without running a second period, so the cost stops growing with
 // measured. Results are exactly the unfolded ones; every other window runs
-// every firing.
+// every firing. A runner that can stop mid-burst settles after the warm-up
+// and after the window (burstRunner), and never at a step inside it.
 type Window struct {
 	// Span names the obs span, suffixed with "[scheduler]".
 	Span string
@@ -129,7 +130,7 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 	stage = sp.Start("record")
 	defer stage.End()
 	if warm > 0 {
-		if err := plan.Runner.Run(m, warm); err != nil {
+		if err := settledRun(m, plan, warm); err != nil {
 			return nil, run, fmt.Errorf("schedule: warmup %s: %w", run.Scheduler, err)
 		}
 	}
@@ -170,64 +171,109 @@ func (w Window) Measure(g *sdf.Graph, s Scheduler, env Env, warm, measured int64
 }
 
 // run drives m to end source firings. A plan with a step, recorded by a
-// Folder, runs step by step while Brent's cycle search compares the
-// machine's recurrence key (exec.Machine.AppendState) at each step boundary
-// with one saved key, and the Folder records the stream since that key was
-// saved. On the first recurrence that stretch is one period of a stream
-// that is periodic from where the key was saved, so the machine advances
-// by the remaining whole periods from the counters saved with the key, the
-// Folder counts them as steady periods, and the rest runs for real. With no
-// recurrence by a third of the window it stops looking, and so it does once
-// the saved key is too late for a fold: a period of P >= Step firings from
-// it must recur and leave P more before the end. It also stops at limit,
-// the source firings the work budget allows, and then refuses to run the
-// rest if the window ends past it. Every other window is one Run call —
-// which is what the stepped calls amount to, by Plan.Step's contract.
+// Folder, runs under recur's search while the Folder records the stream
+// since the saved key; at a recurrence the machine advances by the
+// remaining whole periods from the counters saved with the key, the Folder
+// counts them as steady periods, and the rest runs for real. The search
+// stops by a third of the window, once the saved key is too late for a
+// fold (a period of P >= Step firings from it must recur and leave P more
+// before the end), and at limit, the source firings the work budget
+// allows, past which the rest is refused. Every other window, among them
+// internal/parallel's (no step), is one Run call: what the steps amount
+// to, by Plan.Step's contract. Either way the window ends settled.
 func (w Window) run(m *exec.Machine, plan *Plan, end, limit int64, reg *obs.Registry) error {
 	f := w.Folder
 	start := m.SourceFirings()
 	if !w.folds(plan, end-start) {
-		return plan.Runner.Run(m, end)
+		return settledRun(m, plan, end)
 	}
-	saved, savedAt, c := m.AppendState(nil), start, m.Counters()
-	f.StartPeriod()
-	var key []int64
-	for steps, power := int64(0), int64(1); m.SourceFirings() <= end-plan.Step && (end-savedAt)/2 >= plan.Step && m.SourceFirings()-start < (end-start)/3 && m.SourceFirings() < limit; {
-		if err := plan.Runner.Run(m, m.SourceFirings()+plan.Step); err != nil {
-			return err
-		}
-		if key = m.AppendState(key[:0]); slices.Equal(key, saved) {
-			// The machine and the Folder each refuse an overflowing fold
-			// before changing anything, and the machine counts every
-			// access the Folder does, so the machine refuses first.
-			q := (end - m.SourceFirings()) / (m.SourceFirings() - savedAt)
-			if q > 0 {
-				if err := m.Advance(c, q); err != nil {
-					return err
-				}
-				reg.Counter("schedule.window.folded_periods").Add(q)
-			}
-			if err := f.RepeatSteady(q); err != nil {
+	var c exec.Counters
+	savedAt, found, err := recur(m, plan, true, func() { c = m.Counters(); f.StartPeriod() }, func(savedAt int64) bool {
+		at := m.SourceFirings()
+		return at <= end-plan.Step && (end-savedAt)/2 >= plan.Step && at-start < (end-start)/3 && at < limit
+	})
+	if err != nil {
+		return err
+	}
+	var q int64
+	if found {
+		// The machine and the Folder each refuse an overflowing fold
+		// before changing anything, and the machine counts every access
+		// the Folder does, so the machine refuses first.
+		if q = (end - m.SourceFirings()) / (m.SourceFirings() - savedAt); q > 0 {
+			if err := m.Advance(c, q); err != nil {
 				return err
 			}
-			return plan.Runner.Run(m, end)
+			reg.Counter("schedule.window.folded_periods").Add(q)
 		}
-		// Brent: move the saved key forward whenever the distance to it
-		// reaches a power of two, so a period of any length is found
-		// with one key in memory.
+	} else if end > limit {
+		return fmt.Errorf("%w: no recurrence in the first %d source firings, and the window ends at %d", ErrBudget, m.SourceFirings(), end)
+	}
+	if err := f.RepeatSteady(q); err != nil {
+		return err
+	}
+	return settledRun(m, plan, end)
+}
+
+// recur is the package's one recurrence search, behind the window's fold
+// and Compile: Brent's, over recurrenceKey at every step boundary. It runs
+// plan on m a step at a time and compares each key with one saved key,
+// which moves to the current step whenever the distance to it reaches a
+// power of two, so a period of any length is found with one key in memory.
+// save runs wherever the key is saved, at the start and at every move;
+// look, asked before every step with the saved key's source firings, ends
+// the search when false. recur returns the saved key's source firings and
+// whether the current key equals it, in which case the run since the saved
+// key is one period of a run periodic from there.
+func recur(m *exec.Machine, plan *Plan, addresses bool, save func(), look func(savedAt int64) bool) (savedAt int64, found bool, err error) {
+	saved, savedAt := recurrenceKey(nil, m, plan.Runner, addresses), m.SourceFirings()
+	save()
+	var key []int64
+	for steps, power := int64(0), int64(1); look(savedAt); {
+		if err := plan.Runner.Run(m, m.SourceFirings()+plan.Step); err != nil {
+			return 0, false, err
+		}
+		if key = recurrenceKey(key[:0], m, plan.Runner, addresses); slices.Equal(key, saved) {
+			return savedAt, true, nil
+		}
 		if steps++; steps == power {
-			saved, key, savedAt, c = key, saved, m.SourceFirings(), m.Counters()
-			f.StartPeriod()
+			saved, key, savedAt = key, saved, m.SourceFirings()
+			save()
 			steps, power = 0, 2*power
 		}
 	}
-	if end > limit {
-		return fmt.Errorf("%w: no recurrence in the first %d source firings, and the window ends at %d", ErrBudget, m.SourceFirings(), end)
+	return savedAt, false, nil
+}
+
+// recurrenceKey appends m's recurrence key under runner r to dst: each
+// channel's occupancy and r's cursor (burstRunner), which decide every
+// firing, or with addresses set the machine's whole state
+// (exec.Machine.AppendState), whose ring offsets decide every address too
+// but can take many periods of firings to return.
+func recurrenceKey(dst []int64, m *exec.Machine, r Runner, addresses bool) []int64 {
+	if addresses {
+		dst = m.AppendState(dst)
+	} else {
+		for e := range m.Graph().NumEdges() {
+			dst = append(dst, m.Buf(sdf.EdgeID(e)).Len())
+		}
 	}
-	if err := f.RepeatSteady(0); err != nil {
+	if b, ok := r.(burstRunner); ok {
+		dst = b.appendCursor(dst)
+	}
+	return dst
+}
+
+// settledRun runs plan to target and then settles its runner, if it is a
+// burstRunner: the end of a warm-up, a window or a buffer probe.
+func settledRun(m *exec.Machine, plan *Plan, target int64) error {
+	if err := plan.Runner.Run(m, target); err != nil {
 		return err
 	}
-	return plan.Runner.Run(m, end)
+	if b, ok := plan.Runner.(burstRunner); ok {
+		return b.settle(m)
+	}
+	return nil
 }
 
 // folds reports whether a window of measured source firings under plan
@@ -242,9 +288,10 @@ func (w Window) folds(plan *Plan, measured int64) bool {
 // estimate; no budget is no ceiling. It tests the ceiling once, now that
 // the plan says whether the window folds: a window that cannot runs warm +
 // measured firings, and one that can runs its warm-up and then looks for a
-// recurrence only below the ceiling (run). A plan with a step fires the
-// source a whole step at a time, so its warm-up runs to the next step
-// boundary, and a step past the ceiling is refused whatever the window.
+// recurrence only below the ceiling (run). The warm-up counts in whole
+// steps (a batch plan's runs to the next step boundary, and
+// internal/parallel's stepless plan counts steps of one firing), and a
+// step past the ceiling is refused whatever the window.
 func (w Window) firingLimit(g *sdf.Graph, plan *Plan, budget, warm, measured int64) (int64, error) {
 	if budget <= 0 {
 		return math.MaxInt64, nil

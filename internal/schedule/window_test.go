@@ -9,6 +9,7 @@ import (
 	"streamsched/internal/hierarchy"
 	"streamsched/internal/obs"
 	"streamsched/internal/sdf"
+	"streamsched/internal/trace"
 )
 
 // TestOneWindowOneHeader is what "one driver" promises: for every registry
@@ -137,12 +138,13 @@ func TestDaemonColdShapeFoldsFourPeriods(t *testing.T) {
 }
 
 // TestWindowBudget: Env.Budget refuses, before anything runs, a window
-// that cannot fold and whose warm-up and window are estimated past it, and
-// runs one just inside it; the refusal is the request's fault. A window
-// that folds runs its warm-up and looks for a recurrence only within the
-// budget: a long window that recurs early runs, folded, to the unbudgeted
-// result, and one whose search the budget cuts short is refused rather
-// than run to its end.
+// that cannot fold — demand-driven profiled with a two-way FIFO replica,
+// whose contents no key compares — and whose warm-up and window are
+// estimated past it, and runs one just inside it; the refusal is the
+// request's fault. A window that folds runs its warm-up and looks for a
+// recurrence only within the budget: a long window that recurs early runs,
+// folded, to the unbudgeted result, and one whose search the budget cuts
+// short is refused rather than run to its end.
 func TestWindowBudget(t *testing.T) {
 	b := sdf.NewBuilder("chain")
 	src, f, h, sink := b.AddNode("src", 0), b.AddNode("f", 64), b.AddNode("h", 32), b.AddNode("sink", 0)
@@ -155,15 +157,16 @@ func TestWindowBudget(t *testing.T) {
 	}
 	const warm, measured = 64, 1024
 	per := accessesPerFiring(g, 16)
-	measure := func(name string, budget, measured int64) (*CurveResult, error) {
+	fifo := []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{2}}}
+	measure := func(name string, budget, measured int64, orgs []trace.OrgSpec) (*CurveResult, error) {
 		t.Helper()
 		s, err := ByName(name, g, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return MeasureCurve(g, s, Env{M: 256, B: 16, Budget: budget}, 16, warm, measured)
+		return MeasureCurveOrgs(g, s, Env{M: 256, B: 16, Budget: budget}, 16, warm, measured, orgs)
 	}
-	cr, err := measure("demand", per*(warm+measured), measured)
+	cr, err := measure("demand", per*(warm+measured), measured, fifo)
 	if err != nil {
 		t.Fatalf("demand inside its budget: %v", err)
 	}
@@ -172,15 +175,15 @@ func TestWindowBudget(t *testing.T) {
 	if est := per * (cr.SourceFired + warm); cr.TraceLen < est || cr.TraceLen > est+est/10 {
 		t.Errorf("demand made %d accesses; the estimate is %d", cr.TraceLen, est)
 	}
-	if _, err := measure("demand", per*(warm+measured)-1, measured); !errors.Is(err, ErrBudget) || !errors.Is(err, sdf.ErrUnprocessable) {
+	if _, err := measure("demand", per*(warm+measured)-1, measured, fifo); !errors.Is(err, ErrBudget) || !errors.Is(err, sdf.ErrUnprocessable) {
 		t.Errorf("demand one access past its budget: %v, want ErrBudget", err)
 	}
 	const long = 1 << 40
-	want, err := measure("flat", 0, long)
+	want, err := measure("flat", 0, long, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := measure("flat", per*(warm+1000), long)
+	got, err := measure("flat", per*(warm+1000), long, nil)
 	if err != nil {
 		t.Fatalf("flat folding within its budget: %v", err)
 	}
@@ -188,7 +191,7 @@ func TestWindowBudget(t *testing.T) {
 		t.Errorf("budgeted fold read %d accesses, %d misses at 128; unbudgeted %d, %d",
 			got.Curve.Accesses, got.Curve.MissesAtCapacity(128, 16), want.Curve.Accesses, want.Curve.MissesAtCapacity(128, 16))
 	}
-	if _, err := measure("flat", per*warm, long); !errors.Is(err, ErrBudget) {
+	if _, err := measure("flat", per*warm, long, nil); !errors.Is(err, ErrBudget) {
 		t.Errorf("flat with no budget left to look for a recurrence: %v, want ErrBudget", err)
 	}
 	// A scaled plan fires the source a step of scale firings at a time, so

@@ -475,15 +475,17 @@ func TestFoldOverflowNotCached(t *testing.T) {
 	}
 }
 
-// TestWorkBudgetRefused: a window that cannot fold (demand and kohli
-// plans have no step) and whose estimated work is past workBudget is
-// refused before it runs — its computation fails with ErrBudget in under
-// 10 ms, and the handler answers 422 unprocessable — and leaves nothing in
-// the cache. The measure is written out: 1e15 is a decode error.
+// TestWorkBudgetRefused: a window that cannot fold and whose estimated
+// work is past workBudget is refused before it runs — its computation
+// fails with ErrBudget in under 10ms — and answers 422 unprocessable,
+// caching nothing. Every profile window has a step and a Folder, so the
+// part that cannot fold is the warm-up: demand and kohli asked for 10^15
+// warm-up firings. The same schedules with a 10^15-firing window fold it
+// and answer 200.
 func TestWorkBudgetRefused(t *testing.T) {
 	srv, ts, _ := newTestServer(t, Config{})
 	for _, sched := range []string{"demand", "kohli"} {
-		body := planBody(t, testGraphJSON(t, 16), `, "scheduler": "`+sched+`", "measure": 1000000000000000`)
+		body := planBody(t, testGraphJSON(t, 16), `, "scheduler": "`+sched+`", "warm": 1000000000000000`)
 		_, compute, err := srv.profileBody(body)
 		if err != nil {
 			t.Fatal(err)
@@ -502,6 +504,12 @@ func TestWorkBudgetRefused(t *testing.T) {
 	}
 	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("refused profiles left %d cache entries", n)
+	}
+	for _, sched := range []string{"demand", "kohli"} {
+		body := planBody(t, testGraphJSON(t, 16), `, "scheduler": "`+sched+`", "measure": 1000000000000000`)
+		if resp, data := post(t, ts.URL+"/v1/profile", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s folding 10^15 firings: status %d: %s, want 200", sched, resp.StatusCode, data)
+		}
 	}
 }
 
